@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from tilealg import samples
+from tilealg.algebra import InputError
 from tilealg.artheory import ar_quiver_dot, build_ar_quiver
 from tilealg.cli import _load_any
 
@@ -19,11 +20,15 @@ def main(argv):
         return 2
     source, dest = argv[1], argv[2]
     named = samples.algebra_fixtures()
-    if source in named:
-        pres = named[source]
-    else:
-        pres, _, _ = _load_any(source)
-    ar = build_ar_quiver(pres)
+    try:
+        if source in named:
+            pres = named[source]
+        else:
+            pres, _, _ = _load_any(source)
+        ar = build_ar_quiver(pres)
+    except InputError as exc:
+        print(f"input error: {exc}")
+        return 2
     Path(dest).write_text(ar_quiver_dot(ar), encoding="utf-8")
     print(f"{len(ar.nodes)} nodes, {len(ar.edges)} edges, "
           f"{len(ar.tau_pairs)} tau pairs -> {dest}")

@@ -147,8 +147,15 @@ def _relation_free_cycle(q: Quiver, relations):
     """A directed cycle in the graph (arrows, a->b iff ab composable not in I)."""
     succ = {a: [b for b in q.arrows_from(q.t(a)) if (a, b) not in relations]
             for a in q.arrows}
+    return _find_cycle(q.arrows, succ)
+
+
+def _find_cycle(order, succ):
+    """A directed cycle of the graph node -> succ[node], as a node list,
+    or None.  Iterative DFS started from the nodes in `order`, following
+    successors in list order; the first back edge closes the cycle."""
     state = {}  # 0 = on stack, 1 = done
-    for start in q.arrows:
+    for start in order:
         if start in state:
             continue
         stack = [(start, iter(succ[start]))]
@@ -326,6 +333,7 @@ def is_zero_path(p: GentlePresentation, path) -> bool:
 def parse_quiver_raw(text: str):
     """(vertices, arrows, relations) from a quiver description file."""
     vertices, arrows, relations = [], [], []
+    declared = set()
     seen_header = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -351,6 +359,10 @@ def parse_quiver_raw(text: str):
                 raise InputError(f"line {lineno}: unknown keyword {kw!r}")
         except ValueError:
             raise InputError(f"line {lineno}: malformed {kw!r} line") from None
+        if kw == "vertex":   # checked here: the handler above would mask it
+            if v in declared:
+                raise InputError(f"line {lineno}: duplicate vertex {v!r}")
+            declared.add(v)
     if not seen_header:
         raise InputError("missing 'quiver' header line")
     return vertices, arrows, relations

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import InputError
-from .strings import Band, Letter, StringWord, canonicalize, valid_pair
+from .homs import _HostView, _match
+from .strings import Band, Letter, StringWord, valid_pair
 from .surface import Tiling, TilingAlgebra
 
 
@@ -511,65 +512,24 @@ def rep_type_geometric(t: Tiling, alg: TilingAlgebra | None = None):
 # -- reading morphisms from curves ----------------------------------------
 
 
-def _segment_view(t: Tiling, alg: TilingAlgebra, arc):
+def _arc_view(t: Tiling, alg: TilingAlgebra, arc) -> _HostView:
     if isinstance(arc, TrivialArc):
         raise InputError("trivial arcs carry the zero module")
-    return (crossing_word(t, arc), arc_letters(t, alg, arc),
-            isinstance(arc, ClosedCurveClass))
-
-
-def _admissible_segments(letters, cyclic, clockwise: bool, max_length=None):
-    """Segments (start, length in letters) whose flanking transits have
-    the required arrow orientations: clockwise segments are flanked by a
-    direct arrow on the left and an inverse one on the right (the
-    submodule pattern); anticlockwise is the mirror (factor pattern).
-    Closed curves are read in their periodic unrolling, so a segment may
-    cross the base point, up to max_length letters."""
-    n = len(letters)
-    out = []
-    if not cyclic:
-        for start in range(n + 1):
-            for length in range(n - start + 1):
-                left = start - 1 if start > 0 else None
-                right = start + length if start + length < n else None
-                if left is not None and letters[left].inverse == clockwise:
-                    continue
-                if right is not None and letters[right].inverse != clockwise:
-                    continue
-                out.append((start, length))
-        return out
-    cap = n if max_length is None else max(max_length, n)
-    for start in range(n):
-        for length in range(cap + 1):
-            if letters[(start - 1) % n].inverse == clockwise:
-                continue
-            if letters[(start + length) % n].inverse != clockwise:
-                continue
-            out.append((start, length))
-    return out
-
-
-def _segment_key(word, letters, cyclic, seg):
-    start, length = seg
-    if length == 0:
-        return ("arc", word[start % len(word)] if cyclic else word[start])
-    seq = tuple(letters[(start + i) % len(letters)] if cyclic else letters[start + i]
-                for i in range(length))
-    return ("word",) + tuple((l.arrow, l.inverse)
-                             for l in canonicalize(StringWord.word(seq)).letters)
+    return _HostView(tuple(arc_letters(t, alg, arc)), crossing_word(t, arc),
+                     isinstance(arc, ClosedCurveClass))
 
 
 def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
     """Count pairs of homotopic admissible segments: an anticlockwise
     admissible segment of arc_v against a clockwise admissible segment
-    of arc_w with the same crossing subword."""
-    wv, lv, cv = _segment_view(t, alg, arc_v)
-    ww, lw, cw = _segment_view(t, alg, arc_w)
-    acw = [_segment_key(wv, lv, cv, s)
-           for s in _admissible_segments(lv, cv, False, max_length=len(lw))]
-    cws = [_segment_key(ww, lw, cw, s)
-           for s in _admissible_segments(lw, cw, True, max_length=len(lv))]
-    return sum(1 for a in acw for b in cws if a == b)
+    of arc_w with the same crossing subword.
+
+    An arc spells the same letter word as its string, so anticlockwise
+    segments are the factor windows and clockwise segments the sub
+    windows of `homs`, and both readings share its matcher.  Segments
+    without a transit are keyed by the arc they cross, and closed
+    curves are read in their periodic unrolling."""
+    return len(_match(_arc_view(t, alg, arc_v), _arc_view(t, alg, arc_w)))
 
 
 # -- formatting ------------------------------------------------------------

@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import (GentlenessError, InputError, check_gentle, parse_quiver)
+from .algebra import (GentlenessError, InputError, Quiver, check_gentle,
+                      parse_quiver, parse_quiver_raw)
 from .strings import (Band, StringRejection, StringWord, detect_band,
                       enumerate_strings, parse_band, parse_string)
 from .artheory import ar_quiver_dot, build_ar_quiver
@@ -26,10 +27,6 @@ from .arcs import (ArcRejection, TrivialArc, arc_to_string, format_arc,
                    string_to_arc, tau_inverse_arc)
 
 
-class DomainRejection(Exception):
-    pass
-
-
 def _read(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -38,11 +35,18 @@ def _read(path):
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _load_any(path):
-    """(presentation, tiling-or-None, tiling_algebra-or-None)."""
+def _sniff(path):
+    """(text, first keyword) of a description file; the keyword is
+    'quiver' or 'tiling' for well-formed files."""
     text = _read(path)
     first = next((l.split()[0] for l in text.splitlines()
                   if l.split("#", 1)[0].strip()), "")
+    return text, first
+
+
+def _load_any(path):
+    """(presentation, tiling-or-None, tiling_algebra-or-None)."""
+    text, first = _sniff(path)
     if first == "tiling":
         t = Tiling.parse(text)
         alg = tiling_algebra(t)
@@ -66,15 +70,12 @@ def _parse_operand(pres, text):
 
 
 def cmd_check(args, out):
-    text = _read(args.file)
-    first = next((l.split()[0] for l in text.splitlines()
-                  if l.split("#", 1)[0].strip()), "")
+    text, first = _sniff(args.file)
     if first == "tiling":
         t = Tiling.parse(text)
         pres = tiling_algebra(t).presentation
         verdict = check_gentle(pres.quiver, pres.relations)
     else:
-        from .algebra import Quiver, parse_quiver_raw
         vertices, arrows, relations = parse_quiver_raw(text)
         q = Quiver.from_arrows(vertices, arrows)
         verdict = check_gentle(q, relations)
@@ -277,8 +278,8 @@ def main(argv=None, out=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, out)
-    except (StringRejection, GentlenessError, TilingRejection, ArcRejection,
-            DomainRejection) as exc:
+    except (StringRejection, GentlenessError, TilingRejection,
+            ArcRejection) as exc:
         print(f"rejected: {exc}", file=out)
         return 1
     except InputError as exc:

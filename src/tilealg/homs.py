@@ -14,6 +14,11 @@ letter.  When two hosts are compared the window length is capped by the
 other side's length, which keeps the match count finite; the finite-
 field oracle confirms that these wrapped windows are exactly the ones
 carrying maps between band and string modules.
+
+The geometric reading (admissible segments of permissible arcs, see
+`arcs.hom_dim_geometric`) uses the same matcher: an arc spells the same
+letter word as its string, anticlockwise segments are factor windows
+and clockwise segments are sub windows.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ class _HostView:
     letters: tuple
     vertices: tuple     # linear: len+1 entries; cyclic: len entries
     cyclic: bool
-    trivial_vertex: str | None = None   # set for trivial strings
 
     def __len__(self):
         return len(self.letters)
@@ -42,8 +46,6 @@ class _HostView:
         return self.letters[i % len(self.letters)] if self.cyclic else self.letters[i]
 
     def vertex(self, i):
-        if self.trivial_vertex is not None:
-            return self.trivial_vertex
         return self.vertices[i % len(self.vertices)] if self.cyclic else self.vertices[i]
 
 
@@ -56,7 +58,7 @@ def _view(p: GentlePresentation, host) -> _HostView:
         if host.is_zero:
             raise InputError("zero string has no module")
         if host.is_trivial:
-            return _HostView((), (), False, trivial_vertex=host.vertex)
+            return _HostView((), (host.vertex,), False)
         if not is_valid_string(p, host):
             raise InputError(f"not a string of this presentation: {host!r}")
         return _HostView(host.letters, tuple(host.walk_vertices(p)), False)
@@ -133,16 +135,22 @@ def substrings(p: GentlePresentation, host, max_length: int | None = None):
             for w in _windows(view, False, max_length)]
 
 
+def _window_word(view: _HostView, w: Window) -> tuple:
+    return tuple(view.letter(w.start + i) for i in range(w.length))
+
+
+def _window_key(view: _HostView, w: Window):
+    if w.length == 0:
+        return ("triv", view.vertex(w.start))
+    word = canonicalize(StringWord.word(_window_word(view, w)))
+    return ("word",) + tuple((l.arrow, l.inverse) for l in word.letters)
+
+
 def window_key(p: GentlePresentation, host, w: Window):
     """Canonical key of the window word, identifying e with e^-1.
     Trivial windows carry their vertex; the sign drops out because a
     match may use either orientation."""
-    view = _view(p, host)
-    if w.length == 0:
-        return ("triv", view.vertex(w.start))
-    letters = tuple(view.letter(w.start + i) for i in range(w.length))
-    word = canonicalize(StringWord.word(letters))
-    return ("word",) + tuple((l.arrow, l.inverse) for l in word.letters)
+    return _window_key(_view(p, host), w)
 
 
 @dataclass(frozen=True)
@@ -159,30 +167,26 @@ class HomComputation:
     experimental: bool
 
 
-def _match_cap(other) -> int:
-    """Longest window of the other operand a wrapped window could match."""
-    if isinstance(other, Band):
-        return len(other)
-    return len(other.letters)
-
-
-def _window_letters(p: GentlePresentation, host, w: Window):
-    view = _view(p, host)
-    return tuple(view.letter(w.start + i) for i in range(w.length))
+def _match(fv: _HostView, sv: _HostView):
+    """Admissible pairs (factor window of fv, sub window of sv, same
+    orientation), factor-major with subs in enumeration order.  Wrapped
+    windows on either side are capped by the other side's length."""
+    subs = {}
+    for s in _windows(sv, False, len(fv)):
+        subs.setdefault(_window_key(sv, s), []).append(s)
+    out = []
+    for f in _windows(fv, True, len(sv)):
+        letters = _window_word(fv, f)
+        for s in subs.get(_window_key(fv, f), ()):
+            out.append((f, s, letters == _window_word(sv, s)))
+    return out
 
 
 def hom_dim_detailed(p: GentlePresentation, v, w) -> HomComputation:
-    facs = factor_strings(p, v, max_length=_match_cap(w))
-    subs = substrings(p, w, max_length=_match_cap(v))
-    fac_keys = [(f, window_key(p, v, f.window)) for f in facs]
-    sub_keys = [(s, window_key(p, w, s.window)) for s in subs]
-    pairs = []
-    for f, kf in fac_keys:
-        for s, ks in sub_keys:
-            if kf != ks:
-                continue
-            same = _window_letters(p, v, f.window) == _window_letters(p, w, s.window)
-            pairs.append(AdmissiblePair(f, s, "equal" if same else "inverse"))
+    fv, sv = _view(p, v), _view(p, w)
+    pairs = [AdmissiblePair(FactorDecomposition(v, f), SubDecomposition(w, s),
+                            "equal" if same else "inverse")
+             for f, s, same in _match(fv, sv)]
     experimental = isinstance(v, Band) and isinstance(w, Band) and v == w
     if experimental:
         warnings.warn("hom between modules over the same band omits the "

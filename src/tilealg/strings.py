@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GentlePresentation, InputError
+from .algebra import GentlePresentation, InputError, _find_cycle
 
 
 @dataclass(frozen=True, order=True)
@@ -331,31 +331,8 @@ def detect_band(p: GentlePresentation):
     mixes direct and inverse letters.
     """
     succ = letter_graph(p)
-    state = {}
-    for start in sorted(succ, key=lambda l: (l.arrow, l.inverse)):
-        if start in state:
-            continue
-        stack = [(start, iter(succ[start]))]
-        path = [start]
-        state[start] = 0
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in state:
-                    state[nxt] = 0
-                    stack.append((nxt, iter(succ[nxt])))
-                    path.append(nxt)
-                    advanced = True
-                    break
-                if state[nxt] == 0:
-                    cycle = path[path.index(nxt):]
-                    return Band.from_letters(p, cycle)
-            if not advanced:
-                state[node] = 1
-                stack.pop()
-                path.pop()
-    return None
+    cycle = _find_cycle(sorted(succ), succ)
+    return None if cycle is None else Band.from_letters(p, cycle)
 
 
 def enumerate_strings(p: GentlePresentation, max_len: int | None = None):
@@ -395,7 +372,7 @@ def parse_string(p: GentlePresentation, text: str) -> StringWord:
     if parts[0] == "zero":
         return StringWord.zero()
     if parts[0] == "triv":
-        if len(parts) != 3 or parts[2] not in "+-":
+        if len(parts) != 3 or parts[2] not in ("+", "-"):
             raise InputError("trivial string syntax: triv <vertex> <+|->")
         if parts[1] not in p.quiver.vertices:
             raise InputError(f"unknown vertex {parts[1]!r}")

@@ -78,6 +78,8 @@ class Tiling:
             if kw == "tiling":
                 seen_header = True
             elif kw == "boundary":
+                if len(parts) > 1 and (parts[1] in marked or parts[1] in unmarked):
+                    raise InputError(f"line {lineno}: duplicate boundary {parts[1]!r}")
                 if len(parts) >= 3 and parts[2] == "marked":
                     if len(parts) < 4:
                         raise InputError(f"line {lineno}: marked boundary needs points")
@@ -91,10 +93,14 @@ class Tiling:
             elif kw == "arc":
                 if len(parts) != 4:
                     raise InputError(f"line {lineno}: arc syntax: arc <id> <p> <q>")
+                if parts[1] in arcs:
+                    raise InputError(f"line {lineno}: duplicate arc {parts[1]!r}")
                 arcs[parts[1]] = (parts[2], parts[3])
             elif kw == "fan":
                 if len(parts) < 3 or parts[2] != ":":
                     raise InputError(f"line {lineno}: fan syntax: fan <p> : <arc.end> ...")
+                if parts[1] in fans:
+                    raise InputError(f"line {lineno}: duplicate fan {parts[1]!r}")
                 slots = []
                 for tok in parts[3:]:
                     try:
@@ -431,13 +437,20 @@ def tiling_algebra(t: Tiling) -> TilingAlgebra:
             name = f"a{counter}"
             counter += 1
             arrows[name] = TilingArrow(name, leave[0], enter[0], pt, leave, enter)
+    return _slot_algebra(t, sorted(t.arcs), arrows)
+
+
+def _slot_algebra(t: Tiling, vertices, arrows) -> TilingAlgebra:
+    """The algebra on `vertices` with the given TilingArrows (name ->
+    arrow): xy is a relation exactly when x enters its target arc at
+    another end slot than the one y leaves."""
     relations = []
     for x in arrows.values():
         for y in arrows.values():
             if x.target == y.source and x.enter_slot != y.leave_slot:
                 relations.append((x.name, y.name))
     pres = GentlePresentation.from_data(
-        sorted(t.arcs),
+        vertices,
         [(a.name, a.source, a.target) for a in arrows.values()],
         relations,
     )
@@ -599,18 +612,7 @@ def collapse_presentation(alg_t: TilingAlgebra, keep) -> TilingAlgebra:
         collapsed[cname] = TilingArrow(cname, path[0].source, path[-1].target,
                                        path[0].point, path[0].leave_slot,
                                        path[-1].enter_slot)
-    relations = []
-    for x in collapsed.values():
-        for y in collapsed.values():
-            if x.target == y.source and x.enter_slot != y.leave_slot:
-                relations.append((x.name, y.name))
-    pres = GentlePresentation.from_data(
-        sorted(keep),
-        [(a.name, a.source, a.target) for a in collapsed.values()],
-        relations,
-    )
-    by_slots = {(a.leave_slot, a.enter_slot): a.name for a in collapsed.values()}
-    return TilingAlgebra(alg_t.tiling, pres, collapsed, by_slots)
+    return _slot_algebra(alg_t.tiling, sorted(keep), collapsed)
 
 
 def presentations_isomorphic(a: TilingAlgebra, b: TilingAlgebra) -> bool:

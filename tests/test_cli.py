@@ -2,6 +2,8 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
 from tilealg.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -198,3 +200,60 @@ def test_hom_same_band_experimental_does_not_gate():
 def test_missing_file_is_input_error():
     code, text = run("check", str(DATA / "nope.quiver"))
     assert code == 2
+
+
+def test_trivial_string_sign_must_be_one_character():
+    code, text = run("hom", str(DATA / "fixA.quiver"), "triv 1 +-", "triv 1 +")
+    assert code == 2
+    assert "triv <vertex> <+|->" in text
+    code, text = run("arcs", str(DATA / "pent.tiling"), "triv x +-")
+    assert code == 2
+
+
+PENT = (DATA / "pent.tiling").read_text()
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("dup.quiver", "quiver\nvertex 1\nvertex 2\nvertex 1\narrow a 1 2\nend\n",
+     "line 4: duplicate vertex '1'"),
+    ("dup_arc.tiling", PENT.replace("arc y p1 p4\n", "arc y p1 p4\narc x p1 p4\n"),
+     "line 5: duplicate arc 'x'"),
+    ("dup_fan.tiling", PENT.replace("fan p3 : x.2\n", "fan p3 : x.2\nfan p3 : x.2\n"),
+     "line 7: duplicate fan 'p3'"),
+    ("dup_marked.tiling", PENT.replace("arc x", "boundary b1 marked p1 p2 p3 p4 p5\narc x", 1),
+     "line 3: duplicate boundary 'b1'"),
+    ("dup_unmarked.tiling", PENT.replace("arc x", "boundary b1 unmarked inside x\narc x", 1),
+     "line 3: duplicate boundary 'b1'"),
+])
+def test_duplicate_declarations_are_input_errors(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out = run("check", str(path))
+    assert code == 2
+    assert out == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("arrows, expected", [
+    ("arrow a 1 2\narrow b 2 1\n",
+     ["violation FD: relation-free oriented cycle a b (algebra infinite dimensional)"]),
+    ("arrow c 1 2\narrow a 2 3\narrow b 3 1\n",
+     ["violation FD: relation-free oriented cycle a b c (algebra infinite dimensional)"]),
+    # two relation-free cycles through vertex 2: successors are tried in
+    # arrow order, so the witness is a b and not c d
+    ("arrow a 1 2\narrow b 2 1\narrow c 2 3\narrow d 3 2\n",
+     ["violation G2: arrow a has 2 non-relation successors",
+      "violation G2: arrow b has 2 non-relation predecessors",
+      "violation G2: arrow c has 2 non-relation predecessors",
+      "violation G2: arrow d has 2 non-relation successors",
+      "violation FD: relation-free oriented cycle a b (algebra infinite dimensional)"]),
+    # the search starts outside the cycle
+    ("arrow a 0 1\narrow b 1 2\narrow c 2 1\n",
+     ["violation G2: arrow b has 2 non-relation predecessors",
+      "violation FD: relation-free oriented cycle b c (algebra infinite dimensional)"]),
+])
+def test_check_fd_witness_is_pinned(tmp_path, arrows, expected):
+    path = tmp_path / "cycle.quiver"
+    path.write_text("quiver\nvertex 0\nvertex 1\nvertex 2\nvertex 3\n" + arrows + "end\n")
+    code, text = run("check", str(path))
+    assert code == 1
+    assert text.splitlines() == expected

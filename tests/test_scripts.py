@@ -1,0 +1,28 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).parent / "data"
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_random_tiling_audit_runs(capsys):
+    assert _script("random_tiling_audit").main(["random_tiling_audit.py", "4", "7"]) == 0
+    assert "audited 4 random tilings (seed 7); failures: 0" in capsys.readouterr().out
+
+
+def test_export_ar_quiver_runs(tmp_path, capsys):
+    dest = tmp_path / "ar.dot"
+    script = _script("export_ar_quiver")
+    assert script.main(["export_ar_quiver.py", str(DATA / "digon.tiling"), str(dest)]) == 0
+    assert dest.read_text().startswith("digraph")
+    assert f"-> {dest}" in capsys.readouterr().out
+    # a band-positive algebra has no finite AR quiver of string modules
+    assert script.main(["export_ar_quiver.py", str(DATA / "kron.tiling"), str(dest)]) == 2
+    assert capsys.readouterr().out.startswith("input error: presentation has a band")

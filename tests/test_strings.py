@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tilealg import samples
-from tilealg.algebra import InputError
+from tilealg.algebra import GentlePresentation, InputError
 from tilealg.strings import (Band, Letter, StringRejection, StringWord,
                              canonicalize, compose, detect_band,
                              enumerate_strings, epsilon_of, is_valid_string,
                              parse_band, parse_string, sigma_of,
                              validate_string)
+from tilealg.surface import tiling_algebra
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,38 @@ def test_detect_band_negative_cases(fix_a, fix_b):
     assert detect_band(fix_b) is None
     assert detect_band(fix_a) is None
     assert detect_band(samples.loop_algebra()) is None
+
+
+def _double_kronecker():
+    return GentlePresentation.from_data(
+        ["1", "2", "3"],
+        [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"), ("d", "2", "3")],
+        [("a", "c"), ("b", "d")])
+
+
+def _affine_a3():
+    return GentlePresentation.from_data(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "4"), ("d", "4", "3")], [])
+
+
+# samples.kronecker() is pinned by test_detect_band_kronecker
+@pytest.mark.parametrize("make, witness", [
+    (lambda: tiling_algebra(samples.kron_tiling()).presentation, "a1 a2-"),
+    (_double_kronecker, "a b-"),
+    (_affine_a3, "a b d- c-"),
+])
+def test_detect_band_witness_is_pinned(make, witness):
+    assert detect_band(make()).text() == witness
+
+
+def test_detect_band_witnesses_on_random_tilings_are_pinned():
+    found = []
+    for i, t in enumerate(samples.random_tilings(7, 40)):
+        band = detect_band(tiling_algebra(t).presentation)
+        if band is not None:
+            found.append((i, band.text()))
+    assert found == [(i, "a1 a2-") for i in (7, 11, 12, 15, 22, 23, 24, 26, 29, 32, 36)]
 
 
 def test_band_rejects_proper_power():
