@@ -3,15 +3,19 @@
 
     python3 scripts/export_ar_quiver.py fix_b ar.dot
     python3 scripts/export_ar_quiver.py path/to/file.quiver ar.dot
+
+Exit codes as for the CLI: 0 written, 1 rejected (not gentle, not a
+tiling), 2 malformed input.
 """
 
 import sys
 from pathlib import Path
 
 from tilealg import samples
-from tilealg.algebra import InputError
+from tilealg.algebra import GentlenessError, InputError
 from tilealg.artheory import ar_quiver_dot, build_ar_quiver
 from tilealg.cli import _load_any
+from tilealg.surface import TilingRejection
 
 
 def main(argv):
@@ -26,6 +30,9 @@ def main(argv):
         else:
             pres, _, _ = _load_any(source)
         ar = build_ar_quiver(pres)
+    except (GentlenessError, TilingRejection) as exc:
+        print(f"rejected: {exc}")
+        return 1
     except InputError as exc:
         print(f"input error: {exc}")
         return 2

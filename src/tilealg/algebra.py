@@ -44,6 +44,20 @@ class Quiver:
     vertices: frozenset
     sources: dict = field(hash=False)   # arrow id -> source vertex
     targets: dict = field(hash=False)   # arrow id -> target vertex
+    # derived once in __post_init__: sorted arrows, out/in lists per vertex
+    _arrows: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _out: dict = field(init=False, repr=False, compare=False, hash=False)
+    _in: dict = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self):
+        arrows = tuple(sorted(self.sources))
+        out, into = {}, {}
+        for a in arrows:
+            out.setdefault(self.sources[a], []).append(a)
+            into.setdefault(self.targets[a], []).append(a)
+        object.__setattr__(self, "_arrows", arrows)
+        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_in", into)
 
     @classmethod
     def from_arrows(cls, vertices, arrows):
@@ -61,7 +75,7 @@ class Quiver:
 
     @property
     def arrows(self):
-        return sorted(self.sources)
+        return list(self._arrows)
 
     def s(self, a):
         return self.sources[a]
@@ -70,10 +84,10 @@ class Quiver:
         return self.targets[a]
 
     def arrows_from(self, v):
-        return [a for a in self.arrows if self.sources[a] == v]
+        return list(self._out.get(v, ()))
 
     def arrows_into(self, v):
-        return [a for a in self.arrows if self.targets[a] == v]
+        return list(self._in.get(v, ()))
 
 
 def _check_relations_composable(q: Quiver, relations):
@@ -341,6 +355,8 @@ def parse_quiver_raw(text: str):
             continue
         parts = line.split()
         kw = parts[0]
+        if kw not in ("quiver", "vertex", "arrow", "relation", "end"):
+            raise InputError(f"line {lineno}: unknown keyword {kw!r}")
         try:
             if kw == "quiver":
                 seen_header = True
@@ -353,10 +369,8 @@ def parse_quiver_raw(text: str):
             elif kw == "relation":
                 a, b = parts[1:]
                 relations.append((a, b))
-            elif kw == "end":
+            else:  # end
                 break
-            else:
-                raise InputError(f"line {lineno}: unknown keyword {kw!r}")
         except ValueError:
             raise InputError(f"line {lineno}: malformed {kw!r} line") from None
         if kw == "vertex":   # checked here: the handler above would mask it

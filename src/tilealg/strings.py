@@ -316,9 +316,15 @@ def all_letters(p: GentlePresentation):
 
 
 def letter_graph(p: GentlePresentation):
-    """Successor map of the letter graph: l1 -> l2 iff l1 l2 is a string."""
+    """Successor map of the letter graph: l1 -> l2 iff l1 l2 is a string.
+    Successors keep the `all_letters` order; candidates are only the
+    letters starting where l1 ends."""
     letters = all_letters(p)
-    return {l1: [l2 for l2 in letters if valid_pair(p, l1, l2) is None]
+    starting = {}
+    for l in letters:
+        starting.setdefault(letter_source(p, l), []).append(l)
+    return {l1: [l2 for l2 in starting.get(letter_target(p, l1), ())
+                 if valid_pair(p, l1, l2) is None]
             for l1 in letters}
 
 
@@ -345,17 +351,16 @@ def enumerate_strings(p: GentlePresentation, max_len: int | None = None):
     if band is not None and max_len is None:
         raise InputError("presentation has a band; enumeration needs max_len")
 
+    succ = letter_graph(p)
     found = {canonicalize(StringWord.trivial(v)) for v in p.vertices}
-    frontier = [StringWord.word((l,)) for l in all_letters(p)]
+    frontier = [StringWord.word((l,)) for l in succ]
     length = 1
     while frontier and (max_len is None or length <= max_len):
         found.update(canonicalize(w) for w in frontier)
         nxt = []
         for w in frontier:
-            last = w.letters[-1]
-            for l2 in all_letters(p):
-                if valid_pair(p, last, l2) is None:
-                    nxt.append(StringWord.word(w.letters + (l2,)))
+            for l2 in succ[w.letters[-1]]:
+                nxt.append(StringWord.word(w.letters + (l2,)))
         frontier = nxt
         length += 1
     return sorted(found, key=string_sort_key)

@@ -25,6 +25,8 @@ Tiling description files:
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
 
 from .algebra import GentlePresentation, InputError
@@ -277,12 +279,7 @@ class Tiling:
                 if self.kind[d] != "rseg":
                     raise TilingRejection("outer boundary orbit mixes interior darts")
         # deterministic tile order: by canonical rotation of the walk key
-        def tile_key(walk):
-            keys = [tuple((self.kind[d], str(self.label[d]), str(self.slot[d]))
-                          for d in walk[i:] + walk[:i]) for i in range(len(walk))]
-            return min(keys)
-
-        walks.sort(key=tile_key)
+        walks.sort(key=lambda walk: _tile_key(self, walk))
         self._walks = walks
 
     def _classify(self):
@@ -395,6 +392,15 @@ class Tiling:
         raise InputError(f"unknown marked point {p}")
 
 
+def _tile_key(m, walk):
+    """Canonical rotation of a walk's (kind, label, slot) dart keys.  The
+    darts of a walk are distinct, so it starts at the least key.  `m` is
+    a Tiling or a _DartMap."""
+    keys = [(m.kind[d], str(m.label[d]), str(m.slot[d])) for d in walk]
+    i = keys.index(min(keys))
+    return tuple(keys[i:] + keys[:i])
+
+
 def validate_tiling(text_or_tiling):
     """Parse/validate; returns the Tiling (tiles computed) or raises."""
     if isinstance(text_or_tiling, Tiling):
@@ -444,11 +450,11 @@ def _slot_algebra(t: Tiling, vertices, arrows) -> TilingAlgebra:
     """The algebra on `vertices` with the given TilingArrows (name ->
     arrow): xy is a relation exactly when x enters its target arc at
     another end slot than the one y leaves."""
-    relations = []
-    for x in arrows.values():
-        for y in arrows.values():
-            if x.target == y.source and x.enter_slot != y.leave_slot:
-                relations.append((x.name, y.name))
+    leaving = {}
+    for y in arrows.values():
+        leaving.setdefault(y.source, []).append(y)
+    relations = [(x.name, y.name) for x in arrows.values()
+                 for y in leaving.get(x.target, ()) if x.enter_slot != y.leave_slot]
     pres = GentlePresentation.from_data(
         vertices,
         [(a.name, a.source, a.target) for a in arrows.values()],
@@ -482,23 +488,23 @@ def _fresh(prefix, taken):
     return f"{prefix}{i}"
 
 
-def _insert_slot_at_corner(t: Tiling, fans, tile: Tile, corner: int, slot):
-    """Register `slot` in the fan at the tile corner `corner`: it lands
-    in the rotation sector just before the walk dart at that position."""
-    d = tile.walk[corner % len(tile.walk)]
-    pt = t.tail[d]
+def _insert_slot_at_corner(m, fans, walk, corner: int, slot):
+    """Register `slot` in the fan at the tile corner `corner` of `walk`:
+    it lands in the rotation sector just before the walk dart at that
+    position.  Returns the corner's point."""
+    d = walk[corner % len(walk)]
+    pt = m.tail[d]
     fan = fans.setdefault(pt, [])
-    if t.kind[d] == "arc":
-        idx = fan.index(t.slot[d])
+    if m.kind[d] == "arc":
+        idx = fan.index(m.slot[d])
     else:
         idx = len(fan)  # the sector before the outgoing boundary dart
     fan.insert(idx, slot)
     return pt
 
 
-def _least_corner(t: Tiling, tile: Tile):
-    m = len(tile.walk)
-    return min(range(m), key=lambda i: (t.corner_point(tile, i), i))
+def _least_corner(m, walk):
+    return min(range(len(walk)), key=lambda i: (m.tail[walk[i]], i))
 
 
 def _pierce(t: Tiling, comp: str) -> Tiling:
@@ -513,30 +519,65 @@ def _pierce(t: Tiling, comp: str) -> Tiling:
     new_pt = _fresh("m", set(t.points))
     marked[comp] = [new_pt]
     new_arc = _fresh("z", set(arcs))
-    c = _least_corner(t, tile)
-    outer_pt = _insert_slot_at_corner(t, fans, tile, c, (new_arc, 1))
+    c = _least_corner(t, tile.walk)
+    outer_pt = _insert_slot_at_corner(t, fans, tile.walk, c, (new_arc, 1))
     arcs[new_arc] = (outer_pt, new_pt)
     fans[new_pt] = [(new_arc, 2)]
     return Tiling.from_data(marked, unmarked, arcs, fans)
 
 
-def _split(t: Tiling, tile: Tile) -> Tiling:
-    """Cut an m-gon (m >= 4) by the diagonal from its least corner to the
-    corner two steps further along the walk."""
-    m = len(tile.walk)
-    assert m >= 4 and tile.unmarked is None
-    marked = {k: list(v) for k, v in t.marked.items()}
-    unmarked = dict(t.unmarked)
-    arcs = dict(t.arcs)
-    fans = {k: list(v) for k, v in t.fans.items()}
+class _DartMap:
+    """The dart map of a tiling without unmarked components, cut by
+    diagonal splits in place: Tiling's dart lists and rotation successor,
+    plus the arcs and fans that describe the current state."""
 
-    new_arc = _fresh("z", set(arcs))
-    c1 = _least_corner(t, tile)
-    c2 = (c1 + 2) % m
-    p1 = _insert_slot_at_corner(t, fans, tile, c1, (new_arc, 1))
-    p2 = _insert_slot_at_corner(t, fans, tile, c2, (new_arc, 2))
-    arcs[new_arc] = (p1, p2)
-    return Tiling.from_data(marked, unmarked, arcs, fans)
+    def __init__(self, t: Tiling):
+        self.tail, self.twin = list(t.tail), list(t.twin)
+        self.kind, self.label, self.slot = list(t.kind), list(t.label), list(t.slot)
+        self._rot_next = dict(t._rot_next)
+        self.arcs = dict(t.arcs)
+        self.fans = {k: list(v) for k, v in t.fans.items()}
+
+    face_next = Tiling.face_next
+
+    def split(self, walk, arc):
+        """Cut the m-gon `walk` (m >= 4) by the diagonal `arc` from its
+        least corner to the corner two steps further along the walk;
+        returns the two new faces."""
+        c1 = _least_corner(self, walk)
+        c2 = (c1 + 2) % len(walk)
+        p1 = _insert_slot_at_corner(self, self.fans, walk, c1, (arc, 1))
+        p2 = _insert_slot_at_corner(self, self.fans, walk, c2, (arc, 2))
+        self.arcs[arc] = (p1, p2)
+        d1, d2 = len(self.tail), len(self.tail) + 1
+        self.tail += [p1, p2]
+        self.twin += [d2, d1]
+        self.kind += ["arc", "arc"]
+        self.label += [arc, arc]
+        self.slot += [(arc, 1), (arc, 2)]
+        # the new dart enters the rotation just before the walk dart at
+        # its corner, i.e. right after the twin of the dart arriving there
+        for d, c in ((d1, c1), (d2, c2)):
+            self._rot_next[self.twin[walk[c - 1]]] = d
+            self._rot_next[d] = walk[c]
+        return [self._face(d1), self._face(d2)]
+
+    def _face(self, d0):
+        """The face walk through d0, started where Tiling._trace_faces
+        starts it: at the dart Tiling._build numbers first (arc darts by
+        arc id and end, then boundary darts by component and index)."""
+        walk, d = [d0], self.face_next(d0)
+        while d != d0:
+            walk.append(d)
+            d = self.face_next(d)
+
+        def build_rank(d):
+            if self.kind[d] == "arc":
+                return (0, self.label[d], self.slot[d][1])
+            return (1,) + self.label[d]
+
+        i = min(range(len(walk)), key=lambda j: build_rank(walk[j]))
+        return walk[i:] + walk[:i]
 
 
 @dataclass(frozen=True)
@@ -548,20 +589,31 @@ class Completion:
 
 def complete_to_triangulation(t: Tiling) -> Completion:
     """Deterministically complete a tiling to a triangulation: one new
-    marked point per unmarked component, then repeated diagonal splits.
-    Every intermediate state is itself a valid tiling."""
+    marked point per unmarked component, then repeated diagonal splits of
+    the m-gon (m >= 4) with the least tile key.  Each piercing yields a
+    validated Tiling; the splits then run on one _DartMap, which retraces
+    only the two faces each split creates, and only the result is built
+    and validated as a Tiling again."""
     current = t
     for comp in sorted(t.unmarked):
         current = _pierce(current, comp)
-    guard = 0
-    while True:
-        big = next((x for x in current.tiles if len(x.walk) > 3), None)
-        if big is None:
-            break
-        current = _split(current, big)
-        guard += 1
-        if guard > 4 * (len(current.arcs) + 8):
-            raise AssertionError("triangulation completion did not terminate")
+    heap = [(_tile_key(current, x.walk), list(x.walk))
+            for x in current.tiles if len(x.walk) > 3]
+    if heap:
+        heapq.heapify(heap)  # tile keys are unique: walks never compared
+        work = _DartMap(current)
+        names = (f"z{i}" for i in itertools.count(1) if f"z{i}" not in work.arcs)
+        guard = 0
+        while heap:
+            _, walk = heapq.heappop(heap)
+            for face in work.split(walk, next(names)):
+                if len(face) > 3:
+                    heapq.heappush(heap, (_tile_key(work, face), face))
+            guard += 1
+            if guard > 4 * (len(work.arcs) + 8):
+                raise AssertionError("triangulation completion did not terminate")
+        current = Tiling.from_data(current.marked, current.unmarked,
+                                   work.arcs, work.fans)
     added_points = tuple(sorted(set(current.points) - set(t.points)))
     added_arcs = tuple(sorted(set(current.arcs) - set(t.arcs)))
     assert all(len(x.walk) == 3 for x in current.tiles)
@@ -580,8 +632,10 @@ def collapse_presentation(alg_t: TilingAlgebra, keep) -> TilingAlgebra:
     unknown = keep - set(alg_t.tiling.arcs)
     if unknown:
         raise InputError(f"keep set names unknown arcs: {sorted(unknown)}")
-    p = alg_t.presentation
     arrows_t = alg_t.arrows
+    leaving = {}
+    for b in arrows_t.values():
+        leaving.setdefault((b.source, b.leave_slot), []).append(b)
 
     collapsed = {}
     counter = 1
@@ -593,8 +647,7 @@ def collapse_presentation(alg_t: TilingAlgebra, keep) -> TilingAlgebra:
         ok = True
         while path[-1].target not in keep:
             last = path[-1]
-            nxt = [b for b in arrows_t.values()
-                   if b.source == last.target and last.enter_slot == b.leave_slot]
+            nxt = leaving.get((last.target, last.enter_slot), [])
             if not nxt:
                 ok = False
                 break

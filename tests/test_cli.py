@@ -257,3 +257,11 @@ def test_check_fd_witness_is_pinned(tmp_path, arrows, expected):
     code, text = run("check", str(path))
     assert code == 1
     assert text.splitlines() == expected
+
+
+def test_check_unknown_keyword_is_reported(tmp_path):
+    path = tmp_path / "bad.quiver"
+    path.write_text("not a file\n")
+    code, text = run("check", str(path))
+    assert code == 2
+    assert text == "input error: line 1: unknown keyword 'not'\n"

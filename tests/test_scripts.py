@@ -26,3 +26,18 @@ def test_export_ar_quiver_runs(tmp_path, capsys):
     # a band-positive algebra has no finite AR quiver of string modules
     assert script.main(["export_ar_quiver.py", str(DATA / "kron.tiling"), str(dest)]) == 2
     assert capsys.readouterr().out.startswith("input error: presentation has a band")
+
+
+def test_export_ar_quiver_reports_rejections(tmp_path, capsys):
+    dest = tmp_path / "ar.dot"
+    script = _script("export_ar_quiver")
+    cycle = tmp_path / "cycle.quiver"
+    cycle.write_text("quiver\nvertex 1\nvertex 2\narrow a 1 2\narrow b 2 1\nend\n")
+    assert script.main(["export_ar_quiver.py", str(cycle), str(dest)]) == 1
+    assert capsys.readouterr().out.startswith(
+        "rejected: not a gentle presentation: (FD) relation-free oriented cycle a b")
+    small = tmp_path / "small.tiling"
+    small.write_text("tiling\nboundary b1 marked p1 p2 p3\nend\n")
+    assert script.main(["export_ar_quiver.py", str(small), str(dest)]) == 1
+    assert capsys.readouterr().out == "rejected: a disc needs at least four marked points\n"
+    assert not dest.exists()

@@ -1,3 +1,7 @@
+import hashlib
+import random
+import re
+
 import pytest
 
 from tilealg import samples
@@ -268,3 +272,127 @@ def test_random_tilings_complete_and_collapse():
         assert all(len(x.walk) == 3 for x in comp.tiling.tiles)
         collapsed = collapse_presentation(tiling_algebra(comp.tiling), t.arc_ids())
         assert presentations_isomorphic(collapsed, tiling_algebra(t))
+
+
+# -- completion output, pinned ---------------------------------------------
+
+def _completion_record(t):
+    """Everything a completion fixes: the completed tiling's text (arcs and
+    fan orders), the added points and arcs, and each tile's walk."""
+    comp = complete_to_triangulation(t)
+    c = comp.tiling
+    lines = [c.text(), " ".join(comp.added_points), " ".join(comp.added_arcs)]
+    lines += [" ".join(f"{c.kind[d]}:{c.label[d]}:{c.slot[d]}" for d in tile.walk)
+              for tile in c.tiles]
+    return "\n".join(lines) + "\n"
+
+
+def _completion_cases():
+    for name, t in samples.tiled_fixtures().items():
+        yield f"fixture-{name}", t
+    for i, t in enumerate(samples.random_tilings(99, 12)):
+        yield f"random99-{i}", t
+    for n in (4, 5, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 160, 200, 240):
+        yield f"disc-{n}", samples.random_disc_tiling(random.Random(n), n, n)
+    for seed in range(4):
+        yield f"loop-{seed}", samples.random_loop_annulus(random.Random(seed))
+        yield f"digon-{seed}", samples.random_digon_annulus(random.Random(seed))
+    yield "kron", samples.random_kron_annulus(random.Random(0))
+    # the least point sits at two corners of a face that needs splits, so
+    # the corner tie-break, and with it the walk start, picks the diagonal
+    yield "genus-one", Tiling.parse(GENUS_ONE)
+    for seed in range(4):
+        t = samples.random_digon_annulus(random.Random(seed))
+        yield f"digon-a-{seed}", Tiling.parse(re.sub(r"\bp(\d)", r"a\1", t.text()))
+
+
+GENUS_ONE = """\
+tiling
+boundary b1 marked p1 p2 p3 p4 p5
+arc x p1 p3
+arc y p1 p4
+fan p1 : x.1 y.1
+fan p3 : x.2
+fan p4 : y.2
+end
+"""
+
+
+# sha256[:16] of _completion_record, recorded before completion moved from
+# rebuilding a Tiling per split to local splits on one dart map
+COMPLETION_DIGESTS = {
+    "fixture-pent": "3853c6c9a515af4d",
+    "fixture-loop": "2fc0d9e156a483d3",
+    "fixture-digon": "e72e627770bd6a73",
+    "fixture-kron": "a17ccb4ff52eaf89",
+    "fixture-pants": "9bc188e3ccb976f5",
+    "random99-0": "00aa887ed63094a4",
+    "random99-1": "5c650901a2a4179f",
+    "random99-2": "a17ccb4ff52eaf89",
+    "random99-3": "ac87d1f1098c3e65",
+    "random99-4": "40fe4a94265f3e80",
+    "random99-5": "26510120755a6c65",
+    "random99-6": "2f8494e6c053f6f5",
+    "random99-7": "d43129e0be3b4144",
+    "random99-8": "c821d98c84cbefe6",
+    "random99-9": "a17ccb4ff52eaf89",
+    "random99-10": "ef1f622e504aa08f",
+    "random99-11": "5226d6392354a57e",
+    "disc-4": "f4e16eee56d90db0",
+    "disc-5": "0adc681b8e18f8c3",
+    "disc-6": "2348ad40e8446a04",
+    "disc-8": "9a8b6ac5e69019af",
+    "disc-12": "c46e83a0e0779c6c",
+    "disc-16": "9a233c471daa3e3b",
+    "disc-24": "4e9f16d0841a9290",
+    "disc-32": "d4c6c3ad98366e55",
+    "disc-48": "8f016522846c4e74",
+    "disc-64": "8a3055cae15b927e",
+    "disc-96": "020442df57d251a6",
+    "disc-128": "dcd0716617db6a4e",
+    "disc-160": "c81086039d7eefbf",
+    "disc-200": "0310a15571a9a638",
+    "disc-240": "630e9411909efb62",
+    "loop-0": "680299e6f3767067",
+    "digon-0": "dcbb8a30a0d19032",
+    "loop-1": "461e72ced7b997c6",
+    "digon-1": "bcdb8a4ce0a38915",
+    "loop-2": "2f39d55196783dc9",
+    "digon-2": "ac3065f8658af781",
+    "loop-3": "461e72ced7b997c6",
+    "digon-3": "bcdb8a4ce0a38915",
+    "kron": "a17ccb4ff52eaf89",
+    "genus-one": "6926701e18e85813",
+    "digon-a-0": "76b0effb395dc911",
+    "digon-a-1": "c5b3879dab81a973",
+    "digon-a-2": "601dc87e5de003af",
+    "digon-a-3": "c5b3879dab81a973",
+}
+
+
+def test_completion_output_is_pinned():
+    got = {name: hashlib.sha256(_completion_record(t).encode()).hexdigest()[:16]
+           for name, t in _completion_cases()}
+    assert got == COMPLETION_DIGESTS
+
+
+@pytest.mark.parametrize("make", [
+    lambda: samples.random_disc_tiling(random.Random(300), 300, 300),
+    lambda: samples.random_loop_annulus(random.Random(3)),
+    lambda: samples.random_digon_annulus(random.Random(2)),
+    samples.pants_tiling,
+], ids=["disc300", "loop", "digon", "pants"])
+def test_completion_builds_one_tiling_per_piercing_plus_one(monkeypatch, make):
+    t = make()
+    built = []
+    build = Tiling._build
+
+    def counting_build(self):
+        built.append(self)
+        build(self)
+
+    monkeypatch.setattr(Tiling, "_build", counting_build)
+    comp = complete_to_triangulation(t)
+    assert comp.added_arcs, "the case must need splits"
+    assert len(built) <= len(t.unmarked) + 1
+    assert built[-1] is comp.tiling
