@@ -5,22 +5,37 @@ String and band modules are realized as explicit quiver representations
 the vertex space at s(a) to the one at t(a), so a relation (a, b) means
 mat(b) @ mat(a) == 0.  Hom dimensions come from the nullspace of the
 intertwiner system f_{t(a)} mat_M(a) = mat_N(a) f_{s(a)}.
+
+numpy is imported on first use, inside the functions that build or
+eliminate arrays, so importing tilealg (and every CLI subcommand but
+`hom --oracle`) does not load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .algebra import GentlePresentation, InputError
 from .strings import Band, StringWord, letter_source
 
 DEFAULT_PRIME = 5
+# Largest prime p with p * p < 2**63: elimination multiplies two residues
+# in int64, so a larger p would wrap around.
+_MAX_PRIME = 3037000493
+
+
+def _check_prime(prime: int):
+    if not 2 <= prime <= _MAX_PRIME or any(
+            prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
+        raise InputError(f"prime must be a prime number from 2 to {_MAX_PRIME}, "
+                         f"got {prime}")
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     """Gaussian elimination rank over F_p."""
+    import numpy as np
+
     a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
     rank = 0
@@ -64,6 +79,8 @@ class MatrixRep:
 
 
 def _empty_rep(p: GentlePresentation, prime: int, dims):
+    import numpy as np
+
     mats = {a: np.zeros((dims[p.t(a)], dims[p.s(a)]), dtype=np.int64)
             for a in p.arrows}
     return dims, mats
@@ -79,6 +96,7 @@ def realize_string_module(p: GentlePresentation, w: StringWord,
                           prime: int = DEFAULT_PRIME) -> MatrixRep:
     """One basis vector per walk position, identity arrow actions along
     the walk; dimension vector = per-vertex visit counts."""
+    _check_prime(prime)
     if w.is_zero:
         raise InputError("the zero string has no module")
     verts = w.walk_vertices(p)
@@ -101,6 +119,8 @@ def realize_string_module(p: GentlePresentation, w: StringWord,
 
 
 def _jordan_block(n: int, lam: int, prime: int) -> np.ndarray:
+    import numpy as np
+
     m = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         m[i, i] = lam % prime
@@ -124,6 +144,9 @@ def realize_band_module(p: GentlePresentation, spec: BandModuleSpec,
                         prime: int = DEFAULT_PRIME) -> MatrixRep:
     """M(b, n, phi) with phi the n x n Jordan block J_n(lambda), carried
     by the last letter of the canonical rotation."""
+    import numpy as np
+
+    _check_prime(prime)
     if spec.lam % prime == 0:
         raise InputError("lambda must be nonzero in the prime field")
     letters = spec.band.letters
@@ -153,6 +176,8 @@ def realize_band_module(p: GentlePresentation, spec: BandModuleSpec,
 
 def hom_dim_oracle(p: GentlePresentation, M: MatrixRep, N: MatrixRep) -> int:
     """dim of { (f_v) | f_{t(a)} M(a) = N(a) f_{s(a)} for all arrows }."""
+    import numpy as np
+
     if M.prime != N.prime:
         raise InputError("representations live over different primes")
     prime = M.prime

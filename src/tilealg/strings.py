@@ -347,6 +347,8 @@ def enumerate_strings(p: GentlePresentation, max_len: int | None = None):
     Without a bound this is only allowed for band-free presentations,
     where the enumeration stabilizes on its own.
     """
+    if max_len is not None and max_len < 0:
+        raise InputError(f"max_len must be >= 0, got {max_len}")
     band = detect_band(p)
     if band is not None and max_len is None:
         raise InputError("presentation has a band; enumeration needs max_len")

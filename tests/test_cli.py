@@ -265,3 +265,26 @@ def test_check_unknown_keyword_is_reported(tmp_path):
     code, text = run("check", str(path))
     assert code == 2
     assert text == "input error: line 1: unknown keyword 'not'\n"
+
+
+@pytest.mark.parametrize("prime", ["0", "1", "4", "-5"])
+def test_hom_oracle_rejects_a_prime_that_is_not_prime(prime):
+    import warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run("hom", str(DATA / "fixA.quiver"), "b- c d c- b",
+                         "b- c d c- b", "--oracle", "--prime", prime)
+    assert code == 2
+    assert text.splitlines() == [
+        "hom 2",
+        f"input error: prime must be a prime number from 2 to 3037000493, got {prime}"]
+    assert caught == []
+
+
+def test_strings_rejects_a_negative_max_len():
+    code, text = run("strings", str(DATA / "fixA.quiver"), "--max-len", "-1")
+    assert code == 2
+    assert text == "input error: max_len must be >= 0, got -1\n"
+    code, text = run("strings", str(DATA / "fixA.quiver"), "--max-len", "0")
+    assert code == 0
+    assert text == "triv 1 +\ntriv 2 +\ntriv 3 +\ncount 3\nband none\n"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,32 @@ def test_verify_ar_middle_rejects_injectives():
     assert is_injective_string(p, d)
     with pytest.raises(InputError):
         verify_ar_middle(p, d)
+
+
+NOT_PRIMES = [0, 1, 4, -5]
+
+
+@pytest.mark.parametrize("prime", NOT_PRIMES)
+def test_realize_rejects_a_prime_that_is_not_prime(prime):
+    p = samples.kronecker()
+    band = parse_band(p, "a b-")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InputError, match=f"prime must be a prime number .*, got {prime}$"):
+            realize_string_module(p, parse_string(p, "a"), prime=prime)
+        with pytest.raises(InputError, match=f"prime must be a prime number .*, got {prime}$"):
+            realize_band_module(p, BandModuleSpec(band, 1, 1), prime=prime)
+    assert caught == []
+
+
+def test_prime_range_stops_where_int64_elimination_would_wrap():
+    # 3037000493 is the largest prime whose square is below 2**63; at the
+    # next prime, 3037000507, the self-Hom of M(a b-, 1, 2) would read 0
+    p = samples.kronecker()
+    band = parse_band(p, "a b-")
+    m = realize_band_module(p, BandModuleSpec(band, 1, 2), prime=3037000493)
+    assert hom_dim_oracle(p, m, m) == 1
+    with pytest.raises(InputError, match="got 3037000507$"):
+        realize_band_module(p, BandModuleSpec(band, 1, 2), prime=3037000507)
+    rep = realize_string_module(p, parse_string(p, "a"), prime=2)
+    assert hom_dim_oracle(p, rep, rep) == 1
