@@ -19,6 +19,14 @@ The geometric reading (admissible segments of permissible arcs, see
 `arcs.hom_dim_geometric`) uses the same matcher: an arc spells the same
 letter word as its string, anticlockwise segments are factor windows
 and clockwise segments are sub windows.
+
+Windows are matched through a key that identifies e with e^-1.  Each
+operand is spelled once per comparison as a tuple of (arrow, inverse)
+pairs, a band unrolled as far as its longest window reaches, together
+with the inverse of that spelling.  A window's key is the lesser of its
+forward slice and the matching slice of the inverse spelling, and the
+orientation of a matched pair compares the two forward slices.
+Trivial windows are keyed by their vertex.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ import warnings
 from dataclasses import dataclass
 
 from .algebra import GentlePresentation, InputError
-from .strings import (Band, StringWord, canonicalize, is_valid_string,
-                      letter_source)
+from .strings import (Band, StringWord, is_valid_string, letter_source,
+                      valid_pair)
 
 
 @dataclass(frozen=True)
@@ -52,12 +60,18 @@ class _HostView:
 def _view(p: GentlePresentation, host) -> _HostView:
     if isinstance(host, Band):
         letters = host.letters
+        if (not letters or any(l.arrow not in p.quiver.sources for l in letters)
+                or any(valid_pair(p, l1, l2) is not None
+                       for l1, l2 in zip(letters, letters[1:] + letters[:1]))):
+            raise InputError(f"not a band of this presentation: {host!r}")
         verts = tuple(letter_source(p, l) for l in letters)
         return _HostView(letters, verts, True)
     if isinstance(host, StringWord):
         if host.is_zero:
             raise InputError("zero string has no module")
         if host.is_trivial:
+            if host.vertex not in p.quiver.vertices:
+                raise InputError(f"not a string of this presentation: {host!r}")
             return _HostView((), (host.vertex,), False)
         if not is_valid_string(p, host):
             raise InputError(f"not a string of this presentation: {host!r}")
@@ -94,28 +108,27 @@ def _windows(view: _HostView, left_inverse: bool, max_length: int | None = None)
     windows live in the periodic unrolling, up to max_length letters
     (default: one full turn)."""
     n = len(view)
+    inverse = [l.inverse for l in view.letters]
     out = []
     if not view.cyclic:
         for start in range(n + 1):
-            for length in range(n - start + 1):
-                left = start - 1 if start > 0 else None
-                right = start + length if start + length < n else None
-                if left is not None and view.letter(left).inverse != left_inverse:
-                    continue
-                if right is not None and view.letter(right).inverse == left_inverse:
-                    continue
-                out.append(Window(start, length, left, right))
+            left = start - 1 if start > 0 else None
+            if left is not None and inverse[left] != left_inverse:
+                continue
+            for end in range(start, n):
+                if inverse[end] != left_inverse:
+                    out.append(Window(start, end - start, left, end))
+            out.append(Window(start, n - start, left, None))
         return out
     cap = n if max_length is None else max(max_length, n)
     for start in range(n):
+        left = (start - 1) % n
+        if inverse[left] != left_inverse:
+            continue
         for length in range(cap + 1):
-            left = (start - 1) % n
             right = (start + length) % n
-            if view.letter(left).inverse != left_inverse:
-                continue
-            if view.letter(right).inverse == left_inverse:
-                continue
-            out.append(Window(start, length, left, right))
+            if inverse[right] != left_inverse:
+                out.append(Window(start, length, left, right))
     return out
 
 
@@ -135,22 +148,34 @@ def substrings(p: GentlePresentation, host, max_length: int | None = None):
             for w in _windows(view, False, max_length)]
 
 
-def _window_word(view: _HostView, w: Window) -> tuple:
-    return tuple(view.letter(w.start + i) for i in range(w.length))
-
-
-def _window_key(view: _HostView, w: Window):
-    if w.length == 0:
-        return ("triv", view.vertex(w.start))
-    word = canonicalize(StringWord.word(_window_word(view, w)))
-    return ("word",) + tuple((l.arrow, l.inverse) for l in word.letters)
+def _keyed(view: _HostView, windows):
+    """(key, letters) of each window: the letters are the window's slice
+    of the host spelled as (arrow, inverse) pairs, the key the lesser of
+    that slice and its inverse, read off the reversed inverse spelling.
+    A cyclic host is unrolled as far as its windows reach."""
+    fwd = tuple((l.arrow, l.inverse) for l in view.letters)
+    if view.cyclic and fwd:
+        reach = max((w.start + w.length for w in windows), default=0)
+        fwd *= -(-reach // len(fwd))
+    rev = tuple((arrow, not inverse) for arrow, inverse in reversed(fwd))
+    total = len(fwd)
+    out = []
+    for w in windows:
+        start, stop = w.start, w.start + w.length
+        if start == stop:
+            out.append((("triv", view.vertex(start)), ()))
+            continue
+        letters = fwd[start:stop]
+        flipped = rev[total - stop:total - start]
+        out.append((("word",) + min(letters, flipped), letters))
+    return out
 
 
 def window_key(p: GentlePresentation, host, w: Window):
     """Canonical key of the window word, identifying e with e^-1.
     Trivial windows carry their vertex; the sign drops out because a
     match may use either orientation."""
-    return _window_key(_view(p, host), w)
+    return _keyed(_view(p, host), (w,))[0][0]
 
 
 @dataclass(frozen=True)
@@ -172,13 +197,14 @@ def _match(fv: _HostView, sv: _HostView):
     orientation), factor-major with subs in enumeration order.  Wrapped
     windows on either side are capped by the other side's length."""
     subs = {}
-    for s in _windows(sv, False, len(fv)):
-        subs.setdefault(_window_key(sv, s), []).append(s)
+    windows = _windows(sv, False, len(fv))
+    for s, (key, letters) in zip(windows, _keyed(sv, windows)):
+        subs.setdefault(key, []).append((s, letters))
     out = []
-    for f in _windows(fv, True, len(sv)):
-        letters = _window_word(fv, f)
-        for s in subs.get(_window_key(fv, f), ()):
-            out.append((f, s, letters == _window_word(sv, s)))
+    windows = _windows(fv, True, len(sv))
+    for f, (key, letters) in zip(windows, _keyed(fv, windows)):
+        for s, sub_letters in subs.get(key, ()):
+            out.append((f, s, letters == sub_letters))
     return out
 
 

@@ -42,6 +42,16 @@ def kronecker() -> GentlePresentation:
         ["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [])
 
 
+def kronecker_chain(k: int) -> GentlePresentation:
+    """k Kronecker pairs a<i>, b<i>: i -> i+1; a<i> b<i+1> and b<i> a<i+1>
+    are zero, so the chain is gentle and has a band per pair."""
+    vertices = [str(i) for i in range(k + 1)]
+    arrows = [(f"{x}{i}", str(i), str(i + 1)) for i in range(k) for x in "ab"]
+    relations = [(f"{x}{i}", f"{y}{i + 1}") for i in range(k - 1)
+                 for x, y in (("a", "b"), ("b", "a"))]
+    return GentlePresentation.from_data(vertices, arrows, relations)
+
+
 # -- tilings ------------------------------------------------------------
 
 PENT_TILING = """\

@@ -2,28 +2,18 @@
 and all-letter-pair scans they replace."""
 
 from tilealg import samples
-from tilealg.algebra import GentlePresentation, Quiver
+from tilealg.algebra import Quiver
 from tilealg.strings import (StringWord, all_letters, canonicalize,
                              enumerate_strings, letter_graph, string_sort_key,
                              valid_pair)
 from tilealg.surface import tiling_algebra
 
 
-def _kronecker_chain(k):
-    """k Kronecker pairs a<i>, b<i>: i -> i+1; a<i> b<i+1> and b<i> a<i+1>
-    are zero, so the chain is gentle and has a band per pair."""
-    vertices = [str(i) for i in range(k + 1)]
-    arrows = [(f"{x}{i}", str(i), str(i + 1)) for i in range(k) for x in "ab"]
-    relations = [(f"{x}{i}", f"{y}{i + 1}") for i in range(k - 1)
-                 for x, y in (("a", "b"), ("b", "a"))]
-    return GentlePresentation.from_data(vertices, arrows, relations)
-
-
 def _presentations():
     ps = list(samples.algebra_fixtures().values())
     ps += [tiling_algebra(t).presentation for t in samples.tiled_fixtures().values()]
     ps += [tiling_algebra(t).presentation for t in samples.random_tilings(7, 40)]
-    ps.append(_kronecker_chain(12))
+    ps.append(samples.kronecker_chain(12))
     return ps
 
 

@@ -1,11 +1,18 @@
+import hashlib
+import random
+import warnings
+
 import pytest
 
 from tilealg import samples
+from tilealg.algebra import InputError
 from tilealg.homs import (factor_count_bruteforce, factor_strings, hom_dim,
                           hom_dim_detailed, sub_count_bruteforce, substrings,
                           window_key)
-from tilealg.strings import (Letter, StringWord, detect_band,
-                             enumerate_strings, parse_band, parse_string)
+from tilealg.strings import (Band, Letter, StringRejection, StringWord,
+                             canonicalize, detect_band, enumerate_strings,
+                             letter_source, parse_band, parse_string)
+from tilealg.surface import tiling_algebra
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +151,149 @@ def test_hom_invariant_under_inversion(name, data):
     base = hom_dim(p, v, w)
     assert base == hom_dim(p, v.inv(), w) == hom_dim(p, v, w.inv()) \
         == hom_dim(p, v.inv(), w.inv())
+
+
+# -- operand validation ---------------------------------------------------
+
+
+def test_trivial_operand_at_unknown_vertex_is_rejected(fix_a, paper_w):
+    ghost = StringWord.trivial("zzz")
+    for v, w in ((ghost, ghost), (ghost, paper_w), (paper_w, ghost)):
+        with pytest.raises(InputError, match="not a string of this presentation"):
+            hom_dim(fix_a, v, w)
+    with pytest.raises(InputError, match="not a string of this presentation"):
+        factor_strings(fix_a, ghost)
+
+
+@pytest.mark.parametrize("make, letters", [
+    (samples.fix_a, (Letter("zz"), Letter("yy", True))),     # unknown arrows
+    (samples.fix_a, (Letter("a"), Letter("zz", True))),
+    (samples.kronecker, (Letter("a"), Letter("b"))),          # non-composable
+    (samples.kronecker, (Letter("a"), Letter("a", True))),    # not reduced
+    (samples.fix_a, (Letter("a"), Letter("b"))),              # relation ab
+    (samples.kronecker, ()),
+])
+def test_band_operand_outside_the_presentation_is_rejected(make, letters):
+    p = make()
+    bad = Band(letters)
+    trivial = StringWord.trivial(p.vertices[0])
+    for v, w in ((bad, trivial), (trivial, bad)):
+        with pytest.raises(InputError, match="not a band of this presentation"):
+            hom_dim(p, v, w)
+    for decompositions in (factor_strings, substrings):
+        with pytest.raises(InputError, match="not a band of this presentation"):
+            decompositions(p, bad)
+
+
+# -- matcher output pinned on generated families ---------------------------
+
+
+def _families():
+    fams = {name: [p] for name, p in samples.algebra_fixtures().items()}
+    fams["random_tilings(7, 40)"] = [tiling_algebra(t).presentation
+                                     for t in samples.random_tilings(7, 40)]
+    fams["kronecker_chain(4)"] = [samples.kronecker_chain(4)]
+    return fams
+
+
+def _operands(p):
+    """Strings up to length 4, then the bands: detect_band's witness and
+    Band.from_letters on the closed strings."""
+    strings = enumerate_strings(p, max_len=4)
+    bands = {detect_band(p)} - {None}
+    for w in strings:
+        if w.kind == "word" and len(w) >= 2 and w.source(p) == w.target(p):
+            try:
+                bands.add(Band.from_letters(p, w.letters))
+            except (StringRejection, InputError):
+                pass
+    return strings + sorted(bands, key=lambda b: [(l.arrow, l.inverse)
+                                                  for l in b.letters])
+
+
+def _text(x):
+    return f"band {x.text()}" if isinstance(x, Band) else x.text()
+
+
+def _window_text(w):
+    return f"{w.start}+{w.length}({w.left_flank},{w.right_flank})"
+
+
+def _pairs_digest(ps):
+    h = hashlib.sha256()
+    for p in ps:
+        ops = _operands(p)
+        for v in ops:
+            for w in ops:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")   # same-band pairs
+                    comp = hom_dim_detailed(p, v, w)
+                pairs = " ".join(f"{_window_text(a.factor.window)}/"
+                                 f"{_window_text(a.sub.window)}/{a.orientation}"
+                                 for a in comp.pairs)
+                h.update(f"[{_text(v)}] [{_text(w)}] {comp.dim} {pairs}\n".encode())
+    return h.hexdigest()[:16]
+
+
+# sha256 prefixes of every rendered pair, recorded before window keys
+# were read off slices of one spelling per operand
+PAIRS_DIGESTS = {
+    "a2": "bec451d6652c3c98",
+    "fix_a": "f2ae64a1ad53b0cf",
+    "fix_b": "ad6f11a957e32086",
+    "loop": "d8ce715831254c07",
+    "kronecker": "1b7d5394cb9442a1",
+    "random_tilings(7, 40)": "2eb04424e1e506e7",
+    "kronecker_chain(4)": "decf80d07348f542",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PAIRS_DIGESTS))
+def test_matcher_pairs_are_pinned(family):
+    assert _pairs_digest(_families()[family]) == PAIRS_DIGESTS[family]
+
+
+def _geometric_digest():
+    from tilealg.arcs import (band_to_closed_curve, hom_dim_geometric,
+                              string_to_arc)
+    rng = random.Random(7)
+    h = hashlib.sha256()
+    for t in samples.random_tilings(7, 40):
+        alg = tiling_algebra(t)
+        p = alg.presentation
+        arcs = [string_to_arc(t, alg, w) for w in enumerate_strings(p, max_len=4)]
+        band = detect_band(p)
+        if band is not None:
+            arcs += [band_to_closed_curve(t, alg, band, n) for n in (1, 2)]
+        for _ in range(20 if arcs else 0):
+            i, j = rng.randrange(len(arcs)), rng.randrange(len(arcs))
+            h.update(f"{i} {j} {hom_dim_geometric(t, alg, arcs[i], arcs[j])}\n".encode())
+    return h.hexdigest()[:16]
+
+
+def test_geometric_hom_is_pinned():
+    assert _geometric_digest() == "8f02e0e7fc8f670d"
+
+
+def _window_key_reference(p, host, w):
+    """The key built as before: canonicalize the window's word."""
+    letters = host.letters
+    if w.length == 0:
+        if isinstance(host, Band):
+            return ("triv", letter_source(p, letters[w.start % len(letters)]))
+        return ("triv", host.walk_vertices(p)[w.start])
+    word = canonicalize(StringWord.word(
+        letters[(w.start + i) % len(letters)] for i in range(w.length)))
+    return ("word",) + tuple((l.arrow, l.inverse) for l in word.letters)
+
+
+def test_window_key_matches_canonicalized_window_word():
+    for ps in _families().values():
+        for p in ps:
+            ops = _operands(p)
+            # long enough for band windows to wrap several turns
+            reach = 2 * max((len(x) for x in ops), default=0) + 1
+            for x in ops:
+                for d in factor_strings(p, x, reach) + substrings(p, x, reach):
+                    assert window_key(p, x, d.window) == \
+                        _window_key_reference(p, x, d.window), (_text(x), d.window)
