@@ -290,6 +290,9 @@ class GentlePresentation:
     relations: frozenset          # of (a, b) arrow-id pairs, meaning ab in I
     sigma: dict = field(hash=False)
     epsilon: dict = field(hash=False)
+    # derived on first use by strings.letter_graph
+    _letter_graph: dict = field(default=None, init=False, repr=False,
+                                compare=False, hash=False)
 
     @classmethod
     def from_data(cls, vertices, arrows, relations):

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 from .algebra import InputError
 from .homs import _HostView, _match
-from .strings import Band, Letter, StringWord, valid_pair
-from .surface import Tiling, TilingAlgebra
+from .strings import (Band, Letter, StringWord, _primitive_root, _word_error,
+                      detect_band)
+from .surface import Tiling, TilingAlgebra, tiling_algebra
 
 
 class ArcRejection(ValueError):
@@ -205,13 +206,10 @@ def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
     except ArcRejection as exc:
         return str(exc)
     # minimal position: the induced walk must be reduced and avoid relations
-    p = alg.presentation
-    for i in range(len(letters) - 1):
-        if valid_pair(p, letters[i], letters[i + 1]) is not None:
-            return "not minimal: induced walk is not a string"
-    if cyclic and letters:
-        if valid_pair(p, letters[-1], letters[0]) is not None:
-            return "not minimal: cyclic walk is not a string"
+    err = _word_error(alg.presentation, letters, cyclic)
+    if err is not None:
+        walk = "cyclic" if err[0] == 0 else "induced"
+        return f"not minimal: {walk} walk is not a string"
     return None
 
 
@@ -483,21 +481,14 @@ def closed_curve_to_band(t: Tiling, alg: TilingAlgebra, curve: ClosedCurveClass)
     if curve.crossings < 2:
         raise ArcRejection("closed curve crosses fewer than two arcs",
                            "not a band power")
-    letters = arc_letters(t, alg, curve)
-    n = len(letters)
-    root = letters
-    for d in range(1, n + 1):
-        if n % d == 0 and tuple(letters) == tuple(letters[:d]) * (n // d):
-            root = letters[:d]
-            break
+    letters = tuple(arc_letters(t, alg, curve))
+    root = _primitive_root(letters)
     band = Band.from_letters(alg.presentation, root)
-    return band, n // len(root)
+    return band, len(letters) // len(root)
 
 
 def rep_type_geometric(t: Tiling, alg: TilingAlgebra | None = None):
     """('finite', None) or ('infinite', witness closed curve)."""
-    from .strings import detect_band
-    from .surface import tiling_algebra
     if alg is None:
         alg = tiling_algebra(t)
     band = detect_band(alg.presentation)

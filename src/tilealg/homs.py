@@ -26,7 +26,11 @@ pairs, a band unrolled as far as its longest window reaches, together
 with the inverse of that spelling.  A window's key is the lesser of its
 forward slice and the matching slice of the inverse spelling, and the
 orientation of a matched pair compares the two forward slices.
-Trivial windows are keyed by their vertex.
+Trivial windows are keyed by their vertex.  Windows are plain tuples
+until a `Window` is returned.
+
+For two operands on the same band the pair count misses the
+delta_{lambda=mu} min(n, m) term, and the result is flagged experimental.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ import warnings
 from dataclasses import dataclass
 
 from .algebra import GentlePresentation, InputError
-from .strings import (Band, StringWord, is_valid_string, letter_source,
-                      valid_pair)
+from .strings import (Band, StringWord, _word_error, is_valid_string,
+                      letter_source, valid_pair)
 
 
 @dataclass(frozen=True)
@@ -50,9 +54,6 @@ class _HostView:
     def __len__(self):
         return len(self.letters)
 
-    def letter(self, i):
-        return self.letters[i % len(self.letters)] if self.cyclic else self.letters[i]
-
     def vertex(self, i):
         return self.vertices[i % len(self.vertices)] if self.cyclic else self.vertices[i]
 
@@ -60,19 +61,13 @@ class _HostView:
 def _view(p: GentlePresentation, host) -> _HostView:
     if isinstance(host, Band):
         letters = host.letters
-        if (not letters or any(l.arrow not in p.quiver.sources for l in letters)
-                or any(valid_pair(p, l1, l2) is not None
-                       for l1, l2 in zip(letters, letters[1:] + letters[:1]))):
+        if not letters or _word_error(p, letters, True) is not None:
             raise InputError(f"not a band of this presentation: {host!r}")
         verts = tuple(letter_source(p, l) for l in letters)
         return _HostView(letters, verts, True)
     if isinstance(host, StringWord):
         if host.is_zero:
             raise InputError("zero string has no module")
-        if host.is_trivial:
-            if host.vertex not in p.quiver.vertices:
-                raise InputError(f"not a string of this presentation: {host!r}")
-            return _HostView((), (host.vertex,), False)
         if not is_valid_string(p, host):
             raise InputError(f"not a string of this presentation: {host!r}")
         return _HostView(host.letters, tuple(host.walk_vertices(p)), False)
@@ -104,9 +99,10 @@ class SubDecomposition:
 
 def _windows(view: _HostView, left_inverse: bool, max_length: int | None = None):
     """All windows whose left flank is inverse (factor) or direct (sub),
-    with the dual condition on the right flank.  For cyclic hosts the
-    windows live in the periodic unrolling, up to max_length letters
-    (default: one full turn)."""
+    with the dual condition on the right flank, as (start, length, left
+    flank, right flank) tuples in the fields' order of `Window`.  For
+    cyclic hosts the windows live in the periodic unrolling, up to
+    max_length letters (default: one full turn)."""
     n = len(view)
     inverse = [l.inverse for l in view.letters]
     out = []
@@ -117,8 +113,8 @@ def _windows(view: _HostView, left_inverse: bool, max_length: int | None = None)
                 continue
             for end in range(start, n):
                 if inverse[end] != left_inverse:
-                    out.append(Window(start, end - start, left, end))
-            out.append(Window(start, n - start, left, None))
+                    out.append((start, end - start, left, end))
+            out.append((start, n - start, left, None))
         return out
     cap = n if max_length is None else max(max_length, n)
     for start in range(n):
@@ -128,7 +124,7 @@ def _windows(view: _HostView, left_inverse: bool, max_length: int | None = None)
         for length in range(cap + 1):
             right = (start + length) % n
             if inverse[right] != left_inverse:
-                out.append(Window(start, length, left, right))
+                out.append((start, length, left, right))
     return out
 
 
@@ -137,14 +133,14 @@ def factor_strings(p: GentlePresentation, host, max_length: int | None = None):
     bands: unrolled windows of up to max_length letters, default one
     full turn)."""
     view = _view(p, host)
-    return [FactorDecomposition(host, w)
+    return [FactorDecomposition(host, Window(*w))
             for w in _windows(view, True, max_length)]
 
 
 def substrings(p: GentlePresentation, host, max_length: int | None = None):
     """Complete set of sub decompositions of a string or band."""
     view = _view(p, host)
-    return [SubDecomposition(host, w)
+    return [SubDecomposition(host, Window(*w))
             for w in _windows(view, False, max_length)]
 
 
@@ -155,13 +151,13 @@ def _keyed(view: _HostView, windows):
     A cyclic host is unrolled as far as its windows reach."""
     fwd = tuple((l.arrow, l.inverse) for l in view.letters)
     if view.cyclic and fwd:
-        reach = max((w.start + w.length for w in windows), default=0)
+        reach = max((w[0] + w[1] for w in windows), default=0)
         fwd *= -(-reach // len(fwd))
     rev = tuple((arrow, not inverse) for arrow, inverse in reversed(fwd))
     total = len(fwd)
     out = []
     for w in windows:
-        start, stop = w.start, w.start + w.length
+        start, stop = w[0], w[0] + w[1]
         if start == stop:
             out.append((("triv", view.vertex(start)), ()))
             continue
@@ -175,7 +171,7 @@ def window_key(p: GentlePresentation, host, w: Window):
     """Canonical key of the window word, identifying e with e^-1.
     Trivial windows carry their vertex; the sign drops out because a
     match may use either orientation."""
-    return _keyed(_view(p, host), (w,))[0][0]
+    return _keyed(_view(p, host), ((w.start, w.length),))[0][0]
 
 
 @dataclass(frozen=True)
@@ -210,7 +206,8 @@ def _match(fv: _HostView, sv: _HostView):
 
 def hom_dim_detailed(p: GentlePresentation, v, w) -> HomComputation:
     fv, sv = _view(p, v), _view(p, w)
-    pairs = [AdmissiblePair(FactorDecomposition(v, f), SubDecomposition(w, s),
+    pairs = [AdmissiblePair(FactorDecomposition(v, Window(*f)),
+                            SubDecomposition(w, Window(*s)),
                             "equal" if same else "inverse")
              for f, s, same in _match(fv, sv)]
     experimental = isinstance(v, Band) and isinstance(w, Band) and v == w
@@ -231,38 +228,44 @@ def hom_dim(p: GentlePresentation, v, w) -> int:
 def _count_windows_bruteforce(p: GentlePresentation, host, left_inverse: bool,
                               max_length: int | None = None) -> int:
     """Count windows by scanning every index pair and revalidating the
-    decomposition from scratch, without the flank shortcuts."""
-    view = _view(p, host)
-    n = len(view)
+    decomposition from scratch, without the flank shortcuts.  Windows
+    are checked pair by pair with `valid_pair`, not through the letter
+    graph; the host itself is taken as given."""
+    letters = host.letters
+    n = len(letters)
+
+    def is_string(word):
+        return all(valid_pair(p, l1, l2) is None for l1, l2 in zip(word, word[1:]))
+
     count = 0
-    if not view.cyclic:
+    if not isinstance(host, Band):
         for start in range(n + 1):
             for end in range(start, n + 1):
                 ok = True
                 if start > 0:
-                    piece = view.letters[start - 1]
+                    piece = letters[start - 1]
                     ok = ok and piece.inverse == left_inverse
                 if end < n:
-                    piece = view.letters[end]
+                    piece = letters[end]
                     ok = ok and piece.inverse != left_inverse
                 # window plus flank letters must reassemble into the host
                 if ok and start < end:
-                    ok = is_valid_string(p, StringWord.word(view.letters[start:end]))
+                    ok = is_string(letters[start:end])
                 if ok:
                     count += 1
         return count
     cap = n if max_length is None else max(max_length, n)
     for start in range(n):
         for length in range(cap + 1):
-            left = view.letter(start - 1)
-            right = view.letter(start + length)
+            left = letters[(start - 1) % n]
+            right = letters[(start + length) % n]
             if left.inverse != left_inverse:
                 continue
             if right.inverse == left_inverse:
                 continue
             if length:
-                word = tuple(view.letter(start + i) for i in range(length))
-                if not is_valid_string(p, StringWord.word(word)):
+                word = tuple(letters[(start + i) % n] for i in range(length))
+                if not is_string(word):
                     continue
             count += 1
     return count

@@ -74,9 +74,6 @@ class MatrixRep:
     def dim_vector(self, p: GentlePresentation):
         return {v: self.dims.get(v, 0) for v in p.vertices}
 
-    def total_dim(self):
-        return sum(self.dims.values())
-
 
 def _empty_rep(p: GentlePresentation, prime: int, dims):
     import numpy as np

@@ -8,6 +8,11 @@ swapped by formal inversion; the zero string is the empty one.
 Text syntax (CLI and tests): letters separated by spaces, inverse
 letters carry a trailing '-', e.g. ``b- c d c- b``; trivial strings are
 written ``triv <vertex> <+|->`` and the zero string ``zero``.
+
+One rule decides every validity question: l1 l2 is a string
+(`valid_pair`).  `letter_graph` tabulates it once per presentation, and
+`_word_error` reads that table for strings, bands and the walks induced
+by arcs.
 """
 
 from __future__ import annotations
@@ -133,10 +138,6 @@ class StringWord:
         return self.is_trivial or (self.kind == "word"
                                    and all(not l.inverse for l in self.letters))
 
-    def is_inverse(self):
-        return self.is_trivial or (self.kind == "word"
-                                   and all(l.inverse for l in self.letters))
-
     def text(self) -> str:
         if self.is_zero:
             return "zero"
@@ -181,24 +182,36 @@ def validate_string(p: GentlePresentation, letters) -> StringWord:
     non-composable / not-reduced / relation.
     """
     letters = [l if isinstance(l, Letter) else Letter(*l) for l in letters]
-    for i, l in enumerate(letters):
-        if l.arrow not in p.quiver.sources:
-            raise InputError(f"unknown arrow {l.arrow!r} at position {i}")
-    for i, (l1, l2) in enumerate(zip(letters, letters[1:]), start=1):
-        reason = valid_pair(p, l1, l2)
-        if reason is not None:
-            raise StringRejection(i, reason)
+    err = _word_error(p, letters, False)
+    if err is not None:
+        i, reason = err
+        if reason is None:
+            raise InputError(f"unknown arrow {letters[i].arrow!r} at position {i}")
+        raise StringRejection(i, reason)
     return StringWord.word(letters)
 
 
 def is_valid_string(p: GentlePresentation, w: StringWord) -> bool:
     if w.is_zero or w.is_trivial:
         return w.is_zero or w.vertex in p.quiver.vertices
-    try:
-        validate_string(p, w.letters)
-        return True
-    except (StringRejection, InputError):
-        return False
+    return _word_error(p, w.letters, False) is None
+
+
+def _word_error(p: GentlePresentation, letters, cyclic: bool):
+    """None if the letters spell a string (cyclic: also across the wrap),
+    else (position, reason) of the first offence: an unknown arrow with
+    reason None, or else the second letter of the first bad pair with
+    its `valid_pair` reason; the wrap pair has position 0."""
+    succ = p._letter_graph or letter_graph(p)   # a call only on first use
+    for i, l in enumerate(letters):
+        if l not in succ:
+            return i, None
+    n = len(letters)
+    for i in range(1, n + 1 if cyclic else n):
+        l1, l2 = letters[i - 1], letters[i % n]
+        if l2 not in succ[l1]:
+            return i % n, valid_pair(p, l1, l2)
+    return None
 
 
 def compose(p: GentlePresentation, v: StringWord, w: StringWord):
@@ -258,17 +271,13 @@ class Band:
         letters = tuple(l if isinstance(l, Letter) else Letter(*l) for l in letters)
         if not letters:
             raise InputError("a band needs at least one letter")
-        for l in letters:
-            if l.arrow not in p.quiver.sources:
-                raise InputError(f"unknown arrow {l.arrow!r}")
-        n = len(letters)
-        for i in range(n):
-            reason = valid_pair(p, letters[i], letters[(i + 1) % n])
-            if reason is not None:
-                raise StringRejection((i + 1) % n, f"cyclic word invalid: {reason}")
-        if letter_source(p, letters[0]) != letter_target(p, letters[-1]):
-            raise StringRejection(0, "non-composable")  # unreachable given pair checks
-        if _is_proper_power(letters):
+        err = _word_error(p, letters, True)
+        if err is not None:
+            i, reason = err
+            if reason is None:
+                raise InputError(f"unknown arrow {letters[i].arrow!r}")
+            raise StringRejection(i, f"cyclic word invalid: {reason}")
+        if len(_primitive_root(letters)) < len(letters):
             raise StringRejection(0, "not primitive (proper power)")
         if all(not l.inverse for l in letters) or all(l.inverse for l in letters):
             raise StringRejection(0, "cyclic word has no direction change "
@@ -284,16 +293,14 @@ class Band:
     def __repr__(self):
         return f"<band {self.text()}>"
 
-    def power_word(self, n: int) -> tuple:
-        return self.letters * n
 
-
-def _is_proper_power(letters) -> bool:
+def _primitive_root(letters: tuple) -> tuple:
+    """The shortest prefix of which the word is a power."""
     n = len(letters)
     for d in range(1, n):
         if n % d == 0 and letters == letters[:d] * (n // d):
-            return True
-    return False
+            return letters[:d]
+    return letters
 
 
 def _canonical_rotation(letters) -> tuple:
@@ -318,14 +325,18 @@ def all_letters(p: GentlePresentation):
 def letter_graph(p: GentlePresentation):
     """Successor map of the letter graph: l1 -> l2 iff l1 l2 is a string.
     Successors keep the `all_letters` order; candidates are only the
-    letters starting where l1 ends."""
-    letters = all_letters(p)
-    starting = {}
-    for l in letters:
-        starting.setdefault(letter_source(p, l), []).append(l)
-    return {l1: [l2 for l2 in starting.get(letter_target(p, l1), ())
-                 if valid_pair(p, l1, l2) is None]
-            for l1 in letters}
+    letters starting where l1 ends.  Derived on first use and kept on
+    the presentation."""
+    if p._letter_graph is None:
+        letters = all_letters(p)
+        starting = {}
+        for l in letters:
+            starting.setdefault(letter_source(p, l), []).append(l)
+        succ = {l1: [l2 for l2 in starting.get(letter_target(p, l1), ())
+                     if valid_pair(p, l1, l2) is None]
+                for l1 in letters}
+        object.__setattr__(p, "_letter_graph", succ)
+    return p._letter_graph
 
 
 def detect_band(p: GentlePresentation):

@@ -29,7 +29,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from .algebra import GentlePresentation, InputError
+from .algebra import GentlePresentation, InputError, _relation_free_cycle
 
 
 class TilingRejection(ValueError):
@@ -365,12 +365,6 @@ class Tiling:
 
     # -- accessors used by the arcs module -------------------------------
 
-    def tile_of_dart(self, d: int) -> Tile:
-        return self.tiles[self.face_of[d][0]]
-
-    def walk_pos(self, d: int) -> int:
-        return self.face_of[d][1]
-
     def corner_point(self, tile: Tile, i: int):
         """Corner i sits between walk darts i-1 and i."""
         return self.tail[tile.walk[i % len(tile.walk)]]
@@ -383,13 +377,6 @@ class Tiling:
         E = len(self.arcs) + sum(len(pts) for pts in self.marked.values())
         chi = V - E + len(self.tiles) - len(self.unmarked)
         return (2 - (len(self.marked) + len(self.unmarked)) - chi) // 2
-
-    def next_point(self, p):
-        """Counterclockwise neighbour of p on its boundary component."""
-        for pts in self.marked.values():
-            if p in pts:
-                return pts[(pts.index(p) + 1) % len(pts)]
-        raise InputError(f"unknown marked point {p}")
 
 
 def _tile_key(m, walk):
@@ -469,7 +456,6 @@ def oriented_cycles_have_relations(alg: TilingAlgebra) -> bool:
     through acyclicity of the relation-free composition graph plus the
     loop-square rule."""
     p = alg.presentation
-    from .algebra import _relation_free_cycle
     if _relation_free_cycle(p.quiver, p.relations) is not None:
         return False
     for a in p.arrows:

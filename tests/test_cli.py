@@ -153,12 +153,14 @@ def test_byte_identical_reruns():
 
 
 def test_byte_identical_across_processes():
+    import os
     import subprocess
     import sys
     cmd = [sys.executable, "-m", "tilealg.cli", "tiling-algebra",
            str(DATA / "digon.tiling")]
-    out1 = subprocess.run(cmd, capture_output=True, text=True)
-    out2 = subprocess.run(cmd, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
+    out1 = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    out2 = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert out1.returncode == out2.returncode == 0
     assert out1.stdout == out2.stdout
 

@@ -1,13 +1,17 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tilealg import samples
 from tilealg.algebra import GentlePresentation, InputError
+from tilealg.homs import hom_dim
 from tilealg.strings import (Band, Letter, StringRejection, StringWord,
-                             canonicalize, compose, detect_band,
+                             all_letters, canonicalize, compose, detect_band,
                              enumerate_strings, epsilon_of, is_valid_string,
-                             parse_band, parse_string, sigma_of,
-                             validate_string)
+                             letter_graph, parse_band, parse_string, sigma_of,
+                             valid_pair, validate_string)
 from tilealg.surface import tiling_algebra
 
 
@@ -235,3 +239,107 @@ def test_random_letter_words_validate_consistently(name, data):
     assert is_valid_string(p, w.inv())
     for k in range(1, len(word)):
         assert is_valid_string(p, StringWord.word(word[:k]))
+
+
+# -- every validity route against the pair rule ----------------------------
+
+
+def _pair_rule_error(p, word, cyclic):
+    """(position, reason) of the first offence, read pair by pair with
+    `valid_pair`: an unknown arrow first (reason None), then the second
+    letter of the first bad adjacent pair, the wrap pair last."""
+    for i, l in enumerate(word):
+        if l.arrow not in p.quiver.sources:
+            return i, None
+    n = len(word)
+    pairs = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if cyclic else [])
+    for i, j in pairs:
+        reason = valid_pair(p, word[i], word[j])
+        if reason is not None:
+            return j, reason
+    return None
+
+
+def _validity_words(p, rng):
+    letters = all_letters(p)
+    words = [list(w) for k in (1, 2, 3) for w in itertools.product(letters, repeat=k)]
+    for _ in range(60):
+        word = [rng.choice(letters)]
+        for _ in range(rng.randint(1, 5)):
+            good = [l for l in letters if valid_pair(p, word[-1], l) is None]
+            word.append(rng.choice(good if good and rng.random() < 0.9 else letters))
+        words.append(word)
+        bad = list(word)
+        bad[rng.randrange(len(bad))] = Letter("unknown", rng.random() < 0.5)
+        words.append(bad)
+    return words
+
+
+def _raised(call):
+    try:
+        call()
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def test_every_validity_route_agrees_with_the_pair_rule():
+    algebras = list(samples.algebra_fixtures().values())
+    algebras += [tiling_algebra(t).presentation for t in samples.random_tilings(7, 40)]
+    algebras.append(samples.kronecker_chain(3))
+    rng = random.Random(6)
+    checked = 0
+    for p in algebras:
+        if not p.arrows:
+            continue
+        other = StringWord.trivial(p.vertices[0])
+        for word in _validity_words(p, rng):
+            checked += 1
+            err = _pair_rule_error(p, word, False)
+            exc = _raised(lambda: validate_string(p, word))
+            if err is None:
+                assert exc is None
+            elif err[1] is None:
+                assert type(exc) is InputError
+                assert str(exc) == f"unknown arrow {word[err[0]].arrow!r} at position {err[0]}"
+            else:
+                assert type(exc) is StringRejection
+                assert (exc.position, exc.reason) == err
+                assert str(exc) == f"invalid string at position {err[0]}: {err[1]}"
+            assert is_valid_string(p, StringWord.word(word)) == (err is None)
+            exc = _raised(lambda: hom_dim(p, StringWord.word(word), other))
+            assert (exc is None) == (err is None)
+            assert err is None or type(exc) is InputError
+
+            err = _pair_rule_error(p, word, True)
+            exc = _raised(lambda: Band.from_letters(p, word))
+            if err is None:
+                n = len(word)
+                power = any(n % d == 0 and word == word[:d] * (n // d) for d in range(1, n))
+                one_way = len({l.inverse for l in word}) == 1
+                assert (exc is None) == (not power and not one_way)
+                assert exc is None or (type(exc) is StringRejection and exc.position == 0)
+            elif err[1] is None:
+                assert type(exc) is InputError
+                assert str(exc) == f"unknown arrow {word[err[0]].arrow!r}"
+            else:
+                assert type(exc) is StringRejection
+                assert (exc.position, exc.reason) == (err[0], f"cyclic word invalid: {err[1]}")
+                assert str(exc) == f"invalid string at position {err[0]}: cyclic word invalid: {err[1]}"
+            exc = _raised(lambda: hom_dim(p, Band(tuple(word)), other))
+            assert (exc is None) == (err is None)
+            assert err is None or type(exc) is InputError
+    assert checked > 5000
+
+
+def test_letter_graph_is_derived_once():
+    p, fresh = samples.fix_a(), samples.fix_a()
+    succ = letter_graph(p)
+    assert letter_graph(p) is succ
+    detect_band(p)
+    enumerate_strings(p)
+    is_valid_string(p, parse_string(p, "b- c d c- b"))
+    assert letter_graph(p) is succ
+    assert p == fresh
+    assert hash(p) == hash(fresh)
+    assert repr(p) == repr(fresh)
