@@ -5,16 +5,15 @@
     python3 scripts/export_ar_quiver.py path/to/file.quiver ar.dot
 
 Exit codes as for the CLI: 0 written, 1 rejected (not gentle, not a
-tiling), 2 malformed input.
+tiling), 2 malformed input or a destination that cannot be written.
 """
 
 import sys
-from pathlib import Path
 
 from tilealg import samples
 from tilealg.algebra import GentlenessError, InputError
 from tilealg.artheory import ar_quiver_dot, build_ar_quiver
-from tilealg.cli import _load_any
+from tilealg.cli import _load_any, _write
 from tilealg.surface import TilingRejection
 
 
@@ -30,13 +29,13 @@ def main(argv):
         else:
             pres, _, _ = _load_any(source)
         ar = build_ar_quiver(pres)
+        _write(dest, ar_quiver_dot(ar))
     except (GentlenessError, TilingRejection) as exc:
         print(f"rejected: {exc}")
         return 1
     except InputError as exc:
         print(f"input error: {exc}")
         return 2
-    Path(dest).write_text(ar_quiver_dot(ar), encoding="utf-8")
     print(f"{len(ar.nodes)} nodes, {len(ar.edges)} edges, "
           f"{len(ar.tau_pairs)} tau pairs -> {dest}")
     return 0

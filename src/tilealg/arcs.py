@@ -18,6 +18,11 @@ route +1, which on m-gons is the paper's maximal counterclockwise
 corner, on type I tiles the counterclockwise wrap around the unmarked
 component, and on type II tiles the winding-zero end that leaves the
 component to the left.
+
+A pivot elementary move turns one end of gamma_{s,t} counterclockwise
+to the next marked point: moving s realizes w_l, moving t realizes w_r.
+Reversing an arc spells the inverse string, so the t move is the s move
+of the reversed arc, the surface form of w_r = ((w^-1)_l)^-1.
 """
 
 from __future__ import annotations
@@ -97,9 +102,9 @@ def intersection_number(t: Tiling, arc) -> int:
 
 
 def _transit(t: Tiling, d_in: int, d_out: int, pivot):
-    """The (leave_slot, enter_slot, point) of the arrow realized by the
-    transit entering through crossing dart d_in and leaving through
-    d_out, or None when the pivot does not describe a corner cut."""
+    """The (leave_slot, enter_slot) of the arrow realized by the transit
+    entering through crossing dart d_in and leaving through d_out, or
+    None when the pivot does not describe a corner cut."""
     corner, inverse = pivot
     e = t.twin[d_in]
     face_e, pos_e = t.face_of[e]
@@ -112,32 +117,30 @@ def _transit(t: Tiling, d_in: int, d_out: int, pivot):
     if not inverse:
         # walk pair (e, d_out): direct arrow arc(e) -> arc(d_out)
         if pos_o == corner and (pos_e + 1) % m == corner:
-            return (t.slot[d_in], t.slot[d_out], t.tail[walk[corner]])
+            return (t.slot[d_in], t.slot[d_out])
         return None
     # walk pair (d_out, e): arrow arc(d_out) -> arc(e), letter inverse
     if pos_e == corner and (pos_o + 1) % m == corner:
-        return (t.slot[t.twin[d_out]], t.slot[e], t.tail[walk[corner]])
+        return (t.slot[t.twin[d_out]], t.slot[e])
     return None
 
 
 def arc_letters(t: Tiling, alg: TilingAlgebra, arc) -> list:
-    """The quiver letters realized by consecutive crossings."""
-    if isinstance(arc, TrivialArc) or arc.crossings <= 1:
+    """The quiver letters realized by consecutive crossings (also across
+    the wrap of a closed curve); ArcRejection when a pair violates (3)(b)."""
+    if isinstance(arc, TrivialArc):
         return []
     darts, pivots = arc.darts, arc.pivots
-    cyclic = isinstance(arc, ClosedCurveClass)
     n = len(darts)
     letters = []
-    for i in range(n if cyclic else n - 1):
-        info = _transit(t, darts[i], darts[(i + 1) % n], pivots[i])
-        if info is None:
-            raise ArcRejection("(3)(b) violation",
-                               f"crossings {i} and {i + 1} do not cut a corner")
-        leave, enter, _pt = info
-        name = alg.arrow_by_slots.get((leave, enter))
+    for i in range(n if isinstance(arc, ClosedCurveClass) else n - 1):
+        slots = _transit(t, darts[i], darts[(i + 1) % n], pivots[i])
+        if slots is None:
+            raise ArcRejection(f"(3)(b) violation at crossings {i},{i + 1}")
+        name = alg.arrow_by_slots.get(slots)
         if name is None:
             raise ArcRejection("(3)(b) violation",
-                               f"no fan adjacency for slots {leave} {enter}")
+                               f"no fan adjacency for slots {slots[0]} {slots[1]}")
         letters.append(Letter(name, pivots[i][1]))
     return letters
 
@@ -189,11 +192,11 @@ def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
     for d in arc.darts:
         if not (0 <= d < len(t.tail)) or t.kind[d] != "arc":
             return "malformed: crossing is not an arc side"
-    n = len(arc.darts)
+    try:   # a (3)(b) fault is reported before a fault at the ends
+        letters = arc_letters(t, alg, arc)
+    except ArcRejection as exc:
+        return str(exc)
     cyclic = isinstance(arc, ClosedCurveClass)
-    for i in range(n if cyclic else n - 1):
-        if _transit(t, arc.darts[i], arc.darts[(i + 1) % n], arc.pivots[i]) is None:
-            return f"(3)(b) violation at crossings {i},{i + 1}"
     if not cyclic:
         err = _end_valid(t, arc.start, arc.darts[0])
         if err:
@@ -201,10 +204,6 @@ def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
         err = _end_valid(t, arc.end, t.twin[arc.darts[-1]])
         if err:
             return f"end {err}"
-    try:
-        letters = arc_letters(t, alg, arc)
-    except ArcRejection as exc:
-        return str(exc)
     # minimal position: the induced walk must be reduced and avoid relations
     err = _word_error(alg.presentation, letters, cyclic)
     if err is not None:
@@ -249,19 +248,21 @@ def _trivial_dart(t: Tiling, alg: TilingAlgebra, vertex: str, sign: int) -> int:
 # -- arc <-> string ------------------------------------------------------
 
 
-def _canonical_end(t: Tiling, dart: int) -> EndDescriptor:
-    face, pos = t.face_of[dart]
-    m = len(t.tiles[face].walk)
-    return EndDescriptor(face, (pos - 1) % m, 1)
+def _gamma(t: Tiling, darts, pivots) -> PermissibleArc:
+    """The arc gamma_{s,t} with these crossings: each end starts one side
+    behind the side it lands on, with route +1."""
+    def end(dart):
+        face, pos = t.face_of[dart]
+        return EndDescriptor(face, (pos - 1) % len(t.tiles[face].walk), 1)
+    return PermissibleArc(tuple(darts), tuple(pivots), end(darts[0]),
+                          end(t.twin[darts[-1]]))
 
 
 def normalize(t: Tiling, arc):
     """The gamma_{s,t} representative of the arc's equivalence class."""
     if isinstance(arc, (TrivialArc, ClosedCurveClass)):
         return arc
-    return PermissibleArc(arc.darts, arc.pivots,
-                          _canonical_end(t, arc.darts[0]),
-                          _canonical_end(t, t.twin[arc.darts[-1]]))
+    return _gamma(t, arc.darts, arc.pivots)
 
 
 def arcs_equivalent(t: Tiling, a, b, oriented: bool = True) -> bool:
@@ -275,17 +276,26 @@ def arcs_equivalent(t: Tiling, a, b, oriented: bool = True) -> bool:
     return not oriented and normalize(t, reverse_arc(t, a)) == normalize(t, b)
 
 
-def _letter_darts(t: Tiling, alg: TilingAlgebra, l: Letter):
-    """(entry dart, exit dart, pivot) of one letter's transit."""
-    if l.arrow not in alg.arrows:
-        raise InputError(f"{l.arrow!r} is not an arrow of the tiling algebra")
-    a = alg.arrows[l.arrow]
-    d_leave = t._slot_dart[a.leave_slot]
-    d_enter = t._slot_dart[a.enter_slot]
-    pivot = (t.face_of[d_enter][1], l.inverse)
-    if l.inverse:
-        return t.twin[d_enter], t.twin[d_leave], pivot
-    return d_leave, d_enter, pivot
+def _chain(t: Tiling, alg: TilingAlgebra, letters):
+    """(darts, pivots) of the letters' transits, each letter entering
+    through the dart the one before it left by; None when they do not
+    chain up."""
+    darts, pivots = [], []
+    for l in letters:
+        if l.arrow not in alg.arrows:
+            raise InputError(f"{l.arrow!r} is not an arrow of the tiling algebra")
+        a = alg.arrows[l.arrow]
+        d_leave = t._slot_dart[a.leave_slot]
+        d_enter = t._slot_dart[a.enter_slot]
+        d_in, d_out = ((t.twin[d_enter], t.twin[d_leave]) if l.inverse
+                       else (d_leave, d_enter))
+        if not darts:
+            darts.append(d_in)
+        elif darts[-1] != d_in:
+            return None
+        pivots.append((t.face_of[d_enter][1], l.inverse))
+        darts.append(d_out)
+    return darts, pivots
 
 
 def string_to_arc(t: Tiling, alg: TilingAlgebra, w: StringWord):
@@ -295,22 +305,11 @@ def string_to_arc(t: Tiling, alg: TilingAlgebra, w: StringWord):
     if w.is_trivial:
         if w.vertex not in t.arcs:
             raise InputError(f"{w.vertex!r} is not an arc of the tiling")
-        d = _trivial_dart(t, alg, w.vertex, w.sign)
-        return PermissibleArc((d,), (), _canonical_end(t, d),
-                              _canonical_end(t, t.twin[d]))
-    darts, pivots = [], []
-    for l in w.letters:
-        d_in, d_out, pivot = _letter_darts(t, alg, l)
-        if darts:
-            if darts[-1] != d_in:
-                raise InputError(f"not a string of this tiling algebra: {w.text()}")
-        else:
-            darts.append(d_in)
-        pivots.append(pivot)
-        darts.append(d_out)
-    arc = PermissibleArc(tuple(darts), tuple(pivots),
-                         _canonical_end(t, darts[0]),
-                         _canonical_end(t, t.twin[darts[-1]]))
+        return _gamma(t, (_trivial_dart(t, alg, w.vertex, w.sign),), ())
+    chain = _chain(t, alg, w.letters)
+    if chain is None:
+        raise InputError(f"not a string of this tiling algebra: {w.text()}")
+    arc = _gamma(t, *chain)
     err = check_permissible(t, alg, arc)
     assert err is None, err
     return arc
@@ -352,14 +351,18 @@ def pivot_move(t: Tiling, alg: TilingAlgebra, arc, end: str):
     """Move the chosen endpoint counterclockwise to the next marked
     point, after normalizing to gamma_{s,t}.  Computed by tile-boundary
     traversal: either the moved end sweeps across a fan (adding a hook)
-    or the leading/trailing crossings slide off (removing a cohook).
-    end='s' realizes w_l, end='t' realizes w_r."""
+    or the leading crossings slide off (removing a cohook).  end='s'
+    realizes w_l; end='t' realizes w_r as the s move of the reversed
+    arc, reversed back (the reverse of gamma_{s,t} is again one)."""
     if end not in ("s", "t"):
         raise InputError("end must be 's' or 't'")
     if isinstance(arc, (TrivialArc, ClosedCurveClass)) or not arc.darts:
         raise InputError("pivot moves require an arc with at least one crossing")
     arc = normalize(t, arc)
-    out = _pivot_start(t, alg, arc) if end == "s" else _pivot_end(t, alg, arc)
+    if end == "s":
+        out = _pivot_start(t, alg, arc)
+    else:
+        out = reverse_arc(t, _pivot_start(t, alg, reverse_arc(t, arc)))
     if isinstance(out, TrivialArc):
         return out
     err = check_permissible(t, alg, out)
@@ -367,65 +370,27 @@ def pivot_move(t: Tiling, alg: TilingAlgebra, arc, end: str):
     return out
 
 
-def _fan_sweep(t: Tiling, p_prev: int):
-    """The fan slots at tail(p_prev) from the slot of p_prev onward."""
-    s_prime = t.tail[p_prev]
-    fan = t.fans[s_prime]
-    return fan[fan.index(t.slot[p_prev]):]
-
-
 def _pivot_start(t: Tiling, alg: TilingAlgebra, arc: PermissibleArc):
-    d1 = arc.darts[0]
-    face, j = t.face_of[d1]
+    face, j = t.face_of[arc.darts[0]]
     walk = t.tiles[face].walk
     p_prev = walk[(j - 1) % len(walk)]
     if t.kind[p_prev] == "arc":
-        # hook: the new end sweeps the fan at tail(p_prev), crossing it
-        # in reverse order, then enters the old start tile at its corner
-        sweep = _fan_sweep(t, p_prev)
-        new_darts = [t.twin[t._slot_dart[s]] for s in reversed(sweep)]
-        new_pivots = [(t.face_of[t.twin[nd]][1], True) for nd in new_darts[:-1]]
-        new_pivots.append((j, False))
-        darts = tuple(new_darts) + arc.darts
-        pivots = tuple(new_pivots) + arc.pivots
-        return PermissibleArc(darts, pivots, _canonical_end(t, darts[0]),
-                              _canonical_end(t, t.twin[darts[-1]]))
+        # hook: the new end sweeps the fan at tail(p_prev) from p_prev
+        # onward, crossing it in reverse order, then enters the old
+        # start tile at its corner
+        fan = t.fans[t.tail[p_prev]]
+        sweep = fan[fan.index(t.slot[p_prev]):]
+        darts = [t.twin[t._slot_dart[s]] for s in reversed(sweep)]
+        pivots = [(t.face_of[t.twin[d]][1], True) for d in darts[:-1]]
+        return _gamma(t, tuple(darts) + arc.darts,
+                      tuple(pivots) + ((j, False),) + arc.pivots)
     # cohook: the maximal direct prefix and the following inverse
     # crossing slide off the moved endpoint
     letters = arc_letters(t, alg, arc)
     drop = next((i for i, l in enumerate(letters) if l.inverse), None)
     if drop is None:
         return TrivialArc()
-    darts = arc.darts[drop + 1:]
-    pivots = arc.pivots[drop + 1:]
-    return PermissibleArc(darts, pivots, _canonical_end(t, darts[0]),
-                          _canonical_end(t, t.twin[darts[-1]]))
-
-
-def _pivot_end(t: Tiling, alg: TilingAlgebra, arc: PermissibleArc):
-    dk = arc.darts[-1]
-    e = t.twin[dk]
-    face, j = t.face_of[e]
-    walk = t.tiles[face].walk
-    q_prev = walk[(j - 1) % len(walk)]
-    if t.kind[q_prev] == "arc":
-        sweep = _fan_sweep(t, q_prev)
-        new_darts = [t._slot_dart[s] for s in sweep]
-        new_pivots = [(j, True)]
-        new_pivots.extend((t.face_of[nd][1], False) for nd in new_darts[1:])
-        darts = arc.darts + tuple(new_darts)
-        pivots = arc.pivots + tuple(new_pivots)
-        return PermissibleArc(darts, pivots, _canonical_end(t, darts[0]),
-                              _canonical_end(t, t.twin[darts[-1]]))
-    letters = arc_letters(t, alg, arc)
-    keep = next((i for i in reversed(range(len(letters)))
-                 if not letters[i].inverse), None)
-    if keep is None:
-        return TrivialArc()
-    darts = arc.darts[:keep + 1]
-    pivots = arc.pivots[:keep]
-    return PermissibleArc(darts, pivots, _canonical_end(t, darts[0]),
-                          _canonical_end(t, t.twin[darts[-1]]))
+    return _gamma(t, arc.darts[drop + 1:], arc.pivots[drop + 1:])
 
 
 def tau_inverse_arc(t: Tiling, alg: TilingAlgebra, arc):
@@ -435,15 +400,12 @@ def tau_inverse_arc(t: Tiling, alg: TilingAlgebra, arc):
     if isinstance(arc, (TrivialArc, ClosedCurveClass)):
         raise InputError("tau applies to arcs with at least one crossing")
     arc = normalize(t, arc)
-    first = pivot_move(t, alg, arc, "t")
-    if not isinstance(first, TrivialArc):
-        second = pivot_move(t, alg, first, "s")
-        return None if isinstance(second, TrivialArc) else second
-    first = pivot_move(t, alg, arc, "s")
-    if isinstance(first, TrivialArc):
-        return None
-    second = pivot_move(t, alg, first, "t")
-    return None if isinstance(second, TrivialArc) else second
+    for first, second in (("t", "s"), ("s", "t")):
+        moved = pivot_move(t, alg, arc, first)
+        if not isinstance(moved, TrivialArc):
+            moved = pivot_move(t, alg, moved, second)
+            return None if isinstance(moved, TrivialArc) else moved
+    return None
 
 
 # -- closed curves and bands ----------------------------------------------
@@ -453,15 +415,10 @@ def band_to_closed_curve(t: Tiling, alg: TilingAlgebra, band: Band,
                          exponent: int = 1) -> ClosedCurveClass:
     if exponent < 1:
         raise InputError("exponent must be >= 1")
-    darts, pivots = [], []
-    for l in band.letters:
-        d_in, d_out, pivot = _letter_darts(t, alg, l)
-        if darts and darts[-1] != d_in:
-            raise InputError("band letters do not chain up on the surface")
-        if not darts:
-            darts.append(d_in)
-        pivots.append(pivot)
-        darts.append(d_out)
+    chain = _chain(t, alg, band.letters)
+    if chain is None:
+        raise InputError("band letters do not chain up on the surface")
+    darts, pivots = chain
     if darts[-1] != darts[0]:
         raise InputError("band does not close up on the surface")
     darts = darts[:-1]

@@ -35,6 +35,14 @@ def _read(path):
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _sniff(path):
     """(text, first keyword) of a description file; the keyword is
     'quiver' or 'tiling' for well-formed files."""
@@ -72,13 +80,12 @@ def _parse_operand(pres, text):
 def cmd_check(args, out):
     text, first = _sniff(args.file)
     if first == "tiling":
-        t = Tiling.parse(text)
-        pres = tiling_algebra(t).presentation
-        verdict = check_gentle(pres.quiver, pres.relations)
-    else:
-        vertices, arrows, relations = parse_quiver_raw(text)
-        q = Quiver.from_arrows(vertices, arrows)
-        verdict = check_gentle(q, relations)
+        # the tiling algebra is built only on a gentle presentation
+        tiling_algebra(Tiling.parse(text))
+        print("gentle", file=out)
+        return 0
+    vertices, arrows, relations = parse_quiver_raw(text)
+    verdict = check_gentle(Quiver.from_arrows(vertices, arrows), relations)
     if verdict.gentle:
         print("gentle", file=out)
         return 0
@@ -101,6 +108,8 @@ def cmd_strings(args, out):
 def cmd_ar_quiver(args, out):
     pres, _, _ = _load_any(args.file)
     ar = build_ar_quiver(pres)
+    if args.dot:
+        _write(args.dot, ar_quiver_dot(ar))
     for w in ar.nodes:
         print(f"node {w.text()}", file=out)
     for a, b in ar.edges:
@@ -108,8 +117,6 @@ def cmd_ar_quiver(args, out):
     for a, b in ar.tau_pairs:
         print(f"tau {a.text()} .. {b.text()}", file=out)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(ar_quiver_dot(ar))
         print(f"dot written to {args.dot}", file=out)
     return 0
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import GentlePresentation, InputError
+from .artheory import dimension_additivity_holds, hooks
 from .strings import Band, StringWord, letter_source
 
 DEFAULT_PRIME = 5
@@ -209,8 +210,6 @@ def verify_ar_middle(p: GentlePresentation, w: StringWord,
                      prime: int = DEFAULT_PRIME) -> bool:
     """Check the AR sequence at M(w) against the matrix side: dimension
     additivity plus a nonzero map onto each nonzero middle summand."""
-    from .artheory import dimension_additivity_holds, hooks
-
     h = hooks(p, w)
     if h.w_both.is_zero:
         raise InputError("M(w) is injective; no AR sequence starts at it")

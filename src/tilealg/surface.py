@@ -122,11 +122,6 @@ class Tiling:
         return t
 
     @classmethod
-    def load(cls, path) -> "Tiling":
-        with open(path, encoding="utf-8") as fh:
-            return cls.parse(fh.read())
-
-    @classmethod
     def from_data(cls, marked, unmarked, arcs, fans) -> "Tiling":
         t = cls({k: list(v) for k, v in marked.items()},
                 {k: tuple(v) for k, v in unmarked.items()},
@@ -329,13 +324,16 @@ class Tiling:
 
         self._check_topology()
 
-    def _check_topology(self):
+    def _euler(self):
+        """(chi, boundary components) of the tiled surface; each unmarked
+        boundary component removes a disc from the tile around it."""
         V = len(self.points)
         E = len(self.arcs) + sum(len(pts) for pts in self.marked.values())
-        F = len(self.tiles)
         U = len(self.unmarked)
-        b_total = len(self.marked) + U
-        chi = V - E + F - U
+        return V - E + len(self.tiles) - U, len(self.marked) + U
+
+    def _check_topology(self):
+        chi, b_total = self._euler()
         genus2 = 2 - b_total - chi
         if genus2 < 0 or genus2 % 2:
             raise TilingRejection(f"Euler count inconsistent: chi={chi}, "
@@ -360,7 +358,7 @@ class Tiling:
             union(p, q)
         if len({find(p) for p in pts}) > 1:
             raise TilingRejection("surface is disconnected")
-        if b_total == 1 and genus2 == 0 and V < 4:
+        if b_total == 1 and genus2 == 0 and len(pts) < 4:
             raise TilingRejection("a disc needs at least four marked points")
 
     # -- accessors used by the arcs module -------------------------------
@@ -373,10 +371,8 @@ class Tiling:
         return tile.unmarked is not None
 
     def genus(self) -> int:
-        V = len(self.points)
-        E = len(self.arcs) + sum(len(pts) for pts in self.marked.values())
-        chi = V - E + len(self.tiles) - len(self.unmarked)
-        return (2 - (len(self.marked) + len(self.unmarked)) - chi) // 2
+        chi, b_total = self._euler()
+        return (2 - b_total - chi) // 2
 
 
 def _tile_key(m, walk):

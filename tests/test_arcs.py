@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tilealg import samples
@@ -122,6 +124,9 @@ def test_permissibility_rejections():
     bad3 = PermissibleArc(arc.darts, arc.pivots, hug, arc.end)
     assert "not minimal" in check_permissible(t, alg, bad3) or \
         "descriptor" in check_permissible(t, alg, bad3)
+    # a closed curve through one crossing has a transit across its wrap
+    one = ClosedCurveClass(arc.darts[:1], arc.pivots, 1, 1)
+    assert check_permissible(t, alg, one) == "(3)(b) violation at crossings 0,1"
 
 
 def test_pivot_equals_hooks(fixture):
@@ -341,3 +346,51 @@ def test_format_arc_is_stable():
     assert format_arc(t, arc) == format_arc(t, arc)
     assert format_arc(t, arc).startswith("arc-word ")
     assert " x @p1 y " in format_arc(t, arc)
+
+
+# -- arc moves pinned on generated families --------------------------------
+
+
+def _corruptions(arc):
+    """Copies of a gamma_{s,t} arc with one pivot corner moved by -1 or +1,
+    one inverse flag flipped, or the start route moved by +1, and the
+    closed curve through its first crossing alone."""
+    for i, (c, inv) in enumerate(arc.pivots):
+        for pivot in ((c - 1, inv), (c + 1, inv), (c, not inv)):
+            pivots = arc.pivots[:i] + (pivot,) + arc.pivots[i + 1:]
+            yield PermissibleArc(arc.darts, pivots, arc.start, arc.end)
+    s = arc.start
+    yield PermissibleArc(arc.darts, arc.pivots,
+                         EndDescriptor(s.tile, s.corner, s.route + 1), arc.end)
+    yield ClosedCurveClass(arc.darts[:1], (arc.pivots or ((0, False),))[:1], 1, 1)
+
+
+def _arc_moves_digest():
+    tilings = list(samples.tiled_fixtures().values()) + samples.random_tilings(7, 40)
+    h = hashlib.sha256()
+    for t in tilings:
+        alg = tiling_algebra(t)
+        p = alg.presentation
+        for w0 in enumerate_strings(p, max_len=4):
+            for w in (w0, w0.inv()):
+                if w.kind == "trivial" and w.vertex not in t.arcs:
+                    continue
+                arc = string_to_arc(t, alg, w)
+                moved = [pivot_move(t, alg, arc, end) for end in "st"]
+                tau = tau_inverse_arc(t, alg, arc)
+                lines = [format_arc(t, a) for a in [arc] + moved]
+                lines.append("injective" if tau is None else format_arc(t, tau))
+                lines += [str(check_permissible(t, alg, bad))
+                          for bad in _corruptions(arc)]
+                h.update(("\n".join(lines) + "\n").encode())
+        band = detect_band(p)
+        for n in ((1, 2) if band is not None else ()):
+            curve = band_to_closed_curve(t, alg, band, n)
+            back, m = closed_curve_to_band(t, alg, curve)
+            h.update(f"{format_arc(t, curve)} {back.text()} {m}\n".encode())
+    return h.hexdigest()[:16]
+
+
+def test_arc_moves_are_pinned():
+    # recorded before the t move became the s move of the reversed arc
+    assert _arc_moves_digest() == "dbfd5dade2709dd3"

@@ -103,6 +103,15 @@ def test_ar_quiver_dot_roundtrip(tmp_path):
     assert dashed == {(a.text(), b.text()) for a, b in ar.tau_pairs}
 
 
+@pytest.mark.parametrize("where", ["missing/ar.dot", "."])
+def test_ar_quiver_unwritable_dot_is_input_error(tmp_path, where):
+    dest = tmp_path / where
+    code, text = run("ar-quiver", str(DATA / "fixA.quiver"), "--dot", str(dest))
+    assert code == 2
+    assert text.startswith(f"input error: cannot write {dest}: ")
+    assert text.count("\n") == 1   # the report is not printed
+
+
 def test_tiling_algebra_report():
     code, text = run("tiling-algebra", str(DATA / "digon.tiling"))
     assert code == 0

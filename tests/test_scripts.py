@@ -41,3 +41,11 @@ def test_export_ar_quiver_reports_rejections(tmp_path, capsys):
     assert script.main(["export_ar_quiver.py", str(small), str(dest)]) == 1
     assert capsys.readouterr().out == "rejected: a disc needs at least four marked points\n"
     assert not dest.exists()
+    unwritable = tmp_path / "missing" / "x.dot"
+    assert script.main(["export_ar_quiver.py", "fix_b", str(unwritable)]) == 2
+    assert capsys.readouterr().out.startswith(f"input error: cannot write {unwritable}: ")
+
+
+def test_run_acceptance_runs(capsys):
+    assert _script("run_acceptance").main() == 0
+    assert "10/10 criteria passed" in capsys.readouterr().out
