@@ -3,6 +3,9 @@
 collapse lemma, with a small summary of the tile statistics.
 
     python3 scripts/random_tiling_audit.py [count] [seed]
+
+count is a positive integer (default 100), seed an integer.  Exit codes:
+0 no failures, 1 some tiling failed an audit, 2 malformed arguments.
 """
 
 import sys
@@ -16,8 +19,14 @@ from tilealg.surface import (collapse_presentation, complete_to_triangulation,
 
 
 def main(argv):
-    count = int(argv[1]) if len(argv) > 1 else 100
-    seed = int(argv[2]) if len(argv) > 2 else 20260810
+    try:
+        count = int(argv[1]) if len(argv) > 1 else 100
+        seed = int(argv[2]) if len(argv) > 2 else 20260810
+        if count < 1 or len(argv) > 3:
+            raise ValueError
+    except ValueError:
+        print(__doc__)
+        return 2
     kinds = Counter()
     failures = 0
     for i, t in enumerate(samples.random_tilings(seed, count)):

@@ -119,31 +119,31 @@ def check_gentle(q: Quiver, relations) -> GentleCheck:
     relations = frozenset(tuple(r) for r in relations)
     _check_relations_composable(q, relations)
     bad = []
+    outs = {v: q.arrows_from(v) for v in q.vertices}
+    ins = {v: q.arrows_into(v) for v in q.vertices}
 
     for v in sorted(q.vertices):
-        outs = q.arrows_from(v)
-        if len(outs) > 2:
-            bad.append(Violation("G1", f"vertex {v} is the source of {len(outs)} arrows",
-                                 (v, tuple(outs))))
-        ins = q.arrows_into(v)
-        if len(ins) > 2:
-            bad.append(Violation("G1", f"vertex {v} is the target of {len(ins)} arrows",
-                                 (v, tuple(ins))))
+        if len(outs[v]) > 2:
+            bad.append(Violation("G1", f"vertex {v} is the source of {len(outs[v])} arrows",
+                                 (v, tuple(outs[v]))))
+        if len(ins[v]) > 2:
+            bad.append(Violation("G1", f"vertex {v} is the target of {len(ins[v])} arrows",
+                                 (v, tuple(ins[v]))))
 
     for a in q.arrows:
-        succ_free = [b for b in q.arrows_from(q.t(a)) if (a, b) not in relations]
+        succ_free = [b for b in outs[q.t(a)] if (a, b) not in relations]
         if len(succ_free) > 1:
             bad.append(Violation("G2", f"arrow {a} has {len(succ_free)} non-relation successors",
                                  (a, tuple(succ_free))))
-        pred_free = [c for c in q.arrows_into(q.s(a)) if (c, a) not in relations]
+        pred_free = [c for c in ins[q.s(a)] if (c, a) not in relations]
         if len(pred_free) > 1:
             bad.append(Violation("G2", f"arrow {a} has {len(pred_free)} non-relation predecessors",
                                  (a, tuple(pred_free))))
-        succ_rel = [b for b in q.arrows_from(q.t(a)) if (a, b) in relations]
+        succ_rel = [b for b in outs[q.t(a)] if (a, b) in relations]
         if len(succ_rel) > 1:
             bad.append(Violation("G3", f"arrow {a} lies in {len(succ_rel)} relations on the right",
                                  (a, tuple(succ_rel))))
-        pred_rel = [c for c in q.arrows_into(q.s(a)) if (c, a) in relations]
+        pred_rel = [c for c in ins[q.s(a)] if (c, a) in relations]
         if len(pred_rel) > 1:
             bad.append(Violation("G3", f"arrow {a} lies in {len(pred_rel)} relations on the left",
                                  (a, tuple(pred_rel))))
@@ -194,92 +194,47 @@ def _find_cycle(order, succ):
     return None
 
 
-class _SignedUnionFind:
-    """Union-find tracking a relative sign (+1/-1) to the class root."""
-
-    def __init__(self):
-        self.parent = {}
-        self.sign = {}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.sign[x] = 1
-
-    def find(self, x):
-        if self.parent[x] == x:
-            return x, 1
-        root, s = self.find(self.parent[x])
-        self.parent[x] = root
-        self.sign[x] *= s
-        return root, self.sign[x]
-
-    def union(self, x, y, rel):
-        """Impose sign(x) == rel * sign(y)."""
-        self.add(x)
-        self.add(y)
-        rx, sx = self.find(x)
-        ry, sy = self.find(y)
-        if rx == ry:
-            if sx != rel * sy:
-                raise AssertionError(f"inconsistent sign constraint between {x} and {y}")
-            return
-        self.parent[rx] = ry
-        self.sign[rx] = sx * rel * sy
-
-
 def assign_signs(q: Quiver, relations):
-    """Deterministic sigma/epsilon assignment via signed union-find.
+    """Deterministic sigma/epsilon assignment, chosen vertex by vertex.
 
     Besides the three required conditions, compositions that lie in I get
     sigma(b) == +epsilon(a).  This sharper convention (consistent for
     gentle presentations) makes "vw defined iff sigma(w) == -epsilon(v)"
     exact and pins down the orientation of trivial-string arcs in the
-    surface model.  Free classes get +1 at their first representative in
-    sorted order.  Returns (sigma, epsilon) as dicts arrow -> +-1.
+    surface model.  Every condition links two arrow ends at one vertex,
+    and at a vertex they link all of its ends, so each vertex is solved
+    on its own.  Tie-break: the least in-arrow a0 gets epsilon = +1 and
+    the other in-arrow -1; then each out-arrow b gets sigma(b) = +1 if
+    a0 b is in I, else -1.  At a vertex without in-arrows the least
+    out-arrow gets sigma = +1 and the other -1.  Returns (sigma, epsilon)
+    as dicts arrow -> +-1 in sorted arrow order; AssertionError when the
+    conditions cannot hold (the quiver is not gentle).
     """
     relations = frozenset(tuple(r) for r in relations)
-    uf = _SignedUnionFind()
-    nodes = [("s", a) for a in q.arrows] + [("e", a) for a in q.arrows]
-    for n in nodes:
-        uf.add(n)
-    for v in sorted(q.vertices):
-        outs = q.arrows_from(v)
-        for b1, b2 in itertools.combinations(outs, 2):
-            uf.union(("s", b1), ("s", b2), -1)
+    sigma, epsilon = {}, {}
+    for v in q.vertices:
         ins = q.arrows_into(v)
-        for a1, a2 in itertools.combinations(ins, 2):
-            uf.union(("e", a1), ("e", a2), -1)
-    for a in q.arrows:
-        for b in q.arrows_from(q.t(a)):
-            uf.union(("s", b), ("e", a), 1 if (a, b) in relations else -1)
-
-    color = {}
-    value = {}
-    for n in sorted(nodes):
-        root, s = uf.find(n)
-        if root not in color:
-            color[root] = s  # first-seen node of the class gets +1
-        value[n] = color[root] * s
-
-    sigma = {a: value[("s", a)] for a in q.arrows}
-    epsilon = {a: value[("e", a)] for a in q.arrows}
+        for i, a in enumerate(ins):
+            epsilon[a] = 1 if i == 0 else -1
+        for i, b in enumerate(q.arrows_from(v)):
+            if ins:
+                sigma[b] = 1 if (ins[0], b) in relations else -1
+            else:
+                sigma[b] = 1 if i == 0 else -1
     _verify_signs(q, relations, sigma, epsilon)
-    return sigma, epsilon
+    return {a: sigma[a] for a in q.arrows}, {a: epsilon[a] for a in q.arrows}
 
 
 def _verify_signs(q, relations, sigma, epsilon):
     for v in q.vertices:
-        outs = q.arrows_from(v)
+        outs, ins = q.arrows_from(v), q.arrows_into(v)
         for b1, b2 in itertools.combinations(outs, 2):
             assert sigma[b1] == -sigma[b2], (b1, b2)
-        ins = q.arrows_into(v)
         for a1, a2 in itertools.combinations(ins, 2):
             assert epsilon[a1] == -epsilon[a2], (a1, a2)
-    for a in q.arrows:
-        for b in q.arrows_from(q.t(a)):
-            if (a, b) not in relations:
-                assert sigma[b] == -epsilon[a], (a, b)
+        for a, b in itertools.product(ins, outs):
+            rel = 1 if (a, b) in relations else -1
+            assert sigma[b] == rel * epsilon[a], (a, b)
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ def arc_letters(t: Tiling, alg: TilingAlgebra, arc) -> list:
 
 def pivot_points(t: Tiling, arc) -> tuple:
     """The marked point shared by each consecutive crossing pair."""
-    if isinstance(arc, TrivialArc) or arc.crossings <= 1:
+    if isinstance(arc, TrivialArc):
         return ()
     cyclic = isinstance(arc, ClosedCurveClass)
     n = len(arc.darts)
@@ -219,25 +219,20 @@ def _dart_sign(t: Tiling, alg: TilingAlgebra, d: int) -> int:
     """The sign x such that the single-crossing arc entering through d
     represents the trivial string 1_v^x, v = the crossed arc.
 
-    The cascade is coherent thanks to the sharpened sign convention
-    (sigma(b) = epsilon(a) for ab in I): any applicable rule gives the
-    same value, and twin darts get opposite signs."""
+    Any one arrow end at v decides: a leaving end gives -sigma and an
+    entering end epsilon, each negated when the end sits in the other
+    slot of v.  The sharpened sign convention (sigma(b) = epsilon(a) for
+    ab in I) makes every end give the same value, and twin darts get
+    opposite signs."""
     p = alg.presentation
     v = t.label[d]
-    own, other = t.slot[d], t.slot[t.twin[d]]
-    for a in p.arrows_from(v):
-        if alg.arrows[a].leave_slot == own:
-            return -p.sigma[a]
-    for a in p.arrows_from(v):
-        if alg.arrows[a].leave_slot == other:
-            return p.sigma[a]
-    for a in p.arrows_into(v):
-        if alg.arrows[a].enter_slot == own:
-            return p.epsilon[a]
-    for a in p.arrows_into(v):
-        if alg.arrows[a].enter_slot == other:
-            return -p.epsilon[a]
-    return 1 if own == (v, 1) else -1
+    own = t.slot[d]
+    ends = ([(alg.arrows[a].leave_slot, -p.sigma[a]) for a in p.arrows_from(v)]
+            + [(alg.arrows[a].enter_slot, p.epsilon[a]) for a in p.arrows_into(v)])
+    if not ends:
+        return 1 if own == (v, 1) else -1
+    slot, sign = ends[0]
+    return sign if slot == own else -sign
 
 
 def _trivial_dart(t: Tiling, alg: TilingAlgebra, vertex: str, sign: int) -> int:

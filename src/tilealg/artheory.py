@@ -9,6 +9,11 @@ The left modification of a string w:
   w = v a^-1 w' with v the maximal direct prefix then w_l = w' -- a
   cohook is removed.
 
+Both pieces of a hook are read off the letter graph: a^-1 is the
+inverse successor of the inverse of w's first letter, and since a^-1 b
+is a string exactly when b != a leaves s(a), and bc one exactly when bc
+is not in I, v is the run of direct successors after a^-1.
+
 The right modification is the mirror image, realized here through
 formal inversion: w_r = (( w^-1 )_l)^-1.
 """
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 from .algebra import GentlePresentation, InputError
 from .strings import (Letter, StringWord, canonicalize, detect_band,
-                      enumerate_strings, is_valid_string, valid_pair)
+                      enumerate_strings, is_valid_string, letter_graph)
 
 HOOK_ADDED = "added-hook"
 COHOOK_REMOVED = "removed-cohook"
@@ -31,33 +36,9 @@ def _hook_arrow_left(p: GentlePresentation, w: StringWord):
     if w.is_trivial:
         cands = [a for a in p.arrows_into(w.vertex) if p.epsilon[a] == w.sign]
     else:
-        first = w.letters[0]
-        src = w.source(p)
-        cands = [a for a in p.arrows_into(src)
-                 if valid_pair(p, Letter(a), first) is None]
+        cands = [l.arrow for l in letter_graph(p)[w.letters[0].inv()] if l.inverse]
     assert len(cands) <= 1, f"hook arrow not unique for {w!r}: {cands}"
     return cands[0] if cands else None
-
-
-def _maximal_direct_from(p: GentlePresentation, v, exclude):
-    """Arrows of the maximal direct string at vertex v whose first arrow
-    is not `exclude`; relation-free continuation is unique by (G2)."""
-    path = []
-    here = v
-    guard = 0
-    while True:
-        if not path:
-            nxt = [b for b in p.arrows_from(here) if b != exclude]
-        else:
-            nxt = [b for b in p.arrows_from(here) if (path[-1], b) not in p.relations]
-        if not nxt:
-            return path
-        assert len(nxt) == 1, f"direct continuation not unique at {here}: {nxt}"
-        path.append(nxt[0])
-        here = p.t(nxt[0])
-        guard += 1
-        if guard > 2 * len(p.arrows) + 1:
-            raise AssertionError("runaway direct string; presentation not finite dimensional?")
 
 
 @dataclass(frozen=True)
@@ -71,8 +52,11 @@ def hook_left(p: GentlePresentation, w: StringWord) -> HookSide:
         raise InputError("hooks are undefined for the zero string")
     a = _hook_arrow_left(p, w)
     if a is not None:
-        v_path = _maximal_direct_from(p, p.s(a), exclude=a)
-        letters = tuple(Letter(b, True) for b in reversed(v_path)) + (Letter(a),)
+        succ = letter_graph(p)
+        run = [Letter(a, True)]   # a^-1, then the direct string v
+        while nxt := [l for l in succ[run[-1]] if not l.inverse]:
+            run.append(nxt[0])
+        letters = tuple(l.inv() for l in reversed(run))
         if not w.is_trivial:
             letters = letters + w.letters
         result = StringWord.word(letters)

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
+import gentle_corpus
 from tilealg import samples
 from tilealg.algebra import (GentlePresentation, GentlenessError, InputError,
                              Quiver, assign_signs, check_gentle, is_zero_path,
@@ -97,6 +99,25 @@ def test_assign_signs_deterministic():
     p = samples.fix_a()
     s2, e2 = assign_signs(p.quiver, p.relations)
     assert s2 == p.sigma and e2 == p.epsilon
+
+
+def _signs_digest():
+    h = hashlib.sha256()
+    for p in gentle_corpus.presentations():
+        h.update(f"{sorted(p.sigma.items())} {sorted(p.epsilon.items())}\n".encode())
+    return h.hexdigest()[:16]
+
+
+def test_signs_are_pinned():
+    # recorded while the signs came from a signed union-find
+    assert _signs_digest() == "b67ed28ede42d982"
+
+
+def test_assign_signs_rejects_three_arrows_out_of_a_vertex():
+    q = Quiver.from_arrows(
+        ["v", "w"], [("a", "v", "w"), ("b", "v", "w"), ("c", "v", "w")])
+    with pytest.raises(AssertionError):
+        assign_signs(q, [])
 
 
 def test_fix_a_sign_relations():

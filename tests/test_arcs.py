@@ -348,6 +348,16 @@ def test_format_arc_is_stable():
     assert " x @p1 y " in format_arc(t, arc)
 
 
+def test_format_arc_one_crossing_closed_curve():
+    # never permissible, but a hand-built curve still formats: its one
+    # pivot is the wrap pair of the crossing with itself
+    t = samples.tiled_fixtures()["pent"]
+    d = t._slot_dart[("x", 1)]
+    curve = ClosedCurveClass((d,), ((0, False),), 1, 1)
+    assert pivot_points(t, curve) == ("p3",)
+    assert format_arc(t, curve) == "closed-curve ( x @p3 ) ^1"
+
+
 # -- arc moves pinned on generated families --------------------------------
 
 

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+import gentle_corpus
 from tilealg import samples
 from tilealg.algebra import InputError
 from tilealg.artheory import (COHOOK_REMOVED, HOOK_ADDED, ZERO, ar_quiver_dot,
@@ -185,3 +188,20 @@ def test_dimension_vector_counts_visits():
     p = samples.fix_a()
     w = parse_string(p, "b- c d c- b")
     assert dimension_vector(p, w) == {"1": 2, "2": 2, "3": 2}
+
+
+def _hooks_digest():
+    h = hashlib.sha256()
+    for p in gentle_corpus.presentations():
+        for w0 in enumerate_strings(p, max_len=4):
+            for w in (w0, w0.inv()):
+                left, right = hook_left(p, w), hook_right(p, w)
+                h.update(f"{left.tag} {left.string.text()} | "
+                         f"{right.tag} {right.string.text()}\n".encode())
+    return h.hexdigest()[:16]
+
+
+def test_hooks_are_pinned():
+    # recorded while the hook arrow and the maximal direct string came
+    # from scans of the arrows at a vertex
+    assert _hooks_digest() == "17c11c0dae220311"

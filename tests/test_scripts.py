@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 
@@ -15,6 +17,14 @@ def _script(name):
 def test_random_tiling_audit_runs(capsys):
     assert _script("random_tiling_audit").main(["random_tiling_audit.py", "4", "7"]) == 0
     assert "audited 4 random tilings (seed 7); failures: 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [["abc"], ["-3"], ["0"], ["4", "x"], ["4", "7", "9"]])
+def test_random_tiling_audit_rejects_bad_arguments(args, capsys):
+    assert _script("random_tiling_audit").main(["random_tiling_audit.py"] + args) == 2
+    out = capsys.readouterr().out
+    assert "python3 scripts/random_tiling_audit.py [count] [seed]" in out
+    assert "audited" not in out
 
 
 def test_export_ar_quiver_runs(tmp_path, capsys):
