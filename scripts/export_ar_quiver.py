@@ -11,10 +11,9 @@ tiling), 2 malformed input or a destination that cannot be written.
 import sys
 
 from tilealg import samples
-from tilealg.algebra import GentlenessError, InputError
+from tilealg.algebra import InputError, Rejection
 from tilealg.artheory import ar_quiver_dot, build_ar_quiver
 from tilealg.cli import _load_any, _write
-from tilealg.surface import TilingRejection
 
 
 def main(argv):
@@ -30,7 +29,7 @@ def main(argv):
             pres, _, _ = _load_any(source)
         ar = build_ar_quiver(pres)
         _write(dest, ar_quiver_dot(ar))
-    except (GentlenessError, TilingRejection) as exc:
+    except Rejection as exc:
         print(f"rejected: {exc}")
         return 1
     except InputError as exc:

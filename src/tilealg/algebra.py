@@ -23,7 +23,11 @@ class InputError(ValueError):
     """Malformed input (non-composable relation, unknown identifier, ...)."""
 
 
-class GentlenessError(ValueError):
+class Rejection(ValueError):
+    """Well-formed input that the model rejects, with a reason (CLI exit 1)."""
+
+
+class GentlenessError(Rejection):
     """Raised when a presentation required to be gentle is not."""
 
     def __init__(self, violations):
@@ -302,18 +306,31 @@ def is_zero_path(p: GentlePresentation, path) -> bool:
 #   relation <id1> <id2>
 #   end
 
+def _records(text: str):
+    """(line number, tokens) of each line of a description file that is
+    not blank or a comment, up to the 'end' line; any later content is
+    malformed input."""
+    ended = False
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if ended:
+            raise InputError(f"line {lineno}: content after 'end'")
+        if parts[0] == "end":
+            ended = True
+        else:
+            yield lineno, parts
+
+
 def parse_quiver_raw(text: str):
     """(vertices, arrows, relations) from a quiver description file."""
     vertices, arrows, relations = [], [], []
     declared = set()
     seen_header = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _records(text):
         kw = parts[0]
-        if kw not in ("quiver", "vertex", "arrow", "relation", "end"):
+        if kw not in ("quiver", "vertex", "arrow", "relation"):
             raise InputError(f"line {lineno}: unknown keyword {kw!r}")
         try:
             if kw == "quiver":
@@ -324,11 +341,9 @@ def parse_quiver_raw(text: str):
             elif kw == "arrow":
                 a, s, t = parts[1:]
                 arrows.append((a, s, t))
-            elif kw == "relation":
+            else:
                 a, b = parts[1:]
                 relations.append((a, b))
-            else:  # end
-                break
         except ValueError:
             raise InputError(f"line {lineno}: malformed {kw!r} line") from None
         if kw == "vertex":   # checked here: the handler above would mask it

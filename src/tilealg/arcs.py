@@ -29,14 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import InputError
+from .algebra import InputError, Rejection
 from .homs import _HostView, _match
 from .strings import (Band, Letter, StringWord, _primitive_root, _word_error,
                       detect_band)
 from .surface import Tiling, TilingAlgebra, tiling_algebra
 
 
-class ArcRejection(ValueError):
+class ArcRejection(Rejection):
     def __init__(self, reason, detail=""):
         self.reason = reason
         super().__init__(f"{reason}" + (f": {detail}" if detail else ""))

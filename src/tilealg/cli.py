@@ -11,27 +11,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import (GentlenessError, InputError, Quiver, check_gentle,
-                      parse_quiver, parse_quiver_raw)
-from .strings import (Band, StringRejection, StringWord, detect_band,
-                      enumerate_strings, parse_band, parse_string)
-from .artheory import ar_quiver_dot, build_ar_quiver
-from .homs import hom_dim_detailed
-from .oracle import (DEFAULT_PRIME, BandModuleSpec, hom_dim_oracle,
-                     realize_band_module, realize_string_module)
-from .surface import (Tiling, TilingRejection, collapse_presentation,
-                      complete_to_triangulation, presentations_isomorphic,
-                      tiling_algebra)
-from .arcs import (ArcRejection, TrivialArc, arc_to_string, format_arc,
-                   intersection_vector, pivot_move, rep_type_geometric,
-                   string_to_arc, tau_inverse_arc)
+# Each subcommand imports the layers it runs, so a CLI process loads and
+# compiles only those.
+from .algebra import (InputError, Quiver, Rejection, check_gentle, parse_quiver,
+                      parse_quiver_raw)
 
 
 def _read(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -56,6 +46,7 @@ def _load_any(path):
     """(presentation, tiling-or-None, tiling_algebra-or-None)."""
     text, first = _sniff(path)
     if first == "tiling":
+        from .surface import Tiling, tiling_algebra
         t = Tiling.parse(text)
         alg = tiling_algebra(t)
         return alg.presentation, t, alg
@@ -72,6 +63,7 @@ def _need_tiling(path):
 
 
 def _parse_operand(pres, text):
+    from .strings import parse_band, parse_string
     if text.startswith("band "):
         return parse_band(pres, text[5:])
     return parse_string(pres, text)
@@ -80,6 +72,7 @@ def _parse_operand(pres, text):
 def cmd_check(args, out):
     text, first = _sniff(args.file)
     if first == "tiling":
+        from .surface import Tiling, tiling_algebra
         # the tiling algebra is built only on a gentle presentation
         tiling_algebra(Tiling.parse(text))
         print("gentle", file=out)
@@ -95,6 +88,7 @@ def cmd_check(args, out):
 
 
 def cmd_strings(args, out):
+    from .strings import detect_band, enumerate_strings
     pres, _, _ = _load_any(args.file)
     words = enumerate_strings(pres, max_len=args.max_len)
     for w in words:
@@ -106,6 +100,7 @@ def cmd_strings(args, out):
 
 
 def cmd_ar_quiver(args, out):
+    from .artheory import ar_quiver_dot, build_ar_quiver
     pres, _, _ = _load_any(args.file)
     ar = build_ar_quiver(pres)
     if args.dot:
@@ -122,21 +117,30 @@ def cmd_ar_quiver(args, out):
 
 
 def cmd_hom(args, out):
+    from .homs import hom_dim_detailed
     pres, _, _ = _load_any(args.file)
     v = _parse_operand(pres, args.v)
     w = _parse_operand(pres, args.w)
     comp = hom_dim_detailed(pres, v, w)
+    if args.oracle:
+        # both operands are realized before anything is printed, so a bad
+        # --prime or --lam leaves only the error line
+        from .oracle import (DEFAULT_PRIME, BandModuleSpec, hom_dim_oracle,
+                             realize_band_module, realize_string_module)
+        from .strings import Band
+        prime = DEFAULT_PRIME if args.prime is None else args.prime
+
+        def realize(x):
+            if isinstance(x, Band):
+                return realize_band_module(pres, BandModuleSpec(x, 1, args.lam),
+                                           prime=prime)
+            return realize_string_module(pres, x, prime=prime)
+        oracle = hom_dim_oracle(pres, realize(v), realize(w))
     print(f"hom {comp.dim}", file=out)
     if comp.experimental:
         print("experimental: same-band pairs omit the phi-dependent correction",
               file=out)
     if args.oracle:
-        def realize(x):
-            if isinstance(x, Band):
-                return realize_band_module(pres, BandModuleSpec(x, 1, args.lam),
-                                           prime=args.prime)
-            return realize_string_module(pres, x, prime=args.prime)
-        oracle = hom_dim_oracle(pres, realize(v), realize(w))
         print(f"oracle {oracle}", file=out)
         if oracle != comp.dim and not comp.experimental:
             print("MISMATCH between combinatorial and oracle dimensions", file=out)
@@ -163,6 +167,8 @@ def cmd_tiling_algebra(args, out):
 
 
 def cmd_arcs(args, out):
+    from .arcs import TrivialArc, format_arc, intersection_vector, string_to_arc
+    from .strings import parse_string
     pres, t, alg = _need_tiling(args.file)
     w = parse_string(pres, args.string)
     arc = string_to_arc(t, alg, w)
@@ -175,6 +181,8 @@ def cmd_arcs(args, out):
 
 
 def cmd_pivot(args, out):
+    from .arcs import TrivialArc, arc_to_string, format_arc, pivot_move, string_to_arc
+    from .strings import StringWord, parse_string
     pres, t, alg = _need_tiling(args.file)
     w = parse_string(pres, args.string)
     arc = string_to_arc(t, alg, w)
@@ -186,6 +194,8 @@ def cmd_pivot(args, out):
 
 
 def cmd_tau(args, out):
+    from .arcs import arc_to_string, format_arc, string_to_arc, tau_inverse_arc
+    from .strings import parse_string
     pres, t, alg = _need_tiling(args.file)
     w = parse_string(pres, args.string)
     arc = string_to_arc(t, alg, w)
@@ -199,6 +209,7 @@ def cmd_tau(args, out):
 
 
 def cmd_rep_type(args, out):
+    from .arcs import rep_type_geometric
     _, t, alg = _need_tiling(args.file)
     kind, witness = rep_type_geometric(t, alg)
     if kind == "finite":
@@ -210,6 +221,8 @@ def cmd_rep_type(args, out):
 
 
 def cmd_complete(args, out):
+    from .surface import (collapse_presentation, complete_to_triangulation,
+                          presentations_isomorphic, tiling_algebra)
     _, t, alg = _need_tiling(args.file)
     comp = complete_to_triangulation(t)
     print(f"added points: {' '.join(comp.added_points) or '-'}", file=out)
@@ -245,7 +258,7 @@ def build_parser():
     p.add_argument("v")
     p.add_argument("w")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    p.add_argument("--prime", type=int, default=None)
     p.add_argument("--lam", type=int, default=1,
                    help="band parameter lambda for oracle band modules")
     p.set_defaults(func=cmd_hom)
@@ -285,8 +298,7 @@ def main(argv=None, out=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, out)
-    except (StringRejection, GentlenessError, TilingRejection,
-            ArcRejection) as exc:
+    except Rejection as exc:
         print(f"rejected: {exc}", file=out)
         return 1
     except InputError as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GentlePresentation, InputError, _find_cycle
+from .algebra import GentlePresentation, InputError, Rejection, _find_cycle
 
 
 @dataclass(frozen=True, order=True)
@@ -55,7 +55,7 @@ def valid_pair(p: GentlePresentation, l1: Letter, l2: Letter) -> str | None:
     return None
 
 
-class StringRejection(ValueError):
+class StringRejection(Rejection):
     def __init__(self, position, reason):
         self.position = position
         self.reason = reason

@@ -29,10 +29,11 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from .algebra import GentlePresentation, InputError, _relation_free_cycle
+from .algebra import (GentlePresentation, InputError, Rejection, _records,
+                      _relation_free_cycle)
 
 
-class TilingRejection(ValueError):
+class TilingRejection(Rejection):
     """The described map is not a tiling of the supported kind."""
 
 
@@ -71,11 +72,7 @@ class Tiling:
     def parse(cls, text: str) -> "Tiling":
         marked, unmarked, arcs, fans = {}, {}, {}, {}
         seen_header = False
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
+        for lineno, parts in _records(text):
             kw = parts[0]
             if kw == "tiling":
                 seen_header = True
@@ -111,8 +108,6 @@ class Tiling:
                     except ValueError:
                         raise InputError(f"line {lineno}: bad slot {tok!r}") from None
                 fans[parts[1]] = slots
-            elif kw == "end":
-                break
             else:
                 raise InputError(f"line {lineno}: unknown keyword {kw!r}")
         if not seen_header:

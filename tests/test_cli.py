@@ -244,6 +244,32 @@ def test_duplicate_declarations_are_input_errors(tmp_path, name, text, message):
     assert out == f"input error: {message}\n"
 
 
+def test_content_after_end_in_a_quiver_file_is_an_input_error(tmp_path):
+    path = tmp_path / "after_end.quiver"
+    path.write_text("quiver\nvertex 1\nend\n\n# trailing comment\nvertex 2\n")
+    code, out = run("check", str(path))
+    assert code == 2
+    assert out == "input error: line 6: content after 'end'\n"
+    path.write_text("quiver\nvertex 1\nend\n\n# trailing comment\n")
+    assert run("check", str(path)) == (0, "gentle\n")
+
+
+def test_content_after_end_in_a_tiling_file_is_an_input_error(tmp_path):
+    path = tmp_path / "after_end.tiling"
+    path.write_text(PENT + "arc z p1 p3\n")
+    code, out = run("tiling-algebra", str(path))
+    assert code == 2
+    assert out == f"input error: line {len(PENT.splitlines()) + 1}: content after 'end'\n"
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    path = tmp_path / "latin.quiver"
+    path.write_bytes(b"quiver\n\xff\xfe\n")
+    code, out = run("check", str(path))
+    assert code == 2
+    assert out.startswith(f"input error: cannot read {path}: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize("arrows, expected", [
     ("arrow a 1 2\narrow b 2 1\n",
      ["violation FD: relation-free oriented cycle a b (algebra infinite dimensional)"]),
@@ -286,10 +312,17 @@ def test_hom_oracle_rejects_a_prime_that_is_not_prime(prime):
         code, text = run("hom", str(DATA / "fixA.quiver"), "b- c d c- b",
                          "b- c d c- b", "--oracle", "--prime", prime)
     assert code == 2
-    assert text.splitlines() == [
-        "hom 2",
-        f"input error: prime must be a prime number from 2 to 3037000493, got {prime}"]
+    assert text == ("input error: prime must be a prime number from 2 to 3037000493, "
+                    f"got {prime}\n")
     assert caught == []
+
+
+@pytest.mark.parametrize("lam", ["0", "5"])
+def test_hom_oracle_rejects_a_lambda_that_is_zero_mod_the_prime(lam):
+    code, text = run("hom", str(DATA / "kron.tiling"), "band a1 a2-", "triv x +",
+                     "--oracle", "--lam", lam)
+    assert code == 2
+    assert text == "input error: lambda must be nonzero in the prime field\n"
 
 
 def test_strings_rejects_a_negative_max_len():

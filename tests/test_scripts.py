@@ -51,6 +51,10 @@ def test_export_ar_quiver_reports_rejections(tmp_path, capsys):
     assert script.main(["export_ar_quiver.py", str(small), str(dest)]) == 1
     assert capsys.readouterr().out == "rejected: a disc needs at least four marked points\n"
     assert not dest.exists()
+    latin = tmp_path / "latin.quiver"
+    latin.write_bytes(b"quiver\n\xff\xfe\n")
+    assert script.main(["export_ar_quiver.py", str(latin), str(dest)]) == 2
+    assert capsys.readouterr().out.startswith(f"input error: cannot read {latin}: ")
     unwritable = tmp_path / "missing" / "x.dot"
     assert script.main(["export_ar_quiver.py", "fix_b", str(unwritable)]) == 2
     assert capsys.readouterr().out.startswith(f"input error: cannot write {unwritable}: ")
