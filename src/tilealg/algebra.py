@@ -249,9 +249,9 @@ class GentlePresentation:
     relations: frozenset          # of (a, b) arrow-id pairs, meaning ab in I
     sigma: dict = field(hash=False)
     epsilon: dict = field(hash=False)
-    # derived on first use by strings.letter_graph
-    _letter_graph: dict = field(default=None, init=False, repr=False,
-                                compare=False, hash=False)
+    # the compiled letter table, derived on first use by strings._letter_table
+    _letters: object = field(default=None, init=False, repr=False,
+                             compare=False, hash=False)
 
     @classmethod
     def from_data(cls, vertices, arrows, relations):
@@ -359,6 +359,15 @@ def parse_quiver(text: str) -> GentlePresentation:
     return GentlePresentation.from_data(*parse_quiver_raw(text))
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of a description file; an unreadable or undecodable
+    file is malformed input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
 def load_quiver(path) -> GentlePresentation:
-    with open(path, encoding="utf-8") as fh:
-        return parse_quiver(fh.read())
+    return parse_quiver(_read_text(path))

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 from .algebra import InputError, Rejection
 from .homs import _HostView, _match
-from .strings import (Band, Letter, StringWord, _primitive_root, _word_error,
-                      detect_band)
+from .strings import (Band, Letter, StringWord, _letter_table, _primitive_root,
+                      _word_error, detect_band)
 from .surface import Tiling, TilingAlgebra, tiling_algebra
 
 
@@ -205,7 +205,7 @@ def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
         if err:
             return f"end {err}"
     # minimal position: the induced walk must be reduced and avoid relations
-    err = _word_error(alg.presentation, letters, cyclic)
+    _, err = _word_error(alg.presentation, letters, cyclic)
     if err is not None:
         walk = "cyclic" if err[0] == 0 else "induced"
         return f"not minimal: {walk} walk is not a string"
@@ -458,7 +458,8 @@ def rep_type_geometric(t: Tiling, alg: TilingAlgebra | None = None):
 def _arc_view(t: Tiling, alg: TilingAlgebra, arc) -> _HostView:
     if isinstance(arc, TrivialArc):
         raise InputError("trivial arcs carry the zero module")
-    return _HostView(tuple(arc_letters(t, alg, arc)), crossing_word(t, arc),
+    codes = _letter_table(alg.presentation).encode(arc_letters(t, alg, arc))
+    return _HostView(tuple(codes), crossing_word(t, arc),
                      isinstance(arc, ClosedCurveClass))
 
 

@@ -13,16 +13,8 @@ import sys
 
 # Each subcommand imports the layers it runs, so a CLI process loads and
 # compiles only those.
-from .algebra import (InputError, Quiver, Rejection, check_gentle, parse_quiver,
-                      parse_quiver_raw)
-
-
-def _read(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+from .algebra import (InputError, Quiver, Rejection, _read_text, check_gentle,
+                      parse_quiver, parse_quiver_raw)
 
 
 def _write(path, text):
@@ -36,9 +28,9 @@ def _write(path, text):
 def _sniff(path):
     """(text, first keyword) of a description file; the keyword is
     'quiver' or 'tiling' for well-formed files."""
-    text = _read(path)
-    first = next((l.split()[0] for l in text.splitlines()
-                  if l.split("#", 1)[0].strip()), "")
+    text = _read_text(path)
+    first = next((words[0] for l in text.splitlines()
+                  if (words := l.split("#", 1)[0].split())), "")
     return text, first
 
 

@@ -21,13 +21,16 @@ letter word as its string, anticlockwise segments are factor windows
 and clockwise segments are sub windows.
 
 Windows are matched through a key that identifies e with e^-1.  Each
-operand is spelled once per comparison as a tuple of (arrow, inverse)
-pairs, a band unrolled as far as its longest window reaches, together
-with the inverse of that spelling.  A window's key is the lesser of its
-forward slice and the matching slice of the inverse spelling, and the
-orientation of a matched pair compares the two forward slices.
-Trivial windows are keyed by their vertex.  Windows are plain tuples
-until a `Window` is returned.
+operand is spelled once per comparison as a tuple of the integer letter
+codes of the presentation's letter table (see `strings`), a band
+unrolled as far as its longest window reaches, together with the
+inverse of that spelling (codes reversed, each c ^ 1).  A window's key
+is the lesser of its forward slice and the matching slice of the
+inverse spelling; code order is (arrow, inverse) order, so this picks
+the same orientation as comparing letters.  The orientation of a
+matched pair compares the two forward slices.  Trivial windows are
+keyed by their vertex.  One pass enumerates the windows and keys them
+together; windows are plain tuples until a `Window` is returned.
 
 For two operands on the same band the pair count misses the
 delta_{lambda=mu} min(n, m) term, and the result is flagged experimental.
@@ -39,38 +42,40 @@ import warnings
 from dataclasses import dataclass
 
 from .algebra import GentlePresentation, InputError
-from .strings import (Band, StringWord, _word_error, is_valid_string,
-                      letter_source, valid_pair)
+from .strings import Band, StringWord, _letter_table, _word_error, valid_pair
 
 
-@dataclass(frozen=True)
 class _HostView:
-    """Uniform read access to a string or band as an indexed letter word."""
+    """Uniform read access to a string or band as a word of letter codes."""
 
-    letters: tuple
-    vertices: tuple     # linear: len+1 entries; cyclic: len entries
-    cyclic: bool
+    __slots__ = ("codes", "vertices", "cyclic")
 
-    def __len__(self):
-        return len(self.letters)
-
-    def vertex(self, i):
-        return self.vertices[i % len(self.vertices)] if self.cyclic else self.vertices[i]
+    def __init__(self, codes: tuple, vertices: tuple, cyclic: bool):
+        self.codes = codes
+        self.vertices = vertices    # linear: len+1 entries; cyclic: len entries
+        self.cyclic = cyclic
 
 
 def _view(p: GentlePresentation, host) -> _HostView:
     if isinstance(host, Band):
-        letters = host.letters
-        if not letters or _word_error(p, letters, True) is not None:
+        codes, err = _word_error(p, host.letters, True)
+        if not codes or err is not None:
             raise InputError(f"not a band of this presentation: {host!r}")
-        verts = tuple(letter_source(p, l) for l in letters)
-        return _HostView(letters, verts, True)
+        source = _letter_table(p).source
+        return _HostView(tuple(codes), tuple(map(source.__getitem__, codes)), True)
     if isinstance(host, StringWord):
-        if host.is_zero:
+        if host.kind == "zero":
             raise InputError("zero string has no module")
-        if not is_valid_string(p, host):
+        if host.kind == "trivial":
+            if host.vertex not in p.quiver.vertices:
+                raise InputError(f"not a string of this presentation: {host!r}")
+            return _HostView((), (host.vertex,), False)
+        codes, err = _word_error(p, host.letters, False)
+        if err is not None:
             raise InputError(f"not a string of this presentation: {host!r}")
-        return _HostView(host.letters, tuple(host.walk_vertices(p)), False)
+        table = _letter_table(p)
+        return _HostView(tuple(codes), (table.source[codes[0]],
+                                        *map(table.target.__getitem__, codes)), False)
     raise InputError(f"expected StringWord or Band, got {type(host).__name__}")
 
 
@@ -97,34 +102,52 @@ class SubDecomposition:
     window: Window
 
 
-def _windows(view: _HostView, left_inverse: bool, max_length: int | None = None):
+def _spelling(view: _HostView, reach: int):
+    """The host's codes, a cyclic host unrolled to at least `reach`
+    letters, and the inverse of that spelling."""
+    fwd = view.codes
+    if view.cyclic:
+        fwd *= -(-reach // len(fwd))
+    return fwd, tuple([c ^ 1 for c in reversed(fwd)])
+
+
+def _keyed_windows(view: _HostView, left_inverse: bool, max_length: int | None = None):
     """All windows whose left flank is inverse (factor) or direct (sub),
-    with the dual condition on the right flank, as (start, length, left
-    flank, right flank) tuples in the fields' order of `Window`.  For
-    cyclic hosts the windows live in the periodic unrolling, up to
-    max_length letters (default: one full turn)."""
-    n = len(view)
-    inverse = [l.inverse for l in view.letters]
+    with the dual condition on the right flank, keyed in the same pass:
+    a list of (key, window, codes), the window a (start, length, left
+    flank, right flank) tuple in the fields' order of `Window` and the
+    codes its slice of the host.  For cyclic hosts the windows live in
+    the periodic unrolling, up to max_length letters (default: one full
+    turn)."""
+    codes, verts = view.codes, view.vertices
+    n = len(codes)
+    parity = int(left_inverse)  # of a left flank's code; inverse letters are odd
+    # (start, left flank) and (stop, right flank) of the windows' ends
+    if view.cyclic:
+        span = n if max_length is None else max(max_length, n)
+        starts = [(i, (i - 1) % n) for i in range(n) if codes[i - 1] & 1 == parity]
+        stops = [(i, i % n) for i in range(n + span) if codes[i % n] & 1 != parity]
+    else:
+        span = n
+        starts = [(0, None)] + [(i, i - 1) for i in range(1, n + 1)
+                                if codes[i - 1] & 1 == parity]
+        stops = [(i, i) for i in range(n) if codes[i] & 1 != parity] + [(n, None)]
+    fwd, rev = _spelling(view, n - 1 + span)
+    total = len(fwd)
     out = []
-    if not view.cyclic:
-        for start in range(n + 1):
-            left = start - 1 if start > 0 else None
-            if left is not None and inverse[left] != left_inverse:
+    for start, left in starts:
+        for stop, right in stops:
+            if stop < start:
                 continue
-            for end in range(start, n):
-                if inverse[end] != left_inverse:
-                    out.append((start, end - start, left, end))
-            out.append((start, n - start, left, None))
-        return out
-    cap = n if max_length is None else max(max_length, n)
-    for start in range(n):
-        left = (start - 1) % n
-        if inverse[left] != left_inverse:
-            continue
-        for length in range(cap + 1):
-            right = (start + length) % n
-            if inverse[right] != left_inverse:
-                out.append((start, length, left, right))
+            if stop > start + span:
+                break
+            word = fwd[start:stop]
+            if start == stop:
+                key = ("triv", verts[start])
+            else:
+                flipped = rev[total - stop:total - start]
+                key = word if word <= flipped else flipped
+            out.append((key, (start, stop - start, left, right), word))
     return out
 
 
@@ -132,46 +155,30 @@ def factor_strings(p: GentlePresentation, host, max_length: int | None = None):
     """Complete set of factor decompositions of a string or band (for
     bands: unrolled windows of up to max_length letters, default one
     full turn)."""
-    view = _view(p, host)
     return [FactorDecomposition(host, Window(*w))
-            for w in _windows(view, True, max_length)]
+            for _, w, _ in _keyed_windows(_view(p, host), True, max_length)]
 
 
 def substrings(p: GentlePresentation, host, max_length: int | None = None):
     """Complete set of sub decompositions of a string or band."""
-    view = _view(p, host)
     return [SubDecomposition(host, Window(*w))
-            for w in _windows(view, False, max_length)]
-
-
-def _keyed(view: _HostView, windows):
-    """(key, letters) of each window: the letters are the window's slice
-    of the host spelled as (arrow, inverse) pairs, the key the lesser of
-    that slice and its inverse, read off the reversed inverse spelling.
-    A cyclic host is unrolled as far as its windows reach."""
-    fwd = tuple((l.arrow, l.inverse) for l in view.letters)
-    if view.cyclic and fwd:
-        reach = max((w[0] + w[1] for w in windows), default=0)
-        fwd *= -(-reach // len(fwd))
-    rev = tuple((arrow, not inverse) for arrow, inverse in reversed(fwd))
-    total = len(fwd)
-    out = []
-    for w in windows:
-        start, stop = w[0], w[0] + w[1]
-        if start == stop:
-            out.append((("triv", view.vertex(start)), ()))
-            continue
-        letters = fwd[start:stop]
-        flipped = rev[total - stop:total - start]
-        out.append((("word",) + min(letters, flipped), letters))
-    return out
+            for _, w, _ in _keyed_windows(_view(p, host), False, max_length)]
 
 
 def window_key(p: GentlePresentation, host, w: Window):
-    """Canonical key of the window word, identifying e with e^-1.
-    Trivial windows carry their vertex; the sign drops out because a
-    match may use either orientation."""
-    return _keyed(_view(p, host), ((w.start, w.length),))[0][0]
+    """Canonical key of the window word, identifying e with e^-1, as
+    ("word", (arrow, inverse), ...).  Trivial windows carry their vertex;
+    the sign drops out because a match may use either orientation."""
+    view = _view(p, host)
+    start, stop = w.start, w.start + w.length
+    if start == stop:
+        verts = view.vertices
+        return ("triv", verts[start % len(verts)] if view.cyclic else verts[start])
+    fwd, rev = _spelling(view, stop)
+    total = len(fwd)
+    letters = _letter_table(p).letters
+    key = min(fwd[start:stop], rev[total - stop:total - start])
+    return ("word",) + tuple((letters[c].arrow, letters[c].inverse) for c in key)
 
 
 @dataclass(frozen=True)
@@ -193,14 +200,12 @@ def _match(fv: _HostView, sv: _HostView):
     orientation), factor-major with subs in enumeration order.  Wrapped
     windows on either side are capped by the other side's length."""
     subs = {}
-    windows = _windows(sv, False, len(fv))
-    for s, (key, letters) in zip(windows, _keyed(sv, windows)):
-        subs.setdefault(key, []).append((s, letters))
+    for key, s, codes in _keyed_windows(sv, False, len(fv.codes)):
+        subs.setdefault(key, []).append((s, codes))
     out = []
-    windows = _windows(fv, True, len(sv))
-    for f, (key, letters) in zip(windows, _keyed(fv, windows)):
-        for s, sub_letters in subs.get(key, ()):
-            out.append((f, s, letters == sub_letters))
+    for key, f, codes in _keyed_windows(fv, True, len(sv.codes)):
+        for s, sub_codes in subs.get(key, ()):
+            out.append((f, s, codes == sub_codes))
     return out
 
 

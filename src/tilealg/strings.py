@@ -10,9 +10,15 @@ letters carry a trailing '-', e.g. ``b- c d c- b``; trivial strings are
 written ``triv <vertex> <+|->`` and the zero string ``zero``.
 
 One rule decides every validity question: l1 l2 is a string
-(`valid_pair`).  `letter_graph` tabulates it once per presentation, and
-`_word_error` reads that table for strings, bands and the walks induced
-by arcs.
+(`valid_pair`).  Each presentation is compiled once, on first use, into
+a letter table (`_letter_table`): letter l gets the code 2*i + l.inverse,
+i the index of its arrow among the sorted arrows, so code order is
+(arrow, inverse) order and c ^ 1 is the inverse letter.  The table holds
+the source and target vertex of each code, the `valid_pair` successors
+of each code as a frozenset, and the same successors as `Letter` lists,
+which `letter_graph` returns.  `_word_error` encodes a word through the
+table and checks it pair by pair, for strings, bands, Hom operands and
+the walks induced by arcs.
 """
 
 from __future__ import annotations
@@ -182,7 +188,7 @@ def validate_string(p: GentlePresentation, letters) -> StringWord:
     non-composable / not-reduced / relation.
     """
     letters = [l if isinstance(l, Letter) else Letter(*l) for l in letters]
-    err = _word_error(p, letters, False)
+    _, err = _word_error(p, letters, False)
     if err is not None:
         i, reason = err
         if reason is None:
@@ -194,24 +200,29 @@ def validate_string(p: GentlePresentation, letters) -> StringWord:
 def is_valid_string(p: GentlePresentation, w: StringWord) -> bool:
     if w.is_zero or w.is_trivial:
         return w.is_zero or w.vertex in p.quiver.vertices
-    return _word_error(p, w.letters, False) is None
+    return _word_error(p, w.letters, False)[1] is None
 
 
 def _word_error(p: GentlePresentation, letters, cyclic: bool):
-    """None if the letters spell a string (cyclic: also across the wrap),
-    else (position, reason) of the first offence: an unknown arrow with
-    reason None, or else the second letter of the first bad pair with
-    its `valid_pair` reason; the wrap pair has position 0."""
-    succ = p._letter_graph or letter_graph(p)   # a call only on first use
-    for i, l in enumerate(letters):
-        if l not in succ:
-            return i, None
-    n = len(letters)
+    """(codes, None) if the letters spell a string (cyclic: also across
+    the wrap), else (None, (position, reason)) of the first offence: a
+    letter outside the table with reason None, or else the second letter
+    of the first bad pair with its `valid_pair` reason; the wrap pair has
+    position 0."""
+    table = _letter_table(p)
+    try:
+        codes = table.encode(letters)
+    except (KeyError, AttributeError):
+        code = table.code
+        return None, next((i, None) for i, l in enumerate(letters)
+                          if not isinstance(l, Letter)
+                          or (l.arrow, l.inverse) not in code)
+    succ = table.succ
+    n = len(codes)
     for i in range(1, n + 1 if cyclic else n):
-        l1, l2 = letters[i - 1], letters[i % n]
-        if l2 not in succ[l1]:
-            return i % n, valid_pair(p, l1, l2)
-    return None
+        if codes[i % n] not in succ[codes[i - 1]]:
+            return None, (i % n, valid_pair(p, letters[i - 1], letters[i % n]))
+    return codes, None
 
 
 def compose(p: GentlePresentation, v: StringWord, w: StringWord):
@@ -271,7 +282,7 @@ class Band:
         letters = tuple(l if isinstance(l, Letter) else Letter(*l) for l in letters)
         if not letters:
             raise InputError("a band needs at least one letter")
-        err = _word_error(p, letters, True)
+        _, err = _word_error(p, letters, True)
         if err is not None:
             i, reason = err
             if reason is None:
@@ -322,21 +333,52 @@ def all_letters(p: GentlePresentation):
     return out
 
 
+class _LetterTable:
+    """The letters of one presentation, compiled: `letters[c]` is the
+    letter of code c, in `all_letters` order, and `code` maps each
+    (arrow, inverse) pair back to its code.  Successor candidates are
+    only the letters starting where l1 ends, each decided by
+    `valid_pair`."""
+
+    __slots__ = ("letters", "code", "source", "target", "succ", "graph")
+
+    def __init__(self, p: GentlePresentation):
+        letters = tuple(all_letters(p))
+        self.letters = letters
+        self.code = {(l.arrow, l.inverse): c for c, l in enumerate(letters)}
+        self.source = tuple(letter_source(p, l) for l in letters)
+        self.target = tuple(letter_target(p, l) for l in letters)
+        starting = {}
+        for c, v in enumerate(self.source):
+            starting.setdefault(v, []).append(c)
+        succ, self.graph = [], {}   # graph: Letter -> successor Letters
+        for l1, v in zip(letters, self.target):
+            nxt = [c for c in starting.get(v, ())
+                   if valid_pair(p, l1, letters[c]) is None]
+            succ.append(frozenset(nxt))
+            self.graph[l1] = [letters[c] for c in nxt]
+        self.succ = tuple(succ)
+
+    def encode(self, letters):
+        """The codes of the letters; KeyError (AttributeError for a
+        non-letter) on one outside the table."""
+        code = self.code
+        return [code[l.arrow, l.inverse] for l in letters]
+
+
+def _letter_table(p: GentlePresentation) -> _LetterTable:
+    """The letter table of p, derived on first use and kept on the
+    presentation."""
+    if p._letters is None:
+        object.__setattr__(p, "_letters", _LetterTable(p))
+    return p._letters
+
+
 def letter_graph(p: GentlePresentation):
     """Successor map of the letter graph: l1 -> l2 iff l1 l2 is a string.
-    Successors keep the `all_letters` order; candidates are only the
-    letters starting where l1 ends.  Derived on first use and kept on
-    the presentation."""
-    if p._letter_graph is None:
-        letters = all_letters(p)
-        starting = {}
-        for l in letters:
-            starting.setdefault(letter_source(p, l), []).append(l)
-        succ = {l1: [l2 for l2 in starting.get(letter_target(p, l1), ())
-                     if valid_pair(p, l1, l2) is None]
-                for l1 in letters}
-        object.__setattr__(p, "_letter_graph", succ)
-    return p._letter_graph
+    Keys and successors keep the `all_letters` order.  Read off the
+    letter table, so the map is the same object on every call."""
+    return _letter_table(p).graph
 
 
 def detect_band(p: GentlePresentation):

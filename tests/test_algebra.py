@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,7 @@ import gentle_corpus
 from tilealg import samples
 from tilealg.algebra import (GentlePresentation, GentlenessError, InputError,
                              Quiver, assign_signs, check_gentle, is_zero_path,
-                             parse_quiver)
+                             load_quiver, parse_quiver)
 
 
 def test_fix_a_is_gentle():
@@ -169,3 +170,11 @@ def test_random_linear_quivers_gentle(n, data):
     assert check_gentle(q, []).gentle
     p = GentlePresentation.from_data(verts, arrows, [])
     assert _sign_conditions_hold(p)
+
+
+def test_load_quiver_reports_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin.quiver"
+    path.write_bytes(b"quiver\n\xff\xfe\nend\n")
+    with pytest.raises(InputError, match=f"^cannot read {re.escape(str(path))}: "
+                                         "'utf-8' codec can't decode"):
+        load_quiver(path)

@@ -332,3 +332,16 @@ def test_strings_rejects_a_negative_max_len():
     code, text = run("strings", str(DATA / "fixA.quiver"), "--max-len", "0")
     assert code == 0
     assert text == "triv 1 +\ntriv 2 +\ntriv 3 +\ncount 3\nband none\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["check"], "gentle\n"),
+    (["strings"], "triv 1 +\ntriv 2 +\na\ncount 3\nband none\n"),
+    (["ar-quiver"], "node triv 1 +\nnode triv 2 +\nnode a\n"
+                    "edge triv 2 + -> a\nedge a -> triv 1 +\ntau triv 2 + .. triv 1 +\n"),
+    (["hom", "a", "triv 1 +"], "hom 1\n"),
+], ids=["check", "strings", "ar-quiver", "hom"])
+def test_header_keyword_followed_by_a_comment_is_sniffed(tmp_path, argv, expected):
+    path = tmp_path / "commented.quiver"
+    path.write_text("quiver# header\nvertex 1\nvertex 2\narrow a 1 2\nend\n")
+    assert run(argv[0], str(path), *argv[1:]) == (0, expected)

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import gentle_corpus
 from tilealg import samples
 from tilealg.algebra import InputError
 from tilealg.homs import (factor_count_bruteforce, factor_strings, hom_dim,
@@ -193,7 +194,19 @@ def _families():
     fams["random_tilings(7, 40)"] = [tiling_algebra(t).presentation
                                      for t in samples.random_tilings(7, 40)]
     fams["kronecker_chain(4)"] = [samples.kronecker_chain(4)]
+    fams["corpus band lengths 2-10"] = _corpus_band_family()
     return fams
+
+
+def _corpus_band_family():
+    """For each length of a detect_band witness in the gentle corpus
+    (2 to 10, odd ones included), the first presentation with one."""
+    first = {}
+    for p in gentle_corpus.presentations():
+        band = detect_band(p)
+        if band is not None:
+            first.setdefault(len(band), p)
+    return [first[n] for n in sorted(first)]
 
 
 def _operands(p):
@@ -245,6 +258,8 @@ PAIRS_DIGESTS = {
     "kronecker": "1b7d5394cb9442a1",
     "random_tilings(7, 40)": "2eb04424e1e506e7",
     "kronecker_chain(4)": "decf80d07348f542",
+    # recorded before the matcher read integer letter codes
+    "corpus band lengths 2-10": "e6bed048fbe74df9",
 }
 
 

@@ -1,16 +1,20 @@
+import hashlib
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tilealg import samples
-from tilealg.algebra import InputError
+from tilealg import samples, strings
+from tilealg.algebra import InputError, load_quiver
 from tilealg.artheory import is_injective_string
 from tilealg.oracle import (BandModuleSpec, hom_dim_oracle, nullity_mod_p,
                             realize_band_module, realize_string_module,
                             verify_ar_middle)
-from tilealg.strings import (StringWord, detect_band, enumerate_strings,
+from tilealg.homs import factor_count_bruteforce, sub_count_bruteforce
+from tilealg.strings import (Band, StringWord, detect_band, enumerate_strings,
                              parse_band, parse_string)
+from tilealg.surface import Tiling, tiling_algebra
 
 
 def test_nullity_mod_p():
@@ -153,3 +157,53 @@ def test_prime_range_stops_where_int64_elimination_would_wrap():
         realize_band_module(p, BandModuleSpec(band, 1, 2), prime=3037000507)
     rep = realize_string_module(p, parse_string(p, "a"), prime=2)
     assert hom_dim_oracle(p, rep, rep) == 1
+
+
+# -- the references stay independent of the compiled letter table ---------
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _reference_fixtures():
+    """Fresh presentations of the tests/data fixtures and kronecker_chain(3)."""
+    ps = [load_quiver(DATA / "fixA.quiver")]
+    ps += [tiling_algebra(Tiling.parse((DATA / name).read_text())).presentation
+           for name in ("digon.tiling", "kron.tiling", "loop.tiling", "pent.tiling")]
+    ps.append(samples.kronecker_chain(3))
+    return ps
+
+
+def _reference_digest(ps, operands):
+    """sha256 prefix of the window counts, realized modules and oracle
+    Hom dimensions of the operands."""
+    h = hashlib.sha256()
+    for p, ops in zip(ps, operands):
+        reps = []
+        for x in ops:
+            if isinstance(x, Band):
+                reps += [realize_band_module(p, BandModuleSpec(x, n, 2)) for n in (1, 2)]
+            else:
+                reps.append(realize_string_module(p, x))
+            h.update(f"{x!r} {factor_count_bruteforce(p, x)} "
+                     f"{sub_count_bruteforce(p, x)}\n".encode())
+        for rep in reps:
+            h.update(f"{sorted(rep.dims.items())} "
+                     f"{[(a, rep.mats[a].tolist()) for a in p.arrows]}\n".encode())
+        for m in reps:
+            h.update(" ".join(str(hom_dim_oracle(p, m, n)) for n in reps).encode())
+    return h.hexdigest()[:16]
+
+
+def test_references_never_read_the_letter_table(monkeypatch):
+    operands = []
+    for p in _reference_fixtures():
+        band = detect_band(p)
+        operands.append(enumerate_strings(p, max_len=3) + ([band] if band else []))
+
+    def unavailable(p):
+        raise AssertionError("a reference read the letter table")
+
+    monkeypatch.setattr(strings, "_LetterTable", unavailable)
+    # recorded before the letter table replaced the letter graph
+    assert _reference_digest(_reference_fixtures(), operands) == "72ad37886c57b084"

@@ -4,13 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gentle_corpus
 from tilealg import samples
 from tilealg.algebra import GentlePresentation, InputError
-from tilealg.homs import hom_dim
+from tilealg.arcs import check_permissible, hom_dim_geometric, string_to_arc
+from tilealg.homs import factor_strings, hom_dim, window_key
 from tilealg.strings import (Band, Letter, StringRejection, StringWord,
-                             all_letters, canonicalize, compose, detect_band,
-                             enumerate_strings, epsilon_of, is_valid_string,
-                             letter_graph, parse_band, parse_string, sigma_of,
+                             _letter_table, all_letters, canonicalize, compose,
+                             detect_band, enumerate_strings, epsilon_of,
+                             is_valid_string, letter_graph, letter_source,
+                             letter_target, parse_band, parse_string, sigma_of,
                              valid_pair, validate_string)
 from tilealg.surface import tiling_algebra
 
@@ -343,3 +346,39 @@ def test_letter_graph_is_derived_once():
     assert p == fresh
     assert hash(p) == hash(fresh)
     assert repr(p) == repr(fresh)
+
+
+def test_letter_table_codes_and_successors_on_the_corpus():
+    for p in gentle_corpus.presentations():
+        table = _letter_table(p)
+        letters = table.letters
+        assert list(letters) == all_letters(p)
+        pairs = [(l.arrow, l.inverse) for l in letters]
+        assert pairs == sorted(pairs)       # code order is (arrow, inverse) order
+        graph = letter_graph(p)
+        assert list(graph) == list(letters)
+        for c, l in enumerate(letters):
+            assert table.code[l.arrow, l.inverse] == c
+            assert letters[c ^ 1] == l.inv()
+            assert (table.source[c], table.target[c]) == (letter_source(p, l),
+                                                          letter_target(p, l))
+            assert [letters[d] for d in sorted(table.succ[c])] == graph[l]
+
+
+def test_letter_table_is_stored_once():
+    p, fresh = samples.fix_a(), samples.fix_a()
+    table = _letter_table(p)
+    w = parse_string(p, "b- c d c- b")
+    hom_dim(p, w, w)
+    window_key(p, w, factor_strings(p, w)[0].window)
+    assert _letter_table(p) is table and letter_graph(p) is table.graph
+    assert (p, hash(p), repr(p)) == (fresh, hash(fresh), repr(fresh))
+
+    t = samples.kron_tiling()
+    alg = tiling_algebra(t)
+    table = _letter_table(alg.presentation)
+    arcs = [string_to_arc(t, alg, x) for x in enumerate_strings(alg.presentation, 2)]
+    for arc in arcs:
+        assert check_permissible(t, alg, arc) is None
+        hom_dim_geometric(t, alg, arc, arcs[-1])
+    assert _letter_table(alg.presentation) is table
