@@ -33,7 +33,7 @@ from .algebra import InputError, Rejection
 from .homs import _HostView, _match
 from .strings import (Band, Letter, StringWord, _letter_table, _primitive_root,
                       _word_error, detect_band)
-from .surface import Tiling, TilingAlgebra, tiling_algebra
+from .surface import Tiling, TilingAlgebra
 
 
 class ArcRejection(Rejection):
@@ -439,10 +439,8 @@ def closed_curve_to_band(t: Tiling, alg: TilingAlgebra, curve: ClosedCurveClass)
     return band, len(letters) // len(root)
 
 
-def rep_type_geometric(t: Tiling, alg: TilingAlgebra | None = None):
+def rep_type_geometric(t: Tiling, alg: TilingAlgebra):
     """('finite', None) or ('infinite', witness closed curve)."""
-    if alg is None:
-        alg = tiling_algebra(t)
     band = detect_band(alg.presentation)
     if band is None:
         return ("finite", None)

@@ -9,10 +9,12 @@ The left modification of a string w:
   w = v a^-1 w' with v the maximal direct prefix then w_l = w' -- a
   cohook is removed.
 
-Both pieces of a hook are read off the letter graph: a^-1 is the
-inverse successor of the inverse of w's first letter, and since a^-1 b
-is a string exactly when b != a leaves s(a), and bc one exactly when bc
-is not in I, v is the run of direct successors after a^-1.
+Both pieces of a hook are read off the successor table of the letter
+codes (see `strings`): a^-1 is the inverse successor of the inverse of
+w's first letter, and since a^-1 b is a string exactly when b != a
+leaves s(a), and bc one exactly when bc is not in I, v is the run of
+direct successors after a^-1.  The operand is checked against the
+presentation first, as a Hom operand is.
 
 The right modification is the mirror image, realized here through
 formal inversion: w_r = (( w^-1 )_l)^-1.
@@ -23,22 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GentlePresentation, InputError
-from .strings import (Letter, StringWord, canonicalize, detect_band,
-                      enumerate_strings, is_valid_string, letter_graph)
+from .strings import (StringWord, _letter_table, _word_error, canonicalize,
+                      detect_band, enumerate_strings, is_valid_string)
 
 HOOK_ADDED = "added-hook"
 COHOOK_REMOVED = "removed-cohook"
 ZERO = "zero"
-
-
-def _hook_arrow_left(p: GentlePresentation, w: StringWord):
-    """The unique arrow a with aw a string, or None."""
-    if w.is_trivial:
-        cands = [a for a in p.arrows_into(w.vertex) if p.epsilon[a] == w.sign]
-    else:
-        cands = [l.arrow for l in letter_graph(p)[w.letters[0].inv()] if l.inverse]
-    assert len(cands) <= 1, f"hook arrow not unique for {w!r}: {cands}"
-    return cands[0] if cands else None
 
 
 @dataclass(frozen=True)
@@ -50,16 +42,25 @@ class HookSide:
 def hook_left(p: GentlePresentation, w: StringWord) -> HookSide:
     if w.is_zero:
         raise InputError("hooks are undefined for the zero string")
-    a = _hook_arrow_left(p, w)
-    if a is not None:
-        succ = letter_graph(p)
-        run = [Letter(a, True)]   # a^-1, then the direct string v
-        while nxt := [l for l in succ[run[-1]] if not l.inverse]:
+    table = _letter_table(p)
+    if w.is_trivial:
+        if w.vertex not in p.quiver.vertices:
+            raise InputError(f"not a string of this presentation: {w!r}")
+        # the hook letter a^-1: a ends at v with epsilon(a) the sign of w
+        run = [table.code[a, True] for a in p.arrows_into(w.vertex)
+               if p.epsilon[a] == w.sign]
+    else:
+        codes, err = _word_error(p, w.letters, False)
+        if err is not None:
+            raise InputError(f"not a string of this presentation: {w!r}")
+        run = [c for c in table.succ[codes[0] ^ 1] if c & 1]
+    assert len(run) <= 1, f"hook arrow not unique for {w!r}: {run}"
+    if run:
+        # a^-1, then the direct string v
+        while nxt := [c for c in table.succ[run[-1]] if not c & 1]:
             run.append(nxt[0])
-        letters = tuple(l.inv() for l in reversed(run))
-        if not w.is_trivial:
-            letters = letters + w.letters
-        result = StringWord.word(letters)
+        result = StringWord.word([table.letters[c ^ 1] for c in reversed(run)]
+                                 + list(w.letters))
         assert is_valid_string(p, result), result
         return HookSide(result, HOOK_ADDED)
     if w.is_direct():

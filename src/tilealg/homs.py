@@ -151,18 +151,17 @@ def _keyed_windows(view: _HostView, left_inverse: bool, max_length: int | None =
     return out
 
 
-def factor_strings(p: GentlePresentation, host, max_length: int | None = None):
+def factor_strings(p: GentlePresentation, host):
     """Complete set of factor decompositions of a string or band (for
-    bands: unrolled windows of up to max_length letters, default one
-    full turn)."""
+    bands: unrolled windows of up to one full turn)."""
     return [FactorDecomposition(host, Window(*w))
-            for _, w, _ in _keyed_windows(_view(p, host), True, max_length)]
+            for _, w, _ in _keyed_windows(_view(p, host), True)]
 
 
-def substrings(p: GentlePresentation, host, max_length: int | None = None):
+def substrings(p: GentlePresentation, host):
     """Complete set of sub decompositions of a string or band."""
     return [SubDecomposition(host, Window(*w))
-            for _, w, _ in _keyed_windows(_view(p, host), False, max_length)]
+            for _, w, _ in _keyed_windows(_view(p, host), False)]
 
 
 def window_key(p: GentlePresentation, host, w: Window):
@@ -230,12 +229,11 @@ def hom_dim(p: GentlePresentation, v, w) -> int:
 # -- independent brute-force window counts (self-test route) -----------
 
 
-def _count_windows_bruteforce(p: GentlePresentation, host, left_inverse: bool,
-                              max_length: int | None = None) -> int:
+def _count_windows_bruteforce(p: GentlePresentation, host, left_inverse: bool) -> int:
     """Count windows by scanning every index pair and revalidating the
     decomposition from scratch, without the flank shortcuts.  Windows
     are checked pair by pair with `valid_pair`, not through the letter
-    graph; the host itself is taken as given."""
+    table; the host itself is taken as given."""
     letters = host.letters
     n = len(letters)
 
@@ -259,9 +257,8 @@ def _count_windows_bruteforce(p: GentlePresentation, host, left_inverse: bool,
                 if ok:
                     count += 1
         return count
-    cap = n if max_length is None else max(max_length, n)
     for start in range(n):
-        for length in range(cap + 1):
+        for length in range(n + 1):
             left = letters[(start - 1) % n]
             right = letters[(start + length) % n]
             if left.inverse != left_inverse:
@@ -276,11 +273,9 @@ def _count_windows_bruteforce(p: GentlePresentation, host, left_inverse: bool,
     return count
 
 
-def factor_count_bruteforce(p: GentlePresentation, host,
-                            max_length: int | None = None) -> int:
-    return _count_windows_bruteforce(p, host, True, max_length)
+def factor_count_bruteforce(p: GentlePresentation, host) -> int:
+    return _count_windows_bruteforce(p, host, True)
 
 
-def sub_count_bruteforce(p: GentlePresentation, host,
-                         max_length: int | None = None) -> int:
-    return _count_windows_bruteforce(p, host, False, max_length)
+def sub_count_bruteforce(p: GentlePresentation, host) -> int:
+    return _count_windows_bruteforce(p, host, False)

@@ -6,15 +6,18 @@ the vertex space at s(a) to the one at t(a), so a relation (a, b) means
 mat(b) @ mat(a) == 0.  Hom dimensions come from the nullspace of the
 intertwiner system f_{t(a)} mat_M(a) = mat_N(a) f_{s(a)}.
 
-numpy is imported on first use, inside the functions that build or
-eliminate arrays, so importing tilealg (and every CLI subcommand but
-`hom --oracle`) does not load it.
+This is the one module that imports numpy, when it loads.  The package
+root loads it only when one of its names is first used, and the CLI
+only for `hom --oracle`, so importing tilealg (and every other CLI
+subcommand) does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .algebra import GentlePresentation, InputError
 from .artheory import dimension_additivity_holds, hooks
@@ -35,8 +38,6 @@ def _check_prime(prime: int):
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     """Gaussian elimination rank over F_p."""
-    import numpy as np
-
     a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
     rank = 0
@@ -77,8 +78,6 @@ class MatrixRep:
 
 
 def _empty_rep(p: GentlePresentation, prime: int, dims):
-    import numpy as np
-
     mats = {a: np.zeros((dims[p.t(a)], dims[p.s(a)]), dtype=np.int64)
             for a in p.arrows}
     return dims, mats
@@ -117,8 +116,6 @@ def realize_string_module(p: GentlePresentation, w: StringWord,
 
 
 def _jordan_block(n: int, lam: int, prime: int) -> np.ndarray:
-    import numpy as np
-
     m = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         m[i, i] = lam % prime
@@ -142,8 +139,6 @@ def realize_band_module(p: GentlePresentation, spec: BandModuleSpec,
                         prime: int = DEFAULT_PRIME) -> MatrixRep:
     """M(b, n, phi) with phi the n x n Jordan block J_n(lambda), carried
     by the last letter of the canonical rotation."""
-    import numpy as np
-
     _check_prime(prime)
     if spec.lam % prime == 0:
         raise InputError("lambda must be nonzero in the prime field")
@@ -174,8 +169,6 @@ def realize_band_module(p: GentlePresentation, spec: BandModuleSpec,
 
 def hom_dim_oracle(p: GentlePresentation, M: MatrixRep, N: MatrixRep) -> int:
     """dim of { (f_v) | f_{t(a)} M(a) = N(a) f_{s(a)} for all arrows }."""
-    import numpy as np
-
     if M.prime != N.prime:
         raise InputError("representations live over different primes")
     prime = M.prime

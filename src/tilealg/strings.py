@@ -14,11 +14,13 @@ One rule decides every validity question: l1 l2 is a string
 a letter table (`_letter_table`): letter l gets the code 2*i + l.inverse,
 i the index of its arrow among the sorted arrows, so code order is
 (arrow, inverse) order and c ^ 1 is the inverse letter.  The table holds
-the source and target vertex of each code, the `valid_pair` successors
-of each code as a frozenset, and the same successors as `Letter` lists,
-which `letter_graph` returns.  `_word_error` encodes a word through the
-table and checks it pair by pair, for strings, bands, Hom operands and
-the walks induced by arcs.
+the source and target vertex of each code and its `valid_pair`
+successors, a tuple of at most two codes in code order.  That one
+successor table serves every walk: `_word_error` encodes a word through
+it and checks it pair by pair (strings, bands, Hom operands, the walks
+induced by arcs), band detection looks for a cycle in it, enumeration
+extends code tuples along it, and the hooks of `artheory` read their
+runs off it.  `Letter`s are built only at the API boundary.
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ class StringRejection(Rejection):
         super().__init__(f"invalid string at position {position}: {reason}")
 
 
+def _check_letters(letters):
+    if not all(isinstance(l, Letter) for l in letters):
+        raise InputError("letter words and bands take Letter items; "
+                         "validate_string and Band.from_letters read "
+                         "(arrow, inverse) pairs")
+
+
 @dataclass(frozen=True)
 class StringWord:
     """Zero, trivial, or a letter word.  Use the module constructors."""
@@ -94,6 +103,7 @@ class StringWord:
         letters = tuple(letters)
         if not letters:
             raise InputError("a letter word must be nonempty; use trivial/zero")
+        _check_letters(letters)
         return StringWord("word", letters=letters)
 
     # -- basic structure ----------------------------------------------
@@ -264,10 +274,6 @@ def canonicalize(w: StringWord) -> StringWord:
     return w if w._key() <= inv._key() else inv
 
 
-def string_sort_key(w: StringWord):
-    return (len(w.letters) if w.kind == "word" else 0,) + w._key()
-
-
 # -- bands -------------------------------------------------------------
 
 
@@ -277,23 +283,29 @@ class Band:
 
     letters: tuple
 
+    def __post_init__(self):
+        _check_letters(self.letters)
+
     @staticmethod
     def from_letters(p: GentlePresentation, letters) -> "Band":
         letters = tuple(l if isinstance(l, Letter) else Letter(*l) for l in letters)
         if not letters:
             raise InputError("a band needs at least one letter")
-        _, err = _word_error(p, letters, True)
+        codes, err = _word_error(p, letters, True)
         if err is not None:
             i, reason = err
             if reason is None:
                 raise InputError(f"unknown arrow {letters[i].arrow!r}")
             raise StringRejection(i, f"cyclic word invalid: {reason}")
-        if len(_primitive_root(letters)) < len(letters):
+        if len(_primitive_root(codes)) < len(codes):
             raise StringRejection(0, "not primitive (proper power)")
-        if all(not l.inverse for l in letters) or all(l.inverse for l in letters):
+        if len({c & 1 for c in codes}) == 1:
             raise StringRejection(0, "cyclic word has no direction change "
                                      "(algebra would be infinite dimensional)")
-        return Band(_canonical_rotation(letters))
+        # the least rotation of the word or of its inverse, in code order
+        inv = [c ^ 1 for c in reversed(codes)]
+        least = min(w[i:] + w[:i] for w in (codes, inv) for i in range(len(w)))
+        return Band(tuple(map(_letter_table(p).letters.__getitem__, least)))
 
     def __len__(self):
         return len(self.letters)
@@ -305,24 +317,13 @@ class Band:
         return f"<band {self.text()}>"
 
 
-def _primitive_root(letters: tuple) -> tuple:
+def _primitive_root(letters):
     """The shortest prefix of which the word is a power."""
     n = len(letters)
     for d in range(1, n):
         if n % d == 0 and letters == letters[:d] * (n // d):
             return letters[:d]
     return letters
-
-
-def _canonical_rotation(letters) -> tuple:
-    def key(seq):
-        return tuple((l.arrow, l.inverse) for l in seq)
-
-    n = len(letters)
-    inv = tuple(l.inv() for l in reversed(letters))
-    candidates = [tuple(letters[i:]) + tuple(letters[:i]) for i in range(n)]
-    candidates += [tuple(inv[i:]) + tuple(inv[:i]) for i in range(n)]
-    return min(candidates, key=key)
 
 
 def all_letters(p: GentlePresentation):
@@ -336,11 +337,12 @@ def all_letters(p: GentlePresentation):
 class _LetterTable:
     """The letters of one presentation, compiled: `letters[c]` is the
     letter of code c, in `all_letters` order, and `code` maps each
-    (arrow, inverse) pair back to its code.  Successor candidates are
-    only the letters starting where l1 ends, each decided by
-    `valid_pair`."""
+    (arrow, inverse) pair back to its code.  `succ[c]` holds the codes d,
+    in code order, for which letters[c] letters[d] is a string; the
+    candidates are only the letters starting where letters[c] ends, each
+    decided by `valid_pair`."""
 
-    __slots__ = ("letters", "code", "source", "target", "succ", "graph")
+    __slots__ = ("letters", "code", "source", "target", "succ")
 
     def __init__(self, p: GentlePresentation):
         letters = tuple(all_letters(p))
@@ -351,13 +353,9 @@ class _LetterTable:
         starting = {}
         for c, v in enumerate(self.source):
             starting.setdefault(v, []).append(c)
-        succ, self.graph = [], {}   # graph: Letter -> successor Letters
-        for l1, v in zip(letters, self.target):
-            nxt = [c for c in starting.get(v, ())
-                   if valid_pair(p, l1, letters[c]) is None]
-            succ.append(frozenset(nxt))
-            self.graph[l1] = [letters[c] for c in nxt]
-        self.succ = tuple(succ)
+        self.succ = tuple(tuple(c for c in starting.get(v, ())
+                                if valid_pair(p, l1, letters[c]) is None)
+                          for l1, v in zip(letters, self.target))
 
     def encode(self, letters):
         """The codes of the letters; KeyError (AttributeError for a
@@ -374,28 +372,23 @@ def _letter_table(p: GentlePresentation) -> _LetterTable:
     return p._letters
 
 
-def letter_graph(p: GentlePresentation):
-    """Successor map of the letter graph: l1 -> l2 iff l1 l2 is a string.
-    Keys and successors keep the `all_letters` order.  Read off the
-    letter table, so the map is the same object on every call."""
-    return _letter_table(p).graph
-
-
 def detect_band(p: GentlePresentation):
     """A witness Band if one exists, else None.
 
-    Exact decision: bands exist iff the letter graph has a directed
+    Exact decision: bands exist iff the successor table has a directed
     cycle.  Any simple cycle yields a primitive cyclic string, and since
     gentle presentations here are finite dimensional every such cycle
     mixes direct and inverse letters.
     """
-    succ = letter_graph(p)
-    cycle = _find_cycle(sorted(succ), succ)
-    return None if cycle is None else Band.from_letters(p, cycle)
+    table = _letter_table(p)
+    cycle = _find_cycle(range(len(table.succ)), table.succ)
+    return None if cycle is None else Band.from_letters(
+        p, map(table.letters.__getitem__, cycle))
 
 
 def enumerate_strings(p: GentlePresentation, max_len: int | None = None):
-    """All strings up to inversion, one canonical representative each.
+    """All strings up to inversion, one canonical representative each:
+    the trivial strings by vertex, then the words by length and letters.
 
     Without a bound this is only allowed for band-free presentations,
     where the enumeration stabilizes on its own.
@@ -406,19 +399,17 @@ def enumerate_strings(p: GentlePresentation, max_len: int | None = None):
     if band is not None and max_len is None:
         raise InputError("presentation has a band; enumeration needs max_len")
 
-    succ = letter_graph(p)
-    found = {canonicalize(StringWord.trivial(v)) for v in p.vertices}
-    frontier = [StringWord.word((l,)) for l in succ]
+    table = _letter_table(p)
+    found = set()
+    frontier = [(c,) for c in range(len(table.succ))]
     length = 1
     while frontier and (max_len is None or length <= max_len):
-        found.update(canonicalize(w) for w in frontier)
-        nxt = []
-        for w in frontier:
-            for l2 in succ[w.letters[-1]]:
-                nxt.append(StringWord.word(w.letters + (l2,)))
-        frontier = nxt
+        found.update(min(w, tuple([c ^ 1 for c in reversed(w)])) for w in frontier)
+        frontier = [w + (d,) for w in frontier for d in table.succ[w[-1]]]
         length += 1
-    return sorted(found, key=string_sort_key)
+    return ([StringWord.trivial(v) for v in p.vertices]
+            + [StringWord.word(map(table.letters.__getitem__, w))
+               for w in sorted(found, key=lambda w: (len(w), w))])
 
 
 # -- text parsing -------------------------------------------------------

@@ -57,12 +57,10 @@ class Tiling:
 
     # derived combinatorial map (filled by _build)
     tail: list = field(default_factory=list)
-    head: list = field(default_factory=list)
     twin: list = field(default_factory=list)
     kind: list = field(default_factory=list)      # "arc" | "seg" | "rseg"
     label: list = field(default_factory=list)     # arc id or segment tuple
     slot: list = field(default_factory=list)      # departing slot for arc darts
-    rot: dict = field(default_factory=dict)       # point -> [dart ids]
     tiles: list = field(default_factory=list)
     face_of: dict = field(default_factory=dict)   # dart -> (tile index, position)
     tile_names: dict = field(default_factory=dict)  # tile index -> "t<k>"
@@ -186,12 +184,11 @@ class Tiling:
 
     def _build(self):
         self._check_input()
-        self.tail, self.head, self.twin = [], [], []
+        self.tail, self.twin = [], []
         self.kind, self.label, self.slot = [], [], []
 
-        def new_dart(tail, head, kind, label, slot=None):
+        def new_dart(tail, kind, label, slot=None):
             self.tail.append(tail)
-            self.head.append(head)
             self.kind.append(kind)
             self.label.append(label)
             self.slot.append(slot)
@@ -201,8 +198,8 @@ class Tiling:
         slot_dart = {}
         for arc in sorted(self.arcs):
             p, q = self.arcs[arc]
-            d1 = new_dart(p, q, "arc", arc, (arc, 1))
-            d2 = new_dart(q, p, "arc", arc, (arc, 2))
+            d1 = new_dart(p, "arc", arc, (arc, 1))
+            d2 = new_dart(q, "arc", arc, (arc, 2))
             self.twin[d1] = d2
             self.twin[d2] = d1
             slot_dart[(arc, 1)] = d1
@@ -214,25 +211,21 @@ class Tiling:
             pts = self.marked[comp]
             k = len(pts)
             for i, p in enumerate(pts):
-                q = pts[(i + 1) % k]
-                fwd = new_dart(p, q, "seg", (comp, i))
-                rev = new_dart(q, p, "rseg", (comp, i))
+                fwd = new_dart(p, "seg", (comp, i))
+                rev = new_dart(pts[(i + 1) % k], "rseg", (comp, i))
                 self.twin[fwd] = rev
                 self.twin[rev] = fwd
                 toward_next[(comp, i)] = fwd
                 toward_prev[(comp, (i + 1) % k)] = rev
 
-        self.rot = {}
+        self._rot_next = {}
         for comp in sorted(self.marked):
             pts = self.marked[comp]
             for i, p in enumerate(pts):
                 fan = [slot_dart[s] for s in self.fans.get(p, [])]
-                self.rot[p] = [toward_prev[(comp, i)]] + fan + [toward_next[(comp, i)]]
-
-        self._rot_next = {}
-        for p, ds in self.rot.items():
-            for i, d in enumerate(ds):
-                self._rot_next[d] = ds[(i + 1) % len(ds)]
+                rot = [toward_prev[(comp, i)]] + fan + [toward_next[(comp, i)]]
+                for j, d in enumerate(rot):
+                    self._rot_next[d] = rot[(j + 1) % len(rot)]
 
         self._trace_faces()
         self._classify()

@@ -1,11 +1,10 @@
-"""The stored arrow adjacency and the letter graph against the all-arrow
-and all-letter-pair scans they replace."""
+"""The stored arrow adjacency and the letter table's successors against
+the all-arrow and all-letter-pair scans they replace."""
 
 from tilealg import samples
 from tilealg.algebra import Quiver
-from tilealg.strings import (StringWord, all_letters, canonicalize,
-                             enumerate_strings, letter_graph, string_sort_key,
-                             valid_pair)
+from tilealg.strings import (StringWord, _letter_table, all_letters,
+                             canonicalize, enumerate_strings, valid_pair)
 from tilealg.surface import tiling_algebra
 
 
@@ -60,13 +59,18 @@ def _enumerate_reference(p, max_len):
         found.update(canonicalize(w) for w in frontier)
         frontier = [StringWord.word(w.letters + (l2,)) for w in frontier
                     for l2 in all_letters(p) if valid_pair(p, w.letters[-1], l2) is None]
-    return sorted(found, key=string_sort_key)
+    # trivial strings (length 0) by vertex, then words by length and letters
+    return sorted(found, key=lambda w: (len(w), w._key()))
 
 
 def test_letter_graph_matches_all_pairs_reference():
     for p in _presentations():
-        # same successors in the same order, keys in all_letters order
-        assert list(letter_graph(p).items()) == list(_letter_graph_reference(p).items())
+        # same successors in the same order, codes in all_letters order
+        table = _letter_table(p)
+        decoded = {table.letters[c]: [table.letters[d] for d in succ]
+                   for c, succ in enumerate(table.succ)}
+        assert list(decoded.items()) == list(_letter_graph_reference(p).items())
+        assert all(type(succ) is tuple and len(succ) <= 2 for succ in table.succ)
 
 
 def test_enumeration_matches_all_pairs_reference():

@@ -10,7 +10,7 @@ from tilealg.artheory import (COHOOK_REMOVED, HOOK_ADDED, ZERO, ar_quiver_dot,
                               dimension_additivity_holds, dimension_vector,
                               hook_left, hook_right, hooks,
                               is_injective_string, tau_inverse)
-from tilealg.strings import (StringWord, canonicalize, detect_band,
+from tilealg.strings import (Letter, StringWord, canonicalize, detect_band,
                              enumerate_strings, parse_string)
 
 
@@ -65,6 +65,17 @@ def test_hooks_reject_zero_string():
     p = samples.a2()
     with pytest.raises(InputError):
         hook_left(p, StringWord.zero())
+
+
+def test_hook_operands_are_checked_against_the_presentation():
+    p = samples.kronecker()
+    operands = [StringWord.trivial("9"), StringWord.word([Letter("z")]),
+                StringWord.word([Letter("a"), Letter("a", True)])]
+    for w in operands:
+        for query in (hook_left, hook_right, hooks, tau_inverse, ar_sequence,
+                      is_injective_string):
+            with pytest.raises(InputError, match="not a string of this presentation"):
+                query(p, w)
 
 
 def test_ar_sequence_a2():

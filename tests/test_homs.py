@@ -7,9 +7,9 @@ import pytest
 import gentle_corpus
 from tilealg import samples
 from tilealg.algebra import InputError
-from tilealg.homs import (factor_count_bruteforce, factor_strings, hom_dim,
-                          hom_dim_detailed, sub_count_bruteforce, substrings,
-                          window_key)
+from tilealg.homs import (Window, factor_count_bruteforce, factor_strings,
+                          hom_dim, hom_dim_detailed, sub_count_bruteforce,
+                          substrings, window_key)
 from tilealg.strings import (Band, Letter, StringRejection, StringWord,
                              canonicalize, detect_band, enumerate_strings,
                              letter_source, parse_band, parse_string)
@@ -306,9 +306,14 @@ def test_window_key_matches_canonicalized_window_word():
     for ps in _families().values():
         for p in ps:
             ops = _operands(p)
-            # long enough for band windows to wrap several turns
+            # every window; band windows wrap several turns
             reach = 2 * max((len(x) for x in ops), default=0) + 1
             for x in ops:
-                for d in factor_strings(p, x, reach) + substrings(p, x, reach):
-                    assert window_key(p, x, d.window) == \
-                        _window_key_reference(p, x, d.window), (_text(x), d.window)
+                n = len(x)
+                spans = ([(i, k) for i in range(n) for k in range(reach + 1)]
+                         if isinstance(x, Band) else
+                         [(i, k) for i in range(n + 1) for k in range(n + 1 - i)])
+                for start, length in spans:
+                    w = Window(start, length, None, None)
+                    assert window_key(p, x, w) == _window_key_reference(p, x, w), \
+                        (_text(x), w)

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 import gentle_corpus
 from tilealg import samples
 from tilealg.algebra import GentlePresentation, InputError
+from tilealg.artheory import hooks
 from tilealg.arcs import check_permissible, hom_dim_geometric, string_to_arc
 from tilealg.homs import factor_strings, hom_dim, window_key
 from tilealg.strings import (Band, Letter, StringRejection, StringWord,
                              _letter_table, all_letters, canonicalize, compose,
                              detect_band, enumerate_strings, epsilon_of,
-                             is_valid_string, letter_graph, letter_source,
+                             is_valid_string, letter_source,
                              letter_target, parse_band, parse_string, sigma_of,
                              valid_pair, validate_string)
 from tilealg.surface import tiling_algebra
@@ -335,14 +336,52 @@ def test_every_validity_route_agrees_with_the_pair_rule():
     assert checked > 5000
 
 
+def test_tuple_built_operands_are_rejected_when_built():
+    p = samples.kronecker()
+    with pytest.raises(InputError, match="take Letter items"):
+        hom_dim(p, StringWord.word([("a", False)]), StringWord.trivial("1"))
+    with pytest.raises(InputError, match="take Letter items"):
+        hom_dim(p, Band((("a", False), ("b", True))), StringWord.trivial("1"))
+    with pytest.raises(InputError, match="take Letter items"):
+        canonicalize(StringWord.word([Letter("a"), ("b", True)]))
+    # the builders that validate against a presentation read pairs
+    assert validate_string(p, [("a", False)]) == StringWord.word([Letter("a")])
+    assert Band.from_letters(p, [("a", False), ("b", True)]) == Band(
+        (Letter("a"), Letter("b", True)))
+
+
+def _least_rotation(letters):
+    inverse = tuple(l.inv() for l in reversed(letters))
+    return min(w[i:] + w[:i] for w in (letters, inverse) for i in range(len(w)))
+
+
+def test_band_canonical_form_is_the_least_rotation_on_the_corpus():
+    checked = 0
+    for p in gentle_corpus.presentations():
+        if detect_band(p) is None:
+            continue
+        for w in enumerate_strings(p, 6):
+            try:
+                band = Band.from_letters(p, w.letters)
+            except ValueError:
+                continue
+            checked += 1
+            least = _least_rotation(w.letters)
+            assert band.letters == least
+            inverse = w.inv().letters
+            assert Band.from_letters(p, inverse[1:] + inverse[:1]) == band
+    assert checked > 500
+
+
 def test_letter_graph_is_derived_once():
     p, fresh = samples.fix_a(), samples.fix_a()
-    succ = letter_graph(p)
-    assert letter_graph(p) is succ
+    table = _letter_table(p)
+    assert _letter_table(p) is table
     detect_band(p)
     enumerate_strings(p)
     is_valid_string(p, parse_string(p, "b- c d c- b"))
-    assert letter_graph(p) is succ
+    hooks(p, parse_string(p, "b- c d c- b"))
+    assert _letter_table(p) is table
     assert p == fresh
     assert hash(p) == hash(fresh)
     assert repr(p) == repr(fresh)
@@ -355,14 +394,14 @@ def test_letter_table_codes_and_successors_on_the_corpus():
         assert list(letters) == all_letters(p)
         pairs = [(l.arrow, l.inverse) for l in letters]
         assert pairs == sorted(pairs)       # code order is (arrow, inverse) order
-        graph = letter_graph(p)
-        assert list(graph) == list(letters)
         for c, l in enumerate(letters):
             assert table.code[l.arrow, l.inverse] == c
             assert letters[c ^ 1] == l.inv()
             assert (table.source[c], table.target[c]) == (letter_source(p, l),
                                                           letter_target(p, l))
-            assert [letters[d] for d in sorted(table.succ[c])] == graph[l]
+            # the valid_pair successors, in code order
+            assert [letters[d] for d in table.succ[c]] == [
+                m for m in letters if valid_pair(p, l, m) is None]
 
 
 def test_letter_table_is_stored_once():
@@ -371,7 +410,7 @@ def test_letter_table_is_stored_once():
     w = parse_string(p, "b- c d c- b")
     hom_dim(p, w, w)
     window_key(p, w, factor_strings(p, w)[0].window)
-    assert _letter_table(p) is table and letter_graph(p) is table.graph
+    assert _letter_table(p) is table
     assert (p, hash(p), repr(p)) == (fresh, hash(fresh), repr(fresh))
 
     t = samples.kron_tiling()
