@@ -109,6 +109,9 @@ def cmd_ar_quiver(args, out):
 
 
 def cmd_hom(args, out):
+    for flag, value in (("--prime", args.prime), ("--lam", args.lam)):
+        if value is not None and not args.oracle:
+            raise InputError(f"{flag} needs --oracle")
     from .homs import hom_dim_detailed
     pres, _, _ = _load_any(args.file)
     v = _parse_operand(pres, args.v)
@@ -121,10 +124,11 @@ def cmd_hom(args, out):
                              realize_band_module, realize_string_module)
         from .strings import Band
         prime = DEFAULT_PRIME if args.prime is None else args.prime
+        lam = 1 if args.lam is None else args.lam
 
         def realize(x):
             if isinstance(x, Band):
-                return realize_band_module(pres, BandModuleSpec(x, 1, args.lam),
+                return realize_band_module(pres, BandModuleSpec(x, 1, lam),
                                            prime=prime)
             return realize_string_module(pres, x, prime=prime)
         oracle = hom_dim_oracle(pres, realize(v), realize(w))
@@ -251,8 +255,8 @@ def build_parser():
     p.add_argument("w")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--lam", type=int, default=1,
-                   help="band parameter lambda for oracle band modules")
+    p.add_argument("--lam", type=int, default=None,
+                   help="band parameter lambda for oracle band modules (default 1)")
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("tiling-algebra", help="tiles and the tiling algebra")

@@ -3,13 +3,10 @@
 String and band modules are realized as explicit quiver representations
 (right modules, paths read left to right): the matrix of an arrow a maps
 the vertex space at s(a) to the one at t(a), so a relation (a, b) means
-mat(b) @ mat(a) == 0.  Hom dimensions come from the nullspace of the
-intertwiner system f_{t(a)} mat_M(a) = mat_N(a) f_{s(a)}.
-
-This is the one module that imports numpy, when it loads.  The package
-root loads it only when one of its names is first used, and the CLI
-only for `hom --oracle`, so importing tilealg (and every other CLI
-subcommand) does not load numpy.
+mat(b) mat(a) == 0.  A matrix is a list of rows of Python ints.  Hom
+dimensions come from the nullspace of the intertwiner system
+f_{t(a)} mat_M(a) = mat_N(a) f_{s(a)}, eliminated over F_p as sparse
+rows.
 """
 
 from __future__ import annotations
@@ -17,15 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .algebra import GentlePresentation, InputError
 from .artheory import dimension_additivity_holds, hooks
 from .strings import Band, StringWord, letter_source
 
 DEFAULT_PRIME = 5
-# Largest prime p with p * p < 2**63: elimination multiplies two residues
-# in int64, so a larger p would wrap around.
+# Largest prime p with p * p < 2**63.  Elimination runs on Python ints and
+# would take any prime; the range is the one an earlier int64 elimination
+# needed, kept so that the accepted primes and the error text stay stable.
 _MAX_PRIME = 3037000493
 
 
@@ -36,57 +32,56 @@ def _check_prime(prime: int):
                          f"got {prime}")
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Gaussian elimination rank over F_p."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, col] % p:
-                pivot = r
+def _rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of sparse rows {column: value}.  Each row is reduced
+    by the pivot rows found so far, leading column first; a row that
+    keeps a leading column with no pivot becomes that column's pivot."""
+    pivots = {}  # leading column -> row scaled to 1 there
+    for row in rows:
+        row = {c: x % p for c, x in row.items() if x % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {c: x * inv % p for c, x in row.items()}
                 break
-        if pivot is None:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        for r in range(rows):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+            f = row[lead]
+            for c, x in pivot.items():
+                y = (row.get(c, 0) - f * x) % p
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
+    return len(pivots)
 
 
-def nullity_mod_p(mat: np.ndarray, p: int) -> int:
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        return mat.shape[1]
-    return mat.shape[1] - _rank_mod_p(mat, p)
+def nullity_mod_p(mat, p: int) -> int:
+    """Nullity over F_p of a matrix given as a list of rows."""
+    cols = len(mat[0]) if mat else 0
+    return cols - _rank_mod_p([dict(enumerate(row)) for row in mat], p)
 
 
 @dataclass(frozen=True)
 class MatrixRep:
     prime: int
     dims: dict = field(hash=False)   # vertex -> dimension
-    mats: dict = field(hash=False)   # arrow -> ndarray (dim_t x dim_s)
+    mats: dict = field(hash=False)   # arrow -> list of dim_t rows of dim_s ints
 
     def dim_vector(self, p: GentlePresentation):
         return {v: self.dims.get(v, 0) for v in p.vertices}
 
 
-def _empty_rep(p: GentlePresentation, prime: int, dims):
-    mats = {a: np.zeros((dims[p.t(a)], dims[p.s(a)]), dtype=np.int64)
-            for a in p.arrows}
-    return dims, mats
+def _zero_mats(p: GentlePresentation, dims):
+    return {a: [[0] * dims[p.s(a)] for _ in range(dims[p.t(a)])] for a in p.arrows}
 
 
 def _check_relations(p: GentlePresentation, rep: MatrixRep):
     for a, b in sorted(p.relations):
-        prod = (rep.mats[b] @ rep.mats[a]) % rep.prime
-        assert not prod.any(), f"relation ({a},{b}) does not vanish"
+        cols = list(zip(*rep.mats[a]))
+        assert not any(sum(x * y for x, y in zip(row, col)) % rep.prime
+                       for row in rep.mats[b] for col in cols), \
+            f"relation ({a},{b}) does not vanish"
 
 
 def realize_string_module(p: GentlePresentation, w: StringWord,
@@ -102,26 +97,17 @@ def realize_string_module(p: GentlePresentation, w: StringWord,
     for v in verts:
         index.append(dims[v])
         dims[v] += 1
-    dims, mats = _empty_rep(p, prime, dims)
+    mats = _zero_mats(p, dims)
     if w.kind == "word":
         for i, l in enumerate(w.letters, start=1):
             if l.inverse:
                 # arrow runs against the walk: position i -> position i-1
-                mats[l.arrow][index[i - 1], index[i]] = 1
+                mats[l.arrow][index[i - 1]][index[i]] = 1
             else:
-                mats[l.arrow][index[i], index[i - 1]] = 1
+                mats[l.arrow][index[i]][index[i - 1]] = 1
     rep = MatrixRep(prime, dims, mats)
     _check_relations(p, rep)
     return rep
-
-
-def _jordan_block(n: int, lam: int, prime: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        m[i, i] = lam % prime
-        if i + 1 < n:
-            m[i, i + 1] = 1
-    return m
 
 
 @dataclass(frozen=True)
@@ -151,17 +137,19 @@ def realize_band_module(p: GentlePresentation, spec: BandModuleSpec,
     for v in positions:
         offset.append(dims[v])
         dims[v] += n
-    dims, mats = _empty_rep(p, prime, dims)
-    ident = np.eye(n, dtype=np.int64)
-    phi = _jordan_block(n, spec.lam, prime)
+    mats = _zero_mats(p, dims)
     for i, l in enumerate(letters, start=1):
-        block = phi if i == m else ident
         src_pos, tgt_pos = i - 1, i % m
         if l.inverse:
             src_pos, tgt_pos = tgt_pos, src_pos
         r0 = offset[tgt_pos]
         c0 = offset[src_pos]
-        mats[l.arrow][r0:r0 + n, c0:c0 + n] = block
+        # the identity, or phi = J_n(lambda) on the last letter
+        mat, last = mats[l.arrow], i == m
+        for k in range(n):
+            mat[r0 + k][c0 + k] = spec.lam % prime if last else 1
+            if last and k + 1 < n:
+                mat[r0 + k][c0 + k + 1] = 1
     rep = MatrixRep(prime, dims, mats)
     _check_relations(p, rep)
     return rep
@@ -183,20 +171,23 @@ def hom_dim_oracle(p: GentlePresentation, M: MatrixRep, N: MatrixRep) -> int:
     rows = []
     for a in p.arrows:
         s, t = p.s(a), p.t(a)
-        Ma, Na = M.mats[a], N.mats[a]
-        for r in range(ndims[t]):
-            for c in range(mdims[s]):
-                row = np.zeros(total, dtype=np.int64)
+        # nonzeros of M(a) by column and of N(a) by row
+        m_cols = [[(k, row[c]) for k, row in enumerate(M.mats[a]) if row[c]]
+                  for c in range(mdims[s])]
+        n_rows = [[(k, x) for k, x in enumerate(row) if x] for row in N.mats[a]]
+        for r, n_row in enumerate(n_rows):
+            for c, m_col in enumerate(m_cols):
+                row = {}
                 # f_t M(a): sum_k f_t[r, k] Ma[k, c]
-                for k in range(mdims[t]):
-                    row[starts[t] + r * mdims[t] + k] += Ma[k, c]
+                for k, x in m_col:
+                    j = starts[t] + r * mdims[t] + k
+                    row[j] = row.get(j, 0) + x
                 # - N(a) f_s: sum_k Na[r, k] f_s[k, c]
-                for k in range(ndims[s]):
-                    row[starts[s] + k * mdims[s] + c] -= Na[r, k]
-                rows.append(row % prime)
-    if not rows:
-        return total
-    return nullity_mod_p(np.array(rows, dtype=np.int64), prime)
+                for k, x in n_row:
+                    j = starts[s] + k * mdims[s] + c
+                    row[j] = row.get(j, 0) - x
+                rows.append(row)
+    return total - _rank_mod_p(rows, prime)
 
 
 def verify_ar_middle(p: GentlePresentation, w: StringWord,

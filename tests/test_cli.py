@@ -325,6 +325,15 @@ def test_hom_oracle_rejects_a_lambda_that_is_zero_mod_the_prime(lam):
     assert text == "input error: lambda must be nonzero in the prime field\n"
 
 
+@pytest.mark.parametrize("flag, value", [("--prime", "4"), ("--prime", "7"),
+                                         ("--lam", "3"), ("--lam", "1")])
+def test_hom_oracle_options_need_the_oracle(flag, value):
+    code, text = run("hom", str(DATA / "kron.tiling"), "band a1 a2-", "triv x +",
+                     flag, value)
+    assert code == 2
+    assert text == f"input error: {flag} needs --oracle\n"
+
+
 def test_strings_rejects_a_negative_max_len():
     code, text = run("strings", str(DATA / "fixA.quiver"), "--max-len", "-1")
     assert code == 2

@@ -1,9 +1,9 @@
-"""What importing tilealg loads: numpy only for the matrix oracle, and
-each CLI subcommand only the layers it runs; the lazy package root
-still offers every public name.
+"""What importing tilealg loads: never numpy, and each CLI subcommand
+only the layers it runs; the lazy package root still offers every
+public name.
 
-The pytest process has numpy and every layer loaded already, so the
-load checks run in a fresh interpreter with only `src` on the path.
+The pytest process has every layer loaded already, so the load checks
+run in a fresh interpreter with only `src` on the path.
 """
 
 import importlib
@@ -28,17 +28,14 @@ def run(argv):
     out = io.StringIO()
     return tilealg.cli.main(argv, out=out), out.getvalue()
 
-report = {"after_import": "numpy" in sys.modules, "codes": {}}
+report = {"after_import": "numpy" in sys.modules, "runs": {}}
 for argv in json.loads(sys.argv[1]):
-    report["codes"][" ".join(argv)] = run(argv)[0]
-report["after_commands"] = "numpy" in sys.modules
-report["oracle"] = run(json.loads(sys.argv[2]))
-report["after_oracle"] = "numpy" in sys.modules
+    report["runs"][" ".join(argv)] = [*run(argv), "numpy" in sys.modules]
 print(json.dumps(report))
 """
 
 
-def test_numpy_is_imported_only_by_the_oracle():
+def test_no_subcommand_imports_numpy():
     d = str(DATA)
     commands = [
         ["check", f"{d}/fixA.quiver"],
@@ -53,20 +50,20 @@ def test_numpy_is_imported_only_by_the_oracle():
         ["tau", f"{d}/loop.tiling", "a1"],
         ["rep-type", f"{d}/kron.tiling"],
         ["complete", f"{d}/digon.tiling"],
+        ["hom", f"{d}/fixA.quiver", "b- c d c- b", "b- c d c- b", "--oracle"],
+        ["hom", f"{d}/kron.tiling", "band a1 a2-", "band a1 a2-", "--oracle"],
     ]
-    oracle = ["hom", f"{d}/fixA.quiver", "b- c d c- b", "b- c d c- b", "--oracle"]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands),
-                           json.dumps(oracle)],
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)],
                           capture_output=True, text=True, env=env, cwd=ROOT,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["after_import"] is False
-    assert report["codes"] == {" ".join(argv): 0 for argv in commands}
-    assert report["after_commands"] is False
-    assert report["oracle"] == [0, "hom 2\noracle 2\n"]
-    assert report["after_oracle"] is True
+    runs = report["runs"]
+    assert {argv: (code, numpy) for argv, (code, _, numpy) in runs.items()} == {
+        " ".join(argv): (0, False) for argv in commands}
+    assert runs[" ".join(commands[-2])][1] == "hom 2\noracle 2\n"
 
 
 FOOTPRINT = """
@@ -91,7 +88,8 @@ CLI = ["algebra", "cli"]
 
 
 D = str(DATA)
-# footprint name -> (commands, the tilealg submodules and numpy they load)
+# footprint name -> (commands, the tilealg submodules they load; numpy is
+# listed if it gets loaded, so it must never appear)
 FOOTPRINTS = {
     "check-quiver": ([["check", f"{D}/fixA.quiver"]], CLI),
     "strings": ([["strings", f"{D}/fixA.quiver"]], CLI + ["strings"]),
@@ -105,7 +103,7 @@ FOOTPRINTS = {
     "hom": ([["hom", f"{D}/fixA.quiver", "b- c d c- b", "b- c d c- b"]],
             CLI + ["homs", "strings"]),
     "hom-oracle": ([["hom", f"{D}/fixA.quiver", "b- c d c- b", "b- c d c- b", "--oracle"]],
-                   CLI + ["artheory", "homs", "oracle", "strings", "numpy"]),
+                   CLI + ["artheory", "homs", "oracle", "strings"]),
 }
 
 
