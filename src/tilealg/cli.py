@@ -133,12 +133,9 @@ def cmd_hom(args, out):
             return realize_string_module(pres, x, prime=prime)
         oracle = hom_dim_oracle(pres, realize(v), realize(w))
     print(f"hom {comp.dim}", file=out)
-    if comp.experimental:
-        print("experimental: same-band pairs omit the phi-dependent correction",
-              file=out)
     if args.oracle:
         print(f"oracle {oracle}", file=out)
-        if oracle != comp.dim and not comp.experimental:
+        if oracle != comp.dim:
             print("MISMATCH between combinatorial and oracle dimensions", file=out)
             return 1
     return 0

@@ -32,13 +32,14 @@ matched pair compares the two forward slices.  Trivial windows are
 keyed by their vertex.  One pass enumerates the windows and keys them
 together; windows are plain tuples until a `Window` is returned.
 
-For two operands on the same band the pair count misses the
-delta_{lambda=mu} min(n, m) term, and the result is flagged experimental.
+Band operands are the quasi-simple modules M(b, 1, lambda), both with
+the same lambda.  Between two of them on the same band the dimension is
+the pair count plus one: the term delta_{b=c} delta_{lambda=mu} min(n, m)
+of Krause's formula for dim Hom(M(b,n,lambda), M(c,m,mu)) at n = m = 1.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .algebra import GentlePresentation, InputError
@@ -191,7 +192,6 @@ class AdmissiblePair:
 class HomComputation:
     dim: int
     pairs: tuple      # AdmissiblePair matches
-    experimental: bool
 
 
 def _match(fv: _HostView, sv: _HostView):
@@ -214,12 +214,7 @@ def hom_dim_detailed(p: GentlePresentation, v, w) -> HomComputation:
                             SubDecomposition(w, Window(*s)),
                             "equal" if same else "inverse")
              for f, s, same in _match(fv, sv)]
-    experimental = isinstance(v, Band) and isinstance(w, Band) and v == w
-    if experimental:
-        warnings.warn("hom between modules over the same band omits the "
-                      "phi-dependent correction; result is experimental",
-                      stacklevel=2)
-    return HomComputation(len(pairs), tuple(pairs), experimental)
+    return HomComputation(len(pairs) + (isinstance(v, Band) and v == w), tuple(pairs))
 
 
 def hom_dim(p: GentlePresentation, v, w) -> int:

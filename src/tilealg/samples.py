@@ -256,18 +256,9 @@ def random_digon_annulus(rng: random.Random) -> Tiling:
 
 
 def random_kron_annulus(rng: random.Random) -> Tiling:
-    """Annulus with one marked point per boundary, two spanning arcs."""
-    text = (
-        "tiling\n"
-        "boundary b1 marked p\n"
-        "boundary b2 marked q\n"
-        "arc x p q\n"
-        "arc y p q\n"
-        "fan p : x.1 y.1\n"
-        "fan q : x.2 y.2\n"
-        "end\n"
-    )
-    return Tiling.parse(text)
+    """The Kronecker annulus of kron_tiling(); it takes no draws from
+    `rng`, which is accepted so that all random makers share one call."""
+    return kron_tiling()
 
 
 def random_tilings(seed: int, count: int):

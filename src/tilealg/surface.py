@@ -11,7 +11,13 @@ and tiles are the orbits of  d -> rotation-successor(twin(d)),  walked
 with the tile on the right; the reversed boundary darts form one
 discarded outer orbit per marked boundary component.  Unmarked boundary
 components are not map vertices: they are placed inside a declared
-monogon (type I) or digon (type II) tile.
+monogon (type I) or digon (type II) tile.  The surface is connected when
+every dart is reached from one through twins and rotation successors.
+
+One class, `_DartMap`, builds and walks the map.  A `Tiling` keeps the
+map built from its description; completion to a triangulation copies it,
+pierces each unmarked component and splits m-gons in place, retracing
+only the faces each step creates.
 
 Tiling description files:
 
@@ -48,22 +54,180 @@ class Tile:
         return len(self.walk)
 
 
+class _DartMap:
+    """The combinatorial map of a tiling description (marked boundary
+    components, arcs and fans; see the module docstring), grown in place
+    by diagonal splits and piercings, which keep the description in step.
+    It holds the description dicts it is given, so a Tiling's own map is
+    grown only as a copy().
+
+    Darts are numbered in the order __init__ builds them: arc darts by
+    arc id and end, then per marked component and segment the forward
+    and the reversed boundary dart."""
+
+    def __init__(self, marked, arcs, fans):
+        self.marked, self.arcs, self.fans = marked, arcs, fans
+        self.tail, self.twin, self.kind, self.label, self.slot = [], [], [], [], []
+        self.rot_next, self.slot_dart = [], {}
+        for arc in sorted(arcs):
+            self._pair(("arc", "arc"), arc, *arcs[arc], ((arc, 1), (arc, 2)))
+        toward_prev, toward_next = {}, {}
+        for comp in sorted(marked):
+            pts = marked[comp]
+            for i, p in enumerate(pts):
+                q = pts[(i + 1) % len(pts)]
+                toward_next[p], toward_prev[q] = self._pair(("seg", "rseg"), (comp, i), p, q)
+        for p, d in toward_next.items():
+            self._rotate([toward_prev[p], *map(self.slot_dart.get, fans.get(p, ())), d])
+
+    def copy(self) -> "_DartMap":
+        c = _DartMap.__new__(_DartMap)
+        c.tail, c.twin, c.kind, c.label, c.slot, c.rot_next = map(list, (
+            self.tail, self.twin, self.kind, self.label, self.slot, self.rot_next))
+        c.slot_dart, c.marked, c.arcs = (dict(self.slot_dart), dict(self.marked),
+                                         dict(self.arcs))
+        c.fans = {k: list(v) for k, v in self.fans.items()}
+        return c
+
+    def _pair(self, kinds, label, p, q, slots=(None, None)):
+        """Two new twin darts, departing from p and from q."""
+        d = len(self.tail)
+        self.tail += (p, q)
+        self.twin += (d + 1, d)
+        self.kind += kinds
+        self.label += (label, label)
+        self.slot += slots
+        self.rot_next += (None, None)
+        if slots[0] is not None:
+            self.slot_dart[slots[0]], self.slot_dart[slots[1]] = d, d + 1
+        return d, d + 1
+
+    def _rotate(self, cycle):
+        for d, e in zip(cycle, cycle[1:] + cycle[:1]):
+            self.rot_next[d] = e
+
+    def _orbit(self, d0):
+        """The orbit of d -> rot_next(twin(d)) from d0."""
+        twin, rot, kind = self.twin, self.rot_next, self.kind
+        outer = kind[d0] == "rseg"
+        walk, d = [d0], rot[twin[d0]]
+        while d != d0:
+            if (kind[d] == "rseg") != outer:
+                raise TilingRejection("outer boundary orbit mixes interior darts" if outer
+                                      else "face traversal escaped through the boundary; "
+                                      "inconsistent rotation data")
+            if len(walk) == len(twin):
+                raise TilingRejection("face traversal did not close up")
+            walk.append(d)
+            d = rot[twin[d]]
+        return walk
+
+    def face(self, d0):
+        """The inner face through d0, started at its dart __init__ would
+        number first, so that a map grown in place and one rebuilt from
+        its description agree."""
+        walk = self._orbit(d0)
+
+        def build_rank(d):
+            if self.kind[d] == "arc":
+                return (0, self.label[d], self.slot[d][1])
+            return (1,) + self.label[d]
+
+        i = min(range(len(walk)), key=lambda j: build_rank(walk[j]))
+        return walk[i:] + walk[:i]
+
+    def faces(self):
+        """The inner faces of the map as __init__ built it, in tile-key
+        order; the reversed boundary darts form the outer orbits, which
+        are dropped.  Each orbit is walked from its least dart, which is
+        where `face` starts it."""
+        seen = [False] * len(self.tail)
+        walks = []
+        for d0 in range(len(self.tail)):
+            if not seen[d0]:
+                walk = self._orbit(d0)
+                for d in walk:
+                    seen[d] = True
+                if self.kind[d0] != "rseg":
+                    walks.append(walk)
+        walks.sort(key=self.tile_key)
+        return walks
+
+    def tile_key(self, walk):
+        """Canonical rotation of a walk's (kind, label, slot) dart keys.
+        The darts of a walk are distinct, so it starts at the least key."""
+        keys = [(self.kind[d], str(self.label[d]), str(self.slot[d])) for d in walk]
+        i = keys.index(min(keys))
+        return tuple(keys[i:] + keys[:i])
+
+    def connected(self) -> bool:
+        """Whether every dart is reached from dart 0 through twin and
+        rot_next, i.e. the surface is connected."""
+        twin, rot, seen = self.twin, self.rot_next, {0}
+        todo = [0]
+        for d in todo:
+            for e in (twin[d], rot[d]):
+                if e not in seen:
+                    seen.add(e)
+                    todo.append(e)
+        return len(seen) == len(twin)
+
+    def _least_corner(self, walk):
+        return min(range(len(walk)), key=lambda i: (self.tail[walk[i]], i))
+
+    def _enter(self, walk, c, d):
+        """Put the new arc dart d at corner c of `walk` (between walk
+        darts c-1 and c): in the rotation right after the twin of the dart
+        arriving there, and its slot in the fan's sector before dart c."""
+        nxt = walk[c]
+        fan = self.fans.setdefault(self.tail[d], [])
+        # before the outgoing boundary dart means at the end of the fan
+        fan.insert(fan.index(self.slot[nxt]) if self.kind[nxt] == "arc" else len(fan),
+                   self.slot[d])
+        self.rot_next[self.twin[walk[c - 1]]] = d
+        self.rot_next[d] = nxt
+
+    def split(self, walk, arc):
+        """Cut the m-gon `walk` (m >= 4) by the diagonal `arc` from its
+        least corner to the corner two steps further along the walk;
+        returns the two new faces."""
+        c1 = self._least_corner(walk)
+        c2 = (c1 + 2) % len(walk)
+        d1, d2 = self._arc(arc, self.tail[walk[c1]], self.tail[walk[c2]])
+        self._enter(walk, c1, d1)
+        self._enter(walk, c2, d2)
+        return [self.face(d1), self.face(d2)]
+
+    def pierce(self, walk, comp, pt, arc):
+        """Mark the point `pt` on the unmarked component `comp` inside the
+        face `walk` and join it by `arc` to the face's least corner;
+        returns the new face, an m-gon."""
+        c = self._least_corner(walk)
+        d1, d2 = self._arc(arc, self.tail[walk[c]], pt)
+        self._enter(walk, c, d1)
+        self.marked[comp] = [pt]
+        self.fans[pt] = [(arc, 2)]
+        fwd, rev = self._pair(("seg", "rseg"), (comp, 0), pt, pt)
+        self._rotate([rev, d2, fwd])
+        return self.face(d1)
+
+    def _arc(self, arc, p, q):
+        self.arcs[arc] = (p, q)
+        return self._pair(("arc", "arc"), arc, p, q, ((arc, 1), (arc, 2)))
+
+
 @dataclass
 class Tiling:
+    """A tiling description and the combinatorial map built from it:
+    `_build` sets the dart lists `tail`, `twin`, `kind` ("arc" | "seg" |
+    "rseg"), `label` (arc id or segment tuple) and `slot` (departing
+    slot of arc darts) of its `_DartMap`, the `tiles`, `face_of` (dart ->
+    (tile index, position)) and `tile_names` (tile index -> "t<k>")."""
+
     marked: dict                  # component id -> list of points (cyclic, clockwise)
     unmarked: dict                # component id -> tuple of arc ids (placement)
     arcs: dict                    # arc id -> (p, q) endpoints of ends 1, 2
     fans: dict                    # point -> list of slots (arc id, end)
-
-    # derived combinatorial map (filled by _build)
-    tail: list = field(default_factory=list)
-    twin: list = field(default_factory=list)
-    kind: list = field(default_factory=list)      # "arc" | "seg" | "rseg"
-    label: list = field(default_factory=list)     # arc id or segment tuple
-    slot: list = field(default_factory=list)      # departing slot for arc darts
-    tiles: list = field(default_factory=list)
-    face_of: dict = field(default_factory=dict)   # dart -> (tile index, position)
-    tile_names: dict = field(default_factory=dict)  # tile index -> "t<k>"
 
     # ------------------------------------------------------------------
     @classmethod
@@ -110,9 +274,7 @@ class Tiling:
                 raise InputError(f"line {lineno}: unknown keyword {kw!r}")
         if not seen_header:
             raise InputError("missing 'tiling' header line")
-        t = cls(marked, unmarked, arcs, fans)
-        t._build()
-        return t
+        return cls.from_data(marked, unmarked, arcs, fans)
 
     @classmethod
     def from_data(cls, marked, unmarked, arcs, fans) -> "Tiling":
@@ -184,93 +346,18 @@ class Tiling:
 
     def _build(self):
         self._check_input()
-        self.tail, self.twin = [], []
-        self.kind, self.label, self.slot = [], [], []
+        m = self._map = _DartMap(self.marked, self.arcs, self.fans)
+        self.tail, self.twin, self.kind, self.label, self.slot = (
+            m.tail, m.twin, m.kind, m.label, m.slot)
+        self._slot_dart = m.slot_dart
+        self._classify(m.faces())
 
-        def new_dart(tail, kind, label, slot=None):
-            self.tail.append(tail)
-            self.kind.append(kind)
-            self.label.append(label)
-            self.slot.append(slot)
-            self.twin.append(None)
-            return len(self.tail) - 1
-
-        slot_dart = {}
-        for arc in sorted(self.arcs):
-            p, q = self.arcs[arc]
-            d1 = new_dart(p, "arc", arc, (arc, 1))
-            d2 = new_dart(q, "arc", arc, (arc, 2))
-            self.twin[d1] = d2
-            self.twin[d2] = d1
-            slot_dart[(arc, 1)] = d1
-            slot_dart[(arc, 2)] = d2
-        self._slot_dart = slot_dart
-
-        toward_prev, toward_next = {}, {}
-        for comp in sorted(self.marked):
-            pts = self.marked[comp]
-            k = len(pts)
-            for i, p in enumerate(pts):
-                fwd = new_dart(p, "seg", (comp, i))
-                rev = new_dart(pts[(i + 1) % k], "rseg", (comp, i))
-                self.twin[fwd] = rev
-                self.twin[rev] = fwd
-                toward_next[(comp, i)] = fwd
-                toward_prev[(comp, (i + 1) % k)] = rev
-
-        self._rot_next = {}
-        for comp in sorted(self.marked):
-            pts = self.marked[comp]
-            for i, p in enumerate(pts):
-                fan = [slot_dart[s] for s in self.fans.get(p, [])]
-                rot = [toward_prev[(comp, i)]] + fan + [toward_next[(comp, i)]]
-                for j, d in enumerate(rot):
-                    self._rot_next[d] = rot[(j + 1) % len(rot)]
-
-        self._trace_faces()
-        self._classify()
-
-    def face_next(self, d: int) -> int:
-        return self._rot_next[self.twin[d]]
-
-    def _trace_faces(self):
-        seen = set()
-        walks = []
-        for d0 in range(len(self.tail)):
-            if d0 in seen or self.kind[d0] == "rseg":
-                continue
-            walk = []
-            d = d0
-            while d not in seen:
-                seen.add(d)
-                walk.append(d)
-                d = self.face_next(d)
-                if self.kind[d] == "rseg":
-                    raise TilingRejection("face traversal escaped through the boundary; "
-                                          "inconsistent rotation data")
-            if d != d0:
-                raise TilingRejection("face traversal did not close up")
-            walks.append(walk)
-        # the reversed boundary darts must form exactly the outer orbits
-        for d0 in range(len(self.tail)):
-            if self.kind[d0] != "rseg" or d0 in seen:
-                continue
-            d = d0
-            while d not in seen:
-                seen.add(d)
-                d = self.face_next(d)
-                if self.kind[d] != "rseg":
-                    raise TilingRejection("outer boundary orbit mixes interior darts")
-        # deterministic tile order: by canonical rotation of the walk key
-        walks.sort(key=lambda walk: _tile_key(self, walk))
-        self._walks = walks
-
-    def _classify(self):
+    def _classify(self, walks):
         placement_of = {}
         for comp in sorted(self.unmarked):
             arcs = self.unmarked[comp]
             matches = []
-            for idx, walk in enumerate(self._walks):
+            for idx, walk in enumerate(walks):
                 if len(walk) != len(arcs):
                     continue
                 if all(self.kind[d] == "arc" for d in walk) and \
@@ -288,7 +375,7 @@ class Tiling:
             placement_of[comp] = matches[0]
 
         tiles = []
-        for idx, walk in enumerate(self._walks):
+        for idx, walk in enumerate(walks):
             comp = next((c for c, i in placement_of.items() if i == idx), None)
             desc = " ".join(str(self.label[d]) if self.kind[d] != "arc"
                             else self.label[d] for d in walk)
@@ -326,27 +413,9 @@ class Tiling:
         if genus2 < 0 or genus2 % 2:
             raise TilingRejection(f"Euler count inconsistent: chi={chi}, "
                                   f"boundaries={b_total}")
-        # connectivity of the marked 1-skeleton
-        pts = self.points
-        parent = {p: p for p in pts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent[find(x)] = find(y)
-
-        for comp_pts in self.marked.values():
-            for a, b in zip(comp_pts, comp_pts[1:]):
-                union(a, b)
-        for p, q in self.arcs.values():
-            union(p, q)
-        if len({find(p) for p in pts}) > 1:
+        if not self._map.connected():
             raise TilingRejection("surface is disconnected")
-        if b_total == 1 and genus2 == 0 and len(pts) < 4:
+        if b_total == 1 and genus2 == 0 and len(self.points) < 4:
             raise TilingRejection("a disc needs at least four marked points")
 
     # -- accessors used by the arcs module -------------------------------
@@ -361,15 +430,6 @@ class Tiling:
     def genus(self) -> int:
         chi, b_total = self._euler()
         return (2 - b_total - chi) // 2
-
-
-def _tile_key(m, walk):
-    """Canonical rotation of a walk's (kind, label, slot) dart keys.  The
-    darts of a walk are distinct, so it starts at the least key.  `m` is
-    a Tiling or a _DartMap."""
-    keys = [(m.kind[d], str(m.label[d]), str(m.slot[d])) for d in walk]
-    i = keys.index(min(keys))
-    return tuple(keys[i:] + keys[:i])
 
 
 def validate_tiling(text_or_tiling):
@@ -452,102 +512,8 @@ def oriented_cycles_have_relations(alg: TilingAlgebra) -> bool:
 
 
 def _fresh(prefix, taken):
-    i = 1
-    while f"{prefix}{i}" in taken:
-        i += 1
-    return f"{prefix}{i}"
-
-
-def _insert_slot_at_corner(m, fans, walk, corner: int, slot):
-    """Register `slot` in the fan at the tile corner `corner` of `walk`:
-    it lands in the rotation sector just before the walk dart at that
-    position.  Returns the corner's point."""
-    d = walk[corner % len(walk)]
-    pt = m.tail[d]
-    fan = fans.setdefault(pt, [])
-    if m.kind[d] == "arc":
-        idx = fan.index(m.slot[d])
-    else:
-        idx = len(fan)  # the sector before the outgoing boundary dart
-    fan.insert(idx, slot)
-    return pt
-
-
-def _least_corner(m, walk):
-    return min(range(len(walk)), key=lambda i: (m.tail[walk[i]], i))
-
-
-def _pierce(t: Tiling, comp: str) -> Tiling:
-    """Add a marked point on the unmarked component `comp` and join it to
-    the least corner of its tile; the tile becomes an m-gon."""
-    tile = next(x for x in t.tiles if x.unmarked == comp)
-    marked = {k: list(v) for k, v in t.marked.items()}
-    unmarked = {k: v for k, v in t.unmarked.items() if k != comp}
-    arcs = dict(t.arcs)
-    fans = {k: list(v) for k, v in t.fans.items()}
-
-    new_pt = _fresh("m", set(t.points))
-    marked[comp] = [new_pt]
-    new_arc = _fresh("z", set(arcs))
-    c = _least_corner(t, tile.walk)
-    outer_pt = _insert_slot_at_corner(t, fans, tile.walk, c, (new_arc, 1))
-    arcs[new_arc] = (outer_pt, new_pt)
-    fans[new_pt] = [(new_arc, 2)]
-    return Tiling.from_data(marked, unmarked, arcs, fans)
-
-
-class _DartMap:
-    """The dart map of a tiling without unmarked components, cut by
-    diagonal splits in place: Tiling's dart lists and rotation successor,
-    plus the arcs and fans that describe the current state."""
-
-    def __init__(self, t: Tiling):
-        self.tail, self.twin = list(t.tail), list(t.twin)
-        self.kind, self.label, self.slot = list(t.kind), list(t.label), list(t.slot)
-        self._rot_next = dict(t._rot_next)
-        self.arcs = dict(t.arcs)
-        self.fans = {k: list(v) for k, v in t.fans.items()}
-
-    face_next = Tiling.face_next
-
-    def split(self, walk, arc):
-        """Cut the m-gon `walk` (m >= 4) by the diagonal `arc` from its
-        least corner to the corner two steps further along the walk;
-        returns the two new faces."""
-        c1 = _least_corner(self, walk)
-        c2 = (c1 + 2) % len(walk)
-        p1 = _insert_slot_at_corner(self, self.fans, walk, c1, (arc, 1))
-        p2 = _insert_slot_at_corner(self, self.fans, walk, c2, (arc, 2))
-        self.arcs[arc] = (p1, p2)
-        d1, d2 = len(self.tail), len(self.tail) + 1
-        self.tail += [p1, p2]
-        self.twin += [d2, d1]
-        self.kind += ["arc", "arc"]
-        self.label += [arc, arc]
-        self.slot += [(arc, 1), (arc, 2)]
-        # the new dart enters the rotation just before the walk dart at
-        # its corner, i.e. right after the twin of the dart arriving there
-        for d, c in ((d1, c1), (d2, c2)):
-            self._rot_next[self.twin[walk[c - 1]]] = d
-            self._rot_next[d] = walk[c]
-        return [self._face(d1), self._face(d2)]
-
-    def _face(self, d0):
-        """The face walk through d0, started where Tiling._trace_faces
-        starts it: at the dart Tiling._build numbers first (arc darts by
-        arc id and end, then boundary darts by component and index)."""
-        walk, d = [d0], self.face_next(d0)
-        while d != d0:
-            walk.append(d)
-            d = self.face_next(d)
-
-        def build_rank(d):
-            if self.kind[d] == "arc":
-                return (0, self.label[d], self.slot[d][1])
-            return (1,) + self.label[d]
-
-        i = min(range(len(walk)), key=lambda j: build_rank(walk[j]))
-        return walk[i:] + walk[:i]
+    """Names prefix1, prefix2, ... not in `taken` when they are drawn."""
+    return (f"{prefix}{i}" for i in itertools.count(1) if f"{prefix}{i}" not in taken)
 
 
 @dataclass(frozen=True)
@@ -560,30 +526,30 @@ class Completion:
 def complete_to_triangulation(t: Tiling) -> Completion:
     """Deterministically complete a tiling to a triangulation: one new
     marked point per unmarked component, then repeated diagonal splits of
-    the m-gon (m >= 4) with the least tile key.  Each piercing yields a
-    validated Tiling; the splits then run on one _DartMap, which retraces
-    only the two faces each split creates, and only the result is built
-    and validated as a Tiling again."""
+    the m-gon (m >= 4) with the least tile key.  Piercings and splits run
+    on one copy of the tiling's _DartMap, which retraces only the faces
+    each step creates; only the result is built and validated as a
+    Tiling."""
+    work = t._map.copy()
+    points, names = _fresh("m", set(t.points)), _fresh("z", work.arcs)
+    around = {x.unmarked: x.walk for x in t.tiles if x.unmarked is not None}
+    faces = [work.pierce(around[comp], comp, next(points), next(names))
+             for comp in sorted(around)]
+    faces += [x.walk for x in t.tiles if x.unmarked is None]
+    heap = [(work.tile_key(f), f) for f in faces if len(f) > 3]
     current = t
-    for comp in sorted(t.unmarked):
-        current = _pierce(current, comp)
-    heap = [(_tile_key(current, x.walk), list(x.walk))
-            for x in current.tiles if len(x.walk) > 3]
     if heap:
         heapq.heapify(heap)  # tile keys are unique: walks never compared
-        work = _DartMap(current)
-        names = (f"z{i}" for i in itertools.count(1) if f"z{i}" not in work.arcs)
         guard = 0
         while heap:
             _, walk = heapq.heappop(heap)
             for face in work.split(walk, next(names)):
                 if len(face) > 3:
-                    heapq.heappush(heap, (_tile_key(work, face), face))
+                    heapq.heappush(heap, (work.tile_key(face), face))
             guard += 1
             if guard > 4 * (len(work.arcs) + 8):
                 raise AssertionError("triangulation completion did not terminate")
-        current = Tiling.from_data(current.marked, current.unmarked,
-                                   work.arcs, work.fans)
+        current = Tiling.from_data(work.marked, {}, work.arcs, work.fans)
     added_points = tuple(sorted(set(current.points) - set(t.points)))
     added_arcs = tuple(sorted(set(current.arcs) - set(t.arcs)))
     assert all(len(x.walk) == 3 for x in current.tiles)

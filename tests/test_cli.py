@@ -196,16 +196,17 @@ def test_hom_band_operand_with_oracle():
     assert text.splitlines() == ["hom 0", "oracle 0"]
 
 
-def test_hom_same_band_experimental_does_not_gate():
+@pytest.mark.parametrize("lam", [[], ["--lam", "3"]], ids=["lam1", "lam3"])
+def test_hom_same_band_agrees_with_oracle(capsys, lam):
     import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, text = run("hom", str(DATA / "kron.tiling"),
-                         "band a1 a2-", "band a1 a2-", "--oracle")
-    # theorem-verbatim count differs from the oracle here (the missing
-    # phi correction); the experimental flag suppresses the oracle gate
+                         "band a1 a2-", "band a1 a2-", "--oracle", *lam)
     assert code == 0
-    assert "experimental" in text
+    assert text.splitlines() == ["hom 1", "oracle 1"]
+    assert caught == []
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_file_is_input_error():

@@ -1,6 +1,5 @@
 import hashlib
 import random
-import warnings
 
 import pytest
 
@@ -10,6 +9,7 @@ from tilealg.algebra import InputError
 from tilealg.homs import (Window, factor_count_bruteforce, factor_strings,
                           hom_dim, hom_dim_detailed, sub_count_bruteforce,
                           substrings, window_key)
+from tilealg.oracle import BandModuleSpec, hom_dim_oracle, realize_band_module
 from tilealg.strings import (Band, Letter, StringRejection, StringWord,
                              canonicalize, detect_band, enumerate_strings,
                              letter_source, parse_band, parse_string)
@@ -129,12 +129,30 @@ def test_band_windows_and_counts():
     assert hom_dim(p, band, parse_string(p, "a")) == 0
 
 
-def test_same_band_pair_flagged_experimental():
+def test_same_band_hom_counts_the_identity():
     p = samples.kronecker()
     band = parse_band(p, "a b-")
-    with pytest.warns(UserWarning):
-        comp = hom_dim_detailed(p, band, band)
-    assert comp.experimental
+    comp = hom_dim_detailed(p, band, band)
+    assert comp.dim == len(comp.pairs) + 1
+
+
+def test_same_band_hom_matches_oracle_on_corpus():
+    """Krause's band term at n = m = 1: dim Hom(M(b,1,lam), M(b,1,mu)) is
+    the pair count plus delta_{lam=mu}, on every band among the closed
+    strings of length <= 6 of the gentle corpus."""
+    cases = 0
+    for p in gentle_corpus.presentations():
+        strings = enumerate_strings(p, max_len=6)
+        for band in _sorted_bands(_closed_string_bands(p, strings)):
+            comp = hom_dim_detailed(p, band, band)
+            assert comp.dim == len(comp.pairs) + 1
+            reps = {lam: realize_band_module(p, BandModuleSpec(band, 1, lam))
+                    for lam in (1, 2)}
+            for lam, mu in ((1, 1), (2, 2), (1, 2)):
+                assert hom_dim_oracle(p, reps[lam], reps[mu]) == \
+                    len(comp.pairs) + (lam == mu), (band.text(), lam, mu)
+                cases += 1
+    assert cases == 3 * 552
 
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -209,19 +227,28 @@ def _corpus_band_family():
     return [first[n] for n in sorted(first)]
 
 
-def _operands(p):
-    """Strings up to length 4, then the bands: detect_band's witness and
-    Band.from_letters on the closed strings."""
-    strings = enumerate_strings(p, max_len=4)
-    bands = {detect_band(p)} - {None}
+def _closed_string_bands(p, strings):
+    """Band.from_letters on the closed strings among `strings`."""
+    bands = set()
     for w in strings:
         if w.kind == "word" and len(w) >= 2 and w.source(p) == w.target(p):
             try:
                 bands.add(Band.from_letters(p, w.letters))
             except (StringRejection, InputError):
                 pass
-    return strings + sorted(bands, key=lambda b: [(l.arrow, l.inverse)
-                                                  for l in b.letters])
+    return bands
+
+
+def _sorted_bands(bands):
+    return sorted(bands, key=lambda b: [(l.arrow, l.inverse) for l in b.letters])
+
+
+def _operands(p):
+    """Strings up to length 4, then the bands: detect_band's witness and
+    Band.from_letters on the closed strings."""
+    strings = enumerate_strings(p, max_len=4)
+    return strings + _sorted_bands(_closed_string_bands(p, strings)
+                                   | ({detect_band(p)} - {None}))
 
 
 def _text(x):
@@ -238,13 +265,11 @@ def _pairs_digest(ps):
         ops = _operands(p)
         for v in ops:
             for w in ops:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")   # same-band pairs
-                    comp = hom_dim_detailed(p, v, w)
+                comp = hom_dim_detailed(p, v, w)
                 pairs = " ".join(f"{_window_text(a.factor.window)}/"
                                  f"{_window_text(a.sub.window)}/{a.orientation}"
                                  for a in comp.pairs)
-                h.update(f"[{_text(v)}] [{_text(w)}] {comp.dim} {pairs}\n".encode())
+                h.update(f"[{_text(v)}] [{_text(w)}] {len(comp.pairs)} {pairs}\n".encode())
     return h.hexdigest()[:16]
 
 

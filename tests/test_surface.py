@@ -226,6 +226,26 @@ def test_genus_one_tiling():
     assert check_gentle(alg.presentation.quiver, alg.presentation.relations).gentle
 
 
+DISCONNECTED = """\
+tiling
+boundary b1 marked p1 p2 p3 p4 p5
+boundary b2 marked q1 q2 q3 q4
+arc x p1 p3
+arc y p1 p4
+fan p1 : x.1 y.1
+fan p3 : x.2
+fan p4 : y.2
+end
+"""
+
+
+def test_disconnected_surface_rejected():
+    # the one-holed torus of test_genus_one_tiling beside a disc: chi = 0
+    # with two boundary components passes the Euler check
+    with pytest.raises(TilingRejection, match="^surface is disconnected$"):
+        validate_tiling(DISCONNECTED)
+
+
 def test_genus_one_arcs_and_pivots():
     from tilealg.arcs import (TrivialArc, arc_to_string, intersection_vector,
                               pivot_move, string_to_arc)
@@ -394,5 +414,5 @@ def test_completion_builds_one_tiling_per_piercing_plus_one(monkeypatch, make):
     monkeypatch.setattr(Tiling, "_build", counting_build)
     comp = complete_to_triangulation(t)
     assert comp.added_arcs, "the case must need splits"
-    assert len(built) <= len(t.unmarked) + 1
-    assert built[-1] is comp.tiling
+    # piercings and splits run on the dart map: only the result is built
+    assert built == [comp.tiling]
