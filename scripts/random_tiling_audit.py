@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Audit a batch of random tilings: gentleness, cycle relations, and the
+"""Audit a batch of random tilings: gentleness (its finite-dimension
+axiom is the check that every oriented cycle carries a relation) and the
 collapse lemma, with a small summary of the tile statistics.
 
     python3 scripts/random_tiling_audit.py [count] [seed]
@@ -14,7 +15,6 @@ from collections import Counter
 from tilealg import samples
 from tilealg.algebra import check_gentle
 from tilealg.surface import (collapse_presentation, complete_to_triangulation,
-                             oriented_cycles_have_relations,
                              presentations_isomorphic, tiling_algebra)
 
 
@@ -33,13 +33,12 @@ def main(argv):
         alg = tiling_algebra(t)
         kinds.update(x.kind for x in t.tiles)
         ok = check_gentle(alg.presentation.quiver, alg.presentation.relations)
-        cyc = oriented_cycles_have_relations(alg)
         comp = complete_to_triangulation(t)
         collapsed = collapse_presentation(tiling_algebra(comp.tiling), t.arc_ids())
         iso = presentations_isomorphic(collapsed, alg)
-        if not (ok and cyc and iso):
+        if not (ok and iso):
             failures += 1
-            print(f"tiling {i}: gentle={bool(ok)} cycles={cyc} collapse={iso}")
+            print(f"tiling {i}: gentle={bool(ok)} collapse={iso}")
             print(t.text())
     print(f"audited {count} random tilings (seed {seed}); failures: {failures}")
     print("tile kinds:", dict(sorted(kinds.items())))

@@ -134,8 +134,9 @@ def check_gentle(q: Quiver, relations) -> GentleCheck:
             bad.append(Violation("G1", f"vertex {v} is the target of {len(ins[v])} arrows",
                                  (v, tuple(ins[v]))))
 
+    free = {}  # arrow -> its relation-free successors: the graph FD searches
     for a in q.arrows:
-        succ_free = [b for b in outs[q.t(a)] if (a, b) not in relations]
+        succ_free = free[a] = [b for b in outs[q.t(a)] if (a, b) not in relations]
         if len(succ_free) > 1:
             bad.append(Violation("G2", f"arrow {a} has {len(succ_free)} non-relation successors",
                                  (a, tuple(succ_free))))
@@ -152,20 +153,13 @@ def check_gentle(q: Quiver, relations) -> GentleCheck:
             bad.append(Violation("G3", f"arrow {a} lies in {len(pred_rel)} relations on the left",
                                  (a, tuple(pred_rel))))
 
-    cycle = _relation_free_cycle(q, relations)
+    cycle = _find_cycle(q.arrows, free)
     if cycle is not None:
         bad.append(Violation("FD", "relation-free oriented cycle "
                              f"{' '.join(cycle)} (algebra infinite dimensional)",
                              tuple(cycle)))
 
     return GentleCheck(not bad, tuple(bad))
-
-
-def _relation_free_cycle(q: Quiver, relations):
-    """A directed cycle in the graph (arrows, a->b iff ab composable not in I)."""
-    succ = {a: [b for b in q.arrows_from(q.t(a)) if (a, b) not in relations]
-            for a in q.arrows}
-    return _find_cycle(q.arrows, succ)
 
 
 def _find_cycle(order, succ):

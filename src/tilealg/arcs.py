@@ -394,7 +394,6 @@ def tau_inverse_arc(t: Tiling, alg: TilingAlgebra, arc):
     intersection number zero)."""
     if isinstance(arc, (TrivialArc, ClosedCurveClass)):
         raise InputError("tau applies to arcs with at least one crossing")
-    arc = normalize(t, arc)
     for first, second in (("t", "s"), ("s", "t")):
         moved = pivot_move(t, alg, arc, first)
         if not isinstance(moved, TrivialArc):
@@ -445,7 +444,6 @@ def rep_type_geometric(t: Tiling, alg: TilingAlgebra):
     if band is None:
         return ("finite", None)
     curve = band_to_closed_curve(t, alg, band, 1)
-    assert check_permissible(t, alg, curve) is None
     assert curve.crossings >= 2
     return ("infinite", curve)
 

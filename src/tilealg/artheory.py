@@ -165,7 +165,6 @@ class ARQuiver:
     nodes: tuple                 # canonical strings, sorted
     edges: tuple                 # (source node, target node) irreducible maps
     tau_pairs: tuple             # (w, tau^{-1} w) as canonical strings
-    bands_excluded: bool = False
 
 
 def build_ar_quiver(p: GentlePresentation) -> ARQuiver:

@@ -174,15 +174,14 @@ def cmd_arcs(args, out):
 
 
 def cmd_pivot(args, out):
-    from .arcs import TrivialArc, arc_to_string, format_arc, pivot_move, string_to_arc
-    from .strings import StringWord, parse_string
+    from .arcs import arc_to_string, format_arc, pivot_move, string_to_arc
+    from .strings import parse_string
     pres, t, alg = _need_tiling(args.file)
     w = parse_string(pres, args.string)
     arc = string_to_arc(t, alg, w)
     moved = pivot_move(t, alg, arc, args.end)
     print(format_arc(t, moved), file=out)
-    s = StringWord.zero() if isinstance(moved, TrivialArc) else arc_to_string(t, alg, moved)
-    print(f"string {s.text()}", file=out)
+    print(f"string {arc_to_string(t, alg, moved).text()}", file=out)
     return 0
 
 

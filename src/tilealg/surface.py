@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .algebra import (GentlePresentation, InputError, Rejection, _records,
-                      _relation_free_cycle)
+from .algebra import GentlePresentation, InputError, Rejection, _records
 
 
 class TilingRejection(Rejection):
@@ -49,9 +49,6 @@ class Tile:
     walk: tuple            # dart ids, cyclic
     kind: str              # "m-gon" | "type-I" | "type-II"
     unmarked: str | None   # enclosed unmarked component, types I/II
-
-    def __len__(self):
-        return len(self.walk)
 
 
 class _DartMap:
@@ -325,14 +322,12 @@ class Tiling:
             end_slots.append((arc, 1))
             end_slots.append((arc, 2))
         declared = [s for pt in self.fans for s in self.fans[pt]]
-        if sorted(declared) != sorted(end_slots):
+        if Counter(declared) != Counter(end_slots):
             raise InputError("fans must list every arc end exactly once")
         for pt, slots in self.fans.items():
             if pt not in pts:
                 raise InputError(f"fan at unknown point {pt}")
             for arc, end in slots:
-                if arc not in self.arcs or end not in (1, 2):
-                    raise InputError(f"fan at {pt} names unknown slot {arc}.{end}")
                 if self.arcs[arc][end - 1] != pt:
                     raise InputError(f"slot {arc}.{end} does not sit at {pt}")
         for comp, placement in self.unmarked.items():
@@ -408,14 +403,11 @@ class Tiling:
         return V - E + len(self.tiles) - U, len(self.marked) + U
 
     def _check_topology(self):
-        chi, b_total = self._euler()
-        genus2 = 2 - b_total - chi
-        if genus2 < 0 or genus2 % 2:
-            raise TilingRejection(f"Euler count inconsistent: chi={chi}, "
-                                  f"boundaries={b_total}")
+        """A connected map has chi = 2 - 2g - b with g >= 0, so the Euler
+        count needs no check of its own; (chi, b) = (1, 1) is a disc."""
         if not self._map.connected():
             raise TilingRejection("surface is disconnected")
-        if b_total == 1 and genus2 == 0 and len(self.points) < 4:
+        if self._euler() == (1, 1) and len(self.points) < 4:
             raise TilingRejection("a disc needs at least four marked points")
 
     # -- accessors used by the arcs module -------------------------------
@@ -493,19 +485,6 @@ def _slot_algebra(t: Tiling, vertices, arrows) -> TilingAlgebra:
     )
     by_slots = {(a.leave_slot, a.enter_slot): a.name for a in arrows.values()}
     return TilingAlgebra(t, pres, arrows, by_slots)
-
-
-def oriented_cycles_have_relations(alg: TilingAlgebra) -> bool:
-    """Every oriented cycle of length >= 2 contains a relation; checked
-    through acyclicity of the relation-free composition graph plus the
-    loop-square rule."""
-    p = alg.presentation
-    if _relation_free_cycle(p.quiver, p.relations) is not None:
-        return False
-    for a in p.arrows:
-        if p.s(a) == p.t(a) and (a, a) not in p.relations:
-            return False
-    return True
 
 
 # -- completion to a triangulation ---------------------------------------

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tilealg.cli import main
 
@@ -355,3 +356,105 @@ def test_header_keyword_followed_by_a_comment_is_sniffed(tmp_path, argv, expecte
     path = tmp_path / "commented.quiver"
     path.write_text("quiver# header\nvertex 1\nvertex 2\narrow a 1 2\nend\n")
     assert run(argv[0], str(path), *argv[1:]) == (0, expected)
+
+
+LOOP = (DATA / "loop.tiling").read_text()
+
+
+@pytest.mark.parametrize("text, code, line", [
+    ("tiling\nboundary b1 marked\nend\n",
+     2, "input error: line 2: marked boundary needs points"),
+    (PENT.replace("arc x", "boundary b2 unmarked inside\narc x", 1),
+     2, "input error: line 3: unmarked placement needs 1 or 2 arcs"),
+    ("tiling\nboundary b1 open p q\nend\n", 2, "input error: line 2: malformed boundary line"),
+    (PENT.replace("arc x p1 p3", "arc x p1"),
+     2, "input error: line 3: arc syntax: arc <id> <p> <q>"),
+    (PENT.replace("fan p3 : x.2", "fan p3 x.2"),
+     2, "input error: line 6: fan syntax: fan <p> : <arc.end> ..."),
+    (PENT.replace("fan p3 : x.2", "fan p3 : x2"), 2, "input error: line 6: bad slot 'x2'"),
+    ("tiling\nvertex v\nend\n", 2, "input error: line 2: unknown keyword 'vertex'"),
+    (PENT.replace("p2\n", "p2 p3\n", 1), 2, "input error: marked point listed twice"),
+    ("tiling\nend\n", 2, "input error: a tiling needs at least one marked point"),
+    (PENT.replace("arc y p1 p4", "arc y p1 p9"),
+     2, "input error: arc y ends at an unknown point"),
+    (PENT.replace("end\n", "fan q9 :\nend\n"), 2, "input error: fan at unknown point q9"),
+    (PENT.replace("fan p3 : x.2\nfan p4 : y.2", "fan p3 : y.2\nfan p4 : x.2"),
+     2, "input error: slot y.2 does not sit at p3"),
+    (PENT.replace("arc x", "boundary b2 unmarked inside z\narc x", 1),
+     2, "input error: unmarked b2 placed inside unknown arc z"),
+    (LOOP.replace("arc x", "boundary b3 unmarked inside x\narc x", 1),
+     1, "rejected: two unmarked components in one tile"),
+], ids=["marked_without_points", "placement_without_arcs", "malformed_boundary",
+        "arc_syntax", "fan_syntax", "bad_slot", "unknown_keyword", "point_twice",
+        "no_marked_point", "arc_at_unknown_point", "fan_at_unknown_point",
+        "slot_elsewhere", "placed_inside_unknown_arc", "two_unmarked_in_one_tile"])
+def test_tiling_rejection_reasons(tmp_path, text, code, line):
+    path = tmp_path / "bad.tiling"
+    path.write_text(text)
+    assert run("tiling-algebra", str(path)) == (code, line + "\n")
+
+
+def test_two_disjoint_discs_are_rejected_as_disconnected(tmp_path):
+    path = tmp_path / "two_discs.tiling"
+    path.write_text("tiling\nboundary b1 marked p1 p2 p3 p4\n"
+                    "boundary b2 marked q1 q2 q3 q4\nend\n")
+    assert run("check", str(path)) == (1, "rejected: surface is disconnected\n")
+
+
+DATA_LINES = {p.name: p.read_text().splitlines(keepends=True)
+              for p in sorted(DATA.iterdir())}
+LINE_POOL = sorted({l for lines in DATA_LINES.values() for l in lines})
+OPERANDS = ["triv x +", "triv 1 +", "a1", "a2 a1-", "band a1 a2-", "b- c d c- b", "d",
+            "zero", "q7"]
+
+
+@st.composite
+def mutated_data_file(draw):
+    """A tests/data file after one to three line edits: delete, duplicate,
+    swap with another line, replace by a line of any data file, or drop
+    the last word."""
+    lines = list(DATA_LINES[draw(st.sampled_from(sorted(DATA_LINES)))])
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "shorten"]))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "replace":
+            lines[i] = draw(st.sampled_from(LINE_POOL))
+        else:
+            lines[i] = " ".join(lines[i].split()[:-1]) + "\n"
+    return "".join(lines)
+
+
+@st.composite
+def subcommand_args(draw):
+    """The arguments after the file for one of the ten subcommands."""
+    operand = st.sampled_from(OPERANDS)
+    command = draw(st.sampled_from(["check", "strings", "ar-quiver", "hom",
+                                    "tiling-algebra", "arcs", "pivot", "tau",
+                                    "rep-type", "complete"]))
+    if command == "hom":
+        oracle = ["--oracle"] if draw(st.booleans()) else []
+        return command, [draw(operand), draw(operand), *oracle]
+    if command == "pivot":
+        return command, [draw(operand), "--end", draw(st.sampled_from("st"))]
+    if command in ("arcs", "tau"):
+        return command, [draw(operand)]
+    return command, []
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=mutated_data_file(), command=subcommand_args())
+def test_cli_main_on_mutated_data_files_exits_0_1_or_2(tmp_path_factory, text, command):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.txt"
+    path.write_text(text)
+    name, rest = command
+    code, _ = run(name, str(path), *rest)
+    assert code in (0, 1, 2)
