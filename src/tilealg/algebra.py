@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class InputError(ValueError):
@@ -36,32 +36,41 @@ class GentlenessError(Rejection):
         super().__init__(f"not a gentle presentation: {lines}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str      # "G1".."G4" or "FD"
     message: str
     witnesses: tuple
 
 
-@dataclass(frozen=True)
 class Quiver:
-    vertices: frozenset
-    sources: dict = field(hash=False)   # arrow id -> source vertex
-    targets: dict = field(hash=False)   # arrow id -> target vertex
-    # derived once in __post_init__: sorted arrows, out/in lists per vertex
-    _arrows: tuple = field(init=False, repr=False, compare=False, hash=False)
-    _out: dict = field(init=False, repr=False, compare=False, hash=False)
-    _in: dict = field(init=False, repr=False, compare=False, hash=False)
+    """Vertices and arrows.  Equality, hash and repr read the three
+    given fields only; the sorted arrows and the out/in lists per vertex
+    are derived once, here."""
 
-    def __post_init__(self):
-        arrows = tuple(sorted(self.sources))
-        out, into = {}, {}
+    __slots__ = ("vertices", "sources", "targets", "_arrows", "_out", "_in")
+
+    def __init__(self, vertices: frozenset, sources: dict, targets: dict):
+        self.vertices = vertices
+        self.sources = sources   # arrow id -> source vertex
+        self.targets = targets   # arrow id -> target vertex
+        arrows = self._arrows = tuple(sorted(sources))
+        out, into = self._out, self._in = {}, {}
         for a in arrows:
-            out.setdefault(self.sources[a], []).append(a)
-            into.setdefault(self.targets[a], []).append(a)
-        object.__setattr__(self, "_arrows", arrows)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", into)
+            out.setdefault(sources[a], []).append(a)
+            into.setdefault(targets[a], []).append(a)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.vertices, self.sources, self.targets)
+                == (other.vertices, other.sources, other.targets))
+
+    def __hash__(self):
+        return hash((self.vertices,))
+
+    def __repr__(self):
+        return (f"Quiver(vertices={self.vertices!r}, sources={self.sources!r}, "
+                f"targets={self.targets!r})")
 
     @classmethod
     def from_arrows(cls, vertices, arrows):
@@ -102,8 +111,7 @@ def _check_relations_composable(q: Quiver, relations):
             raise InputError(f"relation ({a},{b}) is not composable")
 
 
-@dataclass(frozen=True)
-class GentleCheck:
+class GentleCheck(NamedTuple):
     gentle: bool
     violations: tuple
 
@@ -235,17 +243,33 @@ def _verify_signs(q, relations, sigma, epsilon):
             assert sigma[b] == rel * epsilon[a], (a, b)
 
 
-@dataclass(frozen=True)
 class GentlePresentation:
-    """A gentle presentation kQ/I with fixed sign functions."""
+    """A gentle presentation kQ/I with fixed sign functions.  Equality,
+    hash and repr read the four given fields only."""
 
-    quiver: Quiver
-    relations: frozenset          # of (a, b) arrow-id pairs, meaning ab in I
-    sigma: dict = field(hash=False)
-    epsilon: dict = field(hash=False)
-    # the compiled letter table, derived on first use by strings._letter_table
-    _letters: object = field(default=None, init=False, repr=False,
-                             compare=False, hash=False)
+    __slots__ = ("quiver", "relations", "sigma", "epsilon", "_letters")
+
+    def __init__(self, quiver: Quiver, relations: frozenset, sigma: dict, epsilon: dict):
+        self.quiver = quiver
+        self.relations = relations   # of (a, b) arrow-id pairs, meaning ab in I
+        self.sigma = sigma
+        self.epsilon = epsilon
+        # the compiled letter table, derived on first use by strings._letter_table
+        self._letters = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.quiver, self.relations, self.sigma, self.epsilon)
+                == (other.quiver, other.relations, other.sigma, other.epsilon))
+
+    def __hash__(self):
+        return hash((self.quiver, self.relations))
+
+    def __repr__(self):
+        return (f"GentlePresentation(quiver={self.quiver!r}, "
+                f"relations={self.relations!r}, sigma={self.sigma!r}, "
+                f"epsilon={self.epsilon!r})")
 
     @classmethod
     def from_data(cls, vertices, arrows, relations):

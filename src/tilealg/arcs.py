@@ -27,7 +27,7 @@ of the reversed arc, the surface form of w_r = ((w^-1)_l)^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import InputError, Rejection
 from .homs import _HostView, _match
@@ -42,8 +42,7 @@ class ArcRejection(Rejection):
         super().__init__(f"{reason}" + (f": {detail}" if detail else ""))
 
 
-@dataclass(frozen=True)
-class EndDescriptor:
+class EndDescriptor(NamedTuple):
     tile: int       # tile index
     corner: int     # walk corner index (corner i sits before walk dart i)
     route: int      # signed side steps from the corner to the landing side
@@ -52,13 +51,12 @@ class EndDescriptor:
         return abs(self.route) // tile_size
 
 
-@dataclass(frozen=True)
-class TrivialArc:
-    """A permissible arc with intersection number zero (zero string)."""
+class TrivialArc(NamedTuple):
+    """A permissible arc with intersection number zero (zero string).
+    A record without fields: it equals the empty tuple and is falsy."""
 
 
-@dataclass(frozen=True)
-class PermissibleArc:
+class PermissibleArc(NamedTuple):
     darts: tuple              # crossing darts, each in the tile being left
     pivots: tuple             # per pair: (corner index in transit tile, inverse flag)
     start: EndDescriptor
@@ -69,8 +67,7 @@ class PermissibleArc:
         return len(self.darts)
 
 
-@dataclass(frozen=True)
-class ClosedCurveClass:
+class ClosedCurveClass(NamedTuple):
     darts: tuple              # cyclic crossing darts
     pivots: tuple             # pivot for pair (i, i+1 mod k)
     primitive_length: int

@@ -22,7 +22,7 @@ formal inversion: w_r = (( w^-1 )_l)^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import GentlePresentation, InputError
 from .strings import (StringWord, _letter_table, _word_error, canonicalize,
@@ -33,8 +33,7 @@ COHOOK_REMOVED = "removed-cohook"
 ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class HookSide:
+class HookSide(NamedTuple):
     string: StringWord
     tag: str
 
@@ -79,8 +78,7 @@ def hook_right(p: GentlePresentation, w: StringWord) -> HookSide:
     return HookSide(side.string.inv(), side.tag)
 
 
-@dataclass(frozen=True)
-class HookResult:
+class HookResult(NamedTuple):
     w: StringWord
     w_left: StringWord
     w_right: StringWord
@@ -122,8 +120,7 @@ def tau_inverse(p: GentlePresentation, w: StringWord):
     return None if both.is_zero else both
 
 
-@dataclass(frozen=True)
-class ARSequence:
+class ARSequence(NamedTuple):
     left: StringWord
     middle: tuple       # the nonzero hooks
     right: StringWord
@@ -160,8 +157,7 @@ def dimension_additivity_holds(p: GentlePresentation, w: StringWord) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class ARQuiver:
+class ARQuiver(NamedTuple):
     nodes: tuple                 # canonical strings, sorted
     edges: tuple                 # (source node, target node) irreducible maps
     tau_pairs: tuple             # (w, tau^{-1} w) as canonical strings

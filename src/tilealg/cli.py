@@ -144,8 +144,7 @@ def cmd_hom(args, out):
 def cmd_tiling_algebra(args, out):
     _, t, alg = _need_tiling(args.file)
     for tile in t.tiles:
-        sides = " ".join(str(t.label[d]) if t.kind[d] == "arc" else "boundary"
-                         for d in tile.walk)
+        sides = " ".join(map(t.side, tile.walk))
         extra = f" around {tile.unmarked}" if tile.unmarked else ""
         print(f"tile {t.tile_names[tile.index]} {tile.kind} ({sides}){extra}",
               file=out)

@@ -40,7 +40,7 @@ of Krause's formula for dim Hom(M(b,n,lambda), M(c,m,mu)) at n = m = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import GentlePresentation, InputError
 from .strings import Band, StringWord, _letter_table, _word_error, valid_pair
@@ -80,8 +80,7 @@ def _view(p: GentlePresentation, host) -> _HostView:
     raise InputError(f"expected StringWord or Band, got {type(host).__name__}")
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """A window of the host word: `start` and `length` in letters; the
     empty window at position k sits on the vertex between letters."""
 
@@ -91,14 +90,18 @@ class Window:
     right_flank: int | None
 
 
-@dataclass(frozen=True)
-class FactorDecomposition:
+class FactorDecomposition(NamedTuple):
+    """A factor window of a host.  Like every record it is a tuple, so
+    it compares equal to the SubDecomposition of the same host and
+    window; no caller mixes the two."""
+
     host: object
     window: Window
 
 
-@dataclass(frozen=True)
-class SubDecomposition:
+class SubDecomposition(NamedTuple):
+    """A sub window of a host; see FactorDecomposition."""
+
     host: object
     window: Window
 
@@ -181,15 +184,13 @@ def window_key(p: GentlePresentation, host, w: Window):
     return ("word",) + tuple((letters[c].arrow, letters[c].inverse) for c in key)
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(NamedTuple):
     factor: FactorDecomposition
     sub: SubDecomposition
     orientation: str     # "equal" (f = e) or "inverse" (f = e^-1)
 
 
-@dataclass(frozen=True)
-class HomComputation:
+class HomComputation(NamedTuple):
     dim: int
     pairs: tuple      # AdmissiblePair matches
 

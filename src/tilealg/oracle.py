@@ -12,11 +12,11 @@ rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .algebra import GentlePresentation, InputError
 from .artheory import dimension_additivity_holds, hooks
-from .strings import Band, StringWord, letter_source
+from .strings import Band, StringWord
 
 DEFAULT_PRIME = 5
 # Largest prime p with p * p < 2**63.  Elimination runs on Python ints and
@@ -62,11 +62,15 @@ def nullity_mod_p(mat, p: int) -> int:
     return cols - _rank_mod_p([dict(enumerate(row)) for row in mat], p)
 
 
-@dataclass(frozen=True)
 class MatrixRep:
-    prime: int
-    dims: dict = field(hash=False)   # vertex -> dimension
-    mats: dict = field(hash=False)   # arrow -> list of dim_t rows of dim_s ints
+    """A representation over F_prime."""
+
+    __slots__ = ("prime", "dims", "mats")
+
+    def __init__(self, prime: int, dims: dict, mats: dict):
+        self.prime = prime
+        self.dims = dims   # vertex -> dimension
+        self.mats = mats   # arrow -> list of dim_t rows of dim_s ints
 
     def dim_vector(self, p: GentlePresentation):
         return {v: self.dims.get(v, 0) for v in p.vertices}
@@ -77,11 +81,36 @@ def _zero_mats(p: GentlePresentation, dims):
 
 
 def _check_relations(p: GentlePresentation, rep: MatrixRep):
+    """InputError unless mat(b) mat(a) == 0 for each relation (a, b): a
+    walk through a relation realizes no module of the algebra."""
     for a, b in sorted(p.relations):
         cols = list(zip(*rep.mats[a]))
-        assert not any(sum(x * y for x, y in zip(row, col)) % rep.prime
-                       for row in rep.mats[b] for col in cols), \
-            f"relation ({a},{b}) does not vanish"
+        if any(sum(x * y for x, y in zip(row, col)) % rep.prime
+               for row in rep.mats[b] for col in cols):
+            raise InputError(f"relation ({a},{b}) does not vanish")
+
+
+def _walk(p: GentlePresentation, letters, cyclic: bool):
+    """The vertex at each position of a letter walk: the source of each
+    letter and, unless the walk is cyclic, the target of the last one.
+    It is read off the quiver alone, so the oracle shares no string
+    calculus with the code it checks.  InputError when the walk is empty,
+    names an arrow p lacks, or has consecutive letters that do not meet
+    (cyclic: also the last and the first)."""
+    if not letters:
+        raise InputError("empty letter walk")
+    ends = []
+    for l in letters:
+        if l.arrow not in p.quiver.sources:
+            raise InputError(f"unknown arrow {l.arrow!r}")
+        s, t = p.s(l.arrow), p.t(l.arrow)
+        ends.append((t, s) if l.inverse else (s, t))
+    n = len(ends)
+    for i in range(1, n + 1 if cyclic else n):
+        if ends[i - 1][1] != ends[i % n][0]:
+            raise InputError("the band does not close up" if i == n
+                             else f"letters {i - 1} and {i} do not meet")
+    return [s for s, _ in ends] + ([] if cyclic else [ends[-1][1]])
 
 
 def realize_string_module(p: GentlePresentation, w: StringWord,
@@ -91,7 +120,12 @@ def realize_string_module(p: GentlePresentation, w: StringWord,
     _check_prime(prime)
     if w.is_zero:
         raise InputError("the zero string has no module")
-    verts = w.walk_vertices(p)
+    if w.kind == "word":
+        verts = _walk(p, w.letters, False)
+    elif w.vertex in p.quiver.vertices:
+        verts = [w.vertex]
+    else:
+        raise InputError(f"unknown vertex {w.vertex!r}")
     dims = {v: 0 for v in p.vertices}
     index = []  # position -> index inside its vertex block
     for v in verts:
@@ -110,15 +144,15 @@ def realize_string_module(p: GentlePresentation, w: StringWord,
     return rep
 
 
-@dataclass(frozen=True)
-class BandModuleSpec:
-    band: Band
-    n: int
-    lam: int
+class BandModuleSpec(namedtuple("BandModuleSpec", "band n lam")):
+    """M(band, n, lam): the n x n Jordan block J_n(lam) on the band."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ()
+
+    def __new__(cls, band: Band, n: int, lam: int):
+        if n < 1:
             raise InputError("band module needs n >= 1")
+        return super().__new__(cls, band, n, lam)
 
 
 def realize_band_module(p: GentlePresentation, spec: BandModuleSpec,
@@ -131,7 +165,7 @@ def realize_band_module(p: GentlePresentation, spec: BandModuleSpec,
     letters = spec.band.letters
     m = len(letters)
     n = spec.n
-    positions = [letter_source(p, l) for l in letters]
+    positions = _walk(p, letters, True)
     dims = {v: 0 for v in p.vertices}
     offset = []  # position -> start of its n-block inside the vertex space
     for v in positions:

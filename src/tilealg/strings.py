@@ -25,13 +25,13 @@ runs off it.  `Letter`s are built only at the API boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .algebra import GentlePresentation, InputError, Rejection, _find_cycle
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
+class Letter(NamedTuple):
     arrow: str
     inverse: bool = False
 
@@ -77,9 +77,10 @@ def _check_letters(letters):
                          "(arrow, inverse) pairs")
 
 
-@dataclass(frozen=True)
-class StringWord:
-    """Zero, trivial, or a letter word.  Use the module constructors."""
+class StringWord(NamedTuple):
+    """Zero, trivial, or a letter word.  Use the module constructors.
+    A tuple (kind, vertex, sign, letters), but `len` counts the letters
+    and the repr is the string literal."""
 
     kind: str                 # "zero" | "trivial" | "word"
     vertex: str | None = None  # trivial only
@@ -169,7 +170,7 @@ class StringWord:
             return (0,)
         if self.is_trivial:
             return (1, self.vertex, -self.sign)
-        return (2,) + tuple((l.arrow, l.inverse) for l in self.letters)
+        return (2,) + self.letters
 
 
 def sigma_of(p: GentlePresentation, w: StringWord) -> int:
@@ -277,14 +278,16 @@ def canonicalize(w: StringWord) -> StringWord:
 # -- bands -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Band:
-    """Primitive cyclic string, canonical under rotation and inversion."""
+class Band(namedtuple("Band", "letters")):
+    """Primitive cyclic string, canonical under rotation and inversion.
+    A tuple (letters,) whose constructor takes Letter items only; `len`
+    counts the letters and the repr is the band literal."""
 
-    letters: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_letters(self.letters)
+    def __new__(cls, letters: tuple):
+        _check_letters(letters)
+        return super().__new__(cls, letters)
 
     @staticmethod
     def from_letters(p: GentlePresentation, letters) -> "Band":
@@ -368,7 +371,7 @@ def _letter_table(p: GentlePresentation) -> _LetterTable:
     """The letter table of p, derived on first use and kept on the
     presentation."""
     if p._letters is None:
-        object.__setattr__(p, "_letters", _LetterTable(p))
+        p._letters = _LetterTable(p)
     return p._letters
 
 

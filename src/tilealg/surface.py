@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import GentlePresentation, InputError, Rejection, _records
 
@@ -43,8 +43,7 @@ class TilingRejection(Rejection):
     """The described map is not a tiling of the supported kind."""
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     index: int
     walk: tuple            # dart ids, cyclic
     kind: str              # "m-gon" | "type-I" | "type-II"
@@ -213,18 +212,22 @@ class _DartMap:
         return self._pair(("arc", "arc"), arc, p, q, ((arc, 1), (arc, 2)))
 
 
-@dataclass
 class Tiling:
     """A tiling description and the combinatorial map built from it:
     `_build` sets the dart lists `tail`, `twin`, `kind` ("arc" | "seg" |
     "rseg"), `label` (arc id or segment tuple) and `slot` (departing
     slot of arc darts) of its `_DartMap`, the `tiles`, `face_of` (dart ->
-    (tile index, position)) and `tile_names` (tile index -> "t<k>")."""
+    (tile index, position)) and `tile_names` (tile index -> "t<k>").
+    Build one with `parse` or `from_data`."""
 
-    marked: dict                  # component id -> list of points (cyclic, clockwise)
-    unmarked: dict                # component id -> tuple of arc ids (placement)
-    arcs: dict                    # arc id -> (p, q) endpoints of ends 1, 2
-    fans: dict                    # point -> list of slots (arc id, end)
+    __slots__ = ("marked", "unmarked", "arcs", "fans", "_map", "tail", "twin", "kind",
+                 "label", "slot", "_slot_dart", "tiles", "face_of", "tile_names")
+
+    def __init__(self, marked: dict, unmarked: dict, arcs: dict, fans: dict):
+        self.marked = marked        # component id -> list of points (cyclic, clockwise)
+        self.unmarked = unmarked    # component id -> tuple of arc ids (placement)
+        self.arcs = arcs            # arc id -> (p, q) endpoints of ends 1, 2
+        self.fans = fans            # point -> list of slots (arc id, end)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -372,8 +375,7 @@ class Tiling:
         tiles = []
         for idx, walk in enumerate(walks):
             comp = next((c for c, i in placement_of.items() if i == idx), None)
-            desc = " ".join(str(self.label[d]) if self.kind[d] != "arc"
-                            else self.label[d] for d in walk)
+            desc = " ".join(map(self.side, walk))
             if comp is not None:
                 kind = "type-I" if len(walk) == 1 else "type-II"
             else:
@@ -412,6 +414,11 @@ class Tiling:
 
     # -- accessors used by the arcs module -------------------------------
 
+    def side(self, d) -> str:
+        """The text of tile side d: its arc id, or `boundary` for a
+        boundary segment."""
+        return self.label[d] if self.kind[d] == "arc" else "boundary"
+
     def corner_point(self, tile: Tile, i: int):
         """Corner i sits between walk darts i-1 and i."""
         return self.tail[tile.walk[i % len(tile.walk)]]
@@ -434,8 +441,7 @@ def validate_tiling(text_or_tiling):
 # -- the tiling algebra -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TilingArrow:
+class TilingArrow(NamedTuple):
     name: str
     source: str          # arc id
     target: str          # arc id
@@ -444,12 +450,17 @@ class TilingArrow:
     enter_slot: tuple    # slot of the target arc
 
 
-@dataclass(frozen=True)
 class TilingAlgebra:
-    tiling: Tiling = field(hash=False)
-    presentation: GentlePresentation
-    arrows: dict = field(hash=False)          # name -> TilingArrow
-    arrow_by_slots: dict = field(hash=False)  # (leave, enter) -> name
+    """The gentle presentation of a tiling and its arrows' fan data."""
+
+    __slots__ = ("tiling", "presentation", "arrows", "arrow_by_slots")
+
+    def __init__(self, tiling: Tiling, presentation: GentlePresentation,
+                 arrows: dict, arrow_by_slots: dict):
+        self.tiling = tiling
+        self.presentation = presentation
+        self.arrows = arrows                    # name -> TilingArrow
+        self.arrow_by_slots = arrow_by_slots    # (leave, enter) -> name
 
 
 def tiling_algebra(t: Tiling) -> TilingAlgebra:
@@ -495,8 +506,7 @@ def _fresh(prefix, taken):
     return (f"{prefix}{i}" for i in itertools.count(1) if f"{prefix}{i}" not in taken)
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(NamedTuple):
     tiling: Tiling
     added_points: tuple
     added_arcs: tuple

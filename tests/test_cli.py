@@ -384,10 +384,13 @@ LOOP = (DATA / "loop.tiling").read_text()
      2, "input error: unmarked b2 placed inside unknown arc z"),
     (LOOP.replace("arc x", "boundary b3 unmarked inside x\narc x", 1),
      1, "rejected: two unmarked components in one tile"),
+    ("tiling\nboundary b1 marked p1 p2\narc x p1 p2\nfan p1 : x.1\nfan p2 : x.2\nend\n",
+     1, "rejected: tile (x boundary) is a digon without an unmarked component"),
 ], ids=["marked_without_points", "placement_without_arcs", "malformed_boundary",
         "arc_syntax", "fan_syntax", "bad_slot", "unknown_keyword", "point_twice",
         "no_marked_point", "arc_at_unknown_point", "fan_at_unknown_point",
-        "slot_elsewhere", "placed_inside_unknown_arc", "two_unmarked_in_one_tile"])
+        "slot_elsewhere", "placed_inside_unknown_arc", "two_unmarked_in_one_tile",
+        "digon_with_boundary_side"])
 def test_tiling_rejection_reasons(tmp_path, text, code, line):
     path = tmp_path / "bad.tiling"
     path.write_text(text)

@@ -1,6 +1,7 @@
-"""What importing tilealg loads: never numpy, and each CLI subcommand
-only the layers it runs; the lazy package root still offers every
-public name.
+"""What importing tilealg loads: never numpy or `dataclasses` (with the
+inspect, ast, dis and tokenize modules it pulls in), and each CLI
+subcommand only the layers it runs; the lazy package root still offers
+every public name.
 
 The pytest process has every layer loaded already, so the load checks
 run in a fresh interpreter with only `src` on the path.
@@ -71,7 +72,8 @@ import io, json, sys
 
 def loaded():
     return sorted([n[len("tilealg."):] for n in sys.modules if n.startswith("tilealg.")]
-                  + ["numpy"] * ("numpy" in sys.modules))
+                  + [n for n in ("numpy", "dataclasses", "inspect", "ast", "dis", "tokenize")
+                     if n in sys.modules])
 
 import tilealg
 report = {"package": loaded()}
@@ -88,8 +90,9 @@ CLI = ["algebra", "cli"]
 
 
 D = str(DATA)
-# footprint name -> (commands, the tilealg submodules they load; numpy is
-# listed if it gets loaded, so it must never appear)
+# footprint name -> (commands, the tilealg submodules they load; numpy,
+# dataclasses, inspect, ast, dis and tokenize are listed if they get loaded,
+# so they must never appear)
 FOOTPRINTS = {
     "check-quiver": ([["check", f"{D}/fixA.quiver"]], CLI),
     "strings": ([["strings", f"{D}/fixA.quiver"]], CLI + ["strings"]),

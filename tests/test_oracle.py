@@ -13,7 +13,7 @@ from tilealg.oracle import (BandModuleSpec, _rank_mod_p, hom_dim_oracle,
                             nullity_mod_p, realize_band_module,
                             realize_string_module, verify_ar_middle)
 from tilealg.homs import factor_count_bruteforce, sub_count_bruteforce
-from tilealg.strings import (Band, StringWord, detect_band, enumerate_strings,
+from tilealg.strings import (Band, Letter, StringWord, detect_band, enumerate_strings,
                              parse_band, parse_string)
 from tilealg.surface import Tiling, tiling_algebra
 
@@ -98,6 +98,28 @@ def test_band_module_lambda_zero_rejected():
     band = parse_band(p, "a b-")
     with pytest.raises(InputError):
         realize_band_module(p, BandModuleSpec(band, 1, 5))  # 5 == 0 mod 5
+
+
+@pytest.mark.parametrize("operand, message", [
+    (StringWord.word([Letter("q")]), "unknown arrow 'q'"),
+    (StringWord.trivial("9"), "unknown vertex '9'"),
+    (StringWord.word([Letter("a0"), Letter("a0")]), "letters 0 and 1 do not meet"),
+    (StringWord.word([Letter("a0"), Letter("b1")]), r"relation \(a0,b1\) does not vanish"),
+    (Band((Letter("b0", True), Letter("q"))), "unknown arrow 'q'"),
+    (Band((Letter("a0"),)), "the band does not close up"),
+    (Band(()), "empty letter walk"),
+], ids=["unknown_arrow", "unknown_vertex", "string_does_not_meet", "through_a_relation",
+        "band_unknown_arrow", "band_does_not_close", "empty_band"])
+def test_realize_rejects_a_walk_outside_the_quiver(operand, message):
+    """The oracle's own walk check: each is an InputError, not a
+    KeyError, an IndexError, an AssertionError or a module of the wrong
+    walk."""
+    p = samples.kronecker_chain(2)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        if isinstance(operand, Band):
+            realize_band_module(p, BandModuleSpec(operand, 1, 1))
+        else:
+            realize_string_module(p, operand)
 
 
 def test_hom_oracle_simple_identity():

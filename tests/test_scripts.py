@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from tilealg.algebra import Violation
+
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 
@@ -17,6 +19,27 @@ def _script(name):
 def test_random_tiling_audit_runs(capsys):
     assert _script("random_tiling_audit").main(["random_tiling_audit.py", "4", "7"]) == 0
     assert "audited 4 random tilings (seed 7); failures: 0" in capsys.readouterr().out
+
+
+def test_random_tiling_audit_reports_a_rejected_algebra(monkeypatch, capsys):
+    """Both rejections tiling_algebra raises are counted as failures and
+    the audit goes on."""
+    script = _script("random_tiling_audit")
+    errors = iter([script.GentlenessError([Violation("G1", "vertex v is the source of "
+                                                     "3 arrows", ("v", ("a", "b", "c")))]),
+                   script.TilingRejection("surface is disconnected")])
+
+    def reject(t):
+        raise next(errors)
+
+    monkeypatch.setattr(script, "tiling_algebra", reject)
+    assert script.main(["random_tiling_audit.py", "2", "7"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("tiling 0: gentle=False (not a gentle presentation: "
+                          "(G1) vertex v is the source of 3 arrows)\ntiling\n")
+    assert "\ntiling 1: gentle=False (surface is disconnected)\ntiling\n" in out
+    assert "audited 2 random tilings (seed 7); failures: 2" in out
+    assert "Traceback" not in out
 
 
 @pytest.mark.parametrize("args", [["abc"], ["-3"], ["0"], ["4", "x"], ["4", "7", "9"]])
