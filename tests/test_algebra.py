@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import re
 
 import pytest
@@ -178,3 +179,43 @@ def test_load_quiver_reports_a_file_that_is_not_utf8(tmp_path):
     with pytest.raises(InputError, match=f"^cannot read {re.escape(str(path))}: "
                                          "'utf-8' codec can't decode"):
         load_quiver(path)
+
+
+# -- gentleness verdicts pinned on a seeded non-gentle family ---------------
+
+VERDICT_SEED = 20261019
+
+
+def _non_gentle_family(count=300):
+    """Seeded small quivers with random composable relations whose
+    verdict is not gentle: up to five vertices (loops and parallel arrows
+    allowed) and up to nine arrows."""
+    rng = random.Random(VERDICT_SEED)
+    family = []
+    while len(family) < count:
+        vertices = [f"v{i}" for i in range(rng.randint(1, 5))]
+        arrows = [(f"a{i}", rng.choice(vertices), rng.choice(vertices))
+                  for i in range(rng.randint(1, 9))]
+        pairs = [(a, b) for a, _, t in arrows for b, s, _ in arrows if t == s]
+        relations = [r for r in pairs if rng.random() < 0.4]
+        q = Quiver.from_arrows(vertices, arrows)
+        verdict = check_gentle(q, relations)
+        if not verdict:
+            family.append(verdict)
+    return family
+
+
+def test_gentleness_verdicts_are_pinned():
+    family = _non_gentle_family()
+    axioms = [{v.axiom for v in verdict.violations} for verdict in family]
+    for axiom in ("G1", "G2", "G3", "FD"):
+        assert any(axiom in found for found in axioms), axiom
+        assert any(found == {axiom} for found in axioms), axiom
+    assert sum(len(found) > 1 for found in axioms) >= 50
+    h = hashlib.sha256()
+    for verdict in family:
+        for v in verdict.violations:
+            h.update(f"{v.axiom}|{v.message}|{v.witnesses!r}\n".encode())
+        h.update(b"--\n")
+    # recorded while check_gentle read copied adjacency lists
+    assert h.hexdigest()[:16] == "47c3a780f68eda21"
