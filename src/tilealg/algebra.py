@@ -131,37 +131,39 @@ def check_gentle(q: Quiver, relations) -> GentleCheck:
     relations = frozenset(tuple(r) for r in relations)
     _check_relations_composable(q, relations)
     bad = []
-    outs = {v: q.arrows_from(v) for v in q.vertices}
-    ins = {v: q.arrows_into(v) for v in q.vertices}
+    outs, ins = q._out, q._in
 
     for v in sorted(q.vertices):
-        if len(outs[v]) > 2:
-            bad.append(Violation("G1", f"vertex {v} is the source of {len(outs[v])} arrows",
-                                 (v, tuple(outs[v]))))
-        if len(ins[v]) > 2:
-            bad.append(Violation("G1", f"vertex {v} is the target of {len(ins[v])} arrows",
-                                 (v, tuple(ins[v]))))
+        out, into = outs.get(v, ()), ins.get(v, ())
+        if len(out) > 2:
+            bad.append(Violation("G1", f"vertex {v} is the source of {len(out)} arrows",
+                                 (v, tuple(out))))
+        if len(into) > 2:
+            bad.append(Violation("G1", f"vertex {v} is the target of {len(into)} arrows",
+                                 (v, tuple(into))))
 
     free = {}  # arrow -> its relation-free successors: the graph FD searches
-    for a in q.arrows:
-        succ_free = free[a] = [b for b in outs[q.t(a)] if (a, b) not in relations]
+    for a in q._arrows:
+        succ_free, succ_rel, pred_free, pred_rel = [], [], [], []
+        for b in outs.get(q.targets[a], ()):
+            (succ_rel if (a, b) in relations else succ_free).append(b)
+        for c in ins.get(q.sources[a], ()):
+            (pred_rel if (c, a) in relations else pred_free).append(c)
+        free[a] = succ_free
         if len(succ_free) > 1:
-            bad.append(Violation("G2", f"arrow {a} has {len(succ_free)} non-relation successors",
-                                 (a, tuple(succ_free))))
-        pred_free = [c for c in ins[q.s(a)] if (c, a) not in relations]
+            bad.append(Violation("G2", f"arrow {a} has {len(succ_free)} "
+                                 "non-relation successors", (a, tuple(succ_free))))
         if len(pred_free) > 1:
-            bad.append(Violation("G2", f"arrow {a} has {len(pred_free)} non-relation predecessors",
-                                 (a, tuple(pred_free))))
-        succ_rel = [b for b in outs[q.t(a)] if (a, b) in relations]
+            bad.append(Violation("G2", f"arrow {a} has {len(pred_free)} "
+                                 "non-relation predecessors", (a, tuple(pred_free))))
         if len(succ_rel) > 1:
-            bad.append(Violation("G3", f"arrow {a} lies in {len(succ_rel)} relations on the right",
-                                 (a, tuple(succ_rel))))
-        pred_rel = [c for c in ins[q.s(a)] if (c, a) in relations]
+            bad.append(Violation("G3", f"arrow {a} lies in {len(succ_rel)} "
+                                 "relations on the right", (a, tuple(succ_rel))))
         if len(pred_rel) > 1:
-            bad.append(Violation("G3", f"arrow {a} lies in {len(pred_rel)} relations on the left",
-                                 (a, tuple(pred_rel))))
+            bad.append(Violation("G3", f"arrow {a} lies in {len(pred_rel)} "
+                                 "relations on the left", (a, tuple(pred_rel))))
 
-    cycle = _find_cycle(q.arrows, free)
+    cycle = _find_cycle(q._arrows, free)
     if cycle is not None:
         bad.append(Violation("FD", "relation-free oriented cycle "
                              f"{' '.join(cycle)} (algebra infinite dimensional)",
@@ -219,21 +221,21 @@ def assign_signs(q: Quiver, relations):
     relations = frozenset(tuple(r) for r in relations)
     sigma, epsilon = {}, {}
     for v in q.vertices:
-        ins = q.arrows_into(v)
+        ins = q._in.get(v, ())
         for i, a in enumerate(ins):
             epsilon[a] = 1 if i == 0 else -1
-        for i, b in enumerate(q.arrows_from(v)):
+        for i, b in enumerate(q._out.get(v, ())):
             if ins:
                 sigma[b] = 1 if (ins[0], b) in relations else -1
             else:
                 sigma[b] = 1 if i == 0 else -1
     _verify_signs(q, relations, sigma, epsilon)
-    return {a: sigma[a] for a in q.arrows}, {a: epsilon[a] for a in q.arrows}
+    return {a: sigma[a] for a in q._arrows}, {a: epsilon[a] for a in q._arrows}
 
 
 def _verify_signs(q, relations, sigma, epsilon):
     for v in q.vertices:
-        outs, ins = q.arrows_from(v), q.arrows_into(v)
+        outs, ins = q._out.get(v, ()), q._in.get(v, ())
         for b1, b2 in itertools.combinations(outs, 2):
             assert sigma[b1] == -sigma[b2], (b1, b2)
         for a1, a2 in itertools.combinations(ins, 2):

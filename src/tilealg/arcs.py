@@ -98,47 +98,58 @@ def intersection_number(t: Tiling, arc) -> int:
 # -- transit geometry ----------------------------------------------------
 
 
-def _transit(t: Tiling, d_in: int, d_out: int, pivot):
-    """The (leave_slot, enter_slot) of the arrow realized by the transit
-    entering through crossing dart d_in and leaving through d_out, or
-    None when the pivot does not describe a corner cut."""
-    corner, inverse = pivot
-    e = t.twin[d_in]
-    face_e, pos_e = t.face_of[e]
-    face_o, pos_o = t.face_of.get(d_out, (None, None))
-    if face_o != face_e:
-        return None
-    walk = t.tiles[face_e].walk
-    m = len(walk)
-    corner %= m
-    if not inverse:
-        # walk pair (e, d_out): direct arrow arc(e) -> arc(d_out)
-        if pos_o == corner and (pos_e + 1) % m == corner:
-            return (t.slot[d_in], t.slot[d_out])
-        return None
-    # walk pair (d_out, e): arrow arc(d_out) -> arc(e), letter inverse
-    if pos_e == corner and (pos_o + 1) % m == corner:
-        return (t.slot[t.twin[d_out]], t.slot[e])
-    return None
+def _transit_table(alg: TilingAlgebra) -> dict:
+    """The transits of the tiling of `alg`, built on first use and kept
+    on the algebra.  A curve entering a tile through the twin e of
+    crossing dart d cuts one corner next to e: for (d, False) the corner
+    after e, realizing the direct arrow arc(e) -> arc(next side), for
+    (d, True) the corner before it, realizing the arrow arc(previous
+    side) -> arc(e) as an inverse letter.  Each key maps to (the only
+    dart the curve can leave by, the tile size, the corner index, the
+    letter or None when no arrow joins the two slots, those (leave,
+    enter) slots)."""
+    table = alg._transits
+    if table is None:
+        t, by_slots = alg.tiling, alg.arrow_by_slots
+
+        def entry(d_out, m, corner, slots, inverse):
+            name = by_slots.get(slots)
+            return (d_out, m, corner,
+                    None if name is None else Letter(name, inverse), slots)
+
+        table = alg._transits = {}
+        for tile in t.tiles:
+            walk, m = tile.walk, len(tile.walk)
+            for pos, e in enumerate(walk):
+                d, nxt, prev = t.twin[e], walk[(pos + 1) % m], walk[pos - 1]
+                # walk pair (e, nxt): the direct arrow arc(e) -> arc(nxt)
+                table[d, False] = entry(nxt, m, (pos + 1) % m,
+                                        (t.slot[d], t.slot[nxt]), False)
+                # walk pair (prev, e): the arrow arc(prev) -> arc(e), read inverse
+                table[d, True] = entry(prev, m, pos,
+                                       (t.slot[t.twin[prev]], t.slot[e]), True)
+    return table
 
 
 def arc_letters(t: Tiling, alg: TilingAlgebra, arc) -> list:
     """The quiver letters realized by consecutive crossings (also across
-    the wrap of a closed curve); ArcRejection when a pair violates (3)(b)."""
+    the wrap of a closed curve); ArcRejection when a pair violates (3)(b).
+    The transits are read from the table of `alg`, whose tiling is t."""
     if isinstance(arc, TrivialArc):
         return []
     darts, pivots = arc.darts, arc.pivots
     n = len(darts)
+    table = _transit_table(alg)
     letters = []
     for i in range(n if isinstance(arc, ClosedCurveClass) else n - 1):
-        slots = _transit(t, darts[i], darts[(i + 1) % n], pivots[i])
-        if slots is None:
+        corner, inverse = pivots[i]
+        d_out, m, cut, letter, slots = table[darts[i], inverse]
+        if d_out != darts[(i + 1) % n] or corner % m != cut:
             raise ArcRejection(f"(3)(b) violation at crossings {i},{i + 1}")
-        name = alg.arrow_by_slots.get(slots)
-        if name is None:
+        if letter is None:
             raise ArcRejection("(3)(b) violation",
                                f"no fan adjacency for slots {slots[0]} {slots[1]}")
-        letters.append(Letter(name, pivots[i][1]))
+        letters.append(letter)
     return letters
 
 

@@ -96,20 +96,26 @@ def _walk(p: GentlePresentation, letters, cyclic: bool):
     It is read off the quiver alone, so the oracle shares no string
     calculus with the code it checks.  InputError when the walk is empty,
     names an arrow p lacks, or has consecutive letters that do not meet
-    (cyclic: also the last and the first)."""
+    or that cancel, one arrow read both ways (cyclic: also the last and
+    the first)."""
     if not letters:
         raise InputError("empty letter walk")
+    q = p.quiver
     ends = []
     for l in letters:
-        if l.arrow not in p.quiver.sources:
+        if l.arrow not in q.sources:
             raise InputError(f"unknown arrow {l.arrow!r}")
-        s, t = p.s(l.arrow), p.t(l.arrow)
+        s, t = q.sources[l.arrow], q.targets[l.arrow]
         ends.append((t, s) if l.inverse else (s, t))
     n = len(ends)
     for i in range(1, n + 1 if cyclic else n):
         if ends[i - 1][1] != ends[i % n][0]:
             raise InputError("the band does not close up" if i == n
                              else f"letters {i - 1} and {i} do not meet")
+        a, b = letters[i - 1], letters[i % n]
+        if a.arrow == b.arrow and a.inverse != b.inverse:
+            raise InputError(f"letters {i - 1} and {i % n} cancel: "
+                             "the walk is not reduced")
     return [s for s, _ in ends] + ([] if cyclic else [ends[-1][1]])
 
 

@@ -17,7 +17,8 @@ every dart is reached from one through twins and rotation successors.
 One class, `_DartMap`, builds and walks the map.  A `Tiling` keeps the
 map built from its description; completion to a triangulation copies it,
 pierces each unmarked component and splits m-gons in place, retracing
-only the faces each step creates.
+only the faces each step creates, and the grown map becomes the map of
+the triangulation.
 
 Tiling description files:
 
@@ -55,7 +56,7 @@ class _DartMap:
     components, arcs and fans; see the module docstring), grown in place
     by diagonal splits and piercings, which keep the description in step.
     It holds the description dicts it is given, so a Tiling's own map is
-    grown only as a copy().
+    grown only as a copy(), which copies them too.
 
     Darts are numbered in the order __init__ builds them: arc darts by
     arc id and end, then per marked component and segment the forward
@@ -80,9 +81,9 @@ class _DartMap:
         c = _DartMap.__new__(_DartMap)
         c.tail, c.twin, c.kind, c.label, c.slot, c.rot_next = map(list, (
             self.tail, self.twin, self.kind, self.label, self.slot, self.rot_next))
-        c.slot_dart, c.marked, c.arcs = (dict(self.slot_dart), dict(self.marked),
-                                         dict(self.arcs))
-        c.fans = {k: list(v) for k, v in self.fans.items()}
+        c.slot_dart, c.arcs = dict(self.slot_dart), dict(self.arcs)
+        c.marked, c.fans = ({k: list(v) for k, v in d.items()}
+                            for d in (self.marked, self.fans))
         return c
 
     def _pair(self, kinds, label, p, q, slots=(None, None)):
@@ -133,10 +134,10 @@ class _DartMap:
         return walk[i:] + walk[:i]
 
     def faces(self):
-        """The inner faces of the map as __init__ built it, in tile-key
-        order; the reversed boundary darts form the outer orbits, which
-        are dropped.  Each orbit is walked from its least dart, which is
-        where `face` starts it."""
+        """The inner faces of the map as __init__ built it; the reversed
+        boundary darts form the outer orbits, which are dropped.  Each
+        orbit is walked from its least dart, which is where `face` starts
+        it."""
         seen = [False] * len(self.tail)
         walks = []
         for d0 in range(len(self.tail)):
@@ -146,7 +147,6 @@ class _DartMap:
                     seen[d] = True
                 if self.kind[d0] != "rseg":
                     walks.append(walk)
-        walks.sort(key=self.tile_key)
         return walks
 
     def tile_key(self, walk):
@@ -213,11 +213,11 @@ class _DartMap:
 
 
 class Tiling:
-    """A tiling description and the combinatorial map built from it:
-    `_build` sets the dart lists `tail`, `twin`, `kind` ("arc" | "seg" |
-    "rseg"), `label` (arc id or segment tuple) and `slot` (departing
-    slot of arc darts) of its `_DartMap`, the `tiles`, `face_of` (dart ->
-    (tile index, position)) and `tile_names` (tile index -> "t<k>").
+    """A tiling description and its combinatorial map: `_adopt` sets the
+    dart lists `tail`, `twin`, `kind` ("arc" | "seg" | "rseg"), `label`
+    (arc id or segment tuple) and `slot` (departing slot of arc darts) of
+    its `_DartMap`, the `tiles`, `face_of` (dart -> (tile index,
+    position)) and `tile_names` (tile index -> "t<k>").
     Build one with `parse` or `from_data`."""
 
     __slots__ = ("marked", "unmarked", "arcs", "fans", "_map", "tail", "twin", "kind",
@@ -281,7 +281,7 @@ class Tiling:
         t = cls({k: list(v) for k, v in marked.items()},
                 {k: tuple(v) for k, v in unmarked.items()},
                 dict(arcs), {k: list(v) for k, v in fans.items()})
-        t._build()
+        t._adopt()
         return t
 
     # ------------------------------------------------------------------
@@ -342,13 +342,20 @@ class Tiling:
                 if a not in self.arcs:
                     raise InputError(f"unmarked {comp} placed inside unknown arc {a}")
 
-    def _build(self):
+    def _adopt(self, m=None, walks=None):
+        """Check the description, then take `m` as its map: a _DartMap
+        grown in place to this description, whose inner faces are
+        `walks`, or by default the map built from the description.  The
+        faces are classified in tile-key order."""
         self._check_input()
-        m = self._map = _DartMap(self.marked, self.arcs, self.fans)
+        if m is None:
+            m = _DartMap(self.marked, self.arcs, self.fans)
+            walks = m.faces()
+        self._map = m
         self.tail, self.twin, self.kind, self.label, self.slot = (
             m.tail, m.twin, m.kind, m.label, m.slot)
         self._slot_dart = m.slot_dart
-        self._classify(m.faces())
+        self._classify(sorted(walks, key=m.tile_key))
 
     def _classify(self, walks):
         placement_of = {}
@@ -375,16 +382,14 @@ class Tiling:
         tiles = []
         for idx, walk in enumerate(walks):
             comp = next((c for c, i in placement_of.items() if i == idx), None)
-            desc = " ".join(map(self.side, walk))
             if comp is not None:
                 kind = "type-I" if len(walk) == 1 else "type-II"
+            elif len(walk) <= 2:
+                desc = " ".join(map(self.side, walk))
+                shape = "monogon" if len(walk) == 1 else "digon"
+                raise TilingRejection(f"tile ({desc}) is a {shape} without an "
+                                      "unmarked component")
             else:
-                if len(walk) == 1:
-                    raise TilingRejection(f"tile ({desc}) is a monogon without an "
-                                          "unmarked component")
-                if len(walk) == 2:
-                    raise TilingRejection(f"tile ({desc}) is a digon without an "
-                                          "unmarked component")
                 kind = "m-gon"
             tiles.append(Tile(idx, tuple(walk), kind, comp))
         self.tiles = tiles
@@ -453,7 +458,7 @@ class TilingArrow(NamedTuple):
 class TilingAlgebra:
     """The gentle presentation of a tiling and its arrows' fan data."""
 
-    __slots__ = ("tiling", "presentation", "arrows", "arrow_by_slots")
+    __slots__ = ("tiling", "presentation", "arrows", "arrow_by_slots", "_transits")
 
     def __init__(self, tiling: Tiling, presentation: GentlePresentation,
                  arrows: dict, arrow_by_slots: dict):
@@ -461,6 +466,8 @@ class TilingAlgebra:
         self.presentation = presentation
         self.arrows = arrows                    # name -> TilingArrow
         self.arrow_by_slots = arrow_by_slots    # (leave, enter) -> name
+        # the transit table, derived on first use by arcs._transit_table
+        self._transits = None
 
 
 def tiling_algebra(t: Tiling) -> TilingAlgebra:
@@ -517,8 +524,8 @@ def complete_to_triangulation(t: Tiling) -> Completion:
     marked point per unmarked component, then repeated diagonal splits of
     the m-gon (m >= 4) with the least tile key.  Piercings and splits run
     on one copy of the tiling's _DartMap, which retraces only the faces
-    each step creates; only the result is built and validated as a
-    Tiling."""
+    each step creates; the grown map, with the triangles the splits
+    left, becomes the map of the result and is validated as a Tiling."""
     work = t._map.copy()
     points, names = _fresh("m", set(t.points)), _fresh("z", work.arcs)
     around = {x.unmarked: x.walk for x in t.tiles if x.unmarked is not None}
@@ -528,6 +535,7 @@ def complete_to_triangulation(t: Tiling) -> Completion:
     heap = [(work.tile_key(f), f) for f in faces if len(f) > 3]
     current = t
     if heap:
+        triangles = [f for f in faces if len(f) == 3]
         heapq.heapify(heap)  # tile keys are unique: walks never compared
         guard = 0
         while heap:
@@ -535,10 +543,13 @@ def complete_to_triangulation(t: Tiling) -> Completion:
             for face in work.split(walk, next(names)):
                 if len(face) > 3:
                     heapq.heappush(heap, (work.tile_key(face), face))
+                else:
+                    triangles.append(face)
             guard += 1
             if guard > 4 * (len(work.arcs) + 8):
                 raise AssertionError("triangulation completion did not terminate")
-        current = Tiling.from_data(work.marked, {}, work.arcs, work.fans)
+        current = Tiling(work.marked, {}, work.arcs, work.fans)
+        current._adopt(work, triangles)
     added_points = tuple(sorted(set(current.points) - set(t.points)))
     added_arcs = tuple(sorted(set(current.arcs) - set(t.arcs)))
     assert all(len(x.walk) == 3 for x in current.tiles)

@@ -105,11 +105,16 @@ def test_band_module_lambda_zero_rejected():
     (StringWord.trivial("9"), "unknown vertex '9'"),
     (StringWord.word([Letter("a0"), Letter("a0")]), "letters 0 and 1 do not meet"),
     (StringWord.word([Letter("a0"), Letter("b1")]), r"relation \(a0,b1\) does not vanish"),
+    (StringWord.word([Letter("a0"), Letter("a1"), Letter("a1", True)]),
+     "letters 1 and 2 cancel: the walk is not reduced"),
     (Band((Letter("b0", True), Letter("q"))), "unknown arrow 'q'"),
     (Band((Letter("a0"),)), "the band does not close up"),
     (Band(()), "empty letter walk"),
+    (Band((Letter("a0"), Letter("a1"), Letter("b1", True), Letter("a0", True))),
+     "letters 3 and 0 cancel: the walk is not reduced"),
 ], ids=["unknown_arrow", "unknown_vertex", "string_does_not_meet", "through_a_relation",
-        "band_unknown_arrow", "band_does_not_close", "empty_band"])
+        "string_not_reduced", "band_unknown_arrow", "band_does_not_close", "empty_band",
+        "band_not_reduced_across_the_wrap"])
 def test_realize_rejects_a_walk_outside_the_quiver(operand, message):
     """The oracle's own walk check: each is an InputError, not a
     KeyError, an IndexError, an AssertionError or a module of the wrong
@@ -120,6 +125,14 @@ def test_realize_rejects_a_walk_outside_the_quiver(operand, message):
             realize_band_module(p, BandModuleSpec(operand, 1, 1))
         else:
             realize_string_module(p, operand)
+
+
+def test_realize_rejects_a_walk_back_along_its_last_arrow():
+    # c then c^-1 visits 2, 3, 2: the module of no string, which the
+    # oracle used to realize with dimension vector {1: 0, 2: 2, 3: 1}
+    walk = StringWord.word([Letter("c"), Letter("c", True)])
+    with pytest.raises(InputError, match="^letters 0 and 1 cancel: the walk is not reduced$"):
+        realize_string_module(samples.fix_a(), walk)
 
 
 def test_hom_oracle_simple_identity():

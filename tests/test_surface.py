@@ -5,8 +5,8 @@ import re
 import pytest
 
 from tilealg import samples
-from tilealg.algebra import InputError, check_gentle
-from tilealg.surface import (Tiling, TilingRejection, collapse_presentation,
+from tilealg.algebra import InputError
+from tilealg.surface import (Tiling, TilingRejection, _DartMap, collapse_presentation,
                              complete_to_triangulation,
                              presentations_isomorphic, tiling_algebra,
                              validate_tiling)
@@ -14,6 +14,25 @@ from tilealg.surface import (Tiling, TilingRejection, collapse_presentation,
 
 def tile_kinds(t):
     return sorted((x.kind, len(x.walk)) for x in t.tiles)
+
+
+def assert_algebra_follows_the_fans(t, alg):
+    """What gentleness cannot show of a returned tiling algebra: its
+    arrows are the adjacent pairs of each fan, and a composable pair xy is
+    a relation exactly when x enters its target at another end slot than
+    the one y leaves."""
+    p = alg.presentation
+    assert len(p.arrows) == sum(len(fan) - 1 for fan in t.fans.values() if fan)
+    slots = {}
+    for fan in t.fans.values():
+        for leave, enter in zip(fan, fan[1:]):
+            name = alg.arrow_by_slots[leave, enter]
+            assert (p.s(name), p.t(name)) == (leave[0], enter[0])
+            slots[name] = (leave, enter)
+    assert sorted(slots) == p.arrows
+    for x in p.arrows:
+        for y in p.arrows_from(p.t(x)):
+            assert ((x, y) in p.relations) == (slots[x][1] != slots[y][0]), (x, y)
 
 
 def test_pent_three_triangles():
@@ -173,8 +192,8 @@ def test_kron_algebra():
 
 @pytest.mark.parametrize("name", ["pent", "loop", "digon", "kron", "pants"])
 def test_fixture_algebras_are_gentle(name):
-    alg = tiling_algebra(samples.tiled_fixtures()[name])
-    assert check_gentle(alg.presentation.quiver, alg.presentation.relations).gentle
+    t = samples.tiled_fixtures()[name]
+    assert_algebra_follows_the_fans(t, tiling_algebra(t))
 
 
 def test_euler_genus_zero_fixtures():
@@ -240,7 +259,7 @@ def test_genus_one_tiling():
     assert t.genus() == 1
     alg = tiling_algebra(t)
     assert len(alg.arrows) == 1
-    assert check_gentle(alg.presentation.quiver, alg.presentation.relations).gentle
+    assert_algebra_follows_the_fans(t, alg)
 
 
 DISCONNECTED = """\
@@ -297,9 +316,7 @@ def test_genus_one_arcs_and_pivots():
 
 def test_random_tilings_are_valid_and_gentle():
     for t in samples.random_tilings(7, 40):
-        alg = tiling_algebra(t)
-        assert check_gentle(alg.presentation.quiver,
-                            alg.presentation.relations).gentle
+        assert_algebra_follows_the_fans(t, tiling_algebra(t))
 
 
 def test_random_tilings_complete_and_collapse():
@@ -412,23 +429,37 @@ def test_completion_output_is_pinned():
     assert got == COMPLETION_DIGESTS
 
 
-@pytest.mark.parametrize("make", [
+SPLIT_CASES = [
     lambda: samples.random_disc_tiling(random.Random(300), 300, 300),
     lambda: samples.random_loop_annulus(random.Random(3)),
     lambda: samples.random_digon_annulus(random.Random(2)),
     samples.pants_tiling,
-], ids=["disc300", "loop", "digon", "pants"])
-def test_completion_builds_one_tiling_per_piercing_plus_one(monkeypatch, make):
+]
+
+
+@pytest.mark.parametrize("make", SPLIT_CASES, ids=["disc300", "loop", "digon", "pants"])
+def test_completion_builds_no_tiling_from_a_description(monkeypatch, make):
     t = make()
-    built = []
-    build = Tiling._build
 
-    def counting_build(self):
-        built.append(self)
-        build(self)
+    def build_from_description(self, marked, arcs, fans):
+        raise AssertionError("completion built a dart map from a description")
 
-    monkeypatch.setattr(Tiling, "_build", counting_build)
+    monkeypatch.setattr(_DartMap, "__init__", build_from_description)
+    # piercings and splits grow a copy of t's map, which the result keeps
     comp = complete_to_triangulation(t)
     assert comp.added_arcs, "the case must need splits"
-    # piercings and splits run on the dart map: only the result is built
-    assert built == [comp.tiling]
+
+
+def _tiling_view(t):
+    """Tile kinds with the (kind, label) of each side in walk order, the
+    tile names, and the face_of position of every (label, slot)."""
+    return ([(x.kind, [(t.kind[d], t.label[d]) for d in x.walk]) for x in t.tiles],
+            t.tile_names,
+            {(t.label[d], t.slot[d]): at for d, at in t.face_of.items()})
+
+
+def test_completion_matches_its_rebuilt_description():
+    for t in samples.random_tilings(7, 40) + [make() for make in SPLIT_CASES]:
+        c = complete_to_triangulation(t).tiling
+        again = Tiling.from_data(c.marked, c.unmarked, c.arcs, c.fans)
+        assert _tiling_view(c) == _tiling_view(again), c.text()
