@@ -25,11 +25,11 @@ _HOME = {
                 "parse_string", "validate_string"),
     "artheory": ("ARQuiver", "ar_quiver_dot", "ar_sequence", "build_ar_quiver",
                  "hook_left", "hook_right", "hooks", "is_injective_string",
-                 "tau_inverse"),
+                 "tau_inverse", "verify_ar_middle"),
     "homs": ("AdmissiblePair", "FactorDecomposition", "SubDecomposition",
              "factor_strings", "hom_dim", "hom_dim_detailed", "substrings"),
     "oracle": ("BandModuleSpec", "MatrixRep", "hom_dim_oracle",
-               "realize_band_module", "realize_string_module", "verify_ar_middle"),
+               "realize_band_module", "realize_string_module"),
     "surface": ("Tiling", "TilingAlgebra", "TilingRejection", "collapse_presentation",
                 "complete_to_triangulation", "presentations_isomorphic",
                 "tiling_algebra", "validate_tiling"),

@@ -23,6 +23,9 @@ A pivot elementary move turns one end of gamma_{s,t} counterclockwise
 to the next marked point: moving s realizes w_l, moving t realizes w_r.
 Reversing an arc spells the inverse string, so the t move is the s move
 of the reversed arc, the surface form of w_r = ((w^-1)_l)^-1.
+`string_to_arc` and `band_to_closed_curve` read operands through
+`strings._operand`; letters of a tiling algebra that form a string
+always chain up, as a relation is exactly an end-slot mismatch.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import InputError, Rejection
-from .homs import _HostView, _match
-from .strings import (Band, Letter, StringWord, _letter_table, _primitive_root,
-                      _word_error, detect_band)
+from .homs import _match
+from .strings import (Band, Letter, StringWord, _letter_table, _operand,
+                      _primitive_root, _word_error, detect_band)
 from .surface import Tiling, TilingAlgebra
 
 
@@ -143,6 +146,8 @@ def arc_letters(t: Tiling, alg: TilingAlgebra, arc) -> list:
     letters = []
     for i in range(n if isinstance(arc, ClosedCurveClass) else n - 1):
         corner, inverse = pivots[i]
+        if (darts[i], inverse) not in table:    # a boundary side has no transit
+            raise ArcRejection(f"malformed: crossing {i} is not an arc side")
         d_out, m, cut, letter, slots = table[darts[i], inverse]
         if d_out != darts[(i + 1) % n] or corner % m != cut:
             raise ArcRejection(f"(3)(b) violation at crossings {i},{i + 1}")
@@ -280,13 +285,10 @@ def arcs_equivalent(t: Tiling, a, b, oriented: bool = True) -> bool:
 
 
 def _chain(t: Tiling, alg: TilingAlgebra, letters):
-    """(darts, pivots) of the letters' transits, each letter entering
-    through the dart the one before it left by; None when they do not
-    chain up."""
+    """(darts, pivots) of the transits of a string's or band's letters:
+    the first entry dart, then each exit dart, where the next one enters."""
     darts, pivots = [], []
     for l in letters:
-        if l.arrow not in alg.arrows:
-            raise InputError(f"{l.arrow!r} is not an arrow of the tiling algebra")
         a = alg.arrows[l.arrow]
         d_leave = t._slot_dart[a.leave_slot]
         d_enter = t._slot_dart[a.enter_slot]
@@ -294,25 +296,20 @@ def _chain(t: Tiling, alg: TilingAlgebra, letters):
                        else (d_leave, d_enter))
         if not darts:
             darts.append(d_in)
-        elif darts[-1] != d_in:
-            return None
         pivots.append((t.face_of[d_enter][1], l.inverse))
         darts.append(d_out)
     return darts, pivots
 
 
 def string_to_arc(t: Tiling, alg: TilingAlgebra, w: StringWord):
-    """The canonical permissible arc gamma_{s,t} of a nonzero string."""
-    if w.is_zero:
+    """The canonical permissible arc gamma_{s,t} of a string of alg."""
+    if isinstance(w, StringWord) and w.is_zero:
         return TrivialArc()
+    if _operand(alg.presentation, w)[2]:
+        raise InputError("a band gives a closed curve; see band_to_closed_curve")
     if w.is_trivial:
-        if w.vertex not in t.arcs:
-            raise InputError(f"{w.vertex!r} is not an arc of the tiling")
         return _gamma(t, (_trivial_dart(t, alg, w.vertex, w.sign),), ())
-    chain = _chain(t, alg, w.letters)
-    if chain is None:
-        raise InputError(f"not a string of this tiling algebra: {w.text()}")
-    arc = _gamma(t, *chain)
+    arc = _gamma(t, *_chain(t, alg, w.letters))
     err = check_permissible(t, alg, arc)
     assert err is None, err
     return arc
@@ -417,13 +414,10 @@ def band_to_closed_curve(t: Tiling, alg: TilingAlgebra, band: Band,
                          exponent: int = 1) -> ClosedCurveClass:
     if exponent < 1:
         raise InputError("exponent must be >= 1")
-    chain = _chain(t, alg, band.letters)
-    if chain is None:
-        raise InputError("band letters do not chain up on the surface")
-    darts, pivots = chain
-    if darts[-1] != darts[0]:
-        raise InputError("band does not close up on the surface")
-    darts = darts[:-1]
+    if not _operand(alg.presentation, band)[2]:
+        raise InputError("a string gives an arc; see string_to_arc")
+    darts, pivots = _chain(t, alg, band.letters)
+    darts = darts[:-1]      # the walk closes up: the last exit is the first entry
     curve = ClosedCurveClass(tuple(darts) * exponent, tuple(pivots) * exponent,
                              len(darts), exponent)
     err = check_permissible(t, alg, curve)
@@ -459,12 +453,12 @@ def rep_type_geometric(t: Tiling, alg: TilingAlgebra):
 # -- reading morphisms from curves ----------------------------------------
 
 
-def _arc_view(t: Tiling, alg: TilingAlgebra, arc) -> _HostView:
+def _arc_view(t: Tiling, alg: TilingAlgebra, arc) -> tuple:
+    """The (codes, vertices, cyclic) `homs` operand an arc spells."""
     if isinstance(arc, TrivialArc):
         raise InputError("trivial arcs carry the zero module")
     codes = _letter_table(alg.presentation).encode(arc_letters(t, alg, arc))
-    return _HostView(tuple(codes), crossing_word(t, arc),
-                     isinstance(arc, ClosedCurveClass))
+    return tuple(codes), crossing_word(t, arc), isinstance(arc, ClosedCurveClass)
 
 
 def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:

@@ -13,8 +13,8 @@ Both pieces of a hook are read off the successor table of the letter
 codes (see `strings`): a^-1 is the inverse successor of the inverse of
 w's first letter, and since a^-1 b is a string exactly when b != a
 leaves s(a), and bc one exactly when bc is not in I, v is the run of
-direct successors after a^-1.  The operand is checked against the
-presentation first, as a Hom operand is.
+direct successors after a^-1.  Operands are read by `strings._operand`,
+as Hom and arc operands are.
 
 The right modification is the mirror image, realized here through
 formal inversion: w_r = (( w^-1 )_l)^-1.
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import GentlePresentation, InputError
-from .strings import (StringWord, _letter_table, _word_error, canonicalize,
+from .strings import (StringWord, _letter_table, _operand, canonicalize,
                       detect_band, enumerate_strings, is_valid_string)
 
 HOOK_ADDED = "added-hook"
@@ -38,20 +38,24 @@ class HookSide(NamedTuple):
     tag: str
 
 
-def hook_left(p: GentlePresentation, w: StringWord) -> HookSide:
-    if w.is_zero:
+def _string_codes(p: GentlePresentation, w) -> tuple:
+    """The codes of w; hooks take neither the zero string nor a band."""
+    if isinstance(w, StringWord) and w.is_zero:
         raise InputError("hooks are undefined for the zero string")
+    codes, _, cyclic = _operand(p, w)
+    if cyclic:
+        raise InputError(f"hooks take strings, not the band {w!r}")
+    return codes
+
+
+def hook_left(p: GentlePresentation, w: StringWord) -> HookSide:
+    codes = _string_codes(p, w)
     table = _letter_table(p)
     if w.is_trivial:
-        if w.vertex not in p.quiver.vertices:
-            raise InputError(f"not a string of this presentation: {w!r}")
         # the hook letter a^-1: a ends at v with epsilon(a) the sign of w
         run = [table.code[a, True] for a in p.arrows_into(w.vertex)
                if p.epsilon[a] == w.sign]
     else:
-        codes, err = _word_error(p, w.letters, False)
-        if err is not None:
-            raise InputError(f"not a string of this presentation: {w!r}")
         run = [c for c in table.succ[codes[0] ^ 1] if c & 1]
     assert len(run) <= 1, f"hook arrow not unique for {w!r}: {run}"
     if run:
@@ -74,6 +78,7 @@ def hook_left(p: GentlePresentation, w: StringWord) -> HookSide:
 
 
 def hook_right(p: GentlePresentation, w: StringWord) -> HookSide:
+    _string_codes(p, w)    # w.inv() takes the record on trust
     side = hook_left(p, w.inv())
     return HookSide(side.string.inv(), side.tag)
 
@@ -136,10 +141,11 @@ def ar_sequence(p: GentlePresentation, w: StringWord):
     return ARSequence(w, middle, h.w_both)
 
 
-def dimension_vector(p: GentlePresentation, w: StringWord):
+def dimension_vector(p: GentlePresentation, w):
+    """Visits per vertex of the walk of a string or band."""
     dims = {v: 0 for v in p.vertices}
-    if not w.is_zero:
-        for v in w.walk_vertices(p):
+    if not (isinstance(w, StringWord) and w.is_zero):
+        for v in _operand(p, w)[1]:
             dims[v] += 1
     return dims
 
@@ -155,6 +161,19 @@ def dimension_additivity_holds(p: GentlePresentation, w: StringWord) -> bool:
     for v, d in dimension_vector(p, h.w_right).items():
         rhs[v] += d
     return lhs == rhs
+
+
+def verify_ar_middle(p: GentlePresentation, w: StringWord, prime: int = 5) -> bool:
+    """Check the AR sequence at M(w) against the oracle over F_prime:
+    dimension additivity plus a nonzero map onto each middle summand."""
+    from .oracle import hom_dim_oracle, realize_string_module
+    h = hooks(p, w)
+    if h.w_both.is_zero:
+        raise InputError("M(w) is injective; no AR sequence starts at it")
+    Mw = realize_string_module(p, w, prime)
+    return dimension_additivity_holds(p, w) and all(
+        hom_dim_oracle(p, Mw, realize_string_module(p, mid, prime)) >= 1
+        for mid in (h.w_left, h.w_right) if not mid.is_zero)
 
 
 class ARQuiver(NamedTuple):

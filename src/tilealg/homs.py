@@ -21,16 +21,17 @@ letter word as its string, anticlockwise segments are factor windows
 and clockwise segments are sub windows.
 
 Windows are matched through a key that identifies e with e^-1.  Each
-operand is spelled once per comparison as a tuple of the integer letter
-codes of the presentation's letter table (see `strings`), a band
-unrolled as far as its longest window reaches, together with the
-inverse of that spelling (codes reversed, each c ^ 1).  A window's key
-is the lesser of its forward slice and the matching slice of the
-inverse spelling; code order is (arrow, inverse) order, so this picks
-the same orientation as comparing letters.  The orientation of a
-matched pair compares the two forward slices.  Trivial windows are
-keyed by their vertex.  One pass enumerates the windows and keys them
-together; windows are plain tuples until a `Window` is returned.
+operand is read by `strings._operand`, the one operand check, as a
+tuple of the integer letter codes of the presentation's letter table,
+and spelled once per comparison: a band unrolled as far as its longest
+window reaches, together with the inverse of that spelling (codes
+reversed, each c ^ 1).  A window's key is the lesser of its forward
+slice and the matching slice of the inverse spelling; code order is
+(arrow, inverse) order, so this picks the same orientation as comparing
+letters.  The orientation of a matched pair compares the two forward
+slices.  Trivial windows are keyed by their vertex.  One pass
+enumerates the windows and keys them together; windows are plain
+tuples until a `Window` is returned.
 
 Band operands are the quasi-simple modules M(b, 1, lambda), both with
 the same lambda.  Between two of them on the same band the dimension is
@@ -42,42 +43,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import GentlePresentation, InputError
-from .strings import Band, StringWord, _letter_table, _word_error, valid_pair
-
-
-class _HostView:
-    """Uniform read access to a string or band as a word of letter codes."""
-
-    __slots__ = ("codes", "vertices", "cyclic")
-
-    def __init__(self, codes: tuple, vertices: tuple, cyclic: bool):
-        self.codes = codes
-        self.vertices = vertices    # linear: len+1 entries; cyclic: len entries
-        self.cyclic = cyclic
-
-
-def _view(p: GentlePresentation, host) -> _HostView:
-    if isinstance(host, Band):
-        codes, err = _word_error(p, host.letters, True)
-        if not codes or err is not None:
-            raise InputError(f"not a band of this presentation: {host!r}")
-        source = _letter_table(p).source
-        return _HostView(tuple(codes), tuple(map(source.__getitem__, codes)), True)
-    if isinstance(host, StringWord):
-        if host.kind == "zero":
-            raise InputError("zero string has no module")
-        if host.kind == "trivial":
-            if host.vertex not in p.quiver.vertices:
-                raise InputError(f"not a string of this presentation: {host!r}")
-            return _HostView((), (host.vertex,), False)
-        codes, err = _word_error(p, host.letters, False)
-        if err is not None:
-            raise InputError(f"not a string of this presentation: {host!r}")
-        table = _letter_table(p)
-        return _HostView(tuple(codes), (table.source[codes[0]],
-                                        *map(table.target.__getitem__, codes)), False)
-    raise InputError(f"expected StringWord or Band, got {type(host).__name__}")
+from .algebra import GentlePresentation
+from .strings import Band, _letter_table, _operand, valid_pair
 
 
 class Window(NamedTuple):
@@ -106,16 +73,16 @@ class SubDecomposition(NamedTuple):
     window: Window
 
 
-def _spelling(view: _HostView, reach: int):
+def _spelling(view, reach: int):
     """The host's codes, a cyclic host unrolled to at least `reach`
     letters, and the inverse of that spelling."""
-    fwd = view.codes
-    if view.cyclic:
+    fwd, _, cyclic = view
+    if cyclic:
         fwd *= -(-reach // len(fwd))
     return fwd, tuple([c ^ 1 for c in reversed(fwd)])
 
 
-def _keyed_windows(view: _HostView, left_inverse: bool, max_length: int | None = None):
+def _keyed_windows(view, left_inverse: bool, max_length: int | None = None):
     """All windows whose left flank is inverse (factor) or direct (sub),
     with the dual condition on the right flank, keyed in the same pass:
     a list of (key, window, codes), the window a (start, length, left
@@ -123,11 +90,11 @@ def _keyed_windows(view: _HostView, left_inverse: bool, max_length: int | None =
     codes its slice of the host.  For cyclic hosts the windows live in
     the periodic unrolling, up to max_length letters (default: one full
     turn)."""
-    codes, verts = view.codes, view.vertices
+    codes, verts, cyclic = view
     n = len(codes)
     parity = int(left_inverse)  # of a left flank's code; inverse letters are odd
     # (start, left flank) and (stop, right flank) of the windows' ends
-    if view.cyclic:
+    if cyclic:
         span = n if max_length is None else max(max_length, n)
         starts = [(i, (i - 1) % n) for i in range(n) if codes[i - 1] & 1 == parity]
         stops = [(i, i % n) for i in range(n + span) if codes[i % n] & 1 != parity]
@@ -159,24 +126,23 @@ def factor_strings(p: GentlePresentation, host):
     """Complete set of factor decompositions of a string or band (for
     bands: unrolled windows of up to one full turn)."""
     return [FactorDecomposition(host, Window(*w))
-            for _, w, _ in _keyed_windows(_view(p, host), True)]
+            for _, w, _ in _keyed_windows(_operand(p, host), True)]
 
 
 def substrings(p: GentlePresentation, host):
     """Complete set of sub decompositions of a string or band."""
     return [SubDecomposition(host, Window(*w))
-            for _, w, _ in _keyed_windows(_view(p, host), False)]
+            for _, w, _ in _keyed_windows(_operand(p, host), False)]
 
 
 def window_key(p: GentlePresentation, host, w: Window):
     """Canonical key of the window word, identifying e with e^-1, as
     ("word", (arrow, inverse), ...).  Trivial windows carry their vertex;
     the sign drops out because a match may use either orientation."""
-    view = _view(p, host)
+    _, verts, cyclic = view = _operand(p, host)
     start, stop = w.start, w.start + w.length
     if start == stop:
-        verts = view.vertices
-        return ("triv", verts[start % len(verts)] if view.cyclic else verts[start])
+        return ("triv", verts[start % len(verts)] if cyclic else verts[start])
     fwd, rev = _spelling(view, stop)
     total = len(fwd)
     letters = _letter_table(p).letters
@@ -195,22 +161,22 @@ class HomComputation(NamedTuple):
     pairs: tuple      # AdmissiblePair matches
 
 
-def _match(fv: _HostView, sv: _HostView):
+def _match(fv, sv):
     """Admissible pairs (factor window of fv, sub window of sv, same
     orientation), factor-major with subs in enumeration order.  Wrapped
     windows on either side are capped by the other side's length."""
     subs = {}
-    for key, s, codes in _keyed_windows(sv, False, len(fv.codes)):
+    for key, s, codes in _keyed_windows(sv, False, len(fv[0])):
         subs.setdefault(key, []).append((s, codes))
     out = []
-    for key, f, codes in _keyed_windows(fv, True, len(sv.codes)):
+    for key, f, codes in _keyed_windows(fv, True, len(sv[0])):
         for s, sub_codes in subs.get(key, ()):
             out.append((f, s, codes == sub_codes))
     return out
 
 
 def hom_dim_detailed(p: GentlePresentation, v, w) -> HomComputation:
-    fv, sv = _view(p, v), _view(p, w)
+    fv, sv = _operand(p, v), _operand(p, w)
     pairs = [AdmissiblePair(FactorDecomposition(v, Window(*f)),
                             SubDecomposition(w, Window(*s)),
                             "equal" if same else "inverse")

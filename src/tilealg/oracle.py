@@ -15,7 +15,6 @@ import math
 from collections import namedtuple
 
 from .algebra import GentlePresentation, InputError
-from .artheory import dimension_additivity_holds, hooks
 from .strings import Band, StringWord
 
 DEFAULT_PRIME = 5
@@ -229,20 +228,3 @@ def hom_dim_oracle(p: GentlePresentation, M: MatrixRep, N: MatrixRep) -> int:
                 rows.append(row)
     return total - _rank_mod_p(rows, prime)
 
-
-def verify_ar_middle(p: GentlePresentation, w: StringWord,
-                     prime: int = DEFAULT_PRIME) -> bool:
-    """Check the AR sequence at M(w) against the matrix side: dimension
-    additivity plus a nonzero map onto each nonzero middle summand."""
-    h = hooks(p, w)
-    if h.w_both.is_zero:
-        raise InputError("M(w) is injective; no AR sequence starts at it")
-    if not dimension_additivity_holds(p, w):
-        return False
-    Mw = realize_string_module(p, w, prime)
-    for mid in (h.w_left, h.w_right):
-        if mid.is_zero:
-            continue
-        if hom_dim_oracle(p, Mw, realize_string_module(p, mid, prime)) < 1:
-            return False
-    return True

@@ -17,10 +17,11 @@ i the index of its arrow among the sorted arrows, so code order is
 the source and target vertex of each code and its `valid_pair`
 successors, a tuple of at most two codes in code order.  That one
 successor table serves every walk: `_word_error` encodes a word through
-it and checks it pair by pair (strings, bands, Hom operands, the walks
-induced by arcs), band detection looks for a cycle in it, enumeration
-extends code tuples along it, and the hooks of `artheory` read their
-runs off it.  `Letter`s are built only at the API boundary.
+it and checks it pair by pair (strings, bands, the walks induced by
+arcs), band detection looks for a cycle in it, enumeration extends code
+tuples along it, and the hooks of `artheory` read their runs off it.
+`Letter`s are built only at the API boundary.  `_operand` is the one
+check of the string and band operands of Hom, hooks and arcs.
 """
 
 from __future__ import annotations
@@ -140,16 +141,6 @@ class StringWord(NamedTuple):
         if self.is_trivial:
             return self.vertex
         return letter_target(p, self.letters[-1])
-
-    def walk_vertices(self, p: GentlePresentation):
-        """Vertices visited, in order (length + 1 of them)."""
-        if self.is_zero:
-            return []
-        if self.is_trivial:
-            return [self.vertex]
-        verts = [letter_source(p, self.letters[0])]
-        verts.extend(letter_target(p, l) for l in self.letters)
-        return verts
 
     def is_direct(self):
         return self.is_trivial or (self.kind == "word"
@@ -305,10 +296,8 @@ class Band(namedtuple("Band", "letters")):
         if len({c & 1 for c in codes}) == 1:
             raise StringRejection(0, "cyclic word has no direction change "
                                      "(algebra would be infinite dimensional)")
-        # the least rotation of the word or of its inverse, in code order
-        inv = [c ^ 1 for c in reversed(codes)]
-        least = min(w[i:] + w[:i] for w in (codes, inv) for i in range(len(w)))
-        return Band(tuple(map(_letter_table(p).letters.__getitem__, least)))
+        return Band(tuple(map(_letter_table(p).letters.__getitem__,
+                              _least_rotation(codes))))
 
     def __len__(self):
         return len(self.letters)
@@ -318,6 +307,52 @@ class Band(namedtuple("Band", "letters")):
 
     def __repr__(self):
         return f"<band {self.text()}>"
+
+
+def _least_rotation(codes):
+    """The least rotation of the codes or of their inverse, which spells
+    the canonical band; only the rotations starting at the least code
+    are built."""
+    inv = [c ^ 1 for c in reversed(codes)]
+    least = min(min(codes), min(inv))
+    return min(w[i:] + w[:i] for w in (codes, inv) for i, c in enumerate(w) if c == least)
+
+
+def _operand(p: GentlePresentation, host):
+    """(codes, vertices, cyclic) of a Hom, hook or arc operand of p: its
+    letter codes, the vertices its walk visits and whether it is a band.
+    InputError unless host is a nonzero StringWord of p as its
+    constructors build it, or a Band of p as `Band.from_letters` does."""
+    table = _letter_table(p)
+    if isinstance(host, Band):
+        codes, err = _word_error(p, host.letters, True)
+        if not codes or err is not None:
+            raise InputError(f"not a band of this presentation: {host!r}")
+        # the form of Band.from_letters: an even first code that is least,
+        # alone and without its inverse starts no other rotation either way
+        first = codes[0]
+        plain = (not first & 1 and first == min(codes) and codes.count(first) == 1
+                 and first + 1 not in codes)
+        if not plain and (codes != _least_rotation(codes) or _primitive_root(codes) != codes):
+            raise InputError(f"not a band of this presentation: {host!r} is not "
+                             "in the canonical form of Band.from_letters")
+        return tuple(codes), tuple(map(table.source.__getitem__, codes)), True
+    if not isinstance(host, StringWord):
+        raise InputError(f"expected StringWord or Band, got {type(host).__name__}")
+    if host.kind == "word":
+        codes, err = _word_error(p, host.letters, False)
+        if codes and err is None:
+            return tuple(codes), (table.source[codes[0]],
+                                  *map(table.target.__getitem__, codes)), False
+        StringWord.word(host.letters)   # the constructor's complaint comes first
+    elif host.kind == "trivial":
+        if host.sign in (1, -1) and host.vertex in p.quiver.vertices:
+            return (), (host.vertex,), False
+        StringWord.trivial(host.vertex, host.sign)
+    else:
+        raise InputError("zero string has no module" if host.kind == "zero"
+                         else f"unknown string kind {host.kind!r}")
+    raise InputError(f"not a string of this presentation: {host!r}")
 
 
 def _primitive_root(letters):
@@ -431,17 +466,13 @@ def parse_string(p: GentlePresentation, text: str) -> StringWord:
         if parts[1] not in p.quiver.vertices:
             raise InputError(f"unknown vertex {parts[1]!r}")
         return StringWord.trivial(parts[1], 1 if parts[2] == "+" else -1)
-    letters = []
-    for tok in parts:
-        if tok.endswith("-"):
-            letters.append(Letter(tok[:-1], True))
-        else:
-            letters.append(Letter(tok, False))
-    return validate_string(p, letters)
+    return validate_string(p, _letters(parts))
 
 
 def parse_band(p: GentlePresentation, text: str) -> Band:
-    parts = text.split()
-    letters = [Letter(t[:-1], True) if t.endswith("-") else Letter(t, False)
-               for t in parts]
-    return Band.from_letters(p, letters)
+    return Band.from_letters(p, _letters(text.split()))
+
+
+def _letters(tokens):   # an arrow name, with a trailing '-' when inverse
+    return [Letter(t[:-1], True) if t.endswith("-") else Letter(t, False)
+            for t in tokens]

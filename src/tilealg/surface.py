@@ -60,12 +60,12 @@ class _DartMap:
 
     Darts are numbered in the order __init__ builds them: arc darts by
     arc id and end, then per marked component and segment the forward
-    and the reversed boundary dart."""
+    and the reversed boundary dart; `key` holds their tile_key entries."""
 
     def __init__(self, marked, arcs, fans):
         self.marked, self.arcs, self.fans = marked, arcs, fans
         self.tail, self.twin, self.kind, self.label, self.slot = [], [], [], [], []
-        self.rot_next, self.slot_dart = [], {}
+        self.key, self.rot_next, self.slot_dart = [], [], {}
         for arc in sorted(arcs):
             self._pair(("arc", "arc"), arc, *arcs[arc], ((arc, 1), (arc, 2)))
         toward_prev, toward_next = {}, {}
@@ -79,8 +79,9 @@ class _DartMap:
 
     def copy(self) -> "_DartMap":
         c = _DartMap.__new__(_DartMap)
-        c.tail, c.twin, c.kind, c.label, c.slot, c.rot_next = map(list, (
-            self.tail, self.twin, self.kind, self.label, self.slot, self.rot_next))
+        c.tail, c.twin, c.kind, c.label, c.slot, c.key, c.rot_next = map(list, (
+            self.tail, self.twin, self.kind, self.label, self.slot, self.key,
+            self.rot_next))
         c.slot_dart, c.arcs = dict(self.slot_dart), dict(self.arcs)
         c.marked, c.fans = ({k: list(v) for k, v in d.items()}
                             for d in (self.marked, self.fans))
@@ -94,6 +95,8 @@ class _DartMap:
         self.kind += kinds
         self.label += (label, label)
         self.slot += slots
+        self.key += ((kinds[0], str(label), str(slots[0])),
+                     (kinds[1], str(label), str(slots[1])))
         self.rot_next += (None, None)
         if slots[0] is not None:
             self.slot_dart[slots[0]], self.slot_dart[slots[1]] = d, d + 1
@@ -152,7 +155,7 @@ class _DartMap:
     def tile_key(self, walk):
         """Canonical rotation of a walk's (kind, label, slot) dart keys.
         The darts of a walk are distinct, so it starts at the least key."""
-        keys = [(self.kind[d], str(self.label[d]), str(self.slot[d])) for d in walk]
+        keys = list(map(self.key.__getitem__, walk))
         i = keys.index(min(keys))
         return tuple(keys[i:] + keys[:i])
 

@@ -13,13 +13,13 @@ from tilealg.arcs import (TrivialArc, arc_to_string, check_permissible,
                           intersection_vector, normalize, pivot_move,
                           rep_type_geometric, string_to_arc)
 from tilealg.artheory import (HOOK_ADDED, dimension_additivity_holds,
-                              hook_left, hook_right, hooks, tau_inverse)
+                              hook_left, hook_right, hooks, tau_inverse,
+                              verify_ar_middle)
 from tilealg.homs import (factor_count_bruteforce, factor_strings, hom_dim,
                           hom_dim_detailed, sub_count_bruteforce, substrings,
                           window_key)
 from tilealg.oracle import (BandModuleSpec, hom_dim_oracle,
-                            realize_band_module, realize_string_module,
-                            verify_ar_middle)
+                            realize_band_module, realize_string_module)
 from tilealg.strings import (Letter, StringWord, canonicalize, detect_band,
                              enumerate_strings, parse_string)
 from tilealg.surface import (collapse_presentation, complete_to_triangulation,

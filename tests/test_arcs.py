@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from test_homs import KRON_BAD_OPERANDS
 from tilealg import samples
 from tilealg.algebra import InputError
 from tilealg.arcs import (ArcRejection, ClosedCurveClass, EndDescriptor,
@@ -160,6 +161,11 @@ def test_malformed_arc_reasons_are_exact():
     assert str(exc.value) == "(3)(b) violation at crossings 0,1"
     assert check_permissible(t, alg, with_pivot((0, True), (arc.darts[0], seg))) == \
         "malformed: crossing is not an arc side"
+    # a curve crossing the boundary side has no transit to leave by
+    for inverse in (False, True):
+        with pytest.raises(ArcRejection) as exc:
+            arc_letters(t, alg, with_pivot((0, inverse), (seg, arc.darts[0])))
+        assert str(exc.value) == "malformed: crossing 0 is not an arc side"
 
 
 @pytest.mark.parametrize("name, word, slots", [
@@ -303,6 +309,22 @@ def test_band_curve_requires_band_input():
     fake = ClosedCurveClass(arc.darts, arc.pivots + ((0, False),), 2, 1)
     with pytest.raises(Exception):
         closed_curve_to_band(t, alg, fake)
+    # a string gives an arc and a band a closed curve, never the other way
+    tk = samples.tiled_fixtures()["kron"]
+    algk = tiling_algebra(tk)
+    with pytest.raises(InputError, match="see string_to_arc"):
+        band_to_closed_curve(tk, algk, parse_string(algk.presentation, "a1 a2-"))
+    with pytest.raises(InputError, match="see band_to_closed_curve"):
+        string_to_arc(tk, algk, detect_band(algk.presentation))
+
+
+@pytest.mark.parametrize("name", sorted(KRON_BAD_OPERANDS))
+def test_arc_bijections_reject_bad_operands(name):
+    t = samples.tiled_fixtures()["kron"]
+    alg = tiling_algebra(t)
+    for to_curve in (string_to_arc, band_to_closed_curve):
+        with pytest.raises(InputError):
+            to_curve(t, alg, KRON_BAD_OPERANDS[name])
 
 
 def test_rep_type_geometric(fixture):

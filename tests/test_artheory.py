@@ -76,6 +76,11 @@ def test_hook_operands_are_checked_against_the_presentation():
                       is_injective_string):
             with pytest.raises(InputError, match="not a string of this presentation"):
                 query(p, w)
+    # a band is a Hom operand, but hooks and AR sequences take strings
+    for query in (hook_left, hook_right, hooks, tau_inverse, ar_sequence,
+                  is_injective_string):
+        with pytest.raises(InputError, match="hooks take strings"):
+            query(p, detect_band(p))
 
 
 def test_ar_sequence_a2():
@@ -199,6 +204,9 @@ def test_dimension_vector_counts_visits():
     p = samples.fix_a()
     w = parse_string(p, "b- c d c- b")
     assert dimension_vector(p, w) == {"1": 2, "2": 2, "3": 2}
+    # a band visits each vertex of its cyclic walk once per pass
+    k = samples.kronecker_chain(2)
+    assert dimension_vector(k, detect_band(k)) == {"0": 0, "1": 1, "2": 1}
 
 
 def _hooks_digest():

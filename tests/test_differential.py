@@ -9,10 +9,9 @@ are compared against structural facts and the matrix oracle.
 import random
 
 from tilealg import samples
-from tilealg.artheory import hooks, is_injective_string
+from tilealg.artheory import hooks, is_injective_string, verify_ar_middle
 from tilealg.homs import hom_dim
-from tilealg.oracle import (hom_dim_oracle, realize_string_module,
-                            verify_ar_middle)
+from tilealg.oracle import hom_dim_oracle, realize_string_module
 from tilealg.strings import detect_band, enumerate_strings
 from tilealg.surface import tiling_algebra
 

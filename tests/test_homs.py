@@ -6,13 +6,16 @@ import pytest
 import gentle_corpus
 from tilealg import samples
 from tilealg.algebra import InputError
+from tilealg.artheory import (ar_sequence, dimension_vector, hook_left, hook_right,
+                              hooks, tau_inverse)
 from tilealg.homs import (Window, factor_count_bruteforce, factor_strings,
                           hom_dim, hom_dim_detailed, sub_count_bruteforce,
                           substrings, window_key)
 from tilealg.oracle import BandModuleSpec, hom_dim_oracle, realize_band_module
 from tilealg.strings import (Band, Letter, StringRejection, StringWord,
                              canonicalize, detect_band, enumerate_strings,
-                             letter_source, parse_band, parse_string)
+                             letter_source, letter_target, parse_band,
+                             parse_string)
 from tilealg.surface import tiling_algebra
 
 
@@ -184,6 +187,18 @@ def test_trivial_operand_at_unknown_vertex_is_rejected(fix_a, paper_w):
         factor_strings(fix_a, ghost)
 
 
+def _operand_entry_points(p):
+    """Every call of homs and artheory that reads one string or band
+    operand, as a function of the operand alone."""
+    good = StringWord.trivial(p.vertices[0])
+    return [lambda x: hom_dim(p, x, good), lambda x: hom_dim(p, good, x),
+            lambda x: factor_strings(p, x), lambda x: substrings(p, x),
+            lambda x: window_key(p, x, Window(0, 0, None, None)),
+            *(lambda x, f=f: f(p, x) for f in (hook_left, hook_right, hooks,
+                                               tau_inverse, ar_sequence,
+                                               dimension_vector))]
+
+
 @pytest.mark.parametrize("make, letters", [
     (samples.fix_a, (Letter("zz"), Letter("yy", True))),     # unknown arrows
     (samples.fix_a, (Letter("a"), Letter("zz", True))),
@@ -194,14 +209,42 @@ def test_trivial_operand_at_unknown_vertex_is_rejected(fix_a, paper_w):
 ])
 def test_band_operand_outside_the_presentation_is_rejected(make, letters):
     p = make()
-    bad = Band(letters)
-    trivial = StringWord.trivial(p.vertices[0])
-    for v, w in ((bad, trivial), (trivial, bad)):
+    for call in _operand_entry_points(p):
         with pytest.raises(InputError, match="not a band of this presentation"):
-            hom_dim(p, v, w)
-    for decompositions in (factor_strings, substrings):
-        with pytest.raises(InputError, match="not a band of this presentation"):
-            decompositions(p, bad)
+            call(Band(letters))
+
+
+# Operands that are no string or band of the algebra of the kron tiling
+# (vertices x, y; arrows a1, a2: x -> y; its band is a1 a2-).  Every
+# operand entry point rejects each of them, those of homs and artheory
+# here and the arc and closed-curve bijections in test_arcs.
+KRON_BAD_OPERANDS = {
+    "unknown vertex": StringWord.trivial("z"),
+    "unknown arrow": StringWord.word([Letter("a1"), Letter("zz", True)]),
+    "not reduced": StringWord.word([Letter("a1"), Letter("a1", True)]),
+    "non-composable": StringWord.word([Letter("a1"), Letter("a2")]),
+    "hand-built word without letters": StringWord("word"),
+    "hand-built unknown kind": StringWord("bogus"),
+    "hand-built trivial sign 0": StringWord("trivial", vertex="x", sign=0),
+    "hand-built tuple letters": StringWord("word", letters=(("a1", False),)),
+    "band with an unknown arrow": Band((Letter("a1"), Letter("zz", True))),
+    "band rotated": Band((Letter("a2", True), Letter("a1"))),
+    "band inverted": Band((Letter("a2"), Letter("a1", True))),
+    "band squared": Band((Letter("a1"), Letter("a2", True)) * 2),
+    "not an operand": ("a1", "a2-"),
+}
+
+
+@pytest.fixture(scope="module")
+def kron_algebra():
+    return tiling_algebra(samples.tiled_fixtures()["kron"]).presentation
+
+
+@pytest.mark.parametrize("name", sorted(KRON_BAD_OPERANDS))
+def test_operand_entry_points_reject_bad_operands(kron_algebra, name):
+    for call in _operand_entry_points(kron_algebra):
+        with pytest.raises(InputError):
+            call(KRON_BAD_OPERANDS[name])
 
 
 # -- matcher output pinned on generated families ---------------------------
@@ -321,7 +364,11 @@ def _window_key_reference(p, host, w):
     if w.length == 0:
         if isinstance(host, Band):
             return ("triv", letter_source(p, letters[w.start % len(letters)]))
-        return ("triv", host.walk_vertices(p)[w.start])
+        if host.is_trivial:
+            return ("triv", host.vertex)
+        if w.start == len(letters):
+            return ("triv", letter_target(p, letters[-1]))
+        return ("triv", letter_source(p, letters[w.start]))
     word = canonicalize(StringWord.word(
         letters[(w.start + i) % len(letters)] for i in range(w.length)))
     return ("word",) + tuple((l.arrow, l.inverse) for l in word.letters)

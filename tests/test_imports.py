@@ -106,7 +106,7 @@ FOOTPRINTS = {
     "hom": ([["hom", f"{D}/fixA.quiver", "b- c d c- b", "b- c d c- b"]],
             CLI + ["homs", "strings"]),
     "hom-oracle": ([["hom", f"{D}/fixA.quiver", "b- c d c- b", "b- c d c- b", "--oracle"]],
-                   CLI + ["artheory", "homs", "oracle", "strings"]),
+                   CLI + ["homs", "oracle", "strings"]),
 }
 
 

@@ -8,10 +8,10 @@ import pytest
 
 from tilealg import samples, strings
 from tilealg.algebra import InputError, load_quiver
-from tilealg.artheory import is_injective_string
+from tilealg.artheory import is_injective_string, verify_ar_middle
 from tilealg.oracle import (BandModuleSpec, _rank_mod_p, hom_dim_oracle,
                             nullity_mod_p, realize_band_module,
-                            realize_string_module, verify_ar_middle)
+                            realize_string_module)
 from tilealg.homs import factor_count_bruteforce, sub_count_bruteforce
 from tilealg.strings import (Band, Letter, StringWord, detect_band, enumerate_strings,
                              parse_band, parse_string)

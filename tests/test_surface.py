@@ -458,6 +458,15 @@ def _tiling_view(t):
             {(t.label[d], t.slot[d]): at for d, at in t.face_of.items()})
 
 
+def test_dart_keys_are_made_with_the_darts():
+    # tile_key reads the (kind, label, slot) text key each dart got when
+    # it was made; splits and piercings on a copied map keep them in step
+    for t in samples.random_tilings(7, 40) + [make() for make in SPLIT_CASES]:
+        for m in (t._map, complete_to_triangulation(t).tiling._map):
+            assert m.key == [(k, str(label), str(slot))
+                             for k, label, slot in zip(m.kind, m.label, m.slot)]
+
+
 def test_completion_matches_its_rebuilt_description():
     for t in samples.random_tilings(7, 40) + [make() for make in SPLIT_CASES]:
         c = complete_to_triangulation(t).tiling
