@@ -6,32 +6,29 @@ w = w1 c f d^-1 w2 of w whose middles agree, f = e or f = e^-1.
 
 Flanks may be absent at word ends (without this, trivial strings would
 have no endomorphisms).  Band operands are read in their periodic
-unrolling: a window may start at any rotation and may be arbitrarily
-long (crossing the cut, even several full turns), and its flanking
-letters are the unrolled neighbours.  Windows of length m - 1 (m the
-band length) die automatically because both flanks would be the same
-letter.  When two hosts are compared the window length is capped by the
-other side's length, which keeps the match count finite; the finite-
-field oracle confirms that these wrapped windows are exactly the ones
-carrying maps between band and string modules.
+unrolling: a window starts in the first period, may cross the cut, even
+several full turns, and its flanks are the unrolled neighbours.  When
+two hosts are compared the window length is capped by the longer host's
+length, which keeps the match count finite; the finite-field oracle
+confirms that these wrapped windows are exactly the ones carrying maps
+between band and string modules.
 
 The geometric reading (admissible segments of permissible arcs, see
 `arcs.hom_dim_geometric`) uses the same matcher: an arc spells the same
 letter word as its string, anticlockwise segments are factor windows
 and clockwise segments are sub windows.
 
-Windows are matched through a key that identifies e with e^-1.  Each
-operand is read by `strings._operand`, the one operand check, as a
-tuple of the integer letter codes of the presentation's letter table,
-and spelled once per comparison: a band unrolled as far as its longest
-window reaches, together with the inverse of that spelling (codes
-reversed, each c ^ 1).  A window's key is the lesser of its forward
-slice and the matching slice of the inverse spelling; code order is
-(arrow, inverse) order, so this picks the same orientation as comparing
-letters.  The orientation of a matched pair compares the two forward
-slices.  Trivial windows are keyed by their vertex.  One pass
-enumerates the windows and keys them together; windows are plain
-tuples until a `Window` is returned.
+Each operand is read by `strings._operand`, the one operand check, as a
+tuple of the integer letter codes of the presentation's letter table;
+c ^ 1 is the inverse of code c, and odd codes are inverse letters.  A
+factor window's left flank is inverse and a sub window's is direct, so
+the two differ, and likewise on the right: a matching pair is exactly
+the maximal run of equal codes from its start pair along one alignment
+diagonal.  `_match` walks one run per valid start pair, against w and
+against w's inverse spelling (whose sub windows are the inverses of
+w's), a band side unrolled to O(n + m) codes.  Runs on one diagonal are
+disjoint, so a comparison takes O(n m) time plus its output and
+O(n + m) memory.  Trivial windows match by vertex.
 
 Band operands are the quasi-simple modules M(b, 1, lambda), both with
 the same lambda.  Between two of them on the same band the dimension is
@@ -43,7 +40,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import GentlePresentation
+from .algebra import GentlePresentation, InputError
 from .strings import Band, _letter_table, _operand, valid_pair
 
 
@@ -73,81 +70,56 @@ class SubDecomposition(NamedTuple):
     window: Window
 
 
-def _spelling(view, reach: int):
-    """The host's codes, a cyclic host unrolled to at least `reach`
-    letters, and the inverse of that spelling."""
-    fwd, _, cyclic = view
+def _ends(codes, cyclic: bool, parity: int):
+    """Per position k of a host (read mod its length n when cyclic): the
+    left flank of a window starting at k and the right flank of one
+    stopping at k, as letter indices (None at a word end), or -1 where
+    no window starts or stops.  `parity` is that of a left flank's code:
+    1 for factor windows (inverse letters are odd), 0 for sub windows."""
+    lefts = [k if c & 1 == parity else -1 for k, c in enumerate(codes)]
+    rights = [k if c & 1 != parity else -1 for k, c in enumerate(codes)]
     if cyclic:
-        fwd *= -(-reach // len(fwd))
-    return fwd, tuple([c ^ 1 for c in reversed(fwd)])
+        return lefts[-1:] + lefts[:-1], rights
+    return [None] + lefts, rights + [None]
 
 
-def _keyed_windows(view, left_inverse: bool, max_length: int | None = None):
-    """All windows whose left flank is inverse (factor) or direct (sub),
-    with the dual condition on the right flank, keyed in the same pass:
-    a list of (key, window, codes), the window a (start, length, left
-    flank, right flank) tuple in the fields' order of `Window` and the
-    codes its slice of the host.  For cyclic hosts the windows live in
-    the periodic unrolling, up to max_length letters (default: one full
-    turn)."""
-    codes, verts, cyclic = view
-    n = len(codes)
-    parity = int(left_inverse)  # of a left flank's code; inverse letters are odd
-    # (start, left flank) and (stop, right flank) of the windows' ends
-    if cyclic:
-        span = n if max_length is None else max(max_length, n)
-        starts = [(i, (i - 1) % n) for i in range(n) if codes[i - 1] & 1 == parity]
-        stops = [(i, i % n) for i in range(n + span) if codes[i % n] & 1 != parity]
-    else:
-        span = n
-        starts = [(0, None)] + [(i, i - 1) for i in range(1, n + 1)
-                                if codes[i - 1] & 1 == parity]
-        stops = [(i, i) for i in range(n) if codes[i] & 1 != parity] + [(n, None)]
-    fwd, rev = _spelling(view, n - 1 + span)
-    total = len(fwd)
-    out = []
-    for start, left in starts:
-        for stop, right in stops:
-            if stop < start:
-                continue
-            if stop > start + span:
-                break
-            word = fwd[start:stop]
-            if start == stop:
-                key = ("triv", verts[start])
-            else:
-                flipped = rev[total - stop:total - start]
-                key = word if word <= flipped else flipped
-            out.append((key, (start, stop - start, left, right), word))
-    return out
+def _windows(view, parity: int):
+    """All windows of a host as (start, length, left flank, right flank)
+    tuples in (start, length) order; a cyclic host's start in its first
+    period and its windows up to one full turn long."""
+    codes, _, cyclic = view
+    lefts, rights = _ends(codes, cyclic, parity)
+    k = len(rights)
+    return [(i, stop - i, left, rights[stop % k]) for i, left in enumerate(lefts)
+            if left != -1 for stop in range(i, i * cyclic + len(codes) + 1)
+            if rights[stop % k] != -1]
 
 
 def factor_strings(p: GentlePresentation, host):
     """Complete set of factor decompositions of a string or band (for
     bands: unrolled windows of up to one full turn)."""
-    return [FactorDecomposition(host, Window(*w))
-            for _, w, _ in _keyed_windows(_operand(p, host), True)]
+    return [FactorDecomposition(host, Window(*w)) for w in _windows(_operand(p, host), 1)]
 
 
 def substrings(p: GentlePresentation, host):
     """Complete set of sub decompositions of a string or band."""
-    return [SubDecomposition(host, Window(*w))
-            for _, w, _ in _keyed_windows(_operand(p, host), False)]
+    return [SubDecomposition(host, Window(*w)) for w in _windows(_operand(p, host), 0)]
 
 
 def window_key(p: GentlePresentation, host, w: Window):
     """Canonical key of the window word, identifying e with e^-1, as
-    ("word", (arrow, inverse), ...).  Trivial windows carry their vertex;
-    the sign drops out because a match may use either orientation."""
-    _, verts, cyclic = view = _operand(p, host)
-    start, stop = w.start, w.start + w.length
-    if start == stop:
-        return ("triv", verts[start % len(verts)] if cyclic else verts[start])
-    fwd, rev = _spelling(view, stop)
-    total = len(fwd)
+    ("word", (arrow, inverse), ...); a trivial window's key holds its vertex,
+    as a match may use either sign.  A band window may wrap from its start."""
+    codes, verts, cyclic = _operand(p, host)
+    n, start, length = len(codes), w.start, w.length
+    if not (0 <= start < n and length >= 0 if cyclic else 0 <= start <= start + length <= n):
+        raise InputError(f"window {start}+{length} is not a window of {host!r}")
+    if not length:
+        return ("triv", verts[start])
+    word = [codes[(start + k) % n] for k in range(length)]
     letters = _letter_table(p).letters
-    key = min(fwd[start:stop], rev[total - stop:total - start])
-    return ("word",) + tuple((letters[c].arrow, letters[c].inverse) for c in key)
+    return ("word",) + tuple((letters[c].arrow, letters[c].inverse)
+                             for c in min(word, [c ^ 1 for c in reversed(word)]))
 
 
 class AdmissiblePair(NamedTuple):
@@ -163,15 +135,43 @@ class HomComputation(NamedTuple):
 
 def _match(fv, sv):
     """Admissible pairs (factor window of fv, sub window of sv, same
-    orientation), factor-major with subs in enumeration order.  Wrapped
-    windows on either side are capped by the other side's length."""
-    subs = {}
-    for key, s, codes in _keyed_windows(sv, False, len(fv[0])):
-        subs.setdefault(key, []).append((s, codes))
-    out = []
-    for key, f, codes in _keyed_windows(fv, True, len(sv[0])):
-        for s, sub_codes in subs.get(key, ()):
-            out.append((f, s, codes == sub_codes))
+    orientation) in (factor window, sub window) order.  A nonempty pair
+    is the maximal run of equal codes from a valid start pair on one
+    alignment diagonal of fv against sv or its inverse spelling, kept if
+    both right flanks are valid; runs longer than both hosts drop out."""
+    (fcodes, fverts, fcyc), (scodes, sverts, scyc) = fv, sv
+    n, m = len(fcodes), len(scodes)
+    cap = max(n, m)
+    fl, fr = _ends(fcodes, fcyc, 1)
+    sl, sr = _ends(scodes, scyc, 0)
+    fk, sk = len(fr), len(sr)
+    trivial = {}
+    for j, left in enumerate(sl):
+        if left != -1 and sr[j] != -1:
+            trivial.setdefault(sverts[j], []).append((j, 0, left, sr[j]))
+    out = [((i, 0, left, fr[i]), s, True) for i, left in enumerate(fl)
+           if left != -1 and fr[i] != -1 for s in trivial.get(fverts[i], ())]
+    f_starts = [i for i in range(n) if fl[i] != -1]
+    f_run = fcodes * (2 + cap // n) if fcyc else fcodes
+    for same, spell in ((True, scodes), (False, tuple([c ^ 1 for c in reversed(scodes)]))):
+        # the inverse spelling's sub window at j is the inverse of sv's at
+        # m - j - length, so it starts where that one stops
+        starts = {}
+        for j in range(m):
+            if (sl[j] if same else sr[(m - j) % sk]) != -1:
+                starts.setdefault(spell[j], []).append(j)
+        s_run = spell * (2 + cap // m) if scyc else spell
+        for i in f_starts:
+            for j in starts.get(fcodes[i], ()):
+                stop = min(len(f_run) - i, len(s_run) - j, cap + 1)
+                length = 1
+                while length < stop and f_run[i + length] == s_run[j + length]:
+                    length += 1
+                c = j if same else (m - j - length) % m
+                right, s_right = fr[(i + length) % fk], sr[(c + length) % sk]
+                if length <= cap and right != -1 and s_right != -1 and sl[c] != -1:
+                    out.append(((i, length, fl[i], right), (c, length, sl[c], s_right), same))
+    out.sort()
     return out
 
 

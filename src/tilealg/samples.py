@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from .algebra import GentlePresentation
+from .strings import Letter
 from .surface import Tiling
 
 
@@ -50,6 +51,26 @@ def kronecker_chain(k: int) -> GentlePresentation:
     relations = [(f"{x}{i}", f"{y}{i + 1}") for i in range(k - 1)
                  for x, y in (("a", "b"), ("b", "a"))]
     return GentlePresentation.from_data(vertices, arrows, relations)
+
+
+def zigzag(length: int, cyclic: bool = False) -> GentlePresentation:
+    """`length` arrows a<k> between vertices k and k+1 (mod `length` if
+    cyclic; then `length` is even), pointing up at even k and down at odd
+    k, so nothing composes.  The walk a0 a1- a2 a3- ... runs along it:
+    the path's longest string, or the cycle's band."""
+    n = length if cyclic else length + 1
+    arrows = []
+    for k in range(length):
+        ends = (str(k), str((k + 1) % n))
+        arrows.append((f"a{k}", *(ends if k % 2 == 0 else ends[::-1])))
+    return GentlePresentation.from_data([str(v) for v in range(n)], arrows, [])
+
+
+def zigzag_walk(p: GentlePresentation, start: int, length: int):
+    """The letters a<start> a<start+1>- ... of a walk of `length` letters
+    along the arrows of a `zigzag` p, read mod the cycle's length."""
+    n = len(p.arrows)
+    return [Letter(f"a{k % n}", k % 2 == 1) for k in range(start, start + length)]
 
 
 # -- tilings ------------------------------------------------------------

@@ -40,7 +40,7 @@ class Letter(NamedTuple):
         return Letter(self.arrow, not self.inverse)
 
     def text(self) -> str:
-        return self.arrow + ("-" if self.inverse else "")
+        return f"{self.arrow}{'-' if self.inverse else ''}"
 
 
 def letter_source(p: GentlePresentation, l: Letter):
@@ -214,17 +214,24 @@ def _word_error(p: GentlePresentation, letters, cyclic: bool):
     table = _letter_table(p)
     try:
         codes = table.encode(letters)
-    except (KeyError, AttributeError):
-        code = table.code
+    except (KeyError, AttributeError, TypeError):
         return None, next((i, None) for i, l in enumerate(letters)
                           if not isinstance(l, Letter)
-                          or (l.arrow, l.inverse) not in code)
+                          or not _member((l.arrow, l.inverse), table.code))
     succ = table.succ
     n = len(codes)
     for i in range(1, n + 1 if cyclic else n):
         if codes[i % n] not in succ[codes[i - 1]]:
             return None, (i % n, valid_pair(p, letters[i - 1], letters[i % n]))
     return codes, None
+
+
+def _member(x, known) -> bool:
+    """x in known; False for an x with an unhashable field."""
+    try:
+        return x in known
+    except TypeError:
+        return False
 
 
 def compose(p: GentlePresentation, v: StringWord, w: StringWord):
@@ -346,7 +353,7 @@ def _operand(p: GentlePresentation, host):
                                   *map(table.target.__getitem__, codes)), False
         StringWord.word(host.letters)   # the constructor's complaint comes first
     elif host.kind == "trivial":
-        if host.sign in (1, -1) and host.vertex in p.quiver.vertices:
+        if host.sign in (1, -1) and _member(host.vertex, p.quiver.vertices):
             return (), (host.vertex,), False
         StringWord.trivial(host.vertex, host.sign)
     else:
@@ -397,7 +404,8 @@ class _LetterTable:
 
     def encode(self, letters):
         """The codes of the letters; KeyError (AttributeError for a
-        non-letter) on one outside the table."""
+        non-letter, TypeError for an unhashable field) on one outside the
+        table."""
         code = self.code
         return [code[l.arrow, l.inverse] for l in letters]
 

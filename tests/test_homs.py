@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,11 +12,12 @@ from tilealg.artheory import (ar_sequence, dimension_vector, hook_left, hook_rig
 from tilealg.homs import (Window, factor_count_bruteforce, factor_strings,
                           hom_dim, hom_dim_detailed, sub_count_bruteforce,
                           substrings, window_key)
-from tilealg.oracle import BandModuleSpec, hom_dim_oracle, realize_band_module
+from tilealg.oracle import (BandModuleSpec, hom_dim_oracle, realize_band_module,
+                            realize_string_module)
 from tilealg.strings import (Band, Letter, StringRejection, StringWord,
-                             canonicalize, detect_band, enumerate_strings,
+                             all_letters, canonicalize, detect_band, enumerate_strings,
                              letter_source, letter_target, parse_band,
-                             parse_string)
+                             parse_string, valid_pair, validate_string)
 from tilealg.surface import tiling_algebra
 
 
@@ -232,6 +234,9 @@ KRON_BAD_OPERANDS = {
     "band inverted": Band((Letter("a2"), Letter("a1", True))),
     "band squared": Band((Letter("a1"), Letter("a2", True)) * 2),
     "not an operand": ("a1", "a2-"),
+    "unhashable vertex": StringWord("trivial", vertex=["x"], sign=1),
+    "unhashable arrow": StringWord.word([Letter(["a1"])]),
+    "band with an unhashable arrow": Band((Letter(["a1"]), Letter("a2", True))),
 }
 
 
@@ -245,6 +250,19 @@ def test_operand_entry_points_reject_bad_operands(kron_algebra, name):
     for call in _operand_entry_points(kron_algebra):
         with pytest.raises(InputError):
             call(KRON_BAD_OPERANDS[name])
+
+
+@pytest.mark.parametrize("operand, message", [
+    (StringWord("trivial", vertex=["1"], sign=1), "not a string of this presentation: <triv ['1'] +>"),
+    (StringWord.word([Letter(["a"])]), "not a string of this presentation: <['a']>"),
+    (Band((Letter(["a"]), Letter("b", True))), "not a band of this presentation: <band ['a'] b->"),
+])
+def test_unhashable_operand_fields_are_input_errors(operand, message):
+    p = samples.kronecker()
+    for call in _operand_entry_points(p):
+        with pytest.raises(InputError) as err:
+            call(operand)
+        assert str(err.value) == message
 
 
 # -- matcher output pinned on generated families ---------------------------
@@ -302,10 +320,42 @@ def _window_text(w):
     return f"{w.start}+{w.length}({w.left_flank},{w.right_flank})"
 
 
-def _pairs_digest(ps):
+def _zigzag_walk(p, start, length):
+    """samples.zigzag_walk as a string."""
+    return validate_string(p, samples.zigzag_walk(p, start, length))
+
+
+def _zigzag_operands(p):
+    """Trivial strings at vertices 0 and 1, walks from a0 and from a1- of
+    several lengths up to 61 (on the cycle some wrap), the inverses of
+    the walks from a1- and the cycle's band."""
+    n = len(p.arrows)
+    cyclic = len(p.vertices) == n
+    ops = [StringWord.trivial("0"), StringWord.trivial("1")]
+    for start in (0, 1):
+        for k in sorted({1, n // 2, n - 1, n, n + 1, 2 * n + 1}):
+            if 0 < k <= 61 and (cyclic or start + k <= n):
+                walk = _zigzag_walk(p, start, k)
+                ops += [walk, walk.inv()] if start else [walk]
+    if cyclic:
+        ops.append(Band.from_letters(p, _zigzag_walk(p, 0, n).letters))
+    return ops
+
+
+ZIGZAG_FAMILY = "zigzag lengths 2-60"
+
+
+def _family_operands(family):
+    """(presentation, operands) for each presentation of a pinned family."""
+    if family == ZIGZAG_FAMILY:
+        return [(p, _zigzag_operands(p)) for n in (2, 4, 8, 16, 30, 60)
+                for p in (samples.zigzag(n), samples.zigzag(n, True))]
+    return [(p, _operands(p)) for p in _families()[family]]
+
+
+def _pairs_digest(items):
     h = hashlib.sha256()
-    for p in ps:
-        ops = _operands(p)
+    for p, ops in items:
         for v in ops:
             for w in ops:
                 comp = hom_dim_detailed(p, v, w)
@@ -328,12 +378,73 @@ PAIRS_DIGESTS = {
     "kronecker_chain(4)": "decf80d07348f542",
     # recorded before the matcher read integer letter codes
     "corpus band lengths 2-10": "e6bed048fbe74df9",
+    # recorded with the keyed matcher, before pairs were read off runs
+    ZIGZAG_FAMILY: "5fc9af49f9f0c807",
 }
 
 
 @pytest.mark.parametrize("family", sorted(PAIRS_DIGESTS))
 def test_matcher_pairs_are_pinned(family):
-    assert _pairs_digest(_families()[family]) == PAIRS_DIGESTS[family]
+    assert _pairs_digest(_family_operands(family)) == PAIRS_DIGESTS[family]
+
+
+# -- long operands ------------------------------------------------------------
+
+
+def _random_walk(rng, p, length):
+    """A random letter extended by random `valid_pair` successors to
+    `length` letters, or until none is left."""
+    letters = all_letters(p)
+    word = [rng.choice(letters)]
+    while len(word) < length:
+        after = [l for l in letters if valid_pair(p, word[-1], l) is None]
+        if not after:
+            break
+        word.append(rng.choice(after))
+    return validate_string(p, word)
+
+
+def _long_operand_cases():
+    """(presentation, operands): zigzag walks of up to 200 letters and
+    zigzag bands of 50 and 100, then random walks of up to 200 letters and
+    the detect_band witness on three algebras with bands."""
+    p = samples.zigzag(200)
+    cases = [(p, [_zigzag_walk(p, 0, 200), _zigzag_walk(p, 1, 199), _zigzag_walk(p, 0, 57),
+                  _zigzag_walk(p, 3, 120).inv(), StringWord.trivial("0")])]
+    for n in (50, 100):
+        p = samples.zigzag(n, True)
+        cases.append((p, [Band.from_letters(p, _zigzag_walk(p, 0, n).letters),
+                          _zigzag_walk(p, 0, 2 * n - 1), _zigzag_walk(p, 1, n + 1),
+                          _zigzag_walk(p, 5, n // 2).inv(), StringWord.trivial("1")]))
+    rng = random.Random(2024)
+    for p in (samples.kronecker(), samples.kronecker_chain(3), samples.zigzag(6, True)):
+        cases.append((p, [_random_walk(rng, p, k) for k in (200, 150, 90, 40)]
+                      + [detect_band(p)]))
+    return cases
+
+
+def test_long_operands_match_oracle():
+    for p, ops in _long_operand_cases():
+        reps = [realize_band_module(p, BandModuleSpec(x, 1, 1)) if isinstance(x, Band)
+                else realize_string_module(p, x) for x in ops]
+        for v, rv in zip(ops, reps):
+            for w, rw in zip(ops, reps):
+                assert hom_dim(p, v, w) == hom_dim_oracle(p, rv, rw), (_text(v), _text(w))
+
+
+def test_long_band_self_hom_memory_is_linear():
+    """One self-Hom of the zigzag band of length 400 peaks at about 0.1 MB
+    under tracemalloc; matching windows by keys built from their code
+    slices peaked at 221 MB.  A bound on allocations, not on time."""
+    p = samples.zigzag(400, True)
+    band = Band.from_letters(p, _zigzag_walk(p, 0, 400).letters)
+    tracemalloc.start()
+    try:
+        assert hom_dim(p, band, band) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _geometric_digest():
@@ -372,6 +483,21 @@ def _window_key_reference(p, host, w):
     word = canonicalize(StringWord.word(
         letters[(w.start + i) % len(letters)] for i in range(w.length)))
     return ("word",) + tuple((l.arrow, l.inverse) for l in word.letters)
+
+
+@pytest.mark.parametrize("make, host, start, length", [
+    (samples.fix_a, "b- c d c- b", 0, 50), (samples.fix_a, "b- c d c- b", -2, 1),
+    (samples.fix_a, "b- c d c- b", 7, 0), (samples.fix_a, "b- c d c- b", 5, 1),
+    (samples.fix_a, "b- c d c- b", 0, -1), (samples.kronecker, "band a b-", 2, 0),
+    (samples.kronecker, "band a b-", -1, 2), (samples.kronecker, "band a b-", 0, -1),
+])
+def test_window_key_rejects_windows_outside_the_host(make, host, start, length):
+    """A string window lies in 0 <= start <= start + length <= n, a band
+    window has 0 <= start < n and may wrap any number of turns."""
+    p = make()
+    x = parse_band(p, host[5:]) if host.startswith("band ") else parse_string(p, host)
+    with pytest.raises(InputError, match=rf"^window {start}\+{length} is not a window of"):
+        window_key(p, x, Window(start, length, None, None))
 
 
 def test_window_key_matches_canonicalized_window_word():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tilealg import samples, strings
+from tilealg import homs, samples, strings
 from tilealg.algebra import InputError, load_quiver
 from tilealg.artheory import is_injective_string, verify_ar_middle
 from tilealg.oracle import (BandModuleSpec, _rank_mod_p, hom_dim_oracle,
@@ -272,3 +272,22 @@ def test_references_never_read_the_letter_table(monkeypatch):
     monkeypatch.setattr(strings, "_LetterTable", unavailable)
     # recorded before the letter table replaced the letter graph
     assert _reference_digest(_reference_fixtures(), operands) == "72ad37886c57b084"
+
+
+def test_references_never_run_the_matcher(monkeypatch):
+    """The brute-force window counters and the oracle agree with the
+    window enumeration and the run matcher of homs without calling them."""
+    p = samples.kronecker_chain(3)
+    ops = enumerate_strings(p, max_len=2) + [detect_band(p)]
+    counts = [(len(homs.factor_strings(p, x)), len(homs.substrings(p, x))) for x in ops]
+    dims = [[homs.hom_dim(p, v, w) for w in ops] for v in ops]
+
+    def unavailable(*args):
+        raise AssertionError("a reference ran the matcher")
+
+    for name in ("_ends", "_windows", "_match"):
+        monkeypatch.setattr(homs, name, unavailable)
+    assert [(factor_count_bruteforce(p, x), sub_count_bruteforce(p, x)) for x in ops] == counts
+    reps = [realize_band_module(p, BandModuleSpec(x, 1, 2)) if isinstance(x, Band)
+            else realize_string_module(p, x) for x in ops]
+    assert [[hom_dim_oracle(p, m, n) for n in reps] for m in reps] == dims

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,20 @@ def test_export_ar_quiver_reports_rejections(tmp_path, capsys):
 def test_run_acceptance_runs(capsys):
     assert _script("run_acceptance").main() == 0
     assert "10/10 criteria passed" in capsys.readouterr().out
+
+
+def test_bench_ladder_smallest_rung(tmp_path, capsys):
+    """The smallest rung only, as a smoke test; nothing is timed against
+    a bound."""
+    dest = tmp_path / "ladder.json"
+    script = _script("bench_ladder")
+    assert script.main(["bench_ladder.py", "--out", str(dest), "--max-size", "50"]) == 0
+    assert f"-> {dest}" in capsys.readouterr().out
+    families = json.loads(dest.read_text())["families"]
+    assert list(families) == ["hom zigzag string", "hom zigzag band"]
+    for rungs in families.values():
+        assert [(r["size"], r["exponent"]) for r in rungs] == [(50, None)]
+        assert rungs[0]["best_s"] >= 0 and rungs[0]["peak_mb"] >= 0
+    assert script.main(["bench_ladder.py", "--max-size", "x"]) == 2
+    assert script.main(["bench_ladder.py", "--out", str(tmp_path / "no" / "x.json"),
+                        "--max-size", "0"]) == 2
