@@ -1,25 +1,31 @@
 #!/usr/bin/env python3
-"""Size ladder of self-Hom on long operands, written as JSON.
+"""Size ladder of self-Hom on long operands and of surface completion,
+written as JSON.
 
     python3 scripts/bench_ladder.py [--out BENCH_ladder.json] [--max-size 3200]
 
-Two families, each on `samples.zigzag` presentations (arrows of
-alternating orientation, so every code of the operand occurs once): the
-path's longest string and the cycle's band.  Rungs double from length
-50 up to --max-size.  Each rung records the best of 3 timed `hom_dim`
-calls in seconds, the `tracemalloc` peak of one more call in MB, and
-the exponent fitted to the time between it and the rung before.  A
-family stops after its first rung over 0.5 s or 50 MB, so a matcher
-that blows up is cut short instead of exhausting memory.  Timings are
-wall clock on the machine that runs the script; compare two ladders
-only from the same machine.  Exit codes: 0 written, 2 malformed
-arguments or an unwritable --out.
+Four families.  Two run self-Hom on `samples.zigzag` presentations
+(arrows of alternating orientation, so every code of the operand occurs
+once): the path's longest string and the cycle's band.  Two run
+`Tiling.parse`, then `tiling_algebra`, then `complete_to_triangulation`
+on the text of a disc with n marked points: the bare n-gon without arcs,
+and `samples.random_disc_tiling(random.Random(n), n, n)`, a random
+triangulation with about half its diagonals kept.  Operands and tiling
+texts are built outside the timing.  Rungs double from size 50 up to
+--max-size.  Each rung records the best of 3 timed runs in seconds, the
+`tracemalloc` peak of one more run in MB, and the exponent fitted to the
+time between it and the rung before.  A family stops after its first
+rung over 0.5 s or 50 MB, so a routine that blows up is cut short
+instead of exhausting memory.  Timings are wall clock on the machine
+that runs the script; compare two ladders only from the same machine.
+Exit codes: 0 written, 2 malformed arguments or an unwritable --out.
 """
 
 import argparse
 import json
 import math
 import platform
+import random
 import sys
 import time
 import tracemalloc
@@ -27,48 +33,77 @@ import tracemalloc
 from tilealg import samples
 from tilealg.homs import hom_dim
 from tilealg.strings import Band, validate_string
+from tilealg.surface import Tiling, complete_to_triangulation, tiling_algebra
 
 STOP_S = 0.5
 STOP_MB = 50.0
 
 
-def _operand(length, cyclic):
-    p = samples.zigzag(length, cyclic)
-    letters = samples.zigzag_walk(p, 0, length)
-    return p, Band.from_letters(p, letters) if cyclic else validate_string(p, letters)
+def _hom(cyclic):
+    """The self-Hom run on the zigzag operand of a length."""
+    def prepare(length):
+        p = samples.zigzag(length, cyclic)
+        letters = samples.zigzag_walk(p, 0, length)
+        x = Band.from_letters(p, letters) if cyclic else validate_string(p, letters)
+        return lambda: hom_dim(p, x, x)
+    return prepare
 
 
-def _rung(length, cyclic):
-    p, x = _operand(length, cyclic)
+def _surface(tiling_text):
+    """The parse, algebra and completion run on the tiling text of a size."""
+    def prepare(n):
+        text = tiling_text(n)
+
+        def run():
+            t = Tiling.parse(text)
+            tiling_algebra(t)
+            complete_to_triangulation(t)
+        return run
+    return prepare
+
+
+FAMILIES = {
+    "hom zigzag string": _hom(False),
+    "hom zigzag band": _hom(True),
+    "surface bare polygon": _surface(
+        lambda n: "tiling\nboundary b1 marked " + " ".join(f"p{i}" for i in range(n))
+        + "\nend\n"),
+    "surface half-kept disc": _surface(
+        lambda n: samples.random_disc_tiling(random.Random(n), n, n).text()),
+}
+
+
+def _rung(size, prepare):
+    run = prepare(size)
     best = math.inf
     for _ in range(3):
         start = time.perf_counter()
-        hom_dim(p, x, x)
+        run()
         best = min(best, time.perf_counter() - start)
     tracemalloc.start()
     try:
-        hom_dim(p, x, x)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {"size": length, "best_s": round(best, 6), "peak_mb": round(peak / 2**20, 3)}
+    return {"size": size, "best_s": round(best, 6), "peak_mb": round(peak / 2**20, 3)}
 
 
 def ladder(max_size):
     families = {}
-    for name, cyclic in (("hom zigzag string", False), ("hom zigzag band", True)):
+    for name, prepare in FAMILIES.items():
         rungs = []
-        length = 50
-        while length <= max_size:
-            rung = _rung(length, cyclic)
+        size = 50
+        while size <= max_size:
+            rung = _rung(size, prepare)
             prev = rungs[-1] if rungs else None
             rung["exponent"] = (round(math.log(rung["best_s"] / prev["best_s"]) /
-                                      math.log(length / prev["size"]), 2)
+                                      math.log(size / prev["size"]), 2)
                                 if prev and prev["best_s"] > 0 else None)
             rungs.append(rung)
             if rung["best_s"] > STOP_S or rung["peak_mb"] > STOP_MB:
                 break
-            length *= 2
+            size *= 2
         families[name] = rungs
     return {"python": platform.python_version(), "machine": platform.machine(),
             "stop_after": {"best_s": STOP_S, "peak_mb": STOP_MB}, "families": families}
@@ -93,7 +128,7 @@ def main(argv):
         return 2
     for name, rungs in report["families"].items():
         for r in rungs:
-            print(f"{name:18} {r['size']:5} {r['best_s']:9.4f} s {r['peak_mb']:8.2f} MB"
+            print(f"{name:22} {r['size']:5} {r['best_s']:9.4f} s {r['peak_mb']:8.2f} MB"
                   f"  exponent {r['exponent']}")
     print(f"-> {args.out}")
     return 0

@@ -32,7 +32,7 @@ _HOME = {
                "realize_band_module", "realize_string_module"),
     "surface": ("Tiling", "TilingAlgebra", "TilingRejection", "collapse_presentation",
                 "complete_to_triangulation", "presentations_isomorphic",
-                "tiling_algebra", "validate_tiling"),
+                "tiling_algebra"),
 }
 # public name -> home submodule; the six submodules are public names too
 _MODULE_OF = {name: mod for mod, names in _HOME.items() for name in names}

@@ -27,6 +27,13 @@ class Rejection(ValueError):
     """Well-formed input that the model rejects, with a reason (CLI exit 1)."""
 
 
+def _int_arg(value, name):
+    """`value` if it is an int and not a bool, else InputError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 class GentlenessError(Rejection):
     """Raised when a presentation required to be gentle is not."""
 
@@ -77,7 +84,10 @@ class Quiver:
         """arrows: iterable of (id, source, target) triples."""
         vertices = frozenset(vertices)
         sources, targets = {}, {}
-        for a, s, t in arrows:
+        for arrow in arrows:
+            if len(arrow) != 3:
+                raise InputError(f"arrow {tuple(arrow)!r} is not (id, source, target)")
+            a, s, t = arrow
             if a in sources:
                 raise InputError(f"duplicate arrow id {a!r}")
             if s not in vertices or t not in vertices:
@@ -104,7 +114,10 @@ class Quiver:
 
 
 def _check_relations_composable(q: Quiver, relations):
-    for a, b in relations:
+    for r in relations:
+        if len(r) != 2:
+            raise InputError(f"relation {r!r} is not a pair of arrows")
+        a, b = r
         if a not in q.sources or b not in q.sources:
             raise InputError(f"relation ({a},{b}) references unknown arrow")
         if q.t(a) != q.s(b):

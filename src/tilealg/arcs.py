@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import InputError, Rejection
-from .homs import _match
+from .algebra import InputError, Rejection, _int_arg
 from .strings import (Band, Letter, StringWord, _letter_table, _operand,
                       _primitive_root, _word_error, detect_band)
 from .surface import Tiling, TilingAlgebra
@@ -183,7 +182,7 @@ def _end_valid(t: Tiling, desc: EndDescriptor, dart: int):
     landing = (desc.corner + desc.route) % m
     if tile.walk[landing] != dart:
         return "descriptor does not land on the crossed side"
-    if not t.is_annular(tile):
+    if tile.unmarked is None:
         if desc.route not in range(0, m):
             return "disc-tile route out of range"
         if desc.corner == landing or desc.corner == (landing + 1) % m:
@@ -412,7 +411,7 @@ def tau_inverse_arc(t: Tiling, alg: TilingAlgebra, arc):
 
 def band_to_closed_curve(t: Tiling, alg: TilingAlgebra, band: Band,
                          exponent: int = 1) -> ClosedCurveClass:
-    if exponent < 1:
+    if _int_arg(exponent, "exponent") < 1:
         raise InputError("exponent must be >= 1")
     if not _operand(alg.presentation, band)[2]:
         raise InputError("a string gives an arc; see string_to_arc")
@@ -472,6 +471,7 @@ def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
     O(n m) time and O(n + m) memory for arcs of n and m letters.  Segments
     without a transit match by the arc they cross, and closed curves are
     read in their periodic unrolling."""
+    from .homs import _match   # only Hom needs the matcher, so only it loads homs
     return len(_match(_arc_view(t, alg, arc_v), _arc_view(t, alg, arc_w)))
 
 
@@ -496,7 +496,7 @@ def format_arc(t: Tiling, arc) -> str:
     def endtxt(desc):
         tile = t.tiles[desc.tile]
         name = t.tile_names[desc.tile]
-        pt = t.corner_point(tile, desc.corner)
+        pt = t.tail[tile.walk[desc.corner % len(tile.walk)]]
         return f"{name}.c{desc.corner}.r{desc.route}({pt},w{desc.winding(len(tile.walk))})"
 
     return f"arc-word {endtxt(arc.start)} : {' '.join(chunks)} : {endtxt(arc.end)}"

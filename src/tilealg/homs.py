@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import GentlePresentation, InputError
+from .algebra import GentlePresentation, InputError, _int_arg
 from .strings import Band, _letter_table, _operand, valid_pair
 
 
@@ -111,7 +111,8 @@ def window_key(p: GentlePresentation, host, w: Window):
     ("word", (arrow, inverse), ...); a trivial window's key holds its vertex,
     as a match may use either sign.  A band window may wrap from its start."""
     codes, verts, cyclic = _operand(p, host)
-    n, start, length = len(codes), w.start, w.length
+    n = len(codes)
+    start, length = _int_arg(w.start, "window start"), _int_arg(w.length, "window length")
     if not (0 <= start < n and length >= 0 if cyclic else 0 <= start <= start + length <= n):
         raise InputError(f"window {start}+{length} is not a window of {host!r}")
     if not length:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .algebra import GentlePresentation, InputError, Rejection, _find_cycle
+from .algebra import GentlePresentation, InputError, Rejection, _find_cycle, _int_arg
 
 
 class Letter(NamedTuple):
@@ -439,7 +439,7 @@ def enumerate_strings(p: GentlePresentation, max_len: int | None = None):
     Without a bound this is only allowed for band-free presentations,
     where the enumeration stabilizes on its own.
     """
-    if max_len is not None and max_len < 0:
+    if max_len is not None and _int_arg(max_len, "max_len") < 0:
         raise InputError(f"max_len must be >= 0, got {max_len}")
     band = detect_band(p)
     if band is not None and max_len is None:

@@ -14,11 +14,11 @@ components are not map vertices: they are placed inside a declared
 monogon (type I) or digon (type II) tile.  The surface is connected when
 every dart is reached from one through twins and rotation successors.
 
-One class, `_DartMap`, builds and walks the map.  A `Tiling` keeps the
-map built from its description; completion to a triangulation copies it,
-pierces each unmarked component and splits m-gons in place, retracing
-only the faces each step creates, and the grown map becomes the map of
-the triangulation.
+One class, `Tiling`, holds a tiling: its description, the map built
+from it and its tiles.  Completion to a triangulation grows a copy in
+place, piercing each unmarked component and splitting m-gons, retraces
+only the faces each step creates, and classifies the grown copy as the
+triangulation.
 
 Tiling description files:
 
@@ -51,186 +51,28 @@ class Tile(NamedTuple):
     unmarked: str | None   # enclosed unmarked component, types I/II
 
 
-class _DartMap:
-    """The combinatorial map of a tiling description (marked boundary
-    components, arcs and fans; see the module docstring), grown in place
-    by diagonal splits and piercings, which keep the description in step.
-    It holds the description dicts it is given, so a Tiling's own map is
-    grown only as a copy(), which copies them too.
-
-    Darts are numbered in the order __init__ builds them: arc darts by
-    arc id and end, then per marked component and segment the forward
-    and the reversed boundary dart; `key` holds their tile_key entries."""
-
-    def __init__(self, marked, arcs, fans):
-        self.marked, self.arcs, self.fans = marked, arcs, fans
-        self.tail, self.twin, self.kind, self.label, self.slot = [], [], [], [], []
-        self.key, self.rot_next, self.slot_dart = [], [], {}
-        for arc in sorted(arcs):
-            self._pair(("arc", "arc"), arc, *arcs[arc], ((arc, 1), (arc, 2)))
-        toward_prev, toward_next = {}, {}
-        for comp in sorted(marked):
-            pts = marked[comp]
-            for i, p in enumerate(pts):
-                q = pts[(i + 1) % len(pts)]
-                toward_next[p], toward_prev[q] = self._pair(("seg", "rseg"), (comp, i), p, q)
-        for p, d in toward_next.items():
-            self._rotate([toward_prev[p], *map(self.slot_dart.get, fans.get(p, ())), d])
-
-    def copy(self) -> "_DartMap":
-        c = _DartMap.__new__(_DartMap)
-        c.tail, c.twin, c.kind, c.label, c.slot, c.key, c.rot_next = map(list, (
-            self.tail, self.twin, self.kind, self.label, self.slot, self.key,
-            self.rot_next))
-        c.slot_dart, c.arcs = dict(self.slot_dart), dict(self.arcs)
-        c.marked, c.fans = ({k: list(v) for k, v in d.items()}
-                            for d in (self.marked, self.fans))
-        return c
-
-    def _pair(self, kinds, label, p, q, slots=(None, None)):
-        """Two new twin darts, departing from p and from q."""
-        d = len(self.tail)
-        self.tail += (p, q)
-        self.twin += (d + 1, d)
-        self.kind += kinds
-        self.label += (label, label)
-        self.slot += slots
-        self.key += ((kinds[0], str(label), str(slots[0])),
-                     (kinds[1], str(label), str(slots[1])))
-        self.rot_next += (None, None)
-        if slots[0] is not None:
-            self.slot_dart[slots[0]], self.slot_dart[slots[1]] = d, d + 1
-        return d, d + 1
-
-    def _rotate(self, cycle):
-        for d, e in zip(cycle, cycle[1:] + cycle[:1]):
-            self.rot_next[d] = e
-
-    def _orbit(self, d0):
-        """The orbit of d -> rot_next(twin(d)) from d0."""
-        twin, rot, kind = self.twin, self.rot_next, self.kind
-        outer = kind[d0] == "rseg"
-        walk, d = [d0], rot[twin[d0]]
-        while d != d0:
-            if (kind[d] == "rseg") != outer:
-                raise TilingRejection("outer boundary orbit mixes interior darts" if outer
-                                      else "face traversal escaped through the boundary; "
-                                      "inconsistent rotation data")
-            if len(walk) == len(twin):
-                raise TilingRejection("face traversal did not close up")
-            walk.append(d)
-            d = rot[twin[d]]
-        return walk
-
-    def face(self, d0):
-        """The inner face through d0, started at its dart __init__ would
-        number first, so that a map grown in place and one rebuilt from
-        its description agree."""
-        walk = self._orbit(d0)
-
-        def build_rank(d):
-            if self.kind[d] == "arc":
-                return (0, self.label[d], self.slot[d][1])
-            return (1,) + self.label[d]
-
-        i = min(range(len(walk)), key=lambda j: build_rank(walk[j]))
-        return walk[i:] + walk[:i]
-
-    def faces(self):
-        """The inner faces of the map as __init__ built it; the reversed
-        boundary darts form the outer orbits, which are dropped.  Each
-        orbit is walked from its least dart, which is where `face` starts
-        it."""
-        seen = [False] * len(self.tail)
-        walks = []
-        for d0 in range(len(self.tail)):
-            if not seen[d0]:
-                walk = self._orbit(d0)
-                for d in walk:
-                    seen[d] = True
-                if self.kind[d0] != "rseg":
-                    walks.append(walk)
-        return walks
-
-    def tile_key(self, walk):
-        """Canonical rotation of a walk's (kind, label, slot) dart keys.
-        The darts of a walk are distinct, so it starts at the least key."""
-        keys = list(map(self.key.__getitem__, walk))
-        i = keys.index(min(keys))
-        return tuple(keys[i:] + keys[:i])
-
-    def connected(self) -> bool:
-        """Whether every dart is reached from dart 0 through twin and
-        rot_next, i.e. the surface is connected."""
-        twin, rot, seen = self.twin, self.rot_next, {0}
-        todo = [0]
-        for d in todo:
-            for e in (twin[d], rot[d]):
-                if e not in seen:
-                    seen.add(e)
-                    todo.append(e)
-        return len(seen) == len(twin)
-
-    def _least_corner(self, walk):
-        return min(range(len(walk)), key=lambda i: (self.tail[walk[i]], i))
-
-    def _enter(self, walk, c, d):
-        """Put the new arc dart d at corner c of `walk` (between walk
-        darts c-1 and c): in the rotation right after the twin of the dart
-        arriving there, and its slot in the fan's sector before dart c."""
-        nxt = walk[c]
-        fan = self.fans.setdefault(self.tail[d], [])
-        # before the outgoing boundary dart means at the end of the fan
-        fan.insert(fan.index(self.slot[nxt]) if self.kind[nxt] == "arc" else len(fan),
-                   self.slot[d])
-        self.rot_next[self.twin[walk[c - 1]]] = d
-        self.rot_next[d] = nxt
-
-    def split(self, walk, arc):
-        """Cut the m-gon `walk` (m >= 4) by the diagonal `arc` from its
-        least corner to the corner two steps further along the walk;
-        returns the two new faces."""
-        c1 = self._least_corner(walk)
-        c2 = (c1 + 2) % len(walk)
-        d1, d2 = self._arc(arc, self.tail[walk[c1]], self.tail[walk[c2]])
-        self._enter(walk, c1, d1)
-        self._enter(walk, c2, d2)
-        return [self.face(d1), self.face(d2)]
-
-    def pierce(self, walk, comp, pt, arc):
-        """Mark the point `pt` on the unmarked component `comp` inside the
-        face `walk` and join it by `arc` to the face's least corner;
-        returns the new face, an m-gon."""
-        c = self._least_corner(walk)
-        d1, d2 = self._arc(arc, self.tail[walk[c]], pt)
-        self._enter(walk, c, d1)
-        self.marked[comp] = [pt]
-        self.fans[pt] = [(arc, 2)]
-        fwd, rev = self._pair(("seg", "rseg"), (comp, 0), pt, pt)
-        self._rotate([rev, d2, fwd])
-        return self.face(d1)
-
-    def _arc(self, arc, p, q):
-        self.arcs[arc] = (p, q)
-        return self._pair(("arc", "arc"), arc, p, q, ((arc, 1), (arc, 2)))
-
-
 class Tiling:
-    """A tiling description and its combinatorial map: `_adopt` sets the
-    dart lists `tail`, `twin`, `kind` ("arc" | "seg" | "rseg"), `label`
-    (arc id or segment tuple) and `slot` (departing slot of arc darts) of
-    its `_DartMap`, the `tiles`, `face_of` (dart -> (tile index,
-    position)) and `tile_names` (tile index -> "t<k>").
-    Build one with `parse` or `from_data`."""
+    """A tiling description and its combinatorial map: the dart lists
+    `tail`, `twin`, `kind` ("arc" | "seg" | "rseg"), `label` (arc id or
+    segment tuple), `slot` (departing slot of arc darts), `key` (the
+    dart's tile_key entry) and `rot_next`, the `tiles`, `face_of` (dart ->
+    (tile index, position)) and `tile_names` (tile index -> "t<k>").
+    Build one with `parse` or `from_data`.
 
-    __slots__ = ("marked", "unmarked", "arcs", "fans", "_map", "tail", "twin", "kind",
-                 "label", "slot", "_slot_dart", "tiles", "face_of", "tile_names")
+    Darts are numbered in the order `_build` makes them: arc darts by arc
+    id and end, then per marked component and segment the forward and
+    the reversed boundary dart.  `_pierce` and `_split` grow the map of a
+    `_copy` in place and keep its description in step."""
+
+    __slots__ = ("marked", "unmarked", "arcs", "fans", "tail", "twin", "kind", "label",
+                 "slot", "key", "rot_next", "_slot_dart", "tiles", "face_of", "tile_names")
 
     def __init__(self, marked: dict, unmarked: dict, arcs: dict, fans: dict):
-        self.marked = marked        # component id -> list of points (cyclic, clockwise)
-        self.unmarked = unmarked    # component id -> tuple of arc ids (placement)
-        self.arcs = arcs            # arc id -> (p, q) endpoints of ends 1, 2
-        self.fans = fans            # point -> list of slots (arc id, end)
+        """A copy of the description, without a map or tiles."""
+        self.marked = {k: list(v) for k, v in marked.items()}       # comp -> points, clockwise
+        self.unmarked = {k: tuple(v) for k, v in unmarked.items()}  # comp -> placement arcs
+        self.arcs = dict(arcs)                                      # arc -> (p, q) ends 1, 2
+        self.fans = {k: list(v) for k, v in fans.items()}           # point -> slots (arc, end)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -281,10 +123,10 @@ class Tiling:
 
     @classmethod
     def from_data(cls, marked, unmarked, arcs, fans) -> "Tiling":
-        t = cls({k: list(v) for k, v in marked.items()},
-                {k: tuple(v) for k, v in unmarked.items()},
-                dict(arcs), {k: list(v) for k, v in fans.items()})
-        t._adopt()
+        t = cls(marked, unmarked, arcs, fans)
+        t._check_input()
+        t._build()
+        t._classify(t._faces())
         return t
 
     # ------------------------------------------------------------------
@@ -322,7 +164,10 @@ class Tiling:
         if not pts:
             raise InputError("a tiling needs at least one marked point")
         end_slots = []
-        for arc, (p, q) in self.arcs.items():
+        for arc, ends in self.arcs.items():
+            if len(ends) != 2:
+                raise InputError(f"arc {arc} has ends {tuple(ends)!r}, not two points")
+            p, q = ends
             if p not in pts or q not in pts:
                 raise InputError(f"arc {arc} ends at an unknown point")
             end_slots.append((arc, 1))
@@ -345,22 +190,117 @@ class Tiling:
                 if a not in self.arcs:
                     raise InputError(f"unmarked {comp} placed inside unknown arc {a}")
 
-    def _adopt(self, m=None, walks=None):
-        """Check the description, then take `m` as its map: a _DartMap
-        grown in place to this description, whose inner faces are
-        `walks`, or by default the map built from the description.  The
-        faces are classified in tile-key order."""
-        self._check_input()
-        if m is None:
-            m = _DartMap(self.marked, self.arcs, self.fans)
-            walks = m.faces()
-        self._map = m
-        self.tail, self.twin, self.kind, self.label, self.slot = (
-            m.tail, m.twin, m.kind, m.label, m.slot)
-        self._slot_dart = m.slot_dart
-        self._classify(sorted(walks, key=m.tile_key))
+    def _build(self):
+        """The map of the description; see the module docstring."""
+        self.tail, self.twin, self.kind, self.label, self.slot = [], [], [], [], []
+        self.key, self.rot_next, self._slot_dart = [], [], {}
+        for arc in sorted(self.arcs):
+            self._pair(("arc", "arc"), arc, *self.arcs[arc], ((arc, 1), (arc, 2)))
+        toward_prev, toward_next = {}, {}
+        for comp in sorted(self.marked):
+            pts = self.marked[comp]
+            for i, p in enumerate(pts):
+                q = pts[(i + 1) % len(pts)]
+                toward_next[p], toward_prev[q] = self._pair(("seg", "rseg"), (comp, i), p, q)
+        for p, d in toward_next.items():
+            self._rotate([toward_prev[p], *map(self._slot_dart.get, self.fans.get(p, ())), d])
+
+    def _copy(self) -> "Tiling":
+        """The description and the map, copied to be grown in place."""
+        c = Tiling(self.marked, self.unmarked, self.arcs, self.fans)
+        c.tail, c.twin, c.kind, c.label, c.slot, c.key, c.rot_next = map(list, (
+            self.tail, self.twin, self.kind, self.label, self.slot, self.key,
+            self.rot_next))
+        c._slot_dart = dict(self._slot_dart)
+        return c
+
+    def _pair(self, kinds, label, p, q, slots=(None, None)):
+        """Two new twin darts, departing from p and from q."""
+        d = len(self.tail)
+        self.tail += (p, q)
+        self.twin += (d + 1, d)
+        self.kind += kinds
+        self.label += (label, label)
+        self.slot += slots
+        self.key += ((kinds[0], str(label), str(slots[0])),
+                     (kinds[1], str(label), str(slots[1])))
+        self.rot_next += (None, None)
+        if slots[0] is not None:
+            self._slot_dart[slots[0]], self._slot_dart[slots[1]] = d, d + 1
+        return d, d + 1
+
+    def _rotate(self, cycle):
+        for d, e in zip(cycle, cycle[1:] + cycle[:1]):
+            self.rot_next[d] = e
+
+    def _orbit(self, d0):
+        """The orbit of d -> rot_next(twin(d)) from d0."""
+        twin, rot, kind = self.twin, self.rot_next, self.kind
+        outer = kind[d0] == "rseg"
+        walk, d = [d0], rot[twin[d0]]
+        while d != d0:
+            if (kind[d] == "rseg") != outer:
+                raise TilingRejection("outer boundary orbit mixes interior darts" if outer
+                                      else "face traversal escaped through the boundary; "
+                                      "inconsistent rotation data")
+            if len(walk) == len(twin):
+                raise TilingRejection("face traversal did not close up")
+            walk.append(d)
+            d = rot[twin[d]]
+        return walk
+
+    def _face(self, d0):
+        """The inner face through d0, started at its dart `_build` would
+        number first, so that a map grown in place and one rebuilt from
+        its description agree."""
+        walk = self._orbit(d0)
+
+        def build_rank(d):
+            if self.kind[d] == "arc":
+                return (0, self.label[d], self.slot[d][1])
+            return (1,) + self.label[d]
+
+        i = min(range(len(walk)), key=lambda j: build_rank(walk[j]))
+        return walk[i:] + walk[:i]
+
+    def _faces(self):
+        """The inner faces of the map as `_build` made it; the reversed
+        boundary darts form the outer orbits, which are dropped.  Each
+        orbit is walked from its least dart, which is where `_face`
+        starts it."""
+        seen = [False] * len(self.tail)
+        walks = []
+        for d0 in range(len(self.tail)):
+            if not seen[d0]:
+                walk = self._orbit(d0)
+                for d in walk:
+                    seen[d] = True
+                if self.kind[d0] != "rseg":
+                    walks.append(walk)
+        return walks
+
+    def _tile_key(self, walk):
+        """Canonical rotation of a walk's (kind, label, slot) dart keys.
+        The darts of a walk are distinct, so it starts at the least key."""
+        keys = list(map(self.key.__getitem__, walk))
+        i = keys.index(min(keys))
+        return tuple(keys[i:] + keys[:i])
+
+    def _connected(self) -> bool:
+        """Whether every dart is reached from dart 0 through twin and
+        rot_next, i.e. the surface is connected."""
+        twin, rot, seen = self.twin, self.rot_next, {0}
+        todo = [0]
+        for d in todo:
+            for e in (twin[d], rot[d]):
+                if e not in seen:
+                    seen.add(e)
+                    todo.append(e)
+        return len(seen) == len(twin)
 
     def _classify(self, walks):
+        """Tiles from the inner face walks, in tile-key order."""
+        walks = sorted(walks, key=self._tile_key)
         placement_of = {}
         for comp in sorted(self.unmarked):
             arcs = self.unmarked[comp]
@@ -415,35 +355,65 @@ class Tiling:
     def _check_topology(self):
         """A connected map has chi = 2 - 2g - b with g >= 0, so the Euler
         count needs no check of its own; (chi, b) = (1, 1) is a disc."""
-        if not self._map.connected():
+        if not self._connected():
             raise TilingRejection("surface is disconnected")
         if self._euler() == (1, 1) and len(self.points) < 4:
             raise TilingRejection("a disc needs at least four marked points")
-
-    # -- accessors used by the arcs module -------------------------------
 
     def side(self, d) -> str:
         """The text of tile side d: its arc id, or `boundary` for a
         boundary segment."""
         return self.label[d] if self.kind[d] == "arc" else "boundary"
 
-    def corner_point(self, tile: Tile, i: int):
-        """Corner i sits between walk darts i-1 and i."""
-        return self.tail[tile.walk[i % len(tile.walk)]]
-
-    def is_annular(self, tile: Tile) -> bool:
-        return tile.unmarked is not None
-
     def genus(self) -> int:
         chi, b_total = self._euler()
         return (2 - b_total - chi) // 2
 
+    # -- growth by completion --------------------------------------------
 
-def validate_tiling(text_or_tiling):
-    """Parse/validate; returns the Tiling (tiles computed) or raises."""
-    if isinstance(text_or_tiling, Tiling):
-        return text_or_tiling
-    return Tiling.parse(text_or_tiling)
+    def _least_corner(self, walk):
+        return min(range(len(walk)), key=lambda i: (self.tail[walk[i]], i))
+
+    def _enter(self, walk, c, d):
+        """Put the new arc dart d at corner c of `walk` (between walk
+        darts c-1 and c): in the rotation right after the twin of the dart
+        arriving there, and its slot in the fan's sector before dart c."""
+        nxt = walk[c]
+        fan = self.fans.setdefault(self.tail[d], [])
+        # before the outgoing boundary dart means at the end of the fan
+        fan.insert(fan.index(self.slot[nxt]) if self.kind[nxt] == "arc" else len(fan),
+                   self.slot[d])
+        self.rot_next[self.twin[walk[c - 1]]] = d
+        self.rot_next[d] = nxt
+
+    def _split(self, walk, arc):
+        """Cut the m-gon `walk` (m >= 4) by the diagonal `arc` from its
+        least corner to the corner two steps further along the walk;
+        returns the two new faces."""
+        c1 = self._least_corner(walk)
+        c2 = (c1 + 2) % len(walk)
+        d1, d2 = self._arc(arc, self.tail[walk[c1]], self.tail[walk[c2]])
+        self._enter(walk, c1, d1)
+        self._enter(walk, c2, d2)
+        return [self._face(d1), self._face(d2)]
+
+    def _pierce(self, walk, comp, pt, arc):
+        """Mark the point `pt` on the unmarked component `comp` inside the
+        face `walk` and join it by `arc` to the face's least corner;
+        returns the new face, an m-gon."""
+        c = self._least_corner(walk)
+        d1, d2 = self._arc(arc, self.tail[walk[c]], pt)
+        self._enter(walk, c, d1)
+        del self.unmarked[comp]
+        self.marked[comp] = [pt]
+        self.fans[pt] = [(arc, 2)]
+        fwd, rev = self._pair(("seg", "rseg"), (comp, 0), pt, pt)
+        self._rotate([rev, d2, fwd])
+        return self._face(d1)
+
+    def _arc(self, arc, p, q):
+        self.arcs[arc] = (p, q)
+        return self._pair(("arc", "arc"), arc, p, q, ((arc, 1), (arc, 2)))
 
 
 # -- the tiling algebra -------------------------------------------------
@@ -525,17 +495,17 @@ class Completion(NamedTuple):
 def complete_to_triangulation(t: Tiling) -> Completion:
     """Deterministically complete a tiling to a triangulation: one new
     marked point per unmarked component, then repeated diagonal splits of
-    the m-gon (m >= 4) with the least tile key.  Piercings and splits run
-    on one copy of the tiling's _DartMap, which retraces only the faces
-    each step creates; the grown map, with the triangles the splits
-    left, becomes the map of the result and is validated as a Tiling."""
-    work = t._map.copy()
+    the m-gon (m >= 4) with the least tile key.  Piercings and splits grow
+    one copy of t in place and retrace only the faces each step creates;
+    the copy, with the triangles the splits left, is then checked and
+    classified as the triangulation."""
+    work = t._copy()
     points, names = _fresh("m", set(t.points)), _fresh("z", work.arcs)
     around = {x.unmarked: x.walk for x in t.tiles if x.unmarked is not None}
-    faces = [work.pierce(around[comp], comp, next(points), next(names))
+    faces = [work._pierce(around[comp], comp, next(points), next(names))
              for comp in sorted(around)]
     faces += [x.walk for x in t.tiles if x.unmarked is None]
-    heap = [(work.tile_key(f), f) for f in faces if len(f) > 3]
+    heap = [(work._tile_key(f), f) for f in faces if len(f) > 3]
     current = t
     if heap:
         triangles = [f for f in faces if len(f) == 3]
@@ -543,16 +513,17 @@ def complete_to_triangulation(t: Tiling) -> Completion:
         guard = 0
         while heap:
             _, walk = heapq.heappop(heap)
-            for face in work.split(walk, next(names)):
+            for face in work._split(walk, next(names)):
                 if len(face) > 3:
-                    heapq.heappush(heap, (work.tile_key(face), face))
+                    heapq.heappush(heap, (work._tile_key(face), face))
                 else:
                     triangles.append(face)
             guard += 1
             if guard > 4 * (len(work.arcs) + 8):
                 raise AssertionError("triangulation completion did not terminate")
-        current = Tiling(work.marked, {}, work.arcs, work.fans)
-        current._adopt(work, triangles)
+        work._check_input()
+        work._classify(triangles)
+        current = work
     added_points = tuple(sorted(set(current.points) - set(t.points)))
     added_arcs = tuple(sorted(set(current.arcs) - set(t.arcs)))
     assert all(len(x.walk) == 3 for x in current.tiles)

@@ -66,6 +66,16 @@ def test_non_composable_relation_is_input_error():
         check_gentle(q, [("a", "a")])
 
 
+@pytest.mark.parametrize("arrows, relations, message", [
+    ([("a", "1")], [], "arrow ('a', '1') is not (id, source, target)"),
+    ([("a", "1", "2")], [("a", "a", "a")], "relation ('a', 'a', 'a') is not a pair of arrows"),
+])
+def test_malformed_records_are_input_errors(arrows, relations, message):
+    with pytest.raises(InputError) as err:
+        GentlePresentation.from_data(["1", "2"], arrows, relations)
+    assert str(err.value) == message
+
+
 def test_relabeling_stability():
     base = [("a", "1", "2"), ("b", "2", "1"), ("c", "2", "3"), ("d", "3", "3")]
     rels = [("a", "b"), ("b", "a"), ("d", "d")]

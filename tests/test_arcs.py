@@ -327,6 +327,22 @@ def test_arc_bijections_reject_bad_operands(name):
             to_curve(t, alg, KRON_BAD_OPERANDS[name])
 
 
+@pytest.mark.parametrize("name, value", [
+    ("max_len", "3"), ("max_len", 2.5), ("max_len", True),
+    ("exponent", "2"), ("exponent", 2.5), ("exponent", True),
+])
+def test_integer_arguments_must_be_ints(name, value):
+    """A bool is not taken for an int either."""
+    t = samples.kron_tiling()
+    alg = tiling_algebra(t)
+    calls = {"max_len": lambda: enumerate_strings(samples.fix_b(), value),
+             "exponent": lambda: band_to_closed_curve(t, alg, detect_band(alg.presentation),
+                                                      value)}
+    with pytest.raises(InputError) as err:
+        calls[name]()
+    assert str(err.value) == f"{name} must be an int, got {value!r}"
+
+
 def test_rep_type_geometric(fixture):
     name, t, alg = fixture
     kind, witness = rep_type_geometric(t, alg)

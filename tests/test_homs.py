@@ -490,14 +490,25 @@ def _window_key_reference(p, host, w):
     (samples.fix_a, "b- c d c- b", 7, 0), (samples.fix_a, "b- c d c- b", 5, 1),
     (samples.fix_a, "b- c d c- b", 0, -1), (samples.kronecker, "band a b-", 2, 0),
     (samples.kronecker, "band a b-", -1, 2), (samples.kronecker, "band a b-", 0, -1),
+    (samples.fix_a, "b- c d c- b", "0", 1), (samples.fix_a, "b- c d c- b", None, 1),
+    (samples.fix_a, "b- c d c- b", 0.5, 1), (samples.fix_a, "b- c d c- b", True, 1),
+    (samples.fix_a, "b- c d c- b", 0, True),
 ])
 def test_window_key_rejects_windows_outside_the_host(make, host, start, length):
     """A string window lies in 0 <= start <= start + length <= n, a band
-    window has 0 <= start < n and may wrap any number of turns."""
+    window has 0 <= start < n and may wrap any number of turns.  Start
+    and length are ints; a bool is not taken for one."""
     p = make()
     x = parse_band(p, host[5:]) if host.startswith("band ") else parse_string(p, host)
-    with pytest.raises(InputError, match=rf"^window {start}\+{length} is not a window of"):
+    if type(start) is not int:
+        message = f"window start must be an int, got {start!r}"
+    elif type(length) is not int:
+        message = f"window length must be an int, got {length!r}"
+    else:
+        message = f"window {start}+{length} is not a window of {x!r}"
+    with pytest.raises(InputError) as err:
         window_key(p, x, Window(start, length, None, None))
+    assert str(err.value) == message
 
 
 def test_window_key_matches_canonicalized_window_word():

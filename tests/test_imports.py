@@ -102,7 +102,7 @@ FOOTPRINTS = {
     "arcs": ([["arcs", f"{D}/pent.tiling", "a1"],
               ["pivot", f"{D}/loop.tiling", "triv x +", "--end", "s"],
               ["tau", f"{D}/loop.tiling", "a1"], ["rep-type", f"{D}/kron.tiling"]],
-             CLI + ["arcs", "homs", "strings", "surface"]),
+             CLI + ["arcs", "strings", "surface"]),
     "hom": ([["hom", f"{D}/fixA.quiver", "b- c d c- b", "b- c d c- b"]],
             CLI + ["homs", "strings"]),
     "hom-oracle": ([["hom", f"{D}/fixA.quiver", "b- c d c- b", "b- c d c- b", "--oracle"]],
@@ -138,7 +138,7 @@ PUBLIC = [
     "is_injective_string", "is_zero_path", "load_quiver", "oracle", "parse_band",
     "parse_quiver", "parse_string", "presentations_isomorphic", "realize_band_module",
     "realize_string_module", "strings", "substrings", "surface", "tau_inverse",
-    "tiling_algebra", "validate_string", "validate_tiling", "verify_ar_middle",
+    "tiling_algebra", "validate_string", "verify_ar_middle",
 ]
 SUBMODULES = {"algebra", "strings", "artheory", "homs", "oracle", "surface"}
 

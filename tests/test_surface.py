@@ -6,10 +6,9 @@ import pytest
 
 from tilealg import samples
 from tilealg.algebra import InputError
-from tilealg.surface import (Tiling, TilingRejection, _DartMap, collapse_presentation,
+from tilealg.surface import (Tiling, TilingRejection, collapse_presentation,
                              complete_to_triangulation,
-                             presentations_isomorphic, tiling_algebra,
-                             validate_tiling)
+                             presentations_isomorphic, tiling_algebra)
 
 
 def tile_kinds(t):
@@ -68,7 +67,7 @@ def test_adjacent_chord_rejected():
     end
     """
     with pytest.raises(TilingRejection, match="digon"):
-        validate_tiling(text)
+        Tiling.parse(text)
 
 
 def test_monogon_without_component_rejected():
@@ -80,7 +79,7 @@ def test_monogon_without_component_rejected():
     end
     """
     with pytest.raises(TilingRejection, match="monogon"):
-        validate_tiling(text)
+        Tiling.parse(text)
 
 
 def test_mgon_cannot_hold_unmarked_component():
@@ -96,7 +95,7 @@ def test_mgon_cannot_hold_unmarked_component():
     end
     """
     with pytest.raises(TilingRejection):
-        validate_tiling(text)
+        Tiling.parse(text)
 
 
 def test_small_disc_rejected():
@@ -106,7 +105,7 @@ def test_small_disc_rejected():
     end
     """
     with pytest.raises(TilingRejection, match="four marked points"):
-        validate_tiling(text)
+        Tiling.parse(text)
 
 
 def test_disc_with_exactly_four_points_accepted():
@@ -118,7 +117,7 @@ def test_disc_with_exactly_four_points_accepted():
     fan p3 : x.2
     end
     """
-    t = validate_tiling(text)
+    t = Tiling.parse(text)
     assert tile_kinds(t) == [("m-gon", 3), ("m-gon", 3)]
 
 
@@ -131,7 +130,7 @@ def test_fans_must_cover_ends():
     end
     """
     with pytest.raises(InputError):
-        validate_tiling(text)
+        Tiling.parse(text)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -144,12 +143,16 @@ def test_fans_must_cover_ends():
     (lambda: Tiling.from_data({"b": ["p", "q", "r", "s"]}, {}, {"x": ("p", "r")},
                               {"p": [("x", 1)], "r": [("x", "2")]}),
      "fans must list every arc end exactly once"),
-], ids=["no_header", "marked_and_unmarked", "no_placement_arcs", "slot_end_not_an_int"])
+    (lambda: Tiling.from_data({"b": ["p", "q", "r", "s"]}, {}, {"x": ("p", "r", "q")},
+                              {"p": [("x", 1)], "r": [("x", 2)]}),
+     "arc x has ends ('p', 'r', 'q'), not two points"),
+], ids=["no_header", "marked_and_unmarked", "no_placement_arcs", "slot_end_not_an_int",
+        "three_arc_ends"])
 def test_rejections_the_cli_cannot_reach(make, message):
     # the CLI sniffs the header, and its parser refuses a second boundary
-    # line, an empty placement or a slot end that is not an int before
-    # from_data sees them
-    with pytest.raises(InputError, match=f"^{message}$"):
+    # line, an empty placement, a slot end that is not an int or an arc
+    # line without two ends before from_data sees them
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         make()
 
 
@@ -254,7 +257,7 @@ def test_genus_one_tiling():
     fan p4 : y.2
     end
     """
-    t = validate_tiling(text)
+    t = Tiling.parse(text)
     assert tile_kinds(t) == [("m-gon", 9)]
     assert t.genus() == 1
     alg = tiling_algebra(t)
@@ -279,7 +282,7 @@ def test_disconnected_surface_rejected():
     # the one-holed torus of test_genus_one_tiling beside a disc: chi = 0
     # with two boundary components would pass an Euler count alone
     with pytest.raises(TilingRejection, match="^surface is disconnected$"):
-        validate_tiling(DISCONNECTED)
+        Tiling.parse(DISCONNECTED)
 
 
 def test_genus_one_arcs_and_pivots():
@@ -298,7 +301,7 @@ def test_genus_one_arcs_and_pivots():
     fan p4 : y.2
     end
     """
-    t = validate_tiling(text)
+    t = Tiling.parse(text)
     alg = tiling_algebra(t)
     p = alg.presentation
     for w in enumerate_strings(p, max_len=4):
@@ -441,11 +444,11 @@ SPLIT_CASES = [
 def test_completion_builds_no_tiling_from_a_description(monkeypatch, make):
     t = make()
 
-    def build_from_description(self, marked, arcs, fans):
+    def build_from_description(self):
         raise AssertionError("completion built a dart map from a description")
 
-    monkeypatch.setattr(_DartMap, "__init__", build_from_description)
-    # piercings and splits grow a copy of t's map, which the result keeps
+    monkeypatch.setattr(Tiling, "_build", build_from_description)
+    # piercings and splits grow a copy of t, which becomes the result
     comp = complete_to_triangulation(t)
     assert comp.added_arcs, "the case must need splits"
 
@@ -460,9 +463,9 @@ def _tiling_view(t):
 
 def test_dart_keys_are_made_with_the_darts():
     # tile_key reads the (kind, label, slot) text key each dart got when
-    # it was made; splits and piercings on a copied map keep them in step
+    # it was made; splits and piercings on a copied tiling keep them in step
     for t in samples.random_tilings(7, 40) + [make() for make in SPLIT_CASES]:
-        for m in (t._map, complete_to_triangulation(t).tiling._map):
+        for m in (t, complete_to_triangulation(t).tiling):
             assert m.key == [(k, str(label), str(slot))
                              for k, label, slot in zip(m.kind, m.label, m.slot)]
 
