@@ -4,9 +4,12 @@ written as JSON.
 
     python3 scripts/bench_ladder.py [--out BENCH_ladder.json] [--max-size 3200]
 
-Four families.  Two run self-Hom on `samples.zigzag` presentations
+Five families.  Two run self-Hom on `samples.zigzag` presentations
 (arrows of alternating orientation, so every code of the operand occurs
-once): the path's longest string and the cycle's band.  Two run
+once): the path's longest string and the cycle's band.  One runs
+self-Hom on `samples.random_walk(random.Random(n), p, n)`, a random walk
+of n letters on p = `samples.kronecker_chain(3)`, which has 12 letters,
+so codes repeat and the pairs grow with the walk.  Two run
 `Tiling.parse`, then `tiling_algebra`, then `complete_to_triangulation`
 on the text of a disc with n marked points: the bare n-gon without arcs,
 and `samples.random_disc_tiling(random.Random(n), n, n)`, a random
@@ -49,6 +52,13 @@ def _hom(cyclic):
     return prepare
 
 
+def _kronecker_walk(length):
+    """The self-Hom run on the random walk of a length."""
+    p = samples.kronecker_chain(3)
+    x = validate_string(p, samples.random_walk(random.Random(length), p, length))
+    return lambda: hom_dim(p, x, x)
+
+
 def _surface(tiling_text):
     """The parse, algebra and completion run on the tiling text of a size."""
     def prepare(n):
@@ -65,6 +75,7 @@ def _surface(tiling_text):
 FAMILIES = {
     "hom zigzag string": _hom(False),
     "hom zigzag band": _hom(True),
+    "hom kronecker walk": _kronecker_walk,
     "surface bare polygon": _surface(
         lambda n: "tiling\nboundary b1 marked " + " ".join(f"p{i}" for i in range(n))
         + "\nend\n"),

@@ -34,6 +34,19 @@ def _int_arg(value, name):
     return value
 
 
+def _items(record, size=None):
+    """The items of a record given as a sequence, as a tuple; None for a
+    str (its characters are not items), for a value that is not
+    iterable, and for a record of other than `size` items."""
+    if isinstance(record, str):
+        return None
+    try:
+        items = tuple(record)
+    except TypeError:
+        return None
+    return items if size is None or len(items) == size else None
+
+
 class GentlenessError(Rejection):
     """Raised when a presentation required to be gentle is not."""
 
@@ -85,9 +98,10 @@ class Quiver:
         vertices = frozenset(vertices)
         sources, targets = {}, {}
         for arrow in arrows:
-            if len(arrow) != 3:
-                raise InputError(f"arrow {tuple(arrow)!r} is not (id, source, target)")
-            a, s, t = arrow
+            fields = _items(arrow, 3)
+            if fields is None:
+                raise InputError(f"arrow {arrow!r} is not (id, source, target)")
+            a, s, t = fields
             if a in sources:
                 raise InputError(f"duplicate arrow id {a!r}")
             if s not in vertices or t not in vertices:
@@ -113,11 +127,20 @@ class Quiver:
         return list(self._in.get(v, ()))
 
 
-def _check_relations_composable(q: Quiver, relations):
+def _relation_set(relations) -> frozenset:
+    """The relations as a set of (arrow, arrow) pairs; InputError naming
+    the first record that is not a pair."""
+    pairs = []
     for r in relations:
-        if len(r) != 2:
+        pair = _items(r, 2)
+        if pair is None:
             raise InputError(f"relation {r!r} is not a pair of arrows")
-        a, b = r
+        pairs.append(pair)
+    return frozenset(pairs)
+
+
+def _check_relations_composable(q: Quiver, relations):
+    for a, b in relations:
         if a not in q.sources or b not in q.sources:
             raise InputError(f"relation ({a},{b}) references unknown arrow")
         if q.t(a) != q.s(b):
@@ -141,7 +164,7 @@ def check_gentle(q: Quiver, relations) -> GentleCheck:
     the path algebra is infinite dimensional and maximal direct strings
     (hence hooks) do not exist.
     """
-    relations = frozenset(tuple(r) for r in relations)
+    relations = _relation_set(relations)
     _check_relations_composable(q, relations)
     bad = []
     outs, ins = q._out, q._in
@@ -289,7 +312,7 @@ class GentlePresentation:
     @classmethod
     def from_data(cls, vertices, arrows, relations):
         q = Quiver.from_arrows(vertices, arrows)
-        relations = frozenset(tuple(r) for r in relations)
+        relations = _relation_set(relations)
         verdict = check_gentle(q, relations)
         if not verdict:
             raise GentlenessError(verdict.violations)

@@ -26,6 +26,13 @@ of the reversed arc, the surface form of w_r = ((w^-1)_l)^-1.
 `string_to_arc` and `band_to_closed_curve` read operands through
 `strings._operand`; letters of a tiling algebra that form a string
 always chain up, as a relation is exactly an end-slot mismatch.
+
+The transit table of an algebra holds the codes of its letter table
+(`strings._letter_table`), not `Letter`s.  One walk, `_arc_codes`, reads
+an arc's codes off it.  The operand of the geometric Hom, the cohook
+move and the minimality check read those codes directly, the last
+through `strings._walk_error`, the one successor walk of the package;
+`arc_letters` maps them to `Letter`s for the callers that want letters.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import InputError, Rejection, _int_arg
-from .strings import (Band, Letter, StringWord, _letter_table, _operand,
-                      _primitive_root, _word_error, detect_band)
+from .strings import (Band, StringWord, _letter_table, _operand, _primitive_root,
+                      _walk_error, detect_band)
 from .surface import Tiling, TilingAlgebra
 
 
@@ -108,16 +115,17 @@ def _transit_table(alg: TilingAlgebra) -> dict:
     (d, True) the corner before it, realizing the arrow arc(previous
     side) -> arc(e) as an inverse letter.  Each key maps to (the only
     dart the curve can leave by, the tile size, the corner index, the
-    letter or None when no arrow joins the two slots, those (leave,
-    enter) slots)."""
+    letter's code in the letter table of the presentation of `alg` or
+    None when no arrow joins the two slots, those (leave, enter) slots)."""
     table = alg._transits
     if table is None:
         t, by_slots = alg.tiling, alg.arrow_by_slots
+        code = _letter_table(alg.presentation).code
 
         def entry(d_out, m, corner, slots, inverse):
             name = by_slots.get(slots)
             return (d_out, m, corner,
-                    None if name is None else Letter(name, inverse), slots)
+                    None if name is None else code[name, inverse], slots)
 
         table = alg._transits = {}
         for tile in t.tiles:
@@ -137,24 +145,30 @@ def arc_letters(t: Tiling, alg: TilingAlgebra, arc) -> list:
     """The quiver letters realized by consecutive crossings (also across
     the wrap of a closed curve); ArcRejection when a pair violates (3)(b).
     The transits are read from the table of `alg`, whose tiling is t."""
+    letters = _letter_table(alg.presentation).letters
+    return [letters[c] for c in _arc_codes(alg, arc)]
+
+
+def _arc_codes(alg: TilingAlgebra, arc) -> list:
+    """The letter codes of `arc_letters`, read off the transit table."""
     if isinstance(arc, TrivialArc):
         return []
     darts, pivots = arc.darts, arc.pivots
     n = len(darts)
     table = _transit_table(alg)
-    letters = []
+    codes = []
     for i in range(n if isinstance(arc, ClosedCurveClass) else n - 1):
         corner, inverse = pivots[i]
         if (darts[i], inverse) not in table:    # a boundary side has no transit
             raise ArcRejection(f"malformed: crossing {i} is not an arc side")
-        d_out, m, cut, letter, slots = table[darts[i], inverse]
+        d_out, m, cut, code, slots = table[darts[i], inverse]
         if d_out != darts[(i + 1) % n] or corner % m != cut:
             raise ArcRejection(f"(3)(b) violation at crossings {i},{i + 1}")
-        if letter is None:
+        if code is None:
             raise ArcRejection("(3)(b) violation",
                                f"no fan adjacency for slots {slots[0]} {slots[1]}")
-        letters.append(letter)
-    return letters
+        codes.append(code)
+    return codes
 
 
 def pivot_points(t: Tiling, arc) -> tuple:
@@ -205,7 +219,7 @@ def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
         if not (0 <= d < len(t.tail)) or t.kind[d] != "arc":
             return "malformed: crossing is not an arc side"
     try:   # a (3)(b) fault is reported before a fault at the ends
-        letters = arc_letters(t, alg, arc)
+        codes = _arc_codes(alg, arc)
     except ArcRejection as exc:
         return str(exc)
     cyclic = isinstance(arc, ClosedCurveClass)
@@ -217,9 +231,9 @@ def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
         if err:
             return f"end {err}"
     # minimal position: the induced walk must be reduced and avoid relations
-    _, err = _word_error(alg.presentation, letters, cyclic)
+    err = _walk_error(alg.presentation, codes, cyclic)
     if err is not None:
-        walk = "cyclic" if err[0] == 0 else "induced"
+        walk = "cyclic" if err == 0 else "induced"
         return f"not minimal: {walk} walk is not a string"
     return None
 
@@ -384,9 +398,9 @@ def _pivot_start(t: Tiling, alg: TilingAlgebra, arc: PermissibleArc):
         return _gamma(t, tuple(darts) + arc.darts,
                       tuple(pivots) + ((j, False),) + arc.pivots)
     # cohook: the maximal direct prefix and the following inverse
-    # crossing slide off the moved endpoint
-    letters = arc_letters(t, alg, arc)
-    drop = next((i for i, l in enumerate(letters) if l.inverse), None)
+    # crossing (the first odd code) slide off the moved endpoint
+    codes = _arc_codes(alg, arc)
+    drop = next((i for i, c in enumerate(codes) if c & 1), None)
     if drop is None:
         return TrivialArc()
     return _gamma(t, arc.darts[drop + 1:], arc.pivots[drop + 1:])
@@ -456,8 +470,8 @@ def _arc_view(t: Tiling, alg: TilingAlgebra, arc) -> tuple:
     """The (codes, vertices, cyclic) `homs` operand an arc spells."""
     if isinstance(arc, TrivialArc):
         raise InputError("trivial arcs carry the zero module")
-    codes = _letter_table(alg.presentation).encode(arc_letters(t, alg, arc))
-    return tuple(codes), crossing_word(t, arc), isinstance(arc, ClosedCurveClass)
+    return (tuple(_arc_codes(alg, arc)), crossing_word(t, arc),
+            isinstance(arc, ClosedCurveClass))
 
 
 def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
@@ -470,7 +484,8 @@ def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
     windows of `homs`, and both readings share its run matcher, in
     O(n m) time and O(n + m) memory for arcs of n and m letters.  Segments
     without a transit match by the arc they cross, and closed curves are
-    read in their periodic unrolling."""
+    read in their periodic unrolling.  The crossing words serve as the
+    operands' vertices, so arcs that cross no common arc give 0 at once."""
     from .homs import _match   # only Hom needs the matcher, so only it loads homs
     return len(_match(_arc_view(t, alg, arc_v), _arc_view(t, alg, arc_w)))
 

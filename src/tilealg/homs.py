@@ -30,6 +30,11 @@ w's), a band side unrolled to O(n + m) codes.  Runs on one diagonal are
 disjoint, so a comparison takes O(n m) time plus its output and
 O(n + m) memory.  Trivial windows match by vertex.
 
+Operands whose walks share no vertex have no pair, and `_match` returns
+at once, after both operands have been read and checked.  The check is
+exact: a trivial pair matches two windows at one vertex, and a nonempty
+pair matches equal codes, whose source and target lie on both walks.
+
 Band operands are the quasi-simple modules M(b, 1, lambda), both with
 the same lambda.  Between two of them on the same band the dimension is
 the pair count plus one: the term delta_{b=c} delta_{lambda=mu} min(n, m)
@@ -139,8 +144,11 @@ def _match(fv, sv):
     orientation) in (factor window, sub window) order.  A nonempty pair
     is the maximal run of equal codes from a valid start pair on one
     alignment diagonal of fv against sv or its inverse spelling, kept if
-    both right flanks are valid; runs longer than both hosts drop out."""
+    both right flanks are valid; runs longer than both hosts drop out.
+    Operands that share no vertex have no pair."""
     (fcodes, fverts, fcyc), (scodes, sverts, scyc) = fv, sv
+    if set(fverts).isdisjoint(sverts):
+        return []
     n, m = len(fcodes), len(scodes)
     cap = max(n, m)
     fl, fr = _ends(fcodes, fcyc, 1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .algebra import GentlePresentation
-from .strings import Letter
+from .strings import Letter, all_letters, valid_pair
 from .surface import Tiling
 
 
@@ -71,6 +71,20 @@ def zigzag_walk(p: GentlePresentation, start: int, length: int):
     along the arrows of a `zigzag` p, read mod the cycle's length."""
     n = len(p.arrows)
     return [Letter(f"a{k % n}", k % 2 == 1) for k in range(start, start + length)]
+
+
+def random_walk(rng: random.Random, p: GentlePresentation, length: int):
+    """The letters of a random walk on p: a random letter extended by
+    random `valid_pair` successors to `length` letters, or until none is
+    left."""
+    letters = all_letters(p)
+    word = [rng.choice(letters)]
+    while len(word) < length:
+        after = [l for l in letters if valid_pair(p, word[-1], l) is None]
+        if not after:
+            break
+        word.append(rng.choice(after))
+    return word
 
 
 # -- tilings ------------------------------------------------------------

@@ -16,12 +16,14 @@ i the index of its arrow among the sorted arrows, so code order is
 (arrow, inverse) order and c ^ 1 is the inverse letter.  The table holds
 the source and target vertex of each code and its `valid_pair`
 successors, a tuple of at most two codes in code order.  That one
-successor table serves every walk: `_word_error` encodes a word through
-it and checks it pair by pair (strings, bands, the walks induced by
-arcs), band detection looks for a cycle in it, enumeration extends code
-tuples along it, and the hooks of `artheory` read their runs off it.
-`Letter`s are built only at the API boundary.  `_operand` is the one
-check of the string and band operands of Hom, hooks and arcs.
+successor table serves every walk: `_walk_error` is the one check of a
+code word against it, pair by pair (`_word_error` encodes strings and
+bands through the table first, and `arcs` hands it the codes of the
+walks its arcs induce), band detection looks for a cycle in it,
+enumeration extends code tuples along it, and the hooks of `artheory`
+read their runs off it.  `Letter`s are built only at the API boundary.
+`_operand` is the one check of the string and band operands of Hom,
+hooks and arcs.
 """
 
 from __future__ import annotations
@@ -209,8 +211,8 @@ def _word_error(p: GentlePresentation, letters, cyclic: bool):
     """(codes, None) if the letters spell a string (cyclic: also across
     the wrap), else (None, (position, reason)) of the first offence: a
     letter outside the table with reason None, or else the second letter
-    of the first bad pair with its `valid_pair` reason; the wrap pair has
-    position 0."""
+    of the first bad pair (found by `_walk_error` on the encoded word) with
+    its `valid_pair` reason; the wrap pair has position 0."""
     table = _letter_table(p)
     try:
         codes = table.encode(letters)
@@ -218,12 +220,22 @@ def _word_error(p: GentlePresentation, letters, cyclic: bool):
         return None, next((i, None) for i, l in enumerate(letters)
                           if not isinstance(l, Letter)
                           or not _member((l.arrow, l.inverse), table.code))
-    succ = table.succ
+    i = _walk_error(p, codes, cyclic)
+    if i is not None:
+        return None, (i, valid_pair(p, letters[i - 1], letters[i]))
+    return codes, None
+
+
+def _walk_error(p: GentlePresentation, codes, cyclic: bool):
+    """None if the letter codes of p spell a string (cyclic: also across
+    the wrap), else the position of the second code of the first pair
+    outside the successor table; the wrap pair has position 0."""
+    succ = _letter_table(p).succ
     n = len(codes)
     for i in range(1, n + 1 if cyclic else n):
         if codes[i % n] not in succ[codes[i - 1]]:
-            return None, (i % n, valid_pair(p, letters[i - 1], letters[i % n]))
-    return codes, None
+            return i % n
+    return None
 
 
 def _member(x, known) -> bool:

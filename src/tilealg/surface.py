@@ -37,7 +37,7 @@ import itertools
 from collections import Counter
 from typing import NamedTuple
 
-from .algebra import GentlePresentation, InputError, Rejection, _records
+from .algebra import GentlePresentation, InputError, Rejection, _items, _records
 
 
 class TilingRejection(Rejection):
@@ -123,6 +123,12 @@ class Tiling:
 
     @classmethod
     def from_data(cls, marked, unmarked, arcs, fans) -> "Tiling":
+        for records, what in ((marked, "marked boundary {} has points {!r}"),
+                              (unmarked, "unmarked {} has placement {!r}"),
+                              (fans, "fan at {} has slots {!r}")):
+            for key, record in records.items():
+                if _items(record) is None:
+                    raise InputError(what.format(key, record) + ", not a sequence")
         t = cls(marked, unmarked, arcs, fans)
         t._check_input()
         t._build()
@@ -165,9 +171,10 @@ class Tiling:
             raise InputError("a tiling needs at least one marked point")
         end_slots = []
         for arc, ends in self.arcs.items():
-            if len(ends) != 2:
-                raise InputError(f"arc {arc} has ends {tuple(ends)!r}, not two points")
-            p, q = ends
+            pair = _items(ends, 2)
+            if pair is None:
+                raise InputError(f"arc {arc} has ends {ends!r}, not two points")
+            p, q = pair
             if p not in pts or q not in pts:
                 raise InputError(f"arc {arc} ends at an unknown point")
             end_slots.append((arc, 1))

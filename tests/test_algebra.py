@@ -69,6 +69,10 @@ def test_non_composable_relation_is_input_error():
 @pytest.mark.parametrize("arrows, relations, message", [
     ([("a", "1")], [], "arrow ('a', '1') is not (id, source, target)"),
     ([("a", "1", "2")], [("a", "a", "a")], "relation ('a', 'a', 'a') is not a pair of arrows"),
+    ([5], [], "arrow 5 is not (id, source, target)"),
+    (["a12"], [], "arrow 'a12' is not (id, source, target)"),
+    ([("a", "1", "2")], [5], "relation 5 is not a pair of arrows"),
+    ([("a", "1", "2"), ("b", "2", "1")], ["ab"], "relation 'ab' is not a pair of arrows"),
 ])
 def test_malformed_records_are_input_errors(arrows, relations, message):
     with pytest.raises(InputError) as err:

@@ -15,9 +15,9 @@ from tilealg.homs import (Window, factor_count_bruteforce, factor_strings,
 from tilealg.oracle import (BandModuleSpec, hom_dim_oracle, realize_band_module,
                             realize_string_module)
 from tilealg.strings import (Band, Letter, StringRejection, StringWord,
-                             all_letters, canonicalize, detect_band, enumerate_strings,
+                             canonicalize, detect_band, enumerate_strings,
                              letter_source, letter_target, parse_band,
-                             parse_string, valid_pair, validate_string)
+                             parse_string, validate_string)
 from tilealg.surface import tiling_algebra
 
 
@@ -181,10 +181,12 @@ def test_hom_invariant_under_inversion(name, data):
 
 
 def test_trivial_operand_at_unknown_vertex_is_rejected(fix_a, paper_w):
+    # it shares no vertex with paper_w, and is still read and rejected
     ghost = StringWord.trivial("zzz")
     for v, w in ((ghost, ghost), (ghost, paper_w), (paper_w, ghost)):
-        with pytest.raises(InputError, match="not a string of this presentation"):
+        with pytest.raises(InputError) as err:
             hom_dim(fix_a, v, w)
+        assert str(err.value) == "not a string of this presentation: <triv zzz +>"
     with pytest.raises(InputError, match="not a string of this presentation"):
         factor_strings(fix_a, ghost)
 
@@ -208,12 +210,18 @@ def _operand_entry_points(p):
     (samples.kronecker, (Letter("a"), Letter("a", True))),    # not reduced
     (samples.fix_a, (Letter("a"), Letter("b"))),              # relation ab
     (samples.kronecker, ()),
+    # not canonical, on vertices 1 and 2: off the trivial string at 0
+    (lambda: samples.kronecker_chain(2), (Letter("b1", True), Letter("a1"))),
+    (lambda: samples.kronecker_chain(2), (Letter("a1"), Letter("b1", True)) * 2),
 ])
 def test_band_operand_outside_the_presentation_is_rejected(make, letters):
     p = make()
+    messages = set()
     for call in _operand_entry_points(p):
-        with pytest.raises(InputError, match="not a band of this presentation"):
+        with pytest.raises(InputError, match="not a band of this presentation") as err:
             call(Band(letters))
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 # Operands that are no string or band of the algebra of the kron tiling
@@ -388,20 +396,52 @@ def test_matcher_pairs_are_pinned(family):
     assert _pairs_digest(_family_operands(family)) == PAIRS_DIGESTS[family]
 
 
+# -- operands without a common vertex ------------------------------------------
+
+
+def _support(p, x):
+    """The vertices the walk of a string or band visits, read off its
+    letters."""
+    if isinstance(x, StringWord) and x.is_trivial:
+        return {x.vertex}
+    return {v for l in x.letters for v in (letter_source(p, l), letter_target(p, l))}
+
+
+def _module(p, x):
+    if isinstance(x, Band):
+        return realize_band_module(p, BandModuleSpec(x, 1, 1))
+    return realize_string_module(p, x)
+
+
+def test_operands_without_a_common_vertex_have_no_pairs():
+    """Every ordered pair of strings of at most 3 letters and bands with
+    disjoint supports on the first 100 corpus presentations has no
+    admissible pair; the oracle confirms a seeded sample of them."""
+    rng = random.Random(20)
+    cases, sample = 0, []
+    for p in gentle_corpus.presentations()[:100]:
+        strings = enumerate_strings(p, max_len=3)
+        ops = strings + _sorted_bands(_closed_string_bands(p, strings)
+                                      | ({detect_band(p)} - {None}))
+        supports = [_support(p, x) for x in ops]
+        for v, sv in zip(ops, supports):
+            for w, sw in zip(ops, supports):
+                if sv.isdisjoint(sw):
+                    assert hom_dim_detailed(p, v, w) == (0, ()), (_text(v), _text(w))
+                    cases += 1
+                    if rng.random() < 0.04:
+                        sample.append((p, v, w))
+    assert cases == 12330 and len(sample) > 400
+    for p, v, w in sample:
+        assert hom_dim_oracle(p, _module(p, v), _module(p, w)) == 0, (_text(v), _text(w))
+
+
 # -- long operands ------------------------------------------------------------
 
 
 def _random_walk(rng, p, length):
-    """A random letter extended by random `valid_pair` successors to
-    `length` letters, or until none is left."""
-    letters = all_letters(p)
-    word = [rng.choice(letters)]
-    while len(word) < length:
-        after = [l for l in letters if valid_pair(p, word[-1], l) is None]
-        if not after:
-            break
-        word.append(rng.choice(after))
-    return validate_string(p, word)
+    """samples.random_walk as a string."""
+    return validate_string(p, samples.random_walk(rng, p, length))
 
 
 def _long_operand_cases():

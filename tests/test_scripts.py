@@ -97,7 +97,7 @@ def test_bench_ladder_smallest_rung(tmp_path, capsys):
     assert script.main(["bench_ladder.py", "--out", str(dest), "--max-size", "50"]) == 0
     assert f"-> {dest}" in capsys.readouterr().out
     families = json.loads(dest.read_text())["families"]
-    assert list(families) == ["hom zigzag string", "hom zigzag band",
+    assert list(families) == ["hom zigzag string", "hom zigzag band", "hom kronecker walk",
                               "surface bare polygon", "surface half-kept disc"]
     for rungs in families.values():
         assert [(r["size"], r["exponent"]) for r in rungs] == [(50, None)]

@@ -11,7 +11,8 @@ from tilealg.artheory import hooks
 from tilealg.arcs import check_permissible, hom_dim_geometric, string_to_arc
 from tilealg.homs import factor_strings, hom_dim, window_key
 from tilealg.strings import (Band, Letter, StringRejection, StringWord,
-                             _letter_table, _operand, all_letters, canonicalize,
+                             _letter_table, _operand, _walk_error, all_letters,
+                             canonicalize,
                              compose, detect_band, enumerate_strings, epsilon_of,
                              is_valid_string, letter_source,
                              letter_target, parse_band, parse_string, sigma_of,
@@ -53,6 +54,21 @@ def test_non_composable_rejected(fix_a):
     with pytest.raises(StringRejection) as exc:
         validate_string(fix_a, [Letter("a"), Letter("d")])
     assert exc.value.reason == "non-composable"
+
+
+def test_walk_error_positions(fix_a):
+    """The one successor walk on codes: the second position of the first
+    pair outside the table, the wrap pair at position 0."""
+    code = _letter_table(fix_a).code
+    a, b, d, d_inv = code["a", False], code["b", False], code["d", False], code["d", True]
+    assert _walk_error(fix_a, [a, b], False) == 1              # relation ab
+    assert _walk_error(fix_a, [code["c", False], d, d_inv], False) == 2   # d d- not reduced
+    assert _walk_error(fix_a, [d], False) is None
+    assert _walk_error(fix_a, [d], True) == 0                  # wrap pair d d: relation
+    paper = [code[l.arrow, l.inverse] for l in parse_string(fix_a, "b- c d c- b").letters]
+    assert _walk_error(fix_a, paper, False) is None
+    assert _walk_error(fix_a, paper, True) == 0                # wrap pair b b- not reduced
+    assert _walk_error(fix_a, [], True) is None
 
 
 def test_inverse_relation_rejected(fix_a):

@@ -146,8 +146,22 @@ def test_fans_must_cover_ends():
     (lambda: Tiling.from_data({"b": ["p", "q", "r", "s"]}, {}, {"x": ("p", "r", "q")},
                               {"p": [("x", 1)], "r": [("x", 2)]}),
      "arc x has ends ('p', 'r', 'q'), not two points"),
+    (lambda: Tiling.from_data({"b": ["p", "q", "r", "s"]}, {}, {"x": 5}, {}),
+     "arc x has ends 5, not two points"),
+    (lambda: Tiling.from_data({"b": ["p", "q", "r", "s"]}, {}, {"x": "pr"},
+                              {"p": [("x", 1)], "r": [("x", 2)]}),
+     "arc x has ends 'pr', not two points"),
+    (lambda: Tiling.from_data({"b": 5}, {}, {}, {}),
+     "marked boundary b has points 5, not a sequence"),
+    (lambda: Tiling.from_data({"b": "pqrs"}, {}, {}, {}),
+     "marked boundary b has points 'pqrs', not a sequence"),
+    (lambda: Tiling.from_data({"b": ["p", "q", "r", "s"]}, {"c": 5}, {}, {}),
+     "unmarked c has placement 5, not a sequence"),
+    (lambda: Tiling.from_data({"b": ["p", "q", "r", "s"]}, {}, {}, {"p": 5}),
+     "fan at p has slots 5, not a sequence"),
 ], ids=["no_header", "marked_and_unmarked", "no_placement_arcs", "slot_end_not_an_int",
-        "three_arc_ends"])
+        "three_arc_ends", "arc_ends_int", "arc_ends_str", "marked_int", "marked_str",
+        "unmarked_int", "fan_int"])
 def test_rejections_the_cli_cannot_reach(make, message):
     # the CLI sniffs the header, and its parser refuses a second boundary
     # line, an empty placement, a slot end that is not an int or an arc
