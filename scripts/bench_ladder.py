@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Size ladder of self-Hom on long operands and of surface completion,
-written as JSON.
+"""Size ladder of self-Hom on long operands, of surface completion and
+of reading a presentation, written as JSON.
 
     python3 scripts/bench_ladder.py [--out BENCH_ladder.json] [--max-size 3200]
 
-Five families.  Two run self-Hom on `samples.zigzag` presentations
+Six families.  Two run self-Hom on `samples.zigzag` presentations
 (arrows of alternating orientation, so every code of the operand occurs
 once): the path's longest string and the cycle's band.  One runs
 self-Hom on `samples.random_walk(random.Random(n), p, n)`, a random walk
@@ -13,8 +13,10 @@ so codes repeat and the pairs grow with the walk.  Two run
 `Tiling.parse`, then `tiling_algebra`, then `complete_to_triangulation`
 on the text of a disc with n marked points: the bare n-gon without arcs,
 and `samples.random_disc_tiling(random.Random(n), n, n)`, a random
-triangulation with about half its diagonals kept.  Operands and tiling
-texts are built outside the timing.  Rungs double from size 50 up to
+triangulation with about half its diagonals kept.  One runs
+`GentlePresentation.from_data` on the vertices, arrows and relations of
+`samples.kronecker_chain(n // 2)`, which has n arrows.  Operands, tiling
+texts and presentation data are built outside the timing.  Rungs double from size 50 up to
 --max-size.  Each rung records the best of 3 timed runs in seconds, the
 `tracemalloc` peak of one more run in MB, and the exponent fitted to the
 time between it and the rung before.  A family stops after its first
@@ -34,6 +36,7 @@ import time
 import tracemalloc
 
 from tilealg import samples
+from tilealg.algebra import GentlePresentation
 from tilealg.homs import hom_dim
 from tilealg.strings import Band, validate_string
 from tilealg.surface import Tiling, complete_to_triangulation, tiling_algebra
@@ -72,6 +75,13 @@ def _surface(tiling_text):
     return prepare
 
 
+def _from_data(n):
+    """The from_data run on the data of the Kronecker chain with n arrows."""
+    p = samples.kronecker_chain(n // 2)
+    data = (p.vertices, [(a, p.s(a), p.t(a)) for a in p.arrows], sorted(p.relations))
+    return lambda: GentlePresentation.from_data(*data)
+
+
 FAMILIES = {
     "hom zigzag string": _hom(False),
     "hom zigzag band": _hom(True),
@@ -81,6 +91,7 @@ FAMILIES = {
         + "\nend\n"),
     "surface half-kept disc": _surface(
         lambda n: samples.random_disc_tiling(random.Random(n), n, n).text()),
+    "from_data kronecker": _from_data,
 }
 
 

@@ -4,8 +4,9 @@ Conventions used throughout the package:
 
 * paths are read left to right, so a relation pair ``(a, b)`` means the
   path "first a, then b" is zero and requires ``t(a) == s(b)``;
-* vertex and arrow identifiers are opaque strings, canonical orders are
-  lexicographic on identifiers;
+* vertex and arrow identifiers are names, non-empty strs; canonical
+  orders are lexicographic on them.  Each input record is read once, where
+  it enters, by `_record`, `_name` or `_int_arg`, or named in an InputError;
 * the sign functions sigma/epsilon take values in {-1, +1} and satisfy
 
     - sigma(b1) == -sigma(b2)   for b1 != b2 with s(b1) == s(b2),
@@ -34,17 +35,25 @@ def _int_arg(value, name):
     return value
 
 
-def _items(record, size=None):
-    """The items of a record given as a sequence, as a tuple; None for a
-    str (its characters are not items), for a value that is not
-    iterable, and for a record of other than `size` items."""
-    if isinstance(record, str):
-        return None
-    try:
-        items = tuple(record)
-    except TypeError:
-        return None
-    return items if size is None or len(items) == size else None
+def _record(x, size, what, *keys):
+    """The items of `x`, any iterable but a str, as a tuple of `size` items
+    unless size is None; else InputError(what.format(x, *keys))."""
+    if not isinstance(x, str):
+        try:
+            items = tuple(x)
+            if size is None or len(items) == size:
+                return items
+        except TypeError:
+            pass
+    raise InputError(what.format(x, *keys))
+
+
+def _name(x, what, *keys):
+    """`x` if it is a non-empty str, else InputError(what.format(x, *keys)).
+    Hot loops test `type(x) is str and x` inline and call it on failure."""
+    if type(x) is str and x:
+        return x
+    raise InputError(what.format(x, *keys))
 
 
 class GentlenessError(Rejection):
@@ -94,17 +103,19 @@ class Quiver:
 
     @classmethod
     def from_arrows(cls, vertices, arrows):
-        """arrows: iterable of (id, source, target) triples."""
-        vertices = frozenset(vertices)
+        """vertices: names; arrows: (id, source, target) triples of names."""
+        what = "vertex {!r} is not a name"
+        vertices = frozenset([v if type(v) is str and v else _name(v, what) for v in
+                              _record(vertices, None, "vertices {!r} are not a collection")])
         sources, targets = {}, {}
-        for arrow in arrows:
-            fields = _items(arrow, 3)
-            if fields is None:
-                raise InputError(f"arrow {arrow!r} is not (id, source, target)")
-            a, s, t = fields
+        for arrow in _record(arrows, None, "arrows {!r} are not a collection"):
+            a, s, t = _record(arrow, 3, "arrow {!r} is not (id, source, target)")
+            if type(a) is not str or not a:
+                _name(a, "arrow {1!r} has id {0!r}, not a name", arrow)
             if a in sources:
                 raise InputError(f"duplicate arrow id {a!r}")
-            if s not in vertices or t not in vertices:
+            if type(s) is not str or type(t) is not str or s not in vertices \
+                    or t not in vertices:
                 raise InputError(f"arrow {a!r} uses undeclared vertex")
             sources[a] = s
             targets[a] = t
@@ -128,23 +139,15 @@ class Quiver:
 
 
 def _relation_set(relations) -> frozenset:
-    """The relations as a set of (arrow, arrow) pairs; InputError naming
-    the first record that is not a pair."""
-    pairs = []
-    for r in relations:
-        pair = _items(r, 2)
-        if pair is None:
-            raise InputError(f"relation {r!r} is not a pair of arrows")
+    """The relations as a set of (arrow, arrow) pairs of names; InputError
+    naming the first record that is not one."""
+    what, pairs = "relation {1!r} is not a pair of arrows", []
+    for r in _record(relations, None, "relations {!r} are not a collection"):
+        a, b = pair = _record(r, 2, what, r)
+        if type(a) is not str or type(b) is not str:
+            _name(a, what, r), _name(b, what, r)
         pairs.append(pair)
     return frozenset(pairs)
-
-
-def _check_relations_composable(q: Quiver, relations):
-    for a, b in relations:
-        if a not in q.sources or b not in q.sources:
-            raise InputError(f"relation ({a},{b}) references unknown arrow")
-        if q.t(a) != q.s(b):
-            raise InputError(f"relation ({a},{b}) is not composable")
 
 
 class GentleCheck(NamedTuple):
@@ -164,8 +167,15 @@ def check_gentle(q: Quiver, relations) -> GentleCheck:
     the path algebra is infinite dimensional and maximal direct strings
     (hence hooks) do not exist.
     """
-    relations = _relation_set(relations)
-    _check_relations_composable(q, relations)
+    return _check_gentle(q, _relation_set(relations))
+
+
+def _check_gentle(q: Quiver, relations: frozenset) -> GentleCheck:
+    for a, b in relations:
+        if a not in q.sources or b not in q.sources:
+            raise InputError(f"relation ({a},{b}) references unknown arrow")
+        if q.t(a) != q.s(b):
+            raise InputError(f"relation ({a},{b}) is not composable")
     bad = []
     outs, ins = q._out, q._in
 
@@ -254,7 +264,10 @@ def assign_signs(q: Quiver, relations):
     as dicts arrow -> +-1 in sorted arrow order; AssertionError when the
     conditions cannot hold (the quiver is not gentle).
     """
-    relations = frozenset(tuple(r) for r in relations)
+    return _assign_signs(q, _relation_set(relations))
+
+
+def _assign_signs(q: Quiver, relations: frozenset):
     sigma, epsilon = {}, {}
     for v in q.vertices:
         ins = q._in.get(v, ())
@@ -265,12 +278,7 @@ def assign_signs(q: Quiver, relations):
                 sigma[b] = 1 if (ins[0], b) in relations else -1
             else:
                 sigma[b] = 1 if i == 0 else -1
-    _verify_signs(q, relations, sigma, epsilon)
-    return {a: sigma[a] for a in q._arrows}, {a: epsilon[a] for a in q._arrows}
-
-
-def _verify_signs(q, relations, sigma, epsilon):
-    for v in q.vertices:
+    for v in q.vertices:   # the three conditions hold
         outs, ins = q._out.get(v, ()), q._in.get(v, ())
         for b1, b2 in itertools.combinations(outs, 2):
             assert sigma[b1] == -sigma[b2], (b1, b2)
@@ -279,6 +287,7 @@ def _verify_signs(q, relations, sigma, epsilon):
         for a, b in itertools.product(ins, outs):
             rel = 1 if (a, b) in relations else -1
             assert sigma[b] == rel * epsilon[a], (a, b)
+    return {a: sigma[a] for a in q._arrows}, {a: epsilon[a] for a in q._arrows}
 
 
 class GentlePresentation:
@@ -313,11 +322,10 @@ class GentlePresentation:
     def from_data(cls, vertices, arrows, relations):
         q = Quiver.from_arrows(vertices, arrows)
         relations = _relation_set(relations)
-        verdict = check_gentle(q, relations)
+        verdict = _check_gentle(q, relations)
         if not verdict:
             raise GentlenessError(verdict.violations)
-        sigma, epsilon = assign_signs(q, relations)
-        return cls(q, relations, sigma, epsilon)
+        return cls(q, relations, *_assign_signs(q, relations))
 
     # -- convenience -------------------------------------------------
 
@@ -344,9 +352,9 @@ class GentlePresentation:
 
 def is_zero_path(p: GentlePresentation, path) -> bool:
     """True iff some adjacent pair of the direct path lies in I."""
-    path = list(path)
+    path = _record(path, None, "path {!r} is not a collection of arrows")
     for a in path:
-        if a not in p.quiver.sources:
+        if type(a) is not str or a not in p.quiver.sources:
             raise InputError(f"unknown arrow {a!r}")
     for a, b in zip(path, path[1:]):
         if p.t(a) != p.s(b):

@@ -487,7 +487,7 @@ def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
     read in their periodic unrolling.  The crossing words serve as the
     operands' vertices, so arcs that cross no common arc give 0 at once."""
     from .homs import _match   # only Hom needs the matcher, so only it loads homs
-    return len(_match(_arc_view(t, alg, arc_v), _arc_view(t, alg, arc_w)))
+    return sum(1 for _ in _match(_arc_view(t, alg, arc_v), _arc_view(t, alg, arc_w)))
 
 
 # -- formatting ------------------------------------------------------------

@@ -26,9 +26,10 @@ the two differ, and likewise on the right: a matching pair is exactly
 the maximal run of equal codes from its start pair along one alignment
 diagonal.  `_match` walks one run per valid start pair, against w and
 against w's inverse spelling (whose sub windows are the inverses of
-w's), a band side unrolled to O(n + m) codes.  Runs on one diagonal are
-disjoint, so a comparison takes O(n m) time plus its output and
-O(n + m) memory.  Trivial windows match by vertex.
+w's), a band side unrolled to O(n + m) codes, and yields the runs
+unsorted.  Runs on one diagonal are disjoint, so `hom_dim` counts them in
+O(n m) time and O(n + m) memory; `hom_dim_detailed` sorts them and
+builds their records.  Trivial windows match by vertex.
 
 Operands whose walks share no vertex have no pair, and `_match` returns
 at once, after both operands have been read and checked.  The check is
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import GentlePresentation, InputError, _int_arg
+from .algebra import GentlePresentation, InputError, _int_arg, _record
 from .strings import Band, _letter_table, _operand, valid_pair
 
 
@@ -117,7 +118,8 @@ def window_key(p: GentlePresentation, host, w: Window):
     as a match may use either sign.  A band window may wrap from its start."""
     codes, verts, cyclic = _operand(p, host)
     n = len(codes)
-    start, length = _int_arg(w.start, "window start"), _int_arg(w.length, "window length")
+    start, length, _, _ = _record(w, 4, "window {!r} is not a Window")
+    start, length = _int_arg(start, "window start"), _int_arg(length, "window length")
     if not (0 <= start < n and length >= 0 if cyclic else 0 <= start <= start + length <= n):
         raise InputError(f"window {start}+{length} is not a window of {host!r}")
     if not length:
@@ -141,14 +143,14 @@ class HomComputation(NamedTuple):
 
 def _match(fv, sv):
     """Admissible pairs (factor window of fv, sub window of sv, same
-    orientation) in (factor window, sub window) order.  A nonempty pair
+    orientation), yielded unsorted, one at a time.  A nonempty pair
     is the maximal run of equal codes from a valid start pair on one
     alignment diagonal of fv against sv or its inverse spelling, kept if
     both right flanks are valid; runs longer than both hosts drop out.
     Operands that share no vertex have no pair."""
     (fcodes, fverts, fcyc), (scodes, sverts, scyc) = fv, sv
     if set(fverts).isdisjoint(sverts):
-        return []
+        return
     n, m = len(fcodes), len(scodes)
     cap = max(n, m)
     fl, fr = _ends(fcodes, fcyc, 1)
@@ -158,8 +160,8 @@ def _match(fv, sv):
     for j, left in enumerate(sl):
         if left != -1 and sr[j] != -1:
             trivial.setdefault(sverts[j], []).append((j, 0, left, sr[j]))
-    out = [((i, 0, left, fr[i]), s, True) for i, left in enumerate(fl)
-           if left != -1 and fr[i] != -1 for s in trivial.get(fverts[i], ())]
+    yield from (((i, 0, left, fr[i]), s, True) for i, left in enumerate(fl)
+                if left != -1 and fr[i] != -1 for s in trivial.get(fverts[i], ()))
     f_starts = [i for i in range(n) if fl[i] != -1]
     f_run = fcodes * (2 + cap // n) if fcyc else fcodes
     for same, spell in ((True, scodes), (False, tuple([c ^ 1 for c in reversed(scodes)]))):
@@ -179,9 +181,7 @@ def _match(fv, sv):
                 c = j if same else (m - j - length) % m
                 right, s_right = fr[(i + length) % fk], sr[(c + length) % sk]
                 if length <= cap and right != -1 and s_right != -1 and sl[c] != -1:
-                    out.append(((i, length, fl[i], right), (c, length, sl[c], s_right), same))
-    out.sort()
-    return out
+                    yield (i, length, fl[i], right), (c, length, sl[c], s_right), same
 
 
 def hom_dim_detailed(p: GentlePresentation, v, w) -> HomComputation:
@@ -189,12 +189,14 @@ def hom_dim_detailed(p: GentlePresentation, v, w) -> HomComputation:
     pairs = [AdmissiblePair(FactorDecomposition(v, Window(*f)),
                             SubDecomposition(w, Window(*s)),
                             "equal" if same else "inverse")
-             for f, s, same in _match(fv, sv)]
+             for f, s, same in sorted(_match(fv, sv))]
     return HomComputation(len(pairs) + (isinstance(v, Band) and v == w), tuple(pairs))
 
 
 def hom_dim(p: GentlePresentation, v, w) -> int:
-    return hom_dim_detailed(p, v, w).dim
+    """The dimension of hom_dim_detailed, from a count of the runs."""
+    runs = _match(_operand(p, v), _operand(p, w))
+    return sum(1 for _ in runs) + (isinstance(v, Band) and v == w)
 
 
 # -- independent brute-force window counts (self-test route) -----------

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import GentlePresentation, InputError
-from .strings import Band, StringWord
+from .algebra import GentlePresentation, InputError, _int_arg, _record
+from .strings import Band, Letter, StringWord
 
 DEFAULT_PRIME = 5
 # Largest prime p with p * p < 2**63.  Elimination runs on Python ints and
@@ -25,7 +25,7 @@ _MAX_PRIME = 3037000493
 
 
 def _check_prime(prime: int):
-    if not 2 <= prime <= _MAX_PRIME or any(
+    if not 2 <= _int_arg(prime, "prime") <= _MAX_PRIME or any(
             prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
         raise InputError(f"prime must be a prime number from 2 to {_MAX_PRIME}, "
                          f"got {prime}")
@@ -97,13 +97,14 @@ def _walk(p: GentlePresentation, letters, cyclic: bool):
     names an arrow p lacks, or has consecutive letters that do not meet
     or that cancel, one arrow read both ways (cyclic: also the last and
     the first)."""
+    letters = _record(letters, None, "letters {!r} are not a collection")
     if not letters:
         raise InputError("empty letter walk")
     q = p.quiver
     ends = []
     for l in letters:
-        if l.arrow not in q.sources:
-            raise InputError(f"unknown arrow {l.arrow!r}")
+        if not isinstance(l, Letter) or type(l.arrow) is not str or l.arrow not in q.sources:
+            raise InputError(f"unknown arrow {getattr(l, 'arrow', l)!r}")
         s, t = q.sources[l.arrow], q.targets[l.arrow]
         ends.append((t, s) if l.inverse else (s, t))
     n = len(ends)
@@ -123,11 +124,13 @@ def realize_string_module(p: GentlePresentation, w: StringWord,
     """One basis vector per walk position, identity arrow actions along
     the walk; dimension vector = per-vertex visit counts."""
     _check_prime(prime)
+    if not isinstance(w, StringWord):
+        raise InputError(f"expected a StringWord, got {type(w).__name__}")
     if w.is_zero:
         raise InputError("the zero string has no module")
     if w.kind == "word":
         verts = _walk(p, w.letters, False)
-    elif w.vertex in p.quiver.vertices:
+    elif type(w.vertex) is str and w.vertex in p.quiver.vertices:
         verts = [w.vertex]
     else:
         raise InputError(f"unknown vertex {w.vertex!r}")
@@ -155,9 +158,11 @@ class BandModuleSpec(namedtuple("BandModuleSpec", "band n lam")):
     __slots__ = ()
 
     def __new__(cls, band: Band, n: int, lam: int):
-        if n < 1:
+        if not isinstance(band, Band):
+            raise InputError(f"band module needs a Band, got {type(band).__name__}")
+        if _int_arg(n, "n") < 1:
             raise InputError("band module needs n >= 1")
-        return super().__new__(cls, band, n, lam)
+        return super().__new__(cls, band, n, _int_arg(lam, "lam"))
 
 
 def realize_band_module(p: GentlePresentation, spec: BandModuleSpec,
@@ -165,6 +170,7 @@ def realize_band_module(p: GentlePresentation, spec: BandModuleSpec,
     """M(b, n, phi) with phi the n x n Jordan block J_n(lambda), carried
     by the last letter of the canonical rotation."""
     _check_prime(prime)
+    spec = BandModuleSpec(*_record(spec, 3, "band module {!r} is not (band, n, lam)"))
     if spec.lam % prime == 0:
         raise InputError("lambda must be nonzero in the prime field")
     letters = spec.band.letters

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .algebra import GentlePresentation, InputError, Rejection, _find_cycle, _int_arg
+from .algebra import GentlePresentation, InputError, Rejection, _find_cycle, _int_arg, _record
 
 
 class Letter(NamedTuple):
@@ -73,11 +73,18 @@ class StringRejection(Rejection):
         super().__init__(f"invalid string at position {position}: {reason}")
 
 
-def _check_letters(letters):
+def _read_letters(letters, pairs=False) -> tuple:
+    """The letters of a word or band as a tuple of Letters, given as such
+    or, with `pairs`, also as (arrow, inverse) pairs."""
+    letters = _record(letters, None, "letters {!r} are not a collection")
+    if pairs:
+        return tuple(l if isinstance(l, Letter) else Letter(*_record(
+            l, 2, "letter {!r} is not an (arrow, inverse) pair")) for l in letters)
     if not all(isinstance(l, Letter) for l in letters):
         raise InputError("letter words and bands take Letter items; "
                          "validate_string and Band.from_letters read "
                          "(arrow, inverse) pairs")
+    return letters
 
 
 class StringWord(NamedTuple):
@@ -104,10 +111,9 @@ class StringWord(NamedTuple):
 
     @staticmethod
     def word(letters) -> "StringWord":
-        letters = tuple(letters)
+        letters = _read_letters(letters)
         if not letters:
             raise InputError("a letter word must be nonempty; use trivial/zero")
-        _check_letters(letters)
         return StringWord("word", letters=letters)
 
     # -- basic structure ----------------------------------------------
@@ -191,7 +197,7 @@ def validate_string(p: GentlePresentation, letters) -> StringWord:
     the second letter of the bad pair) and a reason among
     non-composable / not-reduced / relation.
     """
-    letters = [l if isinstance(l, Letter) else Letter(*l) for l in letters]
+    letters = _read_letters(letters, True)
     _, err = _word_error(p, letters, False)
     if err is not None:
         i, reason = err
@@ -213,13 +219,12 @@ def _word_error(p: GentlePresentation, letters, cyclic: bool):
     letter outside the table with reason None, or else the second letter
     of the first bad pair (found by `_walk_error` on the encoded word) with
     its `valid_pair` reason; the wrap pair has position 0."""
-    table = _letter_table(p)
+    code, codes = _letter_table(p).code, []
     try:
-        codes = table.encode(letters)
-    except (KeyError, AttributeError, TypeError):
-        return None, next((i, None) for i, l in enumerate(letters)
-                          if not isinstance(l, Letter)
-                          or not _member((l.arrow, l.inverse), table.code))
+        for l in letters:
+            codes.append(code[l.arrow, l.inverse])
+    except (KeyError, AttributeError, TypeError):   # not a letter of the table
+        return None, (len(codes), None)
     i = _walk_error(p, codes, cyclic)
     if i is not None:
         return None, (i, valid_pair(p, letters[i - 1], letters[i]))
@@ -236,14 +241,6 @@ def _walk_error(p: GentlePresentation, codes, cyclic: bool):
         if codes[i % n] not in succ[codes[i - 1]]:
             return i % n
     return None
-
-
-def _member(x, known) -> bool:
-    """x in known; False for an x with an unhashable field."""
-    try:
-        return x in known
-    except TypeError:
-        return False
 
 
 def compose(p: GentlePresentation, v: StringWord, w: StringWord):
@@ -296,12 +293,11 @@ class Band(namedtuple("Band", "letters")):
     __slots__ = ()
 
     def __new__(cls, letters: tuple):
-        _check_letters(letters)
-        return super().__new__(cls, letters)
+        return super().__new__(cls, _read_letters(letters))
 
     @staticmethod
     def from_letters(p: GentlePresentation, letters) -> "Band":
-        letters = tuple(l if isinstance(l, Letter) else Letter(*l) for l in letters)
+        letters = _read_letters(letters, True)
         if not letters:
             raise InputError("a band needs at least one letter")
         codes, err = _word_error(p, letters, True)
@@ -365,7 +361,8 @@ def _operand(p: GentlePresentation, host):
                                   *map(table.target.__getitem__, codes)), False
         StringWord.word(host.letters)   # the constructor's complaint comes first
     elif host.kind == "trivial":
-        if host.sign in (1, -1) and _member(host.vertex, p.quiver.vertices):
+        if host.sign in (1, -1) and type(host.vertex) is str \
+                and host.vertex in p.quiver.vertices:
             return (), (host.vertex,), False
         StringWord.trivial(host.vertex, host.sign)
     else:
@@ -413,13 +410,6 @@ class _LetterTable:
         self.succ = tuple(tuple(c for c in starting.get(v, ())
                                 if valid_pair(p, l1, letters[c]) is None)
                           for l1, v in zip(letters, self.target))
-
-    def encode(self, letters):
-        """The codes of the letters; KeyError (AttributeError for a
-        non-letter, TypeError for an unhashable field) on one outside the
-        table."""
-        code = self.code
-        return [code[l.arrow, l.inverse] for l in letters]
 
 
 def _letter_table(p: GentlePresentation) -> _LetterTable:

@@ -37,7 +37,7 @@ import itertools
 from collections import Counter
 from typing import NamedTuple
 
-from .algebra import GentlePresentation, InputError, Rejection, _items, _records
+from .algebra import GentlePresentation, InputError, Rejection, _name, _record, _records
 
 
 class TilingRejection(Rejection):
@@ -119,21 +119,33 @@ class Tiling:
                 raise InputError(f"line {lineno}: unknown keyword {kw!r}")
         if not seen_header:
             raise InputError("missing 'tiling' header line")
-        return cls.from_data(marked, unmarked, arcs, fans)
+        return cls(marked, unmarked, arcs, fans)._made()   # tokens are names already
 
     @classmethod
     def from_data(cls, marked, unmarked, arcs, fans) -> "Tiling":
-        for records, what in ((marked, "marked boundary {} has points {!r}"),
-                              (unmarked, "unmarked {} has placement {!r}"),
-                              (fans, "fan at {} has slots {!r}")):
-            for key, record in records.items():
-                if _items(record) is None:
-                    raise InputError(what.format(key, record) + ", not a sequence")
-        t = cls(marked, unmarked, arcs, fans)
-        t._check_input()
-        t._build()
-        t._classify(t._faces())
-        return t
+        """The tiling of four dicts keyed by names: boundary -> marked points and
+        point -> fan slots (arc, end), clockwise; unmarked -> arcs; arc -> ends."""
+        maps = []
+        for records, owner, items, size in (
+                (marked, "marked boundary", "points", None), (arcs, "arc", "ends", 2),
+                (unmarked, "unmarked", "placement", None), (fans, "fan at", "slots", None)):
+            if not isinstance(records, dict):
+                raise InputError(f"{owner} records {records!r} are not a dict")
+            has, slots = f"{owner} {{1}} has {items} ", items == "slots"
+            shape = has + "{0!r}, not " + ("two points" if size else "a sequence")
+            each = has + "{2!r}: {0!r} is not " + ("(arc, end)" if slots else "a name")
+            maps.append({_name(k, owner + " {!r} is not a name"): tuple(
+                _record(x, 2, each, k, v) if slots else _name(x, each, k, v)
+                for x in _record(v, size, shape, k)) for k, v in records.items()})
+        marked, arcs, unmarked, fans = maps
+        return cls(marked, {k: sorted(v) for k, v in unmarked.items()}, arcs, fans)._made()
+
+    def _made(self) -> "Tiling":
+        """This tiling, its description checked, its map built, its tiles classified."""
+        self._check_input()
+        self._build()
+        self._classify(self._faces())
+        return self
 
     # ------------------------------------------------------------------
     @property
@@ -170,17 +182,13 @@ class Tiling:
         if not pts:
             raise InputError("a tiling needs at least one marked point")
         end_slots = []
-        for arc, ends in self.arcs.items():
-            pair = _items(ends, 2)
-            if pair is None:
-                raise InputError(f"arc {arc} has ends {ends!r}, not two points")
-            p, q = pair
+        for arc, (p, q) in self.arcs.items():
             if p not in pts or q not in pts:
                 raise InputError(f"arc {arc} ends at an unknown point")
-            end_slots.append((arc, 1))
-            end_slots.append((arc, 2))
+            end_slots += (arc, 1), (arc, 2)
         declared = [s for pt in self.fans for s in self.fans[pt]]
-        if Counter(declared) != Counter(end_slots):
+        if any(type(a) is not str or type(e) is not int for a, e in declared) \
+                or Counter(declared) != Counter(end_slots):
             raise InputError("fans must list every arc end exactly once")
         for pt, slots in self.fans.items():
             if pt not in pts:
@@ -545,7 +553,8 @@ def collapse_presentation(alg_t: TilingAlgebra, keep) -> TilingAlgebra:
     maximal direct strings of A_T running through dropped arcs only, and
     a composition is zero exactly when the junction pair is zero in A_T
     (equivalently: mismatched end slots)."""
-    keep = set(keep)
+    keep = {_name(a, "keep set names {!r}, not an arc") for a in
+            _record(keep, None, "keep set {!r} is not a collection of arcs")}
     unknown = keep - set(alg_t.tiling.arcs)
     if unknown:
         raise InputError(f"keep set names unknown arcs: {sorted(unknown)}")

@@ -224,3 +224,19 @@ def test_hooks_are_pinned():
     # recorded while the hook arrow and the maximal direct string came
     # from scans of the arrows at a vertex
     assert _hooks_digest() == "17c11c0dae220311"
+
+
+def test_ar_quivers_are_pinned():
+    """The AR quiver of each band-free corpus presentation, in corpus order:
+    a line per node, then per edge, then per tau pair."""
+    h = hashlib.sha256()
+    for p in gentle_corpus.presentations():
+        if detect_band(p) is None:
+            ar = build_ar_quiver(p)
+            h.update("".join([f"node {w.text()}\n" for w in ar.nodes]
+                             + [f"edge {a.text()} -> {b.text()}\n" for a, b in ar.edges]
+                             + [f"tau {a.text()} .. {b.text()}\n" for a, b in ar.tau_pairs])
+                     .encode())
+    # recorded while the readers of the presentation records were spread
+    # over four modules
+    assert h.hexdigest()[:16] == "3f05d7139c4e9a18"

@@ -1,0 +1,239 @@
+"""The input contract of the API: names are non-empty strs, collections
+any non-str iterables, ints not bools, and a malformed record raises an
+InputError that names it.  Every entry point either returns or raises
+InputError or Rejection, whatever junk sits in one of its record slots;
+and tuples, generators and sets stay accepted wherever lists are."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tilealg import samples
+from tilealg.algebra import GentlePresentation, InputError, Quiver, Rejection, check_gentle
+from tilealg.arcs import string_to_arc
+from tilealg.artheory import hooks
+from tilealg.homs import Window, hom_dim, window_key
+from tilealg.oracle import BandModuleSpec, realize_band_module, realize_string_module
+from tilealg.strings import Band, Letter, StringWord, parse_band, parse_string, validate_string
+from tilealg.surface import (Tiling, collapse_presentation, complete_to_triangulation,
+                             presentations_isomorphic, tiling_algebra)
+
+VERTICES = ["0", "1", "2"]
+ARROWS = [("a0", "0", "1"), ("b0", "0", "1"), ("a1", "1", "2"), ("b1", "1", "2")]
+RELATIONS = [("a0", "b1"), ("b0", "a1")]
+CHAIN = GentlePresentation.from_data(VERTICES, ARROWS, RELATIONS)
+BAND = parse_band(CHAIN, "a0 b0-")
+WORD = parse_string(CHAIN, "a0 b0- a0")
+PAIRS = [("a0", False), ("b0", True)]
+DIGON = samples.digon_tiling()
+DIGON_ALG = tiling_algebra(DIGON)
+DIGON_DATA = (DIGON.marked, DIGON.unmarked, DIGON.arcs, DIGON.fans)
+COMPLETED_ALG = tiling_algebra(complete_to_triangulation(DIGON).tiling)
+DIGON_WORD = parse_string(DIGON_ALG.presentation, DIGON_ALG.presentation.arrows[0])
+
+
+# entry point -> (call, the valid arguments whose slots are fuzzed)
+ENTRY_POINTS = {
+    "GentlePresentation.from_data": (GentlePresentation.from_data,
+                                     (VERTICES, ARROWS, RELATIONS)),
+    "Quiver.from_arrows": (Quiver.from_arrows, (VERTICES, ARROWS)),
+    "check_gentle": (lambda r: check_gentle(CHAIN.quiver, r), (RELATIONS,)),
+    "Tiling.from_data": (Tiling.from_data, DIGON_DATA),
+    "validate_string": (lambda l: validate_string(CHAIN, l), (PAIRS,)),
+    "Band.from_letters": (lambda l: Band.from_letters(CHAIN, l), (PAIRS,)),
+    "BandModuleSpec": (BandModuleSpec, (BAND, 2, 3)),
+    "realize_band_module": (lambda s, prime: realize_band_module(CHAIN, s, prime),
+                            (BandModuleSpec(BAND, 2, 3), 5)),
+    "realize_string_module": (lambda w, prime: realize_string_module(CHAIN, w, prime),
+                              (WORD, 5)),
+    "window_key": (lambda x, w: window_key(CHAIN, x, w), (WORD, Window(0, 2, None, 2))),
+    "collapse_presentation": (lambda keep: collapse_presentation(COMPLETED_ALG, keep),
+                              (["x", "y"],)),
+    "hom_dim": (lambda v, w: hom_dim(CHAIN, v, w), (WORD, BAND)),
+    "hooks": (lambda w: hooks(CHAIN, w), (WORD,)),
+    "string_to_arc": (lambda w: string_to_arc(DIGON, DIGON_ALG, w), (DIGON_WORD,)),
+}
+
+LEAVES = (st.integers(-2, 3) | st.booleans() | st.floats() | st.none()
+          | st.sampled_from(["", "0", "1", "a0", "b0", "x", "p", "word", "trivial"]))
+HASHABLE = st.recursive(LEAVES, lambda inner: st.tuples(inner, inner), max_leaves=3)
+JUNK = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3)
+                    | st.tuples(inner, inner) | st.dictionaries(HASHABLE, inner, max_size=2),
+                    max_leaves=6)
+
+
+@st.composite
+def _junk_slot(draw, value):
+    """(path, junk): a path from `value` down to one of its slots and the
+    junk to put there.  A step is ("item", i) into a sequence or a record,
+    ("value", k) into a dict, or ("key", k), which replaces the key k."""
+    path = []
+    while isinstance(value, (list, tuple, dict)) and len(tuple(value)) \
+            and draw(st.integers(0, 3)):
+        if isinstance(value, dict):
+            kind = draw(st.sampled_from(["value", "key"]))
+            k = draw(st.sampled_from(list(value)))
+        else:
+            kind, k = "item", draw(st.integers(0, len(tuple(value)) - 1))
+        path.append((kind, k))
+        if kind == "key":
+            return path, draw(HASHABLE)
+        value = value[k] if kind == "value" else tuple(value)[k]
+    return path, draw(JUNK)
+
+
+def _put(value, path, junk):
+    """`value` with `junk` at the end of `path`; a record is rebuilt by
+    its own constructor."""
+    if not path:
+        return junk
+    (kind, k), rest = path[0], path[1:]
+    if isinstance(value, dict):
+        out = dict(value)
+        if kind == "key":
+            out[junk] = out.pop(k)
+        else:
+            out[k] = _put(value[k], rest, junk)
+        return out
+    items = list(value)
+    items[k] = _put(items[k], rest, junk)
+    if isinstance(value, list):
+        return items
+    return type(value)(*items) if hasattr(type(value), "_fields") else tuple(items)
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(st.data())
+def test_junk_in_any_record_slot_is_input_error_or_rejection(data):
+    name = data.draw(st.sampled_from(sorted(ENTRY_POINTS)))
+    call, args = ENTRY_POINTS[name]
+    i = data.draw(st.integers(0, len(args) - 1))
+    path, junk = data.draw(_junk_slot(args[i]))
+    try:
+        call(*args[:i], _put(args[i], path, junk), *args[i + 1:])
+    except (InputError, Rejection):
+        pass
+
+
+def _kinds(items, ordered=True):
+    """The collection `items` as a list, a tuple, a generator and, when
+    its order carries nothing, a set."""
+    kinds = [list(items), tuple(items), (x for x in items)]
+    return kinds + ([] if ordered else [set(items)])
+
+
+def test_tuples_generators_and_sets_are_read_like_lists():
+    p = GentlePresentation.from_data(VERTICES, ARROWS, RELATIONS)
+    for vertices in _kinds(VERTICES, False):
+        assert GentlePresentation.from_data(vertices, ARROWS, RELATIONS) == p
+    for arrows in _kinds(ARROWS, False) + _kinds([list(a) for a in ARROWS]):
+        assert GentlePresentation.from_data(VERTICES, arrows, RELATIONS) == p
+    for relations in _kinds(RELATIONS, False):
+        assert GentlePresentation.from_data(VERTICES, ARROWS, relations) == p
+    for record in (list, tuple, iter):
+        relations = [record(r) for r in RELATIONS]
+        assert GentlePresentation.from_data(VERTICES, ARROWS, relations) == p
+    assert check_gentle(p.quiver, (iter(r) for r in RELATIONS)).gentle
+    text = DIGON.text()
+    for kind in (list, tuple, iter):
+        t = Tiling.from_data({k: kind(v) for k, v in DIGON.marked.items()},
+                             {k: kind(v) for k, v in DIGON.unmarked.items()},
+                             {k: kind(v) for k, v in DIGON.arcs.items()},
+                             {k: kind(map(kind, v)) for k, v in DIGON.fans.items()})
+        assert t.text() == text
+    for letters in _kinds([["a0", False], ("b0", True)]):
+        assert validate_string(CHAIN, letters) == parse_string(CHAIN, "a0 b0-")
+    for letters in _kinds([["a0", False], ("b0", True)]):
+        assert Band.from_letters(CHAIN, letters) == BAND
+    for keep in _kinds(["x", "y"], False):
+        assert presentations_isomorphic(collapse_presentation(COMPLETED_ALG, keep), DIGON_ALG)
+    assert window_key(CHAIN, WORD, (0, 2, None, 2)) == \
+        window_key(CHAIN, WORD, Window(0, 2, None, 2))
+    assert realize_band_module(CHAIN, (BAND, 1, 2)).dims == \
+        realize_band_module(CHAIN, BandModuleSpec(BAND, 1, 2)).dims
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GentlePresentation.from_data("12", [("a", "1", "2")], []),
+     "vertices '12' are not a collection"),
+    (lambda: GentlePresentation.from_data(["1", "2"], [(1, "1", "2")], []),
+     "arrow (1, '1', '2') has id 1, not a name"),
+    (lambda: GentlePresentation.from_data(["1", "2"], [("", "1", "2")], []),
+     "arrow ('', '1', '2') has id '', not a name"),
+    (lambda: GentlePresentation.from_data(5, [], []), "vertices 5 are not a collection"),
+    (lambda: GentlePresentation.from_data(["1"], None, []),
+     "arrows None are not a collection"),
+    (lambda: GentlePresentation.from_data([["1"]], [], []), "vertex ['1'] is not a name"),
+    (lambda: GentlePresentation.from_data(["1", "2"], [(["a"], "1", "2")], []),
+     "arrow (['a'], '1', '2') has id ['a'], not a name"),
+    (lambda: GentlePresentation.from_data(["1", "2"], [("a", "1", "2")], [(["a"], "a")]),
+     "relation (['a'], 'a') is not a pair of arrows"),
+    (lambda: GentlePresentation.from_data(["1", "2"], [("a", "1", ["2"])], []),
+     "arrow 'a' uses undeclared vertex"),
+    (lambda: GentlePresentation.from_data(["1", "2"], [("a", "1", "2")], None),
+     "relations None are not a collection"),
+    (lambda: validate_string(CHAIN, [5]), "letter 5 is not an (arrow, inverse) pair"),
+    (lambda: validate_string(CHAIN, [("a0", False, 1)]),
+     "letter ('a0', False, 1) is not an (arrow, inverse) pair"),
+    (lambda: validate_string(CHAIN, "a0"), "letters 'a0' are not a collection"),
+    (lambda: Band.from_letters(CHAIN, [5]), "letter 5 is not an (arrow, inverse) pair"),
+    (lambda: Band.from_letters(CHAIN, [("a0", False, 1)]),
+     "letter ('a0', False, 1) is not an (arrow, inverse) pair"),
+    (lambda: Tiling.from_data([], {}, {}, {}), "marked boundary records [] are not a dict"),
+    (lambda: Tiling.from_data({"b": ["p", "q", 5]}, {}, {}, {}),
+     "marked boundary b has points ['p', 'q', 5]: 5 is not a name"),
+    (lambda: Tiling.from_data({5: ["p", "q", "r", "s"]}, {}, {}, {}),
+     "marked boundary 5 is not a name"),
+    (lambda: Tiling.from_data({"b": ["p", "q", "r", "s"]}, {}, {"x": ("p", ["r"])}, {}),
+     "arc x has ends ('p', ['r']): ['r'] is not a name"),
+    (lambda: Tiling.from_data({"b": ["p", "q", "r", "s"]}, {}, {"x": ("p", "r")},
+                              {"p": [("x", 1)], "r": [5]}),
+     "fan at r has slots [5]: 5 is not (arc, end)"),
+    (lambda: Tiling.from_data({"b": ["p", "q", "r", "s"]}, {}, {"x": ("p", "r")},
+                              {"p": [(["x"], 1)], "r": [("x", 2)]}),
+     "fans must list every arc end exactly once"),
+    (lambda: Tiling.from_data({"b": ["p", "q", "r", "s"]}, {}, {"x": ("p", "r")},
+                              {"p": [("x", True)], "r": [("x", 2)]}),
+     "fans must list every arc end exactly once"),
+    (lambda: realize_string_module(CHAIN, WORD, prime="5"), "prime must be an int, got '5'"),
+    (lambda: realize_string_module(CHAIN, WORD, prime=5.0), "prime must be an int, got 5.0"),
+    (lambda: realize_string_module(CHAIN, ("a0",)), "expected a StringWord, got tuple"),
+    (lambda: BandModuleSpec(BAND, "1", 1), "n must be an int, got '1'"),
+    (lambda: BandModuleSpec(BAND, True, 1), "n must be an int, got True"),
+    (lambda: BandModuleSpec(BAND, 1, "x"), "lam must be an int, got 'x'"),
+    (lambda: BandModuleSpec(BAND, 1, 1.5), "lam must be an int, got 1.5"),
+    (lambda: BandModuleSpec(WORD, 1, 1), "band module needs a Band, got StringWord"),
+    (lambda: realize_band_module(CHAIN, None), "band module None is not (band, n, lam)"),
+    (lambda: window_key(CHAIN, WORD, (0, 0)), "window (0, 0) is not a Window"),
+    (lambda: window_key(CHAIN, WORD, None), "window None is not a Window"),
+    (lambda: collapse_presentation(COMPLETED_ALG, "xy"),
+     "keep set 'xy' is not a collection of arcs"),
+    (lambda: collapse_presentation(COMPLETED_ALG, [["x"]]),
+     "keep set names ['x'], not an arc"),
+    (lambda: collapse_presentation(COMPLETED_ALG, None),
+     "keep set None is not a collection of arcs"),
+], ids=["str_vertices", "arrow_id_int", "arrow_id_empty", "vertices_int", "arrows_none",
+        "vertex_list", "arrow_id_list", "relation_list_field", "source_list",
+        "relations_none", "letter_int", "letter_triple", "letters_str", "band_letter_int",
+        "band_letter_triple", "tiling_maps_not_dicts", "marked_point_int",
+        "boundary_key_int", "arc_end_list", "slot_int", "slot_arc_list", "slot_end_bool",
+        "prime_str", "prime_float", "string_module_of_a_tuple", "n_str", "n_bool",
+        "lam_str", "lam_float", "band_module_of_a_word", "band_module_none",
+        "window_pair", "window_none", "keep_str", "keep_list_item", "keep_none"])
+def test_malformed_records_name_themselves(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_list_records_read_as_their_tuples():
+    """A record given as a list is read as the tuple of its items: an
+    arc end pair, a fan slot and a letter pair."""
+    t = Tiling.from_data({"b": ["p", "q", "r", "s"]}, {}, {"x": ["p", "r"]},
+                         {"p": [["x", 1]], "r": [("x", 2)]})
+    assert t.arcs == {"x": ("p", "r")} and t.fans == {"p": [("x", 1)], "r": [("x", 2)]}
+    assert validate_string(CHAIN, [["a0", False]]) == StringWord.word([Letter("a0")])
+    # a placement is read in any order
+    pair = dict(DIGON.unmarked)
+    swapped = Tiling.from_data(DIGON.marked, {k: v[::-1] for k, v in pair.items()},
+                               DIGON.arcs, DIGON.fans)
+    assert swapped.text() == DIGON.text()

@@ -98,7 +98,8 @@ def test_bench_ladder_smallest_rung(tmp_path, capsys):
     assert f"-> {dest}" in capsys.readouterr().out
     families = json.loads(dest.read_text())["families"]
     assert list(families) == ["hom zigzag string", "hom zigzag band", "hom kronecker walk",
-                              "surface bare polygon", "surface half-kept disc"]
+                              "surface bare polygon", "surface half-kept disc",
+                              "from_data kronecker"]
     for rungs in families.values():
         assert [(r["size"], r["exponent"]) for r in rungs] == [(50, None)]
         assert rungs[0]["best_s"] >= 0 and rungs[0]["peak_mb"] >= 0
