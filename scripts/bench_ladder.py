@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Size ladder of self-Hom on long operands, of surface completion and
-of reading a presentation, written as JSON.
+"""Size ladder of self-Hom on long operands, of surface completion, of
+reading a presentation and of the AR quiver, written as JSON.
 
     python3 scripts/bench_ladder.py [--out BENCH_ladder.json] [--max-size 3200]
 
-Six families.  Two run self-Hom on `samples.zigzag` presentations
+Seven families.  Two run self-Hom on `samples.zigzag` presentations
 (arrows of alternating orientation, so every code of the operand occurs
 once): the path's longest string and the cycle's band.  One runs
 self-Hom on `samples.random_walk(random.Random(n), p, n)`, a random walk
@@ -15,14 +15,17 @@ on the text of a disc with n marked points: the bare n-gon without arcs,
 and `samples.random_disc_tiling(random.Random(n), n, n)`, a random
 triangulation with about half its diagonals kept.  One runs
 `GentlePresentation.from_data` on the vertices, arrows and relations of
-`samples.kronecker_chain(n // 2)`, which has n arrows.  Operands, tiling
-texts and presentation data are built outside the timing.  Rungs double from size 50 up to
---max-size.  Each rung records the best of 3 timed runs in seconds, the
-`tracemalloc` peak of one more run in MB, and the exponent fitted to the
-time between it and the rung before.  A family stops after its first
-rung over 0.5 s or 50 MB, so a routine that blows up is cut short
-instead of exhausting memory.  Timings are wall clock on the machine
-that runs the script; compare two ladders only from the same machine.
+`samples.kronecker_chain(n // 2)`, which has n arrows.  One runs
+`build_ar_quiver` on the linearly oriented path quiver A_n, of
+n (n + 1) / 2 nodes.  Operands, tiling texts and presentations are built
+outside the timing.  Rungs double from size 50 (from 8 up to 64 for the
+AR quiver) up to --max-size.  Each rung records the best of 3 timed
+runs in seconds, the `tracemalloc` peak of one more run in MB, and the
+exponent fitted to the time between it and the rung before.  A family
+stops after its first rung over 0.5 s or 50 MB, so a routine that blows
+up is cut short instead of exhausting memory.  Timings are wall clock
+on the machine that runs the script; compare two ladders only from the
+same machine.
 Exit codes: 0 written, 2 malformed arguments or an unwritable --out.
 """
 
@@ -37,6 +40,7 @@ import tracemalloc
 
 from tilealg import samples
 from tilealg.algebra import GentlePresentation
+from tilealg.artheory import build_ar_quiver
 from tilealg.homs import hom_dim
 from tilealg.strings import Band, validate_string
 from tilealg.surface import Tiling, complete_to_triangulation, tiling_algebra
@@ -82,16 +86,25 @@ def _from_data(n):
     return lambda: GentlePresentation.from_data(*data)
 
 
+def _ar_quiver(n):
+    """The AR quiver run on the path quiver A_n."""
+    p = GentlePresentation.from_data([str(i) for i in range(n)],
+                                     [(f"a{i}", str(i), str(i + 1)) for i in range(n - 1)], [])
+    return lambda: build_ar_quiver(p)
+
+
+# name -> (first size, last size, the run's preparation)
 FAMILIES = {
-    "hom zigzag string": _hom(False),
-    "hom zigzag band": _hom(True),
-    "hom kronecker walk": _kronecker_walk,
-    "surface bare polygon": _surface(
+    "hom zigzag string": (50, math.inf, _hom(False)),
+    "hom zigzag band": (50, math.inf, _hom(True)),
+    "hom kronecker walk": (50, math.inf, _kronecker_walk),
+    "surface bare polygon": (50, math.inf, _surface(
         lambda n: "tiling\nboundary b1 marked " + " ".join(f"p{i}" for i in range(n))
-        + "\nend\n"),
-    "surface half-kept disc": _surface(
-        lambda n: samples.random_disc_tiling(random.Random(n), n, n).text()),
-    "from_data kronecker": _from_data,
+        + "\nend\n")),
+    "surface half-kept disc": (50, math.inf, _surface(
+        lambda n: samples.random_disc_tiling(random.Random(n), n, n).text())),
+    "from_data kronecker": (50, math.inf, _from_data),
+    "ar_quiver path": (8, 64, _ar_quiver),
 }
 
 
@@ -113,10 +126,9 @@ def _rung(size, prepare):
 
 def ladder(max_size):
     families = {}
-    for name, prepare in FAMILIES.items():
+    for name, (size, last, prepare) in FAMILIES.items():
         rungs = []
-        size = 50
-        while size <= max_size:
+        while size <= min(max_size, last):
             rung = _rung(size, prepare)
             prev = rungs[-1] if rungs else None
             rung["exponent"] = (round(math.log(rung["best_s"] / prev["best_s"]) /

@@ -56,6 +56,13 @@ def _name(x, what, *keys):
     raise InputError(what.format(x, *keys))
 
 
+def _text(x, what):
+    """`x` if it is a str, else InputError(what.format(x))."""
+    if isinstance(x, str):
+        return x
+    raise InputError(what.format(x))
+
+
 class GentlenessError(Rejection):
     """Raised when a presentation required to be gentle is not."""
 
@@ -370,12 +377,12 @@ def is_zero_path(p: GentlePresentation, path) -> bool:
 #   relation <id1> <id2>
 #   end
 
-def _records(text: str):
+def _records(text: str, what: str):
     """(line number, tokens) of each line of a description file that is
     not blank or a comment, up to the 'end' line; any later content is
-    malformed input."""
+    malformed input, and so is a text that is not a str (`what`)."""
     ended = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_text(text, what).splitlines(), 1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
@@ -392,7 +399,7 @@ def parse_quiver_raw(text: str):
     vertices, arrows, relations = [], [], []
     declared = set()
     seen_header = False
-    for lineno, parts in _records(text):
+    for lineno, parts in _records(text, "quiver text {!r} is not a str"):
         kw = parts[0]
         if kw not in ("quiver", "vertex", "arrow", "relation"):
             raise InputError(f"line {lineno}: unknown keyword {kw!r}")

@@ -87,8 +87,15 @@ class ClosedCurveClass(NamedTuple):
         return len(self.darts)
 
 
+def _arc(arc):
+    """`arc` if it is an arc record, else InputError naming it."""
+    if isinstance(arc, (TrivialArc, PermissibleArc, ClosedCurveClass)):
+        return arc
+    raise InputError(f"arc {arc!r} is not a TrivialArc, PermissibleArc or ClosedCurveClass")
+
+
 def crossing_word(t: Tiling, arc) -> tuple:
-    if isinstance(arc, TrivialArc):
+    if isinstance(_arc(arc), TrivialArc):
         return ()
     return tuple(t.label[d] for d in arc.darts)
 
@@ -101,7 +108,7 @@ def intersection_vector(t: Tiling, arc):
 
 
 def intersection_number(t: Tiling, arc) -> int:
-    return 0 if isinstance(arc, TrivialArc) else len(arc.darts)
+    return 0 if isinstance(_arc(arc), TrivialArc) else len(arc.darts)
 
 
 # -- transit geometry ----------------------------------------------------
@@ -151,7 +158,7 @@ def arc_letters(t: Tiling, alg: TilingAlgebra, arc) -> list:
 
 def _arc_codes(alg: TilingAlgebra, arc) -> list:
     """The letter codes of `arc_letters`, read off the transit table."""
-    if isinstance(arc, TrivialArc):
+    if isinstance(_arc(arc), TrivialArc):
         return []
     darts, pivots = arc.darts, arc.pivots
     n = len(darts)
@@ -173,7 +180,7 @@ def _arc_codes(alg: TilingAlgebra, arc) -> list:
 
 def pivot_points(t: Tiling, arc) -> tuple:
     """The marked point shared by each consecutive crossing pair."""
-    if isinstance(arc, TrivialArc):
+    if isinstance(_arc(arc), TrivialArc):
         return ()
     cyclic = isinstance(arc, ClosedCurveClass)
     n = len(arc.darts)
@@ -211,7 +218,7 @@ def _end_valid(t: Tiling, desc: EndDescriptor, dart: int):
 
 def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
     """None when the arc is permissible and minimal, else the reason."""
-    if isinstance(arc, TrivialArc):
+    if isinstance(_arc(arc), TrivialArc):
         return None
     if not arc.darts:
         return "malformed: no crossings but not the trivial arc"
@@ -281,7 +288,7 @@ def _gamma(t: Tiling, darts, pivots) -> PermissibleArc:
 
 def normalize(t: Tiling, arc):
     """The gamma_{s,t} representative of the arc's equivalence class."""
-    if isinstance(arc, (TrivialArc, ClosedCurveClass)):
+    if isinstance(_arc(arc), (TrivialArc, ClosedCurveClass)):
         return arc
     return _gamma(t, arc.darts, arc.pivots)
 
@@ -331,7 +338,7 @@ def string_to_arc(t: Tiling, alg: TilingAlgebra, w: StringWord):
 def arc_to_string(t: Tiling, alg: TilingAlgebra, arc) -> StringWord:
     """The string of the crossing walk; single crossings give trivial
     strings whose sign is read off the entry side of the arc."""
-    if isinstance(arc, TrivialArc):
+    if isinstance(_arc(arc), TrivialArc):
         return StringWord.zero()
     if isinstance(arc, ClosedCurveClass):
         raise InputError("closed curves correspond to bands, not strings")
@@ -345,7 +352,7 @@ def reverse_arc(t: Tiling, arc):
     """The arc traversed backwards.  Note that a self-dual dart sequence
     (e.g. the loop-letter arc through a type I tile) coincides with its
     reverse except for the pivot direction flags."""
-    if isinstance(arc, TrivialArc):
+    if isinstance(_arc(arc), TrivialArc):
         return arc
     darts = tuple(t.twin[d] for d in reversed(arc.darts))
     if isinstance(arc, ClosedCurveClass):
@@ -369,7 +376,7 @@ def pivot_move(t: Tiling, alg: TilingAlgebra, arc, end: str):
     arc, reversed back (the reverse of gamma_{s,t} is again one)."""
     if end not in ("s", "t"):
         raise InputError("end must be 's' or 't'")
-    if isinstance(arc, (TrivialArc, ClosedCurveClass)) or not arc.darts:
+    if isinstance(_arc(arc), (TrivialArc, ClosedCurveClass)) or not arc.darts:
         raise InputError("pivot moves require an arc with at least one crossing")
     arc = normalize(t, arc)
     if end == "s":

@@ -9,24 +9,24 @@ The left modification of a string w:
   w = v a^-1 w' with v the maximal direct prefix then w_l = w' -- a
   cohook is removed.
 
-Both pieces of a hook are read off the successor table of the letter
-codes (see `strings`): a^-1 is the inverse successor of the inverse of
-w's first letter, and since a^-1 b is a string exactly when b != a
-leaves s(a), and bc one exactly when bc is not in I, v is the run of
-direct successors after a^-1.  Operands are read by `strings._operand`,
-as Hom and arc operands are.
-
-The right modification is the mirror image, realized here through
-formal inversion: w_r = (( w^-1 )_l)^-1.
+Everything runs on code strings (see `strings._string_word`).  a^-1 is
+the inverse successor of the inverse of w's first code, and since a^-1 b
+is a string exactly when b != a leaves s(a), and bc one exactly when bc
+is not in I, v is the run of direct successors after a^-1.  The mirror
+image w_r = ((w^-1)_l)^-1 is taken on codes: a code string's inverse is
+its reversal with c ^ 1 on each code and a trivial sign negated.  Each
+public call reads its operand once, by `strings._operand`, and builds
+`StringWord`s only for what it returns.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .algebra import GentlePresentation, InputError
-from .strings import (StringWord, _letter_table, _operand, canonicalize,
-                      detect_band, enumerate_strings, is_valid_string)
+from .strings import (StringWord, _code_strings, _letter_table, _operand, _string_word,
+                      _walk_error, detect_band)
 
 HOOK_ADDED = "added-hook"
 COHOOK_REMOVED = "removed-cohook"
@@ -38,49 +38,71 @@ class HookSide(NamedTuple):
     tag: str
 
 
-def _string_codes(p: GentlePresentation, w) -> tuple:
-    """The codes of w; hooks take neither the zero string nor a band."""
-    if isinstance(w, StringWord) and w.is_zero:
-        raise InputError("hooks are undefined for the zero string")
+def _code_string(p: GentlePresentation, w):
+    """The code string of w; hooks take neither the zero string nor a band."""
     codes, _, cyclic = _operand(p, w)
     if cyclic:
         raise InputError(f"hooks take strings, not the band {w!r}")
-    return codes
+    return codes, () if codes else (w.vertex, w.sign)
 
 
-def hook_left(p: GentlePresentation, w: StringWord) -> HookSide:
-    codes = _string_codes(p, w)
+def _inverse(x):
+    codes, trivial = x
+    return tuple([c ^ 1 for c in reversed(codes)]), trivial and (trivial[0], -trivial[1])
+
+
+def _left(p: GentlePresentation, x):
+    """(w_l, tag) of the code string x."""
     table = _letter_table(p)
-    if w.is_trivial:
+    codes, trivial = x
+    if trivial:
         # the hook letter a^-1: a ends at v with epsilon(a) the sign of w
-        run = [table.code[a, True] for a in p.arrows_into(w.vertex)
-               if p.epsilon[a] == w.sign]
+        run = [table.code[a, True] for a in p.arrows_into(trivial[0])
+               if p.epsilon[a] == trivial[1]]
     else:
         run = [c for c in table.succ[codes[0] ^ 1] if c & 1]
-    assert len(run) <= 1, f"hook arrow not unique for {w!r}: {run}"
+    assert len(run) <= 1, f"hook arrow not unique for {x}: {run}"
     if run:
         # a^-1, then the direct string v
         while nxt := [c for c in table.succ[run[-1]] if not c & 1]:
             run.append(nxt[0])
-        result = StringWord.word([table.letters[c ^ 1] for c in reversed(run)]
-                                 + list(w.letters))
-        assert is_valid_string(p, result), result
-        return HookSide(result, HOOK_ADDED)
-    if w.is_direct():
-        return HookSide(StringWord.zero(), ZERO)
+        hooked = tuple([c ^ 1 for c in reversed(run)]) + codes
+        assert _walk_error(p, hooked, False) is None, hooked
+        return (hooked, ()), HOOK_ADDED
     # drop the maximal direct prefix and the following inverse letter
-    idx = next(i for i, l in enumerate(w.letters) if l.inverse)
-    rest = w.letters[idx + 1:]
-    if rest:
-        return HookSide(StringWord.word(rest), COHOOK_REMOVED)
-    a = w.letters[idx].arrow
-    return HookSide(StringWord.trivial(p.s(a), p.sigma[a]), COHOOK_REMOVED)
+    i = next((i for i, c in enumerate(codes) if c & 1), None)
+    if i is None:           # w is direct or trivial
+        return None, ZERO
+    a = table.letters[codes[i]].arrow   # a^-1 ends at s(a), where a trivial rest sits
+    return (codes[i + 1:], () if i + 1 < len(codes) else (p.s(a), p.sigma[a])), COHOOK_REMOVED
+
+
+def _right(p: GentlePresentation, x):
+    """(w_r, tag) of the code string x: w_r = ((w^-1)_l)^-1."""
+    y, tag = _left(p, _inverse(x))
+    return (None if y is None else _inverse(y)), tag
+
+
+def _hooks(p: GentlePresentation, x):
+    """(w_l, tag), (w_r, tag) and w_{r,l} of the code string x; (w_l)_r
+    and (w_r)_l, when both are defined, must agree on the nose."""
+    left, right = _left(p, x), _right(p, x)
+    if left[0]:
+        both = _right(p, left[0])[0]
+        assert not right[0] or both == _left(p, right[0])[0], (x, left, right)
+    else:
+        both = right[0] and _left(p, right[0])[0]
+    return left, right, both
+
+
+def hook_left(p: GentlePresentation, w: StringWord) -> HookSide:
+    y, tag = _left(p, _code_string(p, w))
+    return HookSide(_string_word(p, y), tag)
 
 
 def hook_right(p: GentlePresentation, w: StringWord) -> HookSide:
-    _string_codes(p, w)    # w.inv() takes the record on trust
-    side = hook_left(p, w.inv())
-    return HookSide(side.string.inv(), side.tag)
+    y, tag = _right(p, _code_string(p, w))
+    return HookSide(_string_word(p, y), tag)
 
 
 class HookResult(NamedTuple):
@@ -93,25 +115,10 @@ class HookResult(NamedTuple):
 
 
 def hooks(p: GentlePresentation, w: StringWord) -> HookResult:
-    """Both one-sided modifications and the two-sided w_{r,l}.
-
-    When both w_l and w_r are nonzero, (w_l)_r and (w_r)_l are computed
-    independently and must agree on the nose (signs included).
-    """
-    left = hook_left(p, w)
-    right = hook_right(p, w)
-    if not left.string.is_zero and not right.string.is_zero:
-        both1 = hook_right(p, left.string).string
-        both2 = hook_left(p, right.string).string
-        assert both1 == both2, (w, both1, both2)
-        both = both1
-    elif not left.string.is_zero:
-        both = hook_right(p, left.string).string
-    elif not right.string.is_zero:
-        both = hook_left(p, right.string).string
-    else:
-        both = StringWord.zero()
-    return HookResult(w, left.string, right.string, both, left.tag, right.tag)
+    """Both one-sided modifications and the two-sided w_{r,l}."""
+    (left, tag_left), (right, tag_right), both = _hooks(p, _code_string(p, w))
+    return HookResult(w, _string_word(p, left), _string_word(p, right),
+                      _string_word(p, both), tag_left, tag_right)
 
 
 def is_injective_string(p: GentlePresentation, w: StringWord) -> bool:
@@ -143,37 +150,38 @@ def ar_sequence(p: GentlePresentation, w: StringWord):
 
 def dimension_vector(p: GentlePresentation, w):
     """Visits per vertex of the walk of a string or band."""
-    dims = {v: 0 for v in p.vertices}
-    if not (isinstance(w, StringWord) and w.is_zero):
-        for v in _operand(p, w)[1]:
-            dims[v] += 1
-    return dims
+    visits = Counter(() if isinstance(w, StringWord) and w.is_zero else _operand(p, w)[1])
+    return {v: visits[v] for v in p.vertices}
+
+
+def _additivity(p: GentlePresentation, w, injective: str):
+    """w_l, w_r and whether dim M(w) + dim M(w_{r,l}) = dim M(w_l) +
+    dim M(w_r), vertex by vertex; InputError(injective) for injective M(w)."""
+    x = _code_string(p, w)
+    (left, _), (right, _), both = _hooks(p, x)
+    if both is None:
+        raise InputError(injective)
+    table = _letter_table(p)
+
+    def visits(*ys):    # of the walks of the nonzero code strings ys
+        return sorted(v for codes, trivial in filter(None, ys) for v in trivial[:1]
+                      or (table.source[codes[0]], *map(table.target.__getitem__, codes)))
+    return left, right, visits(x, both) == visits(left, right)
 
 
 def dimension_additivity_holds(p: GentlePresentation, w: StringWord) -> bool:
-    h = hooks(p, w)
-    if h.w_both.is_zero:
-        raise InputError("dimension additivity concerns non-injective strings")
-    lhs = dimension_vector(p, w)
-    for v, d in dimension_vector(p, h.w_both).items():
-        lhs[v] += d
-    rhs = dimension_vector(p, h.w_left)
-    for v, d in dimension_vector(p, h.w_right).items():
-        rhs[v] += d
-    return lhs == rhs
+    return _additivity(p, w, "dimension additivity concerns non-injective strings")[2]
 
 
 def verify_ar_middle(p: GentlePresentation, w: StringWord, prime: int = 5) -> bool:
     """Check the AR sequence at M(w) against the oracle over F_prime:
     dimension additivity plus a nonzero map onto each middle summand."""
     from .oracle import hom_dim_oracle, realize_string_module
-    h = hooks(p, w)
-    if h.w_both.is_zero:
-        raise InputError("M(w) is injective; no AR sequence starts at it")
+    left, right, additive = _additivity(p, w, "M(w) is injective; no AR sequence starts at it")
     Mw = realize_string_module(p, w, prime)
-    return dimension_additivity_holds(p, w) and all(
-        hom_dim_oracle(p, Mw, realize_string_module(p, mid, prime)) >= 1
-        for mid in (h.w_left, h.w_right) if not mid.is_zero)
+    return additive and all(
+        hom_dim_oracle(p, Mw, realize_string_module(p, _string_word(p, y), prime)) >= 1
+        for y in (left, right) if y)
 
 
 class ARQuiver(NamedTuple):
@@ -185,10 +193,11 @@ class ARQuiver(NamedTuple):
 def build_ar_quiver(p: GentlePresentation) -> ARQuiver:
     """The AR quiver of a representation-finite gentle presentation.
 
-    Nodes are canonical strings; each node carries solid edges to the
-    canonical classes of its nonzero hooks; dashed tau pairs record
-    tau^{-1}(M(w)) = M(w_{r,l}).  Band-positive presentations are
-    rejected (their string part would miss the homogeneous tubes).
+    Nodes are canonical strings, in `enumerate_strings` order; each node
+    carries solid edges to the nodes of its nonzero hooks, found by code
+    string under either spelling; dashed tau pairs record tau^{-1}(M(w))
+    = M(w_{r,l}).  Band-positive presentations are rejected (their
+    string part would miss the homogeneous tubes).
     """
     band = detect_band(p)
     if band is not None:
@@ -196,28 +205,24 @@ def build_ar_quiver(p: GentlePresentation) -> ARQuiver:
             f"presentation has a band ({band.text()}); band modules lie in "
             "homogeneous tubes with tau acting as the identity -- query "
             "hooks/ar_sequence per string instead")
-    nodes = enumerate_strings(p)
-    edges = []
-    tau_pairs = []
-    for w in nodes:
-        h = hooks(p, w)
-        for tgt in (h.w_left, h.w_right):
-            if not tgt.is_zero:
-                edges.append((w, canonicalize(tgt)))
-        if not h.w_both.is_zero:
-            tau_pairs.append((w, canonicalize(h.w_both)))
-    return ARQuiver(tuple(nodes), tuple(edges), tuple(tau_pairs))
+    strings = _code_strings(p, None)
+    node = {}
+    for x in strings:
+        node[x] = node[_inverse(x)] = _string_word(p, x)
+    edges, tau_pairs = [], []
+    for x in strings:
+        (left, _), (right, _), both = _hooks(p, x)
+        edges += [(node[x], node[y]) for y in (left, right) if y is not None]
+        if both is not None:
+            tau_pairs.append((node[x], node[both]))
+    return ARQuiver(tuple(node[x] for x in strings), tuple(edges), tuple(tau_pairs))
 
 
 def ar_quiver_dot(ar: ARQuiver) -> str:
     """DOT text: solid arrows for irreducible maps, dashed undirected
     edges for tau pairs."""
-    lines = ["digraph ar_quiver {"]
-    for w in ar.nodes:
-        lines.append(f'  "{w.text()}";')
-    for a, b in ar.edges:
-        lines.append(f'  "{a.text()}" -> "{b.text()}";')
-    for a, b in ar.tau_pairs:
-        lines.append(f'  "{a.text()}" -> "{b.text()}" [style=dashed, dir=none];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(["digraph ar_quiver {\n"]
+                   + [f'  "{w.text()}";\n' for w in ar.nodes]
+                   + [f'  "{a.text()}" -> "{b.text()}";\n' for a, b in ar.edges]
+                   + [f'  "{a.text()}" -> "{b.text()}" [style=dashed, dir=none];\n'
+                      for a, b in ar.tau_pairs] + ["}\n"])

@@ -31,7 +31,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .algebra import GentlePresentation, InputError, Rejection, _find_cycle, _int_arg, _record
+from .algebra import (GentlePresentation, InputError, Rejection, _find_cycle, _int_arg,
+                      _record, _text)
 
 
 class Letter(NamedTuple):
@@ -149,10 +150,6 @@ class StringWord(NamedTuple):
         if self.is_trivial:
             return self.vertex
         return letter_target(p, self.letters[-1])
-
-    def is_direct(self):
-        return self.is_trivial or (self.kind == "word"
-                                   and all(not l.inverse for l in self.letters))
 
     def text(self) -> str:
         if self.is_zero:
@@ -447,17 +444,33 @@ def enumerate_strings(p: GentlePresentation, max_len: int | None = None):
     if band is not None and max_len is None:
         raise InputError("presentation has a band; enumeration needs max_len")
 
-    table = _letter_table(p)
+    return [_string_word(p, x) for x in _code_strings(p, max_len)]
+
+
+def _code_strings(p: GentlePresentation, max_len):
+    """The code strings of `enumerate_strings`: the trivial strings with
+    sign +, then the lesser of the code words of w and w^-1."""
+    succ = _letter_table(p).succ
     found = set()
-    frontier = [(c,) for c in range(len(table.succ))]
+    frontier = [(c,) for c in range(len(succ))]
     length = 1
     while frontier and (max_len is None or length <= max_len):
         found.update(min(w, tuple([c ^ 1 for c in reversed(w)])) for w in frontier)
-        frontier = [w + (d,) for w in frontier for d in table.succ[w[-1]]]
+        frontier = [w + (d,) for w in frontier for d in succ[w[-1]]]
         length += 1
-    return ([StringWord.trivial(v) for v in p.vertices]
-            + [StringWord.word(map(table.letters.__getitem__, w))
-               for w in sorted(found, key=lambda w: (len(w), w))])
+    return ([((), (v, 1)) for v in p.vertices]
+            + [(w, ()) for w in sorted(found, key=lambda w: (len(w), w))])
+
+
+def _string_word(p: GentlePresentation, x) -> StringWord:
+    """The string of a code string (codes, trivial): letter codes and (),
+    or () and the (vertex, sign) of a trivial string; None is zero."""
+    if x is None:
+        return StringWord.zero()
+    codes, trivial = x
+    if trivial:
+        return StringWord.trivial(*trivial)
+    return StringWord.word(map(_letter_table(p).letters.__getitem__, codes))
 
 
 # -- text parsing -------------------------------------------------------
@@ -465,7 +478,7 @@ def enumerate_strings(p: GentlePresentation, max_len: int | None = None):
 
 def parse_string(p: GentlePresentation, text: str) -> StringWord:
     """Parse the CLI string syntax against a presentation."""
-    parts = text.split()
+    parts = _text(text, "string literal {!r} is not a str").split()
     if not parts:
         raise InputError("empty string literal")
     if parts[0] == "zero":
@@ -480,6 +493,7 @@ def parse_string(p: GentlePresentation, text: str) -> StringWord:
 
 
 def parse_band(p: GentlePresentation, text: str) -> Band:
+    text = _text(text, "band literal {!r} is not a str")
     return Band.from_letters(p, _letters(text.split()))
 
 

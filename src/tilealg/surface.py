@@ -79,7 +79,7 @@ class Tiling:
     def parse(cls, text: str) -> "Tiling":
         marked, unmarked, arcs, fans = {}, {}, {}, {}
         seen_header = False
-        for lineno, parts in _records(text):
+        for lineno, parts in _records(text, "tiling text {!r} is not a str"):
             kw = parts[0]
             if kw == "tiling":
                 seen_header = True
@@ -295,11 +295,9 @@ class Tiling:
         return walks
 
     def _tile_key(self, walk):
-        """Canonical rotation of a walk's (kind, label, slot) dart keys.
-        The darts of a walk are distinct, so it starts at the least key."""
-        keys = list(map(self.key.__getitem__, walk))
-        i = keys.index(min(keys))
-        return tuple(keys[i:] + keys[:i])
+        """The least (kind, label, slot) dart key of a walk.  Dart keys are
+        unique and faces share no dart, so no two faces have the same key."""
+        return min(map(self.key.__getitem__, walk))
 
     def _connected(self) -> bool:
         """Whether every dart is reached from dart 0 through twin and

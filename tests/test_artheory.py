@@ -9,7 +9,7 @@ from tilealg.artheory import (COHOOK_REMOVED, HOOK_ADDED, ZERO, ar_quiver_dot,
                               ar_sequence, build_ar_quiver,
                               dimension_additivity_holds, dimension_vector,
                               hook_left, hook_right, hooks,
-                              is_injective_string, tau_inverse)
+                              is_injective_string, tau_inverse, verify_ar_middle)
 from tilealg.strings import (Letter, StringWord, canonicalize, detect_band,
                              enumerate_strings, parse_string)
 
@@ -81,6 +81,31 @@ def test_hook_operands_are_checked_against_the_presentation():
                   is_injective_string):
         with pytest.raises(InputError, match="hooks take strings"):
             query(p, detect_band(p))
+
+
+def test_each_query_reads_its_operand_once(monkeypatch):
+    """Every hook query checks its operand through `_operand` once and
+    runs on the letter codes after that."""
+    import tilealg.artheory as artheory
+    reads = []
+
+    def counted(p, w):
+        reads.append(w)
+        return operand(p, w)
+
+    operand = artheory._operand
+    monkeypatch.setattr(artheory, "_operand", counted)
+    for p in (samples.fix_a(), samples.fix_b(), samples.loop_algebra()):
+        for w0 in all_strings(p, bound=4):
+            for w in (w0, w0.inv()):
+                queries = [hooks, hook_left, hook_right, tau_inverse, ar_sequence,
+                           is_injective_string]
+                if not is_injective_string(p, w):
+                    queries += [dimension_additivity_holds, verify_ar_middle]
+                for query in queries:
+                    reads.clear()
+                    query(p, w)
+                    assert reads == [w], (query.__name__, w)
 
 
 def test_ar_sequence_a2():

@@ -113,6 +113,34 @@ def test_ar_quiver_unwritable_dot_is_input_error(tmp_path, where):
     assert text.count("\n") == 1   # the report is not printed
 
 
+@pytest.mark.parametrize("name, content, code, start", [
+    ("digon.tiling", None, 0, "node "),
+    # a band-positive algebra has no finite AR quiver of string modules
+    ("kron.tiling", None, 2, "input error: presentation has a band"),
+    ("cycle.quiver", "quiver\nvertex 1\nvertex 2\narrow a 1 2\narrow b 2 1\nend\n", 1,
+     "rejected: not a gentle presentation: (FD) relation-free oriented cycle a b"),
+    ("small.tiling", "tiling\nboundary b1 marked p1 p2 p3\nend\n", 1,
+     "rejected: a disc needs at least four marked points\n"),
+    ("latin.quiver", b"quiver\n\xff\xfe\n", 2, "input error: cannot read {path}: "),
+], ids=["written", "band", "fd_cycle", "three_point_disc", "undecodable"])
+def test_ar_quiver_dot_is_written_only_for_an_ar_quiver(tmp_path, name, content, code,
+                                                        start):
+    path = DATA / name if content is None else tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    dest = tmp_path / "ar.dot"
+    got, text = run("ar-quiver", str(path), "--dot", str(dest))
+    assert got == code
+    assert text.startswith(start.format(path=path))
+    if code:
+        assert not dest.exists()
+    else:
+        assert dest.read_text().startswith("digraph")
+        assert text.endswith(f"dot written to {dest}\n")
+
+
 def test_tiling_algebra_report():
     code, text = run("tiling-algebra", str(DATA / "digon.tiling"))
     assert code == 0

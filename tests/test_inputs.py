@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tilealg import samples
-from tilealg.algebra import GentlePresentation, InputError, Quiver, Rejection, check_gentle
-from tilealg.arcs import string_to_arc
+from tilealg.algebra import (GentlePresentation, InputError, Quiver, Rejection, check_gentle,
+                             parse_quiver)
+from tilealg.arcs import (arc_to_string, check_permissible, format_arc, normalize, pivot_move,
+                          reverse_arc, string_to_arc)
 from tilealg.artheory import hooks
 from tilealg.homs import Window, hom_dim, window_key
 from tilealg.oracle import BandModuleSpec, realize_band_module, realize_string_module
@@ -29,6 +31,9 @@ DIGON_ALG = tiling_algebra(DIGON)
 DIGON_DATA = (DIGON.marked, DIGON.unmarked, DIGON.arcs, DIGON.fans)
 COMPLETED_ALG = tiling_algebra(complete_to_triangulation(DIGON).tiling)
 DIGON_WORD = parse_string(DIGON_ALG.presentation, DIGON_ALG.presentation.arrows[0])
+PENT = samples.pent_tiling()
+PENT_ALG = tiling_algebra(PENT)
+NOT_AN_ARC = "arc 5 is not a TrivialArc, PermissibleArc or ClosedCurveClass"
 
 
 # entry point -> (call, the valid arguments whose slots are fuzzed)
@@ -211,6 +216,16 @@ def test_tuples_generators_and_sets_are_read_like_lists():
      "keep set names ['x'], not an arc"),
     (lambda: collapse_presentation(COMPLETED_ALG, None),
      "keep set None is not a collection of arcs"),
+    (lambda: parse_quiver(5), "quiver text 5 is not a str"),
+    (lambda: Tiling.parse(None), "tiling text None is not a str"),
+    (lambda: parse_string(CHAIN, 5), "string literal 5 is not a str"),
+    (lambda: parse_band(CHAIN, 5), "band literal 5 is not a str"),
+    (lambda: normalize(PENT, 5), NOT_AN_ARC),
+    (lambda: reverse_arc(PENT, 5), NOT_AN_ARC),
+    (lambda: pivot_move(PENT, PENT_ALG, 5, "s"), NOT_AN_ARC),
+    (lambda: check_permissible(PENT, PENT_ALG, 5), NOT_AN_ARC),
+    (lambda: format_arc(PENT, 5), NOT_AN_ARC),
+    (lambda: arc_to_string(PENT, PENT_ALG, 5), NOT_AN_ARC),
 ], ids=["str_vertices", "arrow_id_int", "arrow_id_empty", "vertices_int", "arrows_none",
         "vertex_list", "arrow_id_list", "relation_list_field", "source_list",
         "relations_none", "letter_int", "letter_triple", "letters_str", "band_letter_int",
@@ -218,7 +233,10 @@ def test_tuples_generators_and_sets_are_read_like_lists():
         "boundary_key_int", "arc_end_list", "slot_int", "slot_arc_list", "slot_end_bool",
         "prime_str", "prime_float", "string_module_of_a_tuple", "n_str", "n_bool",
         "lam_str", "lam_float", "band_module_of_a_word", "band_module_none",
-        "window_pair", "window_none", "keep_str", "keep_list_item", "keep_none"])
+        "window_pair", "window_none", "keep_str", "keep_list_item", "keep_none",
+        "quiver_text_int", "tiling_text_none", "string_literal_int", "band_literal_int",
+        "normalize_int", "reverse_arc_int", "pivot_move_int", "check_permissible_int",
+        "format_arc_int", "arc_to_string_int"])
 def test_malformed_records_name_themselves(call, message):
     with pytest.raises(InputError) as err:
         call()
