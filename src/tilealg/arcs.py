@@ -33,6 +33,9 @@ an arc's codes off it.  The operand of the geometric Hom, the cohook
 move and the minimality check read those codes directly, the last
 through `strings._walk_error`, the one successor walk of the package;
 `arc_letters` maps them to `Letter`s for the callers that want letters.
+A public function reads each arc record it is given through `_arc`
+first; the steps it takes (`_arc_codes`, `_violation`, `_reverse`) work
+on read arcs, so a pivot move reads its arc once.
 """
 
 from __future__ import annotations
@@ -87,15 +90,47 @@ class ClosedCurveClass(NamedTuple):
         return len(self.darts)
 
 
-def _arc(arc):
-    """`arc` if it is an arc record, else InputError naming it."""
-    if isinstance(arc, (TrivialArc, PermissibleArc, ClosedCurveClass)):
+def _arc(t: Tiling, arc):
+    """`arc` if it is an arc record on t: a tuple of darts of t (ints, not
+    bools), a tuple of (int, bool) pivots, one per crossing pair, and two
+    ends of ints on tiles of t or a closed curve's two int counts; else
+    InputError naming the record or the field."""
+    if isinstance(arc, TrivialArc):
         return arc
-    raise InputError(f"arc {arc!r} is not a TrivialArc, PermissibleArc or ClosedCurveClass")
+    if not isinstance(arc, (PermissibleArc, ClosedCurveClass)):
+        raise InputError(f"arc {arc!r} is not a TrivialArc, PermissibleArc or "
+                         "ClosedCurveClass")
+    darts, pivots, size = arc.darts, arc.pivots, len(t.tail)
+    if not isinstance(darts, tuple):
+        raise InputError(f"arc darts {darts!r} are not a tuple")
+    for d in darts:
+        if type(d) is not int or not 0 <= d < size:
+            raise InputError(f"arc dart {d!r} is not a dart of the tiling")
+    if not isinstance(pivots, tuple):
+        raise InputError(f"arc pivots {pivots!r} are not a tuple")
+    for x in pivots:
+        if not isinstance(x, tuple) or len(x) != 2 or type(x[0]) is not int or \
+                type(x[1]) is not bool:
+            raise InputError(f"arc pivot {x!r} is not a (corner, inverse) pair")
+    closed = isinstance(arc, ClosedCurveClass)
+    if darts and len(pivots) != len(darts) - (not closed):
+        raise InputError(f"arc of {len(darts)} darts has {len(pivots)} pivots, "
+                         f"not {len(darts) - (not closed)}")
+    if closed:
+        _int_arg(arc.primitive_length, "primitive_length")
+        _int_arg(arc.exponent, "exponent")
+    else:
+        for name, x in (("start", arc.start), ("end", arc.end)):
+            if not isinstance(x, EndDescriptor) or type(x.tile) is not int or \
+                    type(x.corner) is not int or type(x.route) is not int or \
+                    not 0 <= x.tile < len(t.tiles):
+                raise InputError(f"arc {name} {x!r} is not an EndDescriptor of ints on "
+                                 "a tile of the tiling")
+    return arc
 
 
 def crossing_word(t: Tiling, arc) -> tuple:
-    if isinstance(_arc(arc), TrivialArc):
+    if isinstance(_arc(t, arc), TrivialArc):
         return ()
     return tuple(t.label[d] for d in arc.darts)
 
@@ -108,7 +143,7 @@ def intersection_vector(t: Tiling, arc):
 
 
 def intersection_number(t: Tiling, arc) -> int:
-    return 0 if isinstance(_arc(arc), TrivialArc) else len(arc.darts)
+    return 0 if isinstance(_arc(t, arc), TrivialArc) else len(arc.darts)
 
 
 # -- transit geometry ----------------------------------------------------
@@ -153,12 +188,13 @@ def arc_letters(t: Tiling, alg: TilingAlgebra, arc) -> list:
     the wrap of a closed curve); ArcRejection when a pair violates (3)(b).
     The transits are read from the table of `alg`, whose tiling is t."""
     letters = _letter_table(alg.presentation).letters
-    return [letters[c] for c in _arc_codes(alg, arc)]
+    return [letters[c] for c in _arc_codes(alg, _arc(t, arc))]
 
 
 def _arc_codes(alg: TilingAlgebra, arc) -> list:
-    """The letter codes of `arc_letters`, read off the transit table."""
-    if isinstance(_arc(arc), TrivialArc):
+    """The letter codes of `arc_letters` of a read arc, read off the
+    transit table."""
+    if isinstance(arc, TrivialArc):
         return []
     darts, pivots = arc.darts, arc.pivots
     n = len(darts)
@@ -180,7 +216,7 @@ def _arc_codes(alg: TilingAlgebra, arc) -> list:
 
 def pivot_points(t: Tiling, arc) -> tuple:
     """The marked point shared by each consecutive crossing pair."""
-    if isinstance(_arc(arc), TrivialArc):
+    if isinstance(_arc(t, arc), TrivialArc):
         return ()
     cyclic = isinstance(arc, ClosedCurveClass)
     n = len(arc.darts)
@@ -218,13 +254,17 @@ def _end_valid(t: Tiling, desc: EndDescriptor, dart: int):
 
 def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
     """None when the arc is permissible and minimal, else the reason."""
-    if isinstance(_arc(arc), TrivialArc):
+    return _violation(t, alg, _arc(t, arc))
+
+
+def _violation(t: Tiling, alg: TilingAlgebra, arc):
+    """`check_permissible` of a read arc."""
+    if isinstance(arc, TrivialArc):
         return None
     if not arc.darts:
         return "malformed: no crossings but not the trivial arc"
-    for d in arc.darts:
-        if not (0 <= d < len(t.tail)) or t.kind[d] != "arc":
-            return "malformed: crossing is not an arc side"
+    if any(t.kind[d] != "arc" for d in arc.darts):
+        return "malformed: crossing is not an arc side"
     try:   # a (3)(b) fault is reported before a fault at the ends
         codes = _arc_codes(alg, arc)
     except ArcRejection as exc:
@@ -288,7 +328,7 @@ def _gamma(t: Tiling, darts, pivots) -> PermissibleArc:
 
 def normalize(t: Tiling, arc):
     """The gamma_{s,t} representative of the arc's equivalence class."""
-    if isinstance(_arc(arc), (TrivialArc, ClosedCurveClass)):
+    if isinstance(_arc(t, arc), (TrivialArc, ClosedCurveClass)):
         return arc
     return _gamma(t, arc.darts, arc.pivots)
 
@@ -330,7 +370,7 @@ def string_to_arc(t: Tiling, alg: TilingAlgebra, w: StringWord):
     if w.is_trivial:
         return _gamma(t, (_trivial_dart(t, alg, w.vertex, w.sign),), ())
     arc = _gamma(t, *_chain(t, alg, w.letters))
-    err = check_permissible(t, alg, arc)
+    err = _violation(t, alg, arc)
     assert err is None, err
     return arc
 
@@ -338,7 +378,7 @@ def string_to_arc(t: Tiling, alg: TilingAlgebra, w: StringWord):
 def arc_to_string(t: Tiling, alg: TilingAlgebra, arc) -> StringWord:
     """The string of the crossing walk; single crossings give trivial
     strings whose sign is read off the entry side of the arc."""
-    if isinstance(_arc(arc), TrivialArc):
+    if isinstance(_arc(t, arc), TrivialArc):
         return StringWord.zero()
     if isinstance(arc, ClosedCurveClass):
         raise InputError("closed curves correspond to bands, not strings")
@@ -352,7 +392,12 @@ def reverse_arc(t: Tiling, arc):
     """The arc traversed backwards.  Note that a self-dual dart sequence
     (e.g. the loop-letter arc through a type I tile) coincides with its
     reverse except for the pivot direction flags."""
-    if isinstance(_arc(arc), TrivialArc):
+    return _reverse(t, _arc(t, arc))
+
+
+def _reverse(t: Tiling, arc):
+    """`reverse_arc` of a read arc."""
+    if isinstance(arc, TrivialArc):
         return arc
     darts = tuple(t.twin[d] for d in reversed(arc.darts))
     if isinstance(arc, ClosedCurveClass):
@@ -376,16 +421,16 @@ def pivot_move(t: Tiling, alg: TilingAlgebra, arc, end: str):
     arc, reversed back (the reverse of gamma_{s,t} is again one)."""
     if end not in ("s", "t"):
         raise InputError("end must be 's' or 't'")
-    if isinstance(_arc(arc), (TrivialArc, ClosedCurveClass)) or not arc.darts:
+    if isinstance(_arc(t, arc), (TrivialArc, ClosedCurveClass)) or not arc.darts:
         raise InputError("pivot moves require an arc with at least one crossing")
-    arc = normalize(t, arc)
+    arc = _gamma(t, arc.darts, arc.pivots)
     if end == "s":
         out = _pivot_start(t, alg, arc)
     else:
-        out = reverse_arc(t, _pivot_start(t, alg, reverse_arc(t, arc)))
+        out = _reverse(t, _pivot_start(t, alg, _reverse(t, arc)))
     if isinstance(out, TrivialArc):
         return out
-    err = check_permissible(t, alg, out)
+    err = _violation(t, alg, out)
     assert err is None, err
     return out
 
@@ -440,7 +485,7 @@ def band_to_closed_curve(t: Tiling, alg: TilingAlgebra, band: Band,
     darts = darts[:-1]      # the walk closes up: the last exit is the first entry
     curve = ClosedCurveClass(tuple(darts) * exponent, tuple(pivots) * exponent,
                              len(darts), exponent)
-    err = check_permissible(t, alg, curve)
+    err = _violation(t, alg, curve)
     assert err is None, err
     return curve
 
@@ -475,9 +520,9 @@ def rep_type_geometric(t: Tiling, alg: TilingAlgebra):
 
 def _arc_view(t: Tiling, alg: TilingAlgebra, arc) -> tuple:
     """The (codes, vertices, cyclic) `homs` operand an arc spells."""
-    if isinstance(arc, TrivialArc):
+    if isinstance(_arc(t, arc), TrivialArc):
         raise InputError("trivial arcs carry the zero module")
-    return (tuple(_arc_codes(alg, arc)), crossing_word(t, arc),
+    return (tuple(_arc_codes(alg, arc)), tuple(map(t.label.__getitem__, arc.darts)),
             isinstance(arc, ClosedCurveClass))
 
 

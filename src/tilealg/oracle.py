@@ -119,6 +119,30 @@ def _walk(p: GentlePresentation, letters, cyclic: bool):
     return [s for s, _ in ends] + ([] if cyclic else [ends[-1][1]])
 
 
+def _realize(p: GentlePresentation, positions, letters, n: int, lam, prime: int):
+    """The module of a walk through the vertices `positions` (`_walk`): an
+    n-block per position, the identity along each letter, and J_n(lam)
+    instead on the last letter of a band (lam not None)."""
+    dims = {v: 0 for v in p.vertices}
+    offset = []  # position -> start of its n-block inside the vertex space
+    for v in positions:
+        offset.append(dims[v])
+        dims[v] += n
+    mats = _zero_mats(p, dims)
+    for i, l in enumerate(letters, start=1):
+        src, tgt = offset[i - 1], offset[i % len(positions)]
+        if l.inverse:
+            src, tgt = tgt, src   # the arrow runs against the walk
+        mat, last = mats[l.arrow], lam is not None and i == len(letters)
+        for k in range(n):
+            mat[tgt + k][src + k] = lam if last else 1
+            if last and k + 1 < n:
+                mat[tgt + k][src + k + 1] = 1
+    rep = MatrixRep(prime, dims, mats)
+    _check_relations(p, rep)
+    return rep
+
+
 def realize_string_module(p: GentlePresentation, w: StringWord,
                           prime: int = DEFAULT_PRIME) -> MatrixRep:
     """One basis vector per walk position, identity arrow actions along
@@ -129,27 +153,10 @@ def realize_string_module(p: GentlePresentation, w: StringWord,
     if w.is_zero:
         raise InputError("the zero string has no module")
     if w.kind == "word":
-        verts = _walk(p, w.letters, False)
-    elif type(w.vertex) is str and w.vertex in p.quiver.vertices:
-        verts = [w.vertex]
-    else:
-        raise InputError(f"unknown vertex {w.vertex!r}")
-    dims = {v: 0 for v in p.vertices}
-    index = []  # position -> index inside its vertex block
-    for v in verts:
-        index.append(dims[v])
-        dims[v] += 1
-    mats = _zero_mats(p, dims)
-    if w.kind == "word":
-        for i, l in enumerate(w.letters, start=1):
-            if l.inverse:
-                # arrow runs against the walk: position i -> position i-1
-                mats[l.arrow][index[i - 1]][index[i]] = 1
-            else:
-                mats[l.arrow][index[i]][index[i - 1]] = 1
-    rep = MatrixRep(prime, dims, mats)
-    _check_relations(p, rep)
-    return rep
+        return _realize(p, _walk(p, w.letters, False), w.letters, 1, None, prime)
+    if type(w.vertex) is str and w.vertex in p.quiver.vertices:
+        return _realize(p, [w.vertex], (), 1, None, prime)
+    raise InputError(f"unknown vertex {w.vertex!r}")
 
 
 class BandModuleSpec(namedtuple("BandModuleSpec", "band n lam")):
@@ -174,30 +181,7 @@ def realize_band_module(p: GentlePresentation, spec: BandModuleSpec,
     if spec.lam % prime == 0:
         raise InputError("lambda must be nonzero in the prime field")
     letters = spec.band.letters
-    m = len(letters)
-    n = spec.n
-    positions = _walk(p, letters, True)
-    dims = {v: 0 for v in p.vertices}
-    offset = []  # position -> start of its n-block inside the vertex space
-    for v in positions:
-        offset.append(dims[v])
-        dims[v] += n
-    mats = _zero_mats(p, dims)
-    for i, l in enumerate(letters, start=1):
-        src_pos, tgt_pos = i - 1, i % m
-        if l.inverse:
-            src_pos, tgt_pos = tgt_pos, src_pos
-        r0 = offset[tgt_pos]
-        c0 = offset[src_pos]
-        # the identity, or phi = J_n(lambda) on the last letter
-        mat, last = mats[l.arrow], i == m
-        for k in range(n):
-            mat[r0 + k][c0 + k] = spec.lam % prime if last else 1
-            if last and k + 1 < n:
-                mat[r0 + k][c0 + k + 1] = 1
-    rep = MatrixRep(prime, dims, mats)
-    _check_relations(p, rep)
-    return rep
+    return _realize(p, _walk(p, letters, True), letters, spec.n, spec.lam % prime, prime)
 
 
 def hom_dim_oracle(p: GentlePresentation, M: MatrixRep, N: MatrixRep) -> int:

@@ -54,15 +54,16 @@ class Tile(NamedTuple):
 class Tiling:
     """A tiling description and its combinatorial map: the dart lists
     `tail`, `twin`, `kind` ("arc" | "seg" | "rseg"), `label` (arc id or
-    segment tuple), `slot` (departing slot of arc darts), `key` (the
-    dart's tile_key entry) and `rot_next`, the `tiles`, `face_of` (dart ->
-    (tile index, position)) and `tile_names` (tile index -> "t<k>").
-    Build one with `parse` or `from_data`.
+    segment tuple), `slot` (departing slot of arc darts), `key` and
+    `rot_next`, the `tiles`, `face_of` (dart -> (tile index, position))
+    and `tile_names` (tile index -> "t<k>").  Build one with `parse` or
+    `from_data`.
 
-    Darts are numbered in the order `_build` makes them: arc darts by arc
-    id and end, then per marked component and segment the forward and
-    the reversed boundary dart.  `_pierce` and `_split` grow the map of a
-    `_copy` in place and keep its description in step."""
+    `key` (kind, label text, slot text) is the one dart order: each tile
+    walk starts at its least-key dart and tiles go in the order of those
+    keys.  Like `_build`'s dart numbers, it puts arc darts first, by arc
+    id and end.  `_pierce` and `_split` grow the map of a `_copy` in
+    place and keep its description in step."""
 
     __slots__ = ("marked", "unmarked", "arcs", "fans", "tail", "twin", "kind", "label",
                  "slot", "key", "rot_next", "_slot_dart", "tiles", "face_of", "tile_names")
@@ -265,24 +266,18 @@ class Tiling:
         return walk
 
     def _face(self, d0):
-        """The inner face through d0, started at its dart `_build` would
-        number first, so that a map grown in place and one rebuilt from
-        its description agree."""
+        """The inner face through the new arc dart d0, started at its
+        least-key dart: an arc dart, so the one `_build` would number
+        first, and a map grown in place and one rebuilt agree."""
         walk = self._orbit(d0)
-
-        def build_rank(d):
-            if self.kind[d] == "arc":
-                return (0, self.label[d], self.slot[d][1])
-            return (1,) + self.label[d]
-
-        i = min(range(len(walk)), key=lambda j: build_rank(walk[j]))
+        i = walk.index(min(walk, key=self.key.__getitem__))
         return walk[i:] + walk[:i]
 
     def _faces(self):
         """The inner faces of the map as `_build` made it; the reversed
         boundary darts form the outer orbits, which are dropped.  Each
-        orbit is walked from its least dart, which is where `_face`
-        starts it."""
+        orbit is walked from its least dart, its least-key dart too: an
+        arc dart, or segment 0 of the component an arc-free face rounds."""
         seen = [False] * len(self.tail)
         walks = []
         for d0 in range(len(self.tail)):
@@ -293,11 +288,6 @@ class Tiling:
                 if self.kind[d0] != "rseg":
                     walks.append(walk)
         return walks
-
-    def _tile_key(self, walk):
-        """The least (kind, label, slot) dart key of a walk.  Dart keys are
-        unique and faces share no dart, so no two faces have the same key."""
-        return min(map(self.key.__getitem__, walk))
 
     def _connected(self) -> bool:
         """Whether every dart is reached from dart 0 through twin and
@@ -312,8 +302,8 @@ class Tiling:
         return len(seen) == len(twin)
 
     def _classify(self, walks):
-        """Tiles from the inner face walks, in tile-key order."""
-        walks = sorted(walks, key=self._tile_key)
+        """Tiles from the inner face walks, in the order of their first keys."""
+        walks = sorted(walks, key=lambda walk: self.key[walk[0]])
         placement_of = {}
         for comp in sorted(self.unmarked):
             arcs = self.unmarked[comp]
@@ -385,7 +375,7 @@ class Tiling:
     # -- growth by completion --------------------------------------------
 
     def _least_corner(self, walk):
-        return min(range(len(walk)), key=lambda i: (self.tail[walk[i]], i))
+        return walk.index(min(walk, key=self.tail.__getitem__))
 
     def _enter(self, walk, c, d):
         """Put the new arc dart d at corner c of `walk` (between walk
@@ -508,27 +498,27 @@ class Completion(NamedTuple):
 def complete_to_triangulation(t: Tiling) -> Completion:
     """Deterministically complete a tiling to a triangulation: one new
     marked point per unmarked component, then repeated diagonal splits of
-    the m-gon (m >= 4) with the least tile key.  Piercings and splits grow
-    one copy of t in place and retrace only the faces each step creates;
-    the copy, with the triangles the splits left, is then checked and
-    classified as the triangulation."""
+    the m-gon (m >= 4) whose walk starts at the least dart key.  Piercings
+    and splits grow one copy of t in place and retrace only the faces each
+    step creates; the copy, with the triangles the splits left, is then
+    checked and classified as the triangulation."""
     work = t._copy()
     points, names = _fresh("m", set(t.points)), _fresh("z", work.arcs)
     around = {x.unmarked: x.walk for x in t.tiles if x.unmarked is not None}
     faces = [work._pierce(around[comp], comp, next(points), next(names))
              for comp in sorted(around)]
     faces += [x.walk for x in t.tiles if x.unmarked is None]
-    heap = [(work._tile_key(f), f) for f in faces if len(f) > 3]
+    heap = [(work.key[f[0]], f) for f in faces if len(f) > 3]
     current = t
     if heap:
         triangles = [f for f in faces if len(f) == 3]
-        heapq.heapify(heap)  # tile keys are unique: walks never compared
+        heapq.heapify(heap)  # dart keys are unique: walks never compared
         guard = 0
         while heap:
             _, walk = heapq.heappop(heap)
             for face in work._split(walk, next(names)):
                 if len(face) > 3:
-                    heapq.heappush(heap, (work._tile_key(face), face))
+                    heapq.heappush(heap, (work.key[face[0]], face))
                 else:
                     triangles.append(face)
             guard += 1

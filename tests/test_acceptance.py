@@ -1,7 +1,6 @@
 """Acceptance suite: one criterion per test, exact tolerances.
 
-Each criterion prints a single pass line (visible with `pytest -s`, and
-through scripts/run_acceptance.py which runs the same functions).
+Each criterion prints a single pass line, visible with `pytest -s`.
 """
 
 import pytest

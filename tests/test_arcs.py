@@ -456,6 +456,35 @@ def test_format_arc_is_stable():
     assert " x @p1 y " in format_arc(t, arc)
 
 
+def test_moves_and_checks_read_their_arc_once(monkeypatch):
+    """A pivot move, the permissibility check, a reversal, a normal form
+    and the geometric Hom read each arc they are given through `_arc`
+    once; their inner steps take the read arc."""
+    import tilealg.arcs as arcs
+    reads = []
+
+    def counted(t, arc):
+        reads.append(arc)
+        return read(t, arc)
+
+    read = arcs._arc
+    monkeypatch.setattr(arcs, "_arc", counted)
+    for t in samples.tiled_fixtures().values():
+        alg = tiling_algebra(t)
+        # (query, the arcs it is given)
+        queries = [(lambda a: pivot_move(t, alg, a, "s"), 1),
+                   (lambda a: pivot_move(t, alg, a, "t"), 1),
+                   (lambda a: check_permissible(t, alg, a), 1),
+                   (lambda a: reverse_arc(t, a), 1), (lambda a: normalize(t, a), 1),
+                   (lambda a: hom_dim_geometric(t, alg, a, a), 2)]
+        for w in fixture_strings(alg, bound=4):
+            arc = string_to_arc(t, alg, w)
+            for query, given in queries:
+                reads.clear()
+                query(arc)
+                assert reads == [arc] * given, w.text()
+
+
 def test_format_arc_one_crossing_closed_curve():
     # never permissible, but a hand-built curve still formats: its one
     # pivot is the wrap pair of the crossing with itself

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from tilealg import samples
 from tilealg.algebra import (GentlePresentation, InputError, Quiver, Rejection, check_gentle,
                              parse_quiver)
-from tilealg.arcs import (arc_to_string, check_permissible, format_arc, normalize, pivot_move,
-                          reverse_arc, string_to_arc)
+from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc, arc_to_string,
+                          check_permissible, crossing_word, format_arc, normalize, pivot_move,
+                          pivot_points, reverse_arc, string_to_arc)
 from tilealg.artheory import hooks
 from tilealg.homs import Window, hom_dim, window_key
 from tilealg.oracle import BandModuleSpec, realize_band_module, realize_string_module
@@ -34,6 +35,7 @@ DIGON_WORD = parse_string(DIGON_ALG.presentation, DIGON_ALG.presentation.arrows[
 PENT = samples.pent_tiling()
 PENT_ALG = tiling_algebra(PENT)
 NOT_AN_ARC = "arc 5 is not a TrivialArc, PermissibleArc or ClosedCurveClass"
+END = EndDescriptor(0, 0, 1)
 
 
 # entry point -> (call, the valid arguments whose slots are fuzzed)
@@ -226,6 +228,25 @@ def test_tuples_generators_and_sets_are_read_like_lists():
     (lambda: check_permissible(PENT, PENT_ALG, 5), NOT_AN_ARC),
     (lambda: format_arc(PENT, 5), NOT_AN_ARC),
     (lambda: arc_to_string(PENT, PENT_ALG, 5), NOT_AN_ARC),
+    (lambda: normalize(PENT, PermissibleArc(5, (), None, None)),
+     "arc darts 5 are not a tuple"),
+    (lambda: format_arc(PENT, PermissibleArc((99,), (), END, END)),
+     "arc dart 99 is not a dart of the tiling"),
+    (lambda: check_permissible(PENT, PENT_ALG, PermissibleArc(("x",), (), None, None)),
+     "arc dart 'x' is not a dart of the tiling"),
+    (lambda: reverse_arc(PENT, ClosedCurveClass(None, (), 1, 1)),
+     "arc darts None are not a tuple"),
+    (lambda: pivot_points(PENT, PermissibleArc((0, 1), ("x",), None, None)),
+     "arc pivot 'x' is not a (corner, inverse) pair"),
+    (lambda: crossing_word(PENT, PermissibleArc((True,), (), None, None)),
+     "arc dart True is not a dart of the tiling"),
+    (lambda: format_arc(PENT, PermissibleArc((0, 1), (), END, END)),
+     "arc of 2 darts has 0 pivots, not 1"),
+    (lambda: format_arc(PENT, PermissibleArc((0,), (), END, EndDescriptor(9, 0, 1))),
+     "arc end EndDescriptor(tile=9, corner=0, route=1) is not an EndDescriptor of ints "
+     "on a tile of the tiling"),
+    (lambda: format_arc(PENT, ClosedCurveClass((0, 1), ((0, True), (1, False)), 2, None)),
+     "exponent must be an int, got None"),
 ], ids=["str_vertices", "arrow_id_int", "arrow_id_empty", "vertices_int", "arrows_none",
         "vertex_list", "arrow_id_list", "relation_list_field", "source_list",
         "relations_none", "letter_int", "letter_triple", "letters_str", "band_letter_int",
@@ -236,7 +257,9 @@ def test_tuples_generators_and_sets_are_read_like_lists():
         "window_pair", "window_none", "keep_str", "keep_list_item", "keep_none",
         "quiver_text_int", "tiling_text_none", "string_literal_int", "band_literal_int",
         "normalize_int", "reverse_arc_int", "pivot_move_int", "check_permissible_int",
-        "format_arc_int", "arc_to_string_int"])
+        "format_arc_int", "arc_to_string_int", "arc_darts_int", "arc_dart_out_of_range",
+        "arc_dart_str", "curve_darts_none", "arc_pivot_str", "arc_dart_bool",
+        "arc_pivot_count", "arc_end_tile_out_of_range", "curve_exponent_none"])
 def test_malformed_records_name_themselves(call, message):
     with pytest.raises(InputError) as err:
         call()

@@ -51,11 +51,6 @@ def test_random_tiling_audit_rejects_bad_arguments(args, capsys):
     assert "audited" not in out
 
 
-def test_run_acceptance_runs(capsys):
-    assert _script("run_acceptance").main() == 0
-    assert "10/10 criteria passed" in capsys.readouterr().out
-
-
 def test_bench_ladder_smallest_rung(tmp_path, capsys):
     """The rungs up to size 50 only, as a smoke test: the first rung of
     each family, and the AR quiver's rungs 8 to 32; nothing is timed

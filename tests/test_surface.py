@@ -484,6 +484,18 @@ def test_dart_keys_are_made_with_the_darts():
                              for k, label, slot in zip(m.kind, m.label, m.slot)]
 
 
+def test_every_walk_starts_at_its_least_key_dart():
+    # one dart order: each tile walk starts at its least-key dart and the
+    # tiles go in the order of those keys, before and after completion
+    bare = [Tiling.from_data({"b": [f"p{i}" for i in range(n)]}, {}, {}, {})
+            for n in range(4, 41)]
+    for t in samples.random_tilings(7, 40) + [make() for make in SPLIT_CASES] + bare:
+        for m in (t, complete_to_triangulation(t).tiling):
+            walks = [x.walk for x in m.tiles]
+            assert all(w[0] == min(w, key=m.key.__getitem__) for w in walks), m.text()
+            assert walks == sorted(walks, key=lambda w: m.key[w[0]]), m.text()
+
+
 def test_completion_matches_its_rebuilt_description():
     for t in samples.random_tilings(7, 40) + [make() for make in SPLIT_CASES]:
         c = complete_to_triangulation(t).tiling
