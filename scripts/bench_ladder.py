@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Size ladder of self-Hom on long operands, of surface completion, of
-reading a presentation and of the AR quiver, written as JSON.
+reading a presentation, of the AR quiver and of arcs, written as JSON.
 
     python3 scripts/bench_ladder.py [--out BENCH_ladder.json] [--max-size 3200]
 
-Seven families.  Two run self-Hom on `samples.zigzag` presentations
+Eight families.  Two run self-Hom on `samples.zigzag` presentations
 (arrows of alternating orientation, so every code of the operand occurs
 once): the path's longest string and the cycle's band.  One runs
 self-Hom on `samples.random_walk(random.Random(n), p, n)`, a random walk
@@ -17,7 +17,10 @@ triangulation with about half its diagonals kept.  One runs
 `GentlePresentation.from_data` on the vertices, arrows and relations of
 `samples.kronecker_chain(n // 2)`, which has n arrows.  One runs
 `build_ar_quiver` on the linearly oriented path quiver A_n, of
-n (n + 1) / 2 nodes.  Operands, tiling texts and presentations are built
+n (n + 1) / 2 nodes.  One runs `string_to_arc` on the full direct string
+of the path A_{n-3} without relations, the algebra of the n-gon with all
+n - 3 diagonals from one point, then `pivot_move` at both ends of the
+arc.  Operands, tiling texts, tilings and presentations are built
 outside the timing.  Rungs double from size 50 (from 8 up to 64 for the
 AR quiver) up to --max-size.  Each rung records the best of 3 timed
 runs in seconds, the `tracemalloc` peak of one more run in MB, and the
@@ -40,6 +43,7 @@ import tracemalloc
 
 from tilealg import samples
 from tilealg.algebra import GentlePresentation
+from tilealg.arcs import pivot_move, string_to_arc
 from tilealg.artheory import build_ar_quiver
 from tilealg.homs import hom_dim
 from tilealg.strings import Band, validate_string
@@ -93,6 +97,32 @@ def _ar_quiver(n):
     return lambda: build_ar_quiver(p)
 
 
+def _fan_path(n):
+    """The arc and pivot run on the n-gon with the diagonals x2 ... x(n-2)
+    from p0, whose algebra is a path: its full direct string."""
+    diagonals = range(2, n - 1)
+    t = Tiling.parse("\n".join(
+        ["tiling", "boundary b1 marked " + " ".join(f"p{i}" for i in range(n))]
+        + [f"arc x{k} p0 p{k}" for k in diagonals]
+        + ["fan p0 : " + " ".join(f"x{k}.1" for k in reversed(diagonals))]
+        + [f"fan p{k} : x{k}.2" for k in diagonals] + ["end"]))
+    alg = tiling_algebra(t)
+    p = alg.presentation
+    leaving = {p.s(a): a for a in p.arrows}
+    v = (set(p.vertices) - {p.t(a) for a in p.arrows}).pop()
+    path = []
+    while v in leaving:
+        path.append((leaving[v], False))
+        v = p.t(leaving[v])
+    w = validate_string(p, path)
+
+    def run():
+        arc = string_to_arc(t, alg, w)
+        pivot_move(t, alg, arc, "s")
+        pivot_move(t, alg, arc, "t")
+    return run
+
+
 # name -> (first size, last size, the run's preparation)
 FAMILIES = {
     "hom zigzag string": (50, math.inf, _hom(False)),
@@ -105,6 +135,7 @@ FAMILIES = {
         lambda n: samples.random_disc_tiling(random.Random(n), n, n).text())),
     "from_data kronecker": (50, math.inf, _from_data),
     "ar_quiver path": (8, 64, _ar_quiver),
+    "arcs fan path": (50, math.inf, _fan_path),
 }
 
 

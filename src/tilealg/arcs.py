@@ -23,16 +23,17 @@ A pivot elementary move turns one end of gamma_{s,t} counterclockwise
 to the next marked point: moving s realizes w_l, moving t realizes w_r.
 Reversing an arc spells the inverse string, so the t move is the s move
 of the reversed arc, the surface form of w_r = ((w^-1)_l)^-1.
-`string_to_arc` and `band_to_closed_curve` read operands through
-`strings._operand`; letters of a tiling algebra that form a string
+The transit table of an algebra records which corner realizes which
+letter code (of the letter table of `strings`), read both ways: from a
+crossing dart and a direction to the exit dart, corner and code, and
+from a code back to its entry dart, exit dart and pivot.  `_arc_codes`,
+the one walk of an arc, reads the codes that `arc_to_string`,
+`closed_curve_to_band` (through `strings._band`, the one band builder),
+the geometric Hom, the cohook move and the minimality check (through
+`strings._walk_error`) take.  `_chain` looks up the transits of the
+codes `strings._operand` reads for `string_to_arc` and
+`band_to_closed_curve`; letters of a tiling algebra that form a string
 always chain up, as a relation is exactly an end-slot mismatch.
-
-The transit table of an algebra holds the codes of its letter table
-(`strings._letter_table`), not `Letter`s.  One walk, `_arc_codes`, reads
-an arc's codes off it.  The operand of the geometric Hom, the cohook
-move and the minimality check read those codes directly, the last
-through `strings._walk_error`, the one successor walk of the package;
-`arc_letters` maps them to `Letter`s for the callers that want letters.
 A public function reads each arc record it is given through `_arc`
 first; the steps it takes (`_arc_codes`, `_violation`, `_reverse`) work
 on read arcs, so a pivot move reads its arc once.
@@ -43,8 +44,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import InputError, Rejection, _int_arg
-from .strings import (Band, StringWord, _letter_table, _operand, _primitive_root,
-                      _walk_error, detect_band)
+from .strings import (Band, StringWord, _band, _letter_table, _operand, _primitive_root,
+                      _string_word, _walk_error, detect_band)
 from .surface import Tiling, TilingAlgebra
 
 
@@ -103,6 +104,8 @@ def _arc(t: Tiling, arc):
     darts, pivots, size = arc.darts, arc.pivots, len(t.tail)
     if not isinstance(darts, tuple):
         raise InputError(f"arc darts {darts!r} are not a tuple")
+    if not darts:
+        raise InputError("arc has no darts; the arc without crossings is TrivialArc()")
     for d in darts:
         if type(d) is not int or not 0 <= d < size:
             raise InputError(f"arc dart {d!r} is not a dart of the tiling")
@@ -113,7 +116,7 @@ def _arc(t: Tiling, arc):
                 type(x[1]) is not bool:
             raise InputError(f"arc pivot {x!r} is not a (corner, inverse) pair")
     closed = isinstance(arc, ClosedCurveClass)
-    if darts and len(pivots) != len(darts) - (not closed):
+    if len(pivots) != len(darts) - (not closed):
         raise InputError(f"arc of {len(darts)} darts has {len(pivots)} pivots, "
                          f"not {len(darts) - (not closed)}")
     if closed:
@@ -157,29 +160,30 @@ def _transit_table(alg: TilingAlgebra) -> dict:
     (d, True) the corner before it, realizing the arrow arc(previous
     side) -> arc(e) as an inverse letter.  Each key maps to (the only
     dart the curve can leave by, the tile size, the corner index, the
-    letter's code in the letter table of the presentation of `alg` or
-    None when no arrow joins the two slots, those (leave, enter) slots)."""
+    letter's code c in the letter table of `alg` or None when no arrow
+    joins the two slots, those (leave, enter) slots), and the key c maps
+    back to (d, the dart it leaves by, its pivot (corner, inverse flag))."""
     table = alg._transits
     if table is None:
         t, by_slots = alg.tiling, alg.arrow_by_slots
         code = _letter_table(alg.presentation).code
-
-        def entry(d_out, m, corner, slots, inverse):
-            name = by_slots.get(slots)
-            return (d_out, m, corner,
-                    None if name is None else code[name, inverse], slots)
-
         table = alg._transits = {}
+
+        def entry(d, inverse, d_out, m, corner, slots):
+            name = by_slots.get(slots)
+            c = None if name is None else code[name, inverse]
+            table[d, inverse] = (d_out, m, corner, c, slots)
+            if c is not None:
+                table[c] = (d, d_out, (corner, inverse))
+
         for tile in t.tiles:
             walk, m = tile.walk, len(tile.walk)
             for pos, e in enumerate(walk):
                 d, nxt, prev = t.twin[e], walk[(pos + 1) % m], walk[pos - 1]
                 # walk pair (e, nxt): the direct arrow arc(e) -> arc(nxt)
-                table[d, False] = entry(nxt, m, (pos + 1) % m,
-                                        (t.slot[d], t.slot[nxt]), False)
+                entry(d, False, nxt, m, (pos + 1) % m, (t.slot[d], t.slot[nxt]))
                 # walk pair (prev, e): the arrow arc(prev) -> arc(e), read inverse
-                table[d, True] = entry(prev, m, pos,
-                                       (t.slot[t.twin[prev]], t.slot[e]), True)
+                entry(d, True, prev, m, pos, (t.slot[t.twin[prev]], t.slot[e]))
     return table
 
 
@@ -196,12 +200,9 @@ def _arc_codes(alg: TilingAlgebra, arc) -> list:
     transit table."""
     if isinstance(arc, TrivialArc):
         return []
-    darts, pivots = arc.darts, arc.pivots
+    darts, table, codes = arc.darts, _transit_table(alg), []
     n = len(darts)
-    table = _transit_table(alg)
-    codes = []
-    for i in range(n if isinstance(arc, ClosedCurveClass) else n - 1):
-        corner, inverse = pivots[i]
+    for i, (corner, inverse) in enumerate(arc.pivots):   # one pivot per crossing pair
         if (darts[i], inverse) not in table:    # a boundary side has no transit
             raise ArcRejection(f"malformed: crossing {i} is not an arc side")
         d_out, m, cut, code, slots = table[darts[i], inverse]
@@ -218,14 +219,8 @@ def pivot_points(t: Tiling, arc) -> tuple:
     """The marked point shared by each consecutive crossing pair."""
     if isinstance(_arc(t, arc), TrivialArc):
         return ()
-    cyclic = isinstance(arc, ClosedCurveClass)
-    n = len(arc.darts)
-    pts = []
-    for i in range(n if cyclic else n - 1):
-        face = t.face_of[t.twin[arc.darts[i]]][0]
-        walk = t.tiles[face].walk
-        pts.append(t.tail[walk[arc.pivots[i][0] % len(walk)]])
-    return tuple(pts)
+    walks = (t.tiles[t.face_of[t.twin[d]][0]].walk for d in arc.darts)
+    return tuple(t.tail[w[corner % len(w)]] for w, (corner, _) in zip(walks, arc.pivots))
 
 
 # -- permissibility ------------------------------------------------------
@@ -261,8 +256,6 @@ def _violation(t: Tiling, alg: TilingAlgebra, arc):
     """`check_permissible` of a read arc."""
     if isinstance(arc, TrivialArc):
         return None
-    if not arc.darts:
-        return "malformed: no crossings but not the trivial arc"
     if any(t.kind[d] != "arc" for d in arc.darts):
         return "malformed: crossing is not an arc side"
     try:   # a (3)(b) fault is reported before a fault at the ends
@@ -337,27 +330,21 @@ def arcs_equivalent(t: Tiling, a, b, oriented: bool = True) -> bool:
     """Equivalence of permissible arcs as equality of normal forms; with
     oriented=False the reversed traversal is also allowed (classes then
     correspond to inversion classes of strings)."""
-    if isinstance(a, TrivialArc) or isinstance(b, TrivialArc):
-        return isinstance(a, TrivialArc) and isinstance(b, TrivialArc)
-    if normalize(t, a) == normalize(t, b):
-        return True
-    return not oriented and normalize(t, reverse_arc(t, a)) == normalize(t, b)
+    a, b = normalize(t, a), normalize(t, b)   # forms depend on darts, pivots only
+    return a == b or not oriented and normalize(t, _reverse(t, a)) == b
 
 
-def _chain(t: Tiling, alg: TilingAlgebra, letters):
-    """(darts, pivots) of the transits of a string's or band's letters:
-    the first entry dart, then each exit dart, where the next one enters."""
-    darts, pivots = [], []
-    for l in letters:
-        a = alg.arrows[l.arrow]
-        d_leave = t._slot_dart[a.leave_slot]
-        d_enter = t._slot_dart[a.enter_slot]
-        d_in, d_out = ((t.twin[d_enter], t.twin[d_leave]) if l.inverse
-                       else (d_leave, d_enter))
-        if not darts:
-            darts.append(d_in)
-        pivots.append((t.face_of[d_enter][1], l.inverse))
+def _chain(alg: TilingAlgebra, codes):
+    """(darts, pivots) of the transits of letter codes, off the transit
+    table: the first entry dart, then each exit dart, where the next enters."""
+    table = _transit_table(alg)
+    if not all(c in table for c in codes):   # e.g. a collapsed algebra's arrow
+        raise InputError("an arrow of the algebra cuts no corner of its tiling")
+    darts, pivots = [table[codes[0]][0]], []
+    for c in codes:
+        _, d_out, pivot = table[c]
         darts.append(d_out)
+        pivots.append(pivot)
     return darts, pivots
 
 
@@ -365,11 +352,12 @@ def string_to_arc(t: Tiling, alg: TilingAlgebra, w: StringWord):
     """The canonical permissible arc gamma_{s,t} of a string of alg."""
     if isinstance(w, StringWord) and w.is_zero:
         return TrivialArc()
-    if _operand(alg.presentation, w)[2]:
+    codes, _, cyclic = _operand(alg.presentation, w)
+    if cyclic:
         raise InputError("a band gives a closed curve; see band_to_closed_curve")
-    if w.is_trivial:
+    if not codes:
         return _gamma(t, (_trivial_dart(t, alg, w.vertex, w.sign),), ())
-    arc = _gamma(t, *_chain(t, alg, w.letters))
+    arc = _gamma(t, *_chain(alg, codes))
     err = _violation(t, alg, arc)
     assert err is None, err
     return arc
@@ -385,7 +373,7 @@ def arc_to_string(t: Tiling, alg: TilingAlgebra, arc) -> StringWord:
     if arc.crossings == 1:
         d = arc.darts[0]
         return StringWord.trivial(t.label[d], _dart_sign(t, alg, d))
-    return StringWord.word(arc_letters(t, alg, arc))
+    return _string_word(alg.presentation, (_arc_codes(alg, arc), ()))
 
 
 def reverse_arc(t: Tiling, arc):
@@ -400,10 +388,8 @@ def _reverse(t: Tiling, arc):
     if isinstance(arc, TrivialArc):
         return arc
     darts = tuple(t.twin[d] for d in reversed(arc.darts))
-    if isinstance(arc, ClosedCurveClass):
-        k = len(arc.darts)
-        pivots = tuple((arc.pivots[(k - 2 - i) % k][0],
-                        not arc.pivots[(k - 2 - i) % k][1]) for i in range(k))
+    if isinstance(arc, ClosedCurveClass):   # the wrap pair stays last
+        pivots = tuple((c, not inv) for c, inv in arc.pivots[-2::-1] + arc.pivots[-1:])
         return ClosedCurveClass(darts, pivots, arc.primitive_length, arc.exponent)
     pivots = tuple((c, not inv) for c, inv in reversed(arc.pivots))
     return PermissibleArc(darts, pivots, arc.end, arc.start)
@@ -421,7 +407,7 @@ def pivot_move(t: Tiling, alg: TilingAlgebra, arc, end: str):
     arc, reversed back (the reverse of gamma_{s,t} is again one)."""
     if end not in ("s", "t"):
         raise InputError("end must be 's' or 't'")
-    if isinstance(_arc(t, arc), (TrivialArc, ClosedCurveClass)) or not arc.darts:
+    if isinstance(_arc(t, arc), (TrivialArc, ClosedCurveClass)):
         raise InputError("pivot moves require an arc with at least one crossing")
     arc = _gamma(t, arc.darts, arc.pivots)
     if end == "s":
@@ -479,9 +465,10 @@ def band_to_closed_curve(t: Tiling, alg: TilingAlgebra, band: Band,
                          exponent: int = 1) -> ClosedCurveClass:
     if _int_arg(exponent, "exponent") < 1:
         raise InputError("exponent must be >= 1")
-    if not _operand(alg.presentation, band)[2]:
+    codes, _, cyclic = _operand(alg.presentation, band)
+    if not cyclic:
         raise InputError("a string gives an arc; see string_to_arc")
-    darts, pivots = _chain(t, alg, band.letters)
+    darts, pivots = _chain(alg, codes)
     darts = darts[:-1]      # the walk closes up: the last exit is the first entry
     curve = ClosedCurveClass(tuple(darts) * exponent, tuple(pivots) * exponent,
                              len(darts), exponent)
@@ -493,16 +480,16 @@ def band_to_closed_curve(t: Tiling, alg: TilingAlgebra, band: Band,
 def closed_curve_to_band(t: Tiling, alg: TilingAlgebra, curve: ClosedCurveClass):
     """(band, exponent) for a permissible closed curve; rejects curves
     whose cyclic crossing walk is not a band power."""
-    err = check_permissible(t, alg, curve)
+    if not isinstance(_arc(t, curve), ClosedCurveClass):
+        raise InputError("arcs correspond to strings, not bands")
+    err = _violation(t, alg, curve)
     if err is not None:
         raise ArcRejection(err)
     if curve.crossings < 2:
-        raise ArcRejection("closed curve crosses fewer than two arcs",
-                           "not a band power")
-    letters = tuple(arc_letters(t, alg, curve))
-    root = _primitive_root(letters)
-    band = Band.from_letters(alg.presentation, root)
-    return band, len(letters) // len(root)
+        raise ArcRejection("closed curve crosses fewer than two arcs", "not a band power")
+    codes = _arc_codes(alg, curve)
+    root = _primitive_root(codes)
+    return _band(alg.presentation, root), len(codes) // len(root)
 
 
 def rep_type_geometric(t: Tiling, alg: TilingAlgebra):

@@ -200,13 +200,13 @@ def cmd_tau(args, out):
 
 
 def cmd_rep_type(args, out):
-    from .arcs import rep_type_geometric
+    from .arcs import crossing_word, rep_type_geometric
     _, t, alg = _need_tiling(args.file)
     kind, witness = rep_type_geometric(t, alg)
     if kind == "finite":
         print("finite", file=out)
     else:
-        word = " ".join(t.label[d] for d in witness.darts)
+        word = " ".join(crossing_word(t, witness))
         print(f"infinite; witness closed curve: {word}", file=out)
     return 0
 

@@ -23,7 +23,8 @@ walks its arcs induce), band detection looks for a cycle in it,
 enumeration extends code tuples along it, and the hooks of `artheory`
 read their runs off it.  `Letter`s are built only at the API boundary.
 `_operand` is the one check of the string and band operands of Hom,
-hooks and arcs.
+hooks and arcs, and `_band` the one builder of a canonical band, for
+`Band.from_letters`, band detection and the closed curves of `arcs`.
 """
 
 from __future__ import annotations
@@ -303,13 +304,7 @@ class Band(namedtuple("Band", "letters")):
             if reason is None:
                 raise InputError(f"unknown arrow {letters[i].arrow!r}")
             raise StringRejection(i, f"cyclic word invalid: {reason}")
-        if len(_primitive_root(codes)) < len(codes):
-            raise StringRejection(0, "not primitive (proper power)")
-        if len({c & 1 for c in codes}) == 1:
-            raise StringRejection(0, "cyclic word has no direction change "
-                                     "(algebra would be infinite dimensional)")
-        return Band(tuple(map(_letter_table(p).letters.__getitem__,
-                              _least_rotation(codes))))
+        return _band(p, codes)
 
     def __len__(self):
         return len(self.letters)
@@ -319,6 +314,17 @@ class Band(namedtuple("Band", "letters")):
 
     def __repr__(self):
         return f"<band {self.text()}>"
+
+
+def _band(p: GentlePresentation, codes) -> Band:
+    """The Band of the codes of a cyclic string of p, in its least rotation
+    or that of its inverse; StringRejection for a power or one direction."""
+    if len(_primitive_root(codes)) < len(codes):
+        raise StringRejection(0, "not primitive (proper power)")
+    if len({c & 1 for c in codes}) == 1:
+        raise StringRejection(0, "cyclic word has no direction change "
+                                 "(algebra would be infinite dimensional)")
+    return Band(tuple(map(_letter_table(p).letters.__getitem__, _least_rotation(codes))))
 
 
 def _least_rotation(codes):
@@ -427,8 +433,7 @@ def detect_band(p: GentlePresentation):
     """
     table = _letter_table(p)
     cycle = _find_cycle(range(len(table.succ)), table.succ)
-    return None if cycle is None else Band.from_letters(
-        p, map(table.letters.__getitem__, cycle))
+    return None if cycle is None else _band(p, cycle)
 
 
 def enumerate_strings(p: GentlePresentation, max_len: int | None = None):

@@ -7,7 +7,7 @@ from tilealg import samples
 from tilealg.algebra import InputError
 from tilealg.arcs import (ArcRejection, ClosedCurveClass, EndDescriptor,
                           PermissibleArc, TrivialArc, arc_letters, arc_to_string,
-                          band_to_closed_curve, check_permissible,
+                          arcs_equivalent, band_to_closed_curve, check_permissible,
                           closed_curve_to_band, crossing_word, format_arc,
                           hom_dim_geometric, intersection_number,
                           intersection_vector, normalize, pivot_move, pivot_points,
@@ -131,6 +131,17 @@ def test_permissibility_rejections():
     # a closed curve through one crossing has a transit across its wrap
     one = ClosedCurveClass(arc.darts[:1], arc.pivots, 1, 1)
     assert check_permissible(t, alg, one) == "(3)(b) violation at crossings 0,1"
+    # a corner outside the start tile, and a route that lands on the
+    # crossed side but runs the wrong way round the disc tile
+    m = len(t.tiles[arc.start.tile].walk)
+    for start, reason in ((arc.start._replace(corner=m + 1), "malformed descriptor"),
+                          (arc.start._replace(route=arc.start.route - m),
+                           "disc-tile route out of range")):
+        assert check_permissible(t, alg, arc._replace(start=start)) == f"start {reason}"
+    # a type I end with route 0 can slide off the crossed arc
+    assert d is a2.start
+    assert check_permissible(tl, algl, a2._replace(start=d._replace(route=0))) == \
+        "start not minimal: end segment can slide off the crossed arc"
 
 
 def test_malformed_arc_reasons_are_exact():
@@ -184,6 +195,11 @@ def test_transit_between_dropped_arcs_has_no_fan_adjacency(name, word, slots):
     arc = string_to_arc(tri, alg_tri, parse_string(alg_tri.presentation, word))
     assert check_permissible(tri, collapsed, arc) == \
         f"(3)(b) violation: no fan adjacency for slots {slots}"
+    # the collapsed algebra's arrow a1, a path through dropped arcs, cuts
+    # no corner of the triangulation, so it gives no arc there
+    with pytest.raises(InputError) as exc:
+        string_to_arc(tri, collapsed, parse_string(collapsed.presentation, "a1"))
+    assert str(exc.value) == "an arrow of the algebra cuts no corner of its tiling"
 
 
 def test_pivot_equals_hooks(fixture):
@@ -301,6 +317,30 @@ def test_band_curve_roundtrip_and_powers():
     assert back2 == band and n2 == 2
 
 
+def test_reversed_band_curves_spell_the_same_band():
+    """The band curves of the fixtures and of random tilings, with
+    exponents 1 and 2: the reverse is permissible, reversing twice gives
+    the curve back, and both read back as the same (band, exponent)."""
+    curves = 0
+    for t in list(samples.tiled_fixtures().values()) + samples.random_tilings(7, 40):
+        alg = tiling_algebra(t)
+        band = detect_band(alg.presentation)
+        for n in ((1, 2) if band is not None else ()):
+            curve = band_to_closed_curve(t, alg, band, n)
+            back = reverse_arc(t, curve)
+            assert check_permissible(t, alg, back) is None
+            assert back != curve and reverse_arc(t, back) == curve
+            assert closed_curve_to_band(t, alg, back) == \
+                closed_curve_to_band(t, alg, curve) == (band, n)
+            curves += 1
+    assert curves == 24
+    t = samples.kron_tiling()
+    alg = tiling_algebra(t)
+    curve = band_to_closed_curve(t, alg, detect_band(alg.presentation), 2)
+    for x in (curve, reverse_arc(t, curve)):
+        assert repr(closed_curve_to_band(t, alg, x)) == "(<band a1 a2->, 2)"
+
+
 def test_band_curve_requires_band_input():
     t = samples.tiled_fixtures()["loop"]
     alg = tiling_algebra(t)
@@ -310,6 +350,10 @@ def test_band_curve_requires_band_input():
     fake = ClosedCurveClass(arc.darts, arc.pivots + ((0, False),), 2, 1)
     with pytest.raises(Exception):
         closed_curve_to_band(t, alg, fake)
+    # an arc, even the trivial one, reads back as a string, not a band
+    for x in (arc, TrivialArc()):
+        with pytest.raises(InputError, match="arcs correspond to strings, not bands"):
+            closed_curve_to_band(t, alg, x)
     # a string gives an arc and a band a closed curve, never the other way
     tk = samples.tiled_fixtures()["kron"]
     algk = tiling_algebra(tk)
@@ -457,9 +501,10 @@ def test_format_arc_is_stable():
 
 
 def test_moves_and_checks_read_their_arc_once(monkeypatch):
-    """A pivot move, the permissibility check, a reversal, a normal form
-    and the geometric Hom read each arc they are given through `_arc`
-    once; their inner steps take the read arc."""
+    """A pivot move, the permissibility check, a reversal, a normal form,
+    an equivalence, the geometric Hom and the readings back as a string
+    or band read each arc they are given through `_arc` once; their inner
+    steps take the read arc."""
     import tilealg.arcs as arcs
     reads = []
 
@@ -471,18 +516,23 @@ def test_moves_and_checks_read_their_arc_once(monkeypatch):
     monkeypatch.setattr(arcs, "_arc", counted)
     for t in samples.tiled_fixtures().values():
         alg = tiling_algebra(t)
-        # (query, the arcs it is given)
-        queries = [(lambda a: pivot_move(t, alg, a, "s"), 1),
-                   (lambda a: pivot_move(t, alg, a, "t"), 1),
-                   (lambda a: check_permissible(t, alg, a), 1),
+        # (query, the arcs it is given), for arcs and closed curves alike
+        queries = [(lambda a: check_permissible(t, alg, a), 1),
                    (lambda a: reverse_arc(t, a), 1), (lambda a: normalize(t, a), 1),
+                   (lambda a: arcs_equivalent(t, a, a), 2),
                    (lambda a: hom_dim_geometric(t, alg, a, a), 2)]
-        for w in fixture_strings(alg, bound=4):
-            arc = string_to_arc(t, alg, w)
-            for query, given in queries:
+        cases = [(string_to_arc(t, alg, w), queries + [
+            (lambda a: pivot_move(t, alg, a, "s"), 1),
+            (lambda a: pivot_move(t, alg, a, "t"), 1),
+            (lambda a: arc_to_string(t, alg, a), 1)]) for w in fixture_strings(alg, bound=4)]
+        band = detect_band(alg.presentation)
+        cases += [(band_to_closed_curve(t, alg, band, n), queries + [
+            (lambda a: closed_curve_to_band(t, alg, a), 1)]) for n in ((1, 2) if band else ())]
+        for arc, checks in cases:
+            for query, given in checks:
                 reads.clear()
                 query(arc)
-                assert reads == [arc] * given, w.text()
+                assert reads == [arc] * given, format_arc(t, arc)
 
 
 def test_format_arc_one_crossing_closed_curve():

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from tilealg import samples
 from tilealg.algebra import (GentlePresentation, InputError, Quiver, Rejection, check_gentle,
                              parse_quiver)
-from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc, arc_to_string,
-                          check_permissible, crossing_word, format_arc, normalize, pivot_move,
+from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc, TrivialArc,
+                          arc_letters, arc_to_string, arcs_equivalent, check_permissible,
+                          crossing_word, format_arc, hom_dim_geometric, normalize, pivot_move,
                           pivot_points, reverse_arc, string_to_arc)
 from tilealg.artheory import hooks
 from tilealg.homs import Window, hom_dim, window_key
@@ -36,6 +37,8 @@ PENT = samples.pent_tiling()
 PENT_ALG = tiling_algebra(PENT)
 NOT_AN_ARC = "arc 5 is not a TrivialArc, PermissibleArc or ClosedCurveClass"
 END = EndDescriptor(0, 0, 1)
+NO_CROSSINGS = PermissibleArc((), (), END, END)
+NO_DARTS = "arc has no darts; the arc without crossings is TrivialArc()"
 
 
 # entry point -> (call, the valid arguments whose slots are fuzzed)
@@ -247,6 +250,14 @@ def test_tuples_generators_and_sets_are_read_like_lists():
      "on a tile of the tiling"),
     (lambda: format_arc(PENT, ClosedCurveClass((0, 1), ((0, True), (1, False)), 2, None)),
      "exponent must be an int, got None"),
+    (lambda: normalize(PENT, NO_CROSSINGS), NO_DARTS),
+    (lambda: arcs_equivalent(PENT, NO_CROSSINGS, NO_CROSSINGS), NO_DARTS),
+    (lambda: hom_dim_geometric(PENT, PENT_ALG, NO_CROSSINGS, NO_CROSSINGS), NO_DARTS),
+    (lambda: arc_letters(PENT, PENT_ALG, NO_CROSSINGS), NO_DARTS),
+    (lambda: format_arc(PENT, NO_CROSSINGS), NO_DARTS),
+    (lambda: pivot_move(PENT, PENT_ALG, NO_CROSSINGS, "s"), NO_DARTS),
+    (lambda: reverse_arc(PENT, ClosedCurveClass((), (), 1, 1)), NO_DARTS),
+    (lambda: arcs_equivalent(PENT, TrivialArc(), 5), NOT_AN_ARC),
 ], ids=["str_vertices", "arrow_id_int", "arrow_id_empty", "vertices_int", "arrows_none",
         "vertex_list", "arrow_id_list", "relation_list_field", "source_list",
         "relations_none", "letter_int", "letter_triple", "letters_str", "band_letter_int",
@@ -259,7 +270,10 @@ def test_tuples_generators_and_sets_are_read_like_lists():
         "normalize_int", "reverse_arc_int", "pivot_move_int", "check_permissible_int",
         "format_arc_int", "arc_to_string_int", "arc_darts_int", "arc_dart_out_of_range",
         "arc_dart_str", "curve_darts_none", "arc_pivot_str", "arc_dart_bool",
-        "arc_pivot_count", "arc_end_tile_out_of_range", "curve_exponent_none"])
+        "arc_pivot_count", "arc_end_tile_out_of_range", "curve_exponent_none",
+        "arc_no_darts_normalize", "arc_no_darts_equivalent", "arc_no_darts_geometric_hom",
+        "arc_no_darts_letters", "arc_no_darts_format", "arc_no_darts_pivot_move",
+        "curve_no_darts", "equivalent_trivial_and_int"])
 def test_malformed_records_name_themselves(call, message):
     with pytest.raises(InputError) as err:
         call()

@@ -476,8 +476,9 @@ def _tiling_view(t):
 
 
 def test_dart_keys_are_made_with_the_darts():
-    # tile_key reads the (kind, label, slot) text key each dart got when
-    # it was made; splits and piercings on a copied tiling keep them in step
+    # the dart order (face starts, tile order, the completion heap) reads
+    # the (kind, label, slot) text key each dart got when it was made;
+    # splits and piercings on a copied tiling keep them in step
     for t in samples.random_tilings(7, 40) + [make() for make in SPLIT_CASES]:
         for m in (t, complete_to_triangulation(t).tiling):
             assert m.key == [(k, str(label), str(slot))
