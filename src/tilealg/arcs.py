@@ -35,8 +35,10 @@ codes `strings._operand` reads for `string_to_arc` and
 `band_to_closed_curve`; letters of a tiling algebra that form a string
 always chain up, as a relation is exactly an end-slot mismatch.
 A public function reads each arc record it is given through `_arc`
-first; the steps it takes (`_arc_codes`, `_violation`, `_reverse`) work
-on read arcs, so a pivot move reads its arc once.
+first, and checks through `_own` that an algebra it is given is built on
+its tiling; the steps it takes (`_arc_codes`, `_violation`, `_reverse`,
+`_pivot`) work on read arcs, so a pivot move or a tau move reads its arc
+once.
 """
 
 from __future__ import annotations
@@ -94,8 +96,10 @@ class ClosedCurveClass(NamedTuple):
 def _arc(t: Tiling, arc):
     """`arc` if it is an arc record on t: a tuple of darts of t (ints, not
     bools), a tuple of (int, bool) pivots, one per crossing pair, and two
-    ends of ints on tiles of t or a closed curve's two int counts; else
-    InputError naming the record or the field."""
+    ends of ints on tiles of t, or for a closed curve two counts >= 1 that
+    describe its darts, which repeat their first primitive_length entries
+    exponent times, and so do the pivots; else InputError naming the
+    record or the field."""
     if isinstance(arc, TrivialArc):
         return arc
     if not isinstance(arc, (PermissibleArc, ClosedCurveClass)):
@@ -120,8 +124,18 @@ def _arc(t: Tiling, arc):
         raise InputError(f"arc of {len(darts)} darts has {len(pivots)} pivots, "
                          f"not {len(darts) - (not closed)}")
     if closed:
-        _int_arg(arc.primitive_length, "primitive_length")
-        _int_arg(arc.exponent, "exponent")
+        k = _int_arg(arc.primitive_length, "primitive_length")
+        n = _int_arg(arc.exponent, "exponent")
+        for name, x in (("primitive_length", k), ("exponent", n)):
+            if x < 1:
+                raise InputError(f"closed curve {name} must be >= 1, got {x}")
+        if k * n != len(darts):
+            raise InputError(f"closed curve primitive_length {k} times exponent {n} "
+                             f"is not its {len(darts)} darts")
+        for name, xs in (("darts", darts), ("pivots", pivots)):
+            if xs != xs[:k] * n:
+                raise InputError(f"closed curve {name} are not their first {k} "
+                                 f"repeated {n} times")
     else:
         for name, x in (("start", arc.start), ("end", arc.end)):
             if not isinstance(x, EndDescriptor) or type(x.tile) is not int or \
@@ -130,6 +144,15 @@ def _arc(t: Tiling, arc):
                 raise InputError(f"arc {name} {x!r} is not an EndDescriptor of ints on "
                                  "a tile of the tiling")
     return arc
+
+
+def _own(t: Tiling, alg):
+    """`alg` if it is an algebra built on t itself, as `tiling_algebra(t)`
+    is; else InputError."""
+    if not isinstance(alg, TilingAlgebra) or alg.tiling is not t:
+        raise InputError("the algebra is not built on this tiling; "
+                         "pass tiling_algebra(t) with t")
+    return alg
 
 
 def crossing_word(t: Tiling, arc) -> tuple:
@@ -191,7 +214,7 @@ def arc_letters(t: Tiling, alg: TilingAlgebra, arc) -> list:
     """The quiver letters realized by consecutive crossings (also across
     the wrap of a closed curve); ArcRejection when a pair violates (3)(b).
     The transits are read from the table of `alg`, whose tiling is t."""
-    letters = _letter_table(alg.presentation).letters
+    letters = _letter_table(_own(t, alg).presentation).letters
     return [letters[c] for c in _arc_codes(alg, _arc(t, arc))]
 
 
@@ -249,7 +272,7 @@ def _end_valid(t: Tiling, desc: EndDescriptor, dart: int):
 
 def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
     """None when the arc is permissible and minimal, else the reason."""
-    return _violation(t, alg, _arc(t, arc))
+    return _violation(t, _own(t, alg), _arc(t, arc))
 
 
 def _violation(t: Tiling, alg: TilingAlgebra, arc):
@@ -350,6 +373,7 @@ def _chain(alg: TilingAlgebra, codes):
 
 def string_to_arc(t: Tiling, alg: TilingAlgebra, w: StringWord):
     """The canonical permissible arc gamma_{s,t} of a string of alg."""
+    _own(t, alg)
     if isinstance(w, StringWord) and w.is_zero:
         return TrivialArc()
     codes, _, cyclic = _operand(alg.presentation, w)
@@ -366,6 +390,7 @@ def string_to_arc(t: Tiling, alg: TilingAlgebra, w: StringWord):
 def arc_to_string(t: Tiling, alg: TilingAlgebra, arc) -> StringWord:
     """The string of the crossing walk; single crossings give trivial
     strings whose sign is read off the entry side of the arc."""
+    _own(t, alg)
     if isinstance(_arc(t, arc), TrivialArc):
         return StringWord.zero()
     if isinstance(arc, ClosedCurveClass):
@@ -407,8 +432,14 @@ def pivot_move(t: Tiling, alg: TilingAlgebra, arc, end: str):
     arc, reversed back (the reverse of gamma_{s,t} is again one)."""
     if end not in ("s", "t"):
         raise InputError("end must be 's' or 't'")
+    _own(t, alg)
     if isinstance(_arc(t, arc), (TrivialArc, ClosedCurveClass)):
         raise InputError("pivot moves require an arc with at least one crossing")
+    return _pivot(t, alg, arc, end)
+
+
+def _pivot(t: Tiling, alg: TilingAlgebra, arc: PermissibleArc, end: str):
+    """`pivot_move` of a read arc with crossings."""
     arc = _gamma(t, arc.darts, arc.pivots)
     if end == "s":
         out = _pivot_start(t, alg, arc)
@@ -448,12 +479,13 @@ def tau_inverse_arc(t: Tiling, alg: TilingAlgebra, arc):
     """Counterclockwise rotation of both endpoints of gamma_{s,t}; None
     when the string module is injective (the rotated arc has
     intersection number zero)."""
-    if isinstance(arc, (TrivialArc, ClosedCurveClass)):
+    _own(t, alg)
+    if isinstance(_arc(t, arc), (TrivialArc, ClosedCurveClass)):
         raise InputError("tau applies to arcs with at least one crossing")
     for first, second in (("t", "s"), ("s", "t")):
-        moved = pivot_move(t, alg, arc, first)
+        moved = _pivot(t, alg, arc, first)
         if not isinstance(moved, TrivialArc):
-            moved = pivot_move(t, alg, moved, second)
+            moved = _pivot(t, alg, moved, second)
             return None if isinstance(moved, TrivialArc) else moved
     return None
 
@@ -463,6 +495,7 @@ def tau_inverse_arc(t: Tiling, alg: TilingAlgebra, arc):
 
 def band_to_closed_curve(t: Tiling, alg: TilingAlgebra, band: Band,
                          exponent: int = 1) -> ClosedCurveClass:
+    _own(t, alg)
     if _int_arg(exponent, "exponent") < 1:
         raise InputError("exponent must be >= 1")
     codes, _, cyclic = _operand(alg.presentation, band)
@@ -480,6 +513,7 @@ def band_to_closed_curve(t: Tiling, alg: TilingAlgebra, band: Band,
 def closed_curve_to_band(t: Tiling, alg: TilingAlgebra, curve: ClosedCurveClass):
     """(band, exponent) for a permissible closed curve; rejects curves
     whose cyclic crossing walk is not a band power."""
+    _own(t, alg)
     if not isinstance(_arc(t, curve), ClosedCurveClass):
         raise InputError("arcs correspond to strings, not bands")
     err = _violation(t, alg, curve)
@@ -494,7 +528,7 @@ def closed_curve_to_band(t: Tiling, alg: TilingAlgebra, curve: ClosedCurveClass)
 
 def rep_type_geometric(t: Tiling, alg: TilingAlgebra):
     """('finite', None) or ('infinite', witness closed curve)."""
-    band = detect_band(alg.presentation)
+    band = detect_band(_own(t, alg).presentation)
     if band is None:
         return ("finite", None)
     curve = band_to_closed_curve(t, alg, band, 1)
@@ -526,6 +560,7 @@ def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
     read in their periodic unrolling.  The crossing words serve as the
     operands' vertices, so arcs that cross no common arc give 0 at once."""
     from .homs import _match   # only Hom needs the matcher, so only it loads homs
+    _own(t, alg)
     return sum(1 for _ in _match(_arc_view(t, alg, arc_v), _arc_view(t, alg, arc_w)))
 
 

@@ -13,8 +13,7 @@ import sys
 
 # Each subcommand imports the layers it runs, so a CLI process loads and
 # compiles only those.
-from .algebra import (InputError, Quiver, Rejection, _read_text, check_gentle,
-                      parse_quiver, parse_quiver_raw)
+from .algebra import GentlenessError, InputError, Rejection, _read_text, parse_quiver
 
 
 def _write(path, text):
@@ -25,33 +24,26 @@ def _write(path, text):
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
-def _sniff(path):
-    """(text, first keyword) of a description file; the keyword is
-    'quiver' or 'tiling' for well-formed files."""
+def _load_any(path):
+    """(presentation, tiling-or-None, tiling_algebra-or-None) of a
+    description file: a file whose first keyword is 'tiling' is a tiling
+    file, and any other file is read as a quiver file."""
     text = _read_text(path)
     first = next((words[0] for l in text.splitlines()
                   if (words := l.split("#", 1)[0].split())), "")
-    return text, first
-
-
-def _load_any(path):
-    """(presentation, tiling-or-None, tiling_algebra-or-None)."""
-    text, first = _sniff(path)
-    if first == "tiling":
-        from .surface import Tiling, tiling_algebra
-        t = Tiling.parse(text)
-        alg = tiling_algebra(t)
-        return alg.presentation, t, alg
-    if first == "quiver":
+    if first != "tiling":
         return parse_quiver(text), None, None
-    raise InputError(f"{path}: expected a 'quiver' or 'tiling' file")
+    from .surface import Tiling, tiling_algebra
+    alg = tiling_algebra(Tiling.parse(text))
+    return alg.presentation, alg.tiling, alg
 
 
 def _need_tiling(path):
-    pres, t, alg = _load_any(path)
+    """(tiling, tiling algebra) of a tiling file."""
+    _, t, alg = _load_any(path)
     if t is None:
         raise InputError(f"{path}: this command needs a tiling file")
-    return pres, t, alg
+    return t, alg
 
 
 def _parse_operand(pres, text):
@@ -61,22 +53,31 @@ def _parse_operand(pres, text):
     return parse_string(pres, text)
 
 
+def _string_arc(args):
+    """(tiling, tiling algebra, arc) of the string argument on the tiling
+    file argument."""
+    from .arcs import string_to_arc
+    from .strings import parse_string
+    t, alg = _need_tiling(args.file)
+    return t, alg, string_to_arc(t, alg, parse_string(alg.presentation, args.string))
+
+
+def _print_moved(t, alg, moved, out):
+    from .arcs import arc_to_string, format_arc
+    print(format_arc(t, moved), file=out)
+    print(f"string {arc_to_string(t, alg, moved).text()}", file=out)
+    return 0
+
+
 def cmd_check(args, out):
-    text, first = _sniff(args.file)
-    if first == "tiling":
-        from .surface import Tiling, tiling_algebra
-        # the tiling algebra is built only on a gentle presentation
-        tiling_algebra(Tiling.parse(text))
-        print("gentle", file=out)
-        return 0
-    vertices, arrows, relations = parse_quiver_raw(text)
-    verdict = check_gentle(Quiver.from_arrows(vertices, arrows), relations)
-    if verdict.gentle:
-        print("gentle", file=out)
-        return 0
-    for v in verdict.violations:
-        print(f"violation {v.axiom}: {v.message}", file=out)
-    return 1
+    try:
+        _load_any(args.file)
+    except GentlenessError as exc:
+        for v in exc.violations:
+            print(f"violation {v.axiom}: {v.message}", file=out)
+        return 1
+    print("gentle", file=out)
+    return 0
 
 
 def cmd_strings(args, out):
@@ -142,7 +143,7 @@ def cmd_hom(args, out):
 
 
 def cmd_tiling_algebra(args, out):
-    _, t, alg = _need_tiling(args.file)
+    t, alg = _need_tiling(args.file)
     for tile in t.tiles:
         sides = " ".join(map(t.side, tile.walk))
         extra = f" around {tile.unmarked}" if tile.unmarked else ""
@@ -159,11 +160,8 @@ def cmd_tiling_algebra(args, out):
 
 
 def cmd_arcs(args, out):
-    from .arcs import TrivialArc, format_arc, intersection_vector, string_to_arc
-    from .strings import parse_string
-    pres, t, alg = _need_tiling(args.file)
-    w = parse_string(pres, args.string)
-    arc = string_to_arc(t, alg, w)
+    from .arcs import TrivialArc, format_arc, intersection_vector
+    t, _, arc = _string_arc(args)
     print(format_arc(t, arc), file=out)
     if not isinstance(arc, TrivialArc):
         vec = intersection_vector(t, arc)
@@ -173,35 +171,24 @@ def cmd_arcs(args, out):
 
 
 def cmd_pivot(args, out):
-    from .arcs import arc_to_string, format_arc, pivot_move, string_to_arc
-    from .strings import parse_string
-    pres, t, alg = _need_tiling(args.file)
-    w = parse_string(pres, args.string)
-    arc = string_to_arc(t, alg, w)
-    moved = pivot_move(t, alg, arc, args.end)
-    print(format_arc(t, moved), file=out)
-    print(f"string {arc_to_string(t, alg, moved).text()}", file=out)
-    return 0
+    from .arcs import pivot_move
+    t, alg, arc = _string_arc(args)
+    return _print_moved(t, alg, pivot_move(t, alg, arc, args.end), out)
 
 
 def cmd_tau(args, out):
-    from .arcs import arc_to_string, format_arc, string_to_arc, tau_inverse_arc
-    from .strings import parse_string
-    pres, t, alg = _need_tiling(args.file)
-    w = parse_string(pres, args.string)
-    arc = string_to_arc(t, alg, w)
+    from .arcs import tau_inverse_arc
+    t, alg, arc = _string_arc(args)
     moved = tau_inverse_arc(t, alg, arc)
     if moved is None:
         print("injective", file=out)
         return 0
-    print(format_arc(t, moved), file=out)
-    print(f"string {arc_to_string(t, alg, moved).text()}", file=out)
-    return 0
+    return _print_moved(t, alg, moved, out)
 
 
 def cmd_rep_type(args, out):
     from .arcs import crossing_word, rep_type_geometric
-    _, t, alg = _need_tiling(args.file)
+    t, alg = _need_tiling(args.file)
     kind, witness = rep_type_geometric(t, alg)
     if kind == "finite":
         print("finite", file=out)
@@ -214,7 +201,7 @@ def cmd_rep_type(args, out):
 def cmd_complete(args, out):
     from .surface import (collapse_presentation, complete_to_triangulation,
                           presentations_isomorphic, tiling_algebra)
-    _, t, alg = _need_tiling(args.file)
+    t, alg = _need_tiling(args.file)
     comp = complete_to_triangulation(t)
     print(f"added points: {' '.join(comp.added_points) or '-'}", file=out)
     print(f"added arcs: {' '.join(comp.added_arcs) or '-'}", file=out)
@@ -225,62 +212,41 @@ def cmd_complete(args, out):
     return 0 if ok else 1
 
 
+_STRING = ("string", {})
+
+# (name, handler, help, the arguments after `file` with their
+# add_argument keywords) of each subcommand, in help order
+_SUBCOMMANDS = (
+    ("check", cmd_check, "verify gentleness axioms", ()),
+    ("strings", cmd_strings, "enumerate strings up to inversion",
+     (("--max-len", dict(type=int)),)),
+    ("ar-quiver", cmd_ar_quiver, "Auslander-Reiten quiver of string modules",
+     (("--dot", {}),)),
+    ("hom", cmd_hom, "Hom dimension between string/band modules",
+     (("v", {}), ("w", {}), ("--oracle", dict(action="store_true")),
+      ("--prime", dict(type=int)),
+      ("--lam", dict(type=int,
+                     help="band parameter lambda for oracle band modules (default 1)")))),
+    ("tiling-algebra", cmd_tiling_algebra, "tiles and the tiling algebra", ()),
+    ("arcs", cmd_arcs, "canonical permissible arc of a string", (_STRING,)),
+    ("pivot", cmd_pivot, "pivot elementary move of the arc of a string",
+     (_STRING, ("--end", dict(choices=("s", "t"), required=True)))),
+    ("tau", cmd_tau, "inverse AR translate via arc rotation", (_STRING,)),
+    ("rep-type", cmd_rep_type, "representation type from the surface", ()),
+    ("complete", cmd_complete, "complete to a triangulation and verify collapse", ()),
+)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="tilealg",
                                  description="gentle algebras as tiling algebras")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="verify gentleness axioms")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("strings", help="enumerate strings up to inversion")
-    p.add_argument("file")
-    p.add_argument("--max-len", type=int, default=None)
-    p.set_defaults(func=cmd_strings)
-
-    p = sub.add_parser("ar-quiver", help="Auslander-Reiten quiver of string modules")
-    p.add_argument("file")
-    p.add_argument("--dot", default=None)
-    p.set_defaults(func=cmd_ar_quiver)
-
-    p = sub.add_parser("hom", help="Hom dimension between string/band modules")
-    p.add_argument("file")
-    p.add_argument("v")
-    p.add_argument("w")
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--lam", type=int, default=None,
-                   help="band parameter lambda for oracle band modules (default 1)")
-    p.set_defaults(func=cmd_hom)
-
-    p = sub.add_parser("tiling-algebra", help="tiles and the tiling algebra")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_tiling_algebra)
-
-    p = sub.add_parser("arcs", help="canonical permissible arc of a string")
-    p.add_argument("file")
-    p.add_argument("string")
-    p.set_defaults(func=cmd_arcs)
-
-    p = sub.add_parser("pivot", help="pivot elementary move of the arc of a string")
-    p.add_argument("file")
-    p.add_argument("string")
-    p.add_argument("--end", choices=("s", "t"), required=True)
-    p.set_defaults(func=cmd_pivot)
-
-    p = sub.add_parser("tau", help="inverse AR translate via arc rotation")
-    p.add_argument("file")
-    p.add_argument("string")
-    p.set_defaults(func=cmd_tau)
-
-    p = sub.add_parser("rep-type", help="representation type from the surface")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_rep_type)
-
-    p = sub.add_parser("complete", help="complete to a triangulation and verify collapse")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_complete)
+    for name, func, summary, arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file")
+        for arg, keywords in arguments:
+            p.add_argument(arg, **keywords)
+        p.set_defaults(func=func)
     return ap
 
 

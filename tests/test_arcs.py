@@ -501,7 +501,7 @@ def test_format_arc_is_stable():
 
 
 def test_moves_and_checks_read_their_arc_once(monkeypatch):
-    """A pivot move, the permissibility check, a reversal, a normal form,
+    """A pivot move, a tau move, the permissibility check, a reversal, a normal form,
     an equivalence, the geometric Hom and the readings back as a string
     or band read each arc they are given through `_arc` once; their inner
     steps take the read arc."""
@@ -524,6 +524,7 @@ def test_moves_and_checks_read_their_arc_once(monkeypatch):
         cases = [(string_to_arc(t, alg, w), queries + [
             (lambda a: pivot_move(t, alg, a, "s"), 1),
             (lambda a: pivot_move(t, alg, a, "t"), 1),
+            (lambda a: tau_inverse_arc(t, alg, a), 1),
             (lambda a: arc_to_string(t, alg, a), 1)]) for w in fixture_strings(alg, bound=4)]
         band = detect_band(alg.presentation)
         cases += [(band_to_closed_curve(t, alg, band, n), queries + [

@@ -326,14 +326,6 @@ def test_check_fd_witness_is_pinned(tmp_path, arrows, expected):
     assert text.splitlines() == expected
 
 
-def test_check_unknown_keyword_is_reported(tmp_path):
-    path = tmp_path / "bad.quiver"
-    path.write_text("not a file\n")
-    code, text = run("check", str(path))
-    assert code == 2
-    assert text == "input error: line 1: unknown keyword 'not'\n"
-
-
 @pytest.mark.parametrize("prime", ["0", "1", "4", "-5"])
 def test_hom_oracle_rejects_a_prime_that_is_not_prime(prime):
     import warnings
@@ -489,3 +481,94 @@ def test_cli_main_on_mutated_data_files_exits_0_1_or_2(tmp_path_factory, text, c
     name, rest = command
     code, _ = run(name, str(path), *rest)
     assert code in (0, 1, 2)
+
+
+# -- the CLI surface -------------------------------------------------------
+
+# (name, handler, help, [(option strings, dest, required, choices, type,
+# default, nargs, help) of each argument, in order]) of every subcommand
+SURFACE = [
+    ("check", "cmd_check", "verify gentleness axioms",
+     [((), "file", True, None, None, None, None, None)]),
+    ("strings", "cmd_strings", "enumerate strings up to inversion",
+     [((), "file", True, None, None, None, None, None),
+      (("--max-len",), "max_len", False, None, int, None, None, None)]),
+    ("ar-quiver", "cmd_ar_quiver", "Auslander-Reiten quiver of string modules",
+     [((), "file", True, None, None, None, None, None),
+      (("--dot",), "dot", False, None, None, None, None, None)]),
+    ("hom", "cmd_hom", "Hom dimension between string/band modules",
+     [((), "file", True, None, None, None, None, None),
+      ((), "v", True, None, None, None, None, None),
+      ((), "w", True, None, None, None, None, None),
+      (("--oracle",), "oracle", False, None, None, False, 0, None),
+      (("--prime",), "prime", False, None, int, None, None, None),
+      (("--lam",), "lam", False, None, int, None, None,
+       "band parameter lambda for oracle band modules (default 1)")]),
+    ("tiling-algebra", "cmd_tiling_algebra", "tiles and the tiling algebra",
+     [((), "file", True, None, None, None, None, None)]),
+    ("arcs", "cmd_arcs", "canonical permissible arc of a string",
+     [((), "file", True, None, None, None, None, None),
+      ((), "string", True, None, None, None, None, None)]),
+    ("pivot", "cmd_pivot", "pivot elementary move of the arc of a string",
+     [((), "file", True, None, None, None, None, None),
+      ((), "string", True, None, None, None, None, None),
+      (("--end",), "end", True, ("s", "t"), None, None, None, None)]),
+    ("tau", "cmd_tau", "inverse AR translate via arc rotation",
+     [((), "file", True, None, None, None, None, None),
+      ((), "string", True, None, None, None, None, None)]),
+    ("rep-type", "cmd_rep_type", "representation type from the surface",
+     [((), "file", True, None, None, None, None, None)]),
+    ("complete", "cmd_complete", "complete to a triangulation and verify collapse",
+     [((), "file", True, None, None, None, None, None)]),
+]
+
+
+def test_subcommands_and_their_arguments_are_pinned():
+    import argparse
+    from tilealg.cli import build_parser
+    ap = build_parser()
+    top = [a for a in ap._actions if not isinstance(a, argparse._HelpAction)]
+    assert len(top) == 1 and isinstance(top[0], argparse._SubParsersAction)
+    sub = top[0]
+    assert (sub.dest, sub.required) == ("command", True)
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        (name, help) for name, _, help, _ in SURFACE]
+    got = []
+    for name, p in sub.choices.items():
+        args = [(tuple(a.option_strings), a.dest, a.required, a.choices, a.type,
+                 a.default, a.nargs, a.help)
+                for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        got.append((name, p.get_default("func").__name__, p.prog, args))
+    assert got == [(name, func, f"tilealg {name}", args)
+                   for name, func, _, args in SURFACE]
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], "usage: tilealg [-h]\n"
+         "               {check,strings,ar-quiver,hom,tiling-algebra,arcs,pivot,tau,rep-type,complete}\n"
+         "               ...\n"
+         "tilealg: error: the following arguments are required: command\n"),
+    (["pivot", "f", "s"], "usage: tilealg pivot [-h] --end {s,t} file string\n"
+                          "tilealg pivot: error: the following arguments are required: --end\n"),
+], ids=["no_subcommand", "pivot_without_end"])
+def test_argparse_errors_exit_2(monkeypatch, capsys, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("command, rest", [("check", []), ("strings", []),
+                                           ("hom", ["a", "b"]), ("tiling-algebra", [])],
+                         ids=["check", "strings", "hom", "tiling-algebra"])
+@pytest.mark.parametrize("text, reason", [
+    ("not a file\n", "line 1: unknown keyword 'not'"),
+    ("", "missing 'quiver' header line"),
+    ("vertex v\n", "missing 'quiver' header line"),
+], ids=["unknown_keyword", "empty", "headerless"])
+def test_a_file_that_is_not_a_tiling_is_read_as_a_quiver(tmp_path, command, rest, text,
+                                                         reason):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert run(command, str(path), *rest) == (2, f"input error: {reason}\n")

@@ -11,13 +11,15 @@ from tilealg import samples
 from tilealg.algebra import (GentlePresentation, InputError, Quiver, Rejection, check_gentle,
                              parse_quiver)
 from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc, TrivialArc,
-                          arc_letters, arc_to_string, arcs_equivalent, check_permissible,
-                          crossing_word, format_arc, hom_dim_geometric, normalize, pivot_move,
-                          pivot_points, reverse_arc, string_to_arc)
+                          arc_letters, arc_to_string, arcs_equivalent, band_to_closed_curve,
+                          check_permissible, closed_curve_to_band, crossing_word, format_arc,
+                          hom_dim_geometric, normalize, pivot_move, pivot_points,
+                          rep_type_geometric, reverse_arc, string_to_arc, tau_inverse_arc)
 from tilealg.artheory import hooks
 from tilealg.homs import Window, hom_dim, window_key
 from tilealg.oracle import BandModuleSpec, realize_band_module, realize_string_module
-from tilealg.strings import Band, Letter, StringWord, parse_band, parse_string, validate_string
+from tilealg.strings import (Band, Letter, StringWord, detect_band, parse_band, parse_string,
+                             validate_string)
 from tilealg.surface import (Tiling, collapse_presentation, complete_to_triangulation,
                              presentations_isomorphic, tiling_algebra)
 
@@ -39,6 +41,15 @@ NOT_AN_ARC = "arc 5 is not a TrivialArc, PermissibleArc or ClosedCurveClass"
 END = EndDescriptor(0, 0, 1)
 NO_CROSSINGS = PermissibleArc((), (), END, END)
 NO_DARTS = "arc has no darts; the arc without crossings is TrivialArc()"
+# the pent disc with the algebra of the pair of pants, and the Kronecker
+# annulus with the algebra of another parse of it
+PANTS_ALG = tiling_algebra(samples.pants_tiling())
+PENT_ARC = string_to_arc(PENT, PENT_ALG, parse_string(PENT_ALG.presentation, "a1"))
+KRON = samples.kron_tiling()
+KRON_ALG = tiling_algebra(KRON)
+KRON_AGAIN = tiling_algebra(samples.kron_tiling())
+KRON_CURVE = rep_type_geometric(KRON, KRON_ALG)[1]
+NOT_OWN = "the algebra is not built on this tiling; pass tiling_algebra(t) with t"
 
 
 # entry point -> (call, the valid arguments whose slots are fuzzed)
@@ -258,6 +269,32 @@ def test_tuples_generators_and_sets_are_read_like_lists():
     (lambda: pivot_move(PENT, PENT_ALG, NO_CROSSINGS, "s"), NO_DARTS),
     (lambda: reverse_arc(PENT, ClosedCurveClass((), (), 1, 1)), NO_DARTS),
     (lambda: arcs_equivalent(PENT, TrivialArc(), 5), NOT_AN_ARC),
+    (lambda: arc_letters(PENT, PANTS_ALG, PENT_ARC), NOT_OWN),
+    (lambda: check_permissible(PENT, PANTS_ALG, PENT_ARC), NOT_OWN),
+    (lambda: string_to_arc(PENT, PANTS_ALG, parse_string(PANTS_ALG.presentation, "a1")),
+     NOT_OWN),
+    (lambda: arc_to_string(PENT, PANTS_ALG, PENT_ARC), NOT_OWN),
+    (lambda: pivot_move(PENT, PANTS_ALG, PENT_ARC, "s"), NOT_OWN),
+    (lambda: tau_inverse_arc(PENT, PANTS_ALG, PENT_ARC), NOT_OWN),
+    (lambda: band_to_closed_curve(KRON, KRON_AGAIN, detect_band(KRON_ALG.presentation)),
+     NOT_OWN),
+    (lambda: closed_curve_to_band(KRON, KRON_AGAIN, KRON_CURVE), NOT_OWN),
+    (lambda: rep_type_geometric(PENT, PANTS_ALG), NOT_OWN),
+    (lambda: hom_dim_geometric(PENT, PANTS_ALG, PENT_ARC, PENT_ARC), NOT_OWN),
+    (lambda: string_to_arc(PENT, PENT_ALG.presentation, StringWord.zero()), NOT_OWN),
+    (lambda: check_permissible(KRON, KRON_ALG, KRON_CURVE._replace(exponent=-5)),
+     "closed curve exponent must be >= 1, got -5"),
+    (lambda: format_arc(KRON, KRON_CURVE._replace(exponent=3)),
+     "closed curve primitive_length 2 times exponent 3 is not its 2 darts"),
+    (lambda: closed_curve_to_band(KRON, KRON_ALG, KRON_CURVE._replace(primitive_length=0)),
+     "closed curve primitive_length must be >= 1, got 0"),
+    (lambda: reverse_arc(KRON, ClosedCurveClass(KRON_CURVE.darts + KRON_CURVE.darts[::-1],
+                                                KRON_CURVE.pivots * 2, 2, 2)),
+     "closed curve darts are not their first 2 repeated 2 times"),
+    (lambda: hom_dim_geometric(KRON, KRON_ALG, KRON_CURVE,
+                               ClosedCurveClass(KRON_CURVE.darts * 2, KRON_CURVE.pivots
+                                                + KRON_CURVE.pivots[::-1], 2, 2)),
+     "closed curve pivots are not their first 2 repeated 2 times"),
 ], ids=["str_vertices", "arrow_id_int", "arrow_id_empty", "vertices_int", "arrows_none",
         "vertex_list", "arrow_id_list", "relation_list_field", "source_list",
         "relations_none", "letter_int", "letter_triple", "letters_str", "band_letter_int",
@@ -273,7 +310,14 @@ def test_tuples_generators_and_sets_are_read_like_lists():
         "arc_pivot_count", "arc_end_tile_out_of_range", "curve_exponent_none",
         "arc_no_darts_normalize", "arc_no_darts_equivalent", "arc_no_darts_geometric_hom",
         "arc_no_darts_letters", "arc_no_darts_format", "arc_no_darts_pivot_move",
-        "curve_no_darts", "equivalent_trivial_and_int"])
+        "curve_no_darts", "equivalent_trivial_and_int", "letters_of_another_tiling",
+        "permissible_on_another_tiling", "string_to_arc_on_another_tiling",
+        "arc_to_string_on_another_tiling", "pivot_move_on_another_tiling",
+        "tau_on_another_tiling", "band_curve_on_another_parse",
+        "curve_band_on_another_parse", "rep_type_on_another_tiling",
+        "geometric_hom_on_another_tiling", "string_to_arc_of_a_presentation",
+        "curve_exponent_negative", "curve_exponent_miscounted", "curve_primitive_length_0",
+        "curve_darts_not_repeated", "curve_pivots_not_repeated"])
 def test_malformed_records_name_themselves(call, message):
     with pytest.raises(InputError) as err:
         call()
