@@ -4,7 +4,7 @@ reading a presentation, of the AR quiver and of arcs, written as JSON.
 
     python3 scripts/bench_ladder.py [--out BENCH_ladder.json] [--max-size 3200]
 
-Eight families.  Two run self-Hom on `samples.zigzag` presentations
+Ten families.  Two run self-Hom on `samples.zigzag` presentations
 (arrows of alternating orientation, so every code of the operand occurs
 once): the path's longest string and the cycle's band.  One runs
 self-Hom on `samples.random_walk(random.Random(n), p, n)`, a random walk
@@ -20,11 +20,14 @@ triangulation with about half its diagonals kept.  One runs
 n (n + 1) / 2 nodes.  One runs `string_to_arc` on the full direct string
 of the path A_{n-3} without relations, the algebra of the n-gon with all
 n - 3 diagonals from one point, then `pivot_move` at both ends of the
-arc.  Operands, tiling texts, tilings and presentations are built
-outside the timing.  Rungs double from size 50 (from 8 up to 64 for the
-AR quiver) up to --max-size.  Each rung records the best of 3 timed
-runs in seconds, the `tracemalloc` peak of one more run in MB, and the
-exponent fitted to the time between it and the rung before.  A family
+arc.  Two run on the band `samples.repeated_band(k)` of
+`samples.double_kronecker`, (a b-)^k a d c- b-, whose least code starts
+k + 1 rotations: `parse_band` on its text, which finds its canonical
+form, and self-Hom.  Operands, tiling texts, tilings and presentations
+are built outside the timing.  Rungs double from size 50 (from 8 up to
+64 for the AR quiver) up to --max-size.  Each rung records the best of
+3 timed runs in seconds, the `tracemalloc` peak of one more run in MB,
+and the exponent fitted to the time between it and the rung before.  A family
 stops after its first rung over 0.5 s or 50 MB, so a routine that blows
 up is cut short instead of exhausting memory.  Timings are wall clock
 on the machine that runs the script; compare two ladders only from the
@@ -46,7 +49,7 @@ from tilealg.algebra import GentlePresentation
 from tilealg.arcs import pivot_move, string_to_arc
 from tilealg.artheory import build_ar_quiver
 from tilealg.homs import hom_dim
-from tilealg.strings import Band, validate_string
+from tilealg.strings import Band, parse_band, validate_string
 from tilealg.surface import Tiling, complete_to_triangulation, tiling_algebra
 
 STOP_S = 0.5
@@ -123,6 +126,17 @@ def _fan_path(n):
     return run
 
 
+def _repeated_band(hom):
+    """The parse or self-Hom run on the repeated band of a k."""
+    def prepare(k):
+        p, text = samples.double_kronecker(), samples.repeated_band(k)
+        if not hom:
+            return lambda: parse_band(p, text)
+        b = parse_band(p, text)
+        return lambda: hom_dim(p, b, b)
+    return prepare
+
+
 # name -> (first size, last size, the run's preparation)
 FAMILIES = {
     "hom zigzag string": (50, math.inf, _hom(False)),
@@ -136,6 +150,8 @@ FAMILIES = {
     "from_data kronecker": (50, math.inf, _from_data),
     "ar_quiver path": (8, 64, _ar_quiver),
     "arcs fan path": (50, math.inf, _fan_path),
+    "band canonical form": (50, math.inf, _repeated_band(False)),
+    "hom repeated band": (50, math.inf, _repeated_band(True)),
 }
 
 

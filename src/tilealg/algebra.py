@@ -145,8 +145,9 @@ class Quiver:
         return list(self._in.get(v, ()))
 
 
-def _relation_set(relations) -> frozenset:
-    """The relations as a set of (arrow, arrow) pairs of names; InputError
+def _relation_set(relations) -> dict:
+    """The relations as (arrow, arrow) pairs of names, the keys of a dict in
+    the order read, so checks report them in input order; InputError
     naming the first record that is not one."""
     what, pairs = "relation {1!r} is not a pair of arrows", []
     for r in _record(relations, None, "relations {!r} are not a collection"):
@@ -154,7 +155,7 @@ def _relation_set(relations) -> frozenset:
         if type(a) is not str or type(b) is not str:
             _name(a, what, r), _name(b, what, r)
         pairs.append(pair)
-    return frozenset(pairs)
+    return dict.fromkeys(pairs)
 
 
 class GentleCheck(NamedTuple):
@@ -177,7 +178,7 @@ def check_gentle(q: Quiver, relations) -> GentleCheck:
     return _check_gentle(q, _relation_set(relations))
 
 
-def _check_gentle(q: Quiver, relations: frozenset) -> GentleCheck:
+def _check_gentle(q: Quiver, relations: dict) -> GentleCheck:
     for a, b in relations:
         if a not in q.sources or b not in q.sources:
             raise InputError(f"relation ({a},{b}) references unknown arrow")
@@ -274,7 +275,7 @@ def assign_signs(q: Quiver, relations):
     return _assign_signs(q, _relation_set(relations))
 
 
-def _assign_signs(q: Quiver, relations: frozenset):
+def _assign_signs(q: Quiver, relations: dict):
     sigma, epsilon = {}, {}
     for v in q.vertices:
         ins = q._in.get(v, ())
@@ -332,7 +333,7 @@ class GentlePresentation:
         verdict = _check_gentle(q, relations)
         if not verdict:
             raise GentlenessError(verdict.violations)
-        return cls(q, relations, *_assign_signs(q, relations))
+        return cls(q, frozenset(relations), *_assign_signs(q, relations))
 
     # -- convenience -------------------------------------------------
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import InputError, Rejection, _int_arg
-from .strings import (Band, StringWord, _band, _letter_table, _operand, _primitive_root,
+from .strings import (Band, StringWord, _band, _cyclic_form, _letter_table, _operand,
                       _string_word, _walk_error, detect_band)
 from .surface import Tiling, TilingAlgebra
 
@@ -522,8 +522,8 @@ def closed_curve_to_band(t: Tiling, alg: TilingAlgebra, curve: ClosedCurveClass)
     if curve.crossings < 2:
         raise ArcRejection("closed curve crosses fewer than two arcs", "not a band power")
     codes = _arc_codes(alg, curve)
-    root = _primitive_root(codes)
-    return _band(alg.presentation, root), len(codes) // len(root)
+    period = _cyclic_form(codes)[1]
+    return _band(alg.presentation, codes[:period]), len(codes) // period
 
 
 def rep_type_geometric(t: Tiling, alg: TilingAlgebra):

@@ -14,7 +14,7 @@ the inverse successor of the inverse of w's first code, and since a^-1 b
 is a string exactly when b != a leaves s(a), and bc one exactly when bc
 is not in I, v is the run of direct successors after a^-1.  The mirror
 image w_r = ((w^-1)_l)^-1 is taken on codes: a code string's inverse is
-its reversal with c ^ 1 on each code and a trivial sign negated.  Each
+the inverse code word of `strings._inverse`, a trivial sign negated.  Each
 public call reads its operand once, by `strings._operand`, and builds
 `StringWord`s only for what it returns.
 """
@@ -25,8 +25,8 @@ from collections import Counter
 from typing import NamedTuple
 
 from .algebra import GentlePresentation, InputError
-from .strings import (StringWord, _code_strings, _letter_table, _operand, _string_word,
-                      _walk_error, detect_band)
+from .strings import (StringWord, _code_strings, _inverse, _letter_table, _operand,
+                      _string_word, _walk_error, detect_band)
 
 HOOK_ADDED = "added-hook"
 COHOOK_REMOVED = "removed-cohook"
@@ -46,9 +46,9 @@ def _code_string(p: GentlePresentation, w):
     return codes, () if codes else (w.vertex, w.sign)
 
 
-def _inverse(x):
+def _inverse_string(x):
     codes, trivial = x
-    return tuple([c ^ 1 for c in reversed(codes)]), trivial and (trivial[0], -trivial[1])
+    return _inverse(codes), trivial and (trivial[0], -trivial[1])
 
 
 def _left(p: GentlePresentation, x):
@@ -66,7 +66,7 @@ def _left(p: GentlePresentation, x):
         # a^-1, then the direct string v
         while nxt := [c for c in table.succ[run[-1]] if not c & 1]:
             run.append(nxt[0])
-        hooked = tuple([c ^ 1 for c in reversed(run)]) + codes
+        hooked = _inverse(run) + codes
         assert _walk_error(p, hooked, False) is None, hooked
         return (hooked, ()), HOOK_ADDED
     # drop the maximal direct prefix and the following inverse letter
@@ -79,8 +79,8 @@ def _left(p: GentlePresentation, x):
 
 def _right(p: GentlePresentation, x):
     """(w_r, tag) of the code string x: w_r = ((w^-1)_l)^-1."""
-    y, tag = _left(p, _inverse(x))
-    return (None if y is None else _inverse(y)), tag
+    y, tag = _left(p, _inverse_string(x))
+    return (None if y is None else _inverse_string(y)), tag
 
 
 def _hooks(p: GentlePresentation, x):
@@ -208,7 +208,7 @@ def build_ar_quiver(p: GentlePresentation) -> ARQuiver:
     strings = _code_strings(p, None)
     node = {}
     for x in strings:
-        node[x] = node[_inverse(x)] = _string_word(p, x)
+        node[x] = node[_inverse_string(x)] = _string_word(p, x)
     edges, tau_pairs = [], []
     for x in strings:
         (left, _), (right, _), both = _hooks(p, x)

@@ -20,9 +20,10 @@ and clockwise segments are sub windows.
 
 Each operand is read by `strings._operand`, the one operand check, as a
 tuple of the integer letter codes of the presentation's letter table;
-c ^ 1 is the inverse of code c, and odd codes are inverse letters.  A
-factor window's left flank is inverse and a sub window's is direct, so
-the two differ, and likewise on the right: a matching pair is exactly
+c ^ 1 is the inverse of code c, odd codes are inverse letters, and
+`strings._inverse` spells the inverse of a code word.  A factor
+window's left flank is inverse and a sub window's is direct, so the
+two differ, and likewise on the right: a matching pair is exactly
 the maximal run of equal codes from its start pair along one alignment
 diagonal.  `_match` walks one run per valid start pair, against w and
 against w's inverse spelling (whose sub windows are the inverses of
@@ -47,7 +48,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import GentlePresentation, InputError, _int_arg, _record
-from .strings import Band, _letter_table, _operand, valid_pair
+from .strings import Band, _inverse, _letter_table, _operand, valid_pair
 
 
 class Window(NamedTuple):
@@ -124,10 +125,10 @@ def window_key(p: GentlePresentation, host, w: Window):
         raise InputError(f"window {start}+{length} is not a window of {host!r}")
     if not length:
         return ("triv", verts[start])
-    word = [codes[(start + k) % n] for k in range(length)]
+    word = tuple([codes[(start + k) % n] for k in range(length)])
     letters = _letter_table(p).letters
     return ("word",) + tuple((letters[c].arrow, letters[c].inverse)
-                             for c in min(word, [c ^ 1 for c in reversed(word)]))
+                             for c in min(word, _inverse(word)))
 
 
 class AdmissiblePair(NamedTuple):
@@ -164,7 +165,7 @@ def _match(fv, sv):
                 if left != -1 and fr[i] != -1 for s in trivial.get(fverts[i], ()))
     f_starts = [i for i in range(n) if fl[i] != -1]
     f_run = fcodes * (2 + cap // n) if fcyc else fcodes
-    for same, spell in ((True, scodes), (False, tuple([c ^ 1 for c in reversed(scodes)]))):
+    for same, spell in ((True, scodes), (False, _inverse(scodes))):
         # the inverse spelling's sub window at j is the inverse of sv's at
         # m - j - length, so it starts where that one stops
         starts = {}
@@ -217,32 +218,16 @@ def _count_windows_bruteforce(p: GentlePresentation, host, left_inverse: bool) -
     if not isinstance(host, Band):
         for start in range(n + 1):
             for end in range(start, n + 1):
-                ok = True
-                if start > 0:
-                    piece = letters[start - 1]
-                    ok = ok and piece.inverse == left_inverse
-                if end < n:
-                    piece = letters[end]
-                    ok = ok and piece.inverse != left_inverse
                 # window plus flank letters must reassemble into the host
-                if ok and start < end:
-                    ok = is_string(letters[start:end])
-                if ok:
-                    count += 1
+                count += ((start == 0 or letters[start - 1].inverse == left_inverse)
+                          and (end == n or letters[end].inverse != left_inverse)
+                          and is_string(letters[start:end]))
         return count
     for start in range(n):
         for length in range(n + 1):
-            left = letters[(start - 1) % n]
-            right = letters[(start + length) % n]
-            if left.inverse != left_inverse:
-                continue
-            if right.inverse == left_inverse:
-                continue
-            if length:
-                word = tuple(letters[(start + i) % n] for i in range(length))
-                if not is_string(word):
-                    continue
-            count += 1
+            count += (letters[(start - 1) % n].inverse == left_inverse
+                      and letters[(start + length) % n].inverse != left_inverse
+                      and is_string([letters[(start + i) % n] for i in range(length)]))
     return count
 
 

@@ -53,6 +53,20 @@ def kronecker_chain(k: int) -> GentlePresentation:
     return GentlePresentation.from_data(vertices, arrows, relations)
 
 
+def double_kronecker() -> GentlePresentation:
+    """1 => 2 => 3: arrows a, b: 1 -> 2 and c, d: 2 -> 3; ac and bd are zero."""
+    return GentlePresentation.from_data(
+        ["1", "2", "3"], [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"), ("d", "2", "3")],
+        [("a", "c"), ("b", "d")])
+
+
+def repeated_band(k: int) -> str:
+    """The text of the band (a b-)^k a d c- b- of `double_kronecker`, which
+    is its canonical form: 2k + 4 letters, whose least code, a's, starts
+    k + 1 rotations."""
+    return "a b- " * k + "a d c- b-"
+
+
 def zigzag(length: int, cyclic: bool = False) -> GentlePresentation:
     """`length` arrows a<k> between vertices k and k+1 (mod `length` if
     cyclic; then `length` is even), pointing up at even k and down at odd

@@ -22,9 +22,13 @@ bands through the table first, and `arcs` hands it the codes of the
 walks its arcs induce), band detection looks for a cycle in it,
 enumeration extends code tuples along it, and the hooks of `artheory`
 read their runs off it.  `Letter`s are built only at the API boundary.
-`_operand` is the one check of the string and band operands of Hom,
-hooks and arcs, and `_band` the one builder of a canonical band, for
-`Band.from_letters`, band detection and the closed curves of `arcs`.
+`_inverse` is the one spelling of the inverse of a code word, and
+`_cyclic_form`, one linear pass, the one canonical form of a cyclic one:
+the least rotation of it or of its inverse, with its period.  `_operand`
+is the one check of the string and band operands of Hom, hooks and arcs
+(a band is in its cyclic form, of period its length), and `_band` the
+one builder of a canonical band, for `Band.from_letters`, band
+detection and the closed curves of `arcs`.
 """
 
 from __future__ import annotations
@@ -212,11 +216,12 @@ def is_valid_string(p: GentlePresentation, w: StringWord) -> bool:
 
 
 def _word_error(p: GentlePresentation, letters, cyclic: bool):
-    """(codes, None) if the letters spell a string (cyclic: also across
-    the wrap), else (None, (position, reason)) of the first offence: a
-    letter outside the table with reason None, or else the second letter
-    of the first bad pair (found by `_walk_error` on the encoded word) with
-    its `valid_pair` reason; the wrap pair has position 0."""
+    """(codes, None), the codes a tuple, if the letters spell a string
+    (cyclic: also across the wrap), else (None, (position, reason)) of the
+    first offence: a letter outside the table with reason None, or else
+    the second letter of the first bad pair (found by `_walk_error` on the
+    encoded word) with its `valid_pair` reason; the wrap pair has
+    position 0."""
     code, codes = _letter_table(p).code, []
     try:
         for l in letters:
@@ -226,7 +231,7 @@ def _word_error(p: GentlePresentation, letters, cyclic: bool):
     i = _walk_error(p, codes, cyclic)
     if i is not None:
         return None, (i, valid_pair(p, letters[i - 1], letters[i]))
-    return codes, None
+    return tuple(codes), None
 
 
 def _walk_error(p: GentlePresentation, codes, cyclic: bool):
@@ -317,23 +322,47 @@ class Band(namedtuple("Band", "letters")):
 
 
 def _band(p: GentlePresentation, codes) -> Band:
-    """The Band of the codes of a cyclic string of p, in its least rotation
-    or that of its inverse; StringRejection for a power or one direction."""
-    if len(_primitive_root(codes)) < len(codes):
+    """The Band of the codes of a cyclic string of p, in its cyclic form;
+    StringRejection for a power or one direction."""
+    form, period = _cyclic_form(codes)
+    if period < len(codes):
         raise StringRejection(0, "not primitive (proper power)")
     if len({c & 1 for c in codes}) == 1:
         raise StringRejection(0, "cyclic word has no direction change "
                                  "(algebra would be infinite dimensional)")
-    return Band(tuple(map(_letter_table(p).letters.__getitem__, _least_rotation(codes))))
+    return Band(tuple(map(_letter_table(p).letters.__getitem__, form)))
 
 
-def _least_rotation(codes):
-    """The least rotation of the codes or of their inverse, which spells
-    the canonical band; only the rotations starting at the least code
-    are built."""
-    inv = [c ^ 1 for c in reversed(codes)]
-    least = min(min(codes), min(inv))
-    return min(w[i:] + w[:i] for w in (codes, inv) for i, c in enumerate(w) if c == least)
+def _inverse(codes) -> tuple:
+    """The code word of the inverse walk: the codes reversed, each c ^ 1."""
+    return tuple([c ^ 1 for c in reversed(codes)])
+
+
+def _cyclic_form(codes):
+    """(form, period): the least rotation of a nonempty cyclic code word of
+    n codes or of its inverse, and its least period.  Duval's Lyndon
+    factorization (J. Algorithms 4, 1983) of each spelling read twice
+    round, up to the first factor whose run of n codes is a power of it:
+    that run is least, and the factor's length is the period.  An inverse
+    whose least code exceeds form[0] is skipped."""
+    n = len(codes)
+    form = None
+    for w in (tuple(codes), _inverse(codes)):
+        if form is not None and form[0] < min(w):
+            break
+        w, i = w + w, 0
+        while True:
+            k, j = i, i + 1
+            while (j - i != n or n % (j - k)) and j < 2 * n and w[k] <= w[j]:
+                k = i if w[k] < w[j] else k + 1
+                j += 1
+            if j - i == n and not n % (j - k):
+                break
+            while i <= k:
+                i += j - k
+        if form is None or w[i:j] < form:
+            form = w[i:j]
+    return form, j - k
 
 
 def _operand(p: GentlePresentation, host):
@@ -346,22 +375,17 @@ def _operand(p: GentlePresentation, host):
         codes, err = _word_error(p, host.letters, True)
         if not codes or err is not None:
             raise InputError(f"not a band of this presentation: {host!r}")
-        # the form of Band.from_letters: an even first code that is least,
-        # alone and without its inverse starts no other rotation either way
-        first = codes[0]
-        plain = (not first & 1 and first == min(codes) and codes.count(first) == 1
-                 and first + 1 not in codes)
-        if not plain and (codes != _least_rotation(codes) or _primitive_root(codes) != codes):
+        if _cyclic_form(codes) != (codes, len(codes)):
             raise InputError(f"not a band of this presentation: {host!r} is not "
                              "in the canonical form of Band.from_letters")
-        return tuple(codes), tuple(map(table.source.__getitem__, codes)), True
+        return codes, tuple(map(table.source.__getitem__, codes)), True
     if not isinstance(host, StringWord):
         raise InputError(f"expected StringWord or Band, got {type(host).__name__}")
     if host.kind == "word":
         codes, err = _word_error(p, host.letters, False)
         if codes and err is None:
-            return tuple(codes), (table.source[codes[0]],
-                                  *map(table.target.__getitem__, codes)), False
+            return codes, (table.source[codes[0]],
+                           *map(table.target.__getitem__, codes)), False
         StringWord.word(host.letters)   # the constructor's complaint comes first
     elif host.kind == "trivial":
         if host.sign in (1, -1) and type(host.vertex) is str \
@@ -374,21 +398,8 @@ def _operand(p: GentlePresentation, host):
     raise InputError(f"not a string of this presentation: {host!r}")
 
 
-def _primitive_root(letters):
-    """The shortest prefix of which the word is a power."""
-    n = len(letters)
-    for d in range(1, n):
-        if n % d == 0 and letters == letters[:d] * (n // d):
-            return letters[:d]
-    return letters
-
-
 def all_letters(p: GentlePresentation):
-    out = []
-    for a in p.arrows:
-        out.append(Letter(a, False))
-        out.append(Letter(a, True))
-    return out
+    return [Letter(a, inverse) for a in p.arrows for inverse in (False, True)]
 
 
 class _LetterTable:
@@ -460,7 +471,7 @@ def _code_strings(p: GentlePresentation, max_len):
     frontier = [(c,) for c in range(len(succ))]
     length = 1
     while frontier and (max_len is None or length <= max_len):
-        found.update(min(w, tuple([c ^ 1 for c in reversed(w)])) for w in frontier)
+        found.update(min(w, _inverse(w)) for w in frontier)
         frontier = [w + (d,) for w in frontier for d in succ[w[-1]]]
         length += 1
     return ([((), (v, 1)) for v in p.vertices]

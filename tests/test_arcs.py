@@ -319,13 +319,13 @@ def test_band_curve_roundtrip_and_powers():
 
 def test_reversed_band_curves_spell_the_same_band():
     """The band curves of the fixtures and of random tilings, with
-    exponents 1 and 2: the reverse is permissible, reversing twice gives
+    exponents 1 to 3: the reverse is permissible, reversing twice gives
     the curve back, and both read back as the same (band, exponent)."""
     curves = 0
     for t in list(samples.tiled_fixtures().values()) + samples.random_tilings(7, 40):
         alg = tiling_algebra(t)
         band = detect_band(alg.presentation)
-        for n in ((1, 2) if band is not None else ()):
+        for n in ((1, 2, 3) if band is not None else ()):
             curve = band_to_closed_curve(t, alg, band, n)
             back = reverse_arc(t, curve)
             assert check_permissible(t, alg, back) is None
@@ -333,7 +333,7 @@ def test_reversed_band_curves_spell_the_same_band():
             assert closed_curve_to_band(t, alg, back) == \
                 closed_curve_to_band(t, alg, curve) == (band, n)
             curves += 1
-    assert curves == 24
+    assert curves == 36
     t = samples.kron_tiling()
     alg = tiling_algebra(t)
     curve = band_to_closed_curve(t, alg, detect_band(alg.presentation), 2)

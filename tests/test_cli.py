@@ -1,5 +1,8 @@
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -572,3 +575,60 @@ def test_a_file_that_is_not_a_tiling_is_read_as_a_quiver(tmp_path, command, rest
     path = tmp_path / "bad.txt"
     path.write_text(text)
     assert run(command, str(path), *rest) == (2, f"input error: {reason}\n")
+
+
+# Every subcommand on every file of tests/data and on the files given after
+# it, in process: the operands are the first strings of each presentation,
+# its band and, on a tiling, each string's arc moves; each run prints its
+# argv, exit code and output.
+DUMP = """
+import io, sys
+from pathlib import Path
+from tilealg.cli import _load_any, main
+from tilealg.strings import detect_band, enumerate_strings
+
+def run(*argv):
+    out = io.StringIO()
+    code = main(list(argv), out=out)
+    print(*argv[:1], Path(argv[1]).name, *argv[2:], code)
+    print(out.getvalue(), end="")
+
+data, dot, extra = Path(sys.argv[1]), sys.argv[2], sys.argv[3:]
+for f in sorted(map(str, data.iterdir())) + extra:
+    try:
+        pres = _load_any(f)[0]
+        band = detect_band(pres)
+        texts = [w.text() for w in enumerate_strings(pres, 2)[:4]]
+    except ValueError:
+        band, texts = None, ["a", "triv 1 +"]
+    operands = texts + (["band " + band.text()] if band else [])
+    for argv in (["check"], ["strings", "--max-len", "3"], ["ar-quiver", "--dot", dot],
+                 ["tiling-algebra"], ["rep-type"], ["complete"]):
+        run(argv[0], f, *argv[1:])
+    for v in operands:
+        for w in operands:
+            run("hom", f, v, w)
+    for s in texts:
+        for argv in (["arcs", s], ["tau", s], ["pivot", s, "--end", "s"],
+                     ["pivot", s, "--end", "t"]):
+            run(argv[0], f, *argv[1:])
+"""
+
+
+def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """One dump of every subcommand, in two interpreters with different
+    hash seeds, byte for byte; the extra quiver names two unknown-arrow
+    relations, which a check in hash order reports differently under
+    seeds 0 and 3."""
+    quiver = tmp_path / "relations.quiver"
+    quiver.write_text("quiver\nvertex 1\narrow a 1 1\nrelation a b\nrelation b a\nend\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    dumps = [subprocess.run([sys.executable, "-c", DUMP, str(DATA), str(tmp_path / "ar.dot"),
+                             str(quiver)], capture_output=True, text=True, timeout=120,
+                            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+             for seed in ("0", "3")]
+    assert [d.returncode for d in dumps] == [0, 0], dumps[0].stderr + dumps[1].stderr
+    assert dumps[0].stdout == dumps[1].stdout
+    assert "relations.quiver 2\ninput error: relation (a,b) references unknown arrow\n" \
+        in dumps[0].stdout
+    assert dumps[0].stdout.count("\n") > 500

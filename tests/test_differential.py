@@ -11,8 +11,9 @@ import random
 from tilealg import samples
 from tilealg.artheory import hooks, is_injective_string, verify_ar_middle
 from tilealg.homs import hom_dim
-from tilealg.oracle import hom_dim_oracle, realize_string_module
-from tilealg.strings import detect_band, enumerate_strings
+from tilealg.oracle import (BandModuleSpec, hom_dim_oracle, realize_band_module,
+                            realize_string_module)
+from tilealg.strings import detect_band, enumerate_strings, parse_band
 from tilealg.surface import tiling_algebra
 
 
@@ -71,3 +72,18 @@ def test_random_tilings_geometric_hom_matches_combinatorial():
             w = rng.choice(words)
             assert hom_dim_geometric(t, alg, arcs[v], arcs[w]) == \
                 hom_dim(p, v, w), (v.text(), w.text())
+
+
+def test_repeated_band_hom_matches_oracle():
+    """The band (a b-)^k a d c- b-, whose codes repeat, for k = 1..3: Hom
+    with itself and with every string of length <= 4, on either side."""
+    p = samples.double_kronecker()
+    strings = enumerate_strings(p, max_len=4)
+    reps = {s: realize_string_module(p, s) for s in strings}
+    for k in (1, 2, 3):
+        b = parse_band(p, samples.repeated_band(k))
+        rep = realize_band_module(p, BandModuleSpec(b, 1, 1))
+        assert hom_dim(p, b, b) == hom_dim_oracle(p, rep, rep)
+        for s in strings:
+            assert hom_dim(p, b, s) == hom_dim_oracle(p, rep, reps[s]), (k, s.text())
+            assert hom_dim(p, s, b) == hom_dim_oracle(p, reps[s], rep), (k, s.text())

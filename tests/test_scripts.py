@@ -62,7 +62,8 @@ def test_bench_ladder_smallest_rung(tmp_path, capsys):
     families = json.loads(dest.read_text())["families"]
     assert list(families) == ["hom zigzag string", "hom zigzag band", "hom kronecker walk",
                               "surface bare polygon", "surface half-kept disc",
-                              "from_data kronecker", "ar_quiver path", "arcs fan path"]
+                              "from_data kronecker", "ar_quiver path", "arcs fan path",
+                              "band canonical form", "hom repeated band"]
     for name, rungs in families.items():
         sizes = [8, 16, 32] if name == "ar_quiver path" else [50]
         assert [r["size"] for r in rungs] == sizes

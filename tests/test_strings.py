@@ -11,8 +11,8 @@ from tilealg.artheory import hooks
 from tilealg.arcs import check_permissible, hom_dim_geometric, string_to_arc
 from tilealg.homs import factor_strings, hom_dim, window_key
 from tilealg.strings import (Band, Letter, StringRejection, StringWord,
-                             _letter_table, _operand, _walk_error, all_letters,
-                             canonicalize,
+                             _cyclic_form, _letter_table, _operand, _walk_error,
+                             all_letters, canonicalize,
                              compose, detect_band, enumerate_strings, epsilon_of,
                              is_valid_string, letter_source,
                              letter_target, parse_band, parse_string, sigma_of,
@@ -368,9 +368,67 @@ def test_tuple_built_operands_are_rejected_when_built():
         (Letter("a"), Letter("b", True)))
 
 
-def _least_rotation(letters):
+def _least_rotation(word, inv=Letter.inv):
+    """The least rotation of the cyclic word or of its inverse (its items
+    reversed, each through `inv`) and its least period, by brute force over
+    every rotation."""
+    word = tuple(word)
+    inverse = tuple(inv(x) for x in reversed(word))
+    n = len(word)
+    period = next(d for d in range(1, n + 1) if word[d:] + word[:d] == word)
+    return min(w[i:] + w[:i] for w in (word, inverse) for i in range(n)), period
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=9), st.integers(1, 3),
+       st.booleans(), st.booleans())
+def test_cyclic_form_is_the_least_rotation_and_period(root, power, self_inverse, as_list):
+    """On code words, proper powers and words that are a rotation of their
+    own inverse among them, the one linear pass agrees with brute force."""
+    if self_inverse:
+        root = root + [c ^ 1 for c in reversed(root)]
+    codes = root * power
+    form, period = _cyclic_form(codes if as_list else tuple(codes))
+    assert (form, period) == _least_rotation(codes, lambda c: c ^ 1)
+    assert type(form) is tuple and len(codes) % period == 0
+
+
+def test_cyclic_form_on_long_repetitive_words():
+    """Words whose least code starts many rotations, the case that made a
+    rotation-by-rotation search quadratic."""
+    rng = random.Random(11)
+    for _ in range(60):
+        blocks = [(0, rng.randrange(1, 6)), (0, 3), (0, 2, 3), (1, 0)]
+        codes = [c for _ in range(rng.randrange(1, 40)) for c in rng.choice(blocks)]
+        codes = codes * rng.choice((1, 1, 2, 3))
+        assert _cyclic_form(codes) == _least_rotation(codes, lambda c: c ^ 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_band_operands_outside_the_canonical_form_are_refused(k):
+    """Of the rotations of the band (a b-)^k a d c- b-, of its inverse and
+    of its powers, only the band itself is a band operand; each other one,
+    a rotation that starts at a, the least code, too, is refused with the
+    canonical-form message."""
+    p = samples.double_kronecker()
+    band = parse_band(p, samples.repeated_band(k))
+    assert band.text() == samples.repeated_band(k)
+    letters = band.letters
     inverse = tuple(l.inv() for l in reversed(letters))
-    return min(w[i:] + w[:i] for w in (letters, inverse) for i in range(len(w)))
+    words = {w[i:] + w[:i] for e in (1, 2, 3) for w in (letters * e, inverse * e)
+             for i in range(len(w))}
+    assert len(words) == 6 * len(letters)
+    for word in words:
+        host = Band(word)
+        if word == letters:
+            assert _operand(p, host)[2] is True
+            continue
+        message = (f"not a band of this presentation: {host!r} is not in the canonical "
+                   "form of Band.from_letters")
+        for call in (lambda: _operand(p, host), lambda: hom_dim(p, host, band)):
+            with pytest.raises(InputError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 def test_band_canonical_form_is_the_least_rotation_on_the_corpus():
@@ -384,7 +442,7 @@ def test_band_canonical_form_is_the_least_rotation_on_the_corpus():
             except ValueError:
                 continue
             checked += 1
-            least = _least_rotation(w.letters)
+            least = _least_rotation(w.letters)[0]
             assert band.letters == least
             inverse = w.inv().letters
             assert Band.from_letters(p, inverse[1:] + inverse[:1]) == band
