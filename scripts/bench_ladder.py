@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Size ladder of self-Hom on long operands, of surface completion, of
-reading a presentation, of the AR quiver and of arcs, written as JSON.
+reading a presentation, of the AR quiver, of arcs and of string
+enumeration, written as JSON.
 
     python3 scripts/bench_ladder.py [--out BENCH_ladder.json] [--max-size 3200]
 
-Ten families.  Two run self-Hom on `samples.zigzag` presentations
+Eleven families.  Two run self-Hom on `samples.zigzag` presentations
 (arrows of alternating orientation, so every code of the operand occurs
 once): the path's longest string and the cycle's band.  One runs
 self-Hom on `samples.random_walk(random.Random(n), p, n)`, a random walk
@@ -23,11 +24,14 @@ n - 3 diagonals from one point, then `pivot_move` at both ends of the
 arc.  Two run on the band `samples.repeated_band(k)` of
 `samples.double_kronecker`, (a b-)^k a d c- b-, whose least code starts
 k + 1 rotations: `parse_band` on its text, which finds its canonical
-form, and self-Hom.  Operands, tiling texts, tilings and presentations
-are built outside the timing.  Rungs double from size 50 (from 8 up to
-64 for the AR quiver) up to --max-size.  Each rung records the best of
-3 timed runs in seconds, the `tracemalloc` peak of one more run in MB,
-and the exponent fitted to the time between it and the rung before.  A family
+form, and self-Hom.  One runs `enumerate_strings` on the path quiver
+A_n, whose n (n + 1) / 2 strings it lists.  Operands, tiling texts,
+tilings and presentations are built outside the timing, afresh before
+each run, so that no run reads what an earlier one has read and kept.
+Rungs double from size 50 (from 8 up to 64 for the AR quiver and the
+enumeration) up to --max-size.  Each rung records the best of 3 timed
+runs in seconds, the `tracemalloc` peak of one more run in MB, and the
+exponent fitted to the time between it and the rung before.  A family
 stops after its first rung over 0.5 s or 50 MB, so a routine that blows
 up is cut short instead of exhausting memory.  Timings are wall clock
 on the machine that runs the script; compare two ladders only from the
@@ -49,7 +53,7 @@ from tilealg.algebra import GentlePresentation
 from tilealg.arcs import pivot_move, string_to_arc
 from tilealg.artheory import build_ar_quiver
 from tilealg.homs import hom_dim
-from tilealg.strings import Band, parse_band, validate_string
+from tilealg.strings import Band, enumerate_strings, parse_band, validate_string
 from tilealg.surface import Tiling, complete_to_triangulation, tiling_algebra
 
 STOP_S = 0.5
@@ -93,11 +97,22 @@ def _from_data(n):
     return lambda: GentlePresentation.from_data(*data)
 
 
+def _path(n):
+    """The linearly oriented path quiver A_n."""
+    return GentlePresentation.from_data([str(i) for i in range(n)],
+                                        [(f"a{i}", str(i), str(i + 1)) for i in range(n - 1)], [])
+
+
 def _ar_quiver(n):
     """The AR quiver run on the path quiver A_n."""
-    p = GentlePresentation.from_data([str(i) for i in range(n)],
-                                     [(f"a{i}", str(i), str(i + 1)) for i in range(n - 1)], [])
+    p = _path(n)
     return lambda: build_ar_quiver(p)
+
+
+def _enumerate_path(n):
+    """The string enumeration run on the path quiver A_n."""
+    p = _path(n)
+    return lambda: enumerate_strings(p)
 
 
 def _fan_path(n):
@@ -152,16 +167,18 @@ FAMILIES = {
     "arcs fan path": (50, math.inf, _fan_path),
     "band canonical form": (50, math.inf, _repeated_band(False)),
     "hom repeated band": (50, math.inf, _repeated_band(True)),
+    "enumerate_strings path": (8, 64, _enumerate_path),
 }
 
 
 def _rung(size, prepare):
-    run = prepare(size)
     best = math.inf
     for _ in range(3):
+        run = prepare(size)
         start = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - start)
+    run = prepare(size)
     tracemalloc.start()
     try:
         run()

@@ -48,6 +48,12 @@ def _record(x, size, what, *keys):
     raise InputError(what.format(x, *keys))
 
 
+def _set_repr(items) -> str:
+    """The repr of a frozenset with its items in the order of their reprs,
+    so that it does not depend on the hash seed."""
+    return f"frozenset({{{', '.join(sorted(map(repr, items)))}}})" if items else "frozenset()"
+
+
 def _name(x, what, *keys):
     """`x` if it is a non-empty str, else InputError(what.format(x, *keys)).
     Hot loops test `type(x) is str and x` inline and call it on failure."""
@@ -105,7 +111,7 @@ class Quiver:
         return hash((self.vertices,))
 
     def __repr__(self):
-        return (f"Quiver(vertices={self.vertices!r}, sources={self.sources!r}, "
+        return (f"Quiver(vertices={_set_repr(self.vertices)}, sources={self.sources!r}, "
                 f"targets={self.targets!r})")
 
     @classmethod
@@ -323,7 +329,7 @@ class GentlePresentation:
 
     def __repr__(self):
         return (f"GentlePresentation(quiver={self.quiver!r}, "
-                f"relations={self.relations!r}, sigma={self.sigma!r}, "
+                f"relations={_set_repr(self.relations)}, sigma={self.sigma!r}, "
                 f"epsilon={self.epsilon!r})")
 
     @classmethod

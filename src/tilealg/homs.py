@@ -18,9 +18,11 @@ The geometric reading (admissible segments of permissible arcs, see
 letter word as its string, anticlockwise segments are factor windows
 and clockwise segments are sub windows.
 
-Each operand is read by `strings._operand`, the one operand check, as a
-tuple of the integer letter codes of the presentation's letter table;
-c ^ 1 is the inverse of code c, odd codes are inverse letters, and
+Each operand is read by `strings._operand`, the one operand check, once
+per operand object and presentation (a later call on the same object
+gets the kept view), as a tuple of the integer letter codes of the
+presentation's letter table; c ^ 1 is the inverse of code c, odd codes
+are inverse letters, and
 `strings._inverse` spells the inverse of a code word.  A factor
 window's left flank is inverse and a sub window's is direct, so the
 two differ, and likewise on the right: a matching pair is exactly

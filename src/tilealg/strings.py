@@ -29,6 +29,13 @@ is the one check of the string and band operands of Hom, hooks and arcs
 (a band is in its cyclic form, of period its length), and `_band` the
 one builder of a canonical band, for `Band.from_letters`, band
 detection and the closed curves of `arcs`.
+
+`_operand` reads each operand object once per presentation.  The letter
+table keeps the view of every host it has accepted whose letters are a
+tuple, under `id(host)` and together with the host, so a view is reused
+only for that same object: an equal record of another type is read, and
+refused, afresh.  A refusal is never kept.  At most `_VIEWS` (4096)
+views are kept per presentation; the store is cleared whole when full.
 """
 
 from __future__ import annotations
@@ -365,12 +372,31 @@ def _cyclic_form(codes):
     return form, j - k
 
 
+_VIEWS = 4096   # operand views kept per presentation; the store is cleared when full
+
+
 def _operand(p: GentlePresentation, host):
     """(codes, vertices, cyclic) of a Hom, hook or arc operand of p: its
     letter codes, the vertices its walk visits and whether it is a band.
     InputError unless host is a nonzero StringWord of p as its
-    constructors build it, or a Band of p as `Band.from_letters` does."""
+    constructors build it, or a Band of p as `Band.from_letters` does.
+    The view of an accepted host whose letters are a tuple is kept on the
+    letter table under the host's identity, with the host, and returned
+    when that same object is read again."""
     table = _letter_table(p)
+    entry = table.views.get(id(host))
+    if entry is not None and entry[0] is host:
+        return entry[1]
+    view = _read_operand(p, table, host)
+    if type(host.letters) is tuple:
+        if len(table.views) >= _VIEWS:
+            table.views.clear()
+        table.views[id(host)] = host, view
+    return view
+
+
+def _read_operand(p: GentlePresentation, table, host):
+    """The view of `_operand`, read and checked afresh."""
     if isinstance(host, Band):
         codes, err = _word_error(p, host.letters, True)
         if not codes or err is not None:
@@ -410,7 +436,7 @@ class _LetterTable:
     candidates are only the letters starting where letters[c] ends, each
     decided by `valid_pair`."""
 
-    __slots__ = ("letters", "code", "source", "target", "succ")
+    __slots__ = ("letters", "code", "source", "target", "succ", "views")
 
     def __init__(self, p: GentlePresentation):
         letters = tuple(all_letters(p))
@@ -424,6 +450,7 @@ class _LetterTable:
         self.succ = tuple(tuple(c for c in starting.get(v, ())
                                 if valid_pair(p, l1, letters[c]) is None)
                           for l1, v in zip(letters, self.target))
+        self.views = {}   # id(host) -> (host, its view), kept by `_operand`
 
 
 def _letter_table(p: GentlePresentation) -> _LetterTable:

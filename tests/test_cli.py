@@ -580,10 +580,11 @@ def test_a_file_that_is_not_a_tiling_is_read_as_a_quiver(tmp_path, command, rest
 # Every subcommand on every file of tests/data and on the files given after
 # it, in process: the operands are the first strings of each presentation,
 # its band and, on a tiling, each string's arc moves; each run prints its
-# argv, exit code and output.
+# argv, exit code and output.  Last comes the repr of a presentation.
 DUMP = """
 import io, sys
 from pathlib import Path
+from tilealg import samples
 from tilealg.cli import _load_any, main
 from tilealg.strings import detect_band, enumerate_strings
 
@@ -612,6 +613,7 @@ for f in sorted(map(str, data.iterdir())) + extra:
         for argv in (["arcs", s], ["tau", s], ["pivot", s, "--end", "s"],
                      ["pivot", s, "--end", "t"]):
             run(argv[0], f, *argv[1:])
+print(repr(samples.fix_a()))
 """
 
 

@@ -566,3 +566,28 @@ def test_window_key_matches_canonicalized_window_word():
                     w = Window(start, length, None, None)
                     assert window_key(p, x, w) == _window_key_reference(p, x, w), \
                         (_text(x), w)
+
+
+# -- operand views kept per presentation ----------------------------------------
+
+
+@pytest.mark.parametrize("make", [lambda: samples.kronecker_chain(2),
+                                  lambda: samples.kronecker_chain(3),
+                                  lambda: samples.zigzag(8), lambda: samples.zigzag(8, True)],
+                         ids=["kronecker_chain(2)", "kronecker_chain(3)", "zigzag(8)",
+                              "zigzag(8, cyclic)"])
+def test_kept_operand_views_give_the_pairs_of_a_fresh_presentation(make):
+    """On a second pass over the same operand objects, whose views the
+    presentation keeps, the pairs equal those on a fresh presentation of
+    copies read for the first time; a seeded sample matches the oracle."""
+    p, fresh = make(), make()
+    ops = enumerate_strings(p, max_len=3)
+    ops += _sorted_bands(_closed_string_bands(p, ops) | ({detect_band(p)} - {None}))
+    first = [hom_dim_detailed(p, v, w) for v in ops for w in ops]
+    warm = [hom_dim_detailed(p, v, w) for v in ops for w in ops]
+    cold = [hom_dim_detailed(fresh, type(v)(*v), type(w)(*w)) for v in ops for w in ops]
+    assert warm == first == cold
+    assert [hom_dim(p, v, w) for v in ops for w in ops] == [h.dim for h in warm]
+    rng = random.Random(27)
+    for v, w in [(rng.choice(ops), rng.choice(ops)) for _ in range(15)]:
+        assert hom_dim(p, v, w) == hom_dim_oracle(p, _module(p, v), _module(p, w)), (v, w)

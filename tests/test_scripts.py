@@ -53,7 +53,8 @@ def test_random_tiling_audit_rejects_bad_arguments(args, capsys):
 
 def test_bench_ladder_smallest_rung(tmp_path, capsys):
     """The rungs up to size 50 only, as a smoke test: the first rung of
-    each family, and the AR quiver's rungs 8 to 32; nothing is timed
+    each family, and the rungs 8 to 32 of the AR quiver and of the
+    enumeration; nothing is timed
     against a bound."""
     dest = tmp_path / "ladder.json"
     script = _script("bench_ladder")
@@ -63,12 +64,49 @@ def test_bench_ladder_smallest_rung(tmp_path, capsys):
     assert list(families) == ["hom zigzag string", "hom zigzag band", "hom kronecker walk",
                               "surface bare polygon", "surface half-kept disc",
                               "from_data kronecker", "ar_quiver path", "arcs fan path",
-                              "band canonical form", "hom repeated band"]
+                              "band canonical form", "hom repeated band",
+                              "enumerate_strings path"]
     for name, rungs in families.items():
-        sizes = [8, 16, 32] if name == "ar_quiver path" else [50]
+        sizes = [8, 16, 32] if name in ("ar_quiver path", "enumerate_strings path") else [50]
         assert [r["size"] for r in rungs] == sizes
         assert rungs[0]["exponent"] is None
         assert all(r["best_s"] >= 0 and r["peak_mb"] >= 0 for r in rungs)
     assert script.main(["bench_ladder.py", "--max-size", "x"]) == 2
     assert script.main(["bench_ladder.py", "--out", str(tmp_path / "no" / "x.json"),
                         "--max-size", "0"]) == 2
+
+
+def _result(ops_per_s, p50_ms, failed=0):
+    """A canned last line of a perfbench run."""
+    metrics = {"ops_per_s": ops_per_s, "op_p50_ms": p50_ms}
+    return json.dumps({"correct": not failed, "attempted": 600, "failed": failed,
+                       "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}})
+
+
+def test_ab_bench_summary_of_canned_result_lines():
+    """Medians, quartiles, median ratios and rounds won, on four pairs of
+    canned result lines; a tie counts for neither side."""
+    script = _script("ab_bench")
+    pairs = [(json.loads(_result(*a)), json.loads(_result(*c))) for a, c in [
+        ((100, 2.0), (150, 1.0)), ((110, 2.0), (150, 1.5)),
+        ((120, 2.0), (130, 2.0)), ((130, 4.0), (100, 1.0, 3))]]
+    lines = script.summary(pairs, {"ops_per_s": "higher", "op_p50_ms": "lower"})
+    assert lines[0] == "4 pairs; failed ops: parent 0/2400, change 3/2400"
+    assert lines[2].split() == ["ops_per_s", "parent", "115", "107.5", "122.5"]
+    assert lines[3].split() == ["ops_per_s", "change", "140", "122.5", "150"]
+    # ratios 1.5, 1.3636, 1.0833, 0.7692; then 0.5, 0.75, 1, 0.25
+    assert lines[4] == ("ops_per_s    median ratio change/parent 1.2235, higher is "
+                        "better; rounds won: change 3, parent 1")
+    assert lines[5].split() == ["op_p50_ms", "parent", "2", "2", "2.5"]
+    assert lines[7] == ("op_p50_ms    median ratio change/parent 0.6250, lower is "
+                        "better; rounds won: change 3, parent 0")
+    assert len(lines) == 8
+
+
+def test_ab_bench_rejects_trees_without_perfbench(tmp_path, capsys):
+    main = _script("ab_bench").main
+    assert main(["ab_bench.py", str(tmp_path), str(ROOT), "--workload", "hom_matrix"]) == 2
+    assert f"no perfbench/run.py under {tmp_path}" in capsys.readouterr().out
+    assert main(["ab_bench.py", str(ROOT), str(ROOT), "--workload", "hom_matrix",
+                 "--rounds", "0"]) == 2
+    assert main(["ab_bench.py", str(ROOT)]) == 2

@@ -10,7 +10,7 @@ from tilealg.algebra import GentlePresentation, InputError
 from tilealg.artheory import hooks
 from tilealg.arcs import check_permissible, hom_dim_geometric, string_to_arc
 from tilealg.homs import factor_strings, hom_dim, window_key
-from tilealg.strings import (Band, Letter, StringRejection, StringWord,
+from tilealg.strings import (_VIEWS, Band, Letter, StringRejection, StringWord,
                              _cyclic_form, _letter_table, _operand, _walk_error,
                              all_letters, canonicalize,
                              compose, detect_band, enumerate_strings, epsilon_of,
@@ -497,3 +497,61 @@ def test_letter_table_is_stored_once():
         assert check_permissible(t, alg, arc) is None
         hom_dim_geometric(t, alg, arc, arcs[-1])
     assert _letter_table(alg.presentation) is table
+
+
+# -- the operand views kept per presentation ------------------------------------
+
+
+def test_stored_view_does_not_admit_an_equal_ill_typed_record():
+    """A record equal to a stored string, but of (arrow, inverse) pairs, is
+    refused with the constructor's message; a record of a list of letters
+    is read afresh on each call."""
+    p = samples.fix_a()
+    good = validate_string(p, [("a", False)])
+    bad = StringWord("word", None, None, (("a", False),))
+    assert (good, hash(good)) == (bad, hash(bad))
+    assert _operand(p, good) is _operand(p, good)
+    for call in (lambda: _operand(p, bad), lambda: hom_dim(p, bad, good),
+                 lambda: hom_dim(p, good, bad), lambda: hooks(p, bad)):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == ("letter words and bands take Letter items; "
+                                  "validate_string and Band.from_letters read "
+                                  "(arrow, inverse) pairs")
+    letters = [Letter("a")]
+    listed = StringWord("word", None, None, letters)
+    assert _operand(p, listed) == _operand(p, good)
+    letters.append(Letter("b"))     # a b is a relation of fix_a
+    with pytest.raises(InputError, match="not a string of this presentation"):
+        _operand(p, listed)
+
+
+def test_stored_view_is_kept_per_presentation():
+    """A string of p that is no string of q is refused on q after p has
+    kept its view; so is a band."""
+    arrows = [("a", "1", "2"), ("b", "2", "3")]
+    p = GentlePresentation.from_data(["1", "2", "3"], arrows, [])
+    q = GentlePresentation.from_data(["1", "2", "3"], arrows, [("a", "b")])
+    w = parse_string(p, "a b")
+    assert _operand(p, w)[1] == ("1", "2", "3")
+    assert hom_dim(p, w, w) == 1
+    with pytest.raises(InputError) as err:
+        hom_dim(q, w, w)
+    assert str(err.value) == "not a string of this presentation: <a b>"
+    kron, chain = samples.kronecker(), samples.kronecker_chain(1)
+    band = parse_band(kron, "a b-")
+    assert hom_dim(kron, band, band) == 1
+    with pytest.raises(InputError, match="not a band of this presentation"):
+        hom_dim(chain, band, band)
+
+
+def test_operand_store_stays_within_its_bound():
+    """Reading three times the bound of fresh operands keeps the store at
+    or below the bound, and every read gives the same view."""
+    p = samples.kronecker()
+    views = _letter_table(p).views
+    sizes = set()
+    for _ in range(3 * _VIEWS):
+        assert _operand(p, StringWord.trivial("1")) == ((), ("1",), False)
+        sizes.add(len(views))
+    assert max(sizes) == _VIEWS and min(sizes) == 1
