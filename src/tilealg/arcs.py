@@ -555,13 +555,19 @@ def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
     An arc spells the same letter word as its string, so anticlockwise
     segments are the factor windows and clockwise segments the sub
     windows of `homs`, and both readings share its run matcher, in
-    O(n m) time and O(n + m) memory for arcs of n and m letters.  Segments
+    O(n m) time and O(n + m) memory for arcs of n and m letters.  Arc
+    views are fresh on every call, so the index parts the matcher reads
+    are built per call and kept nowhere.  Segments
     without a transit match by the arc they cross, and closed curves are
     read in their periodic unrolling.  The crossing words serve as the
-    operands' vertices, so arcs that cross no common arc give 0 at once."""
-    from .homs import _match   # only Hom needs the matcher, so only it loads homs
+    operands' vertices, so arcs that cross no common arc give 0 at once,
+    before any index part is built."""
+    from .homs import _factor_part, _match, _sub_part   # only Hom loads homs
     _own(t, alg)
-    return sum(1 for _ in _match(_arc_view(t, alg, arc_v), _arc_view(t, alg, arc_w)))
+    fv, sv = _arc_view(t, alg, arc_v), _arc_view(t, alg, arc_w)
+    if set(fv[1]).isdisjoint(sv[1]):
+        return 0
+    return sum(1 for _ in _match(_factor_part(fv), _sub_part(sv)))
 
 
 # -- formatting ------------------------------------------------------------

@@ -18,11 +18,9 @@ The geometric reading (admissible segments of permissible arcs, see
 letter word as its string, anticlockwise segments are factor windows
 and clockwise segments are sub windows.
 
-Each operand is read by `strings._operand`, the one operand check, once
-per operand object and presentation (a later call on the same object
-gets the kept view), as a tuple of the integer letter codes of the
-presentation's letter table; c ^ 1 is the inverse of code c, odd codes
-are inverse letters, and
+Each operand is read by `strings._operand`, the one operand check, as a
+tuple of the integer letter codes of the presentation's letter table;
+c ^ 1 is the inverse of code c, odd codes are inverse letters, and
 `strings._inverse` spells the inverse of a code word.  A factor
 window's left flank is inverse and a sub window's is direct, so the
 two differ, and likewise on the right: a matching pair is exactly
@@ -34,10 +32,24 @@ unsorted.  Runs on one diagonal are disjoint, so `hom_dim` counts them in
 O(n m) time and O(n + m) memory; `hom_dim_detailed` sorts them and
 builds their records.  Trivial windows match by vertex.
 
+The work is split in two.  Once per operand object and presentation,
+the operand is read into its view, and on its first Hom use `_index`
+derives its match index from the view: the factor part (`_factor_part`:
+the `_ends` flanks, where factor windows start, the trivial factor
+windows) and the sub part (`_sub_part`: the flanks, the trivial sub
+windows by vertex, and for the operand and its inverse spelling where
+sub windows start, keyed by code).  Both are kept with the view in the
+operand's entry of the letter table (`strings._entry`), under its bound.
+Per call, `_match` reads the factor part of v's index and the sub part
+of w's, unrolls band sides to the pair's length cap and walks the runs.
+The arc operands of `arcs.hom_dim_geometric` are fresh on every call,
+so their parts are built per call and kept nowhere.
+
 Operands whose walks share no vertex have no pair, and `_match` returns
-at once, after both operands have been read and checked.  The check is
-exact: a trivial pair matches two windows at one vertex, and a nonempty
-pair matches equal codes, whose source and target lie on both walks.
+at once, after both operands have been read, checked and indexed.  The
+check is exact: a trivial pair matches two windows at one vertex, and a
+nonempty pair matches equal codes, whose source and target lie on both
+walks.
 
 Band operands are the quasi-simple modules M(b, 1, lambda), both with
 the same lambda.  Between two of them on the same band the dimension is
@@ -50,7 +62,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import GentlePresentation, InputError, _int_arg, _record
-from .strings import Band, _inverse, _letter_table, _operand, valid_pair
+from .strings import Band, _entry, _inverse, _letter_table, _operand, valid_pair
 
 
 class Window(NamedTuple):
@@ -144,36 +156,71 @@ class HomComputation(NamedTuple):
     pairs: tuple      # AdmissiblePair matches
 
 
-def _match(fv, sv):
-    """Admissible pairs (factor window of fv, sub window of sv, same
-    orientation), yielded unsorted, one at a time.  A nonempty pair
-    is the maximal run of equal codes from a valid start pair on one
-    alignment diagonal of fv against sv or its inverse spelling, kept if
-    both right flanks are valid; runs longer than both hosts drop out.
-    Operands that share no vertex have no pair."""
-    (fcodes, fverts, fcyc), (scodes, sverts, scyc) = fv, sv
-    if set(fverts).isdisjoint(sverts):
-        return
-    n, m = len(fcodes), len(scodes)
-    cap = max(n, m)
-    fl, fr = _ends(fcodes, fcyc, 1)
-    sl, sr = _ends(scodes, scyc, 0)
-    fk, sk = len(fr), len(sr)
+def _factor_part(view):
+    """The factor part of an operand's match index: its vertex set, codes,
+    cyclic flag, factor flanks, the positions where a factor window
+    starts and its trivial factor windows with their vertices."""
+    codes, verts, cyclic = view
+    fl, fr = _ends(codes, cyclic, 1)
+    return (frozenset(verts), codes, cyclic, fl, fr,
+            [i for i in range(len(codes)) if fl[i] != -1],
+            [((i, 0, left, fr[i]), verts[i]) for i, left in enumerate(fl)
+             if left != -1 and fr[i] != -1])
+
+
+def _sub_part(view):
+    """The sub part of an operand's match index: its vertices, codes,
+    cyclic flag, sub flanks, its trivial sub windows by vertex and, for
+    the operand and its inverse spelling, the positions where a sub
+    window starts, keyed by code."""
+    codes, verts, cyclic = view
+    m = len(codes)
+    sl, sr = _ends(codes, cyclic, 0)
+    sk = len(sr)
     trivial = {}
     for j, left in enumerate(sl):
         if left != -1 and sr[j] != -1:
-            trivial.setdefault(sverts[j], []).append((j, 0, left, sr[j]))
-    yield from (((i, 0, left, fr[i]), s, True) for i, left in enumerate(fl)
-                if left != -1 and fr[i] != -1 for s in trivial.get(fverts[i], ()))
-    f_starts = [i for i in range(n) if fl[i] != -1]
-    f_run = fcodes * (2 + cap // n) if fcyc else fcodes
-    for same, spell in ((True, scodes), (False, _inverse(scodes))):
-        # the inverse spelling's sub window at j is the inverse of sv's at
-        # m - j - length, so it starts where that one stops
+            trivial.setdefault(verts[j], []).append((j, 0, left, sr[j]))
+    spellings = []
+    for same, spell in ((True, codes), (False, _inverse(codes))):
+        # the inverse spelling's sub window at j is the inverse of the
+        # operand's at m - j - length, so it starts where that one stops
         starts = {}
         for j in range(m):
             if (sl[j] if same else sr[(m - j) % sk]) != -1:
                 starts.setdefault(spell[j], []).append(j)
+        spellings.append((same, spell, starts))
+    return verts, codes, cyclic, sl, sr, trivial, spellings
+
+
+def _index(p: GentlePresentation, host):
+    """(factor part, sub part), the match index of a Hom operand of p:
+    built from its view on its first Hom use and kept with the view in
+    its `strings._entry`, so it lives exactly as long as the view."""
+    entry = _entry(p, host)
+    if entry[2] is None:
+        entry[2] = _factor_part(entry[1]), _sub_part(entry[1])
+    return entry[2]
+
+
+def _match(f, s):
+    """Admissible pairs (factor window of one operand, sub window of the
+    other, same orientation), yielded unsorted, one at a time, from the
+    factor part of the one's match index and the sub part of the other's.
+    A nonempty pair is the maximal run of equal codes from a valid start
+    pair on one alignment diagonal of the one against the other or its
+    inverse spelling, kept if both right flanks are valid; runs longer
+    than both hosts drop out.  Operands that share no vertex have no pair."""
+    fset, fcodes, fcyc, fl, fr, f_starts, f_trivial = f
+    sverts, scodes, scyc, sl, sr, trivial, spellings = s
+    if fset.isdisjoint(sverts):
+        return
+    n, m = len(fcodes), len(scodes)
+    cap = max(n, m)
+    fk, sk = len(fr), len(sr)
+    yield from ((w, t, True) for w, v in f_trivial for t in trivial.get(v, ()))
+    f_run = fcodes * (2 + cap // n) if fcyc else fcodes
+    for same, spell, starts in spellings:
         s_run = spell * (2 + cap // m) if scyc else spell
         for i in f_starts:
             for j in starts.get(fcodes[i], ()):
@@ -188,17 +235,16 @@ def _match(fv, sv):
 
 
 def hom_dim_detailed(p: GentlePresentation, v, w) -> HomComputation:
-    fv, sv = _operand(p, v), _operand(p, w)
     pairs = [AdmissiblePair(FactorDecomposition(v, Window(*f)),
                             SubDecomposition(w, Window(*s)),
                             "equal" if same else "inverse")
-             for f, s, same in sorted(_match(fv, sv))]
+             for f, s, same in sorted(_match(_index(p, v)[0], _index(p, w)[1]))]
     return HomComputation(len(pairs) + (isinstance(v, Band) and v == w), tuple(pairs))
 
 
 def hom_dim(p: GentlePresentation, v, w) -> int:
     """The dimension of hom_dim_detailed, from a count of the runs."""
-    runs = _match(_operand(p, v), _operand(p, w))
+    runs = _match(_index(p, v)[0], _index(p, w)[1])
     return sum(1 for _ in runs) + (isinstance(v, Band) and v == w)
 
 

@@ -34,8 +34,11 @@ detection and the closed curves of `arcs`.
 table keeps the view of every host it has accepted whose letters are a
 tuple, under `id(host)` and together with the host, so a view is reused
 only for that same object: an equal record of another type is read, and
-refused, afresh.  A refusal is never kept.  At most `_VIEWS` (4096)
-views are kept per presentation; the store is cleared whole when full.
+refused, afresh.  A refusal is never kept.  The same entry (`_entry`)
+holds the match index `homs` builds from the view on the operand's first
+Hom use, so an index is kept, bounded and dropped with its view.  At most
+`_VIEWS` (4096) entries are kept per presentation; the store is cleared
+whole when full.
 """
 
 from __future__ import annotations
@@ -372,7 +375,7 @@ def _cyclic_form(codes):
     return form, j - k
 
 
-_VIEWS = 4096   # operand views kept per presentation; the store is cleared when full
+_VIEWS = 4096   # operand entries kept per presentation; the store is cleared when full
 
 
 def _operand(p: GentlePresentation, host):
@@ -380,19 +383,27 @@ def _operand(p: GentlePresentation, host):
     letter codes, the vertices its walk visits and whether it is a band.
     InputError unless host is a nonzero StringWord of p as its
     constructors build it, or a Band of p as `Band.from_letters` does.
-    The view of an accepted host whose letters are a tuple is kept on the
-    letter table under the host's identity, with the host, and returned
-    when that same object is read again."""
+    The view is that of the host's `_entry`, kept with its match index."""
+    return _entry(p, host)[1]
+
+
+def _entry(p: GentlePresentation, host):
+    """[host, view, match index] of an operand of p: its `_operand` view
+    and the index `homs` builds from it on the operand's first Hom use
+    (None until then).  The entry of an accepted host whose letters are a
+    tuple is kept on the letter table under the host's identity, and
+    returned when that same object is read again; any other entry is
+    fresh on every call."""
     table = _letter_table(p)
     entry = table.views.get(id(host))
     if entry is not None and entry[0] is host:
-        return entry[1]
-    view = _read_operand(p, table, host)
+        return entry
+    entry = [host, _read_operand(p, table, host), None]
     if type(host.letters) is tuple:
         if len(table.views) >= _VIEWS:
             table.views.clear()
-        table.views[id(host)] = host, view
-    return view
+        table.views[id(host)] = entry
+    return entry
 
 
 def _read_operand(p: GentlePresentation, table, host):
@@ -434,7 +445,9 @@ class _LetterTable:
     (arrow, inverse) pair back to its code.  `succ[c]` holds the codes d,
     in code order, for which letters[c] letters[d] is a string; the
     candidates are only the letters starting where letters[c] ends, each
-    decided by `valid_pair`."""
+    decided by `valid_pair`.  `views` is the operand store of `_entry`:
+    id(host) -> [host, its view, its match index, built lazily by `homs`
+    and None until then]."""
 
     __slots__ = ("letters", "code", "source", "target", "succ", "views")
 
@@ -450,7 +463,7 @@ class _LetterTable:
         self.succ = tuple(tuple(c for c in starting.get(v, ())
                                 if valid_pair(p, l1, letters[c]) is None)
                           for l1, v in zip(letters, self.target))
-        self.views = {}   # id(host) -> (host, its view), kept by `_operand`
+        self.views = {}
 
 
 def _letter_table(p: GentlePresentation) -> _LetterTable:

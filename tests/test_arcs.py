@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from test_homs import KRON_BAD_OPERANDS
-from tilealg import samples
+from tilealg import homs, samples
 from tilealg.algebra import InputError
 from tilealg.arcs import (ArcRejection, ClosedCurveClass, EndDescriptor,
                           PermissibleArc, TrivialArc, arc_letters, arc_to_string,
@@ -425,10 +425,15 @@ def test_hom_dim_geometric_band_pairs():
         assert hom_dim_geometric(t, alg, curve, arc) == hom_dim(p, band, w)
 
 
-def test_arcs_crossing_no_common_arc_have_no_hom():
+def test_arcs_crossing_no_common_arc_have_no_hom(monkeypatch):
     """Arcs and closed curves whose crossing words share no arc give 0,
-    on strings of at most 3 letters and the band witnesses of random
-    tilings."""
+    without building a match index part, on strings of at most 3 letters
+    and the band witnesses of random tilings."""
+    def unavailable(view):
+        raise AssertionError("an index part was built for disjoint arcs")
+
+    for name in ("_factor_part", "_sub_part"):
+        monkeypatch.setattr(homs, name, unavailable)
     cases = 0
     for t in samples.random_tilings(7, 40):
         alg = tiling_algebra(t)

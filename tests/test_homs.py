@@ -9,7 +9,7 @@ from tilealg import samples
 from tilealg.algebra import InputError
 from tilealg.artheory import (ar_sequence, dimension_vector, hook_left, hook_right,
                               hooks, tau_inverse)
-from tilealg.homs import (Window, factor_count_bruteforce, factor_strings,
+from tilealg.homs import (Window, _index, factor_count_bruteforce, factor_strings,
                           hom_dim, hom_dim_detailed, sub_count_bruteforce,
                           substrings, window_key)
 from tilealg.oracle import (BandModuleSpec, hom_dim_oracle, realize_band_module,
@@ -571,23 +571,55 @@ def test_window_key_matches_canonicalized_window_word():
 # -- operand views kept per presentation ----------------------------------------
 
 
-@pytest.mark.parametrize("make", [lambda: samples.kronecker_chain(2),
-                                  lambda: samples.kronecker_chain(3),
-                                  lambda: samples.zigzag(8), lambda: samples.zigzag(8, True)],
-                         ids=["kronecker_chain(2)", "kronecker_chain(3)", "zigzag(8)",
-                              "zigzag(8, cyclic)"])
-def test_kept_operand_views_give_the_pairs_of_a_fresh_presentation(make):
-    """On a second pass over the same operand objects, whose views the
-    presentation keeps, the pairs equal those on a fresh presentation of
-    copies read for the first time; a seeded sample matches the oracle."""
+@pytest.mark.parametrize("make, bands", [
+    (lambda: samples.kronecker_chain(2), ()), (lambda: samples.kronecker_chain(3), ()),
+    (lambda: samples.zigzag(8), ()), (lambda: samples.zigzag(8, True), ()),
+    (samples.double_kronecker, (samples.repeated_band(2),))],
+    ids=["kronecker_chain(2)", "kronecker_chain(3)", "zigzag(8)", "zigzag(8, cyclic)",
+         "repeated_band(2)"])
+def test_kept_operand_views_give_the_pairs_of_a_fresh_presentation(make, bands):
+    """On a second pass over the same operand objects, whose views and
+    match indexes the presentation keeps, the pairs equal those on a
+    fresh presentation of copies read for the first time, and no index is
+    built again; a seeded sample matches the oracle."""
     p, fresh = make(), make()
     ops = enumerate_strings(p, max_len=3)
     ops += _sorted_bands(_closed_string_bands(p, ops) | ({detect_band(p)} - {None}))
+    ops += [parse_band(p, text) for text in bands]
     first = [hom_dim_detailed(p, v, w) for v in ops for w in ops]
+    kept = [_index(p, x) for x in ops]
     warm = [hom_dim_detailed(p, v, w) for v in ops for w in ops]
+    assert all(_index(p, x) is index for x, index in zip(ops, kept))
     cold = [hom_dim_detailed(fresh, type(v)(*v), type(w)(*w)) for v in ops for w in ops]
     assert warm == first == cold
     assert [hom_dim(p, v, w) for v in ops for w in ops] == [h.dim for h in warm]
     rng = random.Random(27)
     for v, w in [(rng.choice(ops), rng.choice(ops)) for _ in range(15)]:
         assert hom_dim(p, v, w) == hom_dim_oracle(p, _module(p, v), _module(p, w)), (v, w)
+
+
+def test_pairs_of_a_listed_host_follow_its_list():
+    """A host whose letters are a list is read and indexed on every call:
+    after its list is mutated, its pairs in either slot are those of the
+    new string, and a list that spells no string is refused."""
+    p = samples.fix_a()
+    x = parse_string(p, "b- c d c- b")
+    letters = [Letter("d")]
+    listed = StringWord("word", None, None, letters)
+
+    def windows(v, w):
+        return [(a.factor.window, a.sub.window, a.orientation)
+                for a in hom_dim_detailed(p, v, w).pairs]
+
+    seen = []
+    for text in ("d", "d c-"):
+        letters[:] = parse_string(p, text).letters
+        twin = parse_string(p, text)
+        assert windows(listed, x) == windows(twin, x)
+        assert windows(x, listed) == windows(x, twin)
+        assert hom_dim(p, listed, x) == hom_dim(p, twin, x)
+        seen.append((windows(listed, x), windows(x, listed)))
+    assert seen[0] != seen[1]
+    letters.append(Letter("d"))     # c- d is no string of fix_a
+    with pytest.raises(InputError, match="not a string of this presentation"):
+        hom_dim(p, x, listed)

@@ -276,7 +276,8 @@ def test_references_never_read_the_letter_table(monkeypatch):
 
 def test_references_never_run_the_matcher(monkeypatch):
     """The brute-force window counters and the oracle agree with the
-    window enumeration and the run matcher of homs without calling them."""
+    window enumeration, the match index and the run matcher of homs
+    without calling them."""
     p = samples.kronecker_chain(3)
     ops = enumerate_strings(p, max_len=2) + [detect_band(p)]
     counts = [(len(homs.factor_strings(p, x)), len(homs.substrings(p, x))) for x in ops]
@@ -285,7 +286,7 @@ def test_references_never_run_the_matcher(monkeypatch):
     def unavailable(*args):
         raise AssertionError("a reference ran the matcher")
 
-    for name in ("_ends", "_windows", "_match"):
+    for name in ("_ends", "_windows", "_factor_part", "_sub_part", "_index", "_match"):
         monkeypatch.setattr(homs, name, unavailable)
     assert [(factor_count_bruteforce(p, x), sub_count_bruteforce(p, x)) for x in ops] == counts
     reps = [realize_band_module(p, BandModuleSpec(x, 1, 2)) if isinstance(x, Band)

@@ -84,8 +84,8 @@ def _result(ops_per_s, p50_ms, failed=0):
 
 
 def test_ab_bench_summary_of_canned_result_lines():
-    """Medians, quartiles, median ratios and rounds won, on four pairs of
-    canned result lines; a tie counts for neither side."""
+    """Medians, quartiles, median ratios, rounds won and their sign test,
+    on four pairs of canned result lines; a tie counts for neither side."""
     script = _script("ab_bench")
     pairs = [(json.loads(_result(*a)), json.loads(_result(*c))) for a, c in [
         ((100, 2.0), (150, 1.0)), ((110, 2.0), (150, 1.5)),
@@ -96,11 +96,15 @@ def test_ab_bench_summary_of_canned_result_lines():
     assert lines[3].split() == ["ops_per_s", "change", "140", "122.5", "150"]
     # ratios 1.5, 1.3636, 1.0833, 0.7692; then 0.5, 0.75, 1, 0.25
     assert lines[4] == ("ops_per_s    median ratio change/parent 1.2235, higher is "
-                        "better; rounds won: change 3, parent 1")
+                        "better; rounds won: change 3, parent 1, sign test p 0.625")
     assert lines[5].split() == ["op_p50_ms", "parent", "2", "2", "2.5"]
     assert lines[7] == ("op_p50_ms    median ratio change/parent 0.6250, lower is "
-                        "better; rounds won: change 3, parent 0")
+                        "better; rounds won: change 3, parent 0, sign test p 0.25")
     assert len(lines) == 8
+    # 2 (1 + 5) / 2^5: four rounds to one resolves nothing
+    assert script.sign_test(4, 1) == script.sign_test(1, 4) == 0.375
+    assert script.sign_test(10, 0) == 2 / 1024
+    assert script.sign_test(0, 0) == script.sign_test(3, 3) == 1.0
 
 
 def test_ab_bench_rejects_trees_without_perfbench(tmp_path, capsys):
@@ -110,3 +114,62 @@ def test_ab_bench_rejects_trees_without_perfbench(tmp_path, capsys):
     assert main(["ab_bench.py", str(ROOT), str(ROOT), "--workload", "hom_matrix",
                  "--rounds", "0"]) == 2
     assert main(["ab_bench.py", str(ROOT)]) == 2
+
+
+def _rungs(*times, first=50):
+    """Canned rungs of one ladder run, doubling from `first`."""
+    return [{"size": first * 2 ** k, "best_s": t, "peak_mb": 0.1, "exponent": None}
+            for k, t in enumerate(times)]
+
+
+def test_ab_bench_ladder_summary_of_canned_rungs():
+    """Per rung that every run reached: each side's median time, the
+    median ratio and the rounds won, lower being better; the rung at 200
+    that one run did not reach is left out."""
+    script = _script("ab_bench")
+    pairs = [(_rungs(1.0, 2.0, 4.0), _rungs(0.5, 2.0, 3.0)),
+             (_rungs(1.2, 2.2, 4.4), _rungs(0.6, 2.4)),
+             (_rungs(1.1, 1.8, 4.1), _rungs(0.5, 1.6, 3.9))]
+    assert script.ladder_summary(pairs) == [
+        "3 pairs; best time per rung in s",
+        "  size      parent      change",
+        "    50         1.1         0.5  median ratio change/parent 0.5000, lower is "
+        "better; rounds won: change 3, parent 0, sign test p 0.25",
+        "   100           2           2  median ratio change/parent 1.0000, lower is "
+        "better; rounds won: change 1, parent 1, sign test p 1"]
+
+
+def test_ab_bench_ladder_mode_alternates_the_trees(tmp_path, monkeypatch, capsys):
+    """--ladder runs the family once per tree and round, the first side
+    swapping each round, and prints each run and the summary; no child
+    process is started.  A tree without the ladder script, a failed run
+    and a missing mode are refused."""
+    script = _script("ab_bench")
+    other = tmp_path / "other"
+    (other / "scripts").mkdir(parents=True)
+    (other / "scripts" / "bench_ladder.py").write_text("")
+    calls = []
+
+    def run(tree, args):
+        calls.append((tree, args.ladder))
+        return _rungs(1.0 if tree == ROOT else 0.8, first=8), ""
+
+    monkeypatch.setattr(script, "_run_ladder", run)
+    assert script.main(["ab_bench.py", str(ROOT), str(other), "--ladder", "fam",
+                        "--rounds", "3"]) == 0
+    assert calls == [(ROOT, "fam"), (other, "fam"), (other, "fam"), (ROOT, "fam"),
+                     (ROOT, "fam"), (other, "fam")]
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["round 1: parent first", "  parent 8:1", "  change 8:0.8"]
+    assert out[3] == "round 2: change first"
+    assert out[-1] == ("     8           1         0.8  median ratio change/parent 0.8000, "
+                       "lower is better; rounds won: change 3, parent 0, sign test p 0.25")
+    assert script.main(["ab_bench.py", str(tmp_path), str(other), "--ladder", "fam"]) == 2
+    assert f"no scripts/bench_ladder.py under {tmp_path}" in capsys.readouterr().out
+    monkeypatch.setattr(script, "_run_ladder", lambda tree, args: (None, "boom"))
+    assert script.main(["ab_bench.py", str(ROOT), str(other), "--ladder", "fam"]) == 1
+    assert "  parent run failed:\nboom" in capsys.readouterr().out
+    assert script.main(["ab_bench.py", str(ROOT), str(other)]) == 2
+    assert script.main(["ab_bench.py", str(ROOT), str(other), "--ladder", "fam",
+                        "--workload", "hom_matrix"]) == 2
+    compile(script.LADDER_CHILD, "ladder child", "exec")

@@ -9,7 +9,7 @@ from tilealg import samples
 from tilealg.algebra import GentlePresentation, InputError
 from tilealg.artheory import hooks
 from tilealg.arcs import check_permissible, hom_dim_geometric, string_to_arc
-from tilealg.homs import factor_strings, hom_dim, window_key
+from tilealg.homs import _index, factor_strings, hom_dim, window_key
 from tilealg.strings import (_VIEWS, Band, Letter, StringRejection, StringWord,
                              _cyclic_form, _letter_table, _operand, _walk_error,
                              all_letters, canonicalize,
@@ -546,12 +546,22 @@ def test_stored_view_is_kept_per_presentation():
 
 
 def test_operand_store_stays_within_its_bound():
-    """Reading three times the bound of fresh operands keeps the store at
-    or below the bound, and every read gives the same view."""
+    """Reading three times the bound of fresh operands, by Hom so that each
+    entry holds its match index, keeps the store at or below the bound,
+    and every read gives the same view; an index is dropped with its
+    entry, so the operand read first gets a new one after the store is
+    cleared."""
     p = samples.kronecker()
     views = _letter_table(p).views
+    first = StringWord.trivial("1")
+    index = _index(p, first)
     sizes = set()
     for _ in range(3 * _VIEWS):
-        assert _operand(p, StringWord.trivial("1")) == ((), ("1",), False)
+        x = StringWord.trivial("1")
+        assert hom_dim(p, x, x) == 1 and _operand(p, x) == ((), ("1",), False)
         sizes.add(len(views))
+        if len(views) == _VIEWS:
+            assert all(entry[2] is not None for entry in views.values())
     assert max(sizes) == _VIEWS and min(sizes) == 1
+    assert all(entry[2] is not index for entry in views.values())
+    assert _index(p, first) is not index and _index(p, first) == index
