@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Size ladder of self-Hom on long operands, of surface completion, of
-reading a presentation, of the AR quiver, of arcs and of string
-enumeration, written as JSON.
+reading a presentation, of the AR quiver, of arcs, of string
+enumeration and of the oracle, written as JSON.
 
     python3 scripts/bench_ladder.py [--out BENCH_ladder.json] [--max-size 3200]
 
-Eleven families.  Two run self-Hom on `samples.zigzag` presentations
+Thirteen families.  Two run self-Hom on `samples.zigzag` presentations
 (arrows of alternating orientation, so every code of the operand occurs
 once): the path's longest string and the cycle's band.  One runs
 self-Hom on `samples.random_walk(random.Random(n), p, n)`, a random walk
@@ -21,21 +21,25 @@ triangulation with about half its diagonals kept.  One runs
 n (n + 1) / 2 nodes.  One runs `string_to_arc` on the full direct string
 of the path A_{n-3} without relations, the algebra of the n-gon with all
 n - 3 diagonals from one point, then `pivot_move` at both ends of the
-arc.  Two run on the band `samples.repeated_band(k)` of
+arc; one more runs `tau_inverse_arc` and the geometric self-Hom
+`hom_dim_geometric` of the arc after those, on the same algebra.  Two
+run on the band `samples.repeated_band(k)` of
 `samples.double_kronecker`, (a b-)^k a d c- b-, whose least code starts
 k + 1 rotations: `parse_band` on its text, which finds its canonical
 form, and self-Hom.  One runs `enumerate_strings` on the path quiver
-A_n, whose n (n + 1) / 2 strings it lists.  Operands, tiling texts,
-tilings and presentations are built outside the timing, afresh before
-each run, so that no run reads what an earlier one has read and kept.
-Rungs double from size 50 (from 8 up to 64 for the AR quiver and the
-enumeration) up to --max-size.  Each rung records the best of 3 timed
-runs in seconds, the `tracemalloc` peak of one more run in MB, and the
-exponent fitted to the time between it and the rung before.  A family
-stops after its first rung over 0.5 s or 50 MB, so a routine that blows
-up is cut short instead of exhausting memory.  Timings are wall clock
-on the machine that runs the script; compare two ladders only from the
-same machine.
+A_n, whose n (n + 1) / 2 strings it lists.  One runs `hom_dim_oracle`
+on the `realize_string_module` module of the Kronecker random walk
+above against itself.  Operands, modules, tiling texts, tilings and
+presentations are built outside the timing, afresh before each run, so
+that no run reads what an earlier one has read and kept.  Rungs double
+from size 50 (from 8 up to 64 for the AR quiver and the enumeration,
+from 25 up to 400 for the oracle) up to --max-size.  Each rung records
+the best of 3 timed runs in seconds, the `tracemalloc` peak of one more
+run in MB, and the exponent fitted to the time between it and the rung
+before.  A family stops after its first rung over 0.5 s or 50 MB, so a
+routine that blows up is cut short instead of exhausting memory.
+Timings are wall clock on the machine that runs the script; compare two
+ladders only from the same machine.
 Exit codes: 0 written, 2 malformed arguments or an unwritable --out.
 """
 
@@ -50,9 +54,10 @@ import tracemalloc
 
 from tilealg import samples
 from tilealg.algebra import GentlePresentation
-from tilealg.arcs import pivot_move, string_to_arc
+from tilealg.arcs import hom_dim_geometric, pivot_move, string_to_arc, tau_inverse_arc
 from tilealg.artheory import build_ar_quiver
 from tilealg.homs import hom_dim
+from tilealg.oracle import hom_dim_oracle, realize_string_module
 from tilealg.strings import Band, enumerate_strings, parse_band, validate_string
 from tilealg.surface import Tiling, complete_to_triangulation, tiling_algebra
 
@@ -75,6 +80,14 @@ def _kronecker_walk(length):
     p = samples.kronecker_chain(3)
     x = validate_string(p, samples.random_walk(random.Random(length), p, length))
     return lambda: hom_dim(p, x, x)
+
+
+def _oracle_walk(length):
+    """The oracle self-Hom run on the module of the random walk of a length."""
+    p = samples.kronecker_chain(3)
+    m = realize_string_module(p, validate_string(
+        p, samples.random_walk(random.Random(length), p, length)))
+    return lambda: hom_dim_oracle(p, m, m)
 
 
 def _surface(tiling_text):
@@ -115,30 +128,36 @@ def _enumerate_path(n):
     return lambda: enumerate_strings(p)
 
 
-def _fan_path(n):
+def _fan_path(tau):
     """The arc and pivot run on the n-gon with the diagonals x2 ... x(n-2)
-    from p0, whose algebra is a path: its full direct string."""
-    diagonals = range(2, n - 1)
-    t = Tiling.parse("\n".join(
-        ["tiling", "boundary b1 marked " + " ".join(f"p{i}" for i in range(n))]
-        + [f"arc x{k} p0 p{k}" for k in diagonals]
-        + ["fan p0 : " + " ".join(f"x{k}.1" for k in reversed(diagonals))]
-        + [f"fan p{k} : x{k}.2" for k in diagonals] + ["end"]))
-    alg = tiling_algebra(t)
-    p = alg.presentation
-    leaving = {p.s(a): a for a in p.arrows}
-    v = (set(p.vertices) - {p.t(a) for a in p.arrows}).pop()
-    path = []
-    while v in leaving:
-        path.append((leaving[v], False))
-        v = p.t(leaving[v])
-    w = validate_string(p, path)
+    from p0, whose algebra is a path: its full direct string; with tau
+    also its tau move and geometric self-Hom."""
+    def prepare(n):
+        diagonals = range(2, n - 1)
+        t = Tiling.parse("\n".join(
+            ["tiling", "boundary b1 marked " + " ".join(f"p{i}" for i in range(n))]
+            + [f"arc x{k} p0 p{k}" for k in diagonals]
+            + ["fan p0 : " + " ".join(f"x{k}.1" for k in reversed(diagonals))]
+            + [f"fan p{k} : x{k}.2" for k in diagonals] + ["end"]))
+        alg = tiling_algebra(t)
+        p = alg.presentation
+        leaving = {p.s(a): a for a in p.arrows}
+        v = (set(p.vertices) - {p.t(a) for a in p.arrows}).pop()
+        path = []
+        while v in leaving:
+            path.append((leaving[v], False))
+            v = p.t(leaving[v])
+        w = validate_string(p, path)
 
-    def run():
-        arc = string_to_arc(t, alg, w)
-        pivot_move(t, alg, arc, "s")
-        pivot_move(t, alg, arc, "t")
-    return run
+        def run():
+            arc = string_to_arc(t, alg, w)
+            pivot_move(t, alg, arc, "s")
+            pivot_move(t, alg, arc, "t")
+            if tau:
+                tau_inverse_arc(t, alg, arc)
+                hom_dim_geometric(t, alg, arc, arc)
+        return run
+    return prepare
 
 
 def _repeated_band(hom):
@@ -164,10 +183,12 @@ FAMILIES = {
         lambda n: samples.random_disc_tiling(random.Random(n), n, n).text())),
     "from_data kronecker": (50, math.inf, _from_data),
     "ar_quiver path": (8, 64, _ar_quiver),
-    "arcs fan path": (50, math.inf, _fan_path),
+    "arcs fan path": (50, math.inf, _fan_path(False)),
+    "arcs tau fan path": (50, math.inf, _fan_path(True)),
     "band canonical form": (50, math.inf, _repeated_band(False)),
     "hom repeated band": (50, math.inf, _repeated_band(True)),
     "enumerate_strings path": (8, 64, _enumerate_path),
+    "oracle kronecker walk": (25, 400, _oracle_walk),
 }
 
 

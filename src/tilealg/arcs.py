@@ -34,11 +34,22 @@ the geometric Hom, the cohook move and the minimality check (through
 codes `strings._operand` reads for `string_to_arc` and
 `band_to_closed_curve`; letters of a tiling algebra that form a string
 always chain up, as a relation is exactly an end-slot mismatch.
-A public function reads each arc record it is given through `_arc`
-first, and checks through `_own` that an algebra it is given is built on
-its tiling; the steps it takes (`_arc_codes`, `_violation`, `_reverse`,
-`_pivot`) work on read arcs, so a pivot move or a tau move reads its arc
-once.
+A public function checks through `_own` that an algebra it is given is
+built on its tiling, and reads the arcs it is given through the arcs
+store of that algebra (`_seen`).  An arc is read through `_arc` on its
+first use and kept under its identity, as `strings._entry` keeps Hom
+operands, with what the algebra learns of it: its codes (walked once),
+the entry of its gamma_{s,t} form once that is checked permissible, its
+pivot moves, and its Hom view and match index parts.  The arcs the
+library makes (by `string_to_arc`, `band_to_closed_curve`, a pivot or a
+tau move) are kept unread, with the codes their permissibility
+assertion walked, so a repeated move returns the same object and a tau
+move reuses the pivot moves already made.  A refusal is never kept, so
+asking again gives the same message.  At most `strings._VIEWS` (4096)
+entries are kept per algebra; the store is cleared whole when full.
+Functions of the tiling alone read their arcs on every call.  An arc
+that crosses a boundary side is refused with ArcRejection by every
+function but `reverse_arc` and `check_permissible`, which reports it.
 """
 
 from __future__ import annotations
@@ -46,8 +57,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import InputError, Rejection, _int_arg
-from .strings import (Band, StringWord, _band, _cyclic_form, _letter_table, _operand,
-                      _string_word, _walk_error, detect_band)
+from .strings import (_VIEWS, Band, StringWord, _band, _cyclic_form, _inverse, _letter_table,
+                      _operand, _string_word, _walk_error, detect_band)
 from .surface import Tiling, TilingAlgebra
 
 
@@ -155,8 +166,62 @@ def _own(t: Tiling, alg):
     return alg
 
 
+class _ArcEntry:
+    """What an algebra knows of one arc: the read arc, its letter codes,
+    the entry of its normal form once that is checked permissible (itself
+    for an arc the library made), the entries of its pivot moves by end,
+    its Hom view and the factor and sub parts of its Hom match index; each
+    None or empty until first used."""
+
+    __slots__ = ("arc", "codes", "form", "moves", "view", "factor", "sub")
+
+    def __init__(self, arc):
+        self.arc, self.codes, self.form, self.moves = arc, None, None, {}
+        self.view = self.factor = self.sub = None
+
+
+def _seen(t: Tiling, alg: TilingAlgebra, arc) -> _ArcEntry:
+    """The entry of an arc given to a function of alg: kept in the arcs
+    store of alg under id(arc) and returned while that same object is
+    given again; read through `_arc` on its first use.  A refusal is
+    never kept."""
+    entry = alg._arcs.get(id(arc))
+    if entry is None or entry.arc is not arc:
+        entry = _keep(alg, _ArcEntry(_arc(t, arc)))
+    return entry
+
+
+def _keep(alg: TilingAlgebra, entry: _ArcEntry) -> _ArcEntry:
+    """`entry`, kept in the arcs store of alg, which is cleared whole once
+    it holds `strings._VIEWS` entries."""
+    if len(alg._arcs) >= _VIEWS:
+        alg._arcs.clear()
+    alg._arcs[id(entry.arc)] = entry
+    return entry
+
+
+def _made(t: Tiling, alg: TilingAlgebra, arc) -> _ArcEntry:
+    """The kept entry of a permissible arc the library made, not read
+    through `_arc`: it is its own normal form, and its permissibility
+    assertion walks its codes."""
+    entry = _ArcEntry(arc)
+    err = _violation(t, alg, entry)
+    assert err is None, err
+    entry.form = entry
+    return _keep(alg, entry)
+
+
+def _sided(t: Tiling, arc):
+    """A read arc whose crossings are all arc sides; else ArcRejection
+    naming the first that is not."""
+    for i, d in enumerate(getattr(arc, "darts", ())):
+        if t.kind[d] != "arc":
+            raise ArcRejection(f"malformed: crossing {i} is not an arc side")
+    return arc
+
+
 def crossing_word(t: Tiling, arc) -> tuple:
-    if isinstance(_arc(t, arc), TrivialArc):
+    if isinstance(_sided(t, _arc(t, arc)), TrivialArc):
         return ()
     return tuple(t.label[d] for d in arc.darts)
 
@@ -169,7 +234,7 @@ def intersection_vector(t: Tiling, arc):
 
 
 def intersection_number(t: Tiling, arc) -> int:
-    return 0 if isinstance(_arc(t, arc), TrivialArc) else len(arc.darts)
+    return 0 if isinstance(_sided(t, _arc(t, arc)), TrivialArc) else len(arc.darts)
 
 
 # -- transit geometry ----------------------------------------------------
@@ -181,11 +246,13 @@ def _transit_table(alg: TilingAlgebra) -> dict:
     crossing dart d cuts one corner next to e: for (d, False) the corner
     after e, realizing the direct arrow arc(e) -> arc(next side), for
     (d, True) the corner before it, realizing the arrow arc(previous
-    side) -> arc(e) as an inverse letter.  Each key maps to (the only
-    dart the curve can leave by, the tile size, the corner index, the
-    letter's code c in the letter table of `alg` or None when no arrow
-    joins the two slots, those (leave, enter) slots), and the key c maps
-    back to (d, the dart it leaves by, its pivot (corner, inverse flag))."""
+    side) -> arc(e) as an inverse letter.  Only arc sides d are keys, as
+    no curve enters a tile through its boundary.  Each key maps to (the
+    only dart the curve can leave by, the tile size, the corner index,
+    the letter's code c in the letter table of `alg` or None when no
+    arrow joins the two slots, those (leave, enter) slots), and the key c
+    maps back to (d, the dart it leaves by, its pivot (corner, inverse
+    flag))."""
     table = alg._transits
     if table is None:
         t, by_slots = alg.tiling, alg.arrow_by_slots
@@ -202,6 +269,8 @@ def _transit_table(alg: TilingAlgebra) -> dict:
         for tile in t.tiles:
             walk, m = tile.walk, len(tile.walk)
             for pos, e in enumerate(walk):
+                if t.kind[e] != "arc":
+                    continue
                 d, nxt, prev = t.twin[e], walk[(pos + 1) % m], walk[pos - 1]
                 # walk pair (e, nxt): the direct arrow arc(e) -> arc(nxt)
                 entry(d, False, nxt, m, (pos + 1) % m, (t.slot[d], t.slot[nxt]))
@@ -215,32 +284,37 @@ def arc_letters(t: Tiling, alg: TilingAlgebra, arc) -> list:
     the wrap of a closed curve); ArcRejection when a pair violates (3)(b).
     The transits are read from the table of `alg`, whose tiling is t."""
     letters = _letter_table(_own(t, alg).presentation).letters
-    return [letters[c] for c in _arc_codes(alg, _arc(t, arc))]
+    return [letters[c] for c in _arc_codes(alg, _seen(t, alg, arc))]
 
 
-def _arc_codes(alg: TilingAlgebra, arc) -> list:
-    """The letter codes of `arc_letters` of a read arc, read off the
-    transit table."""
-    if isinstance(arc, TrivialArc):
-        return []
-    darts, table, codes = arc.darts, _transit_table(alg), []
-    n = len(darts)
-    for i, (corner, inverse) in enumerate(arc.pivots):   # one pivot per crossing pair
-        if (darts[i], inverse) not in table:    # a boundary side has no transit
-            raise ArcRejection(f"malformed: crossing {i} is not an arc side")
-        d_out, m, cut, code, slots = table[darts[i], inverse]
-        if d_out != darts[(i + 1) % n] or corner % m != cut:
-            raise ArcRejection(f"(3)(b) violation at crossings {i},{i + 1}")
-        if code is None:
-            raise ArcRejection("(3)(b) violation",
-                               f"no fan adjacency for slots {slots[0]} {slots[1]}")
-        codes.append(code)
-    return codes
+def _arc_codes(alg: TilingAlgebra, entry: _ArcEntry) -> tuple:
+    """The letter codes of `arc_letters` of the arc of an entry, read off
+    the transit table on first use and kept in the entry; ArcRejection
+    when a pair violates (3)(b) or a crossing is not an arc side."""
+    if entry.codes is None:
+        arc, codes = entry.arc, []
+        if not isinstance(arc, TrivialArc):
+            darts, table = arc.darts, _transit_table(alg)
+            n = len(darts)
+            for i, (corner, inverse) in enumerate(arc.pivots):   # one per crossing pair
+                if (darts[i], inverse) not in table:    # a boundary side has no transit
+                    raise ArcRejection(f"malformed: crossing {i} is not an arc side")
+                d_out, m, cut, code, slots = table[darts[i], inverse]
+                if d_out != darts[(i + 1) % n] or corner % m != cut:
+                    raise ArcRejection(f"(3)(b) violation at crossings {i},{i + 1}")
+                if code is None:
+                    raise ArcRejection("(3)(b) violation",
+                                       f"no fan adjacency for slots {slots[0]} {slots[1]}")
+                codes.append(code)
+            if not codes:   # a walk of pairs only reaches arc sides
+                _sided(alg.tiling, arc)
+        entry.codes = tuple(codes)
+    return entry.codes
 
 
 def pivot_points(t: Tiling, arc) -> tuple:
     """The marked point shared by each consecutive crossing pair."""
-    if isinstance(_arc(t, arc), TrivialArc):
+    if isinstance(_sided(t, _arc(t, arc)), TrivialArc):
         return ()
     walks = (t.tiles[t.face_of[t.twin[d]][0]].walk for d in arc.darts)
     return tuple(t.tail[w[corner % len(w)]] for w, (corner, _) in zip(walks, arc.pivots))
@@ -272,17 +346,18 @@ def _end_valid(t: Tiling, desc: EndDescriptor, dart: int):
 
 def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
     """None when the arc is permissible and minimal, else the reason."""
-    return _violation(t, _own(t, alg), _arc(t, arc))
+    return _violation(t, _own(t, alg), _seen(t, alg, arc))
 
 
-def _violation(t: Tiling, alg: TilingAlgebra, arc):
-    """`check_permissible` of a read arc."""
+def _violation(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry):
+    """`check_permissible` of the arc of an entry."""
+    arc = entry.arc
     if isinstance(arc, TrivialArc):
         return None
     if any(t.kind[d] != "arc" for d in arc.darts):
         return "malformed: crossing is not an arc side"
     try:   # a (3)(b) fault is reported before a fault at the ends
-        codes = _arc_codes(alg, arc)
+        codes = _arc_codes(alg, entry)
     except ArcRejection as exc:
         return str(exc)
     cyclic = isinstance(arc, ClosedCurveClass)
@@ -335,16 +410,15 @@ def _trivial_dart(t: Tiling, alg: TilingAlgebra, vertex: str, sign: int) -> int:
 def _gamma(t: Tiling, darts, pivots) -> PermissibleArc:
     """The arc gamma_{s,t} with these crossings: each end starts one side
     behind the side it lands on, with route +1."""
-    def end(dart):
-        face, pos = t.face_of[dart]
-        return EndDescriptor(face, (pos - 1) % len(t.tiles[face].walk), 1)
-    return PermissibleArc(tuple(darts), tuple(pivots), end(darts[0]),
-                          end(t.twin[darts[-1]]))
+    (f, i), (g, j) = t.face_of[darts[0]], t.face_of[t.twin[darts[-1]]]
+    return PermissibleArc(tuple(darts), tuple(pivots),
+                          EndDescriptor(f, (i - 1) % len(t.tiles[f].walk), 1),
+                          EndDescriptor(g, (j - 1) % len(t.tiles[g].walk), 1))
 
 
 def normalize(t: Tiling, arc):
     """The gamma_{s,t} representative of the arc's equivalence class."""
-    if isinstance(_arc(t, arc), (TrivialArc, ClosedCurveClass)):
+    if isinstance(_sided(t, _arc(t, arc)), (TrivialArc, ClosedCurveClass)):
         return arc
     return _gamma(t, arc.darts, arc.pivots)
 
@@ -380,25 +454,25 @@ def string_to_arc(t: Tiling, alg: TilingAlgebra, w: StringWord):
     if cyclic:
         raise InputError("a band gives a closed curve; see band_to_closed_curve")
     if not codes:
-        return _gamma(t, (_trivial_dart(t, alg, w.vertex, w.sign),), ())
-    arc = _gamma(t, *_chain(alg, codes))
-    err = _violation(t, alg, arc)
-    assert err is None, err
-    return arc
+        arc = _gamma(t, (_trivial_dart(t, alg, w.vertex, w.sign),), ())
+    else:
+        arc = _gamma(t, *_chain(alg, codes))
+    return _made(t, alg, arc).arc
 
 
 def arc_to_string(t: Tiling, alg: TilingAlgebra, arc) -> StringWord:
     """The string of the crossing walk; single crossings give trivial
     strings whose sign is read off the entry side of the arc."""
-    _own(t, alg)
-    if isinstance(_arc(t, arc), TrivialArc):
+    entry = _seen(t, _own(t, alg), arc)
+    if isinstance(arc, TrivialArc):
         return StringWord.zero()
     if isinstance(arc, ClosedCurveClass):
         raise InputError("closed curves correspond to bands, not strings")
+    codes = _arc_codes(alg, entry)   # also refuses a boundary crossing
     if arc.crossings == 1:
         d = arc.darts[0]
         return StringWord.trivial(t.label[d], _dart_sign(t, alg, d))
-    return _string_word(alg.presentation, (_arc_codes(alg, arc), ()))
+    return _string_word(alg.presentation, (codes, ()))
 
 
 def reverse_arc(t: Tiling, arc):
@@ -412,11 +486,11 @@ def _reverse(t: Tiling, arc):
     """`reverse_arc` of a read arc."""
     if isinstance(arc, TrivialArc):
         return arc
-    darts = tuple(t.twin[d] for d in reversed(arc.darts))
+    darts = tuple(map(t.twin.__getitem__, reversed(arc.darts)))
     if isinstance(arc, ClosedCurveClass):   # the wrap pair stays last
         pivots = tuple((c, not inv) for c, inv in arc.pivots[-2::-1] + arc.pivots[-1:])
         return ClosedCurveClass(darts, pivots, arc.primitive_length, arc.exponent)
-    pivots = tuple((c, not inv) for c, inv in reversed(arc.pivots))
+    pivots = tuple([(c, not inv) for c, inv in reversed(arc.pivots)])
     return PermissibleArc(darts, pivots, arc.end, arc.start)
 
 
@@ -432,27 +506,45 @@ def pivot_move(t: Tiling, alg: TilingAlgebra, arc, end: str):
     arc, reversed back (the reverse of gamma_{s,t} is again one)."""
     if end not in ("s", "t"):
         raise InputError("end must be 's' or 't'")
-    _own(t, alg)
-    if isinstance(_arc(t, arc), (TrivialArc, ClosedCurveClass)):
+    entry = _seen(t, _own(t, alg), arc)
+    if isinstance(arc, (TrivialArc, ClosedCurveClass)):
         raise InputError("pivot moves require an arc with at least one crossing")
-    return _pivot(t, alg, arc, end)
+    return _pivot(t, alg, entry, end).arc
 
 
-def _pivot(t: Tiling, alg: TilingAlgebra, arc: PermissibleArc, end: str):
-    """`pivot_move` of a read arc with crossings."""
-    arc = _gamma(t, arc.darts, arc.pivots)
-    if end == "s":
-        out = _pivot_start(t, alg, arc)
-    else:
-        out = _reverse(t, _pivot_start(t, alg, _reverse(t, arc)))
-    if isinstance(out, TrivialArc):
-        return out
-    err = _violation(t, alg, out)
-    assert err is None, err
-    return out
+def _form(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry) -> _ArcEntry:
+    """The entry of the normal form of the arc of an entry (gamma_{s,t}
+    for an arc with crossings), kept in the entry once it is checked
+    permissible; ArcRejection with the reason otherwise."""
+    if entry.form is None:
+        arc, form = entry.arc, entry
+        if isinstance(arc, PermissibleArc):
+            gamma = _gamma(t, _sided(t, arc).darts, arc.pivots)
+            form = entry if gamma == arc else _ArcEntry(gamma)
+        err = _violation(t, alg, form)
+        if err is not None:
+            raise ArcRejection(err)
+        entry.form = form.form = form
+    return entry.form
 
 
-def _pivot_start(t: Tiling, alg: TilingAlgebra, arc: PermissibleArc):
+def _pivot(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry, end: str) -> _ArcEntry:
+    """The entry of `pivot_move` of the arc of an entry with crossings,
+    made once and kept with the entry of its normal form."""
+    form = _form(t, alg, entry)
+    moved = form.moves.get(end)
+    if moved is None:
+        arc, codes = form.arc, _arc_codes(alg, form)
+        if end == "s":
+            out = _pivot_start(t, arc, codes)
+        else:   # the reversed arc spells the inverse codes
+            out = _reverse(t, _pivot_start(t, _reverse(t, arc), _inverse(codes)))
+        moved = form.moves[end] = (_ArcEntry(out) if isinstance(out, TrivialArc)
+                                   else _made(t, alg, out))
+    return moved
+
+
+def _pivot_start(t: Tiling, arc: PermissibleArc, codes):
     face, j = t.face_of[arc.darts[0]]
     walk = t.tiles[face].walk
     p_prev = walk[(j - 1) % len(walk)]
@@ -468,7 +560,6 @@ def _pivot_start(t: Tiling, alg: TilingAlgebra, arc: PermissibleArc):
                       tuple(pivots) + ((j, False),) + arc.pivots)
     # cohook: the maximal direct prefix and the following inverse
     # crossing (the first odd code) slide off the moved endpoint
-    codes = _arc_codes(alg, arc)
     drop = next((i for i, c in enumerate(codes) if c & 1), None)
     if drop is None:
         return TrivialArc()
@@ -479,13 +570,13 @@ def tau_inverse_arc(t: Tiling, alg: TilingAlgebra, arc):
     """Counterclockwise rotation of both endpoints of gamma_{s,t}; None
     when the string module is injective (the rotated arc has
     intersection number zero)."""
-    _own(t, alg)
-    if isinstance(_arc(t, arc), (TrivialArc, ClosedCurveClass)):
+    entry = _seen(t, _own(t, alg), arc)
+    if isinstance(arc, (TrivialArc, ClosedCurveClass)):
         raise InputError("tau applies to arcs with at least one crossing")
     for first, second in (("t", "s"), ("s", "t")):
-        moved = _pivot(t, alg, arc, first)
-        if not isinstance(moved, TrivialArc):
-            moved = _pivot(t, alg, moved, second)
+        moved = _pivot(t, alg, entry, first)
+        if not isinstance(moved.arc, TrivialArc):
+            moved = _pivot(t, alg, moved, second).arc
             return None if isinstance(moved, TrivialArc) else moved
     return None
 
@@ -505,23 +596,19 @@ def band_to_closed_curve(t: Tiling, alg: TilingAlgebra, band: Band,
     darts = darts[:-1]      # the walk closes up: the last exit is the first entry
     curve = ClosedCurveClass(tuple(darts) * exponent, tuple(pivots) * exponent,
                              len(darts), exponent)
-    err = _violation(t, alg, curve)
-    assert err is None, err
-    return curve
+    return _made(t, alg, curve).arc
 
 
 def closed_curve_to_band(t: Tiling, alg: TilingAlgebra, curve: ClosedCurveClass):
     """(band, exponent) for a permissible closed curve; rejects curves
     whose cyclic crossing walk is not a band power."""
-    _own(t, alg)
-    if not isinstance(_arc(t, curve), ClosedCurveClass):
+    entry = _seen(t, _own(t, alg), curve)
+    if not isinstance(curve, ClosedCurveClass):
         raise InputError("arcs correspond to strings, not bands")
-    err = _violation(t, alg, curve)
-    if err is not None:
-        raise ArcRejection(err)
+    _form(t, alg, entry)
     if curve.crossings < 2:
         raise ArcRejection("closed curve crosses fewer than two arcs", "not a band power")
-    codes = _arc_codes(alg, curve)
+    codes = _arc_codes(alg, entry)
     period = _cyclic_form(codes)[1]
     return _band(alg.presentation, codes[:period]), len(codes) // period
 
@@ -539,12 +626,16 @@ def rep_type_geometric(t: Tiling, alg: TilingAlgebra):
 # -- reading morphisms from curves ----------------------------------------
 
 
-def _arc_view(t: Tiling, alg: TilingAlgebra, arc) -> tuple:
-    """The (codes, vertices, cyclic) `homs` operand an arc spells."""
-    if isinstance(_arc(t, arc), TrivialArc):
+def _viewed(t: Tiling, alg: TilingAlgebra, arc) -> _ArcEntry:
+    """The entry of a Hom operand arc, with its view: the (codes,
+    vertices, cyclic) `homs` operand it spells, built on first use."""
+    entry = _seen(t, alg, arc)
+    if isinstance(arc, TrivialArc):
         raise InputError("trivial arcs carry the zero module")
-    return (tuple(_arc_codes(alg, arc)), tuple(map(t.label.__getitem__, arc.darts)),
-            isinstance(arc, ClosedCurveClass))
+    if entry.view is None:
+        entry.view = (_arc_codes(alg, entry), tuple(map(t.label.__getitem__, arc.darts)),
+                      isinstance(arc, ClosedCurveClass))
+    return entry
 
 
 def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
@@ -555,19 +646,24 @@ def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
     An arc spells the same letter word as its string, so anticlockwise
     segments are the factor windows and clockwise segments the sub
     windows of `homs`, and both readings share its run matcher, in
-    O(n m) time and O(n + m) memory for arcs of n and m letters.  Arc
-    views are fresh on every call, so the index parts the matcher reads
-    are built per call and kept nowhere.  Segments
+    O(n m) time and O(n + m) memory for arcs of n and m letters.  Each
+    arc's view, and the factor or sub part of its match index, is built
+    on its first use in that role and kept in the arcs store of `alg`
+    with the arc, under the store's bound.  Segments
     without a transit match by the arc they cross, and closed curves are
     read in their periodic unrolling.  The crossing words serve as the
     operands' vertices, so arcs that cross no common arc give 0 at once,
     before any index part is built."""
     from .homs import _factor_part, _match, _sub_part   # only Hom loads homs
     _own(t, alg)
-    fv, sv = _arc_view(t, alg, arc_v), _arc_view(t, alg, arc_w)
-    if set(fv[1]).isdisjoint(sv[1]):
+    fv, sv = _viewed(t, alg, arc_v), _viewed(t, alg, arc_w)
+    if set(fv.view[1]).isdisjoint(sv.view[1]):
         return 0
-    return sum(1 for _ in _match(_factor_part(fv), _sub_part(sv)))
+    if fv.factor is None:
+        fv.factor = _factor_part(fv.view)
+    if sv.sub is None:
+        sv.sub = _sub_part(sv.view)
+    return sum(1 for _ in _match(fv.factor, sv.sub))
 
 
 # -- formatting ------------------------------------------------------------

@@ -434,7 +434,7 @@ class TilingArrow(NamedTuple):
 class TilingAlgebra:
     """The gentle presentation of a tiling and its arrows' fan data."""
 
-    __slots__ = ("tiling", "presentation", "arrows", "arrow_by_slots", "_transits")
+    __slots__ = ("tiling", "presentation", "arrows", "arrow_by_slots", "_transits", "_arcs")
 
     def __init__(self, tiling: Tiling, presentation: GentlePresentation,
                  arrows: dict, arrow_by_slots: dict):
@@ -444,6 +444,8 @@ class TilingAlgebra:
         self.arrow_by_slots = arrow_by_slots    # (leave, enter) -> name
         # the transit table, derived on first use by arcs._transit_table
         self._transits = None
+        # the arcs store of arcs._seen: id(arc) -> what is known of that arc
+        self._arcs = {}
 
 
 def tiling_algebra(t: Tiling) -> TilingAlgebra:

@@ -506,10 +506,12 @@ def test_format_arc_is_stable():
 
 
 def test_moves_and_checks_read_their_arc_once(monkeypatch):
-    """A pivot move, a tau move, the permissibility check, a reversal, a normal form,
-    an equivalence, the geometric Hom and the readings back as a string
-    or band read each arc they are given through `_arc` once; their inner
-    steps take the read arc."""
+    """Each arc given to a function that takes an algebra is read through
+    `_arc` once per algebra, by the first query; later queries read it 0
+    times, and so do the arcs the library made (by string_to_arc,
+    band_to_closed_curve, a pivot or a tau move).  A reversal, a normal
+    form and an equivalence take no algebra, and read the arcs they are
+    given on every call."""
     import tilealg.arcs as arcs
     reads = []
 
@@ -521,24 +523,175 @@ def test_moves_and_checks_read_their_arc_once(monkeypatch):
     monkeypatch.setattr(arcs, "_arc", counted)
     for t in samples.tiled_fixtures().values():
         alg = tiling_algebra(t)
-        # (query, the arcs it is given), for arcs and closed curves alike
-        queries = [(lambda a: check_permissible(t, alg, a), 1),
-                   (lambda a: reverse_arc(t, a), 1), (lambda a: normalize(t, a), 1),
-                   (lambda a: arcs_equivalent(t, a, a), 2),
-                   (lambda a: hom_dim_geometric(t, alg, a, a), 2)]
-        cases = [(string_to_arc(t, alg, w), queries + [
-            (lambda a: pivot_move(t, alg, a, "s"), 1),
-            (lambda a: pivot_move(t, alg, a, "t"), 1),
-            (lambda a: tau_inverse_arc(t, alg, a), 1),
-            (lambda a: arc_to_string(t, alg, a), 1)]) for w in fixture_strings(alg, bound=4)]
+        on_tiling = [(lambda a: reverse_arc(t, a), 1), (lambda a: normalize(t, a), 1),
+                     (lambda a: arcs_equivalent(t, a, a), 2)]
+        on_alg = [lambda a: check_permissible(t, alg, a),
+                  lambda a: hom_dim_geometric(t, alg, a, a),
+                  lambda a: arc_letters(t, alg, a)]
+        on_open = on_alg + [lambda a: pivot_move(t, alg, a, "s"),
+                            lambda a: pivot_move(t, alg, a, "t"),
+                            lambda a: tau_inverse_arc(t, alg, a),
+                            lambda a: arc_to_string(t, alg, a)]
+        made = [(string_to_arc(t, alg, w), on_open) for w in fixture_strings(alg, bound=4)]
+        made += [(moved, on_open) for arc, _ in list(made)
+                 for moved in (pivot_move(t, alg, arc, "s"), tau_inverse_arc(t, alg, arc))
+                 if moved]
         band = detect_band(alg.presentation)
-        cases += [(band_to_closed_curve(t, alg, band, n), queries + [
-            (lambda a: closed_curve_to_band(t, alg, a), 1)]) for n in ((1, 2) if band else ())]
-        for arc, checks in cases:
-            for query, given in checks:
+        made += [(band_to_closed_curve(t, alg, band, n),
+                  on_alg + [lambda a: closed_curve_to_band(t, alg, a)])
+                 for n in ((1, 2) if band else ())]
+        for arc, queries in made:
+            given = type(arc)(*arc)    # an equal arc the library did not make
+            reads.clear()
+            for query in queries:
+                query(arc)
+                query(given)
+            assert [x is given for x in reads] == [True], format_arc(t, arc)
+            for query, count in on_tiling:
                 reads.clear()
                 query(arc)
-                assert reads == [arc] * given, format_arc(t, arc)
+                assert reads == [arc] * count, format_arc(t, arc)
+            reads.clear()
+            check_permissible(t, tiling_algebra(t), arc)   # another algebra reads it
+            assert reads == [arc]
+
+
+def _answer(call):
+    """What a call gives: its value, or ("refused", the type and the
+    message of its refusal)."""
+    try:
+        return call()
+    except (InputError, ArcRejection) as exc:
+        return "refused", type(exc).__name__, str(exc)
+
+
+def _refused(answer):
+    return isinstance(answer, tuple) and answer[:1] == ("refused",)
+
+
+def test_refused_arc_gives_the_same_message_twice():
+    """A refusal is not kept: asking again gives the same refusal, and a
+    record that `_arc` refuses leaves nothing in the arcs store."""
+    t = samples.tiled_fixtures()["pent"]
+    alg = tiling_algebra(t)
+    arc = string_to_arc(t, alg, parse_string(alg.presentation, "a1"))
+    e = EndDescriptor(0, 0, 1)
+    bad = list(_corruptions(arc)) + [
+        PermissibleArc((4,), (), e, e), PermissibleArc((5, 0), ((0, False),), e, e),
+        PermissibleArc((2, 0), ((0, False),), e, e), PermissibleArc((99,), (), e, e),
+        ClosedCurveClass(arc.darts, arc.pivots + ((0, False),), 2, 2), "not an arc"]
+    calls = [lambda a: check_permissible(t, alg, a), lambda a: arc_letters(t, alg, a),
+             lambda a: arc_to_string(t, alg, a), lambda a: pivot_move(t, alg, a, "s"),
+             lambda a: pivot_move(t, alg, a, "t"), lambda a: tau_inverse_arc(t, alg, a),
+             lambda a: closed_curve_to_band(t, alg, a),
+             lambda a: hom_dim_geometric(t, alg, a, a)]
+    refusals = 0
+    for a in bad:
+        for call in calls:
+            first = _answer(lambda: call(a))
+            assert _answer(lambda: call(a)) == first, (a, first)
+            refusals += _refused(first)
+    assert refusals >= 2 * len(bad)
+    for a in bad[-3:]:
+        assert id(a) not in alg._arcs
+
+
+def _session(t, strings):
+    """Arc, pivot, tau and geometric Hom queries on the arcs of some
+    strings, made once on an algebra of their own: key -> query on an
+    algebra.  Some queries also take the arcs their algebra makes."""
+    base = tiling_algebra(t)
+    arcs = [string_to_arc(t, base, w) for w in strings]
+    queries = {}
+    for i, (w, arc) in enumerate(zip(strings, arcs)):
+        queries["arc", i] = lambda alg, w=w: string_to_arc(t, alg, w)
+        queries["string", i] = lambda alg, a=arc: arc_to_string(t, alg, a)
+        queries["tau", i] = lambda alg, a=arc: tau_inverse_arc(t, alg, a)
+        queries["tau tau", i] = lambda alg, a=arc: _answer(
+            lambda: tau_inverse_arc(t, alg, tau_inverse_arc(t, alg, a) or a))
+        for end in "st":
+            queries["pivot", i, end] = lambda alg, a=arc, end=end: pivot_move(t, alg, a, end)
+            queries["made pivot", i, end] = lambda alg, w=w, end=end: [
+                pivot_move(t, alg, string_to_arc(t, alg, w), e) for e in (end, "s", "t")]
+        for j in range(min(i + 1, 4)):
+            queries["hom", i, j] = lambda alg, a=arc, b=arcs[j]: (
+                hom_dim_geometric(t, alg, a, b), hom_dim_geometric(t, alg, b, a))
+    return queries
+
+
+def test_arcs_answers_do_not_depend_on_the_store():
+    """The same answers on a fresh algebra per query and on one warm
+    algebra, with the queries run forwards and backwards; a repeated
+    move gives the same object."""
+    for t in samples.random_tilings(2718, 8):
+        p = tiling_algebra(t).presentation
+        strings = [w for w in enumerate_strings(p, max_len=3)
+                   if w.kind != "trivial" or w.vertex in t.arcs]
+        queries = _session(t, strings)
+        fresh = {k: _answer(lambda: q(tiling_algebra(t))) for k, q in queries.items()}
+        for order in (list(queries), list(reversed(queries))):
+            alg = tiling_algebra(t)
+            assert {k: _answer(lambda: queries[k](alg)) for k in order} == fresh, t.text()
+        for k, q in queries.items():
+            if k[0] in ("pivot", "tau"):
+                assert q(alg) is q(alg)
+
+
+def test_arcs_store_stays_within_its_bound():
+    from tilealg.strings import _VIEWS
+    t = samples.tiled_fixtures()["pent"]
+    alg = tiling_algebra(t)
+    arc = string_to_arc(t, alg, parse_string(alg.presentation, "a1"))
+    moved = pivot_move(t, alg, arc, "s")
+    given = [PermissibleArc(*arc) for _ in range(3 * _VIEWS)]   # all alive, so ids differ
+    for a in given:
+        assert check_permissible(t, alg, a) is None
+        assert len(alg._arcs) <= _VIEWS
+    assert pivot_move(t, alg, arc, "s") == moved
+    assert arc_to_string(t, alg, given[0]) == parse_string(alg.presentation, "a1")
+
+
+def _well_typed_records(t):
+    """Well-typed records of 1 and 2 crossings over every dart of t, with
+    pivots of corner 0 or 1 read either way and two pairs of ends."""
+    darts = range(len(t.tail))
+    pivots = [(c, inv) for c in (0, 1) for inv in (False, True)]
+    last = EndDescriptor(len(t.tiles) - 1, 1, -1)
+    ends = [(EndDescriptor(0, 0, 1), last), (last, EndDescriptor(0, 5, 2))]
+    for d in darts:
+        yield from (PermissibleArc((d,), (), s, e) for s, e in ends)
+        yield from (ClosedCurveClass((d,), (x,), 1, 1) for x in pivots)
+        for d2 in darts:
+            yield from (PermissibleArc((d, d2), (x,), s, e) for x in pivots for s, e in ends)
+            yield from (ClosedCurveClass((d, d2), (x, y), 2, 1) for x in pivots
+                        for y in pivots[::3])
+
+
+def test_impossible_arcs_are_refused(fixture):
+    """Every public arcs call on a well-typed record returns or raises
+    InputError or ArcRejection, never another exception: a crossing of a
+    boundary side is refused as not an arc side, and a pivot or tau move
+    refuses an arc whose normal form is not permissible."""
+    _, t, alg = fixture
+    calls = [lambda a: crossing_word(t, a), lambda a: intersection_vector(t, a),
+             lambda a: intersection_number(t, a), lambda a: pivot_points(t, a),
+             lambda a: format_arc(t, a), lambda a: normalize(t, a),
+             lambda a: reverse_arc(t, a), lambda a: arcs_equivalent(t, a, a, False),
+             lambda a: check_permissible(t, alg, a), lambda a: arc_letters(t, alg, a),
+             lambda a: arc_to_string(t, alg, a), lambda a: pivot_move(t, alg, a, "s"),
+             lambda a: pivot_move(t, alg, a, "t"), lambda a: tau_inverse_arc(t, alg, a),
+             lambda a: closed_curve_to_band(t, alg, a),
+             lambda a: hom_dim_geometric(t, alg, a, a)]
+    boundary = {d for d in range(len(t.tail)) if t.kind[d] != "arc"}
+    for a in _well_typed_records(t):
+        answers = [_answer(lambda: call(a)) for call in calls]
+        if boundary & set(a.darts):   # all but a reversal and the check refuse
+            assert [_refused(x) for x in answers] == [True] * 6 + [False, True, False] + \
+                [True] * 7, a
+    e = EndDescriptor(0, 0, 1)
+    for d in boundary:
+        with pytest.raises(ArcRejection, match="^malformed: crossing 0 is not an arc side$"):
+            format_arc(t, PermissibleArc((d,), (), e, e))
 
 
 def test_format_arc_one_crossing_closed_curve():

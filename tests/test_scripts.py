@@ -53,8 +53,8 @@ def test_random_tiling_audit_rejects_bad_arguments(args, capsys):
 
 def test_bench_ladder_smallest_rung(tmp_path, capsys):
     """The rungs up to size 50 only, as a smoke test: the first rung of
-    each family, and the rungs 8 to 32 of the AR quiver and of the
-    enumeration; nothing is timed
+    each family, the rungs 8 to 32 of the AR quiver and of the
+    enumeration and the rungs 25 and 50 of the oracle; nothing is timed
     against a bound."""
     dest = tmp_path / "ladder.json"
     script = _script("bench_ladder")
@@ -64,10 +64,12 @@ def test_bench_ladder_smallest_rung(tmp_path, capsys):
     assert list(families) == ["hom zigzag string", "hom zigzag band", "hom kronecker walk",
                               "surface bare polygon", "surface half-kept disc",
                               "from_data kronecker", "ar_quiver path", "arcs fan path",
-                              "band canonical form", "hom repeated band",
-                              "enumerate_strings path"]
+                              "arcs tau fan path", "band canonical form",
+                              "hom repeated band", "enumerate_strings path",
+                              "oracle kronecker walk"]
     for name, rungs in families.items():
         sizes = [8, 16, 32] if name in ("ar_quiver path", "enumerate_strings path") else [50]
+        sizes = [25, 50] if name == "oracle kronecker walk" else sizes
         assert [r["size"] for r in rungs] == sizes
         assert rungs[0]["exponent"] is None
         assert all(r["best_s"] >= 0 and r["peak_mb"] >= 0 for r in rungs)
