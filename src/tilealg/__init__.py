@@ -18,11 +18,10 @@ import importlib
 
 _HOME = {
     "algebra": ("GentlePresentation", "GentlenessError", "InputError", "Quiver",
-                "assign_signs", "check_gentle", "is_zero_path", "load_quiver",
-                "parse_quiver"),
+                "check_gentle", "load_quiver", "parse_quiver"),
     "strings": ("Band", "Letter", "StringRejection", "StringWord", "canonicalize",
-                "compose", "detect_band", "enumerate_strings", "parse_band",
-                "parse_string", "validate_string"),
+                "detect_band", "enumerate_strings", "parse_band", "parse_string",
+                "validate_string"),
     "artheory": ("ARQuiver", "ar_quiver_dot", "ar_sequence", "build_ar_quiver",
                  "hook_left", "hook_right", "hooks", "is_injective_string",
                  "tau_inverse", "verify_ar_middle"),

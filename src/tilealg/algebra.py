@@ -262,7 +262,7 @@ def _find_cycle(order, succ):
     return None
 
 
-def assign_signs(q: Quiver, relations):
+def _assign_signs(q: Quiver, relations: dict):
     """Deterministic sigma/epsilon assignment, chosen vertex by vertex.
 
     Besides the three required conditions, compositions that lie in I get
@@ -278,10 +278,6 @@ def assign_signs(q: Quiver, relations):
     as dicts arrow -> +-1 in sorted arrow order; AssertionError when the
     conditions cannot hold (the quiver is not gentle).
     """
-    return _assign_signs(q, _relation_set(relations))
-
-
-def _assign_signs(q: Quiver, relations: dict):
     sigma, epsilon = {}, {}
     for v in q.vertices:
         ins = q._in.get(v, ())
@@ -362,18 +358,6 @@ class GentlePresentation:
 
     def arrows_into(self, v):
         return self.quiver.arrows_into(v)
-
-
-def is_zero_path(p: GentlePresentation, path) -> bool:
-    """True iff some adjacent pair of the direct path lies in I."""
-    path = _record(path, None, "path {!r} is not a collection of arrows")
-    for a in path:
-        if type(a) is not str or a not in p.quiver.sources:
-            raise InputError(f"unknown arrow {a!r}")
-    for a, b in zip(path, path[1:]):
-        if p.t(a) != p.s(b):
-            raise InputError(f"path not composable at {a} {b}")
-    return any((a, b) in p.relations for a, b in zip(path, path[1:]))
 
 
 # -- quiver description files ----------------------------------------

@@ -36,20 +36,23 @@ codes `strings._operand` reads for `string_to_arc` and
 always chain up, as a relation is exactly an end-slot mismatch.
 A public function checks through `_own` that an algebra it is given is
 built on its tiling, and reads the arcs it is given through the arcs
-store of that algebra (`_seen`).  An arc is read through `_arc` on its
-first use and kept under its identity, as `strings._entry` keeps Hom
-operands, with what the algebra learns of it: its codes (walked once),
-the entry of its gamma_{s,t} form once that is checked permissible, its
-pivot moves, and its Hom view and match index parts.  The arcs the
-library makes (by `string_to_arc`, `band_to_closed_curve`, a pivot or a
-tau move) are kept unread, with the codes their permissibility
-assertion walked, so a repeated move returns the same object and a tau
-move reuses the pivot moves already made.  A refusal is never kept, so
-asking again gives the same message.  At most `strings._VIEWS` (4096)
-entries are kept per algebra; the store is cleared whole when full.
+store of that algebra (`_seen`), kept by `strings._kept` as Hom operands
+are: an arc is read through `_arc` on its first use and kept under its
+identity.  Its entry (`_ArcEntry`) is its `strings._Entry` as a Hom
+operand, whose view is built once the arc passes `check_permissible`,
+and holds what else the algebra learns of it: its codes (walked once),
+the entry of its gamma_{s,t} form once that is checked permissible, and
+its pivot moves.  The arcs the library makes (by `string_to_arc`,
+`band_to_closed_curve`, a pivot or a tau move) are kept unread, with the
+codes their permissibility assertion walked, so a repeated move returns
+the same object and a tau move reuses the pivot moves already made.  A
+refusal is never kept, so asking again gives the same message.
 Functions of the tiling alone read their arcs on every call.  An arc
 that crosses a boundary side is refused with ArcRejection by every
 function but `reverse_arc` and `check_permissible`, which reports it.
+`arc_to_string` and `hom_dim_geometric` refuse every arc that
+`check_permissible` refuses, a fault at the ends or in minimality with
+its reason, and `format_arc` an open arc whose ends it refuses.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import InputError, Rejection, _int_arg
-from .strings import (_VIEWS, Band, StringWord, _band, _cyclic_form, _inverse, _letter_table,
-                      _operand, _string_word, _walk_error, detect_band)
+from .strings import (Band, StringWord, _band, _cyclic_form, _Entry, _inverse, _kept,
+                      _letter_table, _operand, _string_word, _walk_error, detect_band)
 from .surface import Tiling, TilingAlgebra
 
 
@@ -166,49 +169,40 @@ def _own(t: Tiling, alg):
     return alg
 
 
-class _ArcEntry:
-    """What an algebra knows of one arc: the read arc, its letter codes,
-    the entry of its normal form once that is checked permissible (itself
-    for an arc the library made), the entries of its pivot moves by end,
-    its Hom view and the factor and sub parts of its Hom match index; each
-    None or empty until first used."""
+class _ArcEntry(_Entry):
+    """What an algebra knows of one arc: its `strings._Entry` as a Hom
+    operand, its letter codes, the entry of its normal form once that is
+    checked permissible (itself for an arc the library made) and the
+    entries of its pivot moves by end; each None or empty until used."""
 
-    __slots__ = ("arc", "codes", "form", "moves", "view", "factor", "sub")
+    __slots__ = ("codes", "form", "moves")
 
     def __init__(self, arc):
-        self.arc, self.codes, self.form, self.moves = arc, None, None, {}
-        self.view = self.factor = self.sub = None
+        super().__init__(arc)
+        self.codes, self.form, self.moves = None, None, {}
 
 
 def _seen(t: Tiling, alg: TilingAlgebra, arc) -> _ArcEntry:
-    """The entry of an arc given to a function of alg: kept in the arcs
-    store of alg under id(arc) and returned while that same object is
-    given again; read through `_arc` on its first use.  A refusal is
-    never kept."""
-    entry = alg._arcs.get(id(arc))
-    if entry is None or entry.arc is not arc:
-        entry = _keep(alg, _ArcEntry(_arc(t, arc)))
-    return entry
+    """The entry of an arc given to a function of alg, kept in the arcs
+    store of alg by `strings._kept`: read through `_arc` on its first use
+    and returned while that same object is given again."""
+    return _kept(alg._arcs, arc, _read_arc, t)
 
 
-def _keep(alg: TilingAlgebra, entry: _ArcEntry) -> _ArcEntry:
-    """`entry`, kept in the arcs store of alg, which is cleared whole once
-    it holds `strings._VIEWS` entries."""
-    if len(alg._arcs) >= _VIEWS:
-        alg._arcs.clear()
-    alg._arcs[id(entry.arc)] = entry
-    return entry
+def _read_arc(t: Tiling, arc) -> _ArcEntry:
+    """The entry of an arc given to a function, read through `_arc`."""
+    return _ArcEntry(_arc(t, arc))
 
 
-def _made(t: Tiling, alg: TilingAlgebra, arc) -> _ArcEntry:
-    """The kept entry of a permissible arc the library made, not read
-    through `_arc`: it is its own normal form, and its permissibility
-    assertion walks its codes."""
+def _made(alg: TilingAlgebra, arc) -> _ArcEntry:
+    """The entry of a permissible arc the library made, which `_kept` keeps
+    unread: it is its own normal form, and its permissibility assertion
+    walks its codes."""
     entry = _ArcEntry(arc)
-    err = _violation(t, alg, entry)
+    err = _violation(alg.tiling, alg, entry)
     assert err is None, err
     entry.form = entry
-    return _keep(alg, entry)
+    return entry
 
 
 def _sided(t: Tiling, arc):
@@ -292,7 +286,7 @@ def _arc_codes(alg: TilingAlgebra, entry: _ArcEntry) -> tuple:
     the transit table on first use and kept in the entry; ArcRejection
     when a pair violates (3)(b) or a crossing is not an arc side."""
     if entry.codes is None:
-        arc, codes = entry.arc, []
+        arc, codes = entry.host, []
         if not isinstance(arc, TrivialArc):
             darts, table = arc.darts, _transit_table(alg)
             n = len(darts)
@@ -344,6 +338,17 @@ def _end_valid(t: Tiling, desc: EndDescriptor, dart: int):
     return None
 
 
+def _ends_error(t: Tiling, arc: PermissibleArc):
+    """`check_permissible`'s reason against the first end of an open arc
+    with crossings that `_end_valid` refuses, or None."""
+    for name, desc, dart in (("start", arc.start, arc.darts[0]),
+                             ("end", arc.end, t.twin[arc.darts[-1]])):
+        err = _end_valid(t, desc, dart)
+        if err:
+            return f"{name} {err}"
+    return None
+
+
 def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
     """None when the arc is permissible and minimal, else the reason."""
     return _violation(t, _own(t, alg), _seen(t, alg, arc))
@@ -351,7 +356,7 @@ def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
 
 def _violation(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry):
     """`check_permissible` of the arc of an entry."""
-    arc = entry.arc
+    arc = entry.host
     if isinstance(arc, TrivialArc):
         return None
     if any(t.kind[d] != "arc" for d in arc.darts):
@@ -361,19 +366,26 @@ def _violation(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry):
     except ArcRejection as exc:
         return str(exc)
     cyclic = isinstance(arc, ClosedCurveClass)
-    if not cyclic:
-        err = _end_valid(t, arc.start, arc.darts[0])
-        if err:
-            return f"start {err}"
-        err = _end_valid(t, arc.end, t.twin[arc.darts[-1]])
-        if err:
-            return f"end {err}"
+    err = None if cyclic else _ends_error(t, arc)
+    if err:
+        return err
     # minimal position: the induced walk must be reduced and avoid relations
     err = _walk_error(alg.presentation, codes, cyclic)
     if err is not None:
         walk = "cyclic" if err == 0 else "induced"
         return f"not minimal: {walk} walk is not a string"
     return None
+
+
+def _permissible(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry) -> tuple:
+    """The codes of the arc of an entry once it passes `check_permissible`,
+    else ArcRejection with its reason; an arc that is its own checked
+    normal form, as every made arc is, is not checked again."""
+    codes = _arc_codes(alg, entry)   # its refusals come first
+    err = None if entry.form is entry else _violation(t, alg, entry)
+    if err is not None:
+        raise ArcRejection(err)
+    return codes
 
 
 # -- orientation of trivial-string arcs -----------------------------------
@@ -423,14 +435,6 @@ def normalize(t: Tiling, arc):
     return _gamma(t, arc.darts, arc.pivots)
 
 
-def arcs_equivalent(t: Tiling, a, b, oriented: bool = True) -> bool:
-    """Equivalence of permissible arcs as equality of normal forms; with
-    oriented=False the reversed traversal is also allowed (classes then
-    correspond to inversion classes of strings)."""
-    a, b = normalize(t, a), normalize(t, b)   # forms depend on darts, pivots only
-    return a == b or not oriented and normalize(t, _reverse(t, a)) == b
-
-
 def _chain(alg: TilingAlgebra, codes):
     """(darts, pivots) of the transits of letter codes, off the transit
     table: the first entry dart, then each exit dart, where the next enters."""
@@ -457,18 +461,19 @@ def string_to_arc(t: Tiling, alg: TilingAlgebra, w: StringWord):
         arc = _gamma(t, (_trivial_dart(t, alg, w.vertex, w.sign),), ())
     else:
         arc = _gamma(t, *_chain(alg, codes))
-    return _made(t, alg, arc).arc
+    return _kept(alg._arcs, arc, _made, alg).host
 
 
 def arc_to_string(t: Tiling, alg: TilingAlgebra, arc) -> StringWord:
     """The string of the crossing walk; single crossings give trivial
-    strings whose sign is read off the entry side of the arc."""
+    strings whose sign is read off the entry side of the arc.
+    ArcRejection with `check_permissible`'s reason for an arc it refuses."""
     entry = _seen(t, _own(t, alg), arc)
     if isinstance(arc, TrivialArc):
         return StringWord.zero()
     if isinstance(arc, ClosedCurveClass):
         raise InputError("closed curves correspond to bands, not strings")
-    codes = _arc_codes(alg, entry)   # also refuses a boundary crossing
+    codes = _permissible(t, alg, entry)
     if arc.crossings == 1:
         d = arc.darts[0]
         return StringWord.trivial(t.label[d], _dart_sign(t, alg, d))
@@ -509,7 +514,7 @@ def pivot_move(t: Tiling, alg: TilingAlgebra, arc, end: str):
     entry = _seen(t, _own(t, alg), arc)
     if isinstance(arc, (TrivialArc, ClosedCurveClass)):
         raise InputError("pivot moves require an arc with at least one crossing")
-    return _pivot(t, alg, entry, end).arc
+    return _pivot(t, alg, entry, end).host
 
 
 def _form(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry) -> _ArcEntry:
@@ -517,13 +522,11 @@ def _form(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry) -> _ArcEntry:
     for an arc with crossings), kept in the entry once it is checked
     permissible; ArcRejection with the reason otherwise."""
     if entry.form is None:
-        arc, form = entry.arc, entry
+        arc, form = entry.host, entry
         if isinstance(arc, PermissibleArc):
             gamma = _gamma(t, _sided(t, arc).darts, arc.pivots)
             form = entry if gamma == arc else _ArcEntry(gamma)
-        err = _violation(t, alg, form)
-        if err is not None:
-            raise ArcRejection(err)
+        _permissible(t, alg, form)
         entry.form = form.form = form
     return entry.form
 
@@ -534,13 +537,13 @@ def _pivot(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry, end: str) -> _ArcEnt
     form = _form(t, alg, entry)
     moved = form.moves.get(end)
     if moved is None:
-        arc, codes = form.arc, _arc_codes(alg, form)
+        arc, codes = form.host, _arc_codes(alg, form)
         if end == "s":
             out = _pivot_start(t, arc, codes)
         else:   # the reversed arc spells the inverse codes
             out = _reverse(t, _pivot_start(t, _reverse(t, arc), _inverse(codes)))
         moved = form.moves[end] = (_ArcEntry(out) if isinstance(out, TrivialArc)
-                                   else _made(t, alg, out))
+                                   else _kept(alg._arcs, out, _made, alg))
     return moved
 
 
@@ -575,8 +578,8 @@ def tau_inverse_arc(t: Tiling, alg: TilingAlgebra, arc):
         raise InputError("tau applies to arcs with at least one crossing")
     for first, second in (("t", "s"), ("s", "t")):
         moved = _pivot(t, alg, entry, first)
-        if not isinstance(moved.arc, TrivialArc):
-            moved = _pivot(t, alg, moved, second).arc
+        if not isinstance(moved.host, TrivialArc):
+            moved = _pivot(t, alg, moved, second).host
             return None if isinstance(moved, TrivialArc) else moved
     return None
 
@@ -596,7 +599,7 @@ def band_to_closed_curve(t: Tiling, alg: TilingAlgebra, band: Band,
     darts = darts[:-1]      # the walk closes up: the last exit is the first entry
     curve = ClosedCurveClass(tuple(darts) * exponent, tuple(pivots) * exponent,
                              len(darts), exponent)
-    return _made(t, alg, curve).arc
+    return _kept(alg._arcs, curve, _made, alg).host
 
 
 def closed_curve_to_band(t: Tiling, alg: TilingAlgebra, curve: ClosedCurveClass):
@@ -627,13 +630,14 @@ def rep_type_geometric(t: Tiling, alg: TilingAlgebra):
 
 
 def _viewed(t: Tiling, alg: TilingAlgebra, arc) -> _ArcEntry:
-    """The entry of a Hom operand arc, with its view: the (codes,
-    vertices, cyclic) `homs` operand it spells, built on first use."""
+    """The entry of an arc with crossings, with its view: the (codes,
+    vertices, cyclic) `homs` operand it spells, built on first use once
+    the arc is `_permissible`."""
     entry = _seen(t, alg, arc)
     if isinstance(arc, TrivialArc):
         raise InputError("trivial arcs carry the zero module")
     if entry.view is None:
-        entry.view = (_arc_codes(alg, entry), tuple(map(t.label.__getitem__, arc.darts)),
+        entry.view = (_permissible(t, alg, entry), tuple(map(t.label.__getitem__, arc.darts)),
                       isinstance(arc, ClosedCurveClass))
     return entry
 
@@ -646,24 +650,20 @@ def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
     An arc spells the same letter word as its string, so anticlockwise
     segments are the factor windows and clockwise segments the sub
     windows of `homs`, and both readings share its run matcher, in
-    O(n m) time and O(n + m) memory for arcs of n and m letters.  Each
-    arc's view, and the factor or sub part of its match index, is built
-    on its first use in that role and kept in the arcs store of `alg`
-    with the arc, under the store's bound.  Segments
-    without a transit match by the arc they cross, and closed curves are
-    read in their periodic unrolling.  The crossing words serve as the
-    operands' vertices, so arcs that cross no common arc give 0 at once,
-    before any index part is built."""
-    from .homs import _factor_part, _match, _sub_part   # only Hom loads homs
+    O(n m) time and O(n + m) memory for arcs of n and m letters.  An arc's
+    entry in the arcs store of `alg` is its Hom operand entry, so its view
+    and the factor or sub part of its match index are built once, as a
+    string's are.  Segments without a transit match by the arc they
+    cross, and closed curves are read in their periodic unrolling.  The
+    crossing words serve as the operands' vertices, so arcs that cross no
+    common arc give 0 at once, before any index part is built.
+    ArcRejection with `check_permissible`'s reason for an arc it refuses."""
+    from .homs import _match   # only Hom loads homs
     _own(t, alg)
     fv, sv = _viewed(t, alg, arc_v), _viewed(t, alg, arc_w)
     if set(fv.view[1]).isdisjoint(sv.view[1]):
         return 0
-    if fv.factor is None:
-        fv.factor = _factor_part(fv.view)
-    if sv.sub is None:
-        sv.sub = _sub_part(sv.view)
-    return sum(1 for _ in _match(fv.factor, sv.sub))
+    return sum(1 for _ in _match(fv, sv))
 
 
 # -- formatting ------------------------------------------------------------
@@ -671,13 +671,17 @@ def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
 
 def format_arc(t: Tiling, arc) -> str:
     """Stable one-line arc literal, e.g.
-    ``arc-word t1.c2.r1(p2,w0) : x @p1 y : t3.c0.r1(p4,w0)``."""
+    ``arc-word t1.c2.r1(p2,w0) : x @p1 y : t3.c0.r1(p4,w0)``.
+    ArcRejection with the `_end_valid` reason of an end it refuses."""
     if isinstance(arc, TrivialArc):
         return "arc-word trivial"
     pts = pivot_points(t, arc)
     if isinstance(arc, ClosedCurveClass):
         inner = " ".join(f"{t.label[d]} @{pts[i]}" for i, d in enumerate(arc.darts))
         return f"closed-curve ( {inner} ) ^{arc.exponent}"
+    err = _ends_error(t, arc)
+    if err:
+        raise ArcRejection(err)
     chunks = []
     for i, d in enumerate(arc.darts):
         chunks.append(t.label[d])

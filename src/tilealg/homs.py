@@ -32,18 +32,18 @@ unsorted.  Runs on one diagonal are disjoint, so `hom_dim` counts them in
 O(n m) time and O(n + m) memory; `hom_dim_detailed` sorts them and
 builds their records.  Trivial windows match by vertex.
 
-The work is split in two.  Once per operand object and presentation,
-the operand is read into its view, and on its first Hom use `_index`
-derives its match index from the view: the factor part (`_factor_part`:
-the `_ends` flanks, where factor windows start, the trivial factor
-windows) and the sub part (`_sub_part`: the flanks, the trivial sub
-windows by vertex, and for the operand and its inverse spelling where
-sub windows start, keyed by code).  Both are kept with the view in the
-operand's entry of the letter table (`strings._entry`), under its bound.
-Per call, `_match` reads the factor part of v's index and the sub part
-of w's, unrolls band sides to the pair's length cap and walks the runs.
-The arc operands of `arcs.hom_dim_geometric` are fresh on every call,
-so their parts are built per call and kept nowhere.
+The work is split in two.  Once per operand object, the operand is read
+into its entry (`strings._Entry`, kept by `strings._kept`: per
+presentation for strings and bands, per tiling algebra for the arcs of
+`arcs.hom_dim_geometric`).  On the operand's first Hom use as v,
+`_factor` builds the factor part of its match index from the entry's
+view (the `_ends` flanks, where factor windows start, the trivial factor
+windows); on its first use as w, `_sub` builds the sub part (the flanks,
+the trivial sub windows by vertex, and for the operand and its inverse
+spelling where sub windows start, keyed by code).  Both are kept in the
+entry, under its store's bound.  Per call, `_match` reads the factor
+part of v's entry and the sub part of w's, unrolls band sides to the
+pair's length cap and walks the runs.
 
 Operands whose walks share no vertex have no pair, and `_match` returns
 at once, after both operands have been read, checked and indexed.  The
@@ -156,24 +156,26 @@ class HomComputation(NamedTuple):
     pairs: tuple      # AdmissiblePair matches
 
 
-def _factor_part(view):
-    """The factor part of an operand's match index: its vertex set, codes,
-    cyclic flag, factor flanks, the positions where a factor window
-    starts and its trivial factor windows with their vertices."""
-    codes, verts, cyclic = view
+def _factor(entry):
+    """The factor part of an operand's match index, built from the view of
+    its entry and kept there: its vertex set, codes, cyclic flag, factor
+    flanks, the positions where a factor window starts and its trivial
+    factor windows with their vertices."""
+    codes, verts, cyclic = entry.view
     fl, fr = _ends(codes, cyclic, 1)
-    return (frozenset(verts), codes, cyclic, fl, fr,
-            [i for i in range(len(codes)) if fl[i] != -1],
-            [((i, 0, left, fr[i]), verts[i]) for i, left in enumerate(fl)
-             if left != -1 and fr[i] != -1])
+    entry.factor = (frozenset(verts), codes, cyclic, fl, fr,
+                    [i for i in range(len(codes)) if fl[i] != -1],
+                    [((i, 0, left, fr[i]), verts[i]) for i, left in enumerate(fl)
+                     if left != -1 and fr[i] != -1])
+    return entry.factor
 
 
-def _sub_part(view):
-    """The sub part of an operand's match index: its vertices, codes,
-    cyclic flag, sub flanks, its trivial sub windows by vertex and, for
-    the operand and its inverse spelling, the positions where a sub
-    window starts, keyed by code."""
-    codes, verts, cyclic = view
+def _sub(entry):
+    """The sub part of an operand's match index, built from the view of its
+    entry and kept there: its vertices, codes, cyclic flag, sub flanks,
+    its trivial sub windows by vertex and, for the operand and its inverse
+    spelling, the positions where a sub window starts, keyed by code."""
+    codes, verts, cyclic = entry.view
     m = len(codes)
     sl, sr = _ends(codes, cyclic, 0)
     sk = len(sr)
@@ -190,29 +192,21 @@ def _sub_part(view):
             if (sl[j] if same else sr[(m - j) % sk]) != -1:
                 starts.setdefault(spell[j], []).append(j)
         spellings.append((same, spell, starts))
-    return verts, codes, cyclic, sl, sr, trivial, spellings
-
-
-def _index(p: GentlePresentation, host):
-    """(factor part, sub part), the match index of a Hom operand of p:
-    built from its view on its first Hom use and kept with the view in
-    its `strings._entry`, so it lives exactly as long as the view."""
-    entry = _entry(p, host)
-    if entry[2] is None:
-        entry[2] = _factor_part(entry[1]), _sub_part(entry[1])
-    return entry[2]
+    entry.sub = verts, codes, cyclic, sl, sr, trivial, spellings
+    return entry.sub
 
 
 def _match(f, s):
     """Admissible pairs (factor window of one operand, sub window of the
     other, same orientation), yielded unsorted, one at a time, from the
-    factor part of the one's match index and the sub part of the other's.
+    factor part of the match index of the one's entry f and the sub part
+    of the other's entry s, each built on its first use in that role.
     A nonempty pair is the maximal run of equal codes from a valid start
     pair on one alignment diagonal of the one against the other or its
     inverse spelling, kept if both right flanks are valid; runs longer
     than both hosts drop out.  Operands that share no vertex have no pair."""
-    fset, fcodes, fcyc, fl, fr, f_starts, f_trivial = f
-    sverts, scodes, scyc, sl, sr, trivial, spellings = s
+    fset, fcodes, fcyc, fl, fr, f_starts, f_trivial = f.factor or _factor(f)
+    sverts, scodes, scyc, sl, sr, trivial, spellings = s.sub or _sub(s)
     if fset.isdisjoint(sverts):
         return
     n, m = len(fcodes), len(scodes)
@@ -238,13 +232,13 @@ def hom_dim_detailed(p: GentlePresentation, v, w) -> HomComputation:
     pairs = [AdmissiblePair(FactorDecomposition(v, Window(*f)),
                             SubDecomposition(w, Window(*s)),
                             "equal" if same else "inverse")
-             for f, s, same in sorted(_match(_index(p, v)[0], _index(p, w)[1]))]
+             for f, s, same in sorted(_match(_entry(p, v), _entry(p, w)))]
     return HomComputation(len(pairs) + (isinstance(v, Band) and v == w), tuple(pairs))
 
 
 def hom_dim(p: GentlePresentation, v, w) -> int:
     """The dimension of hom_dim_detailed, from a count of the runs."""
-    runs = _match(_index(p, v)[0], _index(p, w)[1])
+    runs = _match(_entry(p, v), _entry(p, w))
     return sum(1 for _ in runs) + (isinstance(v, Band) and v == w)
 
 

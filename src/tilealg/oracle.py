@@ -184,11 +184,38 @@ def realize_band_module(p: GentlePresentation, spec: BandModuleSpec,
     return _realize(p, _walk(p, letters, True), letters, spec.n, spec.lam % prime, prime)
 
 
+def _rep(p: GentlePresentation, rep, name: str) -> MatrixRep:
+    """`rep` if it is a MatrixRep of p: its `dims` maps vertices of p (not
+    necessarily all) to ints >= 0, and its `mats` maps exactly the arrows
+    of p to lists or tuples of dim t(a) rows of dim s(a) ints each; else
+    InputError naming the representation `name`.  It reads the quiver
+    alone, as `_walk` does."""
+    if not isinstance(rep, MatrixRep):
+        raise InputError(f"{name} is not a MatrixRep, got {type(rep).__name__}")
+    q, dims, mats = p.quiver, rep.dims, rep.mats
+    if not isinstance(dims, dict) or any(v not in q.vertices or type(d) is not int or d < 0
+                                         for v, d in dims.items()):
+        raise InputError(f"{name} dims are not ints >= 0 on vertices of the presentation")
+    if not isinstance(mats, dict) or mats.keys() != q.sources.keys():
+        raise InputError(f"{name} matrices are not one per arrow of the presentation")
+    for a in p.arrows:
+        mat, rows, cols = mats[a], dims.get(q.targets[a], 0), dims.get(q.sources[a], 0)
+        if not isinstance(mat, (list, tuple)) or len(mat) != rows or any(
+                not isinstance(row, (list, tuple)) or len(row) != cols
+                or any(type(x) is not int for x in row) for row in mat):
+            raise InputError(f"{name} matrix of arrow {a} is not a {rows} x {cols} "
+                             "matrix of ints")
+    return rep
+
+
 def hom_dim_oracle(p: GentlePresentation, M: MatrixRep, N: MatrixRep) -> int:
-    """dim of { (f_v) | f_{t(a)} M(a) = N(a) f_{s(a)} for all arrows }."""
+    """dim of { (f_v) | f_{t(a)} M(a) = N(a) f_{s(a)} for all arrows };
+    InputError unless M and N are MatrixReps of p over one prime."""
+    M, N = _rep(p, M, "M"), _rep(p, N, "N")
     if M.prime != N.prime:
         raise InputError("representations live over different primes")
     prime = M.prime
+    _check_prime(prime)
     mdims = {v: M.dims.get(v, 0) for v in p.vertices}
     ndims = {v: N.dims.get(v, 0) for v in p.vertices}
     # unknown f_v has shape (ndims[v], mdims[v]), flattened row-major

@@ -30,15 +30,18 @@ is the one check of the string and band operands of Hom, hooks and arcs
 one builder of a canonical band, for `Band.from_letters`, band
 detection and the closed curves of `arcs`.
 
-`_operand` reads each operand object once per presentation.  The letter
-table keeps the view of every host it has accepted whose letters are a
-tuple, under `id(host)` and together with the host, so a view is reused
-only for that same object: an equal record of another type is read, and
-refused, afresh.  A refusal is never kept.  The same entry (`_entry`)
-holds the match index `homs` builds from the view on the operand's first
-Hom use, so an index is kept, bounded and dropped with its view.  At most
-`_VIEWS` (4096) entries are kept per presentation; the store is cleared
-whole when full.
+`_operand` reads each operand object once per presentation, into one
+`_Entry`: the host, its view, and the factor and sub parts of its match
+index, which `homs` builds from the view on the operand's first Hom use
+in each role, so they are kept, bounded and dropped with the view.  The
+entries of `arcs` extend it, so an arc is a Hom operand the same way.
+`_kept` is the one keep rule of the two operand stores, the letter
+table's and a tiling algebra's: an entry is kept under `id(host)` with
+its host and returned only for that same object, so an equal record of
+another type is read, and refused, afresh.  A refusal is never kept, a
+string or band whose letters are not a tuple is read on every call, and
+a store holds at most `_VIEWS` (4096) entries and is cleared whole when
+full.
 """
 
 from __future__ import annotations
@@ -184,24 +187,6 @@ class StringWord(NamedTuple):
         return (2,) + self.letters
 
 
-def sigma_of(p: GentlePresentation, w: StringWord) -> int:
-    if w.is_zero:
-        raise InputError("zero string has no sign data")
-    if w.is_trivial:
-        return -w.sign
-    l = w.letters[0]
-    return p.epsilon[l.arrow] if l.inverse else p.sigma[l.arrow]
-
-
-def epsilon_of(p: GentlePresentation, w: StringWord) -> int:
-    if w.is_zero:
-        raise InputError("zero string has no sign data")
-    if w.is_trivial:
-        return w.sign
-    l = w.letters[-1]
-    return p.sigma[l.arrow] if l.inverse else p.epsilon[l.arrow]
-
-
 def validate_string(p: GentlePresentation, letters) -> StringWord:
     """Build a StringWord from letters, rejecting invalid walks.
 
@@ -254,34 +239,6 @@ def _walk_error(p: GentlePresentation, codes, cyclic: bool):
         if codes[i % n] not in succ[codes[i - 1]]:
             return i % n
     return None
-
-
-def compose(p: GentlePresentation, v: StringWord, w: StringWord):
-    """Composition vw, or None when undefined.
-
-    For two letter words vw is defined iff the concatenation is a
-    string; compositions with trivial strings follow the sigma/epsilon
-    endpoint-and-sign rule.
-    """
-    if v.is_zero or w.is_zero:
-        raise InputError("cannot compose zero strings")
-    if v.is_trivial and w.is_trivial:
-        if v.vertex == w.vertex and v.sign == w.sign:
-            return v
-        return None
-    if v.is_trivial:
-        if w.source(p) == v.vertex and sigma_of(p, w) == -v.sign:
-            return w
-        return None
-    if w.is_trivial:
-        if v.target(p) == w.vertex and epsilon_of(p, v) == w.sign:
-            return v
-        return None
-    if v.target(p) != w.source(p):
-        return None
-    if valid_pair(p, v.letters[-1], w.letters[0]) is not None:
-        return None
-    return StringWord.word(v.letters + w.letters)
 
 
 def canonicalize(w: StringWord) -> StringWord:
@@ -375,7 +332,36 @@ def _cyclic_form(codes):
     return form, j - k
 
 
-_VIEWS = 4096   # operand entries kept per presentation; the store is cleared when full
+_VIEWS = 4096   # entries kept per operand store; a store is cleared when full
+
+
+class _Entry:
+    """What is kept of one operand: the host object, its view (the
+    `_operand` triple) and the factor and sub parts of its match index,
+    which `homs` builds from the view on the operand's first Hom use in
+    that role (None until then)."""
+
+    __slots__ = ("host", "view", "factor", "sub")
+
+    def __init__(self, host, view=None):
+        self.host, self.view, self.factor, self.sub = host, view, None, None
+
+
+def _kept(store, host, read, owner):
+    """The entry of an operand in an operand store, by the one keep rule of
+    both stores (the `views` of a letter table and the arcs store of a
+    tiling algebra): the entry kept under id(host) when its host is that
+    same object, else the entry read(owner, host) makes, kept when it
+    names host as its host.  A refusal raises, so it is never kept, and
+    the store is cleared whole once it holds `_VIEWS` entries."""
+    entry = store.get(id(host))
+    if entry is None or entry.host is not host:
+        entry = read(owner, host)
+        if entry.host is host:
+            if len(store) >= _VIEWS:
+                store.clear()
+            store[id(host)] = entry
+    return entry
 
 
 def _operand(p: GentlePresentation, host):
@@ -384,30 +370,20 @@ def _operand(p: GentlePresentation, host):
     InputError unless host is a nonzero StringWord of p as its
     constructors build it, or a Band of p as `Band.from_letters` does.
     The view is that of the host's `_entry`, kept with its match index."""
-    return _entry(p, host)[1]
+    return _entry(p, host).view
 
 
-def _entry(p: GentlePresentation, host):
-    """[host, view, match index] of an operand of p: its `_operand` view
-    and the index `homs` builds from it on the operand's first Hom use
-    (None until then).  The entry of an accepted host whose letters are a
-    tuple is kept on the letter table under the host's identity, and
-    returned when that same object is read again; any other entry is
-    fresh on every call."""
+def _entry(p: GentlePresentation, host) -> _Entry:
+    """The `_Entry` of an operand of p, kept in the operand store of its
+    letter table by `_kept`."""
+    return _kept(_letter_table(p).views, host, _read_operand, p)
+
+
+def _read_operand(p: GentlePresentation, host) -> _Entry:
+    """The `_Entry` of an operand, read and checked afresh.  It names its
+    host only when the host's letters are a tuple, so letters that may
+    change are read again on every call."""
     table = _letter_table(p)
-    entry = table.views.get(id(host))
-    if entry is not None and entry[0] is host:
-        return entry
-    entry = [host, _read_operand(p, table, host), None]
-    if type(host.letters) is tuple:
-        if len(table.views) >= _VIEWS:
-            table.views.clear()
-        table.views[id(host)] = entry
-    return entry
-
-
-def _read_operand(p: GentlePresentation, table, host):
-    """The view of `_operand`, read and checked afresh."""
     if isinstance(host, Band):
         codes, err = _word_error(p, host.letters, True)
         if not codes or err is not None:
@@ -415,24 +391,25 @@ def _read_operand(p: GentlePresentation, table, host):
         if _cyclic_form(codes) != (codes, len(codes)):
             raise InputError(f"not a band of this presentation: {host!r} is not "
                              "in the canonical form of Band.from_letters")
-        return codes, tuple(map(table.source.__getitem__, codes)), True
-    if not isinstance(host, StringWord):
+        view = codes, tuple(map(table.source.__getitem__, codes)), True
+    elif not isinstance(host, StringWord):
         raise InputError(f"expected StringWord or Band, got {type(host).__name__}")
-    if host.kind == "word":
+    elif host.kind == "word":
         codes, err = _word_error(p, host.letters, False)
-        if codes and err is None:
-            return codes, (table.source[codes[0]],
-                           *map(table.target.__getitem__, codes)), False
-        StringWord.word(host.letters)   # the constructor's complaint comes first
+        if not codes or err is not None:
+            StringWord.word(host.letters)   # the constructor's complaint comes first
+            raise InputError(f"not a string of this presentation: {host!r}")
+        view = codes, (table.source[codes[0]], *map(table.target.__getitem__, codes)), False
     elif host.kind == "trivial":
-        if host.sign in (1, -1) and type(host.vertex) is str \
-                and host.vertex in p.quiver.vertices:
-            return (), (host.vertex,), False
-        StringWord.trivial(host.vertex, host.sign)
+        if host.sign not in (1, -1) or type(host.vertex) is not str \
+                or host.vertex not in p.quiver.vertices:
+            StringWord.trivial(host.vertex, host.sign)
+            raise InputError(f"not a string of this presentation: {host!r}")
+        view = (), (host.vertex,), False
     else:
         raise InputError("zero string has no module" if host.kind == "zero"
                          else f"unknown string kind {host.kind!r}")
-    raise InputError(f"not a string of this presentation: {host!r}")
+    return _Entry(host if type(host.letters) is tuple else None, view)
 
 
 def all_letters(p: GentlePresentation):
@@ -446,8 +423,7 @@ class _LetterTable:
     in code order, for which letters[c] letters[d] is a string; the
     candidates are only the letters starting where letters[c] ends, each
     decided by `valid_pair`.  `views` is the operand store of `_entry`:
-    id(host) -> [host, its view, its match index, built lazily by `homs`
-    and None until then]."""
+    id(host) -> the `_Entry` of that host."""
 
     __slots__ = ("letters", "code", "source", "target", "succ", "views")
 

@@ -444,8 +444,16 @@ class TilingAlgebra:
         self.arrow_by_slots = arrow_by_slots    # (leave, enter) -> name
         # the transit table, derived on first use by arcs._transit_table
         self._transits = None
-        # the arcs store of arcs._seen: id(arc) -> what is known of that arc
+        # the arcs store of arcs._seen, kept by strings._kept: id(arc) -> its entry
         self._arcs = {}
+
+
+def _given(x, cls):
+    """`x` if it is a `cls` (a Tiling or a TilingAlgebra), else InputError
+    naming the type expected."""
+    if not isinstance(x, cls):
+        raise InputError(f"expected a {cls.__name__}, got {type(x).__name__}")
+    return x
 
 
 def tiling_algebra(t: Tiling) -> TilingAlgebra:
@@ -453,6 +461,7 @@ def tiling_algebra(t: Tiling) -> TilingAlgebra:
     survives exactly when a enters the same end slot that b leaves
     (different marked points, and loops entered and left at different
     slots, give relations)."""
+    _given(t, Tiling)
     arrows = {}
     counter = 1
     for pt in sorted(t.fans):
@@ -504,7 +513,7 @@ def complete_to_triangulation(t: Tiling) -> Completion:
     and splits grow one copy of t in place and retrace only the faces each
     step creates; the copy, with the triangles the splits left, is then
     checked and classified as the triangulation."""
-    work = t._copy()
+    work = _given(t, Tiling)._copy()
     points, names = _fresh("m", set(t.points)), _fresh("z", work.arcs)
     around = {x.unmarked: x.walk for x in t.tiles if x.unmarked is not None}
     faces = [work._pierce(around[comp], comp, next(points), next(names))
@@ -543,6 +552,7 @@ def collapse_presentation(alg_t: TilingAlgebra, keep) -> TilingAlgebra:
     maximal direct strings of A_T running through dropped arcs only, and
     a composition is zero exactly when the junction pair is zero in A_T
     (equivalently: mismatched end slots)."""
+    _given(alg_t, TilingAlgebra)
     keep = {_name(a, "keep set names {!r}, not an arc") for a in
             _record(keep, None, "keep set {!r} is not a collection of arcs")}
     unknown = keep - set(alg_t.tiling.arcs)
@@ -588,6 +598,8 @@ def presentations_isomorphic(a: TilingAlgebra, b: TilingAlgebra) -> bool:
     """Isomorphism over the identity on vertices: arrows are matched by
     (source, target, point, end slots); no search is needed because the
     vertices are shared arcs."""
+    _given(a, TilingAlgebra)
+    _given(b, TilingAlgebra)
     if set(a.presentation.quiver.vertices) != set(b.presentation.quiver.vertices):
         return False
 

@@ -7,7 +7,7 @@ from tilealg import homs, samples
 from tilealg.algebra import InputError
 from tilealg.arcs import (ArcRejection, ClosedCurveClass, EndDescriptor,
                           PermissibleArc, TrivialArc, arc_letters, arc_to_string,
-                          arcs_equivalent, band_to_closed_curve, check_permissible,
+                          band_to_closed_curve, check_permissible,
                           closed_curve_to_band, crossing_word, format_arc,
                           hom_dim_geometric, intersection_number,
                           intersection_vector, normalize, pivot_move, pivot_points,
@@ -429,10 +429,10 @@ def test_arcs_crossing_no_common_arc_have_no_hom(monkeypatch):
     """Arcs and closed curves whose crossing words share no arc give 0,
     without building a match index part, on strings of at most 3 letters
     and the band witnesses of random tilings."""
-    def unavailable(view):
+    def unavailable(entry):
         raise AssertionError("an index part was built for disjoint arcs")
 
-    for name in ("_factor_part", "_sub_part"):
+    for name in ("_factor", "_sub"):
         monkeypatch.setattr(homs, name, unavailable)
     cases = 0
     for t in samples.random_tilings(7, 40):
@@ -448,21 +448,6 @@ def test_arcs_crossing_no_common_arc_have_no_hom(monkeypatch):
                                                                   format_arc(t, b))
                     cases += 1
     assert cases == 678
-
-
-def test_arcs_equivalent_classes():
-    from tilealg.arcs import arcs_equivalent
-    t = samples.tiled_fixtures()["loop"]
-    alg = tiling_algebra(t)
-    p = alg.presentation
-    plus = string_to_arc(t, alg, StringWord.trivial("x", 1))
-    minus = string_to_arc(t, alg, StringWord.trivial("x", -1))
-    assert not arcs_equivalent(t, plus, minus, oriented=True)
-    assert arcs_equivalent(t, plus, minus, oriented=False)
-    assert arcs_equivalent(t, plus, plus)
-    assert not arcs_equivalent(t, plus, TrivialArc())
-    d_arc = string_to_arc(t, alg, parse_string(p, "a1"))
-    assert not arcs_equivalent(t, plus, d_arc, oriented=False)
 
 
 def test_random_tilings_cross_check():
@@ -509,9 +494,8 @@ def test_moves_and_checks_read_their_arc_once(monkeypatch):
     """Each arc given to a function that takes an algebra is read through
     `_arc` once per algebra, by the first query; later queries read it 0
     times, and so do the arcs the library made (by string_to_arc,
-    band_to_closed_curve, a pivot or a tau move).  A reversal, a normal
-    form and an equivalence take no algebra, and read the arcs they are
-    given on every call."""
+    band_to_closed_curve, a pivot or a tau move).  A reversal and a normal
+    form take no algebra, and read the arcs they are given on every call."""
     import tilealg.arcs as arcs
     reads = []
 
@@ -523,8 +507,7 @@ def test_moves_and_checks_read_their_arc_once(monkeypatch):
     monkeypatch.setattr(arcs, "_arc", counted)
     for t in samples.tiled_fixtures().values():
         alg = tiling_algebra(t)
-        on_tiling = [(lambda a: reverse_arc(t, a), 1), (lambda a: normalize(t, a), 1),
-                     (lambda a: arcs_equivalent(t, a, a), 2)]
+        on_tiling = [lambda a: reverse_arc(t, a), lambda a: normalize(t, a)]
         on_alg = [lambda a: check_permissible(t, alg, a),
                   lambda a: hom_dim_geometric(t, alg, a, a),
                   lambda a: arc_letters(t, alg, a)]
@@ -547,10 +530,10 @@ def test_moves_and_checks_read_their_arc_once(monkeypatch):
                 query(arc)
                 query(given)
             assert [x is given for x in reads] == [True], format_arc(t, arc)
-            for query, count in on_tiling:
+            for query in on_tiling:
                 reads.clear()
                 query(arc)
-                assert reads == [arc] * count, format_arc(t, arc)
+                assert reads == [arc], format_arc(t, arc)
             reads.clear()
             check_permissible(t, tiling_algebra(t), arc)   # another algebra reads it
             assert reads == [arc]
@@ -676,8 +659,8 @@ def test_impossible_arcs_are_refused(fixture):
     calls = [lambda a: crossing_word(t, a), lambda a: intersection_vector(t, a),
              lambda a: intersection_number(t, a), lambda a: pivot_points(t, a),
              lambda a: format_arc(t, a), lambda a: normalize(t, a),
-             lambda a: reverse_arc(t, a), lambda a: arcs_equivalent(t, a, a, False),
-             lambda a: check_permissible(t, alg, a), lambda a: arc_letters(t, alg, a),
+             lambda a: reverse_arc(t, a), lambda a: check_permissible(t, alg, a),
+             lambda a: arc_letters(t, alg, a),
              lambda a: arc_to_string(t, alg, a), lambda a: pivot_move(t, alg, a, "s"),
              lambda a: pivot_move(t, alg, a, "t"), lambda a: tau_inverse_arc(t, alg, a),
              lambda a: closed_curve_to_band(t, alg, a),
@@ -686,12 +669,56 @@ def test_impossible_arcs_are_refused(fixture):
     for a in _well_typed_records(t):
         answers = [_answer(lambda: call(a)) for call in calls]
         if boundary & set(a.darts):   # all but a reversal and the check refuse
-            assert [_refused(x) for x in answers] == [True] * 6 + [False, True, False] + \
+            assert [_refused(x) for x in answers] == [True] * 6 + [False, False] + \
                 [True] * 7, a
     e = EndDescriptor(0, 0, 1)
     for d in boundary:
         with pytest.raises(ArcRejection, match="^malformed: crossing 0 is not an arc side$"):
             format_arc(t, PermissibleArc((d,), (), e, e))
+
+
+def _moved_ends(t, arc):
+    """Copies of an open arc with one end's corner or route moved: in and
+    out of range, off and back onto the crossed side, round a full turn."""
+    for name in ("start", "end"):
+        x = getattr(arc, name)
+        m = len(t.tiles[x.tile].walk)
+        for corner, route in ((x.corner - 1, x.route + 1), (x.corner + 1, x.route - 1),
+                              (x.corner, x.route + 1), (x.corner, -x.route),
+                              (x.corner, x.route + m), (x.corner, x.route - m),
+                              (x.corner + m, x.route), (-1, x.route), (m + 4, 4)):
+            yield arc._replace(**{name: EndDescriptor(x.tile, corner, route)})
+
+
+def test_arcs_whose_ends_are_refused_are_refused_everywhere(fixture):
+    """An open arc whose ends check_permissible refuses is refused with its
+    reason by arc_to_string and hom_dim_geometric, and by format_arc;
+    with ends it accepts, the arc reads as the arc of its string."""
+    _, t, alg = fixture
+    calls = [lambda a: arc_to_string(t, alg, a), lambda a: hom_dim_geometric(t, alg, a, a),
+             lambda a: format_arc(t, a).split(" : ")[1]]
+    refused = 0
+    for w in fixture_strings(alg, bound=3):
+        if w.kind == "trivial" and w.vertex not in t.arcs:
+            continue
+        arc = string_to_arc(t, alg, w)
+        for a in _moved_ends(t, arc):
+            reason = check_permissible(t, alg, a)
+            expected = [_answer(lambda: call(arc)) for call in calls] if reason is None \
+                else [("refused", "ArcRejection", reason)] * len(calls)
+            assert [_answer(lambda: call(a)) for call in calls] == expected, (a, reason)
+            refused += reason is not None
+    assert refused
+    t = samples.pent_tiling()
+    alg = tiling_algebra(t)
+    arc = string_to_arc(t, alg, parse_string(alg.presentation, "a1"))
+    bad = arc._replace(start=EndDescriptor(0, 9, 4))
+    assert check_permissible(t, alg, bad) == "start malformed descriptor"
+    for call in (lambda: arc_to_string(t, alg, bad), lambda: format_arc(t, bad),
+                 lambda: hom_dim_geometric(t, alg, bad, arc),
+                 lambda: hom_dim_geometric(t, alg, arc, bad)):
+        with pytest.raises(ArcRejection, match="^start malformed descriptor$"):
+            call()
 
 
 def test_format_arc_one_crossing_closed_curve():

@@ -9,12 +9,12 @@ from tilealg import samples
 from tilealg.algebra import InputError
 from tilealg.artheory import (ar_sequence, dimension_vector, hook_left, hook_right,
                               hooks, tau_inverse)
-from tilealg.homs import (Window, _index, factor_count_bruteforce, factor_strings,
+from tilealg.homs import (Window, factor_count_bruteforce, factor_strings,
                           hom_dim, hom_dim_detailed, sub_count_bruteforce,
                           substrings, window_key)
 from tilealg.oracle import (BandModuleSpec, hom_dim_oracle, realize_band_module,
                             realize_string_module)
-from tilealg.strings import (Band, Letter, StringRejection, StringWord,
+from tilealg.strings import (Band, Letter, StringRejection, StringWord, _entry,
                              canonicalize, detect_band, enumerate_strings,
                              letter_source, letter_target, parse_band,
                              parse_string, validate_string)
@@ -587,9 +587,11 @@ def test_kept_operand_views_give_the_pairs_of_a_fresh_presentation(make, bands):
     ops += _sorted_bands(_closed_string_bands(p, ops) | ({detect_band(p)} - {None}))
     ops += [parse_band(p, text) for text in bands]
     first = [hom_dim_detailed(p, v, w) for v in ops for w in ops]
-    kept = [_index(p, x) for x in ops]
+    kept = [(_entry(p, x).factor, _entry(p, x).sub) for x in ops]
     warm = [hom_dim_detailed(p, v, w) for v in ops for w in ops]
-    assert all(_index(p, x) is index for x, index in zip(ops, kept))
+    assert all(f is not None and s is not None for f, s in kept)
+    assert all(_entry(p, x).factor is f and _entry(p, x).sub is s
+               for x, (f, s) in zip(ops, kept))
     cold = [hom_dim_detailed(fresh, type(v)(*v), type(w)(*w)) for v in ops for w in ops]
     assert warm == first == cold
     assert [hom_dim(p, v, w) for v in ops for w in ops] == [h.dim for h in warm]

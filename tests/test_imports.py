@@ -131,11 +131,11 @@ PUBLIC = [
     "GentlePresentation", "GentlenessError", "InputError", "Letter", "MatrixRep",
     "Quiver", "StringRejection", "StringWord", "SubDecomposition", "Tiling",
     "TilingAlgebra", "TilingRejection", "algebra", "ar_quiver_dot", "ar_sequence",
-    "artheory", "assign_signs", "build_ar_quiver", "canonicalize", "check_gentle",
-    "collapse_presentation", "complete_to_triangulation", "compose", "detect_band",
+    "artheory", "build_ar_quiver", "canonicalize", "check_gentle",
+    "collapse_presentation", "complete_to_triangulation", "detect_band",
     "enumerate_strings", "factor_strings", "hom_dim", "hom_dim_detailed",
     "hom_dim_oracle", "homs", "hook_left", "hook_right", "hooks",
-    "is_injective_string", "is_zero_path", "load_quiver", "oracle", "parse_band",
+    "is_injective_string", "load_quiver", "oracle", "parse_band",
     "parse_quiver", "parse_string", "presentations_isomorphic", "realize_band_module",
     "realize_string_module", "strings", "substrings", "surface", "tau_inverse",
     "tiling_algebra", "validate_string", "verify_ar_middle",

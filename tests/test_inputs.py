@@ -10,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 from tilealg import samples
 from tilealg.algebra import (GentlePresentation, InputError, Quiver, Rejection, check_gentle,
                              parse_quiver)
-from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc, TrivialArc,
-                          arc_letters, arc_to_string, arcs_equivalent, band_to_closed_curve,
+from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc,
+                          arc_letters, arc_to_string, band_to_closed_curve,
                           check_permissible, closed_curve_to_band, crossing_word, format_arc,
                           hom_dim_geometric, normalize, pivot_move, pivot_points,
                           rep_type_geometric, reverse_arc, string_to_arc, tau_inverse_arc)
 from tilealg.artheory import hooks
 from tilealg.homs import Window, hom_dim, window_key
-from tilealg.oracle import BandModuleSpec, realize_band_module, realize_string_module
+from tilealg.oracle import (BandModuleSpec, MatrixRep, hom_dim_oracle, realize_band_module,
+                            realize_string_module)
 from tilealg.strings import (Band, Letter, StringWord, detect_band, parse_band, parse_string,
                              validate_string)
 from tilealg.surface import (Tiling, collapse_presentation, complete_to_triangulation,
@@ -50,6 +51,8 @@ KRON_ALG = tiling_algebra(KRON)
 KRON_AGAIN = tiling_algebra(samples.kron_tiling())
 KRON_CURVE = rep_type_geometric(KRON, KRON_ALG)[1]
 NOT_OWN = "the algebra is not built on this tiling; pass tiling_algebra(t) with t"
+REP = realize_string_module(CHAIN, WORD)   # dims 0: 2, 1: 2, 2: 0
+FIX_A_REP = realize_string_module(samples.fix_a(), parse_string(samples.fix_a(), "c"))
 
 
 # entry point -> (call, the valid arguments whose slots are fuzzed)
@@ -72,6 +75,8 @@ ENTRY_POINTS = {
     "hom_dim": (lambda v, w: hom_dim(CHAIN, v, w), (WORD, BAND)),
     "hooks": (lambda w: hooks(CHAIN, w), (WORD,)),
     "string_to_arc": (lambda w: string_to_arc(DIGON, DIGON_ALG, w), (DIGON_WORD,)),
+    "hom_dim_oracle": (lambda prime, dims, mats: hom_dim_oracle(
+        CHAIN, MatrixRep(prime, dims, mats), REP), (REP.prime, REP.dims, REP.mats)),
 }
 
 LEAVES = (st.integers(-2, 3) | st.booleans() | st.floats() | st.none()
@@ -262,13 +267,11 @@ def test_tuples_generators_and_sets_are_read_like_lists():
     (lambda: format_arc(PENT, ClosedCurveClass((0, 1), ((0, True), (1, False)), 2, None)),
      "exponent must be an int, got None"),
     (lambda: normalize(PENT, NO_CROSSINGS), NO_DARTS),
-    (lambda: arcs_equivalent(PENT, NO_CROSSINGS, NO_CROSSINGS), NO_DARTS),
     (lambda: hom_dim_geometric(PENT, PENT_ALG, NO_CROSSINGS, NO_CROSSINGS), NO_DARTS),
     (lambda: arc_letters(PENT, PENT_ALG, NO_CROSSINGS), NO_DARTS),
     (lambda: format_arc(PENT, NO_CROSSINGS), NO_DARTS),
     (lambda: pivot_move(PENT, PENT_ALG, NO_CROSSINGS, "s"), NO_DARTS),
     (lambda: reverse_arc(PENT, ClosedCurveClass((), (), 1, 1)), NO_DARTS),
-    (lambda: arcs_equivalent(PENT, TrivialArc(), 5), NOT_AN_ARC),
     (lambda: arc_letters(PENT, PANTS_ALG, PENT_ARC), NOT_OWN),
     (lambda: check_permissible(PENT, PANTS_ALG, PENT_ARC), NOT_OWN),
     (lambda: string_to_arc(PENT, PANTS_ALG, parse_string(PANTS_ALG.presentation, "a1")),
@@ -295,6 +298,36 @@ def test_tuples_generators_and_sets_are_read_like_lists():
                                ClosedCurveClass(KRON_CURVE.darts * 2, KRON_CURVE.pivots
                                                 + KRON_CURVE.pivots[::-1], 2, 2)),
      "closed curve pivots are not their first 2 repeated 2 times"),
+    (lambda: complete_to_triangulation(5), "expected a Tiling, got int"),
+    (lambda: tiling_algebra(None), "expected a Tiling, got NoneType"),
+    (lambda: presentations_isomorphic(samples.fix_a(), 5),
+     "expected a TilingAlgebra, got GentlePresentation"),
+    (lambda: presentations_isomorphic(DIGON_ALG, 5), "expected a TilingAlgebra, got int"),
+    (lambda: collapse_presentation(DIGON, ["x"]), "expected a TilingAlgebra, got Tiling"),
+    (lambda: hom_dim_oracle(samples.kronecker(), FIX_A_REP, FIX_A_REP),
+     "M dims are not ints >= 0 on vertices of the presentation"),
+    (lambda: hom_dim_oracle(CHAIN, REP, (REP.prime, REP.dims, REP.mats)),
+     "N is not a MatrixRep, got tuple"),
+    (lambda: hom_dim_oracle(CHAIN, MatrixRep(5, {**REP.dims, "1": -1}, REP.mats), REP),
+     "M dims are not ints >= 0 on vertices of the presentation"),
+    (lambda: hom_dim_oracle(CHAIN, MatrixRep(5, {**REP.dims, "2": 0.0}, REP.mats), REP),
+     "M dims are not ints >= 0 on vertices of the presentation"),
+    (lambda: hom_dim_oracle(CHAIN, REP, MatrixRep(5, REP.dims, {
+        a: m for a, m in REP.mats.items() if a != "b1"})),
+     "N matrices are not one per arrow of the presentation"),
+    (lambda: hom_dim_oracle(CHAIN, REP, MatrixRep(5, REP.dims, {**REP.mats, "c": []})),
+     "N matrices are not one per arrow of the presentation"),
+    (lambda: hom_dim_oracle(CHAIN, MatrixRep(5, REP.dims, {**REP.mats, "a0": [[1, 0]]}), REP),
+     "M matrix of arrow a0 is not a 2 x 2 matrix of ints"),
+    (lambda: hom_dim_oracle(CHAIN, MatrixRep(5, REP.dims, {**REP.mats, "b0": [[1], [0]]}),
+                            REP),
+     "M matrix of arrow b0 is not a 2 x 2 matrix of ints"),
+    (lambda: hom_dim_oracle(CHAIN, MatrixRep(5, REP.dims, {**REP.mats, "a0": [[1, 0], [0, True]]}),
+                            REP),
+     "M matrix of arrow a0 is not a 2 x 2 matrix of ints"),
+    (lambda: hom_dim_oracle(CHAIN, MatrixRep(4, REP.dims, REP.mats),
+                            MatrixRep(4, REP.dims, REP.mats)),
+     "prime must be a prime number from 2 to 3037000493, got 4"),
 ], ids=["str_vertices", "arrow_id_int", "arrow_id_empty", "vertices_int", "arrows_none",
         "vertex_list", "arrow_id_list", "relation_list_field", "source_list",
         "relations_none", "letter_int", "letter_triple", "letters_str", "band_letter_int",
@@ -308,16 +341,21 @@ def test_tuples_generators_and_sets_are_read_like_lists():
         "format_arc_int", "arc_to_string_int", "arc_darts_int", "arc_dart_out_of_range",
         "arc_dart_str", "curve_darts_none", "arc_pivot_str", "arc_dart_bool",
         "arc_pivot_count", "arc_end_tile_out_of_range", "curve_exponent_none",
-        "arc_no_darts_normalize", "arc_no_darts_equivalent", "arc_no_darts_geometric_hom",
+        "arc_no_darts_normalize", "arc_no_darts_geometric_hom",
         "arc_no_darts_letters", "arc_no_darts_format", "arc_no_darts_pivot_move",
-        "curve_no_darts", "equivalent_trivial_and_int", "letters_of_another_tiling",
+        "curve_no_darts", "letters_of_another_tiling",
         "permissible_on_another_tiling", "string_to_arc_on_another_tiling",
         "arc_to_string_on_another_tiling", "pivot_move_on_another_tiling",
         "tau_on_another_tiling", "band_curve_on_another_parse",
         "curve_band_on_another_parse", "rep_type_on_another_tiling",
         "geometric_hom_on_another_tiling", "string_to_arc_of_a_presentation",
         "curve_exponent_negative", "curve_exponent_miscounted", "curve_primitive_length_0",
-        "curve_darts_not_repeated", "curve_pivots_not_repeated"])
+        "curve_darts_not_repeated", "curve_pivots_not_repeated", "complete_an_int",
+        "tiling_algebra_of_none", "isomorphic_to_a_presentation", "isomorphic_to_an_int",
+        "collapse_a_tiling", "oracle_of_another_presentation", "oracle_of_a_tuple",
+        "oracle_dim_negative", "oracle_dim_float", "oracle_arrow_missing",
+        "oracle_arrow_unknown", "oracle_matrix_rows", "oracle_matrix_columns",
+        "oracle_matrix_bool", "oracle_prime_not_prime"])
 def test_malformed_records_name_themselves(call, message):
     with pytest.raises(InputError) as err:
         call()

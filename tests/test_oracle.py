@@ -286,7 +286,7 @@ def test_references_never_run_the_matcher(monkeypatch):
     def unavailable(*args):
         raise AssertionError("a reference ran the matcher")
 
-    for name in ("_ends", "_windows", "_factor_part", "_sub_part", "_index", "_match"):
+    for name in ("_ends", "_windows", "_factor", "_sub", "_match"):
         monkeypatch.setattr(homs, name, unavailable)
     assert [(factor_count_bruteforce(p, x), sub_count_bruteforce(p, x)) for x in ops] == counts
     reps = [realize_band_module(p, BandModuleSpec(x, 1, 2)) if isinstance(x, Band)

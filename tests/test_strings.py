@@ -9,13 +9,12 @@ from tilealg import samples
 from tilealg.algebra import GentlePresentation, InputError
 from tilealg.artheory import hooks
 from tilealg.arcs import check_permissible, hom_dim_geometric, string_to_arc
-from tilealg.homs import _index, factor_strings, hom_dim, window_key
+from tilealg.homs import factor_strings, hom_dim, window_key
 from tilealg.strings import (_VIEWS, Band, Letter, StringRejection, StringWord,
-                             _cyclic_form, _letter_table, _operand, _walk_error,
-                             all_letters, canonicalize,
-                             compose, detect_band, enumerate_strings, epsilon_of,
+                             _cyclic_form, _entry, _letter_table, _operand, _walk_error,
+                             all_letters, canonicalize, detect_band, enumerate_strings,
                              is_valid_string, letter_source,
-                             letter_target, parse_band, parse_string, sigma_of,
+                             letter_target, parse_band, parse_string,
                              valid_pair, validate_string)
 from tilealg.surface import tiling_algebra
 
@@ -75,26 +74,6 @@ def test_inverse_relation_rejected(fix_a):
     # (b a)^-1 = a^-1 b^-1 must also be forbidden
     with pytest.raises(StringRejection):
         validate_string(fix_a, [Letter("a", True), Letter("b", True)])
-
-
-def test_compose_examples(fix_a):
-    c = parse_string(fix_a, "c")
-    d = parse_string(fix_a, "d")
-    assert compose(fix_a, c, d).text() == "c d"
-    a = parse_string(fix_a, "a")
-    b = parse_string(fix_a, "b")
-    assert compose(fix_a, a, b) is None
-    # composing with the matching trivial string is the identity
-    w = parse_string(fix_a, "b- c d c- b")
-    triv = StringWord.trivial(w.target(fix_a), epsilon_of(fix_a, w))
-    assert compose(fix_a, w, triv) == w
-    triv2 = StringWord.trivial(w.source(fix_a), -sigma_of(fix_a, w))
-    assert compose(fix_a, triv2, w) == w
-
-
-def test_compose_zero_is_input_error(fix_a):
-    with pytest.raises(InputError):
-        compose(fix_a, StringWord.zero(), parse_string(fix_a, "c"))
 
 
 def test_canonicalize_involution_pair(fix_a):
@@ -230,16 +209,6 @@ def test_every_window_of_a_string_is_a_string(all_fixture_strings):
         for i in range(n):
             for j in range(i + 1, n + 1):
                 assert is_valid_string(p, StringWord.word(w.letters[i:j]))
-
-
-def test_compose_results_validate(all_fixture_strings):
-    for p, v in all_fixture_strings:
-        for q, w in all_fixture_strings:
-            if p is not q:
-                continue
-            c = compose(p, v, w)
-            if c is not None and c.kind == "word":
-                assert is_valid_string(p, c)
 
 
 @settings(max_examples=60)
@@ -547,21 +516,26 @@ def test_stored_view_is_kept_per_presentation():
 
 def test_operand_store_stays_within_its_bound():
     """Reading three times the bound of fresh operands, by Hom so that each
-    entry holds its match index, keeps the store at or below the bound,
-    and every read gives the same view; an index is dropped with its
-    entry, so the operand read first gets a new one after the store is
-    cleared."""
+    entry holds both parts of its match index, keeps the store at or
+    below the bound, and every read gives the same view; the parts are
+    dropped with their entry, so the operand read first gets new ones
+    after the store is cleared."""
     p = samples.kronecker()
     views = _letter_table(p).views
     first = StringWord.trivial("1")
-    index = _index(p, first)
+    assert hom_dim(p, first, first) == 1
+    entry = _entry(p, first)
+    parts = entry.factor, entry.sub
     sizes = set()
     for _ in range(3 * _VIEWS):
         x = StringWord.trivial("1")
         assert hom_dim(p, x, x) == 1 and _operand(p, x) == ((), ("1",), False)
         sizes.add(len(views))
         if len(views) == _VIEWS:
-            assert all(entry[2] is not None for entry in views.values())
+            assert all(e.factor is not None and e.sub is not None for e in views.values())
     assert max(sizes) == _VIEWS and min(sizes) == 1
-    assert all(entry[2] is not index for entry in views.values())
-    assert _index(p, first) is not index and _index(p, first) == index
+    assert all(e.factor is not parts[0] and e.sub is not parts[1] for e in views.values())
+    assert hom_dim(p, first, first) == 1
+    again = _entry(p, first)
+    assert again is not entry and again.factor is not parts[0]
+    assert (again.factor, again.sub) == parts
