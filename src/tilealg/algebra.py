@@ -385,8 +385,8 @@ def _records(text: str, what: str):
             yield lineno, parts
 
 
-def parse_quiver_raw(text: str):
-    """(vertices, arrows, relations) from a quiver description file."""
+def parse_quiver(text: str) -> GentlePresentation:
+    """The presentation of a quiver description file."""
     vertices, arrows, relations = [], [], []
     declared = set()
     seen_header = False
@@ -414,11 +414,7 @@ def parse_quiver_raw(text: str):
             declared.add(v)
     if not seen_header:
         raise InputError("missing 'quiver' header line")
-    return vertices, arrows, relations
-
-
-def parse_quiver(text: str) -> GentlePresentation:
-    return GentlePresentation.from_data(*parse_quiver_raw(text))
+    return GentlePresentation.from_data(vertices, arrows, relations)
 
 
 def _read_text(path) -> str:

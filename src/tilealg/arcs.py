@@ -26,33 +26,35 @@ of the reversed arc, the surface form of w_r = ((w^-1)_l)^-1.
 The transit table of an algebra records which corner realizes which
 letter code (of the letter table of `strings`), read both ways: from a
 crossing dart and a direction to the exit dart, corner and code, and
-from a code back to its entry dart, exit dart and pivot.  `_arc_codes`,
-the one walk of an arc, reads the codes that `arc_to_string`,
-`closed_curve_to_band` (through `strings._band`, the one band builder),
-the geometric Hom, the cohook move and the minimality check (through
-`strings._walk_error`) take.  `_chain` looks up the transits of the
-codes `strings._operand` reads for `string_to_arc` and
-`band_to_closed_curve`; letters of a tiling algebra that form a string
-always chain up, as a relation is exactly an end-slot mismatch.
-A public function checks through `_own` that an algebra it is given is
-built on its tiling, and reads the arcs it is given through the arcs
-store of that algebra (`_seen`), kept by `strings._kept` as Hom operands
-are: an arc is read through `_arc` on its first use and kept under its
-identity.  Its entry (`_ArcEntry`) is its `strings._Entry` as a Hom
-operand, whose view is built once the arc passes `check_permissible`,
-and holds what else the algebra learns of it: its codes (walked once),
-the entry of its gamma_{s,t} form once that is checked permissible, and
-its pivot moves.  The arcs the library makes (by `string_to_arc`,
-`band_to_closed_curve`, a pivot or a tau move) are kept unread, with the
-codes their permissibility assertion walked, so a repeated move returns
-the same object and a tau move reuses the pivot moves already made.  A
-refusal is never kept, so asking again gives the same message.
-Functions of the tiling alone read their arcs on every call.  An arc
-that crosses a boundary side is refused with ArcRejection by every
-function but `reverse_arc` and `check_permissible`, which reports it.
-`arc_to_string` and `hom_dim_geometric` refuse every arc that
-`check_permissible` refuses, a fault at the ends or in minimality with
-its reason, and `format_arc` an open arc whose ends it refuses.
+from a code back to its entry dart, exit dart and pivot.  `_chain` looks
+up the transits of the codes `strings._operand` reads for
+`string_to_arc` and `band_to_closed_curve`; letters of a tiling algebra
+that form a string always chain up, as a relation is exactly an
+end-slot mismatch.
+
+An arc gives a module exactly when it is permissible, and `_verdict` is
+the one check of that: None, or the reason the arc is refused.  In
+order, it checks that every crossing is of an arc side, that the ends
+pass (3)(a) and cannot slide off, that each crossing pair cuts a corner
+holding an arrow ((3)(b)), and that the codes of that walk spell a
+string (minimal position).  The walk gives the codes that
+`arc_to_string`, `closed_curve_to_band` (through `strings._band`, the
+one band builder), the geometric Hom and the cohook move read.  The
+first two checks are of the tiling alone: the functions that take no
+algebra run only those, and refuse an arc with ArcRejection and the
+reason `check_permissible` gives.  Every other function checks through
+`_own` that an algebra it is given is built on its tiling, reads the
+arcs it is given through the arcs store of that algebra (`_seen`), kept
+by `strings._kept` as Hom operands are, and raises ArcRejection with the
+arc's verdict before any other work.  An arc is read through `_arc` on
+its first use and kept under its identity.  Its entry (`_ArcEntry`) is
+its `strings._Entry` as a Hom operand and holds what else the algebra
+learns of it: its verdict and codes, computed once, the entry of its
+gamma_{s,t} form, which shares them, and its pivot moves.  The arcs the
+library makes (by `string_to_arc`, `band_to_closed_curve`, a pivot or a
+tau move) are kept unread, with the verdict their permissibility
+assertion computes, so a repeated move returns the same object and a
+tau move reuses the pivot moves already made.
 """
 
 from __future__ import annotations
@@ -66,9 +68,7 @@ from .surface import Tiling, TilingAlgebra
 
 
 class ArcRejection(Rejection):
-    def __init__(self, reason, detail=""):
-        self.reason = reason
-        super().__init__(f"{reason}" + (f": {detail}" if detail else ""))
+    """An arc that is not permissible; the message is its verdict."""
 
 
 class EndDescriptor(NamedTuple):
@@ -171,15 +171,16 @@ def _own(t: Tiling, alg):
 
 class _ArcEntry(_Entry):
     """What an algebra knows of one arc: its `strings._Entry` as a Hom
-    operand, its letter codes, the entry of its normal form once that is
-    checked permissible (itself for an arc the library made) and the
-    entries of its pivot moves by end; each None or empty until used."""
+    operand, its verdict with its letter codes (both None until `_judged`,
+    then the reason it is refused or None with the codes), the entry of its
+    normal form (itself for an arc the library made) and the entries of its
+    pivot moves by end; each None or empty until used."""
 
-    __slots__ = ("codes", "form", "moves")
+    __slots__ = ("verdict", "codes", "form", "moves")
 
-    def __init__(self, arc):
+    def __init__(self, arc, codes=None):
         super().__init__(arc)
-        self.codes, self.form, self.moves = None, None, {}
+        self.verdict, self.codes, self.form, self.moves = None, codes, None, {}
 
 
 def _seen(t: Tiling, alg: TilingAlgebra, arc) -> _ArcEntry:
@@ -197,25 +198,24 @@ def _read_arc(t: Tiling, arc) -> _ArcEntry:
 def _made(alg: TilingAlgebra, arc) -> _ArcEntry:
     """The entry of a permissible arc the library made, which `_kept` keeps
     unread: it is its own normal form, and its permissibility assertion
-    walks its codes."""
+    sets its verdict and codes."""
     entry = _ArcEntry(arc)
-    err = _violation(alg.tiling, alg, entry)
-    assert err is None, err
+    assert _judged(alg.tiling, alg, entry) is None, entry.verdict
     entry.form = entry
     return entry
 
 
-def _sided(t: Tiling, arc):
-    """A read arc whose crossings are all arc sides; else ArcRejection
-    naming the first that is not."""
-    for i, d in enumerate(getattr(arc, "darts", ())):
-        if t.kind[d] != "arc":
-            raise ArcRejection(f"malformed: crossing {i} is not an arc side")
+def _tiled(t: Tiling, arc):
+    """An arc record that `_arc` reads and whose sides and ends the tiling
+    accepts, else ArcRejection with the reason of `_verdict`."""
+    err = _verdict(t, _arc(t, arc))[0]
+    if err is not None:
+        raise ArcRejection(err)
     return arc
 
 
 def crossing_word(t: Tiling, arc) -> tuple:
-    if isinstance(_sided(t, _arc(t, arc)), TrivialArc):
+    if isinstance(_tiled(t, arc), TrivialArc):
         return ()
     return tuple(t.label[d] for d in arc.darts)
 
@@ -228,7 +228,7 @@ def intersection_vector(t: Tiling, arc):
 
 
 def intersection_number(t: Tiling, arc) -> int:
-    return 0 if isinstance(_sided(t, _arc(t, arc)), TrivialArc) else len(arc.darts)
+    return 0 if isinstance(_tiled(t, arc), TrivialArc) else len(arc.darts)
 
 
 # -- transit geometry ----------------------------------------------------
@@ -273,42 +273,9 @@ def _transit_table(alg: TilingAlgebra) -> dict:
     return table
 
 
-def arc_letters(t: Tiling, alg: TilingAlgebra, arc) -> list:
-    """The quiver letters realized by consecutive crossings (also across
-    the wrap of a closed curve); ArcRejection when a pair violates (3)(b).
-    The transits are read from the table of `alg`, whose tiling is t."""
-    letters = _letter_table(_own(t, alg).presentation).letters
-    return [letters[c] for c in _arc_codes(alg, _seen(t, alg, arc))]
-
-
-def _arc_codes(alg: TilingAlgebra, entry: _ArcEntry) -> tuple:
-    """The letter codes of `arc_letters` of the arc of an entry, read off
-    the transit table on first use and kept in the entry; ArcRejection
-    when a pair violates (3)(b) or a crossing is not an arc side."""
-    if entry.codes is None:
-        arc, codes = entry.host, []
-        if not isinstance(arc, TrivialArc):
-            darts, table = arc.darts, _transit_table(alg)
-            n = len(darts)
-            for i, (corner, inverse) in enumerate(arc.pivots):   # one per crossing pair
-                if (darts[i], inverse) not in table:    # a boundary side has no transit
-                    raise ArcRejection(f"malformed: crossing {i} is not an arc side")
-                d_out, m, cut, code, slots = table[darts[i], inverse]
-                if d_out != darts[(i + 1) % n] or corner % m != cut:
-                    raise ArcRejection(f"(3)(b) violation at crossings {i},{i + 1}")
-                if code is None:
-                    raise ArcRejection("(3)(b) violation",
-                                       f"no fan adjacency for slots {slots[0]} {slots[1]}")
-                codes.append(code)
-            if not codes:   # a walk of pairs only reaches arc sides
-                _sided(alg.tiling, arc)
-        entry.codes = tuple(codes)
-    return entry.codes
-
-
 def pivot_points(t: Tiling, arc) -> tuple:
     """The marked point shared by each consecutive crossing pair."""
-    if isinstance(_sided(t, _arc(t, arc)), TrivialArc):
+    if isinstance(_tiled(t, arc), TrivialArc):
         return ()
     walks = (t.tiles[t.face_of[t.twin[d]][0]].walk for d in arc.darts)
     return tuple(t.tail[w[corner % len(w)]] for w, (corner, _) in zip(walks, arc.pivots))
@@ -338,54 +305,62 @@ def _end_valid(t: Tiling, desc: EndDescriptor, dart: int):
     return None
 
 
-def _ends_error(t: Tiling, arc: PermissibleArc):
-    """`check_permissible`'s reason against the first end of an open arc
-    with crossings that `_end_valid` refuses, or None."""
-    for name, desc, dart in (("start", arc.start, arc.darts[0]),
-                             ("end", arc.end, t.twin[arc.darts[-1]])):
-        err = _end_valid(t, desc, dart)
-        if err:
-            return f"{name} {err}"
-    return None
-
-
 def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
     """None when the arc is permissible and minimal, else the reason."""
-    return _violation(t, _own(t, alg), _seen(t, alg, arc))
+    return _judged(t, _own(t, alg), _seen(t, alg, arc))
 
 
-def _violation(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry):
-    """`check_permissible` of the arc of an entry."""
-    arc = entry.host
+def _verdict(t: Tiling, arc, alg: TilingAlgebra | None = None) -> tuple:
+    """(reason, codes) of a read arc: the reason it is refused, or None
+    with the letter codes of its crossing walk.  The checks run in order:
+    every crossing is of an arc side, the ends pass `_end_valid`, each
+    crossing pair cuts the corner its pivot names and a corner holding an
+    arrow ((3)(b)), and the codes spell a string (minimal position).  The
+    first two are of the tiling alone; without alg only they run, and
+    codes is None."""
     if isinstance(arc, TrivialArc):
-        return None
-    if any(t.kind[d] != "arc" for d in arc.darts):
-        return "malformed: crossing is not an arc side"
-    try:   # a (3)(b) fault is reported before a fault at the ends
-        codes = _arc_codes(alg, entry)
-    except ArcRejection as exc:
-        return str(exc)
+        return None, ()
+    darts = arc.darts
+    for i, d in enumerate(darts):
+        if t.kind[d] != "arc":
+            return f"malformed: crossing {i} is not an arc side", None
     cyclic = isinstance(arc, ClosedCurveClass)
-    err = None if cyclic else _ends_error(t, arc)
-    if err:
-        return err
-    # minimal position: the induced walk must be reduced and avoid relations
+    if not cyclic:
+        for name, desc, dart in (("start", arc.start, darts[0]),
+                                 ("end", arc.end, t.twin[darts[-1]])):
+            err = _end_valid(t, desc, dart)
+            if err:
+                return f"{name} {err}", None
+    if alg is None:
+        return None, None
+    table, codes, n = _transit_table(alg), [], len(darts)
+    for i, (corner, inverse) in enumerate(arc.pivots):   # one per crossing pair
+        d_out, m, cut, code, slots = table[darts[i], inverse]
+        if d_out != darts[(i + 1) % n] or corner % m != cut:
+            return f"(3)(b) violation at crossings {i},{i + 1}", None
+        if code is None:
+            return f"(3)(b) violation: no fan adjacency for slots {slots[0]} {slots[1]}", None
+        codes.append(code)
     err = _walk_error(alg.presentation, codes, cyclic)
     if err is not None:
-        walk = "cyclic" if err == 0 else "induced"
-        return f"not minimal: {walk} walk is not a string"
-    return None
+        return f"not minimal: {'cyclic' if err == 0 else 'induced'} walk is not a string", None
+    return None, tuple(codes)
 
 
-def _permissible(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry) -> tuple:
-    """The codes of the arc of an entry once it passes `check_permissible`,
-    else ArcRejection with its reason; an arc that is its own checked
-    normal form, as every made arc is, is not checked again."""
-    codes = _arc_codes(alg, entry)   # its refusals come first
-    err = None if entry.form is entry else _violation(t, alg, entry)
+def _judged(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry):
+    """The verdict of the arc of an entry, `_verdict` on first use and
+    kept in the entry with its codes."""
+    if entry.verdict is None and entry.codes is None:
+        entry.verdict, entry.codes = _verdict(t, entry.host, alg)
+    return entry.verdict
+
+
+def _accepted(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry) -> tuple:
+    """The codes of the arc of an entry, or ArcRejection with its verdict."""
+    err = _judged(t, alg, entry)
     if err is not None:
         raise ArcRejection(err)
-    return codes
+    return entry.codes
 
 
 # -- orientation of trivial-string arcs -----------------------------------
@@ -430,7 +405,7 @@ def _gamma(t: Tiling, darts, pivots) -> PermissibleArc:
 
 def normalize(t: Tiling, arc):
     """The gamma_{s,t} representative of the arc's equivalence class."""
-    if isinstance(_sided(t, _arc(t, arc)), (TrivialArc, ClosedCurveClass)):
+    if isinstance(_tiled(t, arc), (TrivialArc, ClosedCurveClass)):
         return arc
     return _gamma(t, arc.darts, arc.pivots)
 
@@ -473,7 +448,7 @@ def arc_to_string(t: Tiling, alg: TilingAlgebra, arc) -> StringWord:
         return StringWord.zero()
     if isinstance(arc, ClosedCurveClass):
         raise InputError("closed curves correspond to bands, not strings")
-    codes = _permissible(t, alg, entry)
+    codes = _accepted(t, alg, entry)
     if arc.crossings == 1:
         d = arc.darts[0]
         return StringWord.trivial(t.label[d], _dart_sign(t, alg, d))
@@ -484,7 +459,7 @@ def reverse_arc(t: Tiling, arc):
     """The arc traversed backwards.  Note that a self-dual dart sequence
     (e.g. the loop-letter arc through a type I tile) coincides with its
     reverse except for the pivot direction flags."""
-    return _reverse(t, _arc(t, arc))
+    return _reverse(t, _tiled(t, arc))
 
 
 def _reverse(t: Tiling, arc):
@@ -514,30 +489,23 @@ def pivot_move(t: Tiling, alg: TilingAlgebra, arc, end: str):
     entry = _seen(t, _own(t, alg), arc)
     if isinstance(arc, (TrivialArc, ClosedCurveClass)):
         raise InputError("pivot moves require an arc with at least one crossing")
+    _accepted(t, alg, entry)
     return _pivot(t, alg, entry, end).host
 
 
-def _form(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry) -> _ArcEntry:
-    """The entry of the normal form of the arc of an entry (gamma_{s,t}
-    for an arc with crossings), kept in the entry once it is checked
-    permissible; ArcRejection with the reason otherwise."""
-    if entry.form is None:
-        arc, form = entry.host, entry
-        if isinstance(arc, PermissibleArc):
-            gamma = _gamma(t, _sided(t, arc).darts, arc.pivots)
-            form = entry if gamma == arc else _ArcEntry(gamma)
-        _permissible(t, alg, form)
-        entry.form = form.form = form
-    return entry.form
-
-
 def _pivot(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry, end: str) -> _ArcEntry:
-    """The entry of `pivot_move` of the arc of an entry with crossings,
-    made once and kept with the entry of its normal form."""
-    form = _form(t, alg, entry)
+    """The entry of `pivot_move` of an accepted open arc of an entry, made
+    once and kept with the entry of its normal form gamma_{s,t}, which has
+    its darts, pivots and so its codes and passing verdict."""
+    form = entry.form
+    if form is None:
+        arc = entry.host
+        gamma = _gamma(t, arc.darts, arc.pivots)
+        form = entry.form = entry if gamma == arc else _ArcEntry(gamma, entry.codes)
+        form.form = form
     moved = form.moves.get(end)
     if moved is None:
-        arc, codes = form.host, _arc_codes(alg, form)
+        arc, codes = form.host, _accepted(t, alg, form)
         if end == "s":
             out = _pivot_start(t, arc, codes)
         else:   # the reversed arc spells the inverse codes
@@ -576,6 +544,7 @@ def tau_inverse_arc(t: Tiling, alg: TilingAlgebra, arc):
     entry = _seen(t, _own(t, alg), arc)
     if isinstance(arc, (TrivialArc, ClosedCurveClass)):
         raise InputError("tau applies to arcs with at least one crossing")
+    _accepted(t, alg, entry)
     for first, second in (("t", "s"), ("s", "t")):
         moved = _pivot(t, alg, entry, first)
         if not isinstance(moved.host, TrivialArc):
@@ -603,15 +572,13 @@ def band_to_closed_curve(t: Tiling, alg: TilingAlgebra, band: Band,
 
 
 def closed_curve_to_band(t: Tiling, alg: TilingAlgebra, curve: ClosedCurveClass):
-    """(band, exponent) for a permissible closed curve; rejects curves
-    whose cyclic crossing walk is not a band power."""
+    """(band, exponent) for a permissible closed curve, whose cyclic
+    crossing walk is a band power; ArcRejection with `check_permissible`'s
+    reason for a curve it refuses."""
     entry = _seen(t, _own(t, alg), curve)
     if not isinstance(curve, ClosedCurveClass):
         raise InputError("arcs correspond to strings, not bands")
-    _form(t, alg, entry)
-    if curve.crossings < 2:
-        raise ArcRejection("closed curve crosses fewer than two arcs", "not a band power")
-    codes = _arc_codes(alg, entry)
+    codes = _accepted(t, alg, entry)
     period = _cyclic_form(codes)[1]
     return _band(alg.presentation, codes[:period]), len(codes) // period
 
@@ -632,12 +599,12 @@ def rep_type_geometric(t: Tiling, alg: TilingAlgebra):
 def _viewed(t: Tiling, alg: TilingAlgebra, arc) -> _ArcEntry:
     """The entry of an arc with crossings, with its view: the (codes,
     vertices, cyclic) `homs` operand it spells, built on first use once
-    the arc is `_permissible`."""
+    the arc is `_accepted`."""
     entry = _seen(t, alg, arc)
     if isinstance(arc, TrivialArc):
         raise InputError("trivial arcs carry the zero module")
     if entry.view is None:
-        entry.view = (_permissible(t, alg, entry), tuple(map(t.label.__getitem__, arc.darts)),
+        entry.view = (_accepted(t, alg, entry), tuple(map(t.label.__getitem__, arc.darts)),
                       isinstance(arc, ClosedCurveClass))
     return entry
 
@@ -671,17 +638,13 @@ def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
 
 def format_arc(t: Tiling, arc) -> str:
     """Stable one-line arc literal, e.g.
-    ``arc-word t1.c2.r1(p2,w0) : x @p1 y : t3.c0.r1(p4,w0)``.
-    ArcRejection with the `_end_valid` reason of an end it refuses."""
+    ``arc-word t1.c2.r1(p2,w0) : x @p1 y : t3.c0.r1(p4,w0)``."""
     if isinstance(arc, TrivialArc):
         return "arc-word trivial"
     pts = pivot_points(t, arc)
     if isinstance(arc, ClosedCurveClass):
         inner = " ".join(f"{t.label[d]} @{pts[i]}" for i, d in enumerate(arc.darts))
         return f"closed-curve ( {inner} ) ^{arc.exponent}"
-    err = _ends_error(t, arc)
-    if err:
-        raise ArcRejection(err)
     chunks = []
     for i, d in enumerate(arc.darts):
         chunks.append(t.label[d])

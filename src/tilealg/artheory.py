@@ -21,7 +21,6 @@ public call reads its operand once, by `strings._operand`, and builds
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .algebra import GentlePresentation, InputError
@@ -146,12 +145,6 @@ def ar_sequence(p: GentlePresentation, w: StringWord):
         return None
     middle = tuple(x for x in (h.w_left, h.w_right) if not x.is_zero)
     return ARSequence(w, middle, h.w_both)
-
-
-def dimension_vector(p: GentlePresentation, w):
-    """Visits per vertex of the walk of a string or band."""
-    visits = Counter(() if isinstance(w, StringWord) and w.is_zero else _operand(p, w)[1])
-    return {v: visits[v] for v in p.vertices}
 
 
 def _additivity(p: GentlePresentation, w, injective: str):

@@ -55,12 +55,6 @@ def _rank_mod_p(rows, p: int) -> int:
     return len(pivots)
 
 
-def nullity_mod_p(mat, p: int) -> int:
-    """Nullity over F_p of a matrix given as a list of rows."""
-    cols = len(mat[0]) if mat else 0
-    return cols - _rank_mod_p([dict(enumerate(row)) for row in mat], p)
-
-
 class MatrixRep:
     """A representation over F_prime."""
 

@@ -6,7 +6,7 @@ from test_homs import KRON_BAD_OPERANDS
 from tilealg import homs, samples
 from tilealg.algebra import InputError
 from tilealg.arcs import (ArcRejection, ClosedCurveClass, EndDescriptor,
-                          PermissibleArc, TrivialArc, arc_letters, arc_to_string,
+                          PermissibleArc, TrivialArc, arc_to_string,
                           band_to_closed_curve, check_permissible,
                           closed_curve_to_band, crossing_word, format_arc,
                           hom_dim_geometric, intersection_number,
@@ -161,23 +161,19 @@ def test_malformed_arc_reasons_are_exact():
         assert check_permissible(t, alg, with_pivot((corner, False))) == want
     assert check_permissible(t, alg, with_pivot((1, True))) == \
         "(3)(b) violation at crossings 0,1"
-    # a boundary side reaches arc_letters only when it is called directly:
-    # leaving the transit through it finds no arrow at the corner
+    # a crossing of a boundary side is refused before the walk, with the
+    # one text every arcs function gives
     seg = t.tiles[1].walk[2]
     assert t.kind[seg] == "seg"
-    with pytest.raises(ArcRejection) as exc:
-        arc_letters(t, alg, with_pivot((0, True), (arc.darts[0], seg)))
-    assert str(exc.value) == "(3)(b) violation: no fan adjacency for slots None ('x', 2)"
-    with pytest.raises(ArcRejection) as exc:
-        arc_letters(t, alg, with_pivot((2, False), (arc.darts[0], seg)))
-    assert str(exc.value) == "(3)(b) violation at crossings 0,1"
-    assert check_permissible(t, alg, with_pivot((0, True), (arc.darts[0], seg))) == \
-        "malformed: crossing is not an arc side"
-    # a curve crossing the boundary side has no transit to leave by
-    for inverse in (False, True):
-        with pytest.raises(ArcRejection) as exc:
-            arc_letters(t, alg, with_pivot((0, inverse), (seg, arc.darts[0])))
-        assert str(exc.value) == "malformed: crossing 0 is not an arc side"
+    for darts, i in (((arc.darts[0], seg), 1), ((seg, arc.darts[0]), 0)):
+        for pivot in ((0, False), (0, True), (2, False)):
+            bad = with_pivot(pivot, darts)
+            reason = f"malformed: crossing {i} is not an arc side"
+            assert check_permissible(t, alg, bad) == reason
+            for call in (lambda: arc_to_string(t, alg, bad), lambda: format_arc(t, bad)):
+                with pytest.raises(ArcRejection) as exc:
+                    call()
+                assert str(exc.value) == reason
 
 
 @pytest.mark.parametrize("name, word, slots", [
@@ -255,7 +251,10 @@ def test_disjoint_crossings_rejected():
     cand = PermissibleArc((dx, dy), ((0, False),),
                           EndDescriptor(t.face_of[dx][0], 0, 1),
                           EndDescriptor(t.face_of[t.twin[dy]][0], 0, 1))
-    assert check_permissible(t, alg, cand) == "(3)(b) violation at crossings 0,1"
+    # the ends are checked before the walk: with ends that land on the
+    # crossed sides only the (3)(b) fault is left
+    assert check_permissible(t, alg, cand) == "start descriptor does not land on the crossed side"
+    assert check_permissible(t, alg, _normal(t, cand)) == "(3)(b) violation at crossings 0,1"
 
 
 def test_pivot_rejects_trivial_arc():
@@ -509,8 +508,7 @@ def test_moves_and_checks_read_their_arc_once(monkeypatch):
         alg = tiling_algebra(t)
         on_tiling = [lambda a: reverse_arc(t, a), lambda a: normalize(t, a)]
         on_alg = [lambda a: check_permissible(t, alg, a),
-                  lambda a: hom_dim_geometric(t, alg, a, a),
-                  lambda a: arc_letters(t, alg, a)]
+                  lambda a: hom_dim_geometric(t, alg, a, a)]
         on_open = on_alg + [lambda a: pivot_move(t, alg, a, "s"),
                             lambda a: pivot_move(t, alg, a, "t"),
                             lambda a: tau_inverse_arc(t, alg, a),
@@ -553,8 +551,9 @@ def _refused(answer):
 
 
 def test_refused_arc_gives_the_same_message_twice():
-    """A refusal is not kept: asking again gives the same refusal, and a
-    record that `_arc` refuses leaves nothing in the arcs store."""
+    """Asking again gives the same refusal (a refused verdict is kept with
+    its arc), and a record that `_arc` refuses leaves nothing in the arcs
+    store."""
     t = samples.tiled_fixtures()["pent"]
     alg = tiling_algebra(t)
     arc = string_to_arc(t, alg, parse_string(alg.presentation, "a1"))
@@ -563,8 +562,8 @@ def test_refused_arc_gives_the_same_message_twice():
         PermissibleArc((4,), (), e, e), PermissibleArc((5, 0), ((0, False),), e, e),
         PermissibleArc((2, 0), ((0, False),), e, e), PermissibleArc((99,), (), e, e),
         ClosedCurveClass(arc.darts, arc.pivots + ((0, False),), 2, 2), "not an arc"]
-    calls = [lambda a: check_permissible(t, alg, a), lambda a: arc_letters(t, alg, a),
-             lambda a: arc_to_string(t, alg, a), lambda a: pivot_move(t, alg, a, "s"),
+    calls = [lambda a: check_permissible(t, alg, a), lambda a: arc_to_string(t, alg, a),
+             lambda a: pivot_move(t, alg, a, "s"),
              lambda a: pivot_move(t, alg, a, "t"), lambda a: tau_inverse_arc(t, alg, a),
              lambda a: closed_curve_to_band(t, alg, a),
              lambda a: hom_dim_geometric(t, alg, a, a)]
@@ -650,31 +649,81 @@ def _well_typed_records(t):
                         for y in pivots[::3])
 
 
+def _arcs_calls(t, alg):
+    """Every public arcs function of one arc record, by name, but
+    check_permissible, whose reason the others are held to.  A reversal
+    keeps its darts and pivots and a format its middle, so that an arc
+    and its normal form answer alike."""
+    def middle(text):   # without the end descriptors of an open arc
+        return text.split(" : ")[1] if " : " in text else text
+    return {"crossing_word": lambda a: crossing_word(t, a),
+            "intersection_vector": lambda a: intersection_vector(t, a),
+            "intersection_number": lambda a: intersection_number(t, a),
+            "pivot_points": lambda a: pivot_points(t, a),
+            "format_arc": lambda a: middle(format_arc(t, a)),
+            "normalize": lambda a: normalize(t, a),
+            "reverse_arc": lambda a: reverse_arc(t, a)[:2],
+            "arc_to_string": lambda a: arc_to_string(t, alg, a),
+            "pivot_move s": lambda a: pivot_move(t, alg, a, "s"),
+            "pivot_move t": lambda a: pivot_move(t, alg, a, "t"),
+            "tau_inverse_arc": lambda a: tau_inverse_arc(t, alg, a),
+            "closed_curve_to_band": lambda a: closed_curve_to_band(t, alg, a),
+            "hom_dim_geometric": lambda a: hom_dim_geometric(t, alg, a, a)}
+
+
+ON_TILING = {"crossing_word", "intersection_vector", "intersection_number",
+             "pivot_points", "format_arc", "normalize", "reverse_arc"}
+# the calls that take only the other kind of arc, and refuse it with InputError
+OTHER_KIND = {PermissibleArc: {"closed_curve_to_band"},
+              ClosedCurveClass: {"arc_to_string", "pivot_move s", "pivot_move t",
+                                 "tau_inverse_arc"}}
+
+
+def _normal(t, a):
+    """The gamma_{s,t} copy of an open arc record (each end one side behind
+    the side it lands on, route +1); a closed curve is its own."""
+    if isinstance(a, ClosedCurveClass):
+        return a
+    (f, i), (g, j) = t.face_of[a.darts[0]], t.face_of[t.twin[a.darts[-1]]]
+    return a._replace(start=EndDescriptor(f, (i - 1) % len(t.tiles[f].walk), 1),
+                      end=EndDescriptor(g, (j - 1) % len(t.tiles[g].walk), 1))
+
+
+def _held_to_the_verdict(t, alg, records):
+    """Run each record through every public arcs function.  A call of the
+    other kind of arc refuses it with InputError.  When check_permissible
+    accepts the record, and for a function of the tiling alone when the
+    tiling accepts its sides and ends, each call answers as it does for
+    the record's normal form; every other call raises ArcRejection with
+    exactly check_permissible's reason.  The number of refused records."""
+    calls, refused = _arcs_calls(t, alg), 0
+    for a in records:
+        reason = check_permissible(t, alg, a)
+        by_tiling = reason is not None and reason.startswith(("malformed: crossing",
+                                                               "start ", "end "))
+        for name, call in calls.items():
+            got = _answer(lambda: call(a))
+            if name in OTHER_KIND[type(a)]:
+                assert got[:2] == ("refused", "InputError"), (name, a, got)
+            elif reason is None or (name in ON_TILING and not by_tiling):
+                assert got == _answer(lambda: call(_normal(t, a))), (name, a, reason)
+            else:
+                assert got == ("refused", "ArcRejection", reason), (name, a, got)
+        refused += reason is not None
+    return refused
+
+
 def test_impossible_arcs_are_refused(fixture):
-    """Every public arcs call on a well-typed record returns or raises
-    InputError or ArcRejection, never another exception: a crossing of a
-    boundary side is refused as not an arc side, and a pivot or tau move
-    refuses an arc whose normal form is not permissible."""
+    """Every public arcs call on a well-typed record answers as for its
+    normal form or raises check_permissible's reason, never another
+    exception; a crossing of a boundary side is refused by its index."""
     _, t, alg = fixture
-    calls = [lambda a: crossing_word(t, a), lambda a: intersection_vector(t, a),
-             lambda a: intersection_number(t, a), lambda a: pivot_points(t, a),
-             lambda a: format_arc(t, a), lambda a: normalize(t, a),
-             lambda a: reverse_arc(t, a), lambda a: check_permissible(t, alg, a),
-             lambda a: arc_letters(t, alg, a),
-             lambda a: arc_to_string(t, alg, a), lambda a: pivot_move(t, alg, a, "s"),
-             lambda a: pivot_move(t, alg, a, "t"), lambda a: tau_inverse_arc(t, alg, a),
-             lambda a: closed_curve_to_band(t, alg, a),
-             lambda a: hom_dim_geometric(t, alg, a, a)]
+    assert _held_to_the_verdict(t, alg, _well_typed_records(t))
     boundary = {d for d in range(len(t.tail)) if t.kind[d] != "arc"}
     for a in _well_typed_records(t):
-        answers = [_answer(lambda: call(a)) for call in calls]
-        if boundary & set(a.darts):   # all but a reversal and the check refuse
-            assert [_refused(x) for x in answers] == [True] * 6 + [False, False] + \
-                [True] * 7, a
-    e = EndDescriptor(0, 0, 1)
-    for d in boundary:
-        with pytest.raises(ArcRejection, match="^malformed: crossing 0 is not an arc side$"):
-            format_arc(t, PermissibleArc((d,), (), e, e))
+        i = next((i for i, d in enumerate(a.darts) if d in boundary), None)
+        if i is not None:
+            assert check_permissible(t, alg, a) == f"malformed: crossing {i} is not an arc side"
 
 
 def _moved_ends(t, arc):
@@ -692,33 +741,69 @@ def _moved_ends(t, arc):
 
 def test_arcs_whose_ends_are_refused_are_refused_everywhere(fixture):
     """An open arc whose ends check_permissible refuses is refused with its
-    reason by arc_to_string and hom_dim_geometric, and by format_arc;
-    with ends it accepts, the arc reads as the arc of its string."""
+    reason by every arcs function; with ends it accepts, the arc answers
+    as the arc of its string."""
     _, t, alg = fixture
-    calls = [lambda a: arc_to_string(t, alg, a), lambda a: hom_dim_geometric(t, alg, a, a),
-             lambda a: format_arc(t, a).split(" : ")[1]]
-    refused = 0
+    records = []
     for w in fixture_strings(alg, bound=3):
         if w.kind == "trivial" and w.vertex not in t.arcs:
             continue
         arc = string_to_arc(t, alg, w)
-        for a in _moved_ends(t, arc):
-            reason = check_permissible(t, alg, a)
-            expected = [_answer(lambda: call(arc)) for call in calls] if reason is None \
-                else [("refused", "ArcRejection", reason)] * len(calls)
-            assert [_answer(lambda: call(a)) for call in calls] == expected, (a, reason)
-            refused += reason is not None
+        assert _normal(t, arc) == arc
+        records += _moved_ends(t, arc)
+    refused = _held_to_the_verdict(t, alg, records)
     assert refused
     t = samples.pent_tiling()
     alg = tiling_algebra(t)
     arc = string_to_arc(t, alg, parse_string(alg.presentation, "a1"))
     bad = arc._replace(start=EndDescriptor(0, 9, 4))
     assert check_permissible(t, alg, bad) == "start malformed descriptor"
-    for call in (lambda: arc_to_string(t, alg, bad), lambda: format_arc(t, bad),
-                 lambda: hom_dim_geometric(t, alg, bad, arc),
-                 lambda: hom_dim_geometric(t, alg, arc, bad)):
-        with pytest.raises(ArcRejection, match="^start malformed descriptor$"):
-            call()
+    calls = [call for name, call in _arcs_calls(t, alg).items()
+             if name not in OTHER_KIND[PermissibleArc]]
+    for call in calls + [lambda a: hom_dim_geometric(t, alg, a, arc),
+                         lambda a: hom_dim_geometric(t, alg, arc, a)]:
+        assert _answer(lambda: call(bad)) == ("refused", "ArcRejection",
+                                             "start malformed descriptor")
+
+
+def test_each_arc_is_judged_once_per_algebra(monkeypatch):
+    """A made arc runs `_verdict` once, in its permissibility assertion.
+    An arc given to the functions of an algebra runs it once, whether it
+    is refused or not, and its gamma_{s,t} form takes its codes and
+    verdict without running it.  A function of the tiling alone runs the
+    checks of the tiling on every call."""
+    import tilealg.arcs as arcs
+    runs = []
+
+    def counted(t, arc, alg=None):
+        runs.append((arc, alg is not None))
+        return verdict(t, arc, alg)
+
+    verdict = arcs._verdict
+    monkeypatch.setattr(arcs, "_verdict", counted)
+    accepted = 0
+    for t in samples.tiled_fixtures().values():
+        alg = tiling_algebra(t)
+        calls = _arcs_calls(t, alg)
+        for w in fixture_strings(alg, bound=3):
+            if w.kind == "trivial" and w.vertex not in t.arcs:
+                continue
+            runs.clear()
+            arc = string_to_arc(t, alg, w)
+            assert runs == [(arc, True)]
+            for a in _moved_ends(t, arc):
+                runs.clear()
+                for name, call in calls.items():
+                    if name not in ON_TILING:
+                        _answer(lambda: call(a))
+                        _answer(lambda: call(a))
+                assert [r for r in runs if r[0][:2] == a[:2]] == [(a, True)], a
+                accepted += check_permissible(t, alg, a) is None
+                for name in ON_TILING:
+                    runs.clear()
+                    _answer(lambda: calls[name](a))
+                    assert runs == [(a, False)], (name, a)
+    assert accepted
 
 
 def test_format_arc_one_crossing_closed_curve():

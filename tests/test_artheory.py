@@ -7,8 +7,7 @@ from tilealg import samples
 from tilealg.algebra import InputError
 from tilealg.artheory import (COHOOK_REMOVED, HOOK_ADDED, ZERO, ar_quiver_dot,
                               ar_sequence, build_ar_quiver,
-                              dimension_additivity_holds, dimension_vector,
-                              hook_left, hook_right, hooks,
+                              dimension_additivity_holds, hook_left, hook_right, hooks,
                               is_injective_string, tau_inverse, verify_ar_middle)
 from tilealg.strings import (Letter, StringWord, canonicalize, detect_band,
                              enumerate_strings, parse_string)
@@ -223,15 +222,6 @@ def test_dot_export_shape():
     assert dot.startswith("digraph")
     assert '"triv 2 +" -> "a"' in dot
     assert "style=dashed" in dot
-
-
-def test_dimension_vector_counts_visits():
-    p = samples.fix_a()
-    w = parse_string(p, "b- c d c- b")
-    assert dimension_vector(p, w) == {"1": 2, "2": 2, "3": 2}
-    # a band visits each vertex of its cyclic walk once per pass
-    k = samples.kronecker_chain(2)
-    assert dimension_vector(k, detect_band(k)) == {"0": 0, "1": 1, "2": 1}
 
 
 def _hooks_digest():

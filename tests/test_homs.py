@@ -7,8 +7,7 @@ import pytest
 import gentle_corpus
 from tilealg import samples
 from tilealg.algebra import InputError
-from tilealg.artheory import (ar_sequence, dimension_vector, hook_left, hook_right,
-                              hooks, tau_inverse)
+from tilealg.artheory import ar_sequence, hook_left, hook_right, hooks, tau_inverse
 from tilealg.homs import (Window, factor_count_bruteforce, factor_strings,
                           hom_dim, hom_dim_detailed, sub_count_bruteforce,
                           substrings, window_key)
@@ -199,8 +198,7 @@ def _operand_entry_points(p):
             lambda x: factor_strings(p, x), lambda x: substrings(p, x),
             lambda x: window_key(p, x, Window(0, 0, None, None)),
             *(lambda x, f=f: f(p, x) for f in (hook_left, hook_right, hooks,
-                                               tau_inverse, ar_sequence,
-                                               dimension_vector))]
+                                               tau_inverse, ar_sequence))]
 
 
 @pytest.mark.parametrize("make, letters", [

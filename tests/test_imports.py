@@ -7,6 +7,7 @@ The pytest process has every layer loaded already, so the load checks
 run in a fresh interpreter with only `src` on the path.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -167,3 +168,47 @@ def test_star_import_binds_every_public_name():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         tilealg.nonexistent
+
+
+# Public functions of library modules that no module outside tests/ names,
+# each kept on purpose: the arcs functions are the arcs API the README
+# documents; `normalize`, `window_key` and `dimension_additivity_holds`
+# are read by the acceptance criteria (test_acceptance.py); the two
+# brute-force window counters are the independent check that Hom is held
+# to; and the two fixture sets of `samples` are its named fixtures.
+UNCALLED = {
+    "arcs": ["check_permissible", "closed_curve_to_band", "intersection_number",
+             "normalize", "reverse_arc"],
+    "artheory": ["dimension_additivity_holds"],
+    "homs": ["factor_count_bruteforce", "sub_count_bruteforce", "window_key"],
+    "samples": ["algebra_fixtures", "tiled_fixtures"],
+}
+
+
+def test_public_functions_have_a_caller_outside_the_tests():
+    """Every public top-level function of a library module is named by a
+    module of src/tilealg, scripts or perfbench: called, imported, read as
+    an attribute, or named by a string as `__init__._HOME` and the
+    perfbench tracer name functions.  The names no such module names are
+    exactly UNCALLED, so a new public name that only tests call fails."""
+    library = sorted((ROOT / "src" / "tilealg").glob("*.py"))
+    modules = library + sorted((ROOT / "scripts").glob("*.py")) + sorted(
+        p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.parts)
+    named = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value.rpartition(".")[2])
+    uncalled = {}
+    for path in library:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") \
+                    and node.name not in named:
+                uncalled.setdefault(path.stem, []).append(node.name)
+    assert {mod: sorted(names) for mod, names in uncalled.items()} == UNCALLED

@@ -11,7 +11,7 @@ from tilealg import samples
 from tilealg.algebra import (GentlePresentation, InputError, Quiver, Rejection, check_gentle,
                              parse_quiver)
 from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc,
-                          arc_letters, arc_to_string, band_to_closed_curve,
+                          arc_to_string, band_to_closed_curve,
                           check_permissible, closed_curve_to_band, crossing_word, format_arc,
                           hom_dim_geometric, normalize, pivot_move, pivot_points,
                           rep_type_geometric, reverse_arc, string_to_arc, tau_inverse_arc)
@@ -268,11 +268,10 @@ def test_tuples_generators_and_sets_are_read_like_lists():
      "exponent must be an int, got None"),
     (lambda: normalize(PENT, NO_CROSSINGS), NO_DARTS),
     (lambda: hom_dim_geometric(PENT, PENT_ALG, NO_CROSSINGS, NO_CROSSINGS), NO_DARTS),
-    (lambda: arc_letters(PENT, PENT_ALG, NO_CROSSINGS), NO_DARTS),
+    (lambda: arc_to_string(PENT, PENT_ALG, NO_CROSSINGS), NO_DARTS),
     (lambda: format_arc(PENT, NO_CROSSINGS), NO_DARTS),
     (lambda: pivot_move(PENT, PENT_ALG, NO_CROSSINGS, "s"), NO_DARTS),
     (lambda: reverse_arc(PENT, ClosedCurveClass((), (), 1, 1)), NO_DARTS),
-    (lambda: arc_letters(PENT, PANTS_ALG, PENT_ARC), NOT_OWN),
     (lambda: check_permissible(PENT, PANTS_ALG, PENT_ARC), NOT_OWN),
     (lambda: string_to_arc(PENT, PANTS_ALG, parse_string(PANTS_ALG.presentation, "a1")),
      NOT_OWN),
@@ -342,8 +341,8 @@ def test_tuples_generators_and_sets_are_read_like_lists():
         "arc_dart_str", "curve_darts_none", "arc_pivot_str", "arc_dart_bool",
         "arc_pivot_count", "arc_end_tile_out_of_range", "curve_exponent_none",
         "arc_no_darts_normalize", "arc_no_darts_geometric_hom",
-        "arc_no_darts_letters", "arc_no_darts_format", "arc_no_darts_pivot_move",
-        "curve_no_darts", "letters_of_another_tiling",
+        "arc_no_darts_to_string", "arc_no_darts_format", "arc_no_darts_pivot_move",
+        "curve_no_darts",
         "permissible_on_another_tiling", "string_to_arc_on_another_tiling",
         "arc_to_string_on_another_tiling", "pivot_move_on_another_tiling",
         "tau_on_another_tiling", "band_curve_on_another_parse",

@@ -10,19 +10,20 @@ from tilealg import homs, samples, strings
 from tilealg.algebra import InputError, load_quiver
 from tilealg.artheory import is_injective_string, verify_ar_middle
 from tilealg.oracle import (BandModuleSpec, _rank_mod_p, hom_dim_oracle,
-                            nullity_mod_p, realize_band_module,
-                            realize_string_module)
+                            realize_band_module, realize_string_module)
 from tilealg.homs import factor_count_bruteforce, sub_count_bruteforce
 from tilealg.strings import (Band, Letter, StringWord, detect_band, enumerate_strings,
                              parse_band, parse_string)
 from tilealg.surface import Tiling, tiling_algebra
 
 
-def test_nullity_mod_p():
-    assert nullity_mod_p([[1, 2], [2, 4]], 5) == 1
-    assert nullity_mod_p([[0, 0, 0], [0, 0, 0]], 5) == 3
-    assert nullity_mod_p([[1, 2], [2, 1]], 3) == 1
-    assert nullity_mod_p([[1, 2], [2, 1]], 5) == 0
+def test_rank_mod_p():
+    def rank(mat, p):
+        return _rank_mod_p([dict(enumerate(row)) for row in mat], p)
+    assert rank([[1, 2], [2, 4]], 5) == 1
+    assert rank([[0, 0, 0], [0, 0, 0]], 5) == 0
+    assert rank([[1, 2], [2, 1]], 3) == 1
+    assert rank([[1, 2], [2, 1]], 5) == 2
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
