@@ -5,7 +5,7 @@ enumeration and of the oracle, written as JSON.
 
     python3 scripts/bench_ladder.py [--out BENCH_ladder.json] [--max-size 3200]
 
-Thirteen families.  Two run self-Hom on `samples.zigzag` presentations
+Fourteen families.  Two run self-Hom on `samples.zigzag` presentations
 (arrows of alternating orientation, so every code of the operand occurs
 once): the path's longest string and the cycle's band.  One runs
 self-Hom on `samples.random_walk(random.Random(n), p, n)`, a random walk
@@ -15,6 +15,9 @@ so codes repeat and the pairs grow with the walk.  Two run
 on the text of a disc with n marked points: the bare n-gon without arcs,
 and `samples.random_disc_tiling(random.Random(n), n, n)`, a random
 triangulation with about half its diagonals kept.  One runs
+`Tiling.parse`, then `tiling_algebra`, on `samples.many_holes_text(n)`,
+a disc of n groups, each with a loop around an unmarked component and
+two arcs around another (2n unmarked components, 3n arrows).  One runs
 `GentlePresentation.from_data` on the vertices, arrows and relations of
 `samples.kronecker_chain(n // 2)`, which has n arrows.  One runs
 `build_ar_quiver` on the linearly oriented path quiver A_n, of
@@ -103,6 +106,12 @@ def _surface(tiling_text):
     return prepare
 
 
+def _many_holes(n):
+    """The parse and algebra run on the mixed-hole disc of n groups."""
+    text = samples.many_holes_text(n)
+    return lambda: tiling_algebra(Tiling.parse(text))
+
+
 def _from_data(n):
     """The from_data run on the data of the Kronecker chain with n arrows."""
     p = samples.kronecker_chain(n // 2)
@@ -181,6 +190,7 @@ FAMILIES = {
         + "\nend\n")),
     "surface half-kept disc": (50, math.inf, _surface(
         lambda n: samples.random_disc_tiling(random.Random(n), n, n).text())),
+    "surface many holes": (50, math.inf, _many_holes),
     "from_data kronecker": (50, math.inf, _from_data),
     "ar_quiver path": (8, 64, _ar_quiver),
     "arcs fan path": (50, math.inf, _fan_path(False)),

@@ -49,12 +49,12 @@ by `strings._kept` as Hom operands are, and raises ArcRejection with the
 arc's verdict before any other work.  An arc is read through `_arc` on
 its first use and kept under its identity.  Its entry (`_ArcEntry`) is
 its `strings._Entry` as a Hom operand and holds what else the algebra
-learns of it: its verdict and codes, computed once, the entry of its
-gamma_{s,t} form, which shares them, and its pivot moves.  The arcs the
-library makes (by `string_to_arc`, `band_to_closed_curve`, a pivot or a
-tau move) are kept unread, with the verdict their permissibility
-assertion computes, so a repeated move returns the same object and a
-tau move reuses the pivot moves already made.
+learns of it: its verdict and view, computed when it is read, the entry
+of its gamma_{s,t} form, which shares them, and its pivot moves.  The
+arcs the library makes (by `string_to_arc`, `band_to_closed_curve`, a
+pivot or a tau move) are kept unread, judged when they are made and
+checked by a permissibility assertion, so a repeated move returns the
+same object and a tau move reuses the pivot moves already made.
 """
 
 from __future__ import annotations
@@ -171,36 +171,38 @@ def _own(t: Tiling, alg):
 
 class _ArcEntry(_Entry):
     """What an algebra knows of one arc: its `strings._Entry` as a Hom
-    operand, its verdict with its letter codes (both None until `_judged`,
-    then the reason it is refused or None with the codes), the entry of its
-    normal form (itself for an arc the library made) and the entries of its
-    pivot moves by end; each None or empty until used."""
+    operand, whose view is (codes, crossed arcs, closed), its verdict
+    (the reason it is refused, with the view None, or None), both as
+    `_verdict` gives them when the entry is made, the entry of its normal
+    form (itself for an arc the library made) and the entries of its
+    pivot moves by end; those two None or empty until used."""
 
-    __slots__ = ("verdict", "codes", "form", "moves")
+    __slots__ = ("verdict", "form", "moves")
 
-    def __init__(self, arc, codes=None):
-        super().__init__(arc)
-        self.verdict, self.codes, self.form, self.moves = None, codes, None, {}
+    def __init__(self, arc, verdict=None, view=None):
+        super().__init__(arc, view)
+        self.verdict, self.form, self.moves = verdict, None, {}
 
 
-def _seen(t: Tiling, alg: TilingAlgebra, arc) -> _ArcEntry:
+def _seen(alg: TilingAlgebra, arc) -> _ArcEntry:
     """The entry of an arc given to a function of alg, kept in the arcs
-    store of alg by `strings._kept`: read through `_arc` on its first use
-    and returned while that same object is given again."""
-    return _kept(alg._arcs, arc, _read_arc, t)
+    store of alg by `strings._kept`: read through `_arc` and judged on its
+    first use and returned while that same object is given again."""
+    return _kept(alg._arcs, arc, _read_arc, alg)
 
 
-def _read_arc(t: Tiling, arc) -> _ArcEntry:
+def _read_arc(alg: TilingAlgebra, arc) -> _ArcEntry:
     """The entry of an arc given to a function, read through `_arc`."""
-    return _ArcEntry(_arc(t, arc))
+    arc = _arc(alg.tiling, arc)
+    return _ArcEntry(arc, *_verdict(alg.tiling, arc, alg))
 
 
 def _made(alg: TilingAlgebra, arc) -> _ArcEntry:
     """The entry of a permissible arc the library made, which `_kept` keeps
     unread: it is its own normal form, and its permissibility assertion
-    sets its verdict and codes."""
-    entry = _ArcEntry(arc)
-    assert _judged(alg.tiling, alg, entry) is None, entry.verdict
+    checks its verdict."""
+    entry = _ArcEntry(arc, *_verdict(alg.tiling, arc, alg))
+    assert entry.verdict is None, entry.verdict
     entry.form = entry
     return entry
 
@@ -307,19 +309,20 @@ def _end_valid(t: Tiling, desc: EndDescriptor, dart: int):
 
 def check_permissible(t: Tiling, alg: TilingAlgebra, arc):
     """None when the arc is permissible and minimal, else the reason."""
-    return _judged(t, _own(t, alg), _seen(t, alg, arc))
+    return _seen(_own(t, alg), arc).verdict
 
 
 def _verdict(t: Tiling, arc, alg: TilingAlgebra | None = None) -> tuple:
-    """(reason, codes) of a read arc: the reason it is refused, or None
-    with the letter codes of its crossing walk.  The checks run in order:
+    """(reason, view) of a read arc: the reason it is refused, or None
+    with its Hom view, (the letter codes of its crossing walk, the arcs
+    it crosses, whether it is closed).  The checks run in order:
     every crossing is of an arc side, the ends pass `_end_valid`, each
     crossing pair cuts the corner its pivot names and a corner holding an
     arrow ((3)(b)), and the codes spell a string (minimal position).  The
     first two are of the tiling alone; without alg only they run, and
-    codes is None."""
+    view is None."""
     if isinstance(arc, TrivialArc):
-        return None, ()
+        return None, ((), (), False)
     darts = arc.darts
     for i, d in enumerate(darts):
         if t.kind[d] != "arc":
@@ -344,23 +347,14 @@ def _verdict(t: Tiling, arc, alg: TilingAlgebra | None = None) -> tuple:
     err = _walk_error(alg.presentation, codes, cyclic)
     if err is not None:
         return f"not minimal: {'cyclic' if err == 0 else 'induced'} walk is not a string", None
-    return None, tuple(codes)
+    return None, (tuple(codes), tuple(map(t.label.__getitem__, darts)), cyclic)
 
 
-def _judged(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry):
-    """The verdict of the arc of an entry, `_verdict` on first use and
-    kept in the entry with its codes."""
-    if entry.verdict is None and entry.codes is None:
-        entry.verdict, entry.codes = _verdict(t, entry.host, alg)
-    return entry.verdict
-
-
-def _accepted(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry) -> tuple:
+def _accepted(entry: _ArcEntry) -> tuple:
     """The codes of the arc of an entry, or ArcRejection with its verdict."""
-    err = _judged(t, alg, entry)
-    if err is not None:
-        raise ArcRejection(err)
-    return entry.codes
+    if entry.verdict is not None:
+        raise ArcRejection(entry.verdict)
+    return entry.view[0]
 
 
 # -- orientation of trivial-string arcs -----------------------------------
@@ -443,12 +437,12 @@ def arc_to_string(t: Tiling, alg: TilingAlgebra, arc) -> StringWord:
     """The string of the crossing walk; single crossings give trivial
     strings whose sign is read off the entry side of the arc.
     ArcRejection with `check_permissible`'s reason for an arc it refuses."""
-    entry = _seen(t, _own(t, alg), arc)
+    entry = _seen(_own(t, alg), arc)
     if isinstance(arc, TrivialArc):
         return StringWord.zero()
     if isinstance(arc, ClosedCurveClass):
         raise InputError("closed curves correspond to bands, not strings")
-    codes = _accepted(t, alg, entry)
+    codes = _accepted(entry)
     if arc.crossings == 1:
         d = arc.darts[0]
         return StringWord.trivial(t.label[d], _dart_sign(t, alg, d))
@@ -486,26 +480,26 @@ def pivot_move(t: Tiling, alg: TilingAlgebra, arc, end: str):
     arc, reversed back (the reverse of gamma_{s,t} is again one)."""
     if end not in ("s", "t"):
         raise InputError("end must be 's' or 't'")
-    entry = _seen(t, _own(t, alg), arc)
+    entry = _seen(_own(t, alg), arc)
     if isinstance(arc, (TrivialArc, ClosedCurveClass)):
         raise InputError("pivot moves require an arc with at least one crossing")
-    _accepted(t, alg, entry)
+    _accepted(entry)
     return _pivot(t, alg, entry, end).host
 
 
 def _pivot(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry, end: str) -> _ArcEntry:
     """The entry of `pivot_move` of an accepted open arc of an entry, made
     once and kept with the entry of its normal form gamma_{s,t}, which has
-    its darts, pivots and so its codes and passing verdict."""
+    its darts, pivots and so its view and passing verdict."""
     form = entry.form
     if form is None:
         arc = entry.host
         gamma = _gamma(t, arc.darts, arc.pivots)
-        form = entry.form = entry if gamma == arc else _ArcEntry(gamma, entry.codes)
+        form = entry.form = entry if gamma == arc else _ArcEntry(gamma, None, entry.view)
         form.form = form
     moved = form.moves.get(end)
     if moved is None:
-        arc, codes = form.host, _accepted(t, alg, form)
+        arc, codes = form.host, _accepted(form)
         if end == "s":
             out = _pivot_start(t, arc, codes)
         else:   # the reversed arc spells the inverse codes
@@ -541,10 +535,10 @@ def tau_inverse_arc(t: Tiling, alg: TilingAlgebra, arc):
     """Counterclockwise rotation of both endpoints of gamma_{s,t}; None
     when the string module is injective (the rotated arc has
     intersection number zero)."""
-    entry = _seen(t, _own(t, alg), arc)
+    entry = _seen(_own(t, alg), arc)
     if isinstance(arc, (TrivialArc, ClosedCurveClass)):
         raise InputError("tau applies to arcs with at least one crossing")
-    _accepted(t, alg, entry)
+    _accepted(entry)
     for first, second in (("t", "s"), ("s", "t")):
         moved = _pivot(t, alg, entry, first)
         if not isinstance(moved.host, TrivialArc):
@@ -575,10 +569,10 @@ def closed_curve_to_band(t: Tiling, alg: TilingAlgebra, curve: ClosedCurveClass)
     """(band, exponent) for a permissible closed curve, whose cyclic
     crossing walk is a band power; ArcRejection with `check_permissible`'s
     reason for a curve it refuses."""
-    entry = _seen(t, _own(t, alg), curve)
+    entry = _seen(_own(t, alg), curve)
     if not isinstance(curve, ClosedCurveClass):
         raise InputError("arcs correspond to strings, not bands")
-    codes = _accepted(t, alg, entry)
+    codes = _accepted(entry)
     period = _cyclic_form(codes)[1]
     return _band(alg.presentation, codes[:period]), len(codes) // period
 
@@ -596,16 +590,13 @@ def rep_type_geometric(t: Tiling, alg: TilingAlgebra):
 # -- reading morphisms from curves ----------------------------------------
 
 
-def _viewed(t: Tiling, alg: TilingAlgebra, arc) -> _ArcEntry:
-    """The entry of an arc with crossings, with its view: the (codes,
-    vertices, cyclic) `homs` operand it spells, built on first use once
-    the arc is `_accepted`."""
-    entry = _seen(t, alg, arc)
+def _viewed(alg: TilingAlgebra, arc) -> _ArcEntry:
+    """The entry of an accepted arc with crossings, whose view is the
+    (codes, vertices, cyclic) `homs` operand it spells."""
+    entry = _seen(alg, arc)
     if isinstance(arc, TrivialArc):
         raise InputError("trivial arcs carry the zero module")
-    if entry.view is None:
-        entry.view = (_accepted(t, alg, entry), tuple(map(t.label.__getitem__, arc.darts)),
-                      isinstance(arc, ClosedCurveClass))
+    _accepted(entry)
     return entry
 
 
@@ -627,7 +618,7 @@ def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
     ArcRejection with `check_permissible`'s reason for an arc it refuses."""
     from .homs import _match   # only Hom loads homs
     _own(t, alg)
-    fv, sv = _viewed(t, alg, arc_v), _viewed(t, alg, arc_w)
+    fv, sv = _viewed(alg, arc_v), _viewed(alg, arc_w)
     if set(fv.view[1]).isdisjoint(sv.view[1]):
         return 0
     return sum(1 for _ in _match(fv, sv))

@@ -13,7 +13,8 @@ import sys
 
 # Each subcommand imports the layers it runs, so a CLI process loads and
 # compiles only those.
-from .algebra import GentlenessError, InputError, Rejection, _read_text, parse_quiver
+from .algebra import (GentlenessError, InputError, Rejection, _read_text, _records,
+                      parse_quiver)
 
 
 def _write(path, text):
@@ -27,10 +28,10 @@ def _write(path, text):
 def _load_any(path):
     """(presentation, tiling-or-None, tiling_algebra-or-None) of a
     description file: a file whose first keyword is 'tiling' is a tiling
-    file, and any other file is read as a quiver file."""
+    file, and any other file is read as a quiver file.  The keyword is
+    that of the first record `_records` reads, as both parsers read."""
     text = _read_text(path)
-    first = next((words[0] for l in text.splitlines()
-                  if (words := l.split("#", 1)[0].split())), "")
+    first = next((parts[0] for _, parts in _records(text, "{!r} is not a str")), "")
     if first != "tiling":
         return parse_quiver(text), None, None
     from .surface import Tiling, tiling_algebra

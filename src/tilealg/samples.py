@@ -191,6 +191,25 @@ def pants_tiling() -> Tiling:
     return Tiling.parse(PANTS_TILING)
 
 
+def many_holes_text(n: int) -> str:
+    """The text of the mixed-hole disc of n groups: one marked boundary b0
+    with the points a<i> b<i> c<i> d<i> e<i>, group after group.  Group i
+    adds the loop x<i> at a<i> around the unmarked component u<i>, a type I
+    tile, and the arcs y<i>, z<i> from c<i> to e<i> around v<i>, a type II
+    tile.  Its algebra has 3n arrows and 3n relations: each loop squared
+    and each two-cycle of y<i>, z<i> both ways."""
+    groups = range(1, n + 1)
+    lines = ["tiling", "boundary b0 marked " + " ".join(
+        f"{x}{i}" for i in groups for x in "abcde")]
+    for i in groups:
+        lines += [f"boundary u{i} unmarked inside x{i}",
+                  f"boundary v{i} unmarked inside y{i} z{i}",
+                  f"arc x{i} a{i} a{i}", f"arc y{i} c{i} e{i}", f"arc z{i} c{i} e{i}",
+                  f"fan a{i} : x{i}.1 x{i}.2", f"fan c{i} : y{i}.1 z{i}.1",
+                  f"fan e{i} : z{i}.2 y{i}.2"]
+    return "\n".join(lines + ["end"]) + "\n"
+
+
 def tiled_fixtures():
     return {
         "pent": pent_tiling(),

@@ -11,14 +11,16 @@ and tiles are the orbits of  d -> rotation-successor(twin(d)),  walked
 with the tile on the right; the reversed boundary darts form one
 discarded outer orbit per marked boundary component.  Unmarked boundary
 components are not map vertices: they are placed inside a declared
-monogon (type I) or digon (type II) tile.  The surface is connected when
-every dart is reached from one through twins and rotation successors.
+monogon (type I) or digon (type II) tile, found through one index from
+the sorted arcs of each all-arc monogon and digon to those faces.  The
+surface is connected when every dart is reached from one through twins
+and rotation successors.
 
 One class, `Tiling`, holds a tiling: its description, the map built
 from it and its tiles.  Completion to a triangulation grows a copy in
-place, piercing each unmarked component and splitting m-gons, retraces
-only the faces each step creates, and classifies the grown copy as the
-triangulation.
+place, piercing each unmarked component and splitting m-gons, splices
+the faces each step makes out of the walk it cuts, and classifies the
+grown copy as the triangulation.
 
 Tiling description files:
 
@@ -265,14 +267,6 @@ class Tiling:
             d = rot[twin[d]]
         return walk
 
-    def _face(self, d0):
-        """The inner face through the new arc dart d0, started at its
-        least-key dart: an arc dart, so the one `_build` would number
-        first, and a map grown in place and one rebuilt agree."""
-        walk = self._orbit(d0)
-        i = walk.index(min(walk, key=self.key.__getitem__))
-        return walk[i:] + walk[:i]
-
     def _faces(self):
         """The inner faces of the map as `_build` made it; the reversed
         boundary darts form the outer orbits, which are dropped.  Each
@@ -304,16 +298,14 @@ class Tiling:
     def _classify(self, walks):
         """Tiles from the inner face walks, in the order of their first keys."""
         walks = sorted(walks, key=lambda walk: self.key[walk[0]])
-        placement_of = {}
+        small = {}   # sorted arcs of an all-arc monogon or digon -> those faces
+        for idx, walk in enumerate(walks):
+            if len(walk) <= 2 and all(self.kind[d] == "arc" for d in walk):
+                small.setdefault(tuple(sorted(self.label[d] for d in walk)), []).append(idx)
+        held = {}   # face index -> the unmarked component it holds
         for comp in sorted(self.unmarked):
             arcs = self.unmarked[comp]
-            matches = []
-            for idx, walk in enumerate(walks):
-                if len(walk) != len(arcs):
-                    continue
-                if all(self.kind[d] == "arc" for d in walk) and \
-                        tuple(sorted(self.label[d] for d in walk)) == arcs:
-                    matches.append(idx)
+            matches = small.get(arcs)
             if not matches:
                 raise TilingRejection(
                     f"no monogon/digon tile bounded by {' '.join(arcs)} "
@@ -321,13 +313,13 @@ class Tiling:
             if len(matches) > 1:
                 raise TilingRejection(
                     f"placement of unmarked component {comp} is ambiguous")
-            if matches[0] in placement_of.values():
+            if matches[0] in held:
                 raise TilingRejection("two unmarked components in one tile")
-            placement_of[comp] = matches[0]
+            held[matches[0]] = comp
 
         tiles = []
         for idx, walk in enumerate(walks):
-            comp = next((c for c, i in placement_of.items() if i == idx), None)
+            comp = held.get(idx)
             if comp is not None:
                 kind = "type-I" if len(walk) == 1 else "type-II"
             elif len(walk) <= 2:
@@ -374,9 +366,6 @@ class Tiling:
 
     # -- growth by completion --------------------------------------------
 
-    def _least_corner(self, walk):
-        return walk.index(min(walk, key=self.tail.__getitem__))
-
     def _enter(self, walk, c, d):
         """Put the new arc dart d at corner c of `walk` (between walk
         darts c-1 and c): in the rotation right after the twin of the dart
@@ -392,31 +381,42 @@ class Tiling:
     def _split(self, walk, arc):
         """Cut the m-gon `walk` (m >= 4) by the diagonal `arc` from its
         least corner to the corner two steps further along the walk;
-        returns the two new faces."""
-        c1 = self._least_corner(walk)
-        c2 = (c1 + 2) % len(walk)
-        d1, d2 = self._arc(arc, self.tail[walk[c1]], self.tail[walk[c2]])
-        self._enter(walk, c1, d1)
-        self._enter(walk, c2, d2)
-        return [self._face(d1), self._face(d2)]
+        returns the two new faces, spliced from the walk: with W started
+        at that corner, the rest (d1, W[2], ..., W[-1]) and the triangle
+        (d2, W[0], W[1])."""
+        w = _started(walk, self.tail)
+        d1, d2 = self._arc(arc, self.tail[w[0]], self.tail[w[2]])
+        self._enter(w, 0, d1)
+        self._enter(w, 2, d2)
+        return [_started((d1, *w[2:]), self.key), _started((d2, w[0], w[1]), self.key)]
 
     def _pierce(self, walk, comp, pt, arc):
         """Mark the point `pt` on the unmarked component `comp` inside the
         face `walk` and join it by `arc` to the face's least corner;
-        returns the new face, an m-gon."""
-        c = self._least_corner(walk)
-        d1, d2 = self._arc(arc, self.tail[walk[c]], pt)
-        self._enter(walk, c, d1)
+        returns the new face, an m-gon spliced from the walk: with W
+        started at that corner, (d1, fwd, d2, W[0], ..., W[-1]), where fwd
+        is the component's one boundary segment."""
+        w = _started(walk, self.tail)
+        d1, d2 = self._arc(arc, self.tail[w[0]], pt)
+        self._enter(w, 0, d1)
         del self.unmarked[comp]
         self.marked[comp] = [pt]
         self.fans[pt] = [(arc, 2)]
         fwd, rev = self._pair(("seg", "rseg"), (comp, 0), pt, pt)
         self._rotate([rev, d2, fwd])
-        return self._face(d1)
+        return _started((d1, fwd, d2, *w), self.key)
 
     def _arc(self, arc, p, q):
         self.arcs[arc] = (p, q)
         return self._pair(("arc", "arc"), arc, p, q, ((arc, 1), (arc, 2)))
+
+
+def _started(walk, order):
+    """`walk` rotated to start at its least dart by `order`: by `tail` at
+    its least corner, by `key` at its least-key dart, an arc dart, the one
+    `_build` numbers first, so a map grown in place and one rebuilt agree."""
+    i = walk.index(min(walk, key=order.__getitem__))
+    return walk[i:] + walk[:i]
 
 
 # -- the tiling algebra -------------------------------------------------
@@ -510,9 +510,9 @@ def complete_to_triangulation(t: Tiling) -> Completion:
     """Deterministically complete a tiling to a triangulation: one new
     marked point per unmarked component, then repeated diagonal splits of
     the m-gon (m >= 4) whose walk starts at the least dart key.  Piercings
-    and splits grow one copy of t in place and retrace only the faces each
-    step creates; the copy, with the triangles the splits left, is then
-    checked and classified as the triangulation."""
+    and splits grow one copy of t in place and splice the faces each step
+    makes out of the walk it cuts; the copy, with the triangles the splits
+    left, is then checked and classified as the triangulation."""
     work = _given(t, Tiling)._copy()
     points, names = _fresh("m", set(t.points)), _fresh("z", work.arcs)
     around = {x.unmarked: x.walk for x in t.tiles if x.unmarked is not None}
@@ -558,40 +558,39 @@ def collapse_presentation(alg_t: TilingAlgebra, keep) -> TilingAlgebra:
     unknown = keep - set(alg_t.tiling.arcs)
     if unknown:
         raise InputError(f"keep set names unknown arcs: {sorted(unknown)}")
-    arrows_t = alg_t.arrows
-    leaving = {}
-    for b in arrows_t.values():
-        leaving.setdefault((b.source, b.leave_slot), []).append(b)
+    arrows = alg_t.arrows
+    leaving = {(b.source, b.leave_slot): b for b in arrows.values()}
+    assert len(leaving) == len(arrows), "two arrows leave one end slot"
 
     collapsed = {}
-    counter = 1
-    for name in sorted(arrows_t):
-        a = arrows_t[name]
-        if a.source not in keep:
+    for name in sorted(arrows):
+        first = last = arrows[name]
+        if first.source not in keep:
             continue
-        path = [a]
-        ok = True
-        while path[-1].target not in keep:
-            last = path[-1]
-            nxt = leaving.get((last.target, last.enter_slot), [])
-            if not nxt:
-                ok = False
+        for _ in arrows:   # a walk from a kept arc meets no arrow twice
+            if last is None or last.target in keep:
                 break
-            assert len(nxt) == 1
-            path.append(nxt[0])
-            if len(path) > len(arrows_t):
-                ok = False  # cycle through dropped arcs cannot reach keep
-                break
-        if not ok:
-            continue
-        pts = {x.point for x in path}
-        assert len(pts) == 1, "relation-free direct path left its fan"
-        cname = f"a{counter}"
-        counter += 1
-        collapsed[cname] = TilingArrow(cname, path[0].source, path[-1].target,
-                                       path[0].point, path[0].leave_slot,
-                                       path[-1].enter_slot)
+            last = leaving.get((last.target, last.enter_slot))
+            assert last is None or last.point == first.point, \
+                "relation-free direct path left its fan"
+        if last is not None and last.target in keep:
+            cname = f"a{len(collapsed) + 1}"
+            collapsed[cname] = TilingArrow(cname, first.source, last.target, first.point,
+                                           first.leave_slot, last.enter_slot)
     return _slot_algebra(alg_t.tiling, sorted(keep), collapsed)
+
+
+def _shape(alg: TilingAlgebra):
+    """(vertex set, arrow keys, relations as pairs of keys) of an algebra,
+    an arrow's key being (source, target, point, end slots); None when two
+    arrows share a key."""
+    key = {name: (x.source, x.target, x.point, x.leave_slot, x.enter_slot)
+           for name, x in alg.arrows.items()}
+    keys = set(key.values())
+    if len(keys) != len(key):
+        return None
+    return (set(alg.presentation.quiver.vertices), keys,
+            {(key[x], key[y]) for x, y in alg.presentation.relations})
 
 
 def presentations_isomorphic(a: TilingAlgebra, b: TilingAlgebra) -> bool:
@@ -600,19 +599,5 @@ def presentations_isomorphic(a: TilingAlgebra, b: TilingAlgebra) -> bool:
     vertices are shared arcs."""
     _given(a, TilingAlgebra)
     _given(b, TilingAlgebra)
-    if set(a.presentation.quiver.vertices) != set(b.presentation.quiver.vertices):
-        return False
-
-    def key(arrow: TilingArrow):
-        return (arrow.source, arrow.target, arrow.point,
-                arrow.leave_slot, arrow.enter_slot)
-
-    map_a = {key(x): name for name, x in a.arrows.items()}
-    map_b = {key(x): name for name, x in b.arrows.items()}
-    if len(map_a) != len(a.arrows) or len(map_b) != len(b.arrows):
-        return False
-    if set(map_a) != set(map_b):
-        return False
-    rename = {map_a[k]: map_b[k] for k in map_a}
-    rels_a = {(rename[x], rename[y]) for x, y in a.presentation.relations}
-    return rels_a == set(b.presentation.relations)
+    shape = _shape(a)
+    return shape is not None and shape == _shape(b)

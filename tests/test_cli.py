@@ -569,7 +569,9 @@ def test_argparse_errors_exit_2(monkeypatch, capsys, argv, err):
     ("not a file\n", "line 1: unknown keyword 'not'"),
     ("", "missing 'quiver' header line"),
     ("vertex v\n", "missing 'quiver' header line"),
-], ids=["unknown_keyword", "empty", "headerless"])
+    ("end\n", "missing 'quiver' header line"),
+    ("end\ntiling\n", "line 2: content after 'end'"),
+], ids=["unknown_keyword", "empty", "headerless", "only_end", "record_after_end"])
 def test_a_file_that_is_not_a_tiling_is_read_as_a_quiver(tmp_path, command, rest, text,
                                                          reason):
     path = tmp_path / "bad.txt"

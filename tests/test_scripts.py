@@ -63,8 +63,8 @@ def test_bench_ladder_smallest_rung(tmp_path, capsys):
     families = json.loads(dest.read_text())["families"]
     assert list(families) == ["hom zigzag string", "hom zigzag band", "hom kronecker walk",
                               "surface bare polygon", "surface half-kept disc",
-                              "from_data kronecker", "ar_quiver path", "arcs fan path",
-                              "arcs tau fan path", "band canonical form",
+                              "surface many holes", "from_data kronecker", "ar_quiver path",
+                              "arcs fan path", "arcs tau fan path", "band canonical form",
                               "hom repeated band", "enumerate_strings path",
                               "oracle kronecker walk"]
     for name, rungs in families.items():

@@ -51,6 +51,30 @@ def test_digon_type_two():
     assert tile_kinds(t) == [("m-gon", 3), ("m-gon", 3), ("type-II", 2)]
 
 
+def test_many_holes_are_placed_in_their_tiles():
+    # 400 unmarked components, each placed in its own tile through one
+    # index of the monogons and digons, not by a scan of every face
+    n = 200
+    t = Tiling.parse(samples.many_holes_text(n))
+    held = {x.unmarked: (x.kind, sorted(map(t.side, x.walk)))
+            for x in t.tiles if x.unmarked is not None}
+    assert held == {**{f"u{i}": ("type-I", [f"x{i}"]) for i in range(1, n + 1)},
+                    **{f"v{i}": ("type-II", [f"y{i}", f"z{i}"]) for i in range(1, n + 1)}}
+    alg = tiling_algebra(t)
+    p = alg.presentation
+    ends = {a: (p.s(a), p.t(a)) for a in p.arrows}
+    assert len(ends) == len(p.relations) == 3 * n
+    # each loop squared, and each two-cycle both ways
+    assert {(ends[x], ends[y]) for x, y in p.relations} == {
+        pair for i in range(1, n + 1) for pair in (
+            ((f"x{i}", f"x{i}"), (f"x{i}", f"x{i}")),
+            ((f"y{i}", f"z{i}"), (f"z{i}", f"y{i}")),
+            ((f"z{i}", f"y{i}"), (f"y{i}", f"z{i}")))}
+    comp = complete_to_triangulation(t)
+    assert presentations_isomorphic(
+        collapse_presentation(tiling_algebra(comp.tiling), t.arc_ids()), alg)
+
+
 def test_kron_is_a_triangulation():
     t = samples.kron_tiling()
     assert tile_kinds(t) == [("m-gon", 3), ("m-gon", 3)]
