@@ -267,11 +267,11 @@ def _transit_table(alg: TilingAlgebra) -> dict:
             for pos, e in enumerate(walk):
                 if t.kind[e] != "arc":
                     continue
-                d, nxt, prev = t.twin[e], walk[(pos + 1) % m], walk[pos - 1]
+                d, nxt, prev = e ^ 1, walk[(pos + 1) % m], walk[pos - 1]
                 # walk pair (e, nxt): the direct arrow arc(e) -> arc(nxt)
                 entry(d, False, nxt, m, (pos + 1) % m, (t.slot[d], t.slot[nxt]))
                 # walk pair (prev, e): the arrow arc(prev) -> arc(e), read inverse
-                entry(d, True, prev, m, pos, (t.slot[t.twin[prev]], t.slot[e]))
+                entry(d, True, prev, m, pos, (t.slot[prev ^ 1], t.slot[e]))
     return table
 
 
@@ -279,7 +279,7 @@ def pivot_points(t: Tiling, arc) -> tuple:
     """The marked point shared by each consecutive crossing pair."""
     if isinstance(_tiled(t, arc), TrivialArc):
         return ()
-    walks = (t.tiles[t.face_of[t.twin[d]][0]].walk for d in arc.darts)
+    walks = (t.tiles[t.face_of[d ^ 1][0]].walk for d in arc.darts)
     return tuple(t.tail[w[corner % len(w)]] for w, (corner, _) in zip(walks, arc.pivots))
 
 
@@ -330,7 +330,7 @@ def _verdict(t: Tiling, arc, alg: TilingAlgebra | None = None) -> tuple:
     cyclic = isinstance(arc, ClosedCurveClass)
     if not cyclic:
         for name, desc, dart in (("start", arc.start, darts[0]),
-                                 ("end", arc.end, t.twin[darts[-1]])):
+                                 ("end", arc.end, darts[-1] ^ 1)):
             err = _end_valid(t, desc, dart)
             if err:
                 return f"{name} {err}", None
@@ -382,7 +382,7 @@ def _dart_sign(t: Tiling, alg: TilingAlgebra, d: int) -> int:
 
 def _trivial_dart(t: Tiling, alg: TilingAlgebra, vertex: str, sign: int) -> int:
     d = t._slot_dart[(vertex, 1)]
-    return d if _dart_sign(t, alg, d) == sign else t.twin[d]
+    return d if _dart_sign(t, alg, d) == sign else d ^ 1
 
 
 # -- arc <-> string ------------------------------------------------------
@@ -391,7 +391,7 @@ def _trivial_dart(t: Tiling, alg: TilingAlgebra, vertex: str, sign: int) -> int:
 def _gamma(t: Tiling, darts, pivots) -> PermissibleArc:
     """The arc gamma_{s,t} with these crossings: each end starts one side
     behind the side it lands on, with route +1."""
-    (f, i), (g, j) = t.face_of[darts[0]], t.face_of[t.twin[darts[-1]]]
+    (f, i), (g, j) = t.face_of[darts[0]], t.face_of[darts[-1] ^ 1]
     return PermissibleArc(tuple(darts), tuple(pivots),
                           EndDescriptor(f, (i - 1) % len(t.tiles[f].walk), 1),
                           EndDescriptor(g, (j - 1) % len(t.tiles[g].walk), 1))
@@ -460,7 +460,7 @@ def _reverse(t: Tiling, arc):
     """`reverse_arc` of a read arc."""
     if isinstance(arc, TrivialArc):
         return arc
-    darts = tuple(map(t.twin.__getitem__, reversed(arc.darts)))
+    darts = tuple(d ^ 1 for d in reversed(arc.darts))
     if isinstance(arc, ClosedCurveClass):   # the wrap pair stays last
         pivots = tuple((c, not inv) for c, inv in arc.pivots[-2::-1] + arc.pivots[-1:])
         return ClosedCurveClass(darts, pivots, arc.primitive_length, arc.exponent)
@@ -519,8 +519,8 @@ def _pivot_start(t: Tiling, arc: PermissibleArc, codes):
         # start tile at its corner
         fan = t.fans[t.tail[p_prev]]
         sweep = fan[fan.index(t.slot[p_prev]):]
-        darts = [t.twin[t._slot_dart[s]] for s in reversed(sweep)]
-        pivots = [(t.face_of[t.twin[d]][1], True) for d in darts[:-1]]
+        darts = [t._slot_dart[s] ^ 1 for s in reversed(sweep)]
+        pivots = [(t.face_of[d ^ 1][1], True) for d in darts[:-1]]
         return _gamma(t, tuple(darts) + arc.darts,
                       tuple(pivots) + ((j, False),) + arc.pivots)
     # cohook: the maximal direct prefix and the following inverse

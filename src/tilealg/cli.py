@@ -152,8 +152,7 @@ def cmd_tiling_algebra(args, out):
               file=out)
     for v in alg.presentation.vertices:
         print(f"vertex {v}", file=out)
-    for name in sorted(alg.arrows, key=lambda n: int(n[1:])):
-        a = alg.arrows[name]
+    for a in alg.arrows.values():   # a1, a2, ... as tiling_algebra made them
         print(f"arrow {a.name} {a.source} -> {a.target} at {a.point}", file=out)
     for x, y in sorted(alg.presentation.relations):
         print(f"relation {x} {y}", file=out)

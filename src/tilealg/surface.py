@@ -2,19 +2,23 @@
 
 The surface is stored as a combinatorial map.  Every arc contributes two
 darts (one departing from each end slot), every boundary segment two
-darts (forward along the declared clockwise order, and reversed).  At a
+darts (forward along the declared clockwise order, and reversed),
+numbered next to each other, so the twin of dart d is d ^ 1.  At a
 marked point the full rotation is
 
     (toward previous point, declared fan slots..., toward next point)
 
-and tiles are the orbits of  d -> rotation-successor(twin(d)),  walked
-with the tile on the right; the reversed boundary darts form one
-discarded outer orbit per marked boundary component.  Unmarked boundary
-components are not map vertices: they are placed inside a declared
-monogon (type I) or digon (type II) tile, found through one index from
-the sorted arcs of each all-arc monogon and digon to those faces.  The
-surface is connected when every dart is reached from one through twins
-and rotation successors.
+and tiles are the inner orbits of  d -> rotation-successor(d ^ 1),
+walked with the tile on the right.  The rotation is a permutation that
+takes the forward boundary dart leaving a point to the reversed one
+leaving it, so the reversed boundary darts close up among themselves,
+one discarded outer orbit per marked boundary component.  Unmarked
+boundary components are not map vertices: they are placed inside a
+declared monogon (type I) or digon (type II) tile, found through one
+index from the sorted arcs of each all-arc monogon and digon to its
+one face (two on the same arcs would leave a rotation cycle without
+its point's boundary darts).  The surface is connected when every dart
+is reached from one through twins and rotation successors.
 
 One class, `Tiling`, holds a tiling: its description, the map built
 from it and its tiles.  Completion to a triangulation grows a copy in
@@ -55,11 +59,12 @@ class Tile(NamedTuple):
 
 class Tiling:
     """A tiling description and its combinatorial map: the dart lists
-    `tail`, `twin`, `kind` ("arc" | "seg" | "rseg"), `label` (arc id or
-    segment tuple), `slot` (departing slot of arc darts), `key` and
-    `rot_next`, the `tiles`, `face_of` (dart -> (tile index, position))
-    and `tile_names` (tile index -> "t<k>").  Build one with `parse` or
-    `from_data`.
+    `tail`, `kind` ("arc" | "seg" | "rseg"), `label` (arc id or segment
+    tuple), `slot` (departing slot of arc darts), `key` and `rot_next`,
+    the `tiles` (the inner faces; the module docstring says why no walk
+    needs a guard), `face_of` (dart -> (tile index, position)) and
+    `tile_names` (tile index -> "t<k>").  The twin of dart d is d ^ 1.
+    Build one with `parse` or `from_data`.
 
     `key` (kind, label text, slot text) is the one dart order: each tile
     walk starts at its least-key dart and tiles go in the order of those
@@ -67,8 +72,8 @@ class Tiling:
     id and end.  `_pierce` and `_split` grow the map of a `_copy` in
     place and keep its description in step."""
 
-    __slots__ = ("marked", "unmarked", "arcs", "fans", "tail", "twin", "kind", "label",
-                 "slot", "key", "rot_next", "_slot_dart", "tiles", "face_of", "tile_names")
+    __slots__ = ("marked", "unmarked", "arcs", "fans", "tail", "kind", "label", "slot",
+                 "key", "rot_next", "_slot_dart", "tiles", "face_of", "tile_names")
 
     def __init__(self, marked: dict, unmarked: dict, arcs: dict, fans: dict):
         """A copy of the description, without a map or tiles."""
@@ -184,6 +189,9 @@ class Tiling:
         pts = set(pts)
         if not pts:
             raise InputError("a tiling needs at least one marked point")
+        for comp, comp_pts in self.marked.items():
+            if not comp_pts:
+                raise InputError(f"marked boundary {comp} has no points")
         end_slots = []
         for arc, (p, q) in self.arcs.items():
             if p not in pts or q not in pts:
@@ -210,8 +218,8 @@ class Tiling:
 
     def _build(self):
         """The map of the description; see the module docstring."""
-        self.tail, self.twin, self.kind, self.label, self.slot = [], [], [], [], []
-        self.key, self.rot_next, self._slot_dart = [], [], {}
+        self.tail, self.kind, self.label, self.slot, self.key = [], [], [], [], []
+        self.rot_next, self._slot_dart = [], {}
         for arc in sorted(self.arcs):
             self._pair(("arc", "arc"), arc, *self.arcs[arc], ((arc, 1), (arc, 2)))
         toward_prev, toward_next = {}, {}
@@ -226,17 +234,15 @@ class Tiling:
     def _copy(self) -> "Tiling":
         """The description and the map, copied to be grown in place."""
         c = Tiling(self.marked, self.unmarked, self.arcs, self.fans)
-        c.tail, c.twin, c.kind, c.label, c.slot, c.key, c.rot_next = map(list, (
-            self.tail, self.twin, self.kind, self.label, self.slot, self.key,
-            self.rot_next))
+        c.tail, c.kind, c.label, c.slot, c.key, c.rot_next = map(list, (
+            self.tail, self.kind, self.label, self.slot, self.key, self.rot_next))
         c._slot_dart = dict(self._slot_dart)
         return c
 
     def _pair(self, kinds, label, p, q, slots=(None, None)):
-        """Two new twin darts, departing from p and from q."""
+        """Two new twin darts, d and d ^ 1 (d even), from p and from q."""
         d = len(self.tail)
         self.tail += (p, q)
-        self.twin += (d + 1, d)
         self.kind += kinds
         self.label += (label, label)
         self.slot += slots
@@ -251,71 +257,51 @@ class Tiling:
         for d, e in zip(cycle, cycle[1:] + cycle[:1]):
             self.rot_next[d] = e
 
-    def _orbit(self, d0):
-        """The orbit of d -> rot_next(twin(d)) from d0."""
-        twin, rot, kind = self.twin, self.rot_next, self.kind
-        outer = kind[d0] == "rseg"
-        walk, d = [d0], rot[twin[d0]]
-        while d != d0:
-            if (kind[d] == "rseg") != outer:
-                raise TilingRejection("outer boundary orbit mixes interior darts" if outer
-                                      else "face traversal escaped through the boundary; "
-                                      "inconsistent rotation data")
-            if len(walk) == len(twin):
-                raise TilingRejection("face traversal did not close up")
-            walk.append(d)
-            d = rot[twin[d]]
-        return walk
-
     def _faces(self):
-        """The inner faces of the map as `_build` made it; the reversed
-        boundary darts form the outer orbits, which are dropped.  Each
-        orbit is walked from its least dart, its least-key dart too: an
-        arc dart, or segment 0 of the component an arc-free face rounds."""
-        seen = [False] * len(self.tail)
-        walks = []
-        for d0 in range(len(self.tail)):
-            if not seen[d0]:
-                walk = self._orbit(d0)
-                for d in walk:
+        """The inner faces of the map as `_build` made it: the orbits of
+        d -> rot_next(d ^ 1) from darts other than the reversed boundary
+        darts, each walked from its least dart, its least-key dart too:
+        an arc dart, or segment 0 of the component an arc-free face rounds."""
+        rot, seen, walks = self.rot_next, [False] * len(self.tail), []
+        for d0, kind in enumerate(self.kind):
+            if not seen[d0] and kind != "rseg":
+                walk, d = [d0], rot[d0 ^ 1]
+                while d != d0:
+                    walk.append(d)
                     seen[d] = True
-                if self.kind[d0] != "rseg":
-                    walks.append(walk)
+                    d = rot[d ^ 1]
+                walks.append(walk)
         return walks
 
     def _connected(self) -> bool:
         """Whether every dart is reached from dart 0 through twin and
         rot_next, i.e. the surface is connected."""
-        twin, rot, seen = self.twin, self.rot_next, {0}
-        todo = [0]
+        rot, seen, todo = self.rot_next, {0}, [0]
         for d in todo:
-            for e in (twin[d], rot[d]):
+            for e in (d ^ 1, rot[d]):
                 if e not in seen:
                     seen.add(e)
                     todo.append(e)
-        return len(seen) == len(twin)
+        return len(seen) == len(rot)
 
     def _classify(self, walks):
         """Tiles from the inner face walks, in the order of their first keys."""
         walks = sorted(walks, key=lambda walk: self.key[walk[0]])
-        small = {}   # sorted arcs of an all-arc monogon or digon -> those faces
+        small = {}   # sorted arcs of an all-arc monogon or digon -> its one face
         for idx, walk in enumerate(walks):
             if len(walk) <= 2 and all(self.kind[d] == "arc" for d in walk):
-                small.setdefault(tuple(sorted(self.label[d] for d in walk)), []).append(idx)
+                small[tuple(sorted(self.label[d] for d in walk))] = idx
         held = {}   # face index -> the unmarked component it holds
         for comp in sorted(self.unmarked):
             arcs = self.unmarked[comp]
-            matches = small.get(arcs)
-            if not matches:
+            idx = small.get(arcs)
+            if idx is None:
                 raise TilingRejection(
                     f"no monogon/digon tile bounded by {' '.join(arcs)} "
                     f"for unmarked component {comp}")
-            if len(matches) > 1:
-                raise TilingRejection(
-                    f"placement of unmarked component {comp} is ambiguous")
-            if matches[0] in held:
+            if idx in held:
                 raise TilingRejection("two unmarked components in one tile")
-            held[matches[0]] = comp
+            held[idx] = comp
 
         tiles = []
         for idx, walk in enumerate(walks):
@@ -375,7 +361,7 @@ class Tiling:
         # before the outgoing boundary dart means at the end of the fan
         fan.insert(fan.index(self.slot[nxt]) if self.kind[nxt] == "arc" else len(fan),
                    self.slot[d])
-        self.rot_next[self.twin[walk[c - 1]]] = d
+        self.rot_next[walk[c - 1] ^ 1] = d
         self.rot_next[d] = nxt
 
     def _split(self, walk, arc):
@@ -524,17 +510,13 @@ def complete_to_triangulation(t: Tiling) -> Completion:
     if heap:
         triangles = [f for f in faces if len(f) == 3]
         heapq.heapify(heap)  # dart keys are unique: walks never compared
-        guard = 0
-        while heap:
+        while heap:   # each split makes faces of m - 1 and 3 darts, so it ends
             _, walk = heapq.heappop(heap)
             for face in work._split(walk, next(names)):
                 if len(face) > 3:
                     heapq.heappush(heap, (work.key[face[0]], face))
                 else:
                     triangles.append(face)
-            guard += 1
-            if guard > 4 * (len(work.arcs) + 8):
-                raise AssertionError("triangulation completion did not terminate")
         work._check_input()
         work._classify(triangles)
         current = work

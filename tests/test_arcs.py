@@ -4,7 +4,7 @@ import pytest
 
 from test_homs import KRON_BAD_OPERANDS
 from tilealg import homs, samples
-from tilealg.algebra import InputError
+from tilealg.algebra import GentlePresentation, InputError
 from tilealg.arcs import (ArcRejection, ClosedCurveClass, EndDescriptor,
                           PermissibleArc, TrivialArc, arc_to_string,
                           band_to_closed_curve, check_permissible,
@@ -12,14 +12,14 @@ from tilealg.arcs import (ArcRejection, ClosedCurveClass, EndDescriptor,
                           hom_dim_geometric, intersection_number,
                           intersection_vector, normalize, pivot_move, pivot_points,
                           rep_type_geometric, reverse_arc, string_to_arc,
-                          tau_inverse_arc)
+                          tau_inverse_arc, _transit_table)
 from tilealg.artheory import hook_left, hook_right, is_injective_string, tau_inverse
 from tilealg.homs import hom_dim
 from tilealg.oracle import realize_string_module
-from tilealg.strings import (StringWord, canonicalize, detect_band,
+from tilealg.strings import (StringWord, _walk_error, canonicalize, detect_band,
                              enumerate_strings, parse_string)
-from tilealg.surface import (collapse_presentation, complete_to_triangulation,
-                             tiling_algebra)
+from tilealg.surface import (Tiling, TilingAlgebra, collapse_presentation,
+                             complete_to_triangulation, tiling_algebra)
 
 
 @pytest.fixture(scope="module", params=["pent", "loop", "digon", "kron", "pants"])
@@ -250,7 +250,7 @@ def test_disjoint_crossings_rejected():
               if t.kind[d] == "arc" and t.label[d] == "y")
     cand = PermissibleArc((dx, dy), ((0, False),),
                           EndDescriptor(t.face_of[dx][0], 0, 1),
-                          EndDescriptor(t.face_of[t.twin[dy]][0], 0, 1))
+                          EndDescriptor(t.face_of[dy ^ 1][0], 0, 1))
     # the ends are checked before the walk: with ends that land on the
     # crossed sides only the (3)(b) fault is left
     assert check_permissible(t, alg, cand) == "start descriptor does not land on the crossed side"
@@ -684,7 +684,7 @@ def _normal(t, a):
     the side it lands on, route +1); a closed curve is its own."""
     if isinstance(a, ClosedCurveClass):
         return a
-    (f, i), (g, j) = t.face_of[a.darts[0]], t.face_of[t.twin[a.darts[-1]]]
+    (f, i), (g, j) = t.face_of[a.darts[0]], t.face_of[a.darts[-1] ^ 1]
     return a._replace(start=EndDescriptor(f, (i - 1) % len(t.tiles[f].walk), 1),
                       end=EndDescriptor(g, (j - 1) % len(t.tiles[g].walk), 1))
 
@@ -764,6 +764,66 @@ def test_arcs_whose_ends_are_refused_are_refused_everywhere(fixture):
                          lambda a: hom_dim_geometric(t, alg, arc, a)]:
         assert _answer(lambda: call(bad)) == ("refused", "ArcRejection",
                                              "start malformed descriptor")
+
+
+FAN_DISC = """\
+tiling
+boundary b marked p q r s u v
+arc x p r
+arc y p s
+arc z p u
+fan p : x.1 y.1 z.1
+fan r : x.2
+fan s : y.2
+fan u : z.2
+end
+"""
+
+
+def test_minimality_refuses_a_walk_of_a_hand_built_algebra():
+    # the fan x.1 y.1 z.1 gives a1: x -> y and a2: y -> z with a1 a2 a
+    # string; an algebra built by hand on the same tiling with the extra
+    # (gentle) relation (a1, a2) makes the arc of a1 a2 cross a walk that
+    # is not a string, and every function of that algebra says so
+    t = Tiling.parse(FAN_DISC)
+    alg = tiling_algebra(t)
+    p = alg.presentation
+    arc = string_to_arc(t, alg, parse_string(p, "a1 a2"))
+    extra = GentlePresentation.from_data(
+        p.vertices, [(a, p.s(a), p.t(a)) for a in p.arrows], [("a1", "a2")])
+    hand = TilingAlgebra(t, extra, alg.arrows, alg.arrow_by_slots)
+    reason = "not minimal: induced walk is not a string"
+    assert check_permissible(t, hand, arc) == reason
+    for call in (lambda: arc_to_string(t, hand, arc), lambda: pivot_move(t, hand, arc, "s")):
+        with pytest.raises(ArcRejection, match=f"^{reason}$"):
+            call()
+
+
+def test_every_transit_walk_spells_a_string():
+    # on a tiling algebra the (3)(b) walk through the transit table already
+    # spells a string, open or closed, so the minimality step of the
+    # verdict refuses only walks of hand-built algebras
+    tilings = (list(samples.tiled_fixtures().values()) + samples.random_tilings(5, 120)
+               + [Tiling.parse(samples.many_holes_text(3))])
+    opened = closed = 0
+    for t in tilings:
+        alg = tiling_algebra(t)
+        table, p = _transit_table(alg), alg.presentation
+        todo = [((d,), ()) for d, kind in enumerate(t.kind) if kind == "arc"]
+        for darts, codes in todo:
+            for inverse in (False, True):
+                d_out, _, _, code, _ = table[darts[-1], inverse]
+                if code is None:
+                    continue
+                spelled = codes + (code,)
+                if d_out == darts[0]:   # the walk closes up across the wrap pair
+                    closed += 1
+                    assert _walk_error(p, spelled, True) is None, (t.text(), darts)
+                if t.kind[d_out] == "arc" and len(darts) < 5:
+                    opened += 1
+                    assert _walk_error(p, spelled, False) is None, (t.text(), darts)
+                    todo.append((darts + (d_out,), spelled))
+    assert (opened, closed) == (780, 128)
 
 
 def test_each_arc_is_judged_once_per_algebra(monkeypatch):

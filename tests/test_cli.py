@@ -48,6 +48,18 @@ def test_hom_paper_value_with_oracle():
     assert text.splitlines() == ["hom 2", "oracle 2"]
 
 
+def test_hom_oracle_mismatch_exits_1(monkeypatch):
+    import tilealg.oracle
+    real = tilealg.oracle.hom_dim_oracle
+    monkeypatch.setattr(tilealg.oracle, "hom_dim_oracle",
+                        lambda *args, **kwargs: real(*args, **kwargs) + 1)
+    code, text = run("hom", str(DATA / "fixA.quiver"),
+                     "b- c d c- b", "b- c d c- b", "--oracle")
+    assert code == 1
+    assert text.splitlines() == ["hom 2", "oracle 3",
+                                 "MISMATCH between combinatorial and oracle dimensions"]
+
+
 def test_hom_rejects_bad_string():
     code, text = run("hom", str(DATA / "fixA.quiver"), "a b", "a")
     assert code == 1

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tilealg import samples
 from tilealg.algebra import (GentlePresentation, InputError, Quiver, Rejection, check_gentle,
                              parse_quiver)
-from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc,
+from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc, TrivialArc,
                           arc_to_string, band_to_closed_curve,
                           check_permissible, closed_curve_to_band, crossing_word, format_arc,
                           hom_dim_geometric, normalize, pivot_move, pivot_points,
@@ -327,6 +327,16 @@ def test_tuples_generators_and_sets_are_read_like_lists():
     (lambda: hom_dim_oracle(CHAIN, MatrixRep(4, REP.dims, REP.mats),
                             MatrixRep(4, REP.dims, REP.mats)),
      "prime must be a prime number from 2 to 3037000493, got 4"),
+    (lambda: format_arc(PENT, PermissibleArc((0,), [], END, END)),
+     "arc pivots [] are not a tuple"),
+    (lambda: pivot_move(PENT, PENT_ALG, PENT_ARC, "x"), "end must be 's' or 't'"),
+    (lambda: band_to_closed_curve(KRON, KRON_ALG, detect_band(KRON_ALG.presentation), 0),
+     "exponent must be >= 1"),
+    (lambda: hom_dim_geometric(PENT, PENT_ALG, TrivialArc(), PENT_ARC),
+     "trivial arcs carry the zero module"),
+    (lambda: realize_string_module(CHAIN, StringWord.zero()), "the zero string has no module"),
+    (lambda: BandModuleSpec(BAND, 0, 1), "band module needs n >= 1"),
+    (lambda: parse_string(CHAIN, "  "), "empty string literal"),
 ], ids=["str_vertices", "arrow_id_int", "arrow_id_empty", "vertices_int", "arrows_none",
         "vertex_list", "arrow_id_list", "relation_list_field", "source_list",
         "relations_none", "letter_int", "letter_triple", "letters_str", "band_letter_int",
@@ -354,7 +364,9 @@ def test_tuples_generators_and_sets_are_read_like_lists():
         "collapse_a_tiling", "oracle_of_another_presentation", "oracle_of_a_tuple",
         "oracle_dim_negative", "oracle_dim_float", "oracle_arrow_missing",
         "oracle_arrow_unknown", "oracle_matrix_rows", "oracle_matrix_columns",
-        "oracle_matrix_bool", "oracle_prime_not_prime"])
+        "oracle_matrix_bool", "oracle_prime_not_prime", "arc_pivots_list",
+        "pivot_move_end", "curve_exponent_0", "geometric_hom_of_a_trivial_arc",
+        "zero_string_module", "band_module_n_0", "string_literal_empty"])
 def test_malformed_records_name_themselves(call, message):
     with pytest.raises(InputError) as err:
         call()

@@ -57,7 +57,7 @@ def test_paper_string_on_the_surface(pants):
         alg.presentation)
     # the arc visits all tile kinds: the type II digon (via the b-letters
     # at Q) and the type I monogon (the d-letter wrap)
-    visited = {t.tiles[t.face_of[t.twin[d]][0]].kind for d in arc.darts[:-1]}
+    visited = {t.tiles[t.face_of[d ^ 1][0]].kind for d in arc.darts[:-1]}
     assert {"type-I", "type-II"} <= visited
 
 

@@ -183,9 +183,11 @@ def test_fans_must_cover_ends():
      "unmarked c has placement 5, not a sequence"),
     (lambda: Tiling.from_data({"b": ["p", "q", "r", "s"]}, {}, {}, {"p": 5}),
      "fan at p has slots 5, not a sequence"),
+    (lambda: Tiling.from_data({"b1": ["p", "q", "r", "s"], "b2": []}, {}, {}, {}),
+     "marked boundary b2 has no points"),
 ], ids=["no_header", "marked_and_unmarked", "no_placement_arcs", "slot_end_not_an_int",
         "three_arc_ends", "arc_ends_int", "arc_ends_str", "marked_int", "marked_str",
-        "unmarked_int", "fan_int"])
+        "unmarked_int", "fan_int", "marked_no_points"])
 def test_rejections_the_cli_cannot_reach(make, message):
     # the CLI sniffs the header, and its parser refuses a second boundary
     # line, an empty placement, a slot end that is not an int or an arc
@@ -279,6 +281,43 @@ def test_text_roundtrip():
     again = Tiling.parse(t.text())
     assert tile_kinds(again) == tile_kinds(t)
     assert again.arcs == t.arcs
+
+
+def _small_description(rng):
+    """Four random dicts for `Tiling.from_data`: one or two marked
+    boundaries of up to four of six points, up to three arcs between
+    them with every end in its point's fan, in random order, and maybe
+    one unmarked component placed inside one or two of those arcs."""
+    points = [f"p{i}" for i in range(6)]
+    marked = {f"b{c}": rng.sample(points, rng.randint(0, 4))
+              for c in range(rng.randint(1, 2))}
+    ends = [q for pts in marked.values() for q in pts]
+    arcs = {f"x{i}": (rng.choice(ends), rng.choice(ends))
+            for i in range(rng.randint(0, 3))} if ends else {}
+    unmarked = {f"u{c}": rng.sample(sorted(arcs), rng.randint(1, min(2, len(arcs))))
+                for c in range(rng.randint(0, 1))} if arcs else {}
+    fans = {}
+    for arc, (q, r) in arcs.items():
+        fans.setdefault(q, []).append((arc, 1))
+        fans.setdefault(r, []).append((arc, 2))
+    for slots in fans.values():
+        rng.shuffle(slots)
+    return marked, unmarked, arcs, fans
+
+
+def test_accepted_descriptions_survive_their_text():
+    # whatever from_data accepts, the parser accepts as its text, and
+    # reads back to the same text (a marked boundary without points was
+    # once accepted, with genus -1, and its text refused)
+    rng, kept = random.Random(0), 0
+    for _ in range(2000):
+        try:
+            t = Tiling.from_data(*_small_description(rng))
+        except (InputError, TilingRejection):
+            continue
+        kept += 1
+        assert Tiling.parse(t.text()).text() == t.text()
+    assert kept == 177
 
 
 def test_genus_one_tiling():
@@ -526,3 +565,57 @@ def test_completion_matches_its_rebuilt_description():
         c = complete_to_triangulation(t).tiling
         again = Tiling.from_data(c.marked, c.unmarked, c.arcs, c.fans)
         assert _tiling_view(c) == _tiling_view(again), c.text()
+
+
+# -- the invariants the map's construction guarantees ----------------------
+
+def _invariant_tilings():
+    """The fixtures, a random batch and the mixed-hole disc: 46 tilings."""
+    return (list(samples.tiled_fixtures().values()) + samples.random_tilings(99, 40)
+            + [Tiling.parse(samples.many_holes_text(50))])
+
+
+def test_outer_orbits_are_the_reversed_boundaries():
+    # the orbits of d -> rot_next(d ^ 1) through the reversed boundary
+    # darts are exactly those of each marked component, and no tile holds
+    # one: the rotation takes each point's forward boundary dart to its
+    # reversed one, so the face walks close up without a guard
+    for t in _invariant_tilings():
+        for m in (t, complete_to_triangulation(t).tiling):
+            rseg = [d for d, kind in enumerate(m.kind) if kind == "rseg"]
+            orbits = []
+            for d0 in rseg:
+                if not any(d0 in orbit for orbit in orbits):
+                    orbit, d = {d0}, m.rot_next[d0 ^ 1]
+                    while d != d0:
+                        assert d not in orbit and len(orbit) < len(m.tail)
+                        orbit.add(d)
+                        d = m.rot_next[d ^ 1]
+                    orbits.append(orbit)
+            assert sorted(map(sorted, orbits)) == sorted(
+                sorted(d for d in rseg if m.label[d][0] == comp) for comp in m.marked)
+            assert not any(m.kind[d] == "rseg" for x in m.tiles for d in x.walk)
+            assert sorted(d for x in m.tiles for d in x.walk) == [
+                d for d, kind in enumerate(m.kind) if kind != "rseg"]
+
+
+def test_no_two_small_faces_share_their_arcs():
+    # two all-arc monogons or digons on the same arcs would leave a
+    # rotation cycle without its point's boundary darts, so each placement
+    # names at most one face
+    for t in _invariant_tilings():
+        for m in (t, complete_to_triangulation(t).tiling):
+            keys = [tuple(sorted(m.label[d] for d in x.walk)) for x in m.tiles
+                    if len(x.walk) <= 2 and all(m.kind[d] == "arc" for d in x.walk)]
+            assert len(keys) == len(set(keys)), m.text()
+
+
+def test_completion_adds_one_arc_per_piercing_and_split():
+    # piercing a monogon or digon makes a face of m + 3 darts, and each
+    # split turns an m-gon (m >= 4) into an (m - 1)-gon and a triangle, so
+    # completion ends after U + sum(m - 3) arcs over the pierced faces
+    for t in _invariant_tilings():
+        comp = complete_to_triangulation(t)
+        pierced = [len(x.walk) + 3 * (x.unmarked is not None) for x in t.tiles]
+        assert len(comp.added_arcs) == len(t.unmarked) + sum(m - 3 for m in pierced)
+        assert len(comp.tiling.arcs) == len(t.arcs) + len(comp.added_arcs)
