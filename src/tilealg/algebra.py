@@ -7,16 +7,17 @@ Conventions used throughout the package:
 * vertex and arrow identifiers are names, non-empty strs; canonical
   orders are lexicographic on them.  Each input record is read once, where
   it enters, by `_record`, `_name` or `_int_arg`, or named in an InputError;
-* the sign functions sigma/epsilon take values in {-1, +1} and satisfy
+* the sign functions sigma/epsilon, derived from the quiver and the
+  relations, take values in {-1, +1} and satisfy
 
     - sigma(b1) == -sigma(b2)   for b1 != b2 with s(b1) == s(b2),
     - epsilon(a1) == -epsilon(a2) for a1 != a2 with t(a1) == t(a2),
-    - sigma(b) == -epsilon(a)   whenever ab is composable and not in I.
+    - sigma(b) == -epsilon(a)   whenever ab is composable and not in I,
+    - sigma(b) == +epsilon(a)   whenever ab is in I.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 
@@ -60,6 +61,14 @@ def _name(x, what, *keys):
     if type(x) is str and x:
         return x
     raise InputError(what.format(x, *keys))
+
+
+def _given(x, cls):
+    """`x` if it is a `cls`, else InputError naming the type expected."""
+    if isinstance(x, cls):
+        return x
+    a = "an" if cls.__name__[0] in "AEIOU" else "a"
+    raise InputError(f"expected {a} {cls.__name__}, got {type(x).__name__}")
 
 
 def _text(x, what):
@@ -117,9 +126,13 @@ class Quiver:
     @classmethod
     def from_arrows(cls, vertices, arrows):
         """vertices: names; arrows: (id, source, target) triples of names."""
-        what = "vertex {!r} is not a name"
-        vertices = frozenset([v if type(v) is str and v else _name(v, what) for v in
-                              _record(vertices, None, "vertices {!r} are not a collection")])
+        names = set()
+        for v in _record(vertices, None, "vertices {!r} are not a collection"):
+            if type(v) is not str or not v:
+                _name(v, "vertex {!r} is not a name")
+            if v in names:
+                raise InputError(f"duplicate vertex {v!r}")
+            names.add(v)
         sources, targets = {}, {}
         for arrow in _record(arrows, None, "arrows {!r} are not a collection"):
             a, s, t = _record(arrow, 3, "arrow {!r} is not (id, source, target)")
@@ -127,12 +140,12 @@ class Quiver:
                 _name(a, "arrow {1!r} has id {0!r}, not a name", arrow)
             if a in sources:
                 raise InputError(f"duplicate arrow id {a!r}")
-            if type(s) is not str or type(t) is not str or s not in vertices \
-                    or t not in vertices:
+            if type(s) is not str or type(t) is not str or s not in names \
+                    or t not in names:
                 raise InputError(f"arrow {a!r} uses undeclared vertex")
             sources[a] = s
             targets[a] = t
-        return cls(vertices, sources, targets)
+        return cls(frozenset(names), sources, targets)
 
     @property
     def arrows(self):
@@ -266,17 +279,17 @@ def _assign_signs(q: Quiver, relations: dict):
     """Deterministic sigma/epsilon assignment, chosen vertex by vertex.
 
     Besides the three required conditions, compositions that lie in I get
-    sigma(b) == +epsilon(a).  This sharper convention (consistent for
-    gentle presentations) makes "vw defined iff sigma(w) == -epsilon(v)"
-    exact and pins down the orientation of trivial-string arcs in the
-    surface model.  Every condition links two arrow ends at one vertex,
-    and at a vertex they link all of its ends, so each vertex is solved
-    on its own.  Tie-break: the least in-arrow a0 gets epsilon = +1 and
-    the other in-arrow -1; then each out-arrow b gets sigma(b) = +1 if
-    a0 b is in I, else -1.  At a vertex without in-arrows the least
-    out-arrow gets sigma = +1 and the other -1.  Returns (sigma, epsilon)
-    as dicts arrow -> +-1 in sorted arrow order; AssertionError when the
-    conditions cannot hold (the quiver is not gentle).
+    sigma(b) == +epsilon(a).  This sharper convention makes "vw defined
+    iff sigma(w) == -epsilon(v)" exact and pins down the orientation of
+    trivial-string arcs in the surface model.  Every condition links two
+    arrow ends at one vertex, and at a vertex they link all of its ends,
+    so each vertex is solved on its own.  Tie-break: the least in-arrow
+    a0 gets epsilon = +1 and the other in-arrow -1; then each out-arrow b
+    gets sigma(b) = +1 if a0 b is in I, else -1.  At a vertex without
+    in-arrows the least out-arrow gets sigma = +1 and the other -1.  For
+    a presentation `_check_gentle` passes, (G2) and (G3) make every
+    condition hold.  Returns (sigma, epsilon) as dicts arrow -> +-1 in
+    sorted arrow order.
     """
     sigma, epsilon = {}, {}
     for v in q.vertices:
@@ -288,37 +301,31 @@ def _assign_signs(q: Quiver, relations: dict):
                 sigma[b] = 1 if (ins[0], b) in relations else -1
             else:
                 sigma[b] = 1 if i == 0 else -1
-    for v in q.vertices:   # the three conditions hold
-        outs, ins = q._out.get(v, ()), q._in.get(v, ())
-        for b1, b2 in itertools.combinations(outs, 2):
-            assert sigma[b1] == -sigma[b2], (b1, b2)
-        for a1, a2 in itertools.combinations(ins, 2):
-            assert epsilon[a1] == -epsilon[a2], (a1, a2)
-        for a, b in itertools.product(ins, outs):
-            rel = 1 if (a, b) in relations else -1
-            assert sigma[b] == rel * epsilon[a], (a, b)
     return {a: sigma[a] for a in q._arrows}, {a: epsilon[a] for a in q._arrows}
 
 
 class GentlePresentation:
-    """A gentle presentation kQ/I with fixed sign functions.  Equality,
-    hash and repr read the four given fields only."""
+    """A gentle presentation kQ/I of vertex names, (id, source, target)
+    arrows and (arrow, arrow) relations, checked (GentlenessError), with
+    the sign functions they decide.  Equality and hash read the quiver
+    and the relations."""
 
     __slots__ = ("quiver", "relations", "sigma", "epsilon", "_letters")
 
-    def __init__(self, quiver: Quiver, relations: frozenset, sigma: dict, epsilon: dict):
-        self.quiver = quiver
-        self.relations = relations   # of (a, b) arrow-id pairs, meaning ab in I
-        self.sigma = sigma
-        self.epsilon = epsilon
-        # the compiled letter table, derived on first use by strings._letter_table
-        self._letters = None
+    def __init__(self, vertices, arrows, relations):
+        q = self.quiver = Quiver.from_arrows(vertices, arrows)
+        relations = _relation_set(relations)
+        verdict = _check_gentle(q, relations)
+        if not verdict:
+            raise GentlenessError(verdict.violations)
+        self.relations = frozenset(relations)   # of (a, b) arrow-id pairs, meaning ab in I
+        self.sigma, self.epsilon = _assign_signs(q, relations)
+        self._letters = None   # the letter table, derived by strings._letter_table
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.quiver, self.relations, self.sigma, self.epsilon)
-                == (other.quiver, other.relations, other.sigma, other.epsilon))
+        return (self.quiver, self.relations) == (other.quiver, other.relations)
 
     def __hash__(self):
         return hash((self.quiver, self.relations))
@@ -330,12 +337,8 @@ class GentlePresentation:
 
     @classmethod
     def from_data(cls, vertices, arrows, relations):
-        q = Quiver.from_arrows(vertices, arrows)
-        relations = _relation_set(relations)
-        verdict = _check_gentle(q, relations)
-        if not verdict:
-            raise GentlenessError(verdict.violations)
-        return cls(q, frozenset(relations), *_assign_signs(q, relations))
+        """The presentation of these records, as the constructor builds it."""
+        return cls(vertices, arrows, relations)
 
     # -- convenience -------------------------------------------------
 

@@ -35,9 +35,10 @@ end-slot mismatch.
 An arc gives a module exactly when it is permissible, and `_verdict` is
 the one check of that: None, or the reason the arc is refused.  In
 order, it checks that every crossing is of an arc side, that the ends
-pass (3)(a) and cannot slide off, that each crossing pair cuts a corner
-holding an arrow ((3)(b)), and that the codes of that walk spell a
-string (minimal position).  The walk gives the codes that
+pass (3)(a) and cannot slide off, and that each crossing pair cuts a
+corner holding an arrow ((3)(b)).  Minimal position needs no check: the
+codes of that walk spell a string, as consecutive transits meet at one
+slot and twin darts hold different slots.  The walk gives the codes that
 `arc_to_string`, `closed_curve_to_band` (through `strings._band`, the
 one band builder), the geometric Hom and the cohook move read.  The
 first two checks are of the tiling alone: the functions that take no
@@ -63,7 +64,7 @@ from typing import NamedTuple
 
 from .algebra import InputError, Rejection, _int_arg
 from .strings import (Band, StringWord, _band, _cyclic_form, _Entry, _inverse, _kept,
-                      _letter_table, _operand, _string_word, _walk_error, detect_band)
+                      _letter_table, _operand, _string_word, detect_band)
 from .surface import Tiling, TilingAlgebra
 
 
@@ -316,11 +317,11 @@ def _verdict(t: Tiling, arc, alg: TilingAlgebra | None = None) -> tuple:
     """(reason, view) of a read arc: the reason it is refused, or None
     with its Hom view, (the letter codes of its crossing walk, the arcs
     it crosses, whether it is closed).  The checks run in order:
-    every crossing is of an arc side, the ends pass `_end_valid`, each
-    crossing pair cuts the corner its pivot names and a corner holding an
-    arrow ((3)(b)), and the codes spell a string (minimal position).  The
-    first two are of the tiling alone; without alg only they run, and
-    view is None."""
+    every crossing is of an arc side, the ends pass `_end_valid`, and
+    each crossing pair cuts the corner its pivot names and a corner
+    holding an arrow ((3)(b)); the codes of such a walk spell a string
+    (see the module docstring).  The first two are of the tiling alone;
+    without alg only they run, and view is None."""
     if isinstance(arc, TrivialArc):
         return None, ((), (), False)
     darts = arc.darts
@@ -344,9 +345,6 @@ def _verdict(t: Tiling, arc, alg: TilingAlgebra | None = None) -> tuple:
         if code is None:
             return f"(3)(b) violation: no fan adjacency for slots {slots[0]} {slots[1]}", None
         codes.append(code)
-    err = _walk_error(alg.presentation, codes, cyclic)
-    if err is not None:
-        return f"not minimal: {'cyclic' if err == 0 else 'induced'} walk is not a string", None
     return None, (tuple(codes), tuple(map(t.label.__getitem__, darts)), cyclic)
 
 
@@ -582,9 +580,7 @@ def rep_type_geometric(t: Tiling, alg: TilingAlgebra):
     band = detect_band(_own(t, alg).presentation)
     if band is None:
         return ("finite", None)
-    curve = band_to_closed_curve(t, alg, band, 1)
-    assert curve.crossings >= 2
-    return ("infinite", curve)
+    return ("infinite", band_to_closed_curve(t, alg, band, 1))
 
 
 # -- reading morphisms from curves ----------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import GentlePresentation, InputError, _int_arg, _record
+from .algebra import GentlePresentation, InputError, _given, _int_arg, _record
 from .strings import Band, Letter, StringWord
 
 DEFAULT_PRIME = 5
@@ -141,6 +141,7 @@ def realize_string_module(p: GentlePresentation, w: StringWord,
                           prime: int = DEFAULT_PRIME) -> MatrixRep:
     """One basis vector per walk position, identity arrow actions along
     the walk; dimension vector = per-vertex visit counts."""
+    _given(p, GentlePresentation)
     _check_prime(prime)
     if not isinstance(w, StringWord):
         raise InputError(f"expected a StringWord, got {type(w).__name__}")
@@ -170,6 +171,7 @@ def realize_band_module(p: GentlePresentation, spec: BandModuleSpec,
                         prime: int = DEFAULT_PRIME) -> MatrixRep:
     """M(b, n, phi) with phi the n x n Jordan block J_n(lambda), carried
     by the last letter of the canonical rotation."""
+    _given(p, GentlePresentation)
     _check_prime(prime)
     spec = BandModuleSpec(*_record(spec, 3, "band module {!r} is not (band, n, lam)"))
     if spec.lam % prime == 0:
@@ -205,7 +207,7 @@ def _rep(p: GentlePresentation, rep, name: str) -> MatrixRep:
 def hom_dim_oracle(p: GentlePresentation, M: MatrixRep, N: MatrixRep) -> int:
     """dim of { (f_v) | f_{t(a)} M(a) = N(a) f_{s(a)} for all arrows };
     InputError unless M and N are MatrixReps of p over one prime."""
-    M, N = _rep(p, M, "M"), _rep(p, N, "N")
+    M, N = _rep(_given(p, GentlePresentation), M, "M"), _rep(p, N, "N")
     if M.prime != N.prime:
         raise InputError("representations live over different primes")
     prime = M.prime

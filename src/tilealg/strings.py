@@ -49,8 +49,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .algebra import (GentlePresentation, InputError, Rejection, _find_cycle, _int_arg,
-                      _record, _text)
+from .algebra import (GentlePresentation, InputError, Rejection, _find_cycle, _given,
+                      _int_arg, _record, _text)
 
 
 class Letter(NamedTuple):
@@ -205,8 +205,9 @@ def validate_string(p: GentlePresentation, letters) -> StringWord:
 
 
 def is_valid_string(p: GentlePresentation, w: StringWord) -> bool:
-    if w.is_zero or w.is_trivial:
-        return w.is_zero or w.vertex in p.quiver.vertices
+    vertices = _letter_table(p).vertices
+    if _given(w, StringWord).is_zero or w.is_trivial:
+        return w.is_zero or w.vertex in vertices
     return _word_error(p, w.letters, False)[1] is None
 
 
@@ -243,12 +244,8 @@ def _walk_error(p: GentlePresentation, codes, cyclic: bool):
 
 def canonicalize(w: StringWord) -> StringWord:
     """The representative of {w, w^-1}: trivial strings get sign +, words
-    the lexicographically smaller letter sequence."""
-    if w.is_zero:
-        return w
-    if w.is_trivial:
-        return StringWord.trivial(w.vertex, 1)
-    inv = w.inv()
+    the lexicographically smaller letter sequence, by `_key`."""
+    inv = _given(w, StringWord).inv()
     return w if w._key() <= inv._key() else inv
 
 
@@ -290,13 +287,10 @@ class Band(namedtuple("Band", "letters")):
 
 def _band(p: GentlePresentation, codes) -> Band:
     """The Band of the codes of a cyclic string of p, in its cyclic form;
-    StringRejection for a power or one direction."""
+    StringRejection for a power (FD refuses cycles of one direction)."""
     form, period = _cyclic_form(codes)
     if period < len(codes):
         raise StringRejection(0, "not primitive (proper power)")
-    if len({c & 1 for c in codes}) == 1:
-        raise StringRejection(0, "cyclic word has no direction change "
-                                 "(algebra would be infinite dimensional)")
     return Band(tuple(map(_letter_table(p).letters.__getitem__, form)))
 
 
@@ -402,7 +396,7 @@ def _read_operand(p: GentlePresentation, host) -> _Entry:
         view = codes, (table.source[codes[0]], *map(table.target.__getitem__, codes)), False
     elif host.kind == "trivial":
         if host.sign not in (1, -1) or type(host.vertex) is not str \
-                or host.vertex not in p.quiver.vertices:
+                or host.vertex not in table.vertices:
             StringWord.trivial(host.vertex, host.sign)
             raise InputError(f"not a string of this presentation: {host!r}")
         view = (), (host.vertex,), False
@@ -422,12 +416,13 @@ class _LetterTable:
     (arrow, inverse) pair back to its code.  `succ[c]` holds the codes d,
     in code order, for which letters[c] letters[d] is a string; the
     candidates are only the letters starting where letters[c] ends, each
-    decided by `valid_pair`.  `views` is the operand store of `_entry`:
-    id(host) -> the `_Entry` of that host."""
+    decided by `valid_pair`.  `vertices` are those of p; `views` is the
+    operand store of `_entry`: id(host) -> the `_Entry` of that host."""
 
-    __slots__ = ("letters", "code", "source", "target", "succ", "views")
+    __slots__ = ("vertices", "letters", "code", "source", "target", "succ", "views")
 
     def __init__(self, p: GentlePresentation):
+        self.vertices = p.quiver.vertices
         letters = tuple(all_letters(p))
         self.letters = letters
         self.code = {(l.arrow, l.inverse): c for c, l in enumerate(letters)}
@@ -444,10 +439,16 @@ class _LetterTable:
 
 def _letter_table(p: GentlePresentation) -> _LetterTable:
     """The letter table of p, derived on first use and kept on the
-    presentation."""
-    if p._letters is None:
-        p._letters = _LetterTable(p)
-    return p._letters
+    presentation.  Every string function reads p here first, so a p of
+    another type is refused here, off the AttributeError of the read."""
+    try:
+        table = p._letters
+    except AttributeError:
+        _given(p, GentlePresentation)
+        raise
+    if table is None:
+        table = p._letters = _LetterTable(p)
+    return table
 
 
 def detect_band(p: GentlePresentation):
@@ -518,7 +519,7 @@ def parse_string(p: GentlePresentation, text: str) -> StringWord:
     if parts[0] == "triv":
         if len(parts) != 3 or parts[2] not in ("+", "-"):
             raise InputError("trivial string syntax: triv <vertex> <+|->")
-        if parts[1] not in p.quiver.vertices:
+        if parts[1] not in _letter_table(p).vertices:
             raise InputError(f"unknown vertex {parts[1]!r}")
         return StringWord.trivial(parts[1], 1 if parts[2] == "+" else -1)
     return validate_string(p, _letters(parts))

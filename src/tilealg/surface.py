@@ -43,7 +43,7 @@ import itertools
 from collections import Counter
 from typing import NamedTuple
 
-from .algebra import GentlePresentation, InputError, Rejection, _name, _record, _records
+from .algebra import GentlePresentation, InputError, Rejection, _given, _name, _record, _records
 
 
 class TilingRejection(Rejection):
@@ -418,28 +418,31 @@ class TilingArrow(NamedTuple):
 
 
 class TilingAlgebra:
-    """The gentle presentation of a tiling and its arrows' fan data."""
+    """The gentle presentation on `vertices`, arcs of `tiling`, with the
+    given TilingArrows (name -> arrow), which decide its relations: xy is
+    one exactly when x enters its target arc at another end slot than the
+    one y leaves.  InputError for an arrow off the arcs of its slots."""
 
     __slots__ = ("tiling", "presentation", "arrows", "arrow_by_slots", "_transits", "_arcs")
 
-    def __init__(self, tiling: Tiling, presentation: GentlePresentation,
-                 arrows: dict, arrow_by_slots: dict):
+    def __init__(self, tiling: Tiling, vertices, arrows: dict):
+        leaving = {}
+        for y in arrows.values():
+            if y.source != y.leave_slot[0] or y.target != y.enter_slot[0]:
+                raise InputError(f"arrow {y.name} does not join the arcs of its end slots "
+                                 f"{y.leave_slot} {y.enter_slot}")
+            leaving.setdefault(y.source, []).append(y)
+        relations = [(x.name, y.name) for x in arrows.values()
+                     for y in leaving.get(x.target, ()) if x.enter_slot != y.leave_slot]
         self.tiling = tiling
-        self.presentation = presentation
-        self.arrows = arrows                    # name -> TilingArrow
-        self.arrow_by_slots = arrow_by_slots    # (leave, enter) -> name
+        self.presentation = GentlePresentation.from_data(
+            vertices, [(a.name, a.source, a.target) for a in arrows.values()], relations)
+        self.arrows = arrows   # name -> TilingArrow
+        self.arrow_by_slots = {(a.leave_slot, a.enter_slot): a.name for a in arrows.values()}
         # the transit table, derived on first use by arcs._transit_table
         self._transits = None
         # the arcs store of arcs._seen, kept by strings._kept: id(arc) -> its entry
         self._arcs = {}
-
-
-def _given(x, cls):
-    """`x` if it is a `cls` (a Tiling or a TilingAlgebra), else InputError
-    naming the type expected."""
-    if not isinstance(x, cls):
-        raise InputError(f"expected a {cls.__name__}, got {type(x).__name__}")
-    return x
 
 
 def tiling_algebra(t: Tiling) -> TilingAlgebra:
@@ -449,33 +452,12 @@ def tiling_algebra(t: Tiling) -> TilingAlgebra:
     slots, give relations)."""
     _given(t, Tiling)
     arrows = {}
-    counter = 1
     for pt in sorted(t.fans):
         fan = t.fans[pt]
-        for i in range(len(fan) - 1):
-            leave, enter = fan[i], fan[i + 1]
-            name = f"a{counter}"
-            counter += 1
+        for leave, enter in zip(fan, fan[1:]):
+            name = f"a{len(arrows) + 1}"
             arrows[name] = TilingArrow(name, leave[0], enter[0], pt, leave, enter)
-    return _slot_algebra(t, sorted(t.arcs), arrows)
-
-
-def _slot_algebra(t: Tiling, vertices, arrows) -> TilingAlgebra:
-    """The algebra on `vertices` with the given TilingArrows (name ->
-    arrow): xy is a relation exactly when x enters its target arc at
-    another end slot than the one y leaves."""
-    leaving = {}
-    for y in arrows.values():
-        leaving.setdefault(y.source, []).append(y)
-    relations = [(x.name, y.name) for x in arrows.values()
-                 for y in leaving.get(x.target, ()) if x.enter_slot != y.leave_slot]
-    pres = GentlePresentation.from_data(
-        vertices,
-        [(a.name, a.source, a.target) for a in arrows.values()],
-        relations,
-    )
-    by_slots = {(a.leave_slot, a.enter_slot): a.name for a in arrows.values()}
-    return TilingAlgebra(t, pres, arrows, by_slots)
+    return TilingAlgebra(t, sorted(t.arcs), arrows)
 
 
 # -- completion to a triangulation ---------------------------------------
@@ -498,7 +480,8 @@ def complete_to_triangulation(t: Tiling) -> Completion:
     the m-gon (m >= 4) whose walk starts at the least dart key.  Piercings
     and splits grow one copy of t in place and splice the faces each step
     makes out of the walk it cuts; the copy, with the triangles the splits
-    left, is then checked and classified as the triangulation."""
+    left, is then classified as the triangulation, its description kept
+    valid by each step, which puts each new arc end into one fan."""
     work = _given(t, Tiling)._copy()
     points, names = _fresh("m", set(t.points)), _fresh("z", work.arcs)
     around = {x.unmarked: x.walk for x in t.tiles if x.unmarked is not None}
@@ -517,12 +500,10 @@ def complete_to_triangulation(t: Tiling) -> Completion:
                     heapq.heappush(heap, (work.key[face[0]], face))
                 else:
                     triangles.append(face)
-        work._check_input()
         work._classify(triangles)
         current = work
     added_points = tuple(sorted(set(current.points) - set(t.points)))
     added_arcs = tuple(sorted(set(current.arcs) - set(t.arcs)))
-    assert all(len(x.walk) == 3 for x in current.tiles)
     return Completion(current, added_points, added_arcs)
 
 
@@ -559,7 +540,7 @@ def collapse_presentation(alg_t: TilingAlgebra, keep) -> TilingAlgebra:
             cname = f"a{len(collapsed) + 1}"
             collapsed[cname] = TilingArrow(cname, first.source, last.target, first.point,
                                            first.leave_slot, last.enter_slot)
-    return _slot_algebra(alg_t.tiling, sorted(keep), collapsed)
+    return TilingAlgebra(alg_t.tiling, sorted(keep), collapsed)
 
 
 def _shape(alg: TilingAlgebra):

@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 import gentle_corpus
 from tilealg import samples
 from tilealg.algebra import (GentlePresentation, GentlenessError, InputError,
-                             Quiver, _assign_signs, check_gentle, load_quiver,
-                             parse_quiver)
+                             Quiver, check_gentle, load_quiver, parse_quiver)
 
 
 def test_fix_a_is_gentle():
@@ -123,11 +122,18 @@ def test_signs_are_pinned():
     assert _signs_digest() == "b67ed28ede42d982"
 
 
-def test_assign_signs_rejects_three_arrows_out_of_a_vertex():
-    q = Quiver.from_arrows(
-        ["v", "w"], [("a", "v", "w"), ("b", "v", "w"), ("c", "v", "w")])
-    with pytest.raises(AssertionError):
-        _assign_signs(q, {})
+def test_corpus_signs_satisfy_the_sharpened_conditions():
+    """The derived signs of every corpus presentation meet the three sign
+    conditions and the sharpened rule sigma(b) == epsilon(a) for ab in I."""
+    pairs = 0
+    for p in gentle_corpus.presentations():
+        assert _sign_conditions_hold(p)
+        for a in p.arrows:
+            for b in p.arrows_from(p.t(a)):
+                pairs += 1
+                if (a, b) in p.relations:
+                    assert p.sigma[b] == p.epsilon[a]
+    assert pairs == 2397
 
 
 def test_fix_a_sign_relations():
@@ -139,9 +145,12 @@ def test_fix_a_sign_relations():
 
 
 def test_non_gentle_input_rejected_at_construction():
-    with pytest.raises(GentlenessError):
-        GentlePresentation.from_data(
-            ["v", "w"], [("a", "v", "w"), ("b", "v", "w"), ("c", "v", "w")], [])
+    # three arrows out of a vertex, and three into one, break (G1)
+    for arrows in ([("a", "v", "w"), ("b", "v", "w"), ("c", "v", "w")],
+                   [("a", "w", "v"), ("b", "w", "v"), ("c", "w", "v")]):
+        with pytest.raises(GentlenessError) as err:
+            GentlePresentation.from_data(["v", "w"], arrows, [])
+        assert "G1" in {v.axiom for v in err.value.violations}
 
 
 def test_parse_quiver_roundtrip():

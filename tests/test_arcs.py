@@ -4,7 +4,7 @@ import pytest
 
 from test_homs import KRON_BAD_OPERANDS
 from tilealg import homs, samples
-from tilealg.algebra import GentlePresentation, InputError
+from tilealg.algebra import InputError
 from tilealg.arcs import (ArcRejection, ClosedCurveClass, EndDescriptor,
                           PermissibleArc, TrivialArc, arc_to_string,
                           band_to_closed_curve, check_permissible,
@@ -18,7 +18,7 @@ from tilealg.homs import hom_dim
 from tilealg.oracle import realize_string_module
 from tilealg.strings import (StringWord, _walk_error, canonicalize, detect_band,
                              enumerate_strings, parse_string)
-from tilealg.surface import (Tiling, TilingAlgebra, collapse_presentation,
+from tilealg.surface import (Tiling, collapse_presentation,
                              complete_to_triangulation, tiling_algebra)
 
 
@@ -766,64 +766,46 @@ def test_arcs_whose_ends_are_refused_are_refused_everywhere(fixture):
                                              "start malformed descriptor")
 
 
-FAN_DISC = """\
-tiling
-boundary b marked p q r s u v
-arc x p r
-arc y p s
-arc z p u
-fan p : x.1 y.1 z.1
-fan r : x.2
-fan s : y.2
-fan u : z.2
-end
-"""
-
-
-def test_minimality_refuses_a_walk_of_a_hand_built_algebra():
-    # the fan x.1 y.1 z.1 gives a1: x -> y and a2: y -> z with a1 a2 a
-    # string; an algebra built by hand on the same tiling with the extra
-    # (gentle) relation (a1, a2) makes the arc of a1 a2 cross a walk that
-    # is not a string, and every function of that algebra says so
-    t = Tiling.parse(FAN_DISC)
-    alg = tiling_algebra(t)
-    p = alg.presentation
-    arc = string_to_arc(t, alg, parse_string(p, "a1 a2"))
-    extra = GentlePresentation.from_data(
-        p.vertices, [(a, p.s(a), p.t(a)) for a in p.arrows], [("a1", "a2")])
-    hand = TilingAlgebra(t, extra, alg.arrows, alg.arrow_by_slots)
-    reason = "not minimal: induced walk is not a string"
-    assert check_permissible(t, hand, arc) == reason
-    for call in (lambda: arc_to_string(t, hand, arc), lambda: pivot_move(t, hand, arc, "s")):
-        with pytest.raises(ArcRejection, match=f"^{reason}$"):
-            call()
+def _transit_walks(alg):
+    """(open, closed) counts of the walks of at most 5 crossings through
+    the transit table of alg, each checked to spell a string."""
+    t, table, p = alg.tiling, _transit_table(alg), alg.presentation
+    opened = closed = 0
+    todo = [((d,), ()) for d, kind in enumerate(t.kind) if kind == "arc"]
+    for darts, codes in todo:
+        for inverse in (False, True):
+            d_out, _, _, code, _ = table[darts[-1], inverse]
+            if code is None:
+                continue
+            spelled = codes + (code,)
+            if d_out == darts[0]:   # the walk closes up across the wrap pair
+                closed += 1
+                assert _walk_error(p, spelled, True) is None, (t.text(), darts)
+            if t.kind[d_out] == "arc" and len(darts) < 5:
+                opened += 1
+                assert _walk_error(p, spelled, False) is None, (t.text(), darts)
+                todo.append((darts + (d_out,), spelled))
+    return opened, closed
 
 
 def test_every_transit_walk_spells_a_string():
-    # on a tiling algebra the (3)(b) walk through the transit table already
-    # spells a string, open or closed, so the minimality step of the
-    # verdict refuses only walks of hand-built algebras
+    # the (3)(b) walk through the transit table of a tiling algebra, or of
+    # one collapsed from its completion, spells a string, open or closed,
+    # so the verdict needs no minimality step
     tilings = (list(samples.tiled_fixtures().values()) + samples.random_tilings(5, 120)
                + [Tiling.parse(samples.many_holes_text(3))])
-    opened = closed = 0
+    tiled = [0, 0]
+    collapsed = [0, 0]
     for t in tilings:
-        alg = tiling_algebra(t)
-        table, p = _transit_table(alg), alg.presentation
-        todo = [((d,), ()) for d, kind in enumerate(t.kind) if kind == "arc"]
-        for darts, codes in todo:
-            for inverse in (False, True):
-                d_out, _, _, code, _ = table[darts[-1], inverse]
-                if code is None:
-                    continue
-                spelled = codes + (code,)
-                if d_out == darts[0]:   # the walk closes up across the wrap pair
-                    closed += 1
-                    assert _walk_error(p, spelled, True) is None, (t.text(), darts)
-                if t.kind[d_out] == "arc" and len(darts) < 5:
-                    opened += 1
-                    assert _walk_error(p, spelled, False) is None, (t.text(), darts)
-                    todo.append((darts + (d_out,), spelled))
-    assert (opened, closed) == (780, 128)
+        for i, n in enumerate(_transit_walks(tiling_algebra(t))):
+            tiled[i] += n
+        tri = complete_to_triangulation(t).tiling
+        alg_tri = tiling_algebra(tri)
+        for keep in (t.arcs, sorted(tri.arcs)[::2]):
+            for i, n in enumerate(_transit_walks(collapse_presentation(alg_tri, keep))):
+                collapsed[i] += n
+    assert tiled == [780, 128]
+    assert collapsed == [1040, 144]
 
 
 def test_each_arc_is_judged_once_per_algebra(monkeypatch):

@@ -5,12 +5,12 @@ import pytest
 import gentle_corpus
 from tilealg import samples
 from tilealg.algebra import InputError
-from tilealg.artheory import (COHOOK_REMOVED, HOOK_ADDED, ZERO, ar_quiver_dot,
-                              ar_sequence, build_ar_quiver,
+from tilealg.artheory import (COHOOK_REMOVED, HOOK_ADDED, ZERO, _inverse_string, _left,
+                              _right, ar_quiver_dot, ar_sequence, build_ar_quiver,
                               dimension_additivity_holds, hook_left, hook_right, hooks,
                               is_injective_string, tau_inverse, verify_ar_middle)
-from tilealg.strings import (Letter, StringWord, canonicalize, detect_band,
-                             enumerate_strings, parse_string)
+from tilealg.strings import (Letter, StringWord, _code_strings, _letter_table, _walk_error,
+                             canonicalize, detect_band, enumerate_strings, parse_string)
 
 
 def all_strings(p, bound=None):
@@ -149,6 +149,32 @@ def test_two_sided_hook_agrees_both_ways():
             h = hooks(p, w)
             if not h.w_left.is_zero and not h.w_right.is_zero:
                 assert hook_right(p, h.w_left).string == hook_left(p, h.w_right).string
+
+
+def test_short_corpus_hooks_are_unique_strings_and_commute():
+    """For every code string x of at most 3 letters in the corpus, and its
+    inverse y: the hook letter of each is unique and its hooked word is a
+    string, and (w_l)_r == (w_r)_l when both hooks are nonzero
+    (Butler-Ringel)."""
+    count = both = 0
+    for p in gentle_corpus.presentations():
+        table = _letter_table(p)
+        for x in _code_strings(p, 3):
+            for codes, trivial in (x, _inverse_string(x)):
+                if trivial:
+                    run = [a for a in p.arrows_into(trivial[0]) if p.epsilon[a] == trivial[1]]
+                else:
+                    run = [c for c in table.succ[codes[0] ^ 1] if c & 1]
+                assert len(run) <= 1, (codes, trivial)
+                hooked, tag = _left(p, (codes, trivial))
+                if tag == HOOK_ADDED:
+                    assert _walk_error(p, hooked[0], False) is None, hooked
+            count += 1
+            left, right = _left(p, x)[0], _right(p, x)[0]
+            if left and right:
+                both += 1
+                assert _right(p, left)[0] == _left(p, right)[0], x
+    assert (count, both) == (9806, 6571)
 
 
 def test_dimension_additivity_all_non_injectives():

@@ -212,3 +212,26 @@ def test_public_functions_have_a_caller_outside_the_tests():
                     and node.name not in named:
                 uncalled.setdefault(path.stem, []).append(node.name)
     assert {mod: sorted(names) for mod, names in uncalled.items()} == UNCALLED
+
+
+# The run-time assertions the library keeps, counted by module and
+# enclosing function: the permissibility of every arc the library makes,
+# and the two fan facts the collapse walk relies on.
+ASSERTIONS = {"arcs._made": 1, "surface.collapse_presentation": 2}
+
+
+def test_library_assertions_are_pinned():
+    """The `assert` statements of src/tilealg are exactly ASSERTIONS, so a
+    new run-time guard fails until it is named here."""
+    found = {}
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assert):
+                key = f"{module}.{owner}"
+                found[key] = found.get(key, 0) + 1
+            visit(child, module, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    for path in sorted((ROOT / "src" / "tilealg").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    assert found == ASSERTIONS

@@ -15,14 +15,16 @@ from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc, Trivi
                           check_permissible, closed_curve_to_band, crossing_word, format_arc,
                           hom_dim_geometric, normalize, pivot_move, pivot_points,
                           rep_type_geometric, reverse_arc, string_to_arc, tau_inverse_arc)
-from tilealg.artheory import hooks
+from tilealg.artheory import ar_quiver_dot, hooks
 from tilealg.homs import Window, hom_dim, window_key
 from tilealg.oracle import (BandModuleSpec, MatrixRep, hom_dim_oracle, realize_band_module,
                             realize_string_module)
-from tilealg.strings import (Band, Letter, StringWord, detect_band, parse_band, parse_string,
+from tilealg.strings import (Band, Letter, StringWord, canonicalize, detect_band,
+                             enumerate_strings, is_valid_string, parse_band, parse_string,
                              validate_string)
-from tilealg.surface import (Tiling, collapse_presentation, complete_to_triangulation,
-                             presentations_isomorphic, tiling_algebra)
+from tilealg.surface import (Tiling, TilingAlgebra, collapse_presentation,
+                             complete_to_triangulation, presentations_isomorphic,
+                             tiling_algebra)
 
 VERTICES = ["0", "1", "2"]
 ARROWS = [("a0", "0", "1"), ("b0", "0", "1"), ("a1", "1", "2"), ("b1", "1", "2")]
@@ -53,6 +55,9 @@ KRON_CURVE = rep_type_geometric(KRON, KRON_ALG)[1]
 NOT_OWN = "the algebra is not built on this tiling; pass tiling_algebra(t) with t"
 REP = realize_string_module(CHAIN, WORD)   # dims 0: 2, 1: 2, 2: 0
 FIX_A_REP = realize_string_module(samples.fix_a(), parse_string(samples.fix_a(), "c"))
+NOT_A_PRESENTATION = "expected a GentlePresentation, got int"
+# the pent disc's one arrow a1: x -> y, entering slot y.1, given the target x
+PENT_STRAY = {"a1": PENT_ALG.arrows["a1"]._replace(target="x")}
 
 
 # entry point -> (call, the valid arguments whose slots are fuzzed)
@@ -337,6 +342,21 @@ def test_tuples_generators_and_sets_are_read_like_lists():
     (lambda: realize_string_module(CHAIN, StringWord.zero()), "the zero string has no module"),
     (lambda: BandModuleSpec(BAND, 0, 1), "band module needs n >= 1"),
     (lambda: parse_string(CHAIN, "  "), "empty string literal"),
+    (lambda: GentlePresentation.from_data(["1", "1", "2"], [("a", "1", "2")], []),
+     "duplicate vertex '1'"),
+    (lambda: TilingAlgebra(PENT, sorted(PENT.arcs), PENT_STRAY),
+     "arrow a1 does not join the arcs of its end slots ('x', 1) ('y', 1)"),
+    (lambda: detect_band(5), NOT_A_PRESENTATION),
+    (lambda: enumerate_strings(5), NOT_A_PRESENTATION),
+    (lambda: parse_string(5, "a"), NOT_A_PRESENTATION),
+    (lambda: validate_string(5, [("a", False)]), NOT_A_PRESENTATION),
+    (lambda: is_valid_string(5, WORD), NOT_A_PRESENTATION),
+    (lambda: is_valid_string(CHAIN, 5), "expected a StringWord, got int"),
+    (lambda: canonicalize(5), "expected a StringWord, got int"),
+    (lambda: ar_quiver_dot(5), "expected an ARQuiver, got int"),
+    (lambda: realize_string_module(5, WORD), NOT_A_PRESENTATION),
+    (lambda: realize_band_module(5, (BAND, 1, 2)), NOT_A_PRESENTATION),
+    (lambda: hom_dim_oracle(5, REP, REP), NOT_A_PRESENTATION),
 ], ids=["str_vertices", "arrow_id_int", "arrow_id_empty", "vertices_int", "arrows_none",
         "vertex_list", "arrow_id_list", "relation_list_field", "source_list",
         "relations_none", "letter_int", "letter_triple", "letters_str", "band_letter_int",
@@ -366,7 +386,13 @@ def test_tuples_generators_and_sets_are_read_like_lists():
         "oracle_arrow_unknown", "oracle_matrix_rows", "oracle_matrix_columns",
         "oracle_matrix_bool", "oracle_prime_not_prime", "arc_pivots_list",
         "pivot_move_end", "curve_exponent_0", "geometric_hom_of_a_trivial_arc",
-        "zero_string_module", "band_module_n_0", "string_literal_empty"])
+        "zero_string_module", "band_module_n_0", "string_literal_empty",
+        "duplicate_vertex", "tiling_arrow_off_its_slot", "detect_band_of_an_int",
+        "enumerate_strings_of_an_int", "parse_string_of_an_int",
+        "validate_string_of_an_int", "is_valid_string_of_an_int",
+        "is_valid_string_on_an_int", "canonicalize_an_int", "ar_quiver_dot_of_an_int",
+        "oracle_string_module_of_an_int", "oracle_band_module_of_an_int",
+        "oracle_hom_of_an_int"])
 def test_malformed_records_name_themselves(call, message):
     with pytest.raises(InputError) as err:
         call()

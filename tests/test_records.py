@@ -1,18 +1,23 @@
 """The contract of the public value records: immutable, equal and
 equally hashed on equal fields, with stable reprs; plus the few
 behaviours a record adds of its own (Letter order, the lengths of
-StringWord and Band, the truth of GentleCheck, letter-only words)."""
+StringWord and Band, the truth of GentleCheck, letter-only words, the
+answers for zero and trivial strings and trivial arcs, equality against
+another type)."""
 
 import pytest
 
+from tilealg import samples
 from tilealg.algebra import GentleCheck, InputError, Violation
-from tilealg.arcs import ClosedCurveClass, EndDescriptor, PermissibleArc, TrivialArc
+from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc, TrivialArc,
+                          crossing_word, pivot_points)
 from tilealg.artheory import ARQuiver, ARSequence, HookResult, HookSide
 from tilealg.homs import (AdmissiblePair, FactorDecomposition, HomComputation,
                           SubDecomposition, Window)
 from tilealg.oracle import BandModuleSpec
-from tilealg.strings import Band, Letter, StringWord
-from tilealg.surface import Completion, Tile, TilingArrow
+from tilealg.strings import Band, Letter, StringWord, canonicalize, is_valid_string
+from tilealg.surface import (Completion, Tile, TilingAlgebra, TilingArrow,
+                             presentations_isomorphic, tiling_algebra)
 
 A, B = Letter("a"), Letter("b", True)
 
@@ -125,3 +130,46 @@ def test_gentle_check_is_true_when_gentle():
 def test_words_and_bands_reject_raw_pairs(build):
     with pytest.raises(InputError, match="take Letter items"):
         build()
+
+
+ZERO, TRIV = StringWord.zero(), StringWord.trivial("1", -1)
+FIX_A = samples.fix_a()
+PENT = samples.pent_tiling()
+PENT_ALG = tiling_algebra(PENT)
+# the pent disc's arrow a1 given twice, under two names: a hand-built arrows
+# dict whose arrows share a key, so the algebra is isomorphic to no other
+A1 = PENT_ALG.arrows["a1"]
+TWICE = TilingAlgebra(PENT, sorted(PENT.arcs), {"a1": A1, "a2": A1._replace(name="a2")})
+
+
+NO_ENDS = InputError("zero string has no endpoints")
+# call -> its answer, or the InputError it raises
+EDGES = {
+    "zero inverse": (lambda: ZERO.inv(), ZERO),
+    "zero source": (lambda: ZERO.source(FIX_A), NO_ENDS),
+    "zero target": (lambda: ZERO.target(FIX_A), NO_ENDS),
+    "trivial source": (lambda: TRIV.source(FIX_A), "1"),
+    "trivial target": (lambda: TRIV.target(FIX_A), "1"),
+    "zero canonical": (lambda: canonicalize(ZERO), ZERO),
+    "trivial canonical": (lambda: canonicalize(TRIV), StringWord.trivial("1")),
+    "zero valid": (lambda: is_valid_string(FIX_A, ZERO), True),
+    "trivial valid": (lambda: is_valid_string(FIX_A, TRIV), True),
+    "trivial off the quiver": (lambda: is_valid_string(FIX_A, StringWord.trivial("9")),
+                               False),
+    "quiver against an int": (lambda: FIX_A.quiver == 5, False),
+    "presentation against a quiver": (lambda: FIX_A == FIX_A.quiver, False),
+    "trivial arc crossings": (lambda: crossing_word(PENT, TrivialArc()), ()),
+    "trivial arc pivots": (lambda: pivot_points(PENT, TrivialArc()), ()),
+    "arrows sharing a key": (lambda: presentations_isomorphic(TWICE, PENT_ALG), False),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGES))
+def test_zero_trivial_and_foreign_cases_answer(name):
+    call, want = EDGES[name]
+    if isinstance(want, InputError):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == str(want)
+    else:
+        assert call() == want
