@@ -25,12 +25,12 @@ c ^ 1 is the inverse of code c, odd codes are inverse letters, and
 window's left flank is inverse and a sub window's is direct, so the
 two differ, and likewise on the right: a matching pair is exactly
 the maximal run of equal codes from its start pair along one alignment
-diagonal.  `_match` walks one run per valid start pair, against w and
+diagonal.  `_runs` walks one run per valid start pair, against w and
 against w's inverse spelling (whose sub windows are the inverses of
 w's), a band side unrolled to O(n + m) codes, and yields the runs
 unsorted.  Runs on one diagonal are disjoint, so `hom_dim` counts them in
 O(n m) time and O(n + m) memory; `hom_dim_detailed` sorts them and
-builds their records.  Trivial windows match by vertex.
+hands out their records.  Trivial windows match by vertex.
 
 The work is split in two.  Once per operand object, the operand is read
 into its entry (`strings._Entry`, kept by `strings._kept`: per
@@ -40,14 +40,21 @@ presentation for strings and bands, per tiling algebra for the arcs of
 view (the `_ends` flanks, where factor windows start, the trivial factor
 windows); on its first use as w, `_sub` builds the sub part (the flanks,
 the trivial sub windows by vertex, and for the operand and its inverse
-spelling where sub windows start, keyed by code).  Both are kept in the
-entry, under its store's bound.  Per call, `_match` reads the factor
-part of v's entry and the sub part of w's, unrolls band sides to the
-pair's length cap and walks the runs.
+spelling where sub windows start, keyed by code).  Each part also holds
+the window records `hom_dim_detailed` has handed out in its role, by
+run: a `FactorDecomposition` or a `SubDecomposition` is built on its
+window's first match and reused on every later one.  The two roles keep
+separate records, as the two record types compare equal as tuples.  Both
+parts are kept in the entry, under its store's bound, so an operand
+that never serves Hom has neither.  Per call, `strings._entries` reads
+the letter table's operand store once for both operands, `_match` reads
+the factor part of v's entry and the sub part of w's, and `_runs`
+unrolls band sides to the pair's length cap and walks the runs.
 
-Operands whose walks share no vertex have no pair, and `_match` returns
-at once, after both operands have been read, checked and indexed.  The
-check is exact: a trivial pair matches two windows at one vertex, and a
+Operands whose walks share no vertex have no pair: `_match` returns ()
+for them, after both operands have been read, checked and indexed, and
+`hom_dim_detailed` returns one shared empty `HomComputation`.  The check
+is exact: a trivial pair matches two windows at one vertex, and a
 nonempty pair matches equal codes, whose source and target lie on both
 walks.
 
@@ -62,7 +69,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import GentlePresentation, InputError, _int_arg, _record
-from .strings import Band, _entry, _inverse, _letter_table, _operand, valid_pair
+from .strings import Band, _entries, _inverse, _letter_table, _operand, valid_pair
 
 
 class Window(NamedTuple):
@@ -159,22 +166,25 @@ class HomComputation(NamedTuple):
 def _factor(entry):
     """The factor part of an operand's match index, built from the view of
     its entry and kept there: its vertex set, codes, cyclic flag, factor
-    flanks, the positions where a factor window starts and its trivial
-    factor windows with their vertices."""
+    flanks, the positions where a factor window starts, its trivial
+    factor windows with their vertices, and the records of the factor
+    windows `hom_dim_detailed` has handed out, by run."""
     codes, verts, cyclic = entry.view
     fl, fr = _ends(codes, cyclic, 1)
     entry.factor = (frozenset(verts), codes, cyclic, fl, fr,
                     [i for i in range(len(codes)) if fl[i] != -1],
                     [((i, 0, left, fr[i]), verts[i]) for i, left in enumerate(fl)
-                     if left != -1 and fr[i] != -1])
+                     if left != -1 and fr[i] != -1], {})
     return entry.factor
 
 
 def _sub(entry):
     """The sub part of an operand's match index, built from the view of its
     entry and kept there: its vertices, codes, cyclic flag, sub flanks,
-    its trivial sub windows by vertex and, for the operand and its inverse
-    spelling, the positions where a sub window starts, keyed by code."""
+    its trivial sub windows by vertex, for the operand and its inverse
+    spelling the positions where a sub window starts, keyed by code, and
+    the records of the sub windows `hom_dim_detailed` has handed out, by
+    run."""
     codes, verts, cyclic = entry.view
     m = len(codes)
     sl, sr = _ends(codes, cyclic, 0)
@@ -192,23 +202,29 @@ def _sub(entry):
             if (sl[j] if same else sr[(m - j) % sk]) != -1:
                 starts.setdefault(spell[j], []).append(j)
         spellings.append((same, spell, starts))
-    entry.sub = verts, codes, cyclic, sl, sr, trivial, spellings
+    entry.sub = verts, codes, cyclic, sl, sr, trivial, spellings, {}
     return entry.sub
 
 
 def _match(f, s):
     """Admissible pairs (factor window of one operand, sub window of the
-    other, same orientation), yielded unsorted, one at a time, from the
-    factor part of the match index of the one's entry f and the sub part
-    of the other's entry s, each built on its first use in that role.
+    other, same orientation) from the factor part of the match index of
+    the one's entry f and the sub part of the other's entry s, each built
+    here on its first use in that role: () when the operands share no
+    vertex, else the lazy generator `_runs` of them."""
+    fx, sx = f.factor or _factor(f), s.sub or _sub(s)
+    return () if fx[0].isdisjoint(sx[0]) else _runs(fx, sx)
+
+
+def _runs(fx, sx):
+    """The admissible pairs of a factor part fx and a sub part sx, yielded
+    unsorted, one at a time, as (factor run, sub run, same orientation).
     A nonempty pair is the maximal run of equal codes from a valid start
-    pair on one alignment diagonal of the one against the other or its
-    inverse spelling, kept if both right flanks are valid; runs longer
-    than both hosts drop out.  Operands that share no vertex have no pair."""
-    fset, fcodes, fcyc, fl, fr, f_starts, f_trivial = f.factor or _factor(f)
-    sverts, scodes, scyc, sl, sr, trivial, spellings = s.sub or _sub(s)
-    if fset.isdisjoint(sverts):
-        return
+    pair on one alignment diagonal of the one operand against the other
+    or its inverse spelling, kept if both right flanks are valid; runs
+    longer than both hosts drop out."""
+    _, fcodes, fcyc, fl, fr, f_starts, f_trivial, _ = fx
+    _, scodes, scyc, sl, sr, trivial, spellings, _ = sx
     n, m = len(fcodes), len(scodes)
     cap = max(n, m)
     fk, sk = len(fr), len(sr)
@@ -228,18 +244,34 @@ def _match(f, s):
                     yield (i, length, fl[i], right), (c, length, sl[c], s_right), same
 
 
+_NO_PAIRS = HomComputation(0, ())
+
+
 def hom_dim_detailed(p: GentlePresentation, v, w) -> HomComputation:
-    pairs = [AdmissiblePair(FactorDecomposition(v, Window(*f)),
-                            SubDecomposition(w, Window(*s)),
-                            "equal" if same else "inverse")
-             for f, s, same in sorted(_match(_entry(p, v), _entry(p, w)))]
+    """The dimension and the admissible pairs behind it, sorted.  A pair's
+    factor and sub records are built on their window's first match and
+    then kept with the operand's match index, so calls on kept operands
+    share them."""
+    f, s = _entries(p, v, w)
+    runs = _match(f, s)
+    if not runs:
+        return _NO_PAIRS
+    factors, subs = f.factor[-1], s.sub[-1]
+    pairs = []
+    for a, b, same in sorted(runs):
+        factor = factors.get(a)
+        if factor is None:
+            factor = factors[a] = FactorDecomposition(v, Window(*a))
+        sub = subs.get(b)
+        if sub is None:
+            sub = subs[b] = SubDecomposition(w, Window(*b))
+        pairs.append(AdmissiblePair(factor, sub, "equal" if same else "inverse"))
     return HomComputation(len(pairs) + (isinstance(v, Band) and v == w), tuple(pairs))
 
 
 def hom_dim(p: GentlePresentation, v, w) -> int:
     """The dimension of hom_dim_detailed, from a count of the runs."""
-    runs = _match(_entry(p, v), _entry(p, w))
-    return sum(1 for _ in runs) + (isinstance(v, Band) and v == w)
+    return sum(1 for _ in _match(*_entries(p, v, w))) + (isinstance(v, Band) and v == w)
 
 
 # -- independent brute-force window counts (self-test route) -----------

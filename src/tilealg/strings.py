@@ -33,8 +33,10 @@ detection and the closed curves of `arcs`.
 `_operand` reads each operand object once per presentation, into one
 `_Entry`: the host, its view, and the factor and sub parts of its match
 index, which `homs` builds from the view on the operand's first Hom use
-in each role, so they are kept, bounded and dropped with the view.  The
-entries of `arcs` extend it, so an arc is a Hom operand the same way.
+in each role, so they are kept, bounded and dropped with the view;
+`_entries` gives the two entries of one Hom call from one read of the
+store.  The entries of `arcs` extend it, so an arc is a Hom operand the
+same way.
 `_kept` is the one keep rule of the two operand stores, the letter
 table's and a tiling algebra's: an entry is kept under `id(host)` with
 its host and returned only for that same object, so an equal record of
@@ -65,15 +67,28 @@ class Letter(NamedTuple):
 
 
 def letter_source(p: GentlePresentation, l: Letter):
-    return p.t(l.arrow) if l.inverse else p.s(l.arrow)
+    """The vertex where l starts.  It serves the building of the letter
+    table, so it reads p directly and refuses a p of another type off the
+    AttributeError of the read, as `_letter_table` does."""
+    try:
+        return p.t(l.arrow) if l.inverse else p.s(l.arrow)
+    except AttributeError:
+        _given(p, GentlePresentation)
+        raise
 
 
 def letter_target(p: GentlePresentation, l: Letter):
-    return p.s(l.arrow) if l.inverse else p.t(l.arrow)
+    """The vertex where l ends; see `letter_source`."""
+    try:
+        return p.s(l.arrow) if l.inverse else p.t(l.arrow)
+    except AttributeError:
+        _given(p, GentlePresentation)
+        raise
 
 
 def valid_pair(p: GentlePresentation, l1: Letter, l2: Letter) -> str | None:
-    """None if l1 l2 is a valid length-2 string, else the reason."""
+    """None if l1 l2 is a valid length-2 string, else the reason; a p of
+    another type is refused by `letter_target`."""
     if letter_target(p, l1) != letter_source(p, l2):
         return "non-composable"
     if l2 == l1.inv():
@@ -205,9 +220,13 @@ def validate_string(p: GentlePresentation, letters) -> StringWord:
 
 
 def is_valid_string(p: GentlePresentation, w: StringWord) -> bool:
+    """Whether w is a string of p; InputError for a kind that is neither
+    zero, trivial nor a word, as `_read_operand` says it."""
     vertices = _letter_table(p).vertices
     if _given(w, StringWord).is_zero or w.is_trivial:
         return w.is_zero or w.vertex in vertices
+    if w.kind != "word":
+        raise InputError(f"unknown string kind {w.kind!r}")
     return _word_error(p, w.letters, False)[1] is None
 
 
@@ -373,6 +392,13 @@ def _entry(p: GentlePresentation, host) -> _Entry:
     return _kept(_letter_table(p).views, host, _read_operand, p)
 
 
+def _entries(p: GentlePresentation, v, w):
+    """The `_Entry`s of two operands of p, as `_entry` gives them, from one
+    read of the operand store."""
+    views = _letter_table(p).views
+    return _kept(views, v, _read_operand, p), _kept(views, w, _read_operand, p)
+
+
 def _read_operand(p: GentlePresentation, host) -> _Entry:
     """The `_Entry` of an operand, read and checked afresh.  It names its
     host only when the host's letters are a tuple, so letters that may
@@ -407,7 +433,8 @@ def _read_operand(p: GentlePresentation, host) -> _Entry:
 
 
 def all_letters(p: GentlePresentation):
-    return [Letter(a, inverse) for a in p.arrows for inverse in (False, True)]
+    return [Letter(a, inverse) for a in _given(p, GentlePresentation).arrows
+            for inverse in (False, True)]
 
 
 class _LetterTable:
@@ -439,8 +466,9 @@ class _LetterTable:
 
 def _letter_table(p: GentlePresentation) -> _LetterTable:
     """The letter table of p, derived on first use and kept on the
-    presentation.  Every string function reads p here first, so a p of
-    another type is refused here, off the AttributeError of the read."""
+    presentation.  Every string function but the per-letter ones that
+    build the table reads p here first, so a p of another type is refused
+    here, off the AttributeError of the read."""
     try:
         table = p._letters
     except AttributeError:
@@ -511,6 +539,7 @@ def _string_word(p: GentlePresentation, x) -> StringWord:
 
 def parse_string(p: GentlePresentation, text: str) -> StringWord:
     """Parse the CLI string syntax against a presentation."""
+    vertices = _letter_table(p).vertices
     parts = _text(text, "string literal {!r} is not a str").split()
     if not parts:
         raise InputError("empty string literal")
@@ -519,7 +548,7 @@ def parse_string(p: GentlePresentation, text: str) -> StringWord:
     if parts[0] == "triv":
         if len(parts) != 3 or parts[2] not in ("+", "-"):
             raise InputError("trivial string syntax: triv <vertex> <+|->")
-        if parts[1] not in _letter_table(p).vertices:
+        if parts[1] not in vertices:
             raise InputError(f"unknown vertex {parts[1]!r}")
         return StringWord.trivial(parts[1], 1 if parts[2] == "+" else -1)
     return validate_string(p, _letters(parts))

@@ -421,14 +421,17 @@ class TilingAlgebra:
     """The gentle presentation on `vertices`, arcs of `tiling`, with the
     given TilingArrows (name -> arrow), which decide its relations: xy is
     one exactly when x enters its target arc at another end slot than the
-    one y leaves.  InputError for an arrow off the arcs of its slots."""
+    one y leaves.  InputError for a tiling that is not a `Tiling`, arrows
+    that are not a dict of `TilingArrow`s or an arrow off the arcs of its
+    slots."""
 
     __slots__ = ("tiling", "presentation", "arrows", "arrow_by_slots", "_transits", "_arcs")
 
     def __init__(self, tiling: Tiling, vertices, arrows: dict):
+        _given(tiling, Tiling)
         leaving = {}
-        for y in arrows.values():
-            if y.source != y.leave_slot[0] or y.target != y.enter_slot[0]:
+        for y in _given(arrows, dict).values():
+            if _given(y, TilingArrow).source != y.leave_slot[0] or y.target != y.enter_slot[0]:
                 raise InputError(f"arrow {y.name} does not join the arcs of its end slots "
                                  f"{y.leave_slot} {y.enter_slot}")
             leaving.setdefault(y.source, []).append(y)

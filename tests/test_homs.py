@@ -8,16 +8,17 @@ import gentle_corpus
 from tilealg import samples
 from tilealg.algebra import InputError
 from tilealg.artheory import ar_sequence, hook_left, hook_right, hooks, tau_inverse
-from tilealg.homs import (Window, factor_count_bruteforce, factor_strings,
-                          hom_dim, hom_dim_detailed, sub_count_bruteforce,
-                          substrings, window_key)
+from tilealg.homs import (FactorDecomposition, SubDecomposition, Window,
+                          factor_count_bruteforce, factor_strings, hom_dim,
+                          hom_dim_detailed, sub_count_bruteforce, substrings,
+                          window_key)
 from tilealg.oracle import (BandModuleSpec, hom_dim_oracle, realize_band_module,
                             realize_string_module)
 from tilealg.strings import (Band, Letter, StringRejection, StringWord, _entry,
-                             canonicalize, detect_band, enumerate_strings,
-                             letter_source, letter_target, parse_band,
-                             parse_string, validate_string)
-from tilealg.surface import tiling_algebra
+                             all_letters, canonicalize, detect_band, enumerate_strings,
+                             is_valid_string, letter_source, letter_target, parse_band,
+                             parse_string, valid_pair, validate_string)
+from tilealg.surface import TilingAlgebra, tiling_algebra
 
 
 @pytest.fixture(scope="module")
@@ -639,3 +640,114 @@ def test_pairs_of_a_listed_host_follow_its_list():
     letters.append(Letter("d"))     # c- d is no string of fix_a
     with pytest.raises(InputError, match="not a string of this presentation"):
         hom_dim(p, x, listed)
+
+
+# -- records kept with the match index -----------------------------------------
+
+
+@pytest.mark.parametrize("family", sorted(PAIRS_DIGESTS))
+def test_self_hom_records_keep_their_roles(family):
+    """With v is w one entry serves both roles; every pair's factor is a
+    FactorDecomposition and its sub a SubDecomposition, on the first call,
+    which builds the records, and on a second, which reuses them and
+    returns an equal result."""
+    for p, ops in _family_operands(family):
+        for x in ops:
+            first = hom_dim_detailed(p, x, x)
+            second = hom_dim_detailed(p, x, x)
+            assert second == first
+            for comp in (first, second):
+                assert all(type(a.factor) is FactorDecomposition
+                           and type(a.sub) is SubDecomposition
+                           and type(a.factor.window) is Window is type(a.sub.window)
+                           for a in comp.pairs), _text(x)
+
+
+def test_repeated_calls_return_equal_computations():
+    """A second pass over every ordered pair of kept operands gives equal
+    results, whose records are the ones the first pass handed out."""
+    p = samples.kronecker_chain(3)
+    ops = enumerate_strings(p, max_len=4)
+    ops += _sorted_bands(_closed_string_bands(p, ops))
+    first = [hom_dim_detailed(p, v, w) for v in ops for w in ops]
+    second = [hom_dim_detailed(p, v, w) for v in ops for w in ops]
+    assert second == first and sum(c.dim for c in first) > 0
+    assert all(a.factor is b.factor and a.sub is b.sub
+               for c, d in zip(first, second) for a, b in zip(c.pairs, d.pairs))
+
+
+def test_a_listed_host_is_not_kept_and_answers_as_its_twin():
+    """A StringWord whose letters are a list gets a fresh entry on every
+    call, and its pairs, in either slot and against itself, are those of
+    its tuple twin, with the listed host in its records."""
+    p = samples.fix_a()
+    ops = enumerate_strings(p, max_len=4)
+    for twin in ops[len(p.vertices):]:
+        listed = StringWord("word", None, None, list(twin.letters))
+        assert _entry(p, listed) is not _entry(p, listed)
+        for x in ops[::3]:
+            for a, b, c, d in ((listed, x, twin, x), (x, listed, x, twin)):
+                got, want = hom_dim_detailed(p, a, b), hom_dim_detailed(p, c, d)
+                assert [(q.factor.window, q.sub.window, q.orientation) for q in got.pairs] \
+                    == [(q.factor.window, q.sub.window, q.orientation) for q in want.pairs]
+                assert got.dim == want.dim == hom_dim(p, a, b)
+        comp = hom_dim_detailed(p, listed, listed)
+        assert comp.dim == hom_dim_detailed(p, twin, twin).dim
+        assert all(q.factor.host is listed and q.sub.host is listed for q in comp.pairs)
+
+
+def test_counting_self_hom_stays_lazy():
+    """hom_dim counts the runs from a stream: on a random walk of 800
+    letters, with 18826 pairs, its tracemalloc peak stays below a tenth
+    of that of hom_dim_detailed, which holds every pair.  The match index
+    is built before either is measured."""
+    p = samples.kronecker_chain(3)
+    x = validate_string(p, samples.random_walk(random.Random(800), p, 800))
+    assert hom_dim(p, x, x) == 18826
+    peaks = []
+    for f in (hom_dim, hom_dim_detailed):
+        tracemalloc.start()
+        try:
+            f(p, x, x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] * 10 < peaks[1]
+
+
+NOT_A_PRESENTATION = "expected a GentlePresentation, got int"
+
+
+@pytest.mark.parametrize("call, answer", [
+    (lambda: is_valid_string(samples.fix_a(), StringWord("junk")),
+     "unknown string kind 'junk'"),
+    (lambda: is_valid_string(samples.fix_a(), StringWord(("word",))),
+     "unknown string kind ('word',)"),
+    (lambda: is_valid_string(samples.fix_a(), StringWord.zero()), True),
+    (lambda: is_valid_string(samples.fix_a(), StringWord.trivial("1", -1)), True),
+    (lambda: is_valid_string(samples.fix_a(), StringWord.trivial("9")), False),
+    (lambda: TilingAlgebra(samples.pent_tiling(), ["x", "y"], {"a": 5}),
+     "expected a TilingArrow, got int"),
+    (lambda: TilingAlgebra(5, ["x", "y"], {}), "expected a Tiling, got int"),
+    (lambda: TilingAlgebra(samples.pent_tiling(), ["x", "y"], [5]),
+     "expected a dict, got list"),
+    (lambda: valid_pair(5, Letter("a"), Letter("b")), NOT_A_PRESENTATION),
+    (lambda: letter_source(5, Letter("a")), NOT_A_PRESENTATION),
+    (lambda: letter_target(5, Letter("a", True)), NOT_A_PRESENTATION),
+    (lambda: all_letters(5), NOT_A_PRESENTATION),
+    (lambda: parse_string(5, "zero"), NOT_A_PRESENTATION),
+    (lambda: parse_string(samples.fix_a(), "zero"), StringWord.zero()),
+], ids=["kind_junk", "kind_tuple", "zero", "trivial", "trivial_elsewhere",
+        "arrow_int", "tiling_int", "arrows_list", "valid_pair", "letter_source",
+        "letter_target", "all_letters", "parse_zero", "parse_zero_of_p"])
+def test_unread_arguments_are_refused(call, answer):
+    """A string of unknown kind, a tiling algebra of a foreign tiling or
+    arrow, and a presentation of another type given to the per-letter
+    functions or to parse_string are refused with an InputError; zero and
+    trivial strings keep their answers."""
+    if isinstance(answer, str):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == answer
+    else:
+        assert call() == answer
