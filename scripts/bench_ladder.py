@@ -37,9 +37,14 @@ presentations are built outside the timing, afresh before each run, so
 that no run reads what an earlier one has read and kept.  Rungs double
 from size 50 (from 8 up to 64 for the AR quiver and the enumeration,
 from 25 up to 400 for the oracle) up to --max-size.  Each rung records
-the best of 3 timed runs in seconds, the `tracemalloc` peak of one more
-run in MB, and the exponent fitted to the time between it and the rung
-before.  A family stops after its first rung over 0.5 s or 50 MB, so a
+the best of 3 timed runs in seconds, the peak memory of one more run in
+MB, and the exponent fitted to the time between it and the rung before.
+The memory run is made in a forked child (so the script needs
+`os.fork`), and its peak is how far the child's peak resident set
+(`ru_maxrss`, KiB on Linux) grew during the run: it costs about one
+timed run, where tracing every allocation cost up to 80 of them, but it
+is page-grained and misses memory the run reuses from the heap it
+inherits.  A family stops after its first rung over 0.5 s or 50 MB, so a
 routine that blows up is cut short instead of exhausting memory.
 Timings are wall clock on the machine that runs the script; compare two
 ladders only from the same machine.
@@ -49,11 +54,12 @@ Exit codes: 0 written, 2 malformed arguments or an unwritable --out.
 import argparse
 import json
 import math
+import os
 import platform
 import random
+import resource
 import sys
 import time
-import tracemalloc
 
 from tilealg import samples
 from tilealg.algebra import GentlePresentation
@@ -202,6 +208,31 @@ FAMILIES = {
 }
 
 
+def _peak_mb(run):
+    """How far the peak resident set grows over one run, in MB: the run is
+    made in a forked child, which sends the growth of its `ru_maxrss` back
+    through a pipe; RuntimeError if the child fails."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if not pid:
+        status = 1
+        try:
+            os.close(read)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            run()
+            grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            os.write(write, str(grown).encode())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    with os.fdopen(read) as fh:
+        grown = fh.read()
+    if os.waitpid(pid, 0)[1] or not grown:
+        raise RuntimeError("the memory run of a rung failed")
+    return int(grown) / 1024
+
+
 def _rung(size, prepare):
     best = math.inf
     for _ in range(3):
@@ -209,14 +240,8 @@ def _rung(size, prepare):
         start = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - start)
-    run = prepare(size)
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {"size": size, "best_s": round(best, 6), "peak_mb": round(peak / 2**20, 3)}
+    peak = _peak_mb(prepare(size))
+    return {"size": size, "best_s": round(best, 6), "peak_mb": round(peak, 3)}
 
 
 def ladder(max_size):

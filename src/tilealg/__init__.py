@@ -3,15 +3,16 @@
 The public names are loaded on first access (PEP 562), so importing the
 package loads no layer and each name pulls in only its home module.
 
-The value records (`Letter`, `StringWord`, `Band`, `Window`, `HookResult`,
-`Tile`, the arc types, ...) are tuples: `typing.NamedTuple`s, or
-`collections.namedtuple` subclasses where the constructor validates
-(`Band`, `BandModuleSpec`).  They unpack, index and compare equal to a
-plain tuple of the same fields.  The classes holding dicts or caches
-(`Quiver`, `GentlePresentation`, `MatrixRep`, `Tiling`, `TilingAlgebra`)
-are plain classes with `__slots__`.  No module uses the standard
-data-class machinery, so a CLI process loads neither it nor the
-inspect, ast, dis and tokenize modules it pulls in.
+The value records (`Letter`, `StringWord`, `Band`, `Window`,
+`HookResult`, `Tile`, the arc types, ...) are tuples:
+`typing.NamedTuple`s, or namedtuple subclasses whose constructor,
+`_make` and `_replace` check the fields (`StringWord`, `Band`,
+`BandModuleSpec`, the arc records but `TrivialArc`).  They unpack, index
+and compare equal to a plain tuple of the same fields.  The classes
+holding dicts or caches (`Quiver`, `GentlePresentation`, `MatrixRep`,
+`Tiling`, `TilingAlgebra`) are plain classes with `__slots__`.  No
+module uses the standard data-class machinery, so a CLI process loads
+neither it nor the inspect, ast, dis and tokenize modules it pulls in.
 """
 
 import importlib

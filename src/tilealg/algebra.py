@@ -49,6 +49,16 @@ def _record(x, size, what, *keys):
     raise InputError(what.format(x, *keys))
 
 
+class _Checked:
+    """Base of the namedtuple records whose constructor checks their fields:
+    `_make` and `_replace` build through it; `_trusted(fields)`, for the
+    records the library builds from checked fields, skips it."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+    _trusted = classmethod(tuple.__new__)
+
+
 def _set_repr(items) -> str:
     """The repr of a frozenset with its items in the order of their reprs,
     so that it does not depend on the hash seed."""

@@ -47,22 +47,25 @@ reason `check_permissible` gives.  Every other function checks through
 `_own` that an algebra it is given is built on its tiling, reads the
 arcs it is given through the arcs store of that algebra (`_seen`), kept
 by `strings._kept` as Hom operands are, and raises ArcRejection with the
-arc's verdict before any other work.  An arc is read through `_arc` on
-its first use and kept under its identity.  Its entry (`_ArcEntry`) is
-its `strings._Entry` as a Hom operand and holds what else the algebra
-learns of it: its verdict and view, computed when it is read, the entry
-of its gamma_{s,t} form, which shares them, and its pivot moves.  The
-arcs the library makes (by `string_to_arc`, `band_to_closed_curve`, a
-pivot or a tau move) are kept unread, judged when they are made and
-checked by a permissibility assertion, so a repeated move returns the
-same object and a tau move reuses the pivot moves already made.
+arc's verdict before any other work.  The arc records check their shape
+when built, so `_arc` reads an arc on its first use for membership in
+the tiling only, and it is kept under its identity.  An arc's entry
+(`_ArcEntry`) is its `strings._Entry` as a Hom operand and holds what
+else the algebra learns of it: its verdict and view, computed when it is
+read, the entry of its gamma_{s,t} form, which shares them, and its
+pivot moves.  The arcs the library makes (by `string_to_arc`,
+`band_to_closed_curve`, a pivot or a tau move) are kept unread, judged
+when they are made and checked by a permissibility assertion, so a
+repeated move returns the same object and a tau move reuses the pivot
+moves already made.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import NamedTuple
 
-from .algebra import InputError, Rejection, _int_arg
+from .algebra import InputError, Rejection, _Checked, _int_arg
 from .strings import (Band, StringWord, _band, _cyclic_form, _Entry, _inverse, _kept,
                       _letter_table, _operand, _string_word, detect_band)
 from .surface import Tiling, TilingAlgebra
@@ -72,10 +75,14 @@ class ArcRejection(Rejection):
     """An arc that is not permissible; the message is its verdict."""
 
 
-class EndDescriptor(NamedTuple):
-    tile: int       # tile index
-    corner: int     # walk corner index (corner i sits before walk dart i)
-    route: int      # signed side steps from the corner to the landing side
+class EndDescriptor(_Checked, namedtuple("EndDescriptor", "tile corner route")):
+    """Ints: the tile index, the walk corner index (corner i sits before
+    walk dart i) and the signed side steps from it to the landing side."""
+
+    __slots__ = ()
+
+    def __new__(cls, tile, corner, route):
+        return super().__new__(cls, *map(_int_arg, (tile, corner, route), cls._fields))
 
     def winding(self, tile_size: int) -> int:
         return abs(self.route) // tile_size
@@ -86,63 +93,55 @@ class TrivialArc(NamedTuple):
     A record without fields: it equals the empty tuple and is falsy."""
 
 
-class PermissibleArc(NamedTuple):
-    darts: tuple              # crossing darts, each in the tile being left
-    pivots: tuple             # per pair: (corner index in transit tile, inverse flag)
-    start: EndDescriptor
-    end: EndDescriptor
-
-    @property
-    def crossings(self):
-        return len(self.darts)
+_NOT_AN_END = "arc {} {!r} is not an EndDescriptor of ints on a tile of the tiling"
 
 
-class ClosedCurveClass(NamedTuple):
-    darts: tuple              # cyclic crossing darts
-    pivots: tuple             # pivot for pair (i, i+1 mod k)
-    primitive_length: int
-    exponent: int
-
-    @property
-    def crossings(self):
-        return len(self.darts)
-
-
-def _arc(t: Tiling, arc):
-    """`arc` if it is an arc record on t: a tuple of darts of t (ints, not
-    bools), a tuple of (int, bool) pivots, one per crossing pair, and two
-    ends of ints on tiles of t, or for a closed curve two counts >= 1 that
-    describe its darts, which repeat their first primitive_length entries
-    exponent times, and so do the pivots; else InputError naming the
-    record or the field."""
-    if isinstance(arc, TrivialArc):
-        return arc
-    if not isinstance(arc, (PermissibleArc, ClosedCurveClass)):
-        raise InputError(f"arc {arc!r} is not a TrivialArc, PermissibleArc or "
-                         "ClosedCurveClass")
-    darts, pivots, size = arc.darts, arc.pivots, len(t.tail)
-    if not isinstance(darts, tuple):
-        raise InputError(f"arc darts {darts!r} are not a tuple")
+def _crossings(darts, pivots, closed: bool):
+    """InputError naming the field unless the darts are a nonempty tuple of
+    ints and the pivots a tuple of (int, bool) pairs, one per crossing pair."""
+    for name, xs in (("darts", darts), ("pivots", pivots)):
+        if not isinstance(xs, tuple):
+            raise InputError(f"arc {name} {xs!r} are not a tuple")
     if not darts:
         raise InputError("arc has no darts; the arc without crossings is TrivialArc()")
     for d in darts:
-        if type(d) is not int or not 0 <= d < size:
+        if type(d) is not int:
             raise InputError(f"arc dart {d!r} is not a dart of the tiling")
-    if not isinstance(pivots, tuple):
-        raise InputError(f"arc pivots {pivots!r} are not a tuple")
     for x in pivots:
         if not isinstance(x, tuple) or len(x) != 2 or type(x[0]) is not int or \
                 type(x[1]) is not bool:
             raise InputError(f"arc pivot {x!r} is not a (corner, inverse) pair")
-    closed = isinstance(arc, ClosedCurveClass)
     if len(pivots) != len(darts) - (not closed):
         raise InputError(f"arc of {len(darts)} darts has {len(pivots)} pivots, "
                          f"not {len(darts) - (not closed)}")
-    if closed:
-        k = _int_arg(arc.primitive_length, "primitive_length")
-        n = _int_arg(arc.exponent, "exponent")
+
+
+class PermissibleArc(_Checked, namedtuple("PermissibleArc", "darts pivots start end")):
+    """Crossing darts, each in the tile being left, the pivot (corner index
+    in the transit tile, inverse flag) of each pair, and two ends."""
+
+    __slots__ = ()
+
+    def __new__(cls, darts, pivots, start, end):
+        _crossings(darts, pivots, False)
+        for name, x in (("start", start), ("end", end)):
+            if not isinstance(x, EndDescriptor):
+                raise InputError(_NOT_AN_END.format(name, x))
+        return super().__new__(cls, darts, pivots, start, end)
+
+
+class ClosedCurveClass(_Checked, namedtuple("ClosedCurveClass",
+                                            "darts pivots primitive_length exponent")):
+    """Cyclic crossing darts and the pivot of each pair (i, i+1 mod k),
+    which repeat their first primitive_length entries exponent times."""
+
+    __slots__ = ()
+
+    def __new__(cls, darts, pivots, primitive_length, exponent):
+        _crossings(darts, pivots, True)
+        k, n = primitive_length, exponent
         for name, x in (("primitive_length", k), ("exponent", n)):
-            if x < 1:
+            if _int_arg(x, name) < 1:
                 raise InputError(f"closed curve {name} must be >= 1, got {x}")
         if k * n != len(darts):
             raise InputError(f"closed curve primitive_length {k} times exponent {n} "
@@ -151,13 +150,24 @@ def _arc(t: Tiling, arc):
             if xs != xs[:k] * n:
                 raise InputError(f"closed curve {name} are not their first {k} "
                                  f"repeated {n} times")
-    else:
+        return super().__new__(cls, darts, pivots, k, n)
+
+
+def _arc(t: Tiling, arc):
+    """`arc` if it is an arc record whose darts and end tiles are those of t,
+    else InputError naming the record or the field."""
+    if isinstance(arc, TrivialArc):
+        return arc
+    if not isinstance(arc, (PermissibleArc, ClosedCurveClass)):
+        raise InputError(f"arc {arc!r} is not a TrivialArc, PermissibleArc or "
+                         "ClosedCurveClass")
+    for d in arc.darts:
+        if d not in range(len(t.tail)):
+            raise InputError(f"arc dart {d!r} is not a dart of the tiling")
+    if isinstance(arc, PermissibleArc):
         for name, x in (("start", arc.start), ("end", arc.end)):
-            if not isinstance(x, EndDescriptor) or type(x.tile) is not int or \
-                    type(x.corner) is not int or type(x.route) is not int or \
-                    not 0 <= x.tile < len(t.tiles):
-                raise InputError(f"arc {name} {x!r} is not an EndDescriptor of ints on "
-                                 "a tile of the tiling")
+            if x.tile not in range(len(t.tiles)):
+                raise InputError(_NOT_AN_END.format(name, x))
     return arc
 
 
@@ -194,8 +204,7 @@ def _seen(alg: TilingAlgebra, arc) -> _ArcEntry:
 
 def _read_arc(alg: TilingAlgebra, arc) -> _ArcEntry:
     """The entry of an arc given to a function, read through `_arc`."""
-    arc = _arc(alg.tiling, arc)
-    return _ArcEntry(arc, *_verdict(alg.tiling, arc, alg))
+    return _ArcEntry(arc, *_verdict(alg.tiling, _arc(alg.tiling, arc), alg))
 
 
 def _made(alg: TilingAlgebra, arc) -> _ArcEntry:
@@ -389,10 +398,9 @@ def _trivial_dart(t: Tiling, alg: TilingAlgebra, vertex: str, sign: int) -> int:
 def _gamma(t: Tiling, darts, pivots) -> PermissibleArc:
     """The arc gamma_{s,t} with these crossings: each end starts one side
     behind the side it lands on, with route +1."""
-    (f, i), (g, j) = t.face_of[darts[0]], t.face_of[darts[-1] ^ 1]
-    return PermissibleArc(tuple(darts), tuple(pivots),
-                          EndDescriptor(f, (i - 1) % len(t.tiles[f].walk), 1),
-                          EndDescriptor(g, (j - 1) % len(t.tiles[g].walk), 1))
+    ends = [EndDescriptor._trusted((f, (i - 1) % len(t.tiles[f].walk), 1))
+            for f, i in (t.face_of[darts[0]], t.face_of[darts[-1] ^ 1])]
+    return PermissibleArc._trusted((tuple(darts), tuple(pivots), *ends))
 
 
 def normalize(t: Tiling, arc):
@@ -437,14 +445,12 @@ def arc_to_string(t: Tiling, alg: TilingAlgebra, arc) -> StringWord:
     ArcRejection with `check_permissible`'s reason for an arc it refuses."""
     entry = _seen(_own(t, alg), arc)
     if isinstance(arc, TrivialArc):
-        return StringWord.zero()
+        return _string_word(alg.presentation, None)
     if isinstance(arc, ClosedCurveClass):
         raise InputError("closed curves correspond to bands, not strings")
-    codes = _accepted(entry)
-    if arc.crossings == 1:
-        d = arc.darts[0]
-        return StringWord.trivial(t.label[d], _dart_sign(t, alg, d))
-    return _string_word(alg.presentation, (codes, ()))
+    codes, d = _accepted(entry), arc.darts[0]   # one crossing spells no codes
+    trivial = () if codes else (t.label[d], _dart_sign(t, alg, d))
+    return _string_word(alg.presentation, (codes, trivial))
 
 
 def reverse_arc(t: Tiling, arc):
@@ -461,9 +467,9 @@ def _reverse(t: Tiling, arc):
     darts = tuple(d ^ 1 for d in reversed(arc.darts))
     if isinstance(arc, ClosedCurveClass):   # the wrap pair stays last
         pivots = tuple((c, not inv) for c, inv in arc.pivots[-2::-1] + arc.pivots[-1:])
-        return ClosedCurveClass(darts, pivots, arc.primitive_length, arc.exponent)
+        return ClosedCurveClass._trusted((darts, pivots, arc.primitive_length, arc.exponent))
     pivots = tuple([(c, not inv) for c, inv in reversed(arc.pivots)])
-    return PermissibleArc(darts, pivots, arc.end, arc.start)
+    return PermissibleArc._trusted((darts, pivots, arc.end, arc.start))
 
 
 # -- pivot elementary moves ----------------------------------------------
@@ -558,8 +564,8 @@ def band_to_closed_curve(t: Tiling, alg: TilingAlgebra, band: Band,
         raise InputError("a string gives an arc; see string_to_arc")
     darts, pivots = _chain(alg, codes)
     darts = darts[:-1]      # the walk closes up: the last exit is the first entry
-    curve = ClosedCurveClass(tuple(darts) * exponent, tuple(pivots) * exponent,
-                             len(darts), exponent)
+    curve = ClosedCurveClass._trusted((tuple(darts) * exponent, tuple(pivots) * exponent,
+                                       len(darts), exponent))
     return _kept(alg._arcs, curve, _made, alg).host
 
 

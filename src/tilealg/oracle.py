@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import GentlePresentation, InputError, _given, _int_arg, _record
-from .strings import Band, Letter, StringWord
+from .algebra import GentlePresentation, InputError, _Checked, _given, _int_arg, _record
+from .strings import Band, StringWord
 
 DEFAULT_PRIME = 5
 # Largest prime p with p * p < 2**63.  Elimination runs on Python ints and
@@ -91,14 +91,13 @@ def _walk(p: GentlePresentation, letters, cyclic: bool):
     names an arrow p lacks, or has consecutive letters that do not meet
     or that cancel, one arrow read both ways (cyclic: also the last and
     the first)."""
-    letters = _record(letters, None, "letters {!r} are not a collection")
     if not letters:
         raise InputError("empty letter walk")
     q = p.quiver
     ends = []
     for l in letters:
-        if not isinstance(l, Letter) or type(l.arrow) is not str or l.arrow not in q.sources:
-            raise InputError(f"unknown arrow {getattr(l, 'arrow', l)!r}")
+        if type(l.arrow) is not str or l.arrow not in q.sources:
+            raise InputError(f"unknown arrow {l.arrow!r}")
         s, t = q.sources[l.arrow], q.targets[l.arrow]
         ends.append((t, s) if l.inverse else (s, t))
     n = len(ends)
@@ -143,18 +142,16 @@ def realize_string_module(p: GentlePresentation, w: StringWord,
     the walk; dimension vector = per-vertex visit counts."""
     _given(p, GentlePresentation)
     _check_prime(prime)
-    if not isinstance(w, StringWord):
-        raise InputError(f"expected a StringWord, got {type(w).__name__}")
-    if w.is_zero:
+    if _given(w, StringWord).is_zero:
         raise InputError("the zero string has no module")
     if w.kind == "word":
         return _realize(p, _walk(p, w.letters, False), w.letters, 1, None, prime)
-    if type(w.vertex) is str and w.vertex in p.quiver.vertices:
+    if w.vertex in p.quiver.vertices:
         return _realize(p, [w.vertex], (), 1, None, prime)
     raise InputError(f"unknown vertex {w.vertex!r}")
 
 
-class BandModuleSpec(namedtuple("BandModuleSpec", "band n lam")):
+class BandModuleSpec(_Checked, namedtuple("BandModuleSpec", "band n lam")):
     """M(band, n, lam): the n x n Jordan block J_n(lam) on the band."""
 
     __slots__ = ()

@@ -38,12 +38,10 @@ in each role, so they are kept, bounded and dropped with the view;
 store.  The entries of `arcs` extend it, so an arc is a Hom operand the
 same way.
 `_kept` is the one keep rule of the two operand stores, the letter
-table's and a tiling algebra's: an entry is kept under `id(host)` with
-its host and returned only for that same object, so an equal record of
-another type is read, and refused, afresh.  A refusal is never kept, a
-string or band whose letters are not a tuple is read on every call, and
-a store holds at most `_VIEWS` (4096) entries and is cleared whole when
-full.
+table's and a tiling algebra's, keyed by the identity of the host, so an
+equal record of another type is read, and refused, afresh.  `StringWord`
+and `Band` check their shape when built and keep their letters as a
+tuple, so `_read_operand` checks only membership in p.
 """
 
 from __future__ import annotations
@@ -51,8 +49,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .algebra import (GentlePresentation, InputError, Rejection, _find_cycle, _given,
-                      _int_arg, _record, _text)
+from .algebra import (GentlePresentation, InputError, Rejection, _Checked, _find_cycle,
+                      _given, _int_arg, _record, _text)
 
 
 class Letter(NamedTuple):
@@ -107,10 +105,13 @@ class StringRejection(Rejection):
         super().__init__(f"invalid string at position {position}: {reason}")
 
 
-def _read_letters(letters, pairs=False) -> tuple:
+def _read_letters(letters, pairs=False, empty="a letter word must be nonempty; use trivial/zero"):
     """The letters of a word or band as a tuple of Letters, given as such
-    or, with `pairs`, also as (arrow, inverse) pairs."""
+    or, with `pairs`, also as (arrow, inverse) pairs; InputError(empty)
+    when there are none, unless empty is None."""
     letters = _record(letters, None, "letters {!r} are not a collection")
+    if empty is not None and not letters:
+        raise InputError(empty)
     if pairs:
         return tuple(l if isinstance(l, Letter) else Letter(*_record(
             l, 2, "letter {!r} is not an (arrow, inverse) pair")) for l in letters)
@@ -121,15 +122,29 @@ def _read_letters(letters, pairs=False) -> tuple:
     return letters
 
 
-class StringWord(NamedTuple):
-    """Zero, trivial, or a letter word.  Use the module constructors.
-    A tuple (kind, vertex, sign, letters), but `len` counts the letters
-    and the repr is the string literal."""
+class StringWord(_Checked, namedtuple("StringWord", "kind vertex sign letters")):
+    """Zero, trivial (a str vertex, sign +1 or -1) or a word (nonempty
+    Letter letters, kept as a tuple), the other fields unset, as its
+    constructor checks.  `len` counts the letters and the repr is the
+    string literal; use the module constructors."""
 
-    kind: str                 # "zero" | "trivial" | "word"
-    vertex: str | None = None  # trivial only
-    sign: int | None = None    # trivial only, +1 or -1
-    letters: tuple = ()        # word only
+    __slots__ = ()
+
+    def __new__(cls, kind, vertex=None, sign=None, letters=()):
+        if kind == "word":
+            letters = _read_letters(letters)
+        elif kind not in ("zero", "trivial"):
+            raise InputError(f"unknown string kind {kind!r}")
+        elif letters != ():
+            raise InputError(f"a {kind} string has no letters, got {letters!r}")
+        if kind == "trivial":
+            if type(vertex) is not str:
+                raise InputError(f"trivial string vertex {vertex!r} is not a name")
+            if sign not in (1, -1):
+                raise InputError("trivial string sign must be +1 or -1")
+        elif vertex is not None or sign is not None:
+            raise InputError(f"a {kind} string has no vertex or sign, got {vertex!r} and {sign!r}")
+        return super().__new__(cls, kind, vertex, sign, letters)
 
     # -- constructors --------------------------------------------------
 
@@ -139,15 +154,10 @@ class StringWord(NamedTuple):
 
     @staticmethod
     def trivial(vertex, sign=1) -> "StringWord":
-        if sign not in (1, -1):
-            raise InputError("trivial string sign must be +1 or -1")
-        return StringWord("trivial", vertex=vertex, sign=sign)
+        return StringWord("trivial", vertex, sign)
 
     @staticmethod
     def word(letters) -> "StringWord":
-        letters = _read_letters(letters)
-        if not letters:
-            raise InputError("a letter word must be nonempty; use trivial/zero")
         return StringWord("word", letters=letters)
 
     # -- basic structure ----------------------------------------------
@@ -164,25 +174,19 @@ class StringWord(NamedTuple):
         return len(self.letters)
 
     def inv(self) -> "StringWord":
-        if self.is_zero:
-            return self
-        if self.is_trivial:
-            return StringWord.trivial(self.vertex, -self.sign)
-        return StringWord.word(tuple(l.inv() for l in reversed(self.letters)))
+        sign = self.sign and -self.sign     # None but for a trivial string
+        return StringWord._trusted((self.kind, self.vertex, sign,
+                                    tuple([l.inv() for l in reversed(self.letters)])))
 
     def source(self, p: GentlePresentation):
         if self.is_zero:
             raise InputError("zero string has no endpoints")
-        if self.is_trivial:
-            return self.vertex
-        return letter_source(p, self.letters[0])
+        return self.vertex if self.is_trivial else letter_source(p, self.letters[0])
 
     def target(self, p: GentlePresentation):
         if self.is_zero:
             raise InputError("zero string has no endpoints")
-        if self.is_trivial:
-            return self.vertex
-        return letter_target(p, self.letters[-1])
+        return self.vertex if self.is_trivial else letter_target(p, self.letters[-1])
 
     def text(self) -> str:
         if self.is_zero:
@@ -194,13 +198,6 @@ class StringWord(NamedTuple):
     def __repr__(self):
         return f"<{self.text()}>"
 
-    def _key(self):
-        if self.is_zero:
-            return (0,)
-        if self.is_trivial:
-            return (1, self.vertex, -self.sign)
-        return (2,) + self.letters
-
 
 def validate_string(p: GentlePresentation, letters) -> StringWord:
     """Build a StringWord from letters, rejecting invalid walks.
@@ -210,24 +207,21 @@ def validate_string(p: GentlePresentation, letters) -> StringWord:
     non-composable / not-reduced / relation.
     """
     letters = _read_letters(letters, True)
-    _, err = _word_error(p, letters, False)
+    codes, err = _word_error(p, letters, False)
     if err is not None:
         i, reason = err
         if reason is None:
             raise InputError(f"unknown arrow {letters[i].arrow!r} at position {i}")
         raise StringRejection(i, reason)
-    return StringWord.word(letters)
+    return _string_word(p, (codes, ()))
 
 
 def is_valid_string(p: GentlePresentation, w: StringWord) -> bool:
-    """Whether w is a string of p; InputError for a kind that is neither
-    zero, trivial nor a word, as `_read_operand` says it."""
+    """Whether w is a string of p."""
     vertices = _letter_table(p).vertices
-    if _given(w, StringWord).is_zero or w.is_trivial:
-        return w.is_zero or w.vertex in vertices
-    if w.kind != "word":
-        raise InputError(f"unknown string kind {w.kind!r}")
-    return _word_error(p, w.letters, False)[1] is None
+    if _given(w, StringWord).kind == "word":
+        return _word_error(p, w.letters, False)[1] is None
+    return w.is_zero or w.vertex in vertices
 
 
 def _word_error(p: GentlePresentation, letters, cyclic: bool):
@@ -263,29 +257,27 @@ def _walk_error(p: GentlePresentation, codes, cyclic: bool):
 
 def canonicalize(w: StringWord) -> StringWord:
     """The representative of {w, w^-1}: trivial strings get sign +, words
-    the lexicographically smaller letter sequence, by `_key`."""
+    the lexicographically smaller letter sequence."""
     inv = _given(w, StringWord).inv()
-    return w if w._key() <= inv._key() else inv
+    return inv if w.sign == -1 or w.letters > inv.letters else w
 
 
 # -- bands -------------------------------------------------------------
 
 
-class Band(namedtuple("Band", "letters")):
+class Band(_Checked, namedtuple("Band", "letters")):
     """Primitive cyclic string, canonical under rotation and inversion.
-    A tuple (letters,) whose constructor takes Letter items only; `len`
-    counts the letters and the repr is the band literal."""
+    A tuple (letters,) whose constructor keeps its Letter items as a
+    tuple; `len` counts the letters and the repr is the band literal."""
 
     __slots__ = ()
 
     def __new__(cls, letters: tuple):
-        return super().__new__(cls, _read_letters(letters))
+        return super().__new__(cls, _read_letters(letters, empty=None))
 
     @staticmethod
     def from_letters(p: GentlePresentation, letters) -> "Band":
-        letters = _read_letters(letters, True)
-        if not letters:
-            raise InputError("a band needs at least one letter")
+        letters = _read_letters(letters, True, "a band needs at least one letter")
         codes, err = _word_error(p, letters, True)
         if err is not None:
             i, reason = err
@@ -310,7 +302,7 @@ def _band(p: GentlePresentation, codes) -> Band:
     form, period = _cyclic_form(codes)
     if period < len(codes):
         raise StringRejection(0, "not primitive (proper power)")
-    return Band(tuple(map(_letter_table(p).letters.__getitem__, form)))
+    return Band._trusted((tuple(map(_letter_table(p).letters.__getitem__, form)),))
 
 
 def _inverse(codes) -> tuple:
@@ -364,25 +356,22 @@ def _kept(store, host, read, owner):
     """The entry of an operand in an operand store, by the one keep rule of
     both stores (the `views` of a letter table and the arcs store of a
     tiling algebra): the entry kept under id(host) when its host is that
-    same object, else the entry read(owner, host) makes, kept when it
-    names host as its host.  A refusal raises, so it is never kept, and
-    the store is cleared whole once it holds `_VIEWS` entries."""
+    same object, else the entry read(owner, host) makes, which is kept.
+    A refusal raises, so it is never kept, and the store is cleared whole
+    once it holds `_VIEWS` entries."""
     entry = store.get(id(host))
     if entry is None or entry.host is not host:
         entry = read(owner, host)
-        if entry.host is host:
-            if len(store) >= _VIEWS:
-                store.clear()
-            store[id(host)] = entry
+        if len(store) >= _VIEWS:
+            store.clear()
+        store[id(host)] = entry
     return entry
 
 
 def _operand(p: GentlePresentation, host):
     """(codes, vertices, cyclic) of a Hom, hook or arc operand of p: its
-    letter codes, the vertices its walk visits and whether it is a band.
-    InputError unless host is a nonzero StringWord of p as its
-    constructors build it, or a Band of p as `Band.from_letters` does.
-    The view is that of the host's `_entry`, kept with its match index."""
+    letter codes, the vertices its walk visits and whether it is a band,
+    the view of its `_entry`, kept with its match index."""
     return _entry(p, host).view
 
 
@@ -400,9 +389,9 @@ def _entries(p: GentlePresentation, v, w):
 
 
 def _read_operand(p: GentlePresentation, host) -> _Entry:
-    """The `_Entry` of an operand, read and checked afresh.  It names its
-    host only when the host's letters are a tuple, so letters that may
-    change are read again on every call."""
+    """The `_Entry` of an operand, read afresh: InputError unless it is a
+    nonzero StringWord of p or a Band of p in the canonical form of
+    `Band.from_letters`.  Its constructor has checked its shape."""
     table = _letter_table(p)
     if isinstance(host, Band):
         codes, err = _word_error(p, host.letters, True)
@@ -416,20 +405,16 @@ def _read_operand(p: GentlePresentation, host) -> _Entry:
         raise InputError(f"expected StringWord or Band, got {type(host).__name__}")
     elif host.kind == "word":
         codes, err = _word_error(p, host.letters, False)
-        if not codes or err is not None:
-            StringWord.word(host.letters)   # the constructor's complaint comes first
+        if err is not None:
             raise InputError(f"not a string of this presentation: {host!r}")
         view = codes, (table.source[codes[0]], *map(table.target.__getitem__, codes)), False
-    elif host.kind == "trivial":
-        if host.sign not in (1, -1) or type(host.vertex) is not str \
-                or host.vertex not in table.vertices:
-            StringWord.trivial(host.vertex, host.sign)
-            raise InputError(f"not a string of this presentation: {host!r}")
+    elif host.is_zero:
+        raise InputError("zero string has no module")
+    elif host.vertex in table.vertices:
         view = (), (host.vertex,), False
     else:
-        raise InputError("zero string has no module" if host.kind == "zero"
-                         else f"unknown string kind {host.kind!r}")
-    return _Entry(host if type(host.letters) is tuple else None, view)
+        raise InputError(f"not a string of this presentation: {host!r}")
+    return _Entry(host, view)
 
 
 def all_letters(p: GentlePresentation):
@@ -501,8 +486,7 @@ def enumerate_strings(p: GentlePresentation, max_len: int | None = None):
     """
     if max_len is not None and _int_arg(max_len, "max_len") < 0:
         raise InputError(f"max_len must be >= 0, got {max_len}")
-    band = detect_band(p)
-    if band is not None and max_len is None:
+    if detect_band(p) is not None and max_len is None:
         raise InputError("presentation has a band; enumeration needs max_len")
 
     return [_string_word(p, x) for x in _code_strings(p, max_len)]
@@ -527,11 +511,12 @@ def _string_word(p: GentlePresentation, x) -> StringWord:
     """The string of a code string (codes, trivial): letter codes and (),
     or () and the (vertex, sign) of a trivial string; None is zero."""
     if x is None:
-        return StringWord.zero()
+        return StringWord._trusted(("zero", None, None, ()))
     codes, trivial = x
     if trivial:
-        return StringWord.trivial(*trivial)
-    return StringWord.word(map(_letter_table(p).letters.__getitem__, codes))
+        return StringWord._trusted(("trivial", *trivial, ()))
+    return StringWord._trusted(("word", None, None,
+                                tuple(map(_letter_table(p).letters.__getitem__, codes))))
 
 
 # -- text parsing -------------------------------------------------------
@@ -544,13 +529,13 @@ def parse_string(p: GentlePresentation, text: str) -> StringWord:
     if not parts:
         raise InputError("empty string literal")
     if parts[0] == "zero":
-        return StringWord.zero()
+        return _string_word(p, None)
     if parts[0] == "triv":
         if len(parts) != 3 or parts[2] not in ("+", "-"):
             raise InputError("trivial string syntax: triv <vertex> <+|->")
         if parts[1] not in vertices:
             raise InputError(f"unknown vertex {parts[1]!r}")
-        return StringWord.trivial(parts[1], 1 if parts[2] == "+" else -1)
+        return _string_word(p, ((), (parts[1], 1 if parts[2] == "+" else -1)))
     return validate_string(p, _letters(parts))
 
 

@@ -60,7 +60,7 @@ def _enumerate_reference(p, max_len):
         frontier = [StringWord.word(w.letters + (l2,)) for w in frontier
                     for l2 in all_letters(p) if valid_pair(p, w.letters[-1], l2) is None]
     # trivial strings (length 0) by vertex, then words by length and letters
-    return sorted(found, key=lambda w: (len(w), w._key()))
+    return sorted(found, key=lambda w: (len(w), w.vertex or "", w.letters))
 
 
 def test_letter_graph_matches_all_pairs_reference():

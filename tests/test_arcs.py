@@ -368,7 +368,7 @@ def test_arc_bijections_reject_bad_operands(name):
     alg = tiling_algebra(t)
     for to_curve in (string_to_arc, band_to_closed_curve):
         with pytest.raises(InputError):
-            to_curve(t, alg, KRON_BAD_OPERANDS[name])
+            to_curve(t, alg, KRON_BAD_OPERANDS[name]())
 
 
 @pytest.mark.parametrize("name, value", [
@@ -561,7 +561,7 @@ def test_refused_arc_gives_the_same_message_twice():
     bad = list(_corruptions(arc)) + [
         PermissibleArc((4,), (), e, e), PermissibleArc((5, 0), ((0, False),), e, e),
         PermissibleArc((2, 0), ((0, False),), e, e), PermissibleArc((99,), (), e, e),
-        ClosedCurveClass(arc.darts, arc.pivots + ((0, False),), 2, 2), "not an arc"]
+        PermissibleArc((4,), (), EndDescriptor(9, 0, 1), e), "not an arc"]
     calls = [lambda a: check_permissible(t, alg, a), lambda a: arc_to_string(t, alg, a),
              lambda a: pivot_move(t, alg, a, "s"),
              lambda a: pivot_move(t, alg, a, "t"), lambda a: tau_inverse_arc(t, alg, a),

@@ -42,8 +42,13 @@ PENT = samples.pent_tiling()
 PENT_ALG = tiling_algebra(PENT)
 NOT_AN_ARC = "arc 5 is not a TrivialArc, PermissibleArc or ClosedCurveClass"
 END = EndDescriptor(0, 0, 1)
-NO_CROSSINGS = PermissibleArc((), (), END, END)
 NO_DARTS = "arc has no darts; the arc without crossings is TrivialArc()"
+
+
+def _no_crossings():   # refused where it is built, so each call below is too
+    return PermissibleArc((), (), END, END)
+
+
 # the pent disc with the algebra of the pair of pants, and the Kronecker
 # annulus with the algebra of another parse of it
 PANTS_ALG = tiling_algebra(samples.pants_tiling())
@@ -271,11 +276,11 @@ def test_tuples_generators_and_sets_are_read_like_lists():
      "on a tile of the tiling"),
     (lambda: format_arc(PENT, ClosedCurveClass((0, 1), ((0, True), (1, False)), 2, None)),
      "exponent must be an int, got None"),
-    (lambda: normalize(PENT, NO_CROSSINGS), NO_DARTS),
-    (lambda: hom_dim_geometric(PENT, PENT_ALG, NO_CROSSINGS, NO_CROSSINGS), NO_DARTS),
-    (lambda: arc_to_string(PENT, PENT_ALG, NO_CROSSINGS), NO_DARTS),
-    (lambda: format_arc(PENT, NO_CROSSINGS), NO_DARTS),
-    (lambda: pivot_move(PENT, PENT_ALG, NO_CROSSINGS, "s"), NO_DARTS),
+    (lambda: normalize(PENT, _no_crossings()), NO_DARTS),
+    (lambda: hom_dim_geometric(PENT, PENT_ALG, _no_crossings(), _no_crossings()), NO_DARTS),
+    (lambda: arc_to_string(PENT, PENT_ALG, _no_crossings()), NO_DARTS),
+    (lambda: format_arc(PENT, _no_crossings()), NO_DARTS),
+    (lambda: pivot_move(PENT, PENT_ALG, _no_crossings(), "s"), NO_DARTS),
     (lambda: reverse_arc(PENT, ClosedCurveClass((), (), 1, 1)), NO_DARTS),
     (lambda: check_permissible(PENT, PANTS_ALG, PENT_ARC), NOT_OWN),
     (lambda: string_to_arc(PENT, PANTS_ALG, parse_string(PANTS_ALG.presentation, "a1")),

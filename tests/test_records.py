@@ -3,20 +3,25 @@ equally hashed on equal fields, with stable reprs; plus the few
 behaviours a record adds of its own (Letter order, the lengths of
 StringWord and Band, the truth of GentleCheck, letter-only words, the
 answers for zero and trivial strings and trivial arcs, equality against
-another type)."""
+another type); the shape checks of the records that check themselves
+when built, and that every such record the library returns passes
+them."""
 
 import pytest
 
 from tilealg import samples
-from tilealg.algebra import GentleCheck, InputError, Violation
+from tilealg.algebra import GentleCheck, InputError, Violation, _Checked
 from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc, TrivialArc,
-                          crossing_word, pivot_points)
-from tilealg.artheory import ARQuiver, ARSequence, HookResult, HookSide
+                          arc_to_string, band_to_closed_curve, closed_curve_to_band,
+                          crossing_word, pivot_move, pivot_points, string_to_arc,
+                          tau_inverse_arc)
+from tilealg.artheory import ARQuiver, ARSequence, HookResult, HookSide, hooks
 from tilealg.homs import (AdmissiblePair, FactorDecomposition, HomComputation,
                           SubDecomposition, Window)
 from tilealg.oracle import BandModuleSpec
-from tilealg.strings import Band, Letter, StringWord, canonicalize, is_valid_string
-from tilealg.surface import (Completion, Tile, TilingAlgebra, TilingArrow,
+from tilealg.strings import (Band, Letter, StringWord, canonicalize, detect_band,
+                             enumerate_strings, is_valid_string)
+from tilealg.surface import (Completion, Tile, Tiling, TilingAlgebra, TilingArrow,
                              presentations_isomorphic, tiling_algebra)
 
 A, B = Letter("a"), Letter("b", True)
@@ -130,6 +135,99 @@ def test_gentle_check_is_true_when_gentle():
 def test_words_and_bands_reject_raw_pairs(build):
     with pytest.raises(InputError, match="take Letter items"):
         build()
+
+
+RAW_PAIRS = ("letter words and bands take Letter items; validate_string and "
+             "Band.from_letters read (arrow, inverse) pairs")
+END = EndDescriptor(0, 0, 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StringWord("word"), "a letter word must be nonempty; use trivial/zero"),
+    (lambda: StringWord("trivial", "1", 5), "trivial string sign must be +1 or -1"),
+    (lambda: StringWord("junk"), "unknown string kind 'junk'"),
+    (lambda: StringWord(("word",)), "unknown string kind ('word',)"),
+    (lambda: StringWord("zero", None, None, (A, B)),
+     "a zero string has no letters, got (Letter(arrow='a', inverse=False), "
+     "Letter(arrow='b', inverse=True))"),
+    (lambda: StringWord.trivial(["1"]), "trivial string vertex ['1'] is not a name"),
+    (lambda: StringWord("word", "1", 1, (A,)),
+     "a word string has no vertex or sign, got '1' and 1"),
+    (lambda: StringWord._make(("trivial", "1", 1, (A,))),
+     "a trivial string has no letters, got (Letter(arrow='a', inverse=False),)"),
+    (lambda: _word()._replace(letters=[("a", False)]), RAW_PAIRS),
+    (lambda: EndDescriptor(0, 0, True), "route must be an int, got True"),
+    (lambda: Band._make([[5]]), RAW_PAIRS),
+    (lambda: Band((A, B))._replace(letters=[3]), RAW_PAIRS),
+    (lambda: BandModuleSpec._make((None, 0, 0)), "band module needs a Band, got NoneType"),
+    (lambda: BandModuleSpec(Band((A, B)), 2, 3)._replace(n=0), "band module needs n >= 1"),
+    (lambda: PermissibleArc._make(((4, 7), ((1, "x"),), END, END)),
+     "arc pivot (1, 'x') is not a (corner, inverse) pair"),
+    (lambda: PermissibleArc((4, 7), ((1, False),), END, END)._replace(darts=[4, 7]),
+     "arc darts [4, 7] are not a tuple"),
+], ids=["word_without_letters", "trivial_sign_5", "kind_junk", "kind_tuple",
+        "zero_with_letters", "trivial_vertex_list", "word_with_a_vertex",
+        "string_make_trivial_with_letters", "string_replace_raw_pairs", "end_route_bool",
+        "band_make", "band_replace", "band_module_make", "band_module_replace",
+        "arc_make", "arc_replace"])
+def test_records_refuse_malformed_fields_when_built(build, message):
+    """Each record that checks itself refuses a malformed field where it
+    is built, through its constructor, `_make` or `_replace`, with an
+    InputError naming the field."""
+    with pytest.raises(InputError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def _passes_its_check(record):
+    """Whether a record the library returned, and each record inside it,
+    is one its own constructor builds: type(r)(*r) == r for each record
+    that checks itself (the library builds those through `_trusted`)."""
+    if isinstance(record, _Checked) and type(record)(*record) != record:
+        return False
+    return not isinstance(record, tuple) or all(
+        _passes_its_check(x) for x in record if isinstance(x, tuple))
+
+
+def _returned_records(t):
+    """The records the library returns on the tiling t: the strings of its
+    algebra up to length 3 and their inverses, their hooks, arcs, arc
+    strings, pivot and tau moves, and its band's closed curve and back."""
+    alg = tiling_algebra(t)
+    p = alg.presentation
+    for w0 in enumerate_strings(p, max_len=3):
+        for w in (w0, w0.inv()):
+            yield w
+            yield hooks(p, w)
+            arc = string_to_arc(t, alg, w)
+            yield arc
+            yield arc_to_string(t, alg, arc)
+            yield pivot_move(t, alg, arc, "s")
+            yield pivot_move(t, alg, arc, "t")
+            yield tau_inverse_arc(t, alg, arc)
+    band = detect_band(p)
+    if band is not None:
+        curve = band_to_closed_curve(t, alg, band, 2)
+        yield band
+        yield curve
+        yield closed_curve_to_band(t, alg, curve)
+
+
+@pytest.mark.parametrize("tilings", [
+    lambda: list(samples.tiled_fixtures().values()),
+    lambda: samples.random_tilings(5, 120),
+    lambda: [Tiling.parse(samples.many_holes_text(3))],
+], ids=["fixtures", "random_tilings(5, 120)", "many_holes_text(3)"])
+def test_library_records_pass_their_own_check(tilings):
+    """The records the library builds through `_trusted`, which skips the
+    check, are ones that the check accepts."""
+    tilings = tilings()
+    checked = 0
+    for t in tilings:
+        for record in _returned_records(t):
+            assert _passes_its_check(record), record
+            checked += 1
+    assert checked > len(tilings)
 
 
 ZERO, TRIV = StringWord.zero(), StringWord.trivial("1", -1)

@@ -472,27 +472,28 @@ def test_letter_table_is_stored_once():
 
 
 def test_stored_view_does_not_admit_an_equal_ill_typed_record():
-    """A record equal to a stored string, but of (arrow, inverse) pairs, is
-    refused with the constructor's message; a record of a list of letters
-    is read afresh on each call."""
+    """A record equal to a stored string, but of (arrow, inverse) pairs,
+    is refused where it is built, with the constructor's message, and a
+    plain tuple equal to it is refused as no operand.  A record built from
+    a list of letters keeps them as a tuple, so a later change to the
+    list reaches neither the record nor its stored view."""
     p = samples.fix_a()
     good = validate_string(p, [("a", False)])
-    bad = StringWord("word", None, None, (("a", False),))
-    assert (good, hash(good)) == (bad, hash(bad))
     assert _operand(p, good) is _operand(p, good)
-    for call in (lambda: _operand(p, bad), lambda: hom_dim(p, bad, good),
-                 lambda: hom_dim(p, good, bad), lambda: hooks(p, bad)):
-        with pytest.raises(InputError) as err:
+    with pytest.raises(InputError) as err:
+        StringWord("word", None, None, (("a", False),))
+    assert str(err.value) == ("letter words and bands take Letter items; "
+                              "validate_string and Band.from_letters read "
+                              "(arrow, inverse) pairs")
+    for call in (lambda: hom_dim(p, tuple(good), good), lambda: hooks(p, tuple(good))):
+        with pytest.raises(InputError, match="^expected StringWord or Band, got tuple$"):
             call()
-        assert str(err.value) == ("letter words and bands take Letter items; "
-                                  "validate_string and Band.from_letters read "
-                                  "(arrow, inverse) pairs")
     letters = [Letter("a")]
     listed = StringWord("word", None, None, letters)
-    assert _operand(p, listed) == _operand(p, good)
+    view = _operand(p, listed)
     letters.append(Letter("b"))     # a b is a relation of fix_a
-    with pytest.raises(InputError, match="not a string of this presentation"):
-        _operand(p, listed)
+    assert listed == good and type(listed.letters) is tuple
+    assert _operand(p, listed) is view == _operand(p, good)
 
 
 def test_stored_view_is_kept_per_presentation():
