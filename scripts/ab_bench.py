@@ -15,9 +15,11 @@ printed as it ends: its end-to-end metrics, failed over attempted ops
 and its digest.  Then, for each end-to-end metric of BENCHMARK.json,
 come each side's median and quartiles, the median of the per-round
 ratios CHANGE / PARENT and how many rounds each side won, by the
-metric's direction.  With --ladder the child runs the one family FAMILY
-of the tree's own `scripts/bench_ladder.py`, its rungs up to size
-3200 under that script's stop rule.  Every run is printed as its best
+metric's direction, and one line on the digests: the digest when every
+run of both sides printed the same one, else each side's digests.
+With --ladder the child runs the one family FAMILY of the tree's own
+`scripts/bench_ladder.py`, its rungs up to size 3200 under that
+script's stop rule.  Every run is printed as its best
 time per rung; then, for each rung that every run reached, come each
 side's median time, the median ratio CHANGE / PARENT and the rounds won,
 lower being better.  Ties count for neither side.  Next to the rounds
@@ -142,6 +144,17 @@ def summary(pairs, better):
     return lines
 
 
+def digest_line(pairs):
+    """One line on the digests of (parent result, change result) pairs:
+    the digest when every run of both sides printed the same one, else
+    each side's distinct digests in the order they came."""
+    sides = [list(dict.fromkeys(r["digest"] for r in results)) for results in zip(*pairs)]
+    if len(set(sides[0] + sides[1])) == 1:
+        return f"digests agree: {sides[0][0]}"
+    return "digests differ: " + "; ".join(
+        f"{side} {' '.join(digests)}" for side, digests in zip(SIDES, sides))
+
+
 def ladder_summary(pairs):
     """The lines that sum up (parent rungs, change rungs) pairs of one
     ladder family: for each size that every run reached, each side's
@@ -200,7 +213,10 @@ def main(argv):
             pair[i] = result
             print(line(SIDES[i], result), flush=True)
         pairs.append(pair)
-    print("\n".join(ladder_summary(pairs) if args.ladder else summary(pairs, better)))
+    if args.ladder:
+        print("\n".join(ladder_summary(pairs)))
+    else:
+        print("\n".join(summary(pairs, better) + [digest_line(pairs)]))
     return 0
 
 

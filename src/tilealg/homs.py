@@ -51,12 +51,18 @@ the letter table's operand store once for both operands, `_match` reads
 the factor part of v's entry and the sub part of w's, and `_runs`
 unrolls band sides to the pair's length cap and walks the runs.
 
-Operands whose walks share no vertex have no pair: `_match` returns ()
-for them, after both operands have been read, checked and indexed, and
-`hom_dim_detailed` returns one shared empty `HomComputation`.  The check
-is exact: a trivial pair matches two windows at one vertex, and a
-nonempty pair matches equal codes, whose source and target lie on both
-walks.
+Each index part also holds its match keys: the codes where a window of
+its role starts (for a sub part, on either spelling) and the vertices
+of its trivial windows; codes are ints and vertices are names, so one
+set holds both.  Operands whose keys are disjoint have no pair: `_match`
+returns () for them, after both operands have been read, checked and
+indexed, and `hom_dim_detailed` returns one shared empty
+`HomComputation` (with the identity term for a band against itself,
+which may be key-disjoint from itself).  The check is exact: a nonempty
+pair starts at a start pair of equal codes, and a trivial pair needs
+one vertex with a trivial window in each role.  It subsumes the vertex
+test: a code's ends and a trivial window's vertex lie on its operand's
+walk, so operands whose walks share no vertex are key-disjoint.
 
 Band operands are the quasi-simple modules M(b, 1, lambda), both with
 the same lambda.  Between two of them on the same band the dimension is
@@ -165,26 +171,30 @@ class HomComputation(NamedTuple):
 
 def _factor(entry):
     """The factor part of an operand's match index, built from the view of
-    its entry and kept there: its vertex set, codes, cyclic flag, factor
-    flanks, the positions where a factor window starts, its trivial
-    factor windows with their vertices, and the records of the factor
-    windows `hom_dim_detailed` has handed out, by run."""
+    its entry and kept there: its match keys (the codes where a factor
+    window starts and the vertices of its trivial factor windows), codes,
+    cyclic flag, factor flanks, the positions where a factor window
+    starts, its trivial factor windows with their vertices, and the
+    records of the factor windows `hom_dim_detailed` has handed out, by
+    run."""
     codes, verts, cyclic = entry.view
     fl, fr = _ends(codes, cyclic, 1)
-    entry.factor = (frozenset(verts), codes, cyclic, fl, fr,
-                    [i for i in range(len(codes)) if fl[i] != -1],
-                    [((i, 0, left, fr[i]), verts[i]) for i, left in enumerate(fl)
-                     if left != -1 and fr[i] != -1], {})
+    starts = [i for i in range(len(codes)) if fl[i] != -1]
+    trivial = [((i, 0, left, fr[i]), verts[i]) for i, left in enumerate(fl)
+               if left != -1 and fr[i] != -1]
+    keys = frozenset([codes[i] for i in starts] + [v for _, v in trivial])
+    entry.factor = keys, codes, cyclic, fl, fr, starts, trivial, {}
     return entry.factor
 
 
 def _sub(entry):
     """The sub part of an operand's match index, built from the view of its
-    entry and kept there: its vertices, codes, cyclic flag, sub flanks,
-    its trivial sub windows by vertex, for the operand and its inverse
-    spelling the positions where a sub window starts, keyed by code, and
-    the records of the sub windows `hom_dim_detailed` has handed out, by
-    run."""
+    entry and kept there: its match keys (the codes where a sub window
+    starts, on either spelling, and the vertices of its trivial sub
+    windows), codes, cyclic flag, sub flanks, its trivial sub windows by
+    vertex, for the operand and its inverse spelling the positions where
+    a sub window starts, keyed by code, and the records of the sub windows
+    `hom_dim_detailed` has handed out, by run."""
     codes, verts, cyclic = entry.view
     m = len(codes)
     sl, sr = _ends(codes, cyclic, 0)
@@ -193,6 +203,7 @@ def _sub(entry):
     for j, left in enumerate(sl):
         if left != -1 and sr[j] != -1:
             trivial.setdefault(verts[j], []).append((j, 0, left, sr[j]))
+    keys = set(trivial)
     spellings = []
     for same, spell in ((True, codes), (False, _inverse(codes))):
         # the inverse spelling's sub window at j is the inverse of the
@@ -201,8 +212,9 @@ def _sub(entry):
         for j in range(m):
             if (sl[j] if same else sr[(m - j) % sk]) != -1:
                 starts.setdefault(spell[j], []).append(j)
+        keys.update(starts)
         spellings.append((same, spell, starts))
-    entry.sub = verts, codes, cyclic, sl, sr, trivial, spellings, {}
+    entry.sub = frozenset(keys), codes, cyclic, sl, sr, trivial, spellings, {}
     return entry.sub
 
 
@@ -210,8 +222,8 @@ def _match(f, s):
     """Admissible pairs (factor window of one operand, sub window of the
     other, same orientation) from the factor part of the match index of
     the one's entry f and the sub part of the other's entry s, each built
-    here on its first use in that role: () when the operands share no
-    vertex, else the lazy generator `_runs` of them."""
+    here on its first use in that role: () when the two parts share no
+    match key, else the lazy generator `_runs` of them."""
     fx, sx = f.factor or _factor(f), s.sub or _sub(s)
     return () if fx[0].isdisjoint(sx[0]) else _runs(fx, sx)
 
@@ -255,7 +267,7 @@ def hom_dim_detailed(p: GentlePresentation, v, w) -> HomComputation:
     f, s = _entries(p, v, w)
     runs = _match(f, s)
     if not runs:
-        return _NO_PAIRS
+        return HomComputation(1, ()) if isinstance(v, Band) and v == w else _NO_PAIRS
     factors, subs = f.factor[-1], s.sub[-1]
     pairs = []
     for a, b, same in sorted(runs):

@@ -108,17 +108,22 @@ class StringRejection(Rejection):
 def _read_letters(letters, pairs=False, empty="a letter word must be nonempty; use trivial/zero"):
     """The letters of a word or band as a tuple of Letters, given as such
     or, with `pairs`, also as (arrow, inverse) pairs; InputError(empty)
-    when there are none, unless empty is None."""
+    when there are none, unless empty is None.  Without `pairs` (the
+    record constructors) each Letter needs a nonempty str arrow and a
+    bool inverse; with them the presentation's letter table decides."""
     letters = _record(letters, None, "letters {!r} are not a collection")
     if empty is not None and not letters:
         raise InputError(empty)
     if pairs:
         return tuple(l if isinstance(l, Letter) else Letter(*_record(
             l, 2, "letter {!r} is not an (arrow, inverse) pair")) for l in letters)
-    if not all(isinstance(l, Letter) for l in letters):
-        raise InputError("letter words and bands take Letter items; "
-                         "validate_string and Band.from_letters read "
-                         "(arrow, inverse) pairs")
+    for l in letters:
+        if not isinstance(l, Letter):
+            raise InputError("letter words and bands take Letter items; "
+                             "validate_string and Band.from_letters read "
+                             "(arrow, inverse) pairs")
+        if type(l.arrow) is not str or not l.arrow or type(l.inverse) is not bool:
+            raise InputError(f"letter {l!r} needs a nonempty str arrow and a bool inverse")
     return letters
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 import gentle_corpus
-from tilealg import samples
+from tilealg import homs, samples
 from tilealg.algebra import InputError
 from tilealg.artheory import ar_sequence, hook_left, hook_right, hooks, tau_inverse
 from tilealg.homs import (FactorDecomposition, SubDecomposition, Window,
@@ -278,15 +278,19 @@ def test_operand_entry_points_reject_bad_operands(kron_algebra, name):
 
 
 @pytest.mark.parametrize("operand, message", [
-    (StringWord.word([Letter("a"), Letter(["b"])]),
+    (StringWord._trusted(("word", None, None, (Letter("a"), Letter(["b"])))),
      "not a string of this presentation: <a ['b']>"),
-    (StringWord.word([Letter(["a"])]), "not a string of this presentation: <['a']>"),
-    (Band((Letter(["a"]), Letter("b", True))), "not a band of this presentation: <band ['a'] b->"),
+    (StringWord._trusted(("word", None, None, (Letter(["a"]),))),
+     "not a string of this presentation: <['a']>"),
+    (Band._trusted(((Letter(["a"]), Letter("b", True)),)),
+     "not a band of this presentation: <band ['a'] b->"),
 ])
 def test_unhashable_operand_fields_are_input_errors(operand, message):
-    """An unhashable arrow is an InputError where an entry point reads it;
-    an unhashable vertex is refused where its trivial string is built
-    (`test_records_refuse_malformed_fields_when_built`)."""
+    """An unhashable arrow or vertex is refused where its record is built
+    (`test_records_refuse_malformed_fields_when_built`, and the unhashable
+    rows of KRON_BAD_OPERANDS); a word or band record built around that
+    check, as `_trusted` builds, is still an InputError where an entry
+    point reads it."""
     p = samples.kronecker()
     for call in _operand_entry_points(p):
         with pytest.raises(InputError) as err:
@@ -455,6 +459,59 @@ def test_operands_without_a_common_vertex_have_no_pairs():
     assert cases == 12330 and len(sample) > 400
     for p, v, w in sample:
         assert hom_dim_oracle(p, _module(p, v), _module(p, w)) == 0, (_text(v), _text(w))
+
+
+def test_disjoint_match_keys_have_no_pairs():
+    """On the operands of the test above, for every ordered pair: operands
+    without a common vertex have disjoint match keys, and operands with
+    disjoint match keys give the run walk nothing to yield.  The oracle
+    confirms a seeded sample of the key-disjoint pairs that share a vertex:
+    1 for a band against itself, else 0."""
+    rng = random.Random(21)
+    vertex_disjoint, key_disjoint, sample = 0, 0, []
+    for p in gentle_corpus.presentations()[:100]:
+        strings = enumerate_strings(p, max_len=3)
+        ops = strings + _sorted_bands(_closed_string_bands(p, strings)
+                                      | ({detect_band(p)} - {None}))
+        supports = [_support(p, x) for x in ops]
+        entries = [_entry(p, x) for x in ops]
+        parts = [(e.factor or homs._factor(e), e.sub or homs._sub(e)) for e in entries]
+        for v, sv, (fx, _) in zip(ops, supports, parts):
+            for w, sw, (_, sx) in zip(ops, supports, parts):
+                disjoint = fx[0].isdisjoint(sx[0])
+                if sv.isdisjoint(sw):
+                    assert disjoint, (_text(v), _text(w))
+                    vertex_disjoint += 1
+                if disjoint:
+                    assert next(homs._runs(fx, sx), None) is None, (_text(v), _text(w))
+                    key_disjoint += 1
+                    if not sv.isdisjoint(sw) and rng.random() < 0.02:
+                        sample.append((p, v, w))
+    assert (vertex_disjoint, key_disjoint) == (12330, 24049)
+    assert len(sample) > 200
+    for p, v, w in sample:
+        assert hom_dim_oracle(p, _module(p, v), _module(p, w)) == (
+            isinstance(v, Band) and v == w), (_text(v), _text(w))
+
+
+def test_key_disjoint_operands_enter_no_walk(monkeypatch):
+    """hom_dim_detailed on every ordered pair of strings of at most 3
+    letters and bands of kronecker_chain(3) enters the run walk exactly
+    for the 655 of 1521 pairs whose match keys meet; a fall back to the
+    vertex test would enter it 1303 times, and no test 1521 times."""
+    p = samples.kronecker_chain(3)
+    strings = enumerate_strings(p, max_len=3)
+    ops = strings + _sorted_bands(_closed_string_bands(p, strings) | {detect_band(p)})
+    walks = []
+    runs = homs._runs
+
+    def counted(fx, sx):
+        walks.append(1)
+        return runs(fx, sx)
+
+    monkeypatch.setattr(homs, "_runs", counted)
+    dims = [hom_dim_detailed(p, v, w).dim for v in ops for w in ops]
+    assert (len(dims), len(walks), sum(dims)) == (1521, 655, 825)
 
 
 # -- long operands ------------------------------------------------------------

@@ -165,11 +165,20 @@ END = EndDescriptor(0, 0, 1)
      "arc pivot (1, 'x') is not a (corner, inverse) pair"),
     (lambda: PermissibleArc((4, 7), ((1, False),), END, END)._replace(darts=[4, 7]),
      "arc darts [4, 7] are not a tuple"),
+    (lambda: canonicalize(StringWord.word([Letter("a"), Letter(5)])),
+     "letter Letter(arrow=5, inverse=False) needs a nonempty str arrow and a bool inverse"),
+    (lambda: Band((Letter("a", 2),)),
+     "letter Letter(arrow='a', inverse=2) needs a nonempty str arrow and a bool inverse"),
+    (lambda: StringWord.word([Letter("b", None)]),
+     "letter Letter(arrow='b', inverse=None) needs a nonempty str arrow and a bool inverse"),
+    (lambda: StringWord.word([Letter("", False)]),
+     "letter Letter(arrow='', inverse=False) needs a nonempty str arrow and a bool inverse"),
 ], ids=["word_without_letters", "trivial_sign_5", "kind_junk", "kind_tuple",
         "zero_with_letters", "trivial_vertex_list", "word_with_a_vertex",
         "string_make_trivial_with_letters", "string_replace_raw_pairs", "end_route_bool",
         "band_make", "band_replace", "band_module_make", "band_module_replace",
-        "arc_make", "arc_replace"])
+        "arc_make", "arc_replace", "letter_arrow_int", "letter_inverse_int",
+        "letter_inverse_none", "letter_arrow_empty"])
 def test_records_refuse_malformed_fields_when_built(build, message):
     """Each record that checks itself refuses a malformed field where it
     is built, through its constructor, `_make` or `_replace`, with an

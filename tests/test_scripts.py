@@ -109,6 +109,26 @@ def test_ab_bench_summary_of_canned_result_lines():
     assert script.sign_test(0, 0) == script.sign_test(3, 3) == 1.0
 
 
+def test_ab_bench_digest_line_of_canned_result_lines():
+    """One digest when every run of both sides printed it; else each
+    side's distinct digests, in the order they came."""
+    digest_line = _script("ab_bench").digest_line
+
+    def pairs(*digests):
+        results = []
+        for d in digests:
+            result = json.loads(_result(100, 1.0))
+            result["digest"] = d
+            results.append(result)
+        return list(zip(results[::2], results[1::2]))
+
+    assert digest_line(pairs("d2a2", "d2a2", "d2a2", "d2a2")) == "digests agree: d2a2"
+    assert digest_line(pairs("d2a2", "d2a2", "d2a2", "ffff")) == (
+        "digests differ: parent d2a2; change d2a2 ffff")
+    assert digest_line(pairs("aaaa", "bbbb", "cccc", "bbbb")) == (
+        "digests differ: parent aaaa cccc; change bbbb")
+
+
 def test_ab_bench_rejects_trees_without_perfbench(tmp_path, capsys):
     main = _script("ab_bench").main
     assert main(["ab_bench.py", str(tmp_path), str(ROOT), "--workload", "hom_matrix"]) == 2
