@@ -52,8 +52,8 @@ when built, so `_arc` reads an arc on its first use for membership in
 the tiling only, and it is kept under its identity.  An arc's entry
 (`_ArcEntry`) is its `strings._Entry` as a Hom operand and holds what
 else the algebra learns of it: its verdict and view, computed when it is
-read, the entry of its gamma_{s,t} form, which shares them, and its
-pivot moves.  The arcs the library makes (by `string_to_arc`,
+read, and its pivot moves, which read no ends, so it moves as its
+gamma_{s,t} form does.  The arcs the library makes (by `string_to_arc`,
 `band_to_closed_curve`, a pivot or a tau move) are kept unread, judged
 when they are made and checked by a permissibility assertion, so a
 repeated move returns the same object and a tau move reuses the pivot
@@ -184,15 +184,14 @@ class _ArcEntry(_Entry):
     """What an algebra knows of one arc: its `strings._Entry` as a Hom
     operand, whose view is (codes, crossed arcs, closed), its verdict
     (the reason it is refused, with the view None, or None), both as
-    `_verdict` gives them when the entry is made, the entry of its normal
-    form (itself for an arc the library made) and the entries of its
-    pivot moves by end; those two None or empty until used."""
+    `_verdict` gives them when the entry is made, and the entries of its
+    pivot moves by end, empty until used."""
 
-    __slots__ = ("verdict", "form", "moves")
+    __slots__ = ("verdict", "moves")
 
     def __init__(self, arc, verdict=None, view=None):
         super().__init__(arc, view)
-        self.verdict, self.form, self.moves = verdict, None, {}
+        self.verdict, self.moves = verdict, {}
 
 
 def _seen(alg: TilingAlgebra, arc) -> _ArcEntry:
@@ -209,11 +208,9 @@ def _read_arc(alg: TilingAlgebra, arc) -> _ArcEntry:
 
 def _made(alg: TilingAlgebra, arc) -> _ArcEntry:
     """The entry of a permissible arc the library made, which `_kept` keeps
-    unread: it is its own normal form, and its permissibility assertion
-    checks its verdict."""
+    unread; its permissibility assertion checks its verdict."""
     entry = _ArcEntry(arc, *_verdict(alg.tiling, arc, alg))
     assert entry.verdict is None, entry.verdict
-    entry.form = entry
     return entry
 
 
@@ -457,10 +454,10 @@ def reverse_arc(t: Tiling, arc):
     """The arc traversed backwards.  Note that a self-dual dart sequence
     (e.g. the loop-letter arc through a type I tile) coincides with its
     reverse except for the pivot direction flags."""
-    return _reverse(t, _tiled(t, arc))
+    return _reverse(_tiled(t, arc))
 
 
-def _reverse(t: Tiling, arc):
+def _reverse(arc):
     """`reverse_arc` of a read arc."""
     if isinstance(arc, TrivialArc):
         return arc
@@ -493,23 +490,17 @@ def pivot_move(t: Tiling, alg: TilingAlgebra, arc, end: str):
 
 def _pivot(t: Tiling, alg: TilingAlgebra, entry: _ArcEntry, end: str) -> _ArcEntry:
     """The entry of `pivot_move` of an accepted open arc of an entry, made
-    once and kept with the entry of its normal form gamma_{s,t}, which has
-    its darts, pivots and so its view and passing verdict."""
-    form = entry.form
-    if form is None:
-        arc = entry.host
-        gamma = _gamma(t, arc.darts, arc.pivots)
-        form = entry.form = entry if gamma == arc else _ArcEntry(gamma, None, entry.view)
-        form.form = form
-    moved = form.moves.get(end)
+    once and kept in its moves; it reads the arc's darts, pivots and codes,
+    never its ends, so the arc moves as its normal form gamma_{s,t} does."""
+    moved = entry.moves.get(end)
     if moved is None:
-        arc, codes = form.host, _accepted(form)
+        arc, codes = entry.host, _accepted(entry)
         if end == "s":
             out = _pivot_start(t, arc, codes)
         else:   # the reversed arc spells the inverse codes
-            out = _reverse(t, _pivot_start(t, _reverse(t, arc), _inverse(codes)))
-        moved = form.moves[end] = (_ArcEntry(out) if isinstance(out, TrivialArc)
-                                   else _kept(alg._arcs, out, _made, alg))
+            out = _reverse(_pivot_start(t, _reverse(arc), _inverse(codes)))
+        moved = entry.moves[end] = (_ArcEntry(out) if isinstance(out, TrivialArc)
+                                    else _kept(alg._arcs, out, _made, alg))
     return moved
 
 
@@ -614,16 +605,13 @@ def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
     entry in the arcs store of `alg` is its Hom operand entry, so its view
     and the factor or sub part of its match index are built once, as a
     string's are.  Segments without a transit match by the arc they
-    cross, and closed curves are read in their periodic unrolling.  The
-    crossing words serve as the operands' vertices, so arcs that cross no
-    common arc give 0 at once, before any index part is built.
+    cross, and closed curves are read in their periodic unrolling.  An
+    arc's codes and trivial windows sit on the arcs it crosses, so arcs
+    that cross no common arc share no match key: `_match` has no pair.
     ArcRejection with `check_permissible`'s reason for an arc it refuses."""
     from .homs import _match   # only Hom loads homs
     _own(t, alg)
-    fv, sv = _viewed(alg, arc_v), _viewed(alg, arc_w)
-    if set(fv.view[1]).isdisjoint(sv.view[1]):
-        return 0
-    return sum(1 for _ in _match(fv, sv))
+    return sum(1 for _ in _match(_viewed(alg, arc_v), _viewed(alg, arc_w)))
 
 
 # -- formatting ------------------------------------------------------------

@@ -16,12 +16,11 @@ i the index of its arrow among the sorted arrows, so code order is
 (arrow, inverse) order and c ^ 1 is the inverse letter.  The table holds
 the source and target vertex of each code and its `valid_pair`
 successors, a tuple of at most two codes in code order.  That one
-successor table serves every walk: `_walk_error` is the one check of a
-code word against it, pair by pair (`_word_error` encodes strings and
-bands through the table first, and `arcs` hands it the codes of the
-walks its arcs induce), band detection looks for a cycle in it,
-enumeration extends code tuples along it, and the hooks of `artheory`
-read their runs off it.  `Letter`s are built only at the API boundary.
+successor table serves every walk: `_walk_error`, the one check of a
+code word against it, pair by pair, serves `_word_error`; band detection
+looks for a cycle in it, enumeration extends code tuples along it, and
+the hooks of `artheory` read their runs off it.  `Letter`s are built only
+at the API boundary, where `_letter` checks each one.
 `_inverse` is the one spelling of the inverse of a code word, and
 `_cyclic_form`, one linear pass, the one canonical form of a cyclic one:
 the least rotation of it or of its inverse, with its period.  `_operand`
@@ -64,30 +63,41 @@ class Letter(NamedTuple):
         return f"{self.arrow}{'-' if self.inverse else ''}"
 
 
-def letter_source(p: GentlePresentation, l: Letter):
-    """The vertex where l starts.  It serves the building of the letter
-    table, so it reads p directly and refuses a p of another type off the
-    AttributeError of the read, as `_letter_table` does."""
+def _letter(l, what="letter {!r} is not a Letter"):
+    """`l` if it is a Letter of a nonempty str arrow and a bool inverse,
+    else InputError: what, or one naming the letter."""
+    if not isinstance(l, Letter):
+        raise InputError(what.format(l))
+    if type(l.arrow) is not str or not l.arrow or type(l.inverse) is not bool:
+        raise InputError(f"letter {l!r} needs a nonempty str arrow and a bool inverse")
+    return l
+
+
+def _letter_end(p: GentlePresentation, l: Letter, end: bool):
+    """The vertex where l starts, or ends when `end`, off the arrows of p,
+    not the letter table it serves to build.  A read that finds the arrow
+    has checked it; else `_given`, `_letter` or this names the fault."""
     try:
-        return p.t(l.arrow) if l.inverse else p.s(l.arrow)
-    except AttributeError:
-        _given(p, GentlePresentation)
-        raise
+        if type(l.inverse) is bool and isinstance(l, Letter):
+            return (p.quiver.targets if l.inverse != end else p.quiver.sources)[l.arrow]
+    except (AttributeError, KeyError, TypeError):
+        pass
+    _given(p, GentlePresentation)
+    raise InputError(f"unknown arrow {_letter(l).arrow!r}")
+
+
+def letter_source(p: GentlePresentation, l: Letter):
+    return _letter_end(p, l, False)
 
 
 def letter_target(p: GentlePresentation, l: Letter):
-    """The vertex where l ends; see `letter_source`."""
-    try:
-        return p.s(l.arrow) if l.inverse else p.t(l.arrow)
-    except AttributeError:
-        _given(p, GentlePresentation)
-        raise
+    return _letter_end(p, l, True)
 
 
 def valid_pair(p: GentlePresentation, l1: Letter, l2: Letter) -> str | None:
-    """None if l1 l2 is a valid length-2 string, else the reason; a p of
-    another type is refused by `letter_target`."""
-    if letter_target(p, l1) != letter_source(p, l2):
+    """None if l1 l2 is a valid length-2 string, else the reason; the
+    letters and p are checked by `_letter_end`."""
+    if _letter_end(p, l1, True) != _letter_end(p, l2, False):
         return "non-composable"
     if l2 == l1.inv():
         return "not-reduced"
@@ -108,22 +118,17 @@ class StringRejection(Rejection):
 def _read_letters(letters, pairs=False, empty="a letter word must be nonempty; use trivial/zero"):
     """The letters of a word or band as a tuple of Letters, given as such
     or, with `pairs`, also as (arrow, inverse) pairs; InputError(empty)
-    when there are none, unless empty is None.  Without `pairs` (the
-    record constructors) each Letter needs a nonempty str arrow and a
-    bool inverse; with them the presentation's letter table decides."""
+    when there are none, unless empty is None.  Each letter passes
+    `_letter`, however it is given."""
     letters = _record(letters, None, "letters {!r} are not a collection")
     if empty is not None and not letters:
         raise InputError(empty)
     if pairs:
-        return tuple(l if isinstance(l, Letter) else Letter(*_record(
+        letters = tuple(l if isinstance(l, Letter) else Letter(*_record(
             l, 2, "letter {!r} is not an (arrow, inverse) pair")) for l in letters)
     for l in letters:
-        if not isinstance(l, Letter):
-            raise InputError("letter words and bands take Letter items; "
-                             "validate_string and Band.from_letters read "
-                             "(arrow, inverse) pairs")
-        if type(l.arrow) is not str or not l.arrow or type(l.inverse) is not bool:
-            raise InputError(f"letter {l!r} needs a nonempty str arrow and a bool inverse")
+        _letter(l, "letter words and bands take Letter items; validate_string "
+                   "and Band.from_letters read (arrow, inverse) pairs")
     return letters
 
 

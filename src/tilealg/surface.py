@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 from typing import NamedTuple
 
-from .algebra import GentlePresentation, InputError, Rejection, _given, _name, _record, _records
+from .algebra import (GentlePresentation, InputError, Rejection, _Checked, _given, _name, _record,
+                      _records)
 
 
 class TilingRejection(Rejection):
@@ -408,13 +409,18 @@ def _started(walk, order):
 # -- the tiling algebra -------------------------------------------------
 
 
-class TilingArrow(NamedTuple):
-    name: str
-    source: str          # arc id
-    target: str          # arc id
-    point: str           # the shared marked point p_a
-    leave_slot: tuple    # slot of the source arc
-    enter_slot: tuple    # slot of the target arc
+class TilingArrow(_Checked, namedtuple("TilingArrow",
+                                       "name source target point leave_slot enter_slot")):
+    """An arrow from the source to the target arc at their shared marked
+    point p_a; its constructor checks that each slot is an (arc, end) pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, source, target, point, leave_slot, enter_slot):
+        for slot in (leave_slot, enter_slot):
+            if type(slot) is not tuple or tuple(map(type, slot)) != (str, int):
+                raise InputError(f"arrow {name} slot {slot!r} is not an (arc, end) pair")
+        return super().__new__(cls, name, source, target, point, leave_slot, enter_slot)
 
 
 class TilingAlgebra:
@@ -459,7 +465,7 @@ def tiling_algebra(t: Tiling) -> TilingAlgebra:
         fan = t.fans[pt]
         for leave, enter in zip(fan, fan[1:]):
             name = f"a{len(arrows) + 1}"
-            arrows[name] = TilingArrow(name, leave[0], enter[0], pt, leave, enter)
+            arrows[name] = TilingArrow._trusted((name, leave[0], enter[0], pt, leave, enter))
     return TilingAlgebra(t, sorted(t.arcs), arrows)
 
 
@@ -541,8 +547,8 @@ def collapse_presentation(alg_t: TilingAlgebra, keep) -> TilingAlgebra:
                 "relation-free direct path left its fan"
         if last is not None and last.target in keep:
             cname = f"a{len(collapsed) + 1}"
-            collapsed[cname] = TilingArrow(cname, first.source, last.target, first.point,
-                                           first.leave_slot, last.enter_slot)
+            collapsed[cname] = TilingArrow._trusted((cname, first.source, last.target, first.point,
+                                                     first.leave_slot, last.enter_slot))
     return TilingAlgebra(alg_t.tiling, sorted(keep), collapsed)
 
 

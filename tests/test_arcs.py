@@ -426,13 +426,12 @@ def test_hom_dim_geometric_band_pairs():
 
 def test_arcs_crossing_no_common_arc_have_no_hom(monkeypatch):
     """Arcs and closed curves whose crossing words share no arc give 0,
-    without building a match index part, on strings of at most 3 letters
-    and the band witnesses of random tilings."""
-    def unavailable(entry):
-        raise AssertionError("an index part was built for disjoint arcs")
+    without entering a run walk, on strings of at most 3 letters and the
+    band witnesses of random tilings: they share no match key."""
+    def unavailable(fx, sx):
+        raise AssertionError("a run walk was entered for disjoint arcs")
 
-    for name in ("_factor", "_sub"):
-        monkeypatch.setattr(homs, name, unavailable)
+    monkeypatch.setattr(homs, "_runs", unavailable)
     cases = 0
     for t in samples.random_tilings(7, 40):
         alg = tiling_algebra(t)

@@ -235,3 +235,19 @@ def test_library_assertions_are_pinned():
     for path in sorted((ROOT / "src" / "tilealg").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
     assert found == ASSERTIONS
+
+
+# The fields an operand entry keeps: the host, its view and the two parts
+# of its match index; an arc's entry adds its verdict and its pivot moves.
+ENTRY_FIELDS = {"strings._Entry": ("host", "view", "factor", "sub"),
+                "arcs._ArcEntry": ("verdict", "moves")}
+
+
+def test_entry_fields_are_pinned():
+    """The slots of the operand entries are exactly ENTRY_FIELDS, so a new
+    per-operand cache fails until it is named here."""
+    found = {}
+    for key in ENTRY_FIELDS:
+        module, name = key.split(".")
+        found[key] = getattr(importlib.import_module(f"tilealg.{module}"), name).__slots__
+    assert found == ENTRY_FIELDS

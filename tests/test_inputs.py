@@ -20,9 +20,10 @@ from tilealg.homs import Window, hom_dim, window_key
 from tilealg.oracle import (BandModuleSpec, MatrixRep, hom_dim_oracle, realize_band_module,
                             realize_string_module)
 from tilealg.strings import (Band, Letter, StringWord, canonicalize, detect_band,
-                             enumerate_strings, is_valid_string, parse_band, parse_string,
+                             enumerate_strings, is_valid_string, letter_source,
+                             letter_target, parse_band, parse_string, valid_pair,
                              validate_string)
-from tilealg.surface import (Tiling, TilingAlgebra, collapse_presentation,
+from tilealg.surface import (Tiling, TilingAlgebra, TilingArrow, collapse_presentation,
                              complete_to_triangulation, presentations_isomorphic,
                              tiling_algebra)
 
@@ -63,6 +64,11 @@ FIX_A_REP = realize_string_module(samples.fix_a(), parse_string(samples.fix_a(),
 NOT_A_PRESENTATION = "expected a GentlePresentation, got int"
 # the pent disc's one arrow a1: x -> y, entering slot y.1, given the target x
 PENT_STRAY = {"a1": PENT_ALG.arrows["a1"]._replace(target="x")}
+KRONECKER = samples.kronecker()   # arrows a, b
+
+
+def _bad_letter(letter):   # the complaint of the one letter check
+    return f"letter {letter!r} needs a nonempty str arrow and a bool inverse"
 
 
 # entry point -> (call, the valid arguments whose slots are fuzzed)
@@ -362,6 +368,20 @@ def test_tuples_generators_and_sets_are_read_like_lists():
     (lambda: realize_string_module(5, WORD), NOT_A_PRESENTATION),
     (lambda: realize_band_module(5, (BAND, 1, 2)), NOT_A_PRESENTATION),
     (lambda: hom_dim_oracle(5, REP, REP), NOT_A_PRESENTATION),
+    (lambda: letter_source(KRONECKER, Letter("zz")), "unknown arrow 'zz'"),
+    (lambda: letter_source(KRONECKER, 5), "letter 5 is not a Letter"),
+    (lambda: letter_target(KRONECKER, Letter(["a"])), _bad_letter(Letter(["a"]))),
+    (lambda: valid_pair(KRONECKER, Letter("zz"), Letter("a")), "unknown arrow 'zz'"),
+    (lambda: StringWord.word([Letter("zz")]).source(KRONECKER), "unknown arrow 'zz'"),
+    (lambda: TilingAlgebra(PENT, ["x", "y"], {"a": TilingArrow("a", "x", "y", "p1", 5, 6)}),
+     "arrow a slot 5 is not an (arc, end) pair"),
+    (lambda: validate_string(KRONECKER, [("a", 0)]), _bad_letter(Letter("a", 0))),
+    (lambda: validate_string(KRONECKER, [("a", 1.0)]), _bad_letter(Letter("a", 1.0))),
+    (lambda: validate_string(KRONECKER, [Letter("a", 0)]), _bad_letter(Letter("a", 0))),
+    (lambda: Band.from_letters(KRONECKER, [("a", 0), ("b", 1)]),
+     _bad_letter(Letter("a", 0))),
+    (lambda: validate_string(KRONECKER, [("", False)]), _bad_letter(Letter("", False))),
+    (lambda: parse_string(KRONECKER, "a -"), _bad_letter(Letter("", True))),
 ], ids=["str_vertices", "arrow_id_int", "arrow_id_empty", "vertices_int", "arrows_none",
         "vertex_list", "arrow_id_list", "relation_list_field", "source_list",
         "relations_none", "letter_int", "letter_triple", "letters_str", "band_letter_int",
@@ -397,7 +417,11 @@ def test_tuples_generators_and_sets_are_read_like_lists():
         "validate_string_of_an_int", "is_valid_string_of_an_int",
         "is_valid_string_on_an_int", "canonicalize_an_int", "ar_quiver_dot_of_an_int",
         "oracle_string_module_of_an_int", "oracle_band_module_of_an_int",
-        "oracle_hom_of_an_int"])
+        "oracle_hom_of_an_int", "letter_source_unknown_arrow", "letter_source_of_an_int",
+        "letter_target_arrow_list", "valid_pair_unknown_arrow",
+        "string_source_unknown_arrow", "tiling_arrow_slot_int", "pair_inverse_int",
+        "pair_inverse_float", "letter_inverse_int_to_validate_string",
+        "band_pair_inverse_int", "pair_arrow_empty", "string_literal_bare_dash"])
 def test_malformed_records_name_themselves(call, message):
     with pytest.raises(InputError) as err:
         call()
@@ -411,6 +435,7 @@ def test_list_records_read_as_their_tuples():
                          {"p": [["x", 1]], "r": [("x", 2)]})
     assert t.arcs == {"x": ("p", "r")} and t.fans == {"p": [("x", 1)], "r": [("x", 2)]}
     assert validate_string(CHAIN, [["a0", False]]) == StringWord.word([Letter("a0")])
+    assert validate_string(KRONECKER, [("a", False)]) == StringWord.word([Letter("a")])
     # a placement is read in any order
     pair = dict(DIGON.unmarked)
     swapped = Tiling.from_data(DIGON.marked, {k: v[::-1] for k, v in pair.items()},

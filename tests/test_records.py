@@ -22,6 +22,7 @@ from tilealg.oracle import BandModuleSpec
 from tilealg.strings import (Band, Letter, StringWord, canonicalize, detect_band,
                              enumerate_strings, is_valid_string)
 from tilealg.surface import (Completion, Tile, Tiling, TilingAlgebra, TilingArrow,
+                             collapse_presentation, complete_to_triangulation,
                              presentations_isomorphic, tiling_algebra)
 
 A, B = Letter("a"), Letter("b", True)
@@ -173,12 +174,19 @@ END = EndDescriptor(0, 0, 1)
      "letter Letter(arrow='b', inverse=None) needs a nonempty str arrow and a bool inverse"),
     (lambda: StringWord.word([Letter("", False)]),
      "letter Letter(arrow='', inverse=False) needs a nonempty str arrow and a bool inverse"),
+    (lambda: TilingArrow("a1", "x", "y", "p1", ("x", 1), ("y", [1])),
+     "arrow a1 slot ('y', [1]) is not an (arc, end) pair"),
+    (lambda: PENT_ALG.arrows["a1"]._replace(leave_slot=["x", 1]),
+     "arrow a1 slot ['x', 1] is not an (arc, end) pair"),
+    (lambda: TilingArrow._make(("a1", "x", "y", "p1", ("x", True), ("y", 1))),
+     "arrow a1 slot ('x', True) is not an (arc, end) pair"),
 ], ids=["word_without_letters", "trivial_sign_5", "kind_junk", "kind_tuple",
         "zero_with_letters", "trivial_vertex_list", "word_with_a_vertex",
         "string_make_trivial_with_letters", "string_replace_raw_pairs", "end_route_bool",
         "band_make", "band_replace", "band_module_make", "band_module_replace",
         "arc_make", "arc_replace", "letter_arrow_int", "letter_inverse_int",
-        "letter_inverse_none", "letter_arrow_empty"])
+        "letter_inverse_none", "letter_arrow_empty", "tiling_arrow_slot_unhashable",
+        "tiling_arrow_replace_slot_list", "tiling_arrow_make_slot_bool"])
 def test_records_refuse_malformed_fields_when_built(build, message):
     """Each record that checks itself refuses a malformed field where it
     is built, through its constructor, `_make` or `_replace`, with an
@@ -199,11 +207,15 @@ def _passes_its_check(record):
 
 
 def _returned_records(t):
-    """The records the library returns on the tiling t: the strings of its
+    """The records the library returns on the tiling t: the arrows of its
+    algebra and of the collapse of its completion's, the strings of its
     algebra up to length 3 and their inverses, their hooks, arcs, arc
     strings, pivot and tau moves, and its band's closed curve and back."""
     alg = tiling_algebra(t)
     p = alg.presentation
+    yield from alg.arrows.values()
+    completed = tiling_algebra(complete_to_triangulation(t).tiling)
+    yield from collapse_presentation(completed, t.arc_ids()).arrows.values()
     for w0 in enumerate_strings(p, max_len=3):
         for w in (w0, w0.inv()):
             yield w
