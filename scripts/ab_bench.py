@@ -15,8 +15,12 @@ printed as it ends: its end-to-end metrics, failed over attempted ops
 and its digest.  Then, for each end-to-end metric of BENCHMARK.json,
 come each side's median and quartiles, the median of the per-round
 ratios CHANGE / PARENT and how many rounds each side won, by the
-metric's direction, and one line on the digests: the digest when every
-run of both sides printed the same one, else each side's digests.
+metric's direction, then whether the gain rule holds for it: the change
+won at least nine tenths of all rounds, a tie counting for neither side,
+and its median is better than the parent's by more than the distance
+between the parent's quartiles.  Last comes one line on the digests: the
+digest when every run of both sides printed the same one, else each
+side's digests.
 With --ladder the child runs the one family FAMILY of the tree's own
 `scripts/bench_ladder.py`, its rungs up to size 3200 under that
 script's stop rule.  Every run is printed as its best
@@ -125,10 +129,26 @@ def _compare(parent, change, direction):
             f"change {won}, parent {lost}, sign test p {sign_test(won, lost):.4g}")
 
 
+def gain_rule(parent, change, direction):
+    """Whether paired values show a gain of the change, as the end of a
+    summary line: it won at least nine tenths of the rounds, ties
+    counting for neither side, and its median is better than the
+    parent's by more than the parent's q1-q3 spread."""
+    sign = 1 if direction == "higher" else -1
+    won = sum(sign * (c - a) > 0 for a, c in zip(parent, change))
+    needed = -(-9 * len(parent) // 10)
+    q1, median, q3 = _quartiles(parent)
+    gain = sign * (statistics.median(change) - median)
+    verdict = "holds" if won >= needed and gain > q3 - q1 else "does not hold"
+    return (f"gain rule {verdict}: change won {won} of {len(parent)} rounds, {needed} needed; "
+            f"median gain {gain:.6g}, parent q1-q3 spread {q3 - q1:.6g}")
+
+
 def summary(pairs, better):
     """The lines that sum up (parent result, change result) pairs, each
     result a parsed perfbench result line: per metric, each side's median
-    and quartiles, the median ratio change / parent and the rounds won."""
+    and quartiles, the median ratio change / parent and the rounds won,
+    and whether the gain rule holds."""
     lines = [f"{len(pairs)} pairs; failed ops: "
              + ", ".join(f"{side} {sum(r['failed'] for r in results)}/"
                          f"{sum(r['attempted'] for r in results)}"
@@ -141,6 +161,7 @@ def summary(pairs, better):
             q1, median, q3 = _quartiles(values)
             lines.append(f"{name:12} {side:6} {median:11.6g} {q1:11.6g} {q3:11.6g}")
         lines.append(f"{name:12} {_compare(parent, change, direction)}")
+        lines.append(f"{name:12} {gain_rule(parent, change, direction)}")
     return lines
 
 

@@ -28,22 +28,29 @@ the maximal run of equal codes from its start pair along one alignment
 diagonal.  `_runs` walks one run per valid start pair, against w and
 against w's inverse spelling (whose sub windows are the inverses of
 w's), a band side unrolled to O(n + m) codes, and yields the runs
-unsorted.  Runs on one diagonal are disjoint, so `hom_dim` counts them in
-O(n m) time and O(n + m) memory; `hom_dim_detailed` sorts them and
-hands out their records.  Trivial windows match by vertex.
+unsorted, each as one flat tuple (factor start, length, sub start, same
+orientation); a window's flanks are not part of it, as its part's flank
+lists give them at (start, length).  Runs on one diagonal are disjoint,
+so `hom_dim` counts them in O(n m) time and O(n + m) memory;
+`hom_dim_detailed` sorts them, which orders them as their records would,
+and hands out their records.  Trivial windows match by vertex.
 
 The work is split in two.  Once per operand object, the operand is read
 into its entry (`strings._Entry`, kept by `strings._kept`: per
 presentation for strings and bands, per tiling algebra for the arcs of
 `arcs.hom_dim_geometric`).  On the operand's first Hom use as v,
 `_factor` builds the factor part of its match index from the entry's
-view (the `_ends` flanks, where factor windows start, the trivial factor
-windows); on its first use as w, `_sub` builds the sub part (the flanks,
-the trivial sub windows by vertex, and for the operand and its inverse
-spelling where sub windows start, keyed by code).  Each part also holds
-the window records `hom_dim_detailed` has handed out in its role, by
-run: a `FactorDecomposition` or a `SubDecomposition` is built on its
-window's first match and reused on every later one.  The two roles keep
+view (the `_ends` flanks, where factor windows start, the positions of
+the trivial factor windows); on its first use as w, `_sub` builds the
+sub part (the flanks, the positions of the trivial sub windows by
+vertex, and for the operand and its inverse spelling where sub windows
+start, keyed by code).  Each part also holds the window records
+`hom_dim_detailed` has handed out in its role, keyed by (start,
+length): a `FactorDecomposition` or a `SubDecomposition` is built from
+the part's flank lists on its window's first match and reused on every
+later one.  The records are built with `tuple.__new__`, the C tuple
+constructor; these `typing.NamedTuple`s check nothing, and their
+`_make` is a Python wrapper around it.  The two roles keep
 separate records, as the two record types compare equal as tuples.  Both
 parts are kept in the entry, under its store's bound, so an operand
 that never serves Hom has neither.  Per call, `strings._entries` reads
@@ -174,14 +181,13 @@ def _factor(entry):
     its entry and kept there: its match keys (the codes where a factor
     window starts and the vertices of its trivial factor windows), codes,
     cyclic flag, factor flanks, the positions where a factor window
-    starts, its trivial factor windows with their vertices, and the
-    records of the factor windows `hom_dim_detailed` has handed out, by
-    run."""
+    starts, the positions of its trivial factor windows with their
+    vertices, and the records of the factor windows `hom_dim_detailed`
+    has handed out, by (start, length)."""
     codes, verts, cyclic = entry.view
     fl, fr = _ends(codes, cyclic, 1)
     starts = [i for i in range(len(codes)) if fl[i] != -1]
-    trivial = [((i, 0, left, fr[i]), verts[i]) for i, left in enumerate(fl)
-               if left != -1 and fr[i] != -1]
+    trivial = [(i, verts[i]) for i, left in enumerate(fl) if left != -1 and fr[i] != -1]
     keys = frozenset([codes[i] for i in starts] + [v for _, v in trivial])
     entry.factor = keys, codes, cyclic, fl, fr, starts, trivial, {}
     return entry.factor
@@ -191,10 +197,10 @@ def _sub(entry):
     """The sub part of an operand's match index, built from the view of its
     entry and kept there: its match keys (the codes where a sub window
     starts, on either spelling, and the vertices of its trivial sub
-    windows), codes, cyclic flag, sub flanks, its trivial sub windows by
-    vertex, for the operand and its inverse spelling the positions where
-    a sub window starts, keyed by code, and the records of the sub windows
-    `hom_dim_detailed` has handed out, by run."""
+    windows), codes, cyclic flag, sub flanks, the positions of its trivial
+    sub windows by vertex, for the operand and its inverse spelling the
+    positions where a sub window starts, keyed by code, and the records of
+    the sub windows `hom_dim_detailed` has handed out, by (start, length)."""
     codes, verts, cyclic = entry.view
     m = len(codes)
     sl, sr = _ends(codes, cyclic, 0)
@@ -202,7 +208,7 @@ def _sub(entry):
     trivial = {}
     for j, left in enumerate(sl):
         if left != -1 and sr[j] != -1:
-            trivial.setdefault(verts[j], []).append((j, 0, left, sr[j]))
+            trivial.setdefault(verts[j], []).append(j)
     keys = set(trivial)
     spellings = []
     for same, spell in ((True, codes), (False, _inverse(codes))):
@@ -230,55 +236,74 @@ def _match(f, s):
 
 def _runs(fx, sx):
     """The admissible pairs of a factor part fx and a sub part sx, yielded
-    unsorted, one at a time, as (factor run, sub run, same orientation).
-    A nonempty pair is the maximal run of equal codes from a valid start
+    unsorted, one at a time, as flat (factor start, length, sub start,
+    same orientation) tuples; a trivial pair is (i, 0, j, True).  A
+    nonempty pair is the maximal run of equal codes from a valid start
     pair on one alignment diagonal of the one operand against the other
     or its inverse spelling, kept if both right flanks are valid; runs
-    longer than both hosts drop out."""
-    _, fcodes, fcyc, fl, fr, f_starts, f_trivial, _ = fx
+    longer than both hosts drop out.  The flanks are not yielded: a
+    window's are read off its part's flank lists at (start, length)."""
+    _, fcodes, fcyc, _, fr, f_starts, f_trivial, _ = fx
     _, scodes, scyc, sl, sr, trivial, spellings, _ = sx
     n, m = len(fcodes), len(scodes)
     cap = max(n, m)
     fk, sk = len(fr), len(sr)
-    yield from ((w, t, True) for w, v in f_trivial for t in trivial.get(v, ()))
+    for i, v in f_trivial:
+        for j in trivial.get(v, ()):
+            yield i, 0, j, True
     f_run = fcodes * (2 + cap // n) if fcyc else fcodes
+    f_len = len(f_run)
     for same, spell, starts in spellings:
         s_run = spell * (2 + cap // m) if scyc else spell
+        s_len = len(s_run)
+        get = starts.get
         for i in f_starts:
-            for j in starts.get(fcodes[i], ()):
-                stop = min(len(f_run) - i, len(s_run) - j, cap + 1)
+            js = get(fcodes[i])
+            if js is None:
+                continue
+            f_stop = min(f_len - i, cap + 1)
+            for j in js:
+                stop = min(f_stop, s_len - j)
                 length = 1
                 while length < stop and f_run[i + length] == s_run[j + length]:
                     length += 1
+                if length > cap:
+                    continue
                 c = j if same else (m - j - length) % m
-                right, s_right = fr[(i + length) % fk], sr[(c + length) % sk]
-                if length <= cap and right != -1 and s_right != -1 and sl[c] != -1:
-                    yield (i, length, fl[i], right), (c, length, sl[c], s_right), same
+                if fr[(i + length) % fk] != -1 and sr[(c + length) % sk] != -1 and sl[c] != -1:
+                    yield i, length, c, same
 
 
 _NO_PAIRS = HomComputation(0, ())
 
 
 def hom_dim_detailed(p: GentlePresentation, v, w) -> HomComputation:
-    """The dimension and the admissible pairs behind it, sorted.  A pair's
-    factor and sub records are built on their window's first match and
-    then kept with the operand's match index, so calls on kept operands
-    share them."""
+    """The dimension and the admissible pairs behind it, sorted.  The runs
+    sort as their records would, since a window's flanks follow from its
+    start and length.  A pair's factor and sub records are built from
+    their part's flank lists on their window's first match and then kept
+    with the operand's match index, by (start, length), so calls on kept
+    operands share them."""
     f, s = _entries(p, v, w)
     runs = _match(f, s)
     if not runs:
         return HomComputation(1, ()) if isinstance(v, Band) and v == w else _NO_PAIRS
-    factors, subs = f.factor[-1], s.sub[-1]
+    _, _, _, fl, fr, _, _, factors = f.factor
+    _, _, _, sl, sr, _, _, subs = s.sub
+    fk, sk = len(fr), len(sr)
+    new = tuple.__new__
     pairs = []
-    for a, b, same in sorted(runs):
-        factor = factors.get(a)
+    for i, length, c, same in sorted(runs):
+        factor = factors.get((i, length))
         if factor is None:
-            factor = factors[a] = FactorDecomposition(v, Window(*a))
-        sub = subs.get(b)
+            factor = factors[i, length] = new(FactorDecomposition, (v, new(Window, (
+                i, length, fl[i], fr[(i + length) % fk]))))
+        sub = subs.get((c, length))
         if sub is None:
-            sub = subs[b] = SubDecomposition(w, Window(*b))
-        pairs.append(AdmissiblePair(factor, sub, "equal" if same else "inverse"))
-    return HomComputation(len(pairs) + (isinstance(v, Band) and v == w), tuple(pairs))
+            sub = subs[c, length] = new(SubDecomposition, (w, new(Window, (
+                c, length, sl[c], sr[(c + length) % sk]))))
+        pairs.append(new(AdmissiblePair, (factor, sub, "equal" if same else "inverse")))
+    return new(HomComputation, (len(pairs) + (isinstance(v, Band) and v == w), tuple(pairs)))
 
 
 def hom_dim(p: GentlePresentation, v, w) -> int:

@@ -412,11 +412,14 @@ def _started(walk, order):
 class TilingArrow(_Checked, namedtuple("TilingArrow",
                                        "name source target point leave_slot enter_slot")):
     """An arrow from the source to the target arc at their shared marked
-    point p_a; its constructor checks that each slot is an (arc, end) pair."""
+    point p_a; its constructor checks that the point is a name and each
+    slot an (arc, end) pair."""
 
     __slots__ = ()
 
     def __new__(cls, name, source, target, point, leave_slot, enter_slot):
+        if type(point) is not str or not point:
+            raise InputError(f"arrow {name} point {point!r} is not a name")
         for slot in (leave_slot, enter_slot):
             if type(slot) is not tuple or tuple(map(type, slot)) != (str, int):
                 raise InputError(f"arrow {name} slot {slot!r} is not an (arc, end) pair")
@@ -428,8 +431,8 @@ class TilingAlgebra:
     given TilingArrows (name -> arrow), which decide its relations: xy is
     one exactly when x enters its target arc at another end slot than the
     one y leaves.  InputError for a tiling that is not a `Tiling`, arrows
-    that are not a dict of `TilingArrow`s or an arrow off the arcs of its
-    slots."""
+    that are not a dict of `TilingArrow`s, an arrow off the arcs of its
+    slots or a vertex that is not an arc of the tiling."""
 
     __slots__ = ("tiling", "presentation", "arrows", "arrow_by_slots", "_transits", "_arcs")
 
@@ -446,6 +449,9 @@ class TilingAlgebra:
         self.tiling = tiling
         self.presentation = GentlePresentation.from_data(
             vertices, [(a.name, a.source, a.target) for a in arrows.values()], relations)
+        stray = [x for x in self.presentation.quiver.vertices if x not in tiling.arcs]
+        if stray:
+            raise InputError(f"vertex {min(stray)!r} is not an arc of the tiling")
         self.arrows = arrows   # name -> TilingArrow
         self.arrow_by_slots = {(a.leave_slot, a.enter_slot): a.name for a in arrows.values()}
         # the transit table, derived on first use by arcs._transit_table

@@ -712,6 +712,27 @@ def test_repeated_calls_return_equal_computations():
                for c, d in zip(first, second) for a, b in zip(c.pairs, d.pairs))
 
 
+def test_lazily_built_windows_are_windows_of_their_hosts():
+    """Every pair hom_dim_detailed hands out, its records built from a
+    run's (start, length), has a factor window among factor_strings of v
+    and a sub window among substrings of w, which `_windows` enumerates
+    apart from `_runs`: 3090 pairs between the strings of at most 4
+    letters of kronecker_chain(3), and 7961 between those of each of the
+    first 40 corpus presentations."""
+    counts = []
+    for p in [samples.kronecker_chain(3), *gentle_corpus.presentations()[:40]]:
+        ops = [(x, set(factor_strings(p, x)), set(substrings(p, x)))
+               for x in enumerate_strings(p, max_len=4)]
+        pairs = 0
+        for v, factors, _ in ops:
+            for w, _, subs in ops:
+                for a in hom_dim_detailed(p, v, w).pairs:
+                    assert a.factor in factors and a.sub in subs, (_text(v), _text(w), a)
+                    pairs += 1
+        counts.append(pairs)
+    assert counts[0] == 3090 and sum(counts[1:]) == 7961
+
+
 def test_counting_self_hom_stays_lazy():
     """hom_dim counts the runs from a stream: on a random walk of 800
     letters, with 18826 pairs, its tracemalloc peak stays below a tenth

@@ -382,6 +382,9 @@ def test_tuples_generators_and_sets_are_read_like_lists():
      _bad_letter(Letter("a", 0))),
     (lambda: validate_string(KRONECKER, [("", False)]), _bad_letter(Letter("", False))),
     (lambda: parse_string(KRONECKER, "a -"), _bad_letter(Letter("", True))),
+    (lambda: TilingAlgebra(PENT, ["x", "y", "q"], {"a1": TilingArrow(
+        "a1", "x", "q", "p1", ("x", 1), ("q", 1))}), "vertex 'q' is not an arc of the tiling"),
+    (lambda: PENT_ALG.arrows["a1"]._replace(point=["p"]), "arrow a1 point ['p'] is not a name"),
 ], ids=["str_vertices", "arrow_id_int", "arrow_id_empty", "vertices_int", "arrows_none",
         "vertex_list", "arrow_id_list", "relation_list_field", "source_list",
         "relations_none", "letter_int", "letter_triple", "letters_str", "band_letter_int",
@@ -421,7 +424,8 @@ def test_tuples_generators_and_sets_are_read_like_lists():
         "letter_target_arrow_list", "valid_pair_unknown_arrow",
         "string_source_unknown_arrow", "tiling_arrow_slot_int", "pair_inverse_int",
         "pair_inverse_float", "letter_inverse_int_to_validate_string",
-        "band_pair_inverse_int", "pair_arrow_empty", "string_literal_bare_dash"])
+        "band_pair_inverse_int", "pair_arrow_empty", "string_literal_bare_dash",
+        "tiling_algebra_vertex_off_the_tiling", "tiling_arrow_point_list"])
 def test_malformed_records_name_themselves(call, message):
     with pytest.raises(InputError) as err:
         call()

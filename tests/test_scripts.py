@@ -87,7 +87,8 @@ def _result(ops_per_s, p50_ms, failed=0):
 
 def test_ab_bench_summary_of_canned_result_lines():
     """Medians, quartiles, median ratios, rounds won and their sign test,
-    on four pairs of canned result lines; a tie counts for neither side."""
+    and the gain rule, on four pairs of canned result lines; a tie counts
+    for neither side."""
     script = _script("ab_bench")
     pairs = [(json.loads(_result(*a)), json.loads(_result(*c))) for a, c in [
         ((100, 2.0), (150, 1.0)), ((110, 2.0), (150, 1.5)),
@@ -99,10 +100,24 @@ def test_ab_bench_summary_of_canned_result_lines():
     # ratios 1.5, 1.3636, 1.0833, 0.7692; then 0.5, 0.75, 1, 0.25
     assert lines[4] == ("ops_per_s    median ratio change/parent 1.2235, higher is "
                         "better; rounds won: change 3, parent 1, sign test p 0.625")
-    assert lines[5].split() == ["op_p50_ms", "parent", "2", "2", "2.5"]
-    assert lines[7] == ("op_p50_ms    median ratio change/parent 0.6250, lower is "
+    # 3 of 4 rounds won is short of nine tenths, however far the medians part
+    assert lines[5] == ("ops_per_s    gain rule does not hold: change won 3 of 4 rounds, "
+                        "4 needed; median gain 25, parent q1-q3 spread 15")
+    assert lines[6].split() == ["op_p50_ms", "parent", "2", "2", "2.5"]
+    assert lines[8] == ("op_p50_ms    median ratio change/parent 0.6250, lower is "
                         "better; rounds won: change 3, parent 0, sign test p 0.25")
-    assert len(lines) == 8
+    assert lines[9] == ("op_p50_ms    gain rule does not hold: change won 3 of 4 rounds, "
+                        "4 needed; median gain 0.75, parent q1-q3 spread 0.5")
+    assert len(lines) == 10
+    gain_rule = script.gain_rule
+    assert gain_rule([10] * 9 + [11], [9] * 9 + [12], "lower").startswith(
+        "gain rule holds: change won 9 of 10 rounds, 9 needed; median gain 1,")
+    # nine of ten won, but the medians part by no more than the parent's spread
+    assert gain_rule([1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [0.9, 1.9, 2.9, 3.9, 4.9, 5.9, 6.9,
+                                                        7.9, 8.9, 11], "lower").startswith(
+        "gain rule does not hold: change won 9 of 10 rounds")
+    # a tie counts for neither side: 27 of 30 needed, 26 won
+    assert "won 26 of 30 rounds, 27 needed" in gain_rule([1] * 30, [2] * 26 + [1] * 4, "higher")
     # 2 (1 + 5) / 2^5: four rounds to one resolves nothing
     assert script.sign_test(4, 1) == script.sign_test(1, 4) == 0.375
     assert script.sign_test(10, 0) == 2 / 1024
