@@ -138,17 +138,16 @@ class Quiver:
         """vertices: names; arrows: (id, source, target) triples of names."""
         names = set()
         for v in _record(vertices, None, "vertices {!r} are not a collection"):
-            if type(v) is not str or not v:
+            if type(v) is not str or not v or v in names:
                 _name(v, "vertex {!r} is not a name")
-            if v in names:
                 raise InputError(f"duplicate vertex {v!r}")
             names.add(v)
         sources, targets = {}, {}
         for arrow in _record(arrows, None, "arrows {!r} are not a collection"):
-            a, s, t = _record(arrow, 3, "arrow {!r} is not (id, source, target)")
-            if type(a) is not str or not a:
+            a, s, t = arrow if type(arrow) is tuple and len(arrow) == 3 else _record(
+                arrow, 3, "arrow {!r} is not (id, source, target)")
+            if type(a) is not str or not a or a in sources:
                 _name(a, "arrow {1!r} has id {0!r}, not a name", arrow)
-            if a in sources:
                 raise InputError(f"duplicate arrow id {a!r}")
             if type(s) is not str or type(t) is not str or s not in names \
                     or t not in names:
@@ -177,14 +176,16 @@ class Quiver:
 def _relation_set(relations) -> dict:
     """The relations as (arrow, arrow) pairs of names, the keys of a dict in
     the order read, so checks report them in input order; InputError
-    naming the first record that is not one."""
-    what, pairs = "relation {1!r} is not a pair of arrows", []
+    naming the first record that is not one, or the first repeated one."""
+    what, pairs = "relation {1!r} is not a pair of arrows", {}
     for r in _record(relations, None, "relations {!r} are not a collection"):
-        a, b = pair = _record(r, 2, what, r)
+        a, b = pair = r if type(r) is tuple and len(r) == 2 else _record(r, 2, what, r)
         if type(a) is not str or type(b) is not str:
             _name(a, what, r), _name(b, what, r)
-        pairs.append(pair)
-    return dict.fromkeys(pairs)
+        if pair in pairs:
+            raise InputError(f"duplicate relation ({a},{b})")
+        pairs[pair] = None
+    return pairs
 
 
 class GentleCheck(NamedTuple):
@@ -204,19 +205,25 @@ def check_gentle(q: Quiver, relations) -> GentleCheck:
     the path algebra is infinite dimensional and maximal direct strings
     (hence hooks) do not exist.
     """
-    return _check_gentle(q, _relation_set(relations))
+    return _check_gentle(_given(q, Quiver), _relation_set(relations))
 
 
 def _check_gentle(q: Quiver, relations: dict) -> GentleCheck:
+    """The verdict of `check_gentle`.  Each arrow reads the ends at its two
+    vertices once and counts its relations on each side, tallied while the
+    relations are checked; a witness tuple is built only for a count over
+    its limit."""
+    sources, targets, outs, ins = q.sources, q.targets, q._out, q._in
+    right, left = {}, {}   # arrow a -> how many relations ab / ca it lies in
     for a, b in relations:
-        if a not in q.sources or b not in q.sources:
+        if a not in sources or b not in sources:
             raise InputError(f"relation ({a},{b}) references unknown arrow")
-        if q.t(a) != q.s(b):
+        if targets[a] != sources[b]:
             raise InputError(f"relation ({a},{b}) is not composable")
+        right[a] = right.get(a, 0) + 1
+        left[b] = left.get(b, 0) + 1
     bad = []
-    outs, ins = q._out, q._in
-
-    for v in sorted(q.vertices):
+    for v in sorted({v for ends in (outs, ins) for v, x in ends.items() if len(x) > 2}):
         out, into = outs.get(v, ()), ins.get(v, ())
         if len(out) > 2:
             bad.append(Violation("G1", f"vertex {v} is the source of {len(out)} arrows",
@@ -227,24 +234,22 @@ def _check_gentle(q: Quiver, relations: dict) -> GentleCheck:
 
     free = {}  # arrow -> its relation-free successors: the graph FD searches
     for a in q._arrows:
-        succ_free, succ_rel, pred_free, pred_rel = [], [], [], []
-        for b in outs.get(q.targets[a], ()):
-            (succ_rel if (a, b) in relations else succ_free).append(b)
-        for c in ins.get(q.sources[a], ()):
-            (pred_rel if (c, a) in relations else pred_free).append(c)
-        free[a] = succ_free
-        if len(succ_free) > 1:
-            bad.append(Violation("G2", f"arrow {a} has {len(succ_free)} "
-                                 "non-relation successors", (a, tuple(succ_free))))
-        if len(pred_free) > 1:
-            bad.append(Violation("G2", f"arrow {a} has {len(pred_free)} "
-                                 "non-relation predecessors", (a, tuple(pred_free))))
-        if len(succ_rel) > 1:
-            bad.append(Violation("G3", f"arrow {a} lies in {len(succ_rel)} "
-                                 "relations on the right", (a, tuple(succ_rel))))
-        if len(pred_rel) > 1:
-            bad.append(Violation("G3", f"arrow {a} lies in {len(pred_rel)} "
-                                 "relations on the left", (a, tuple(pred_rel))))
+        succ, pred = outs.get(targets[a], ()), ins.get(sources[a], ())
+        n_right, n_left = right.get(a, 0), left.get(a, 0)
+        free[a] = [b for b in succ if (a, b) not in relations] if n_right else succ
+        if len(succ) - n_right > 1:
+            bad.append(Violation("G2", f"arrow {a} has {len(succ) - n_right} "
+                                 "non-relation successors", (a, tuple(free[a]))))
+        if len(pred) - n_left > 1:
+            bad.append(Violation("G2", f"arrow {a} has {len(pred) - n_left} "
+                                 "non-relation predecessors",
+                                 (a, tuple(c for c in pred if (c, a) not in relations))))
+        if n_right > 1:
+            bad.append(Violation("G3", f"arrow {a} lies in {n_right} relations on the right",
+                                 (a, tuple(b for b in succ if (a, b) in relations))))
+        if n_left > 1:
+            bad.append(Violation("G3", f"arrow {a} lies in {n_left} relations on the left",
+                                 (a, tuple(c for c in pred if (c, a) in relations))))
 
     cycle = _find_cycle(q._arrows, free)
     if cycle is not None:
@@ -259,29 +264,25 @@ def _find_cycle(order, succ):
     """A directed cycle of the graph node -> succ[node], as a node list,
     or None.  Iterative DFS started from the nodes in `order`, following
     successors in list order; the first back edge closes the cycle."""
-    state = {}  # 0 = on stack, 1 = done
+    on_path = {}  # node -> True while on the DFS path, False once done
     for start in order:
-        if start in state:
+        if start in on_path:
             continue
-        stack = [(start, iter(succ[start]))]
-        path = [start]
-        state[start] = 0
+        on_path[start] = True
+        path, stack = [start], [iter(succ[start])]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in state:
-                    state[nxt] = 0
-                    stack.append((nxt, iter(succ[nxt])))
+            for nxt in stack[-1]:
+                seen = on_path.get(nxt)
+                if seen is None:
+                    on_path[nxt] = True
                     path.append(nxt)
-                    advanced = True
+                    stack.append(iter(succ[nxt]))
                     break
-                if state[nxt] == 0:
+                if seen:
                     return path[path.index(nxt):]
-            if not advanced:
-                state[node] = 1
+            else:
+                on_path[path.pop()] = False
                 stack.pop()
-                path.pop()
     return None
 
 
@@ -299,19 +300,18 @@ def _assign_signs(q: Quiver, relations: dict):
     in-arrows the least out-arrow gets sigma = +1 and the other -1.  For
     a presentation `_check_gentle` passes, (G2) and (G3) make every
     condition hold.  Returns (sigma, epsilon) as dicts arrow -> +-1 in
-    sorted arrow order.
+    sorted arrow order, filled in one pass over the sorted arrows.
     """
-    sigma, epsilon = {}, {}
-    for v in q.vertices:
-        ins = q._in.get(v, ())
-        for i, a in enumerate(ins):
-            epsilon[a] = 1 if i == 0 else -1
-        for i, b in enumerate(q._out.get(v, ())):
-            if ins:
-                sigma[b] = 1 if (ins[0], b) in relations else -1
-            else:
-                sigma[b] = 1 if i == 0 else -1
-    return {a: sigma[a] for a in q._arrows}, {a: epsilon[a] for a in q._arrows}
+    sigma, epsilon, outs, ins = {}, {}, q._out, q._in
+    for a in q._arrows:
+        v = q.sources[a]
+        into = ins.get(v)
+        if into:
+            sigma[a] = 1 if (into[0], a) in relations else -1
+        else:
+            sigma[a] = 1 if outs[v][0] == a else -1
+        epsilon[a] = 1 if ins[q.targets[a]][0] == a else -1
+    return sigma, epsilon
 
 
 class GentlePresentation:

@@ -9,17 +9,20 @@ Text syntax (CLI and tests): letters separated by spaces, inverse
 letters carry a trailing '-', e.g. ``b- c d c- b``; trivial strings are
 written ``triv <vertex> <+|->`` and the zero string ``zero``.
 
-One rule decides every validity question: l1 l2 is a string
-(`valid_pair`).  Each presentation is compiled once, on first use, into
-a letter table (`_letter_table`): letter l gets the code 2*i + l.inverse,
-i the index of its arrow among the sorted arrows, so code order is
-(arrow, inverse) order and c ^ 1 is the inverse letter.  The table holds
-the source and target vertex of each code and its `valid_pair`
-successors, a tuple of at most two codes in code order.  That one
-successor table serves every walk: `_walk_error`, the one check of a
-code word against it, pair by pair, serves `_word_error`; band detection
-looks for a cycle in it, enumeration extends code tuples along it, and
-the hooks of `artheory` read their runs off it.  `Letter`s are built only
+One rule decides every validity question: l1 l2 is a string when l2
+starts where l1 ends, is not its inverse and does not spell a relation
+with it.  `valid_pair` states it for one pair of letters.  Each
+presentation is compiled once, on first use, into a letter table
+(`_letter_table`), in one pass over its sorted arrows and one over its
+relations: letter l gets the code 2*i + l.inverse, i the index of its
+arrow among the sorted arrows, so code order is (arrow, inverse) order
+and c ^ 1 is the inverse letter.  The table holds the source and target
+vertex of each code and its successors by that rule, a tuple of at
+most two codes in code order.  That one successor table serves every
+walk: `_walk_error`, the one check of a code word against it, pair by
+pair, serves `_word_error`; band detection looks for a cycle in it,
+enumeration extends code tuples along it, and the hooks of `artheory`
+read their runs off it.  `Letter`s are built only
 at the API boundary, where `_letter` checks each one.
 `_inverse` is the one spelling of the inverse of a code word, and
 `_cyclic_form`, one linear pass, the one canonical form of a cyclic one:
@@ -433,29 +436,37 @@ def all_letters(p: GentlePresentation):
 
 
 class _LetterTable:
-    """The letters of one presentation, compiled: `letters[c]` is the
-    letter of code c, in `all_letters` order, and `code` maps each
-    (arrow, inverse) pair back to its code.  `succ[c]` holds the codes d,
-    in code order, for which letters[c] letters[d] is a string; the
-    candidates are only the letters starting where letters[c] ends, each
-    decided by `valid_pair`.  `vertices` are those of p; `views` is the
-    operand store of `_entry`: id(host) -> the `_Entry` of that host."""
+    """The letters of one presentation, compiled in one pass over its
+    sorted arrows: `letters[c]` is the letter of code c, in `all_letters`
+    order, and `code` maps each (arrow, inverse) pair back to its code.
+    `succ[c]` holds the codes d, in code order, for which letters[c]
+    letters[d] is a string: the letters starting where letters[c] ends,
+    but its inverse and the pairs a b and b- a- of each relation ab, the
+    rule `valid_pair` states per letter.  `vertices` are those of p;
+    `views` is the operand store of `_entry`: id(host) -> the `_Entry`
+    of that host."""
 
     __slots__ = ("vertices", "letters", "code", "source", "target", "succ", "views")
 
     def __init__(self, p: GentlePresentation):
-        self.vertices = p.quiver.vertices
-        letters = tuple(all_letters(p))
-        self.letters = letters
-        self.code = {(l.arrow, l.inverse): c for c, l in enumerate(letters)}
-        self.source = tuple(letter_source(p, l) for l in letters)
-        self.target = tuple(letter_target(p, l) for l in letters)
-        starting = {}
-        for c, v in enumerate(self.source):
-            starting.setdefault(v, []).append(c)
-        self.succ = tuple(tuple(c for c in starting.get(v, ())
-                                if valid_pair(p, l1, letters[c]) is None)
-                          for l1, v in zip(letters, self.target))
+        q, new = p.quiver, tuple.__new__
+        letters, source, target, starting = [], [], [], {}   # vertex -> codes, in order
+        for c, a in enumerate(q._arrows):
+            s, t = q.sources[a], q.targets[a]
+            letters += new(Letter, (a, False)), new(Letter, (a, True))
+            source += s, t
+            target += t, s
+            starting.setdefault(s, []).append(2 * c)
+            starting.setdefault(t, []).append(2 * c + 1)
+        code = self.code = dict(zip(letters, range(len(letters))))
+        banned = set()   # the code pairs (a, b) and (b-, a-) of each relation ab
+        for a, b in p.relations:
+            x, y = code[a, False], code[b, False]
+            banned.update(((x, y), (y + 1, x + 1)))
+        self.succ = tuple([tuple([d for d in starting[v] if d != c ^ 1 and (c, d) not in banned])
+                           for c, v in enumerate(target)])
+        self.vertices = q.vertices
+        self.letters, self.source, self.target = tuple(letters), tuple(source), tuple(target)
         self.views = {}
 
 

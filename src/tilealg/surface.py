@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 from typing import NamedTuple
 
 from .algebra import (GentlePresentation, InputError, Rejection, _Checked, _given, _name, _record,
@@ -118,11 +118,10 @@ class Tiling:
                     raise InputError(f"line {lineno}: duplicate fan {parts[1]!r}")
                 slots = []
                 for tok in parts[3:]:
-                    try:
-                        arc, end = tok.rsplit(".", 1)
-                        slots.append((arc, int(end)))
-                    except ValueError:
-                        raise InputError(f"line {lineno}: bad slot {tok!r}") from None
+                    arc, dot, end = tok.rpartition(".")
+                    if not dot or end not in ("1", "2"):
+                        raise InputError(f"line {lineno}: bad slot {tok!r}")
+                    slots.append((arc, 1 if end == "1" else 2))
                 fans[parts[1]] = slots
             else:
                 raise InputError(f"line {lineno}: unknown keyword {kw!r}")
@@ -184,10 +183,10 @@ class Tiling:
     # -- map construction ----------------------------------------------
 
     def _check_input(self):
-        pts = [p for pts in self.marked.values() for p in pts]
-        if len(pts) != len(set(pts)):
+        listed = [p for pts in self.marked.values() for p in pts]
+        pts = set(listed)
+        if len(listed) != len(pts):
             raise InputError("marked point listed twice")
-        pts = set(pts)
         if not pts:
             raise InputError("a tiling needs at least one marked point")
         for comp, comp_pts in self.marked.items():
@@ -198,9 +197,10 @@ class Tiling:
             if p not in pts or q not in pts:
                 raise InputError(f"arc {arc} ends at an unknown point")
             end_slots += (arc, 1), (arc, 2)
-        declared = [s for pt in self.fans for s in self.fans[pt]]
+        declared = [s for slots in self.fans.values() for s in slots]
+        # end_slots holds no slot twice, so equal sets of as many slots match
         if any(type(a) is not str or type(e) is not int for a, e in declared) \
-                or Counter(declared) != Counter(end_slots):
+                or len(declared) != len(end_slots) or set(declared) != set(end_slots):
             raise InputError("fans must list every arc end exactly once")
         for pt, slots in self.fans.items():
             if pt not in pts:
@@ -241,16 +241,22 @@ class Tiling:
         return c
 
     def _pair(self, kinds, label, p, q, slots=(None, None)):
-        """Two new twin darts, d and d ^ 1 (d even), from p and from q."""
+        """Two new twin darts, d and d ^ 1 (d even), from p and from q.
+        Their keys hold the texts `str` gives their label and slots: a
+        boundary segment's label is (component, index), an arc's label its
+        id and its slots (arc, 1) and (arc, 2)."""
         d = len(self.tail)
         self.tail += (p, q)
         self.kind += kinds
         self.label += (label, label)
         self.slot += slots
-        self.key += ((kinds[0], str(label), str(slots[0])),
-                     (kinds[1], str(label), str(slots[1])))
         self.rot_next += (None, None)
-        if slots[0] is not None:
+        if slots[0] is None:
+            text = f"({label[0]!r}, {label[1]})"
+            self.key += ((kinds[0], text, "None"), (kinds[1], text, "None"))
+        else:
+            text = repr(label)
+            self.key += (("arc", label, f"({text}, 1)"), ("arc", label, f"({text}, 2)"))
             self._slot_dart[slots[0]], self._slot_dart[slots[1]] = d, d + 1
         return d, d + 1
 
@@ -277,21 +283,23 @@ class Tiling:
     def _connected(self) -> bool:
         """Whether every dart is reached from dart 0 through twin and
         rot_next, i.e. the surface is connected."""
-        rot, seen, todo = self.rot_next, {0}, [0]
+        rot, seen, todo = self.rot_next, [False] * len(self.rot_next), [0]
+        seen[0] = True
         for d in todo:
             for e in (d ^ 1, rot[d]):
-                if e not in seen:
-                    seen.add(e)
+                if not seen[e]:
+                    seen[e] = True
                     todo.append(e)
-        return len(seen) == len(rot)
+        return len(todo) == len(rot)
 
     def _classify(self, walks):
         """Tiles from the inner face walks, in the order of their first keys."""
-        walks = sorted(walks, key=lambda walk: self.key[walk[0]])
+        key, kinds, label = self.key, self.kind, self.label
+        walks = sorted(walks, key=lambda walk: key[walk[0]])
         small = {}   # sorted arcs of an all-arc monogon or digon -> its one face
         for idx, walk in enumerate(walks):
-            if len(walk) <= 2 and all(self.kind[d] == "arc" for d in walk):
-                small[tuple(sorted(self.label[d] for d in walk))] = idx
+            if len(walk) <= 2 and all(kinds[d] == "arc" for d in walk):
+                small[tuple(sorted(label[d] for d in walk))] = idx
         held = {}   # face index -> the unmarked component it holds
         for comp in sorted(self.unmarked):
             arcs = self.unmarked[comp]
@@ -304,7 +312,7 @@ class Tiling:
                 raise TilingRejection("two unmarked components in one tile")
             held[idx] = comp
 
-        tiles = []
+        tiles, face_of = [], {}
         for idx, walk in enumerate(walks):
             comp = held.get(idx)
             if comp is not None:
@@ -317,29 +325,26 @@ class Tiling:
             else:
                 kind = "m-gon"
             tiles.append(Tile(idx, tuple(walk), kind, comp))
-        self.tiles = tiles
-        self.face_of = {}
-        for tile in tiles:
-            for pos, d in enumerate(tile.walk):
-                self.face_of[d] = (tile.index, pos)
+            for pos, d in enumerate(walk):
+                face_of[d] = (idx, pos)
+        self.tiles, self.face_of = tiles, face_of
         self.tile_names = {t.index: f"t{t.index + 1}" for t in tiles}
 
         self._check_topology()
 
     def _euler(self):
         """(chi, boundary components) of the tiled surface; each unmarked
-        boundary component removes a disc from the tile around it."""
-        V = len(self.points)
-        E = len(self.arcs) + sum(len(pts) for pts in self.marked.values())
+        boundary component removes a disc from the tile around it.  Each
+        marked point starts one boundary segment, so the two cancel in chi."""
         U = len(self.unmarked)
-        return V - E + len(self.tiles) - U, len(self.marked) + U
+        return len(self.tiles) - len(self.arcs) - U, len(self.marked) + U
 
     def _check_topology(self):
         """A connected map has chi = 2 - 2g - b with g >= 0, so the Euler
         count needs no check of its own; (chi, b) = (1, 1) is a disc."""
         if not self._connected():
             raise TilingRejection("surface is disconnected")
-        if self._euler() == (1, 1) and len(self.points) < 4:
+        if self._euler() == (1, 1) and sum(map(len, self.marked.values())) < 4:
             raise TilingRejection("a disc needs at least four marked points")
 
     def side(self, d) -> str:
@@ -431,29 +436,36 @@ class TilingAlgebra:
     given TilingArrows (name -> arrow), which decide its relations: xy is
     one exactly when x enters its target arc at another end slot than the
     one y leaves.  InputError for a tiling that is not a `Tiling`, arrows
-    that are not a dict of `TilingArrow`s, an arrow off the arcs of its
-    slots or a vertex that is not an arc of the tiling."""
+    that are not a dict of `TilingArrow`s each under its own name, an
+    arrow off the arcs of its slots or a vertex that is not an arc of the
+    tiling."""
 
     __slots__ = ("tiling", "presentation", "arrows", "arrow_by_slots", "_transits", "_arcs")
 
     def __init__(self, tiling: Tiling, vertices, arrows: dict):
         _given(tiling, Tiling)
-        leaving = {}
-        for y in _given(arrows, dict).values():
-            if _given(y, TilingArrow).source != y.leave_slot[0] or y.target != y.enter_slot[0]:
-                raise InputError(f"arrow {y.name} does not join the arcs of its end slots "
-                                 f"{y.leave_slot} {y.enter_slot}")
-            leaving.setdefault(y.source, []).append(y)
+        leaving, records, by_slots = {}, [], {}
+        for key, y in _given(arrows, dict).items():
+            if not isinstance(y, TilingArrow):
+                _given(y, TilingArrow)
+            name, source, target, _, leave, enter = y
+            if name != key:
+                raise InputError(f"arrow {name!r} is given under the key {key!r}")
+            if source != leave[0] or target != enter[0]:
+                raise InputError(f"arrow {name} does not join the arcs of its end slots "
+                                 f"{leave} {enter}")
+            leaving.setdefault(source, []).append(y)
+            records.append((name, source, target))
+            by_slots[leave, enter] = name
         relations = [(x.name, y.name) for x in arrows.values()
                      for y in leaving.get(x.target, ()) if x.enter_slot != y.leave_slot]
         self.tiling = tiling
-        self.presentation = GentlePresentation.from_data(
-            vertices, [(a.name, a.source, a.target) for a in arrows.values()], relations)
-        stray = [x for x in self.presentation.quiver.vertices if x not in tiling.arcs]
+        self.presentation = GentlePresentation.from_data(vertices, records, relations)
+        stray = self.presentation.quiver.vertices - tiling.arcs.keys()
         if stray:
             raise InputError(f"vertex {min(stray)!r} is not an arc of the tiling")
         self.arrows = arrows   # name -> TilingArrow
-        self.arrow_by_slots = {(a.leave_slot, a.enter_slot): a.name for a in arrows.values()}
+        self.arrow_by_slots = by_slots
         # the transit table, derived on first use by arcs._transit_table
         self._transits = None
         # the arcs store of arcs._seen, kept by strings._kept: id(arc) -> its entry

@@ -122,6 +122,16 @@ def test_signs_are_pinned():
     assert _signs_digest() == "b67ed28ede42d982"
 
 
+def test_presentation_reprs_are_pinned():
+    # the repr shows the sigma and epsilon dicts in their order, which the
+    # sign digest sorts away; recorded while the signs were filled vertex
+    # by vertex and then put in sorted arrow order
+    h = hashlib.sha256()
+    for p in gentle_corpus.presentations():
+        h.update(f"{p!r}\n".encode())
+    assert h.hexdigest()[:16] == "98b1f8ac4cf91fb3"
+
+
 def test_corpus_signs_satisfy_the_sharpened_conditions():
     """The derived signs of every corpus presentation meet the three sign
     conditions and the sharpened rule sigma(b) == epsilon(a) for ab in I."""

@@ -385,6 +385,19 @@ def test_tuples_generators_and_sets_are_read_like_lists():
     (lambda: TilingAlgebra(PENT, ["x", "y", "q"], {"a1": TilingArrow(
         "a1", "x", "q", "p1", ("x", 1), ("q", 1))}), "vertex 'q' is not an arc of the tiling"),
     (lambda: PENT_ALG.arrows["a1"]._replace(point=["p"]), "arrow a1 point ['p'] is not a name"),
+    (lambda: TilingAlgebra(PENT, sorted(PENT.arcs), {"zz": PENT_ALG.arrows["a1"]}),
+     "arrow 'a1' is given under the key 'zz'"),
+    (lambda: check_gentle("q", []), "expected a Quiver, got str"),
+    (lambda: parse_quiver("quiver\nvertex 1\nvertex 2\nvertex 3\narrow a 1 2\n"
+                          "arrow b 2 3\nrelation a b\nrelation a b\nend\n"),
+     "duplicate relation (a,b)"),
+    (lambda: check_gentle(CHAIN.quiver, RELATIONS + [list(RELATIONS[0])]),
+     "duplicate relation (a0,b1)"),
+    (lambda: Tiling.parse(PENT.text().replace("x.2", "x.02")), "line 6: bad slot 'x.02'"),
+    (lambda: Tiling.parse(PENT.text().replace("x.2", "x.+2")), "line 6: bad slot 'x.+2'"),
+    (lambda: Tiling.parse(PENT.text().replace("x.2", "x.\u0662")),   # an Arabic-Indic two
+     "line 6: bad slot 'x.\u0662'"),
+    (lambda: Tiling.parse(PENT.text().replace("x.2", "x.3")), "line 6: bad slot 'x.3'"),
 ], ids=["str_vertices", "arrow_id_int", "arrow_id_empty", "vertices_int", "arrows_none",
         "vertex_list", "arrow_id_list", "relation_list_field", "source_list",
         "relations_none", "letter_int", "letter_triple", "letters_str", "band_letter_int",
@@ -425,7 +438,10 @@ def test_tuples_generators_and_sets_are_read_like_lists():
         "string_source_unknown_arrow", "tiling_arrow_slot_int", "pair_inverse_int",
         "pair_inverse_float", "letter_inverse_int_to_validate_string",
         "band_pair_inverse_int", "pair_arrow_empty", "string_literal_bare_dash",
-        "tiling_algebra_vertex_off_the_tiling", "tiling_arrow_point_list"])
+        "tiling_algebra_vertex_off_the_tiling", "tiling_arrow_point_list",
+        "tiling_arrow_key_not_its_name", "check_gentle_of_a_str",
+        "quiver_text_relation_twice", "check_gentle_relation_twice", "slot_end_leading_zero",
+        "slot_end_plus_sign", "slot_end_other_digit", "slot_end_3"])
 def test_malformed_records_name_themselves(call, message):
     with pytest.raises(InputError) as err:
         call()

@@ -560,6 +560,19 @@ def test_every_walk_starts_at_its_least_key_dart():
             assert walks == sorted(walks, key=lambda w: m.key[w[0]]), m.text()
 
 
+def test_dart_keys_of_names_that_need_quoting():
+    # the key texts are `str` of the label and the slot, however the
+    # names quote: a quote of either kind, a backslash, a non-ASCII letter
+    text = samples.pants_tiling().text()
+    for old, new in (("x", "x'\"\\"), ("b1", "b'1"), ("b3", "b\"3"), ("y", "ÿ")):
+        text = re.sub(rf"\b{old}\b", new.replace("\\", "\\\\"), text)
+    t = Tiling.parse(text)
+    assert {"x'\"\\", "ÿ"} <= set(t.arcs)
+    for m in (t, complete_to_triangulation(t).tiling):
+        assert m.key == [(k, str(label), str(slot))
+                         for k, label, slot in zip(m.kind, m.label, m.slot)]
+
+
 def test_completion_matches_its_rebuilt_description():
     for t in samples.random_tilings(7, 40) + [make() for make in SPLIT_CASES]:
         c = complete_to_triangulation(t).tiling
