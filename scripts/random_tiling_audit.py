@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Audit a batch of random tilings: gentleness of the tiling algebra
-(its finite-dimension axiom is the check that every oriented cycle
-carries a relation) and the collapse lemma, with a small summary of the
-tile statistics.  A tiling whose algebra is rejected is reported with
-the reason and counted as a failure.
+"""Audit a batch of random tilings against every route agreement of
+scripts/agreements.py, at each agreement's own bound: the arcs side on
+each tiling, the algebra side on each distinct tiling algebra.  Building
+the tiling algebra checks its gentleness, whose finite-dimension axiom is
+the check that every oriented cycle carries a relation.  A tiling whose
+algebra is rejected, or on which an agreement fails, is reported with the
+reason and its text and counted as a failure.  A summary of the tile
+kinds and each agreement's check count follow.
 
     python3 scripts/random_tiling_audit.py [count] [seed]
 
@@ -14,11 +17,10 @@ count is a positive integer (default 100), seed an integer.  Exit codes:
 import sys
 from collections import Counter
 
+from agreements import AGREEMENTS, check
 from tilealg import samples
 from tilealg.algebra import GentlenessError
-from tilealg.surface import (TilingRejection, collapse_presentation,
-                             complete_to_triangulation, presentations_isomorphic,
-                             tiling_algebra)
+from tilealg.surface import TilingRejection, tiling_algebra
 
 
 def main(argv):
@@ -30,7 +32,7 @@ def main(argv):
     except ValueError:
         print(__doc__)
         return 2
-    kinds = Counter()
+    kinds, checks, seen = Counter(), Counter(), set()
     failures = 0
     for i, t in enumerate(samples.random_tilings(seed, count)):
         kinds.update(x.kind for x in t.tiles)
@@ -39,17 +41,32 @@ def main(argv):
         except (GentlenessError, TilingRejection) as exc:
             failure = f"gentle=False ({exc})"
         else:
-            comp = complete_to_triangulation(t)
-            collapsed = collapse_presentation(tiling_algebra(comp.tiling), t.arc_ids())
-            iso = presentations_isomorphic(collapsed, alg)
-            failure = None if iso else "gentle=True collapse=False"
+            failure = _audit(t, alg, checks, seen)
         if failure:
             failures += 1
             print(f"tiling {i}: {failure}")
             print(t.text())
     print(f"audited {count} random tilings (seed {seed}); failures: {failures}")
     print("tile kinds:", dict(sorted(kinds.items())))
+    for name in AGREEMENTS:
+        print(f"{name}: {checks[name]} checks")
     return 1 if failures else 0
+
+
+def _audit(t, alg, checks, seen):
+    """The reason of the first agreement that fails on t, else None; the
+    algebra side runs only on a presentation whose repr is not in `seen`.
+    Each agreement's checks are added to `checks`."""
+    p, key = alg.presentation, repr(alg.presentation)
+    fresh = key not in seen
+    seen.add(key)
+    for a in AGREEMENTS.values():
+        if a.side == "arcs" or fresh:
+            n, reason = check(a.name, *((t, alg) if a.side == "arcs" else (p,)))
+            checks[a.name] += n
+            if reason:
+                return reason
+    return None
 
 
 if __name__ == "__main__":

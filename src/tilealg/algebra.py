@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple
 
 
@@ -432,7 +433,9 @@ def parse_quiver(text: str) -> GentlePresentation:
 
 def _read_text(path) -> str:
     """The UTF-8 text of a description file; an unreadable or undecodable
-    file is malformed input."""
+    file, or a path that is not a str or PathLike, is malformed input."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InputError(f"expected a str or PathLike path, got {type(path).__name__}")
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()

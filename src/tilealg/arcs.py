@@ -65,7 +65,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .algebra import InputError, Rejection, _Checked, _int_arg
+from .algebra import InputError, Rejection, _Checked, _given, _int_arg
 from .strings import (Band, StringWord, _band, _cyclic_form, _Entry, _inverse, _kept,
                       _letter_table, _operand, _string_word, detect_band)
 from .surface import Tiling, TilingAlgebra
@@ -155,7 +155,8 @@ class ClosedCurveClass(_Checked, namedtuple("ClosedCurveClass",
 
 def _arc(t: Tiling, arc):
     """`arc` if it is an arc record whose darts and end tiles are those of t,
-    else InputError naming the record or the field."""
+    else InputError naming the tiling, the record or the field."""
+    _given(t, Tiling)
     if isinstance(arc, TrivialArc):
         return arc
     if not isinstance(arc, (PermissibleArc, ClosedCurveClass)):
@@ -230,8 +231,9 @@ def crossing_word(t: Tiling, arc) -> tuple:
 
 
 def intersection_vector(t: Tiling, arc):
+    word = crossing_word(t, arc)
     counts = {a: 0 for a in sorted(t.arcs)}
-    for a in crossing_word(t, arc):
+    for a in word:
         counts[a] += 1
     return counts
 
@@ -620,9 +622,9 @@ def hom_dim_geometric(t: Tiling, alg: TilingAlgebra, arc_v, arc_w) -> int:
 def format_arc(t: Tiling, arc) -> str:
     """Stable one-line arc literal, e.g.
     ``arc-word t1.c2.r1(p2,w0) : x @p1 y : t3.c0.r1(p4,w0)``."""
+    pts = pivot_points(t, arc)
     if isinstance(arc, TrivialArc):
         return "arc-word trivial"
-    pts = pivot_points(t, arc)
     if isinstance(arc, ClosedCurveClass):
         inner = " ".join(f"{t.label[d]} @{pts[i]}" for i, d in enumerate(arc.darts))
         return f"closed-curve ( {inner} ) ^{arc.exponent}"

@@ -82,7 +82,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import GentlePresentation, InputError, _int_arg, _record
-from .strings import Band, _entries, _inverse, _letter_table, _operand, valid_pair
+from .strings import Band, StringWord, _entries, _inverse, _letter_table, _operand, valid_pair
 
 
 class Window(NamedTuple):
@@ -318,7 +318,9 @@ def _count_windows_bruteforce(p: GentlePresentation, host, left_inverse: bool) -
     """Count windows by scanning every index pair and revalidating the
     decomposition from scratch, without the flank shortcuts.  Windows
     are checked pair by pair with `valid_pair`, not through the letter
-    table; the host itself is taken as given."""
+    table; the host itself is taken as given once it is an operand."""
+    if not isinstance(host, (StringWord, Band)):
+        raise InputError(f"expected StringWord or Band, got {type(host).__name__}")
     letters = host.letters
     n = len(letters)
 

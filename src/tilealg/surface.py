@@ -437,14 +437,15 @@ class TilingAlgebra:
     one exactly when x enters its target arc at another end slot than the
     one y leaves.  InputError for a tiling that is not a `Tiling`, arrows
     that are not a dict of `TilingArrow`s each under its own name, an
-    arrow off the arcs of its slots or a vertex that is not an arc of the
-    tiling."""
+    arrow off the arcs of its slots, two arrows that leave or enter one
+    slot, a vertex that is not an arc of the tiling or an arrow whose
+    slots are not at its point."""
 
     __slots__ = ("tiling", "presentation", "arrows", "arrow_by_slots", "_transits", "_arcs")
 
     def __init__(self, tiling: Tiling, vertices, arrows: dict):
         _given(tiling, Tiling)
-        leaving, records, by_slots = {}, [], {}
+        leaving, records, by_slots, taken = {}, [], {}, {}
         for key, y in _given(arrows, dict).items():
             if not isinstance(y, TilingArrow):
                 _given(y, TilingArrow)
@@ -454,6 +455,10 @@ class TilingAlgebra:
             if source != leave[0] or target != enter[0]:
                 raise InputError(f"arrow {name} does not join the arcs of its end slots "
                                  f"{leave} {enter}")
+            for way, slot in (("leaves", leave), ("enters", enter)):
+                other = taken.setdefault((way, slot), name)
+                if other != name:
+                    raise InputError(f"arrow {name} {way} the slot {slot} that {other} {way}")
             leaving.setdefault(source, []).append(y)
             records.append((name, source, target))
             by_slots[leave, enter] = name
@@ -464,6 +469,11 @@ class TilingAlgebra:
         stray = self.presentation.quiver.vertices - tiling.arcs.keys()
         if stray:
             raise InputError(f"vertex {min(stray)!r} is not an arc of the tiling")
+        for y in arrows.values():
+            for slot in (y.leave_slot, y.enter_slot):
+                d = tiling._slot_dart.get(slot)
+                if d is None or tiling.tail[d] != y.point:
+                    raise InputError(f"arrow {y.name} slot {slot} is not at its point {y.point}")
         self.arrows = arrows   # name -> TilingArrow
         self.arrow_by_slots = by_slots
         # the transit table, derived on first use by arcs._transit_table
@@ -550,7 +560,6 @@ def collapse_presentation(alg_t: TilingAlgebra, keep) -> TilingAlgebra:
         raise InputError(f"keep set names unknown arcs: {sorted(unknown)}")
     arrows = alg_t.arrows
     leaving = {(b.source, b.leave_slot): b for b in arrows.values()}
-    assert len(leaving) == len(arrows), "two arrows leave one end slot"
 
     collapsed = {}
     for name in sorted(arrows):
@@ -561,8 +570,6 @@ def collapse_presentation(alg_t: TilingAlgebra, keep) -> TilingAlgebra:
             if last is None or last.target in keep:
                 break
             last = leaving.get((last.target, last.enter_slot))
-            assert last is None or last.point == first.point, \
-                "relation-free direct path left its fan"
         if last is not None and last.target in keep:
             cname = f"a{len(collapsed) + 1}"
             collapsed[cname] = TilingArrow._trusted((cname, first.source, last.target, first.point,
@@ -572,14 +579,11 @@ def collapse_presentation(alg_t: TilingAlgebra, keep) -> TilingAlgebra:
 
 def _shape(alg: TilingAlgebra):
     """(vertex set, arrow keys, relations as pairs of keys) of an algebra,
-    an arrow's key being (source, target, point, end slots); None when two
-    arrows share a key."""
+    an arrow's key being (source, target, point, end slots), which no two
+    of its arrows share, as they leave distinct slots."""
     key = {name: (x.source, x.target, x.point, x.leave_slot, x.enter_slot)
            for name, x in alg.arrows.items()}
-    keys = set(key.values())
-    if len(keys) != len(key):
-        return None
-    return (set(alg.presentation.quiver.vertices), keys,
+    return (set(alg.presentation.quiver.vertices), set(key.values()),
             {(key[x], key[y]) for x, y in alg.presentation.relations})
 
 
@@ -589,5 +593,4 @@ def presentations_isomorphic(a: TilingAlgebra, b: TilingAlgebra) -> bool:
     vertices are shared arcs."""
     _given(a, TilingAlgebra)
     _given(b, TilingAlgebra)
-    shape = _shape(a)
-    return shape is not None and shape == _shape(b)
+    return _shape(a) == _shape(b)

@@ -5,28 +5,13 @@ Each criterion prints a single pass line, visible with `pytest -s`.
 
 import pytest
 
+from agreements import agree
 from tilealg import samples
-from tilealg.algebra import check_gentle
-from tilealg.arcs import (TrivialArc, arc_to_string, check_permissible,
-                          crossing_word, intersection_number,
-                          intersection_vector, normalize, pivot_move,
-                          rep_type_geometric, string_to_arc)
-from tilealg.artheory import (HOOK_ADDED, dimension_additivity_holds,
-                              hook_left, hook_right, hooks, tau_inverse,
-                              verify_ar_middle)
-from tilealg.homs import (factor_count_bruteforce, factor_strings, hom_dim,
-                          hom_dim_detailed, sub_count_bruteforce, substrings,
-                          window_key)
-from tilealg.oracle import (BandModuleSpec, hom_dim_oracle,
-                            realize_band_module, realize_string_module)
-from tilealg.strings import (Letter, StringWord, canonicalize, detect_band,
-                             enumerate_strings, parse_string)
-from tilealg.surface import (collapse_presentation, complete_to_triangulation,
-                             presentations_isomorphic, tiling_algebra)
-
-
-def _strings_up_to(p, bound):
-    return enumerate_strings(p, max_len=bound)
+from tilealg.arcs import crossing_word, intersection_number, rep_type_geometric, string_to_arc
+from tilealg.artheory import HOOK_ADDED, hook_left
+from tilealg.homs import hom_dim_detailed, window_key
+from tilealg.strings import Letter, StringWord, canonicalize, enumerate_strings, parse_string
+from tilealg.surface import tiling_algebra
 
 
 def criterion_1_paper_hom_value():
@@ -56,44 +41,17 @@ def criterion_1_paper_hom_value():
 
 def criterion_2_oracle_equivalence():
     """Combinatorial hom equals the F_5 intertwiner dimension."""
-    checked = 0
-    for name, p in samples.algebra_fixtures().items():
-        words = _strings_up_to(p, 8)
-        reps = {w: realize_string_module(p, w) for w in words}
-        for v in words:
-            for w in words:
-                assert hom_dim(p, v, w) == hom_dim_oracle(p, reps[v], reps[w]), \
-                    (name, v.text(), w.text())
-                checked += 1
-        band = detect_band(p)
-        if band is not None:
-            for lam in (1, 2):
-                band_rep = realize_band_module(p, BandModuleSpec(band, 1, lam))
-                for v in words:
-                    assert hom_dim(p, v, band) == \
-                        hom_dim_oracle(p, reps[v], band_rep)
-                    assert hom_dim(p, band, v) == \
-                        hom_dim_oracle(p, band_rep, reps[v])
-                    checked += 2
+    checked = sum(agree("hom_oracle", p, bound=8)
+                  for p in samples.algebra_fixtures().values())
     return f"{checked} hom pairs agree with the oracle exactly"
 
 
 def criterion_3_ar_theory():
     """Two-sided hooks commute, dimensions add up, middles verified."""
     checked = 0
-    for name, p in samples.algebra_fixtures().items():
-        for w in _strings_up_to(p, 8):
-            h = hooks(p, w)
-            if not h.w_left.is_zero and not h.w_right.is_zero:
-                assert hook_right(p, h.w_left).string == \
-                    hook_left(p, h.w_right).string
-            if h.w_both.is_zero:
-                assert tau_inverse(p, w) is None
-                continue
-            assert dimension_additivity_holds(p, w)
-            assert verify_ar_middle(p, w)
-            assert canonicalize(tau_inverse(p, w)) == canonicalize(h.w_both)
-            checked += 1
+    for p in samples.algebra_fixtures().values():
+        agree("hooks", p, bound=8)
+        checked += agree("ar_middles", p, bound=8)
     return f"AR data verified for {checked} non-injective strings"
 
 
@@ -116,19 +74,16 @@ def criterion_4_fix_b_reproduction():
     return "FIX-B reconstruction yields exactly the 12 labels; AR quiver has 12 nodes"
 
 
+def _tiled_fixtures():
+    return [(t, tiling_algebra(t)) for t in samples.tiled_fixtures().values()]
+
+
 def criterion_5_bijection():
     """Arc <-> string round trip and intersection = dimension vectors."""
     checked = 0
-    for name, t in samples.tiled_fixtures().items():
-        alg = tiling_algebra(t)
-        p = alg.presentation
-        for w in _strings_up_to(p, 8):
-            arc = string_to_arc(t, alg, w)
-            assert arc_to_string(t, alg, arc) == w, (name, w.text())
-            assert normalize(t, arc) == arc
-            rep = realize_string_module(p, w)
-            assert intersection_vector(t, arc) == rep.dim_vector(p)
-            checked += 1
+    for t, alg in _tiled_fixtures():
+        checked += agree("round_trip", t, alg, bound=8)
+        agree("crossings", t, alg, bound=8)
     return f"round trip and intersection vectors exact for {checked} strings"
 
 
@@ -136,26 +91,14 @@ def criterion_6_pivot_equals_hook():
     """Pivot moves realize hooks, covering all four local cases."""
     cases = set()
     checked = 0
-    for name, t in samples.tiled_fixtures().items():
-        alg = tiling_algebra(t)
+    for t, alg in _tiled_fixtures():
         p = alg.presentation
-        for w in _strings_up_to(p, 6):
-            arc = string_to_arc(t, alg, w)
-            start_kind = t.tiles[t.face_of[arc.darts[0]][0]].kind
-            for end, hook in (("s", hook_left), ("t", hook_right)):
-                moved = pivot_move(t, alg, arc, end)
-                want = hook(p, w).string
-                got = StringWord.zero() if isinstance(moved, TrivialArc) \
-                    else arc_to_string(t, alg, moved)
-                assert got == want, (name, w.text(), end, got, want)
-                checked += 1
-                if end == "s":
-                    tag = hook(p, w).tag
-                    if tag == HOOK_ADDED:
-                        cases.add({"m-gon": "case-1", "type-I": "case-2",
-                                   "type-II": "case-3"}[start_kind])
-                    else:
-                        cases.add("cohook")
+        checked += 2 * agree("pivots", t, alg, bound=6)
+        for w in enumerate_strings(p, max_len=6):
+            start = string_to_arc(t, alg, w).darts[0]
+            kind = t.tiles[t.face_of[start][0]].kind
+            cases.add({"m-gon": "case-1", "type-I": "case-2", "type-II": "case-3"}[kind]
+                      if hook_left(p, w).tag == HOOK_ADDED else "cohook")
     assert cases == {"case-1", "case-2", "case-3", "cohook"}
     return f"{checked} pivot moves match hooks; cases covered: " + \
         ", ".join(sorted(cases))
@@ -163,12 +106,8 @@ def criterion_6_pivot_equals_hook():
 
 def criterion_7_collapse_lemma():
     """Completion then collapse reproduces the tiling algebra."""
-    for name, t in samples.tiled_fixtures().items():
-        comp = complete_to_triangulation(t)
-        assert all(len(x.walk) == 3 for x in comp.tiling.tiles)
-        collapsed = collapse_presentation(tiling_algebra(comp.tiling),
-                                          t.arc_ids())
-        assert presentations_isomorphic(collapsed, tiling_algebra(t)), name
+    for t, alg in _tiled_fixtures():
+        agree("collapse", t, alg)
     return "collapse(complete(t), arcs(t)) isomorphic on all tiled fixtures"
 
 
@@ -176,16 +115,12 @@ def criterion_8_representation_type():
     """Geometric rep type agrees with band detection; witness checked."""
     for name, t in samples.tiled_fixtures().items():
         alg = tiling_algebra(t)
+        agree("rep_type", t, alg)
         kind, witness = rep_type_geometric(t, alg)
-        band = detect_band(alg.presentation)
-        assert (kind == "infinite") == (band is not None), name
+        assert kind == ("infinite" if name == "kron" else "finite"), name
         if name == "kron":
-            assert kind == "infinite"
             assert crossing_word(t, witness) == ("x", "y")
-            assert check_permissible(t, alg, witness) is None
             assert intersection_number(t, witness) >= 2
-        else:
-            assert kind == "finite"
     return "rep-type infinite only on kron, with permissible witness (x y)"
 
 
@@ -194,21 +129,13 @@ def criterion_9_random_structural():
     tilings = samples.random_tilings(20260810, 120)
     assert len(tilings) >= 100
     for t in tilings:
-        alg = tiling_algebra(t)
-        verdict = check_gentle(alg.presentation.quiver,
-                               alg.presentation.relations)
-        assert verdict.gentle
+        agree("fans", t, tiling_algebra(t))
     return f"{len(tilings)} random tilings: all gentle, all cycles have relations"
 
 
 def criterion_10_window_self_consistency():
     """Windowed Fac/Sub counts equal the brute-force index-pair scan."""
-    checked = 0
-    for name, p in samples.algebra_fixtures().items():
-        for w in _strings_up_to(p, 8):
-            assert len(factor_strings(p, w)) == factor_count_bruteforce(p, w)
-            assert len(substrings(p, w)) == sub_count_bruteforce(p, w)
-            checked += 1
+    checked = sum(agree("windows", p, bound=8) for p in samples.algebra_fixtures().values())
     return f"window counts match brute force for {checked} strings"
 
 

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from agreements import agree
 from test_homs import KRON_BAD_OPERANDS
 from tilealg import homs, samples
 from tilealg.algebra import InputError
@@ -11,11 +12,7 @@ from tilealg.arcs import (ArcRejection, ClosedCurveClass, EndDescriptor,
                           closed_curve_to_band, crossing_word, format_arc,
                           hom_dim_geometric, intersection_number,
                           intersection_vector, normalize, pivot_move, pivot_points,
-                          rep_type_geometric, reverse_arc, string_to_arc,
-                          tau_inverse_arc, _transit_table)
-from tilealg.artheory import hook_left, hook_right, is_injective_string, tau_inverse
-from tilealg.homs import hom_dim
-from tilealg.oracle import realize_string_module
+                          reverse_arc, string_to_arc, tau_inverse_arc, _transit_table)
 from tilealg.strings import (StringWord, _walk_error, canonicalize, detect_band,
                              enumerate_strings, parse_string)
 from tilealg.surface import (Tiling, collapse_presentation,
@@ -79,28 +76,15 @@ def test_loop_letter_arc_crosses_twice():
 
 
 def test_round_trip_all_strings(fixture):
-    name, t, alg = fixture
-    for w in fixture_strings(alg):
-        arc = string_to_arc(t, alg, w)
-        assert arc_to_string(t, alg, arc) == w
-        # descriptor normal form is idempotent
-        assert normalize(t, arc) == arc
+    agree("round_trip", *fixture[1:], bound=8)
 
 
 def test_reverse_matches_inverse_string(fixture):
-    name, t, alg = fixture
-    for w in fixture_strings(alg, bound=5):
-        arc = string_to_arc(t, alg, w)
-        assert arc_to_string(t, alg, reverse_arc(t, arc)) == w.inv()
+    agree("reverse", *fixture[1:], bound=5)
 
 
 def test_intersection_vector_is_dimension_vector(fixture):
-    name, t, alg = fixture
-    p = alg.presentation
-    for w in fixture_strings(alg):
-        arc = string_to_arc(t, alg, w)
-        rep = realize_string_module(p, w)
-        assert intersection_vector(t, arc) == rep.dim_vector(p)
+    agree("crossings", *fixture[1:], bound=8)
 
 
 def test_permissibility_rejections():
@@ -199,31 +183,11 @@ def test_transit_between_dropped_arcs_has_no_fan_adjacency(name, word, slots):
 
 
 def test_pivot_equals_hooks(fixture):
-    name, t, alg = fixture
-    p = alg.presentation
-    for w in fixture_strings(alg, bound=6):
-        arc = string_to_arc(t, alg, w)
-        for end, hook in (("s", hook_left), ("t", hook_right)):
-            moved = pivot_move(t, alg, arc, end)
-            want = hook(p, w).string
-            got = StringWord.zero() if isinstance(moved, TrivialArc) \
-                else arc_to_string(t, alg, moved)
-            assert got == want, (name, w.text(), end)
+    agree("pivots", *fixture[1:], bound=6)
 
 
 def test_pivot_commutation(fixture):
-    name, t, alg = fixture
-    for w in fixture_strings(alg, bound=6):
-        arc = string_to_arc(t, alg, w)
-        ab = pivot_move(t, alg, arc, "s")
-        if not isinstance(ab, TrivialArc):
-            ab = pivot_move(t, alg, ab, "t")
-        ba = pivot_move(t, alg, arc, "t")
-        if not isinstance(ba, TrivialArc):
-            ba = pivot_move(t, alg, ba, "s")
-        if isinstance(ab, TrivialArc) or isinstance(ba, TrivialArc):
-            continue  # an intermediate died; order matters only up to zero
-        assert ab == ba, (name, w.text())
+    agree("pivots_commute", *fixture[1:], bound=6)
 
 
 def test_disjoint_crossings_rejected():
@@ -265,19 +229,7 @@ def test_pivot_rejects_trivial_arc():
 
 
 def test_tau_matches_algebraic_translate(fixture):
-    name, t, alg = fixture
-    p = alg.presentation
-    for w in fixture_strings(alg, bound=6):
-        arc = string_to_arc(t, alg, w)
-        moved = tau_inverse_arc(t, alg, arc)
-        alg_tau = tau_inverse(p, w)
-        if alg_tau is None:
-            assert moved is None
-            assert is_injective_string(p, w)
-        else:
-            assert moved is not None
-            assert canonicalize(arc_to_string(t, alg, moved)) == \
-                canonicalize(alg_tau)
+    agree("tau", *fixture[1:], bound=6)
 
 
 def test_tau_pent_simple():
@@ -388,40 +340,16 @@ def test_integer_arguments_must_be_ints(name, value):
 
 
 def test_rep_type_geometric(fixture):
-    name, t, alg = fixture
-    kind, witness = rep_type_geometric(t, alg)
-    assert (kind == "infinite") == (detect_band(alg.presentation) is not None)
-    if name == "kron":
-        assert kind == "infinite"
-        assert crossing_word(t, witness) == ("x", "y")
-        assert intersection_number(t, witness) >= 2
-        assert check_permissible(t, alg, witness) is None
-    else:
-        assert kind == "finite"
+    agree("rep_type", *fixture[1:])
 
 
 def test_hom_dim_geometric_matches_strings(fixture):
-    name, t, alg = fixture
-    p = alg.presentation
-    words = fixture_strings(alg, bound=5)
-    for v in words:
-        for w in words:
-            av = string_to_arc(t, alg, v)
-            aw = string_to_arc(t, alg, w)
-            assert hom_dim_geometric(t, alg, av, aw) == hom_dim(p, v, w), \
-                (name, v.text(), w.text())
+    agree("geometric_hom", *fixture[1:], bound=5)
 
 
 def test_hom_dim_geometric_band_pairs():
     t = samples.tiled_fixtures()["kron"]
-    alg = tiling_algebra(t)
-    p = alg.presentation
-    band = detect_band(p)
-    curve = band_to_closed_curve(t, alg, band, 1)
-    for w in enumerate_strings(p, max_len=4):
-        arc = string_to_arc(t, alg, w)
-        assert hom_dim_geometric(t, alg, arc, curve) == hom_dim(p, w, band)
-        assert hom_dim_geometric(t, alg, curve, arc) == hom_dim(p, band, w)
+    assert agree("geometric_hom", t, tiling_algebra(t), bound=4) > 0
 
 
 def test_arcs_crossing_no_common_arc_have_no_hom(monkeypatch):
@@ -449,34 +377,10 @@ def test_arcs_crossing_no_common_arc_have_no_hom(monkeypatch):
 
 
 def test_random_tilings_cross_check():
-    # the bijection, pivots and tau on randomized surfaces, both string
-    # orientations, cross-checked against the algebraic side
-    from tilealg.artheory import hooks
     for t in samples.random_tilings(314159, 14):
         alg = tiling_algebra(t)
-        p = alg.presentation
-        bound = 4 if detect_band(p) is not None else 5
-        for w0 in enumerate_strings(p, max_len=bound):
-            for w in {w0, w0.inv()}:
-                if w.kind == "trivial" and w.vertex not in t.arcs:
-                    continue
-                arc = string_to_arc(t, alg, w)
-                assert arc_to_string(t, alg, arc) == w
-                rep = realize_string_module(p, w)
-                assert intersection_vector(t, arc) == rep.dim_vector(p)
-                h = hooks(p, w)
-                for end, want in (("s", h.w_left), ("t", h.w_right)):
-                    moved = pivot_move(t, alg, arc, end)
-                    got = StringWord.zero() if isinstance(moved, TrivialArc) \
-                        else arc_to_string(t, alg, moved)
-                    assert got == want, (t.text(), w.text(), end)
-                ta = tau_inverse_arc(t, alg, arc)
-                tw = tau_inverse(p, w)
-                if tw is None:
-                    assert ta is None
-                else:
-                    assert canonicalize(arc_to_string(t, alg, ta)) == \
-                        canonicalize(tw)
+        for name in ("round_trip", "crossings", "pivots", "tau"):
+            agree(name, t, alg, bound=5)
 
 
 def test_format_arc_is_stable():

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import gentle_corpus
+from agreements import agree
 from tilealg import samples
 from tilealg.algebra import InputError
 from tilealg.artheory import (COHOOK_REMOVED, HOOK_ADDED, ZERO, _inverse_string, _left,
@@ -179,17 +180,13 @@ def test_short_corpus_hooks_are_unique_strings_and_commute():
 
 def test_dimension_additivity_all_non_injectives():
     for p in samples.algebra_fixtures().values():
-        for w in all_strings(p, bound=6):
-            if not is_injective_string(p, w):
-                assert dimension_additivity_holds(p, w)
+        agree("ar_middles", p, bound=6)
 
 
 def test_injectivity_count_matches_vertex_count():
     # a gentle algebra has exactly |Q_0| indecomposable injectives
-    for p in [samples.a2(), samples.fix_a(), samples.fix_b(),
-              samples.loop_algebra()]:
-        inj = [w for w in enumerate_strings(p) if is_injective_string(p, w)]
-        assert len(inj) == len(p.vertices)
+    for p in [samples.a2(), samples.fix_a(), samples.fix_b(), samples.loop_algebra()]:
+        agree("injectives", p)
 
 
 def test_build_ar_quiver_a2():

@@ -2,18 +2,17 @@
 
 The named fixtures are small; the random tiling generator produces a
 spread of gentle algebras (discs of varying size, annuli with type I
-and II tiles, Kronecker-like bands) on which the combinatorial routes
-are compared against structural facts and the matrix oracle.
+and II tiles, Kronecker-like bands) on which the route agreements of
+scripts/agreements.py run, and on which the combinatorial routes are
+compared against the matrix oracle.
 """
 
-import random
-
+from agreements import agree
 from tilealg import samples
-from tilealg.artheory import hooks, is_injective_string, verify_ar_middle
 from tilealg.homs import hom_dim
 from tilealg.oracle import (BandModuleSpec, hom_dim_oracle, realize_band_module,
                             realize_string_module)
-from tilealg.strings import detect_band, enumerate_strings, parse_band
+from tilealg.strings import enumerate_strings, parse_band
 from tilealg.surface import tiling_algebra
 
 
@@ -24,54 +23,27 @@ def _algebras(seed, count):
 
 def test_random_algebras_ar_middles_against_oracle():
     for p in _algebras(424242, 10):
-        for w in enumerate_strings(p, max_len=4):
-            if not is_injective_string(p, w):
-                assert verify_ar_middle(p, w)
+        agree("ar_middles", p, bound=4)
 
 
 def test_random_bandfree_algebras_have_vertex_many_injectives():
     for p in _algebras(515151, 12):
-        if detect_band(p) is not None or not p.vertices:
-            continue
-        inj = [w for w in enumerate_strings(p) if is_injective_string(p, w)]
-        assert len(inj) == len(p.vertices)
+        agree("injectives", p)
 
 
 def test_random_algebras_hom_matches_oracle():
-    rng = random.Random(616161)
     for p in _algebras(616161, 8):
-        words = enumerate_strings(p, max_len=4)
-        if not words:
-            continue
-        reps = {w: realize_string_module(p, w) for w in words}
-        for _ in range(25):
-            v = rng.choice(words)
-            w = rng.choice(words)
-            assert hom_dim(p, v, w) == hom_dim_oracle(p, reps[v], reps[w]), \
-                (v.text(), w.text())
+        agree("hom_oracle", p, bound=4)
 
 
 def test_random_algebras_two_sided_hooks_commute():
     for p in _algebras(717171, 12):
-        for w in enumerate_strings(p, max_len=5):
-            hooks(p, w)  # asserts (w_l)_r == (w_r)_l internally
+        agree("hooks", p, bound=5)
 
 
 def test_random_tilings_geometric_hom_matches_combinatorial():
-    from tilealg.arcs import hom_dim_geometric, string_to_arc
-    rng = random.Random(818181)
     for t in samples.random_tilings(818181, 6):
-        alg = tiling_algebra(t)
-        p = alg.presentation
-        words = enumerate_strings(p, max_len=3)
-        if not words:
-            continue
-        arcs = {w: string_to_arc(t, alg, w) for w in words}
-        for _ in range(15):
-            v = rng.choice(words)
-            w = rng.choice(words)
-            assert hom_dim_geometric(t, alg, arcs[v], arcs[w]) == \
-                hom_dim(p, v, w), (v.text(), w.text())
+        agree("geometric_hom", t, tiling_algebra(t), bound=3)
 
 
 def test_repeated_band_hom_matches_oracle():

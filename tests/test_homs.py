@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 import gentle_corpus
+from agreements import agree
 from tilealg import homs, samples
 from tilealg.algebra import InputError
 from tilealg.artheory import ar_sequence, hook_left, hook_right, hooks, tau_inverse
@@ -114,10 +115,7 @@ def test_self_hom_at_least_one():
 
 def test_window_counts_match_bruteforce():
     for p in samples.algebra_fixtures().values():
-        bound = 8 if detect_band(p) is not None else None
-        for w in enumerate_strings(p, max_len=bound):
-            assert len(factor_strings(p, w)) == factor_count_bruteforce(p, w)
-            assert len(substrings(p, w)) == sub_count_bruteforce(p, w)
+        agree("windows", p, bound=8)
 
 
 def test_band_windows_and_counts():

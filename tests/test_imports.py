@@ -171,16 +171,12 @@ def test_an_unknown_name_is_an_attribute_error():
 
 
 # Public functions of library modules that no module outside tests/ names,
-# each kept on purpose: the arcs functions are the arcs API the README
-# documents; `normalize`, `window_key` and `dimension_additivity_holds`
-# are read by the acceptance criteria (test_acceptance.py); the two
-# brute-force window counters are the independent check that Hom is held
-# to; and the two fixture sets of `samples` are its named fixtures.
+# each kept on purpose: `window_key` is read by the acceptance criteria
+# (test_acceptance.py), and the two fixture sets of `samples` are its
+# named fixtures.  The route agreements of scripts/agreements.py call the
+# rest of the arcs API and the brute-force window counters.
 UNCALLED = {
-    "arcs": ["check_permissible", "closed_curve_to_band", "intersection_number",
-             "normalize", "reverse_arc"],
-    "artheory": ["dimension_additivity_holds"],
-    "homs": ["factor_count_bruteforce", "sub_count_bruteforce", "window_key"],
+    "homs": ["window_key"],
     "samples": ["algebra_fixtures", "tiled_fixtures"],
 }
 
@@ -215,9 +211,8 @@ def test_public_functions_have_a_caller_outside_the_tests():
 
 
 # The run-time assertions the library keeps, counted by module and
-# enclosing function: the permissibility of every arc the library makes,
-# and the two fan facts the collapse walk relies on.
-ASSERTIONS = {"arcs._made": 1, "surface.collapse_presentation": 2}
+# enclosing function: the permissibility of every arc the library makes.
+ASSERTIONS = {"arcs._made": 1}
 
 
 def test_library_assertions_are_pinned():

@@ -4,6 +4,11 @@ InputError that names it.  Every entry point either returns or raises
 InputError or Rejection, whatever junk sits in one of its record slots;
 and tuples, generators and sets stay accepted wherever lists are."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,10 +18,12 @@ from tilealg.algebra import (GentlePresentation, InputError, Quiver, Rejection, 
 from tilealg.arcs import (ClosedCurveClass, EndDescriptor, PermissibleArc, TrivialArc,
                           arc_to_string, band_to_closed_curve,
                           check_permissible, closed_curve_to_band, crossing_word, format_arc,
-                          hom_dim_geometric, normalize, pivot_move, pivot_points,
-                          rep_type_geometric, reverse_arc, string_to_arc, tau_inverse_arc)
+                          hom_dim_geometric, intersection_number, intersection_vector,
+                          normalize, pivot_move, pivot_points, rep_type_geometric,
+                          reverse_arc, string_to_arc, tau_inverse_arc)
 from tilealg.artheory import ar_quiver_dot, hooks
-from tilealg.homs import Window, hom_dim, window_key
+from tilealg.homs import (Window, factor_count_bruteforce, hom_dim, sub_count_bruteforce,
+                          window_key)
 from tilealg.oracle import (BandModuleSpec, MatrixRep, hom_dim_oracle, realize_band_module,
                             realize_string_module)
 from tilealg.strings import (Band, Letter, StringWord, canonicalize, detect_band,
@@ -398,6 +405,25 @@ def test_tuples_generators_and_sets_are_read_like_lists():
     (lambda: Tiling.parse(PENT.text().replace("x.2", "x.\u0662")),   # an Arabic-Indic two
      "line 6: bad slot 'x.\u0662'"),
     (lambda: Tiling.parse(PENT.text().replace("x.2", "x.3")), "line 6: bad slot 'x.3'"),
+    *[(lambda f=f: f(5, TrivialArc()), "expected a Tiling, got int")
+      for f in (crossing_word, intersection_vector, intersection_number, pivot_points,
+                normalize, reverse_arc, format_arc)],
+    (lambda: pivot_points(None, PENT_ARC), "expected a Tiling, got NoneType"),
+    (lambda: factor_count_bruteforce(CHAIN, 5), "expected StringWord or Band, got int"),
+    (lambda: sub_count_bruteforce(CHAIN, [WORD]), "expected StringWord or Band, got list"),
+    (lambda: TilingAlgebra(PENT, sorted(PENT.arcs), {
+        "a1": PENT_ALG.arrows["a1"], "a2": PENT_ALG.arrows["a1"]._replace(name="a2")}),
+     "arrow a2 leaves the slot ('x', 1) that a1 leaves"),
+    (lambda: TilingAlgebra(PENT, sorted(PENT.arcs), {
+        "a1": PENT_ALG.arrows["a1"], "a2": PENT_ALG.arrows["a1"]._replace(
+            name="a2", source="x", leave_slot=("x", 2))}),
+     "arrow a2 enters the slot ('y', 1) that a1 enters"),
+    (lambda: TilingAlgebra(PENT, sorted(PENT.arcs), {
+        "a1": PENT_ALG.arrows["a1"]._replace(point="p3")}),
+     "arrow a1 slot ('x', 1) is not at its point p3"),
+    (lambda: TilingAlgebra(PENT, sorted(PENT.arcs), {
+        "a1": PENT_ALG.arrows["a1"]._replace(enter_slot=("y", 3))}),
+     "arrow a1 slot ('y', 3) is not at its point p1"),
 ], ids=["str_vertices", "arrow_id_int", "arrow_id_empty", "vertices_int", "arrows_none",
         "vertex_list", "arrow_id_list", "relation_list_field", "source_list",
         "relations_none", "letter_int", "letter_triple", "letters_str", "band_letter_int",
@@ -441,11 +467,29 @@ def test_tuples_generators_and_sets_are_read_like_lists():
         "tiling_algebra_vertex_off_the_tiling", "tiling_arrow_point_list",
         "tiling_arrow_key_not_its_name", "check_gentle_of_a_str",
         "quiver_text_relation_twice", "check_gentle_relation_twice", "slot_end_leading_zero",
-        "slot_end_plus_sign", "slot_end_other_digit", "slot_end_3"])
+        "slot_end_plus_sign", "slot_end_other_digit", "slot_end_3",
+        "crossing_word_on_an_int", "intersection_vector_on_an_int",
+        "intersection_number_on_an_int", "pivot_points_on_an_int", "normalize_on_an_int",
+        "reverse_arc_on_an_int", "format_arc_on_an_int", "pivot_points_on_none",
+        "factor_count_of_an_int", "sub_count_of_a_list", "tiling_arrows_share_a_leave_slot",
+        "tiling_arrows_share_an_enter_slot", "tiling_arrow_off_its_point",
+        "tiling_arrow_slot_end_3"])
 def test_malformed_records_name_themselves(call, message):
     with pytest.raises(InputError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_a_path_that_is_not_a_str_is_refused_before_it_is_opened():
+    """`load_quiver(1)` must not open fd 1, whose closing would take the
+    caller's stdout; a child process prints after the refusal."""
+    code = ("from tilealg.algebra import InputError, load_quiver\n"
+            "try:\n    load_quiver(1)\nexcept InputError as err:\n    print(err)\n"
+            "print('stdout still open')\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src))
+    assert child.stdout == "expected a str or PathLike path, got int\nstdout still open\n"
 
 
 def test_list_records_read_as_their_tuples():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,25 @@ def _script(name):
 
 
 def test_random_tiling_audit_runs(capsys):
-    assert _script("random_tiling_audit").main(["random_tiling_audit.py", "4", "7"]) == 0
-    assert "audited 4 random tilings (seed 7); failures: 0" in capsys.readouterr().out
+    """The summary ends in one count line per route agreement."""
+    script = _script("random_tiling_audit")
+    assert script.main(["random_tiling_audit.py", "4", "7"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "audited 4 random tilings (seed 7); failures: 0" in out
+    counts = out[-len(script.AGREEMENTS):]
+    assert [line.split(":")[0] for line in counts] == list(script.AGREEMENTS)
+    assert all(re.fullmatch(r"\w+: \d+ checks", line) for line in counts)
+
+
+def test_random_tiling_audit_reports_a_failed_agreement(monkeypatch, capsys):
+    """A tiling on which an agreement fails is counted with its reason and
+    printed, and the audit exits 1."""
+    script = _script("random_tiling_audit")
+    monkeypatch.setattr(script, "check", lambda name, *context: (0, f"{name}: disagrees"))
+    assert script.main(["random_tiling_audit.py", "1", "7"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("tiling 0: round_trip: disagrees\ntiling\n")
+    assert "audited 1 random tilings (seed 7); failures: 1" in out
 
 
 def test_random_tiling_audit_reports_a_rejected_algebra(monkeypatch, capsys):

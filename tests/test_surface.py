@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from agreements import agree
 from tilealg import samples
 from tilealg.algebra import InputError
 from tilealg.surface import (Tiling, TilingRejection, collapse_presentation,
@@ -13,25 +14,6 @@ from tilealg.surface import (Tiling, TilingRejection, collapse_presentation,
 
 def tile_kinds(t):
     return sorted((x.kind, len(x.walk)) for x in t.tiles)
-
-
-def assert_algebra_follows_the_fans(t, alg):
-    """What gentleness cannot show of a returned tiling algebra: its
-    arrows are the adjacent pairs of each fan, and a composable pair xy is
-    a relation exactly when x enters its target at another end slot than
-    the one y leaves."""
-    p = alg.presentation
-    assert len(p.arrows) == sum(len(fan) - 1 for fan in t.fans.values() if fan)
-    slots = {}
-    for fan in t.fans.values():
-        for leave, enter in zip(fan, fan[1:]):
-            name = alg.arrow_by_slots[leave, enter]
-            assert (p.s(name), p.t(name)) == (leave[0], enter[0])
-            slots[name] = (leave, enter)
-    assert sorted(slots) == p.arrows
-    for x in p.arrows:
-        for y in p.arrows_from(p.t(x)):
-            assert ((x, y) in p.relations) == (slots[x][1] != slots[y][0]), (x, y)
 
 
 def test_pent_three_triangles():
@@ -236,7 +218,7 @@ def test_kron_algebra():
 @pytest.mark.parametrize("name", ["pent", "loop", "digon", "kron", "pants"])
 def test_fixture_algebras_are_gentle(name):
     t = samples.tiled_fixtures()[name]
-    assert_algebra_follows_the_fans(t, tiling_algebra(t))
+    agree("fans", t, tiling_algebra(t))
 
 
 def test_euler_genus_zero_fixtures():
@@ -247,21 +229,12 @@ def test_euler_genus_zero_fixtures():
 @pytest.mark.parametrize("name", ["pent", "loop", "digon", "kron", "pants"])
 def test_completion_and_collapse(name):
     t = samples.tiled_fixtures()[name]
-    comp = complete_to_triangulation(t)
-    assert all(len(x.walk) == 3 for x in comp.tiling.tiles)
-    assert len(comp.added_points) == len(t.unmarked)
-    assert set(t.arcs) <= set(comp.tiling.arcs)
-    collapsed = collapse_presentation(tiling_algebra(comp.tiling), t.arc_ids())
-    assert presentations_isomorphic(collapsed, tiling_algebra(t))
+    agree("collapse", t, tiling_algebra(t))
 
 
 def test_completion_identity_on_triangulations():
     t = samples.pent_tiling()
-    comp = complete_to_triangulation(t)
-    assert comp.added_points == () and comp.added_arcs == ()
-    alg = tiling_algebra(comp.tiling)
-    assert presentations_isomorphic(
-        collapse_presentation(alg, t.arc_ids()), tiling_algebra(t))
+    agree("collapse", t, tiling_algebra(t))
 
 
 def test_collapse_keep_all_is_identity():
@@ -339,7 +312,7 @@ def test_genus_one_tiling():
     assert t.genus() == 1
     alg = tiling_algebra(t)
     assert len(alg.arrows) == 1
-    assert_algebra_follows_the_fans(t, alg)
+    agree("fans", t, alg)
 
 
 DISCONNECTED = """\
@@ -396,18 +369,13 @@ def test_genus_one_arcs_and_pivots():
 
 def test_random_tilings_are_valid_and_gentle():
     for t in samples.random_tilings(7, 40):
-        assert_algebra_follows_the_fans(t, tiling_algebra(t))
+        agree("fans", t, tiling_algebra(t))
 
 
 def test_random_tilings_complete_and_collapse():
     for t in samples.random_tilings(99, 12):
-        comp = complete_to_triangulation(t)
-        assert all(len(x.walk) == 3 for x in comp.tiling.tiles)
-        collapsed = collapse_presentation(tiling_algebra(comp.tiling), t.arc_ids())
-        assert presentations_isomorphic(collapsed, tiling_algebra(t))
+        agree("collapse", t, tiling_algebra(t))
 
-
-# -- completion output, pinned ---------------------------------------------
 
 def _completion_record(t):
     """Everything a completion fixes: the completed tiling's text (arcs and
